@@ -315,19 +315,3 @@ def read_cohort_jsonl(path, vocab: Vocabulary) -> list[ParticipantRecord]:
             )
     return records
 
-
-def raw_value_events(record: ParticipantRecord, modality_id: int, visit: int | None = None):
-    """All (timestamp, value) pairs of one modality, optionally one visit."""
-    out = []
-    for ev in record.events:
-        if ev.modality != modality_id:
-            continue
-        if visit is not None and len(record.visit_timestamps) >= 2:
-            v2 = record.visit_timestamps[1]
-            in_v2 = ev.timestamp >= v2
-            if (visit == 0 and in_v2) or (visit == 1 and not in_v2):
-                continue
-        elif visit == 1 and len(record.visit_timestamps) < 2:
-            continue
-        out.append((ev.timestamp, ev.value))
-    return out

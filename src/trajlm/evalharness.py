@@ -229,18 +229,21 @@ def predict_queries(
     seq,
     age: float,
     sex: str,
-    queries: list[tuple[int, datetime]],
+    queries: list[tuple[int, datetime] | tuple[int, datetime, int]],
 ) -> list[float]:
     """Expected values for several (modality, time) queries in one forward pass.
 
-    The visit-1 context is shared; every query rides in its own probe/
-    prediction slot pair under the parallel mask, so predictions are mutually
-    independent and invariant to query order.
+    The context is shared; every query rides in its own probe/prediction slot
+    pair under the parallel mask, so predictions are mutually independent and
+    invariant to query order.  A query given as (modality, time, n) is
+    answered from the first n context positions only, as if the sequence
+    ended there.
     """
     n = seq.length
     k = len(queries)
     if n == 0 or k == 0:
         return []
+    lens = tuple(q[2] if len(q) > 2 else n for q in queries)
     probes, preds = parallel_v2_layout(n, k)
     t = n + 2 * k
     pad_mod = vocab.n_modalities
@@ -257,9 +260,9 @@ def predict_queries(
 
     q_mods = np.full(t, pad_mod, dtype=np.int64)
     q_times = times[1 : t + 1].copy()
-    pos_ids = np.concatenate([np.arange(n), np.tile([n, n + 1], k)])
+    pos_ids = np.concatenate([np.arange(n), np.repeat(lens, 2) + np.tile([0, 1], k)])
 
-    for i, (m, when) in enumerate(queries):
+    for i, (m, when, *_) in enumerate(queries):
         tf = time_features(when)
         for slot in (probes[i], preds[i]):
             mods[slot] = m
@@ -269,10 +272,61 @@ def predict_queries(
 
     logits = forward(
         params, config, tokens, values, mods, times, age, sex,
-        build_mask(ParallelV2(n, k), t), value_scale_table(vocab),
+        build_mask(ParallelV2(n, k, lens), t), value_scale_table(vocab),
         query_modalities=q_mods, query_times=q_times, pos_ids=pos_ids,
     ).data
-    return [decode_expected(logits[preds[i]], vocab, m) for i, (m, _) in enumerate(queries)]
+    return [decode_expected(logits[preds[i]], vocab, q[0]) for i, q in enumerate(queries)]
+
+
+def _is_prefix(short, long) -> bool:
+    """Whether `short` equals the first positions of `long` in every stream."""
+    n = short.length
+    return (
+        n <= long.length
+        and np.array_equal(short.tokens, long.tokens[:n])
+        and np.array_equal(short.values, long.values[:n])
+        and np.array_equal(short.modalities[:n], long.modalities[:n])
+        and np.array_equal(short.times[:n], long.times[:n])
+    )
+
+
+def plan_queries(
+    params: dict[str, Tensor],
+    config: ModelConfig,
+    vocab: Vocabulary,
+    age: float,
+    sex: str,
+    requests: list[tuple],
+) -> list[float]:
+    """Answer one participant's (context, modality, time) requests with the
+    fewest forward passes; returns one expected value per request, in order.
+
+    A context whose streams equal the first n positions of a longer context
+    rides in that context's pass with prefix length n, identical requests are
+    answered once, and each remaining host context gets one predict_queries
+    call.  Contexts are compared by content, so a context that is not a
+    prefix costs a pass of its own, never a wrong answer.
+    """
+    contexts = list({id(seq): seq for seq, _, _ in requests}.values())
+    hosts: list = []
+    place: dict[int, tuple[int, int]] = {}  # id(context) -> (host index, prefix length)
+    for seq in sorted(contexts, key=lambda s: -s.length):
+        if seq.length == 0:
+            raise ValueError("cannot answer a query on an empty context")
+        h = next((j for j, host in enumerate(hosts) if _is_prefix(seq, host)), len(hosts))
+        if h == len(hosts):
+            hosts.append(seq)
+        place[id(seq)] = (h, seq.length)
+    slots: list[dict] = [{} for _ in hosts]  # per host: (modality, time, n) -> slot
+    where = []
+    for seq, m, when in requests:
+        h, n = place[id(seq)]
+        where.append((h, slots[h].setdefault((int(m), when, n), len(slots[h]))))
+    answers = [
+        predict_queries(params, config, vocab, host, age, sex, list(slots[h]))
+        for h, host in enumerate(hosts)
+    ]
+    return [answers[h][i] for h, i in where]
 
 
 def longitudinal_pools(

@@ -2,10 +2,11 @@
 
 Sequences are edited declaratively: categorical token appending on a
 frequency/duration dosing grid (medications, exercise) or in-place scaling of
-continuous values (diet, CPAP-style event reduction, fibre).  Paired
-control/treatment arms share one control prediction per participant; trial
-validation samples truncated-normal synthetic populations and scores
-direction/CI concordance against published estimates.
+continuous values (diet, CPAP-style event reduction, fibre).  Each
+participant's control and treatment queries go through one query plan, so
+contexts that extend one another share a forward pass; trial validation
+samples truncated-normal synthetic populations and scores direction/CI
+concordance against published estimates.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from importlib import resources
 import numpy as np
 
 from .corpus import Event, ParticipantRecord, TokenSequence, assemble_sequence, features_to_datetime, time_features
-from .evalharness import predict_queries
+from .evalharness import plan_queries
 from .model import ModelConfig
 from .numerics import Tensor
 from .vocab import CATEGORICAL, CONTINUOUS, Vocabulary, encode_value
@@ -101,9 +102,13 @@ class EligibilityRule:
     comparator: str
     threshold: float
 
-    def satisfied(self, value: float) -> bool:
+    def __post_init__(self):
+        if self.comparator not in (">=", "<="):
+            raise ValueError(f"eligibility comparator must be '>=' or '<=', got {self.comparator!r}")
         if not math.isfinite(self.threshold):
-            raise ValueError("eligibility threshold must be finite")
+            raise ValueError(f"eligibility threshold must be finite, got {self.threshold!r}")
+
+    def satisfied(self, value: float) -> bool:
         return value >= self.threshold if self.comparator == ">=" else value <= self.threshold
 
 
@@ -304,8 +309,19 @@ def _v1_context(record: ParticipantRecord) -> ParticipantRecord:
     )
 
 
-def _anchor_time(seq: TokenSequence) -> datetime:
-    return _sequence_end_time(seq)
+def _v1_sequences(records: list[ParticipantRecord], vocab: Vocabulary, config: ModelConfig):
+    """Each record with a non-empty visit-1 context, paired with its sequence."""
+    for rec in records:
+        seq = assemble_sequence(_v1_context(rec), vocab, config.max_seq_len)
+        if seq.length:
+            yield rec, seq
+
+
+def _check_outcome(vocab: Vocabulary, outcome_modality: int, horizon_months: int) -> None:
+    if vocab.modalities[outcome_modality].kind != CONTINUOUS:
+        raise ValueError("outcome modality must be continuous")
+    if horizon_months > 24:
+        raise ValueError(f"horizon {horizon_months} exceeds 24 months")
 
 
 def simulate_arms(
@@ -318,35 +334,23 @@ def simulate_arms(
     horizon_months: int,
     rng: np.random.Generator | None = None,
     resamples: int = 1000,
-    control_cache: dict | None = None,
 ) -> ArmResult:
     """Paired control/treatment prediction of the outcome at V1 + horizon.
 
     The control arm is the untouched V1 context; the treatment arm is the same
     context with the intervention applied; both receive an identical query.
     """
-    if vocab.modalities[outcome_modality].kind != CONTINUOUS:
-        raise ValueError("outcome modality must be continuous")
-    if horizon_months > 24:
-        raise ValueError(f"horizon {horizon_months} exceeds 24 months")
-    controls, treats = [], []
-    for rec in records:
-        seq = assemble_sequence(_v1_context(rec), vocab, config.max_seq_len)
-        if seq.length == 0:
-            continue
-        when = add_months(_anchor_time(seq), horizon_months)
-        key = (rec.participant_id, outcome_modality, horizon_months)
-        if control_cache is not None and key in control_cache:
-            ctrl = control_cache[key]
-        else:
-            ctrl = predict_queries(params, config, vocab, seq, rec.age, rec.sex, [(outcome_modality, when)])[0]
-            if control_cache is not None:
-                control_cache[key] = ctrl
+    _check_outcome(vocab, outcome_modality, horizon_months)
+    pairs = []
+    for rec, seq in _v1_sequences(records, vocab, config):
+        when = add_months(_sequence_end_time(seq), horizon_months)
         edited = apply_intervention(seq, spec, vocab)
-        treat = predict_queries(params, config, vocab, edited, rec.age, rec.sex, [(outcome_modality, when)])[0]
-        controls.append(ctrl)
-        treats.append(treat)
-    result = ArmResult(np.array(controls), np.array(treats), label=spec.label)
+        pairs.append(plan_queries(
+            params, config, vocab, rec.age, rec.sex,
+            [(seq, outcome_modality, when), (edited, outcome_modality, when)],
+        ))
+    controls, treats = np.array(pairs, dtype=np.float64).reshape(-1, 2).T.copy()
+    result = ArmResult(controls, treats, label=spec.label)
     if rng is not None and len(controls) > 0:
         result.ci = result.bootstrap_ci(rng, resamples)
     return result
@@ -374,8 +378,8 @@ def filter_eligible(
         if not rule.satisfied(float(v1_values[-1])):
             continue
         seq = assemble_sequence(ctx, vocab, config.max_seq_len)
-        when = add_months(_anchor_time(seq), horizon_months)
-        pred = predict_queries(params, config, vocab, seq, rec.age, rec.sex, [(rule.modality_id, when)])[0]
+        when = add_months(_sequence_end_time(seq), horizon_months)
+        [pred] = plan_queries(params, config, vocab, rec.age, rec.sex, [(seq, rule.modality_id, when)])
         if rule.satisfied(pred):
             eligible.append(rec)
     return eligible, missing
@@ -395,30 +399,26 @@ def trajectory(
     Categorical dosing at month t covers V1 through t; continuous edits apply
     in full at every horizon.
     """
+    horizons = range(1, months + 1)
+    deltas = []
+    for rec, seq in _v1_sequences(records, vocab, config):
+        whens = [add_months(_sequence_end_time(seq), t) for t in horizons]
+        if isinstance(spec, CategoricalAppend):
+            edited = [
+                _append_dosing(seq, spec.modality_id, spec.category_index, spec.frequency, t, vocab)
+                for t in horizons
+            ]
+        else:
+            edited = [apply_intervention(seq, spec, vocab)] * months
+        preds = plan_queries(
+            params, config, vocab, rec.age, rec.sex,
+            [(seq, outcome_modality, w) for w in whens]
+            + [(e, outcome_modality, w) for e, w in zip(edited, whens)],
+        )
+        deltas.append(np.subtract(preds[months:], preds[:months]))
+    by_month = np.array(deltas, dtype=np.float64).reshape(len(deltas), months).T
     out = []
-    cache: dict = {}
-    for t in range(1, months + 1):
-        controls, treats = [], []
-        for rec in records:
-            seq = assemble_sequence(_v1_context(rec), vocab, config.max_seq_len)
-            if seq.length == 0:
-                continue
-            when = add_months(_anchor_time(seq), t)
-            key = (rec.participant_id, outcome_modality, t)
-            if key not in cache:
-                cache[key] = predict_queries(
-                    params, config, vocab, seq, rec.age, rec.sex, [(outcome_modality, when)]
-                )[0]
-            if isinstance(spec, CategoricalAppend):
-                edited = _append_dosing(seq, spec.modality_id, spec.category_index, spec.frequency, t, vocab)
-            else:
-                edited = apply_intervention(seq, spec, vocab)
-            treat = predict_queries(
-                params, config, vocab, edited, rec.age, rec.sex, [(outcome_modality, when)]
-            )[0]
-            controls.append(cache[key])
-            treats.append(treat)
-        d = np.array(treats) - np.array(controls)
+    for t, d in zip(horizons, by_month):
         sem = float(d.std(ddof=1) / math.sqrt(len(d))) if len(d) > 1 else 0.0
         out.append((t, float(d.mean()), sem))
     return out
@@ -514,25 +514,22 @@ def four_arm(
     outcome_modality: int,
     horizon_months: int,
 ) -> dict[str, ArmResult]:
-    """Control / A / B / A+B with one shared set of control predictions."""
+    """Control / A / B / A+B in one query plan per participant, so the three
+    arms share one set of control predictions."""
     _combined_scale_conflict(spec_a, spec_b)
-    cache: dict = {}
-    arm_a = simulate_arms(params, config, vocab, records, spec_a, outcome_modality, horizon_months, control_cache=cache)
-    arm_b = simulate_arms(params, config, vocab, records, spec_b, outcome_modality, horizon_months, control_cache=cache)
-
-    controls, treats = [], []
-    for rec in records:
-        seq = assemble_sequence(_v1_context(rec), vocab, config.max_seq_len)
-        if seq.length == 0:
-            continue
-        when = add_months(_anchor_time(seq), horizon_months)
-        ctrl = cache[(rec.participant_id, outcome_modality, horizon_months)]
-        edited = apply_intervention(apply_intervention(seq, spec_a, vocab), spec_b, vocab)
-        treat = predict_queries(params, config, vocab, edited, rec.age, rec.sex, [(outcome_modality, when)])[0]
-        controls.append(ctrl)
-        treats.append(treat)
-    arm_ab = ArmResult(np.array(controls), np.array(treats), label=f"{spec_a.label}+{spec_b.label}")
-    return {"A": arm_a, "B": arm_b, "AB": arm_ab}
+    _check_outcome(vocab, outcome_modality, horizon_months)
+    rows = []
+    for rec, seq in _v1_sequences(records, vocab, config):
+        when = add_months(_sequence_end_time(seq), horizon_months)
+        with_a = apply_intervention(seq, spec_a, vocab)
+        contexts = (seq, with_a, apply_intervention(seq, spec_b, vocab), apply_intervention(with_a, spec_b, vocab))
+        rows.append(plan_queries(params, config, vocab, rec.age, rec.sex, [(c, outcome_modality, when) for c in contexts]))
+    control, a, b, ab = np.array(rows, dtype=np.float64).reshape(-1, 4).T.copy()
+    return {
+        "A": ArmResult(control, a, label=spec_a.label),
+        "B": ArmResult(control, b, label=spec_b.label),
+        "AB": ArmResult(control, ab, label=f"{spec_a.label}+{spec_b.label}"),
+    }
 
 
 def load_trial_spec(doc: dict | str, vocab: Vocabulary) -> TrialSpec:

@@ -29,7 +29,6 @@ __all__ = [
     "param_count",
     "value_scale_table",
     "sinusoid_features",
-    "positional_encoding",
     "embed_inputs",
     "forward",
     "forward_sequence",
@@ -87,8 +86,17 @@ class SplitContext:
 
 @dataclass(frozen=True)
 class ParallelV2:
+    """A causal context of n_ctx positions followed by n_targets probe/
+    prediction slot pairs.
+
+    ctx_lens, when given, holds one context length per target: target i's
+    prediction slot then attends to the first ctx_lens[i] context positions
+    only, so queries on nested prefixes of one context share a pass.
+    """
+
     n_ctx: int
     n_targets: int
+    ctx_lens: tuple[int, ...] | None = None
 
 
 def build_mask(kind, t: int) -> np.ndarray:
@@ -108,13 +116,16 @@ def build_mask(kind, t: int) -> np.ndarray:
         n, k = kind.n_ctx, kind.n_targets
         if t != n + 2 * k:
             raise ValueError(f"parallel mask needs length {n + 2 * k}, got {t}")
+        lens = (n,) * k if kind.ctx_lens is None else kind.ctx_lens
+        if len(lens) != k or not all(0 < m <= n for m in lens):
+            raise ValueError(f"parallel mask needs {k} context lengths in [1, {n}], got {lens}")
         mask = np.zeros((t, t), dtype=bool)
         mask[:n, :n] = np.tril(np.ones((n, n), dtype=bool))
-        for i in range(k):
+        for i, m in enumerate(lens):
             f = n + 2 * i
             p = f + 1
             mask[f, f] = True
-            mask[p, :n] = True
+            mask[p, :m] = True
             mask[p, f] = True
             mask[p, p] = True
         return mask
@@ -229,10 +240,6 @@ def sinusoid_features(values: np.ndarray, dim: int, dtype=np.float64) -> np.ndar
     return out
 
 
-def positional_encoding(pos_ids: np.ndarray, d_model: int, dtype=np.float64) -> np.ndarray:
-    return sinusoid_features(pos_ids, d_model, dtype)
-
-
 # --- forward pass ---------------------------------------------------------------
 
 
@@ -262,7 +269,7 @@ def embed_inputs(
 
     h = nm.add(h, nm.embedding(params["mod_embed"], modalities[:t]))
     h = nm.add(h, _time_embedding(params, times[:t]))
-    h = nm.add(h, nm.constant(positional_encoding(pos_ids, config.d_model, dtype)))
+    h = nm.add(h, nm.constant(sinusoid_features(pos_ids, config.d_model, dtype)))
 
     age_feat = nm.constant(sinusoid_features(np.array([age]), config.cont_pe_dim, dtype))
     demo = nm.add(
@@ -308,6 +315,8 @@ def forward(
     evaluation modes that pack several independent queries into one pass.
     """
     t = len(tokens)
+    if t == 0:
+        raise ValueError("forward needs at least one token; the sequence is empty")
     if len(values) != t:
         raise ValueError(f"length mismatch between streams: {t} tokens vs {len(values)} values")
     if len(modalities) != t + 1 or len(times) != t + 1:

@@ -1,9 +1,11 @@
 import csv
 import json
+from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
 import pytest
 
+import trajlm.cli as cli
 from trajlm.cli import main
 
 TRAIN_CONFIG = """
@@ -193,6 +195,44 @@ class TestProbeAndSimulate:
                      "--cohort", str(workspace["cohort"]), "--spec", str(spec), "--out", str(out)]) == 0
         text = out.read_text()
         assert "# effect_percent=0" in text
+
+    def test_simulate_workers_byte_identical(self, workspace, tmp_path, monkeypatch):
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps({
+            "intervention": {"kind": "append", "modality": "medication", "category_index": 0,
+                             "frequency": 1, "duration": 12, "label": "drug_a"},
+            "outcome": "t_target",
+            "horizon_months": 12,
+            "seed": 4,
+        }), encoding="utf-8")
+        pools = []
+
+        class RecordedPool(ProcessPoolExecutor):
+            def __init__(self, max_workers=None, **kwargs):
+                pools.append(max_workers)
+                super().__init__(max_workers=max_workers, **kwargs)
+
+        monkeypatch.setattr(cli, "ProcessPoolExecutor", RecordedPool)
+        outs = {}
+        for workers in ("1", "2"):
+            outs[workers] = tmp_path / f"sim{workers}.csv"
+            assert main(["simulate", "--ckpt", str(workspace["ckpt"]), "--vocab", str(workspace["vocab"]),
+                         "--cohort", str(workspace["cohort"]), "--spec", str(spec),
+                         "--out", str(outs[workers]), "--workers", workers]) == 0
+        assert pools == [2]
+        assert outs["1"].read_bytes() == outs["2"].read_bytes()
+
+    def test_simulate_rejects_unknown_comparator(self, workspace, tmp_path, capsys):
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps({
+            "intervention": {"kind": "scale", "modalities": ["x_core"], "factor": 0.9, "label": "diet"},
+            "outcome": "y_double",
+            "eligibility": {"modality": "x_core", "comparator": ">", "threshold": 95.0},
+        }), encoding="utf-8")
+        rc = main(["simulate", "--ckpt", str(workspace["ckpt"]), "--vocab", str(workspace["vocab"]),
+                   "--cohort", str(workspace["cohort"]), "--spec", str(spec), "--out", str(tmp_path / "x.csv")])
+        assert rc == 1
+        assert "comparator" in capsys.readouterr().err
 
     def test_simulate_malformed_spec(self, workspace, tmp_path, capsys):
         spec = tmp_path / "bad.json"

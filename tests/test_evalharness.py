@@ -4,7 +4,8 @@ from datetime import datetime, timedelta
 import numpy as np
 import pytest
 
-from trajlm.corpus import Event, ParticipantRecord
+import trajlm.evalharness as evalharness
+from trajlm.corpus import Event, ParticipantRecord, TokenSequence, assemble_sequence
 from trajlm.evalharness import (
     baseline_predict,
     bioage,
@@ -13,6 +14,8 @@ from trajlm.evalharness import (
     eval_longitudinal,
     eval_within_visit,
     longitudinal_pairs,
+    plan_queries,
+    predict_queries,
     topk_accuracy,
     write_metric_csv,
 )
@@ -241,6 +244,95 @@ class TestModelEvaluation:
         other = predict_queries(params, config, vocab, seq, rec.age, rec.sex,
                                 [(0, when), (1, when + timedelta(days=200))])
         assert other[0] == ab[0]
+
+
+def planner_context(vocab, n_events=8, seed=2):
+    rng = np.random.default_rng(seed)
+    t0 = datetime(2021, 1, 4, 9, 0)
+    events = []
+    for i in range(n_events):
+        m = i % 3
+        value = ["a", "b", "c", "d"][int(rng.integers(0, 4))] if m == 2 else float(rng.normal(15 if m == 0 else 100, 3))
+        events.append(Event(t0 + timedelta(hours=i), m, value, False))
+    rec = ParticipantRecord("p", 52.0, "male", events, [t0])
+    return rec, assemble_sequence(rec, vocab, 64)
+
+
+def cut(seq, n):
+    """The sequence as if it ended after n positions."""
+    return TokenSequence(
+        seq.tokens[:n].copy(), seq.values[:n].copy(), seq.modalities[: n + 1].copy(),
+        seq.times[: n + 1].copy(), min(seq.visit_boundary, n),
+    )
+
+
+def tolerance(vocab, m):
+    """Packed and single passes agree within this share of the midpoint span."""
+    mids = vocab.modalities[m].midpoints
+    return 1e-5 * (max(mids) - min(mids))
+
+
+@pytest.fixture
+def passes(monkeypatch):
+    """Every predict_queries call the planner makes, as (context, queries)."""
+    calls = []
+    inner = evalharness.predict_queries
+
+    def counted(params, config, vocab, seq, age, sex, queries):
+        calls.append((seq, list(queries)))
+        return inner(params, config, vocab, seq, age, sex, queries)
+
+    monkeypatch.setattr(evalharness, "predict_queries", counted)
+    return calls
+
+
+class TestQueryPlanner:
+    def test_prefix_query_matches_cut_context(self, vocab, tiny_model):
+        params, config = tiny_model
+        rec, seq = planner_context(vocab)
+        when = datetime(2021, 6, 1, 9, 0)
+        packed = predict_queries(params, config, vocab, seq, rec.age, rec.sex, [(1, when, 5), (1, when)])
+        alone = predict_queries(params, config, vocab, cut(seq, 5), rec.age, rec.sex, [(1, when)])[0]
+        full = predict_queries(params, config, vocab, seq, rec.age, rec.sex, [(1, when)])[0]
+        assert abs(packed[0] - alone) <= tolerance(vocab, 1)
+        assert abs(packed[1] - full) <= tolerance(vocab, 1)
+        assert packed[0] != packed[1]
+
+    def test_nested_prefixes_share_one_pass(self, vocab, tiny_model, passes):
+        params, config = tiny_model
+        rec, seq = planner_context(vocab)
+        w1, w2 = datetime(2021, 3, 1, 9, 0), datetime(2021, 9, 1, 9, 0)
+        requests = [(cut(seq, 3), 0, w1), (seq, 1, w2), (cut(seq, 6), 1, w1), (cut(seq, 3), 1, w2)]
+        got = plan_queries(params, config, vocab, rec.age, rec.sex, requests)
+        assert len(passes) == 1 and passes[0][0] is seq
+        for (ctx, m, when), value in zip(requests, got):
+            single = predict_queries(params, config, vocab, ctx, rec.age, rec.sex, [(m, when)])[0]
+            assert abs(value - single) <= tolerance(vocab, m)
+
+    def test_duplicate_requests_answered_once(self, vocab, tiny_model, passes):
+        params, config = tiny_model
+        rec, seq = planner_context(vocab)
+        when = datetime(2021, 6, 1, 9, 0)
+        got = plan_queries(params, config, vocab, rec.age, rec.sex, [(seq, 1, when), (seq.copy(), 1, when), (seq, 1, when)])
+        assert len(passes) == 1 and len(passes[0][1]) == 1
+        assert got[0] == got[1] == got[2]
+
+    def test_non_prefix_context_gets_its_own_pass(self, vocab, tiny_model, passes):
+        params, config = tiny_model
+        rec, seq = planner_context(vocab)
+        edited = cut(seq, 6)
+        edited.values[2] += 1.0  # same length-6 shape, different content
+        when = datetime(2021, 6, 1, 9, 0)
+        got = plan_queries(params, config, vocab, rec.age, rec.sex, [(seq, 1, when), (edited, 1, when)])
+        assert len(passes) == 2
+        for ctx, value in zip((seq, edited), got):
+            assert value == predict_queries(params, config, vocab, ctx, rec.age, rec.sex, [(1, when)])[0]
+
+    def test_empty_context_rejected(self, vocab, tiny_model):
+        params, config = tiny_model
+        rec, seq = planner_context(vocab)
+        with pytest.raises(ValueError, match="empty context"):
+            plan_queries(params, config, vocab, rec.age, rec.sex, [(cut(seq, 0), 1, datetime(2021, 6, 1))])
 
 
 class TestCrossmodal:

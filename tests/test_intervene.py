@@ -6,6 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import trajlm.evalharness as evalharness
 from trajlm.corpus import Event, ParticipantRecord, assemble_sequence
 from trajlm.intervene import (
     DURATIONS,
@@ -28,6 +29,8 @@ from trajlm.intervene import (
     simulate_arms,
     trajectory,
 )
+from trajlm.intervene import _append_dosing, _sequence_end_time
+from trajlm.evalharness import predict_queries
 from trajlm.model import ModelConfig, init_params
 from trajlm.vocab import RawModality, build_vocabulary, decode_token
 
@@ -186,6 +189,16 @@ class TestEligibility:
         assert ge.satisfied(160.0) and not ge.satisfied(100.0)
         assert le.satisfied(35.0) and not le.satisfied(45.0)
 
+    @pytest.mark.parametrize("comparator", [">", "=>", "<", "=="])
+    def test_unknown_comparator_rejected(self, comparator):
+        with pytest.raises(ValueError, match="comparator"):
+            EligibilityRule(0, comparator, 130.0)
+
+    @pytest.mark.parametrize("threshold", [math.nan, math.inf, -math.inf])
+    def test_non_finite_threshold_rejected(self, threshold):
+        with pytest.raises(ValueError, match="finite"):
+            EligibilityRule(0, ">=", threshold)
+
     def test_default_threshold_table(self):
         assert ELIGIBILITY_DEFAULTS["ldl"] == (">=", 130.0)
         assert ELIGIBILITY_DEFAULTS["hdl"] == ("<=", 40.0)
@@ -201,12 +214,12 @@ class TestEligibility:
         # 'lo' fails the observed-baseline gate regardless of any prediction;
         # 'hi' passes V1 and is kept iff its control prediction also clears 130
         from trajlm.evalharness import predict_queries
-        from trajlm.intervene import add_months, _anchor_time, _v1_context
+        from trajlm.intervene import add_months, _sequence_end_time, _v1_context
 
         seq = assemble_sequence(_v1_context(records[0]), vocab, config.max_seq_len)
         pred_hi = predict_queries(
             params, config, vocab, seq, records[0].age, records[0].sex,
-            [(0, add_months(_anchor_time(seq), 12))],
+            [(0, add_months(_sequence_end_time(seq), 12))],
         )[0]
         rule = EligibilityRule(0, ">=", 130.0)
         kept, missing = filter_eligible(params, config, vocab, records, rule, 12)
@@ -246,6 +259,98 @@ class TestTrajectory:
             params, config, vocab, records, CategoricalAppend(2, 0, 10, 12), 0, months=3
         )
         assert [t for t, _, _ in series] == [1, 2, 3]
+
+
+def v1_singles(params, config, vocab, rec, contexts, outcome, when):
+    """One predict_queries pass per context, the reference the planner must match."""
+    return [predict_queries(params, config, vocab, c, rec.age, rec.sex, [(outcome, when)])[0] for c in contexts]
+
+
+def span_tolerance(vocab, m):
+    mids = vocab.modalities[m].midpoints
+    return 1e-5 * (max(mids) - min(mids))
+
+
+@pytest.fixture
+def pass_log(monkeypatch):
+    calls = []
+    inner = evalharness.predict_queries
+
+    def counted(params, config, vocab, seq, age, sex, queries):
+        calls.append(len(queries))
+        return inner(params, config, vocab, seq, age, sex, queries)
+
+    monkeypatch.setattr(evalharness, "predict_queries", counted)
+    return calls
+
+
+class TestQueryPlan:
+    """Planned workloads against one-query-per-pass predictions on each
+    separate context, within 1e-5 of the outcome's midpoint span."""
+
+    @pytest.mark.parametrize("spec", [CategoricalAppend(2, 0, 2, 12), ContinuousScale((0, 1), 0.8)])
+    def test_trajectory_matches_single_passes(self, vocab, tiny_model, spec):
+        params, config = tiny_model
+        records = [single_visit_record(vocab, ldl=140 + 10 * i, pid=f"p{i}", seed=i) for i in range(3)]
+        months = 4
+        series = trajectory(params, config, vocab, records, spec, 0, months=months)
+        for t, mean, _ in series:
+            deltas = []
+            for rec in records:
+                seq = assemble_sequence(rec, vocab, config.max_seq_len)
+                when = add_months(_sequence_end_time(seq), t)
+                if isinstance(spec, CategoricalAppend):
+                    edited = _append_dosing(seq, 2, 0, spec.frequency, t, vocab)
+                else:
+                    edited = apply_intervention(seq, spec, vocab)
+                ctrl, treat = v1_singles(params, config, vocab, rec, [seq, edited], 0, when)
+                deltas.append(treat - ctrl)
+            assert abs(mean - float(np.mean(deltas))) <= span_tolerance(vocab, 0)
+
+    def test_simulate_arms_matches_single_passes(self, vocab, tiny_model):
+        params, config = tiny_model
+        records = [single_visit_record(vocab, ldl=150 + 5 * i, pid=f"p{i}", seed=i) for i in range(3)]
+        spec = CategoricalAppend(2, 1, 10, 6)
+        arm = simulate_arms(params, config, vocab, records, spec, 0, 9)
+        tol = span_tolerance(vocab, 0)
+        for rec, ctrl, treat in zip(records, arm.control, arm.treatment):
+            seq = assemble_sequence(rec, vocab, config.max_seq_len)
+            when = add_months(_sequence_end_time(seq), 9)
+            ref = v1_singles(params, config, vocab, rec, [seq, apply_intervention(seq, spec, vocab)], 0, when)
+            assert abs(ctrl - ref[0]) <= tol and abs(treat - ref[1]) <= tol
+
+    def test_four_arm_matches_single_passes(self, vocab, tiny_model):
+        params, config = tiny_model
+        records = [single_visit_record(vocab, ldl=150 + 5 * i, pid=f"p{i}", seed=i) for i in range(3)]
+        spec_a, spec_b = CategoricalAppend(2, 0, 2, 6), ContinuousScale((1,), 0.9)
+        arms = four_arm(params, config, vocab, records, spec_a, spec_b, 0, 6)
+        tol = span_tolerance(vocab, 0)
+        for i, rec in enumerate(records):
+            seq = assemble_sequence(rec, vocab, config.max_seq_len)
+            when = add_months(_sequence_end_time(seq), 6)
+            with_a = apply_intervention(seq, spec_a, vocab)
+            contexts = [seq, with_a, apply_intervention(seq, spec_b, vocab), apply_intervention(with_a, spec_b, vocab)]
+            ctrl, a, b, ab = v1_singles(params, config, vocab, rec, contexts, 0, when)
+            for key, ref in (("A", a), ("B", b), ("AB", ab)):
+                assert abs(arms[key].control[i] - ctrl) <= tol
+                assert abs(arms[key].treatment[i] - ref) <= tol
+
+    def test_dosing_trajectory_one_pass_per_participant(self, vocab, tiny_model, pass_log):
+        params, config = tiny_model
+        records = [single_visit_record(vocab, pid=f"p{i}", seed=i) for i in range(3)]
+        trajectory(params, config, vocab, records, CategoricalAppend(2, 0, 10, 12), 0, months=12)
+        # 12 control and 12 dosed queries, all on prefixes of the 12-month context
+        assert pass_log == [24, 24, 24]
+
+    def test_paired_arms_share_one_pass(self, vocab, tiny_model, pass_log):
+        params, config = tiny_model
+        records = [single_visit_record(vocab, pid=f"p{i}", seed=i) for i in range(2)]
+        simulate_arms(params, config, vocab, records, CategoricalAppend(2, 0, 1, 12), 0, 12)
+        assert pass_log == [2, 2]
+        pass_log.clear()
+        # the scaled context is not a prefix of the control: two passes each
+        simulate_arms(params, config, vocab, records, ContinuousScale((0,), 0.8), 0, 12)
+        assert pass_log == [1, 1, 1, 1]
 
 
 class TestSampler:

@@ -18,7 +18,7 @@ from trajlm.model import (
     init_params,
     param_count,
     param_manifest,
-    positional_encoding,
+    sinusoid_features,
     value_scale_table,
 )
 from trajlm.vocab import RawModality, build_vocabulary
@@ -127,10 +127,31 @@ class TestMasks:
         with pytest.raises(ValueError, match="length"):
             build_mask(ParallelV2(2, 2), 5)
 
+    def test_parallel_v2_prefix_rows(self):
+        n, lens = 4, (2, 4, 1)
+        k = len(lens)
+        m = build_mask(ParallelV2(n, k, lens), n + 2 * k)
+        rows = {r: set(np.flatnonzero(m[r]).tolist()) for r in range(n + 2 * k)}
+        # the context stays causal whatever the prefixes
+        assert [rows[r] for r in range(n)] == [set(range(r + 1)) for r in range(n)]
+        # layout [V0..V3, F1, P1, F2, P2, F3, P3]
+        assert rows[4] == {4} and rows[6] == {6} and rows[8] == {8}
+        assert rows[5] == {0, 1, 4, 5}
+        assert rows[7] == {0, 1, 2, 3, 6, 7}
+        assert rows[9] == {0, 8, 9}
+
+    def test_parallel_v2_full_prefixes_equal_default(self):
+        assert np.array_equal(build_mask(ParallelV2(3, 2, (3, 3)), 7), build_mask(ParallelV2(3, 2), 7))
+
+    @pytest.mark.parametrize("lens", [(0, 2), (2, 4), (2,), (1, 2, 3)])
+    def test_parallel_v2_bad_prefixes_rejected(self, lens):
+        with pytest.raises(ValueError, match="context lengths"):
+            build_mask(ParallelV2(3, 2, lens), 7)
+
 
 class TestEmbedding:
     def test_positional_encoding_at_zero(self, config):
-        pe = positional_encoding(np.array([0]), config.d_model)
+        pe = sinusoid_features(np.array([0]), config.d_model)
         assert np.all(pe[0, 0::2] == 0.0)
         assert np.all(pe[0, 1::2] == 1.0)
 
@@ -219,6 +240,15 @@ class TestForward:
             forward(
                 params, config, seq.tokens, seq.values, seq.modalities[:-1], seq.times,
                 40.0, "male", build_mask(Causal(), seq.length), value_scale_table(vocab),
+            )
+
+    def test_empty_sequence_rejected(self, vocab, config):
+        params = init_params(config, np.random.default_rng(4), dtype=np.float64)
+        with pytest.raises(ValueError, match="empty"):
+            forward(
+                params, config, np.zeros(0, dtype=np.int64), np.zeros(0),
+                np.zeros(1, dtype=np.int64), np.zeros((1, 7), dtype=np.int64),
+                40.0, "male", np.zeros((0, 0), dtype=bool), value_scale_table(vocab),
             )
 
     def test_parallel_target_isolation(self, vocab, config):
