@@ -13,10 +13,12 @@ import csv
 import hashlib
 import json
 import math
+import multiprocessing
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from datetime import datetime
+from functools import partial
 
 import numpy as np
 
@@ -29,14 +31,13 @@ from .evalharness import (
     _metrics_from_pools,
     baseline_predict,
     crossmodal_sweep,
-    eval_longitudinal,
-    eval_within_visit,
     longitudinal_pools,
     merge_pools,
     within_visit_pools,
     write_metric_csv,
 )
 from .intervene import (
+    ArmResult,
     EligibilityRule,
     concordance,
     filter_eligible,
@@ -311,39 +312,25 @@ def cmd_train(args) -> int:
     return 0
 
 
-def _chunks(items, n):
-    size = math.ceil(len(items) / n)
-    return [items[i : i + size] for i in range(0, len(items), size)]
-
-
-def _ntp_worker(payload):
-    params, config, vocab, records = payload
-    return within_visit_pools(params, config, vocab, records)
-
-
-def _long_worker(payload):
-    params, config, vocab, records = payload
-    return longitudinal_pools(params, config, vocab, records)
-
-
-def _sim_worker(payload):
-    params, config, vocab, records, spec, outcome, horizon = payload
-    arm = simulate_arms(params, config, vocab, records, spec, outcome, horizon)
-    return arm.control, arm.treatment
+def map_participants(fn, records, workers: int) -> list:
+    """Apply `fn` to `records` split in order into at most `workers` chunks;
+    returns one result per chunk, in order.  A single chunk (one worker, or
+    fewer than two records) runs in this process; otherwise each chunk goes
+    to its own spawned worker process (forking a process that already runs
+    BLAS threads can deadlock the child)."""
+    size = max(1, math.ceil(len(records) / workers))
+    chunks = [records[i : i + size] for i in range(0, len(records), size)] or [records]
+    if len(chunks) == 1:
+        return [fn(chunks[0])]
+    with ProcessPoolExecutor(max_workers=len(chunks), mp_context=multiprocessing.get_context("spawn")) as pool:
+        return list(pool.map(fn, chunks))
 
 
 def cmd_eval_ntp(args) -> int:
     params, config, header, vocab = _load_model(args.ckpt, args.vocab)
     records = read_cohort_jsonl(_require_file(args.cohort, "cohort"), vocab)
-    if args.workers > 1 and len(records) > 1:
-        payloads = [(params, config, vocab, chunk) for chunk in _chunks(records, args.workers)]
-        with ProcessPoolExecutor(max_workers=args.workers) as pool:
-            parts = list(pool.map(_ntp_worker, payloads))
-        cont = merge_pools([p[0] for p in parts])
-        cat = merge_pools([p[1] for p in parts])
-        report = _metrics_from_pools(cont, cat, vocab)
-    else:
-        report = eval_within_visit(params, config, vocab, records)
+    parts = map_participants(partial(within_visit_pools, params, config, vocab), records, args.workers)
+    report = _metrics_from_pools(merge_pools(p[0] for p in parts), merge_pools(p[1] for p in parts), vocab)
     meta = _meta(header["meta"].get("seed", ""), header["meta"].get("config_hash", ""))
     write_metric_csv(report, args.report, meta)
     if args.json:
@@ -358,13 +345,8 @@ def cmd_eval_ntp(args) -> int:
 def cmd_eval_longitudinal(args) -> int:
     params, config, header, vocab = _load_model(args.ckpt, args.vocab)
     records = read_cohort_jsonl(_require_file(args.cohort, "cohort"), vocab)
-    if args.workers > 1 and len(records) > 1:
-        payloads = [(params, config, vocab, chunk) for chunk in _chunks(records, args.workers)]
-        with ProcessPoolExecutor(max_workers=args.workers) as pool:
-            pools = merge_pools(list(pool.map(_long_worker, payloads)))
-        report = _metrics_from_pools({m: (p[1], p[2]) for m, p in pools.items()}, {}, vocab)
-    else:
-        report, pools = eval_longitudinal(params, config, vocab, records)
+    pools = merge_pools(map_participants(partial(longitudinal_pools, params, config, vocab), records, args.workers))
+    report = _metrics_from_pools({m: (p[1], p[2]) for m, p in pools.items()}, {}, vocab)
     meta = _meta(header["meta"].get("seed", ""), header["meta"].get("config_hash", ""))
     write_metric_csv(report, args.report, meta)
 
@@ -461,23 +443,17 @@ def cmd_simulate(args) -> int:
     if not records:
         raise CliError("no eligible participants to simulate")
 
-    if args.workers > 1 and len(records) > 1:
-        from .intervene import ArmResult
-
-        payloads = [
-            (params, config, vocab, chunk, spec, outcome, horizon)
-            for chunk in _chunks(records, args.workers)
-        ]
-        with ProcessPoolExecutor(max_workers=args.workers) as pool:
-            parts = list(pool.map(_sim_worker, payloads))
-        arm = ArmResult(
-            np.concatenate([p[0] for p in parts]),
-            np.concatenate([p[1] for p in parts]),
-            label=spec.label,
-        )
-        arm.ci = arm.bootstrap_ci(rng)
-    else:
-        arm = simulate_arms(params, config, vocab, records, spec, outcome, horizon, rng=rng)
+    arm_fn = partial(simulate_arms, params, config, vocab, spec=spec, outcome_modality=outcome, horizon_months=horizon)
+    parts = map_participants(arm_fn, records, args.workers)
+    arm = ArmResult(
+        np.concatenate([p.control for p in parts]),
+        np.concatenate([p.treatment for p in parts]),
+        label=spec.label,
+        participants=[pid for p in parts for pid in p.participants],
+    )
+    if not arm.participants:
+        raise CliError("no participant to simulate has any visit-1 measurement")
+    arm.ci = arm.bootstrap_ci(rng)
     meta = _meta(seed, header["meta"].get("config_hash", ""))
     with open(args.out, "w", encoding="utf-8", newline="") as f:
         f.write("".join(f"# {k}={v}\n" for k, v in sorted(meta.items())))
@@ -487,8 +463,8 @@ def cmd_simulate(args) -> int:
             f.write(f"# ci_low={arm.ci[0]:.10g}\n# ci_high={arm.ci[1]:.10g}\n")
         w = csv.writer(f, lineterminator="\n")
         w.writerow(["participant", "predicted_control", "predicted_treatment", "delta"])
-        for rec, c, t in zip(records, arm.control, arm.treatment):
-            w.writerow([rec.participant_id, format(c, ".10g"), format(t, ".10g"), format(t - c, ".10g")])
+        for pid, c, t in zip(arm.participants, arm.control, arm.treatment):
+            w.writerow([pid, format(c, ".10g"), format(t, ".10g"), format(t - c, ".10g")])
     if args.trajectory:
         series = trajectory(params, config, vocab, records, spec, outcome, months=horizon)
         tpath = f"{args.out}.trajectory.csv"
@@ -502,7 +478,7 @@ def cmd_simulate(args) -> int:
 
             line_svg(args.plot, [s[0] for s in series], [s[1] for s in series], [s[2] for s in series],
                      title=spec.label, xlabel="months", ylabel="mean delta")
-    print(f"simulated {len(records)} participants: effect {arm.effect_percent:.2f}% -> {args.out}")
+    print(f"simulated {len(arm.participants)} participants: effect {arm.effect_percent:.2f}% -> {args.out}")
     return 0
 
 
@@ -678,6 +654,8 @@ def main(argv=None) -> int:
     parser = make_parser()
     args = parser.parse_args(argv)
     try:
+        if getattr(args, "workers", 1) < 1:
+            raise CliError(f"--workers must be at least 1, got {args.workers}")
         return args.func(args)
     except CliError as e:
         print(f"error: {e}", file=sys.stderr)

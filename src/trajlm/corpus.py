@@ -133,6 +133,21 @@ def features_to_datetime(vec, year_base: int = YEAR_BASE) -> datetime:
     return datetime(year_base + yi, month, dom, hour, minute)
 
 
+def v1_context(record: ParticipantRecord) -> ParticipantRecord:
+    """The record cut to its first visit: events before the second visit's
+    timestamp; a record with fewer than two visits is returned unchanged."""
+    if len(record.visit_timestamps) < 2:
+        return record
+    v2 = record.visit_timestamps[1]
+    return ParticipantRecord(
+        record.participant_id,
+        record.age,
+        record.sex,
+        [e for e in record.events if e.timestamp < v2],
+        record.visit_timestamps[:1],
+    )
+
+
 def assemble_sequence(
     record: ParticipantRecord,
     vocab: Vocabulary,

@@ -12,7 +12,7 @@ from datetime import datetime
 
 import numpy as np
 
-from .corpus import ParticipantRecord, SEX_INDEX, assemble_sequence, time_features
+from .corpus import ParticipantRecord, SEX_INDEX, assemble_sequence, time_features, v1_context
 from .model import (
     Causal,
     ModelConfig,
@@ -341,14 +341,7 @@ def longitudinal_pools(
     for rec in records:
         if len(rec.visit_timestamps) < 2:
             continue
-        v1_only = ParticipantRecord(
-            rec.participant_id,
-            rec.age,
-            rec.sex,
-            [e for e in rec.events if e.timestamp < rec.visit_timestamps[1]],
-            rec.visit_timestamps[:1],
-        )
-        seq = assemble_sequence(v1_only, vocab, max_len or config.max_seq_len)
+        seq = assemble_sequence(v1_context(rec), vocab, max_len or config.max_seq_len)
         if seq.length == 0:
             continue
         targets: dict[int, tuple[datetime, float]] = {}

@@ -13,13 +13,21 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from datetime import datetime, timedelta
 from importlib import resources
 
 import numpy as np
 
-from .corpus import Event, ParticipantRecord, TokenSequence, assemble_sequence, features_to_datetime, time_features
+from .corpus import (
+    Event,
+    ParticipantRecord,
+    TokenSequence,
+    assemble_sequence,
+    features_to_datetime,
+    time_features,
+    v1_context,
+)
 from .evalharness import plan_queries
 from .model import ModelConfig
 from .numerics import Tensor
@@ -150,6 +158,7 @@ class ArmResult:
     treatment: np.ndarray
     label: str = ""
     ci: tuple[float, float] | None = None
+    participants: list[str] = field(default_factory=list)  # ids, row-aligned with the arrays
 
     @property
     def deltas(self) -> np.ndarray:
@@ -296,23 +305,10 @@ def _append_dosing(
     return out
 
 
-def _v1_context(record: ParticipantRecord) -> ParticipantRecord:
-    if len(record.visit_timestamps) < 2:
-        return record
-    v2 = record.visit_timestamps[1]
-    return ParticipantRecord(
-        record.participant_id,
-        record.age,
-        record.sex,
-        [e for e in record.events if e.timestamp < v2],
-        record.visit_timestamps[:1],
-    )
-
-
 def _v1_sequences(records: list[ParticipantRecord], vocab: Vocabulary, config: ModelConfig):
     """Each record with a non-empty visit-1 context, paired with its sequence."""
     for rec in records:
-        seq = assemble_sequence(_v1_context(rec), vocab, config.max_seq_len)
+        seq = assemble_sequence(v1_context(rec), vocab, config.max_seq_len)
         if seq.length:
             yield rec, seq
 
@@ -341,16 +337,17 @@ def simulate_arms(
     context with the intervention applied; both receive an identical query.
     """
     _check_outcome(vocab, outcome_modality, horizon_months)
-    pairs = []
+    pids, pairs = [], []
     for rec, seq in _v1_sequences(records, vocab, config):
         when = add_months(_sequence_end_time(seq), horizon_months)
         edited = apply_intervention(seq, spec, vocab)
+        pids.append(rec.participant_id)
         pairs.append(plan_queries(
             params, config, vocab, rec.age, rec.sex,
             [(seq, outcome_modality, when), (edited, outcome_modality, when)],
         ))
     controls, treats = np.array(pairs, dtype=np.float64).reshape(-1, 2).T.copy()
-    result = ArmResult(controls, treats, label=spec.label)
+    result = ArmResult(controls, treats, label=spec.label, participants=pids)
     if rng is not None and len(controls) > 0:
         result.ci = result.bootstrap_ci(rng, resamples)
     return result
@@ -370,7 +367,7 @@ def filter_eligible(
     eligible = []
     missing = 0
     for rec in records:
-        ctx = _v1_context(rec)
+        ctx = v1_context(rec)
         v1_values = [e.value for e in ctx.events if e.modality == rule.modality_id]
         if not v1_values:
             missing += 1
@@ -518,17 +515,18 @@ def four_arm(
     arms share one set of control predictions."""
     _combined_scale_conflict(spec_a, spec_b)
     _check_outcome(vocab, outcome_modality, horizon_months)
-    rows = []
+    pids, rows = [], []
     for rec, seq in _v1_sequences(records, vocab, config):
         when = add_months(_sequence_end_time(seq), horizon_months)
         with_a = apply_intervention(seq, spec_a, vocab)
         contexts = (seq, with_a, apply_intervention(seq, spec_b, vocab), apply_intervention(with_a, spec_b, vocab))
+        pids.append(rec.participant_id)
         rows.append(plan_queries(params, config, vocab, rec.age, rec.sex, [(c, outcome_modality, when) for c in contexts]))
     control, a, b, ab = np.array(rows, dtype=np.float64).reshape(-1, 4).T.copy()
     return {
-        "A": ArmResult(control, a, label=spec_a.label),
-        "B": ArmResult(control, b, label=spec_b.label),
-        "AB": ArmResult(control, ab, label=f"{spec_a.label}+{spec_b.label}"),
+        "A": ArmResult(control, a, label=spec_a.label, participants=pids),
+        "B": ArmResult(control, b, label=spec_b.label, participants=pids),
+        "AB": ArmResult(control, ab, label=f"{spec_a.label}+{spec_b.label}", participants=pids),
     }
 
 

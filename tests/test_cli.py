@@ -1,12 +1,15 @@
 import csv
 import json
 from concurrent.futures import ProcessPoolExecutor
+from datetime import datetime
 from pathlib import Path
 
 import pytest
 
 import trajlm.cli as cli
 from trajlm.cli import main
+from trajlm.corpus import read_cohort_jsonl
+from trajlm.intervene import parse_intervention, simulate_arms
 
 TRAIN_CONFIG = """
 n_embd = 16
@@ -29,6 +32,23 @@ random_block_removal_chance = 0.0
 random_modality_subset_chance = 0.0
 random_modality_exclusion_chance = 0.0
 """
+
+
+DRUG_SPEC = {
+    "intervention": {"kind": "append", "modality": "medication", "category_index": 0,
+                     "frequency": 1, "duration": 12, "label": "drug_a"},
+    "outcome": "t_target",
+    "horizon_months": 12,
+    "seed": 4,
+}
+
+
+def _without_visit1(doc: dict) -> dict:
+    """A cohort line with every event before the second visit removed."""
+    v2 = datetime.fromisoformat(doc["visits"][1])
+    events = [e for e in doc["events"] if datetime.fromisoformat(e["t"]) >= v2]
+    assert events, "the participant needs second-visit events"
+    return {**doc, "events": events}
 
 
 @pytest.fixture(scope="module")
@@ -196,15 +216,13 @@ class TestProbeAndSimulate:
         text = out.read_text()
         assert "# effect_percent=0" in text
 
-    def test_simulate_workers_byte_identical(self, workspace, tmp_path, monkeypatch):
-        spec = tmp_path / "spec.json"
-        spec.write_text(json.dumps({
-            "intervention": {"kind": "append", "modality": "medication", "category_index": 0,
-                             "frequency": 1, "duration": 12, "label": "drug_a"},
-            "outcome": "t_target",
-            "horizon_months": 12,
-            "seed": 4,
-        }), encoding="utf-8")
+    @pytest.mark.parametrize("command, flags, outputs", [
+        ("eval-ntp", ["--report", "r.csv", "--json", "r.json"], ["r.csv", "r.json"]),
+        ("eval-longitudinal", ["--baselines", "locf", "--report", "r.csv", "--json", "r.json"],
+         ["r.csv", "r.csv.locf.csv", "r.json"]),
+        ("simulate", ["--spec", "spec.json", "--out", "r.csv"], ["r.csv"]),
+    ], ids=["eval-ntp", "eval-longitudinal", "simulate"])
+    def test_workers_byte_identical(self, workspace, tmp_path, monkeypatch, command, flags, outputs):
         pools = []
 
         class RecordedPool(ProcessPoolExecutor):
@@ -215,12 +233,71 @@ class TestProbeAndSimulate:
         monkeypatch.setattr(cli, "ProcessPoolExecutor", RecordedPool)
         outs = {}
         for workers in ("1", "2"):
-            outs[workers] = tmp_path / f"sim{workers}.csv"
-            assert main(["simulate", "--ckpt", str(workspace["ckpt"]), "--vocab", str(workspace["vocab"]),
-                         "--cohort", str(workspace["cohort"]), "--spec", str(spec),
-                         "--out", str(outs[workers]), "--workers", workers]) == 0
+            run = tmp_path / f"workers{workers}"
+            run.mkdir()
+            (run / "spec.json").write_text(json.dumps(DRUG_SPEC), encoding="utf-8")
+            assert main([command, "--ckpt", str(workspace["ckpt"]), "--vocab", str(workspace["vocab"]),
+                         "--cohort", str(workspace["cohort"]), "--workers", workers]
+                        + [str(run / f) if "." in f else f for f in flags]) == 0
+            outs[workers] = [(run / name).read_bytes() for name in outputs]
         assert pools == [2]
-        assert outs["1"].read_bytes() == outs["2"].read_bytes()
+        assert outs["1"] == outs["2"]
+
+    @pytest.mark.parametrize("workers", ["1", "2"])
+    def test_simulate_rows_carry_their_participant(self, workspace, tmp_path, capsys, workers):
+        # the first participant has no visit-1 measurement, so only the other
+        # five are simulated; each row must name the participant it answers
+        lines = workspace["cohort"].read_text(encoding="utf-8").splitlines()[:6]
+        lines[0] = json.dumps(_without_visit1(json.loads(lines[0])))
+        cohort = tmp_path / "cohort.jsonl"
+        cohort.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps(DRUG_SPEC), encoding="utf-8")
+        out = tmp_path / "sim.csv"
+        assert main(["simulate", "--ckpt", str(workspace["ckpt"]), "--vocab", str(workspace["vocab"]),
+                     "--cohort", str(cohort), "--spec", str(spec), "--out", str(out), "--workers", workers]) == 0
+        assert "simulated 5 participants" in capsys.readouterr().out
+
+        params, config, _, vocab = cli._load_model(workspace["ckpt"], workspace["vocab"])
+        records = read_cohort_jsonl(cohort, vocab)
+        drug = parse_intervention(DRUG_SPEC["intervention"], vocab)
+        outcome = vocab.modality(DRUG_SPEC["outcome"]).id
+        rows = [r for r in csv.reader(out.read_text().splitlines()) if r and not r[0].startswith("#")][1:]
+        assert [r[0] for r in rows] == [rec.participant_id for rec in records[1:]]
+        for row, rec in zip(rows, records[1:]):
+            alone = simulate_arms(params, config, vocab, [rec], drug, outcome, DRUG_SPEC["horizon_months"])
+            assert row[1:3] == [format(alone.control[0], ".10g"), format(alone.treatment[0], ".10g")]
+
+    def test_simulate_without_visit1_context_is_error(self, workspace, tmp_path, capsys):
+        first = workspace["cohort"].read_text(encoding="utf-8").splitlines()[0]
+        cohort = tmp_path / "cohort.jsonl"
+        cohort.write_text(json.dumps(_without_visit1(json.loads(first))) + "\n", encoding="utf-8")
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps(DRUG_SPEC), encoding="utf-8")
+        out = tmp_path / "sim.csv"
+        rc = main(["simulate", "--ckpt", str(workspace["ckpt"]), "--vocab", str(workspace["vocab"]),
+                   "--cohort", str(cohort), "--spec", str(spec), "--out", str(out)])
+        assert rc == 1
+        assert "visit-1" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command, workers, flags", [
+        ("eval-ntp", "0", ["--report"]),
+        ("eval-longitudinal", "-3", ["--report"]),
+        ("simulate", "0", ["--spec", "s.json", "--out"]),
+    ], ids=["eval-ntp", "eval-longitudinal", "simulate"])
+    def test_workers_below_one_rejected(self, tmp_path, monkeypatch, capsys, command, workers, flags):
+        def never(*args, **kwargs):
+            raise AssertionError("ran past the --workers check")
+
+        monkeypatch.setattr(cli, "ProcessPoolExecutor", never)
+        monkeypatch.setattr(cli, "_load_model", never)
+        out = tmp_path / "out.csv"
+        rc = main([command, "--ckpt", "m.ckpt", "--vocab", "v.json", "--cohort", "c.jsonl",
+                   "--workers", workers, *flags, str(out)])
+        assert rc == 1
+        assert "--workers" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_simulate_rejects_unknown_comparator(self, workspace, tmp_path, capsys):
         spec = tmp_path / "spec.json"

@@ -214,9 +214,10 @@ class TestEligibility:
         # 'lo' fails the observed-baseline gate regardless of any prediction;
         # 'hi' passes V1 and is kept iff its control prediction also clears 130
         from trajlm.evalharness import predict_queries
-        from trajlm.intervene import add_months, _sequence_end_time, _v1_context
+        from trajlm.corpus import v1_context
+        from trajlm.intervene import add_months, _sequence_end_time
 
-        seq = assemble_sequence(_v1_context(records[0]), vocab, config.max_seq_len)
+        seq = assemble_sequence(v1_context(records[0]), vocab, config.max_seq_len)
         pred_hi = predict_queries(
             params, config, vocab, seq, records[0].age, records[0].sex,
             [(0, add_months(_sequence_end_time(seq), 12))],
