@@ -338,7 +338,11 @@ def cmd_eval_ntp(args) -> int:
         with open(args.json, "w", encoding="utf-8") as f:
             json.dump(summary, f, sort_keys=True)
             f.write("\n")
-    print(f"within-visit report on {len(records)} participants -> {args.report} (median r {report.median_r():.3f})")
+    scored = sum(p[2] for p in parts)
+    print(
+        f"within-visit report on {scored} participants, {len(records) - scored} skipped (fewer than 2 tokens) "
+        f"-> {args.report} (median r {report.median_r():.3f})"
+    )
     return 0
 
 

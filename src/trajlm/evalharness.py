@@ -138,14 +138,18 @@ def within_visit_pools(
     records: list[ParticipantRecord],
     max_len: int | None = None,
 ):
-    """Per-modality (prediction, truth) pools under the causal mask."""
+    """Per-modality (prediction, truth) pools under the causal mask, plus the
+    number of participants scored (a sequence shorter than 2 tokens has no
+    target and is skipped)."""
     scales = value_scale_table(vocab)
     cont_pool: dict[int, tuple[list, list]] = {}
     cat_pool: dict[int, tuple[list, list]] = {}
+    scored = 0
     for rec in records:
         seq = assemble_sequence(rec, vocab, max_len or config.max_seq_len)
         if seq.length < 2:
             continue
+        scored += 1
         logits = forward(
             params, config, seq.tokens, seq.values, seq.modalities, seq.times,
             rec.age, rec.sex, build_mask(Causal(), seq.length), scales,
@@ -161,7 +165,7 @@ def within_visit_pools(
                 pool = cat_pool.setdefault(m, ([], []))
                 pool[0].append(logits[j - 1])
                 pool[1].append(int(seq.tokens[j]) - spec.cum_base)
-    return cont_pool, cat_pool
+    return cont_pool, cat_pool, scored
 
 
 def merge_pools(parts):
@@ -184,7 +188,7 @@ def eval_within_visit(
     max_len: int | None = None,
 ) -> MetricReport:
     """Next-token prediction under the causal mask, aggregated per modality."""
-    cont_pool, cat_pool = within_visit_pools(params, config, vocab, records, max_len)
+    cont_pool, cat_pool, _ = within_visit_pools(params, config, vocab, records, max_len)
     return _metrics_from_pools(cont_pool, cat_pool, vocab)
 
 
@@ -273,9 +277,9 @@ def predict_queries(
     logits = forward(
         params, config, tokens, values, mods, times, age, sex,
         build_mask(ParallelV2(n, k, lens), t), value_scale_table(vocab),
-        query_modalities=q_mods, query_times=q_times, pos_ids=pos_ids,
+        query_modalities=q_mods, query_times=q_times, pos_ids=pos_ids, head=(preds, None, None),
     ).data
-    return [decode_expected(logits[preds[i]], vocab, q[0]) for i, q in enumerate(queries)]
+    return [decode_expected(logits[i], vocab, q[0]) for i, q in enumerate(queries)]
 
 
 def _is_prefix(short, long) -> bool:

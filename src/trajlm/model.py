@@ -307,12 +307,17 @@ def forward(
     pos_ids: np.ndarray | None = None,
     dropout_rng: np.random.Generator | None = None,
     return_hidden: bool = False,
+    head: tuple | None = None,
 ):
     """Run the full stack; logits[p] answers the query at stream slot p+1.
 
     modalities/times must be one entry longer than tokens; explicit
     query_modalities/query_times (length T) override that +1 alignment for
     evaluation modes that pack several independent queries into one pass.
+    head=(rows, starts, widths) returns only those output-head entries:
+    row i holds logits[rows[i], starts[i] : starts[i] + widths[i]], padded
+    with 0 to the widest range (numerics.range_head; starts/widths None mean
+    every column).  The default is every row at full width, (T, V).
     """
     t = len(tokens)
     if t == 0:
@@ -371,7 +376,7 @@ def forward(
     q_time = _query_mlp(params, "qtime", _time_embedding(params, q_times))
     h_tilde = nm.add(nm.add(h, q_mod), q_time)
 
-    z = nm.add(nm.matmul(h_tilde, params["out_w"]), params["out_b"])
+    z = nm.range_head(h_tilde, params["out_w"], params["out_b"], *(head or ()))
     cc = c.logit_clamp
     logits = nm.scale(nm.tanh(nm.scale(z, 1.0 / cc)), cc)
     if return_hidden:

@@ -33,7 +33,8 @@ __all__ = [
     "layer_norm",
     "embedding",
     "take_rows",
-    "slice_cols",
+    "take_ranges",
+    "range_head",
     "reshape",
     "transpose",
     "sum_",
@@ -311,15 +312,95 @@ def take_rows(a: Tensor, idx) -> Tensor:
     return out
 
 
-def slice_cols(a: Tensor, start: int, stop: int) -> Tensor:
-    out = Tensor(a.data[..., start:stop], a.requires_grad, (a,))
+def _ranges(rows, starts, widths, n_rows: int, n_cols: int):
+    """Validated int64 (rows, starts, widths) for a ragged row/column-range selection."""
+    rows = np.asarray(rows, dtype=np.int64).reshape(-1)
+    starts = np.zeros_like(rows) if starts is None else np.asarray(starts, dtype=np.int64).reshape(-1)
+    widths = n_cols - starts if widths is None else np.asarray(widths, dtype=np.int64).reshape(-1)
+    if not len(rows) == len(starts) == len(widths):
+        raise ValueError(f"selection lengths differ: {len(rows)} rows, {len(starts)} starts, {len(widths)} widths")
+    if rows.size and (rows.min() < 0 or rows.max() >= n_rows):
+        raise IndexError(f"row index out of range: [{rows.min()}, {rows.max()}] vs {n_rows} rows")
+    if rows.size and (starts.min() < 0 or widths.min() < 1 or (starts + widths).max() > n_cols):
+        raise IndexError(f"column ranges must be non-empty and inside [0, {n_cols})")
+    return rows, starts, widths
+
+
+def take_ranges(a: Tensor, rows, starts, widths, fill: float) -> Tensor:
+    """Ragged gather from a 2-d tensor: out[i, j] = a[rows[i], starts[i] + j]
+    for j < widths[i], and `fill` (no gradient) up to max(widths) columns."""
+    rows, starts, widths = _ranges(rows, starts, widths, *a.data.shape)
+    span = np.arange(widths.max(initial=0))
+    valid = span < widths[:, None]
+    r = np.broadcast_to(rows[:, None], valid.shape)[valid]
+    c = (starts[:, None] + span)[valid]
+    y = np.full(valid.shape, fill, dtype=a.data.dtype)
+    y[valid] = a.data[r, c]
+    out = Tensor(y, a.requires_grad, (a,))
 
     def bw(g):
         if not a.requires_grad:
             return
-        full = np.zeros_like(a.data)
-        full[..., start:stop] = g
-        _accum(a, full)
+        if a.grad is None:
+            a.grad = np.zeros_like(a.data)
+        np.add.at(a.grad, (r, c), g[valid])
+
+    out._backward = bw
+    return out
+
+
+def range_head(h: Tensor, w: Tensor, b: Tensor, rows=None, starts=None, widths=None) -> Tensor:
+    """Output-head entries z[i, j] = h[rows[i]] . w[:, starts[i] + j] + b[starts[i] + j]
+    for j < widths[i], zero-padded to max(widths) columns.
+
+    Rows that share a (start, width) range share one matmul, so memory stays
+    O(len(rows) x max(widths)) beyond the operands.  rows=None is every row at
+    full width: `h @ w + b`, the same BLAS call as matmul then add; starts=None
+    is column 0 and widths=None runs to the last column.
+    """
+    hd, wd, bd = h.data, w.data, b.data
+    n_cols = wd.shape[1]
+    if rows is None:
+        shape = (hd.shape[0], n_cols)
+        groups = [(slice(None), slice(None), 0, n_cols)]
+    else:
+        rows, starts, widths = _ranges(rows, starts, widths, hd.shape[0], n_cols)
+        shape = (len(rows), int(widths.max(initial=0)))
+        order = np.lexsort((widths, starts))
+        cuts = np.flatnonzero(np.diff(starts[order]) | np.diff(widths[order])) + 1
+        groups = [
+            (idx, rows[idx], int(starts[idx[0]]), int(widths[idx[0]]))
+            for idx in np.split(order, cuts)
+            if idx.size
+        ]
+    blocks = [hd[r] @ wd[:, s : s + k] + bd[s : s + k] for _, r, s, k in groups]
+    if len(blocks) == 1:  # one shared range: the stable sort left every row in place
+        z = blocks[0]
+    else:
+        z = np.zeros(shape, dtype=np.result_type(hd, wd, bd))
+        for (idx, _, _, k), blk in zip(groups, blocks):
+            z[idx, :k] = blk
+    out = Tensor(z, _track(h, w, b), (h, w, b))
+
+    def bw(g):
+        gsel = np.empty((shape[0], hd.shape[1]), dtype=hd.dtype) if h.requires_grad else None
+        for p in (w, b):
+            if p.requires_grad and p.grad is None:
+                p.grad = np.zeros_like(p.data)
+        for idx, r, s, k in groups:
+            gz = g[idx, :k]
+            if gsel is not None:
+                gsel[idx] = gz @ wd[:, s : s + k].T
+            if w.requires_grad:
+                w.grad[:, s : s + k] += hd[r].T @ gz
+            if b.requires_grad:
+                b.grad[s : s + k] += gz.sum(axis=0)
+        if gsel is not None and rows is None:
+            _accum(h, gsel)
+        elif gsel is not None:
+            gh = np.zeros_like(hd)
+            np.add.at(gh, rows, gsel)
+            _accum(h, gh)
 
     out._backward = bw
     return out

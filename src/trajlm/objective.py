@@ -27,6 +27,8 @@ __all__ = [
     "OptimizerState",
     "TrainingDiverged",
     "soft_target",
+    "NTPTargets",
+    "ntp_targets",
     "sequence_loss",
     "masked_ntp_loss",
     "lr_at",
@@ -79,20 +81,73 @@ def soft_target(a: int, b: int, k: int, sigma: float) -> np.ndarray:
     return q / q.sum()
 
 
-def _grouped_targets(seq: TokenSequence, vocab: Vocabulary, min_target: int):
-    """Group NTP targets by modality: logits row p predicts token p + 1.
+# Padding for the ragged target block: exp(-1e4 - max) is exactly 0 in float32
+# and float64, so padded columns get probability 0 and a finite log-probability
+# that a zero soft target multiplies to exactly 0.  Logits from `forward` lie
+# within +-logit_clamp, far above it.
+_PAD_LOGIT = -1e4
 
-    Returns {modality_id: (logit_rows, target_tokens, true_values)} for target
-    positions >= min_target, skipping pad targets.
+
+@dataclass(frozen=True)
+class NTPTargets:
+    """One pass's next-token targets, in stream order: logits row rows[i]
+    predicts a token of the modality owning [starts[i], starts[i] + widths[i]).
+
+    The (n, max width) arrays are zero beyond each target's width.
     """
-    groups: dict[int, list[tuple[int, int, float]]] = {}
-    for j in range(max(1, min_target), seq.length):
-        tok = int(seq.tokens[j])
-        if tok >= vocab.total_tokens:
-            continue
-        m = int(seq.modalities[j])
-        groups.setdefault(m, []).append((j - 1, tok, float(seq.values[j])))
-    return groups
+
+    rows: np.ndarray
+    starts: np.ndarray
+    widths: np.ndarray
+    soft: np.ndarray  # Gaussian-smoothed target distribution
+    mids: np.ndarray  # bin midpoints of continuous targets, 0 for categorical
+    truth: np.ndarray  # true value of continuous targets, 0 for categorical
+    mae_weight: np.ndarray  # 1 / train_sd for continuous targets, 0 for categorical
+    n_mae: int
+
+    @property
+    def head(self) -> tuple:
+        """The `forward(..., head=...)` selection of exactly these entries."""
+        return self.rows, self.starts, self.widths
+
+
+def ntp_targets(seq: TokenSequence, vocab: Vocabulary, sigma: float, min_target: int = 0) -> NTPTargets:
+    """Targets at positions >= min_target (logits row p predicts token p + 1),
+    skipping pad targets."""
+    j = np.arange(max(1, min_target), seq.length)
+    tok = np.asarray(seq.tokens[j], dtype=np.int64)
+    keep = tok < vocab.total_tokens
+    j, tok = j[keep], tok[keep]
+    mods, inv = np.unique(np.asarray(seq.modalities[j], dtype=np.int64), return_inverse=True)
+    specs = [vocab.modalities[m] for m in mods]
+    cont = np.array([spec.kind == CONTINUOUS for spec in specs], dtype=bool)
+    starts = np.array([spec.cum_base for spec in specs], dtype=np.int64)[inv]
+    widths = np.array([spec.n_tokens for spec in specs], dtype=np.int64)[inv]
+    offset = tok - starts
+    bad = np.flatnonzero((offset < 0) | (offset >= widths))
+    if bad.size:
+        i = bad[0]
+        raise ValueError(f"target token {tok[i]} outside range [{starts[i]}, {starts[i] + widths[i] - 1}]")
+
+    span = np.arange(widths.max(initial=0))
+    valid = span < widths[:, None]
+    q = np.where(valid, np.exp(-((span - offset[:, None]) ** 2) / (2.0 * sigma * sigma)), 0.0)
+    q /= q.sum(axis=1, keepdims=True)
+    mid_table = np.zeros((len(specs), len(span)))
+    for u, spec in enumerate(specs):
+        if cont[u]:
+            mid_table[u, : spec.n_tokens] = spec.midpoints
+    inv_sd = np.array([1.0 / spec.train_sd if c else 0.0 for spec, c in zip(specs, cont)])
+    return NTPTargets(
+        rows=j - 1,
+        starts=starts,
+        widths=widths,
+        soft=q,
+        mids=mid_table[inv],
+        truth=np.where(cont[inv], np.asarray(seq.values[j], dtype=np.float64), 0.0),
+        mae_weight=inv_sd[inv],
+        n_mae=int(cont[inv].sum()),
+    )
 
 
 def masked_ntp_loss(
@@ -101,42 +156,36 @@ def masked_ntp_loss(
     vocab: Vocabulary,
     sigma: float,
     min_target: int = 0,
+    targets: NTPTargets | None = None,
 ):
     """(soft, mae, n_soft, n_mae) over all eligible next-token targets.
 
-    Probabilities are renormalized inside each target modality's token range,
-    so logits outside that range never contribute.
+    `logits` are the full (T, V) rows, or, when `targets` (ntp_targets of the
+    same sequence, sigma and min_target) is given, the block that
+    `forward(..., head=targets.head)` returned.  Probabilities are
+    renormalized inside each target modality's token range, so logits outside
+    that range never contribute: one log_softmax and one softmax run over the
+    ragged target block padded with -1e4.
     """
-    groups = _grouped_targets(seq, vocab, min_target)
-    soft_sum = None
-    mae_sum = None
-    n_soft = 0
-    n_mae = 0
-    for m, items in groups.items():
-        spec = vocab.modalities[m]
-        a, b = vocab.token_range(m)
-        rows = np.array([it[0] for it in items])
-        sub = nm.slice_cols(nm.take_rows(logits, rows), a, b + 1)
+    if targets is None:
+        targets = ntp_targets(seq, vocab, sigma, min_target)
+        rows, starts = targets.rows, targets.starts
+    else:
+        rows, starts = np.arange(len(targets.rows)), None
+    n_soft, n_mae = len(targets.rows), targets.n_mae
+    dtype = logits.dtype
+    zero = nm.constant(np.array(0.0, dtype=dtype))
+    if n_soft == 0:
+        return zero, zero, 0, 0
 
-        q = np.stack([soft_target(a, b, tok, sigma) for _, tok, _ in items])
-        logp = nm.log_softmax(sub, axis=-1)
-        ce = nm.neg(nm.sum_(nm.mul(nm.constant(q.astype(logits.dtype)), logp)))
-        soft_sum = ce if soft_sum is None else nm.add(soft_sum, ce)
-        n_soft += len(items)
-
-        if spec.kind == CONTINUOUS:
-            mids = np.asarray(spec.midpoints, dtype=np.float64).reshape(-1, 1)
-            p = nm.softmax(sub, axis=-1)
-            pred = nm.matmul(p, nm.constant(mids.astype(logits.dtype)))
-            truth = np.array([[it[2]] for it in items], dtype=logits.dtype)
-            dev = nm.abs_(nm.sub(pred, nm.constant(truth)))
-            term = nm.scale(nm.sum_(dev), 1.0 / spec.train_sd)
-            mae_sum = term if mae_sum is None else nm.add(mae_sum, term)
-            n_mae += len(items)
-
-    zero = nm.constant(np.array(0.0, dtype=logits.dtype))
-    soft = nm.scale(soft_sum, 1.0 / n_soft) if n_soft else zero
-    mae = nm.scale(mae_sum, 1.0 / n_mae) if n_mae else zero
+    block = nm.take_ranges(logits, rows, starts, targets.widths, fill=_PAD_LOGIT)
+    ce = nm.neg(nm.sum_(nm.mul(nm.constant(targets.soft.astype(dtype)), nm.log_softmax(block))))
+    soft = nm.scale(ce, 1.0 / n_soft)
+    if n_mae == 0:
+        return soft, zero, n_soft, 0
+    pred = nm.sum_(nm.mul(nm.softmax(block), nm.constant(targets.mids.astype(dtype))), axis=1)
+    dev = nm.abs_(nm.sub(pred, nm.constant(targets.truth.astype(dtype))))
+    mae = nm.scale(nm.sum_(nm.mul(dev, nm.constant(targets.mae_weight.astype(dtype)))), 1.0 / n_mae)
     return soft, mae, n_soft, n_mae
 
 
@@ -153,24 +202,29 @@ def sequence_loss(
     """Composite loss for one sequence: causal soft+MAE plus split-context soft.
 
     The split term runs a second forward pass under the split mask and scores
-    only positions at or past the visit boundary.
+    only positions at or past the visit boundary.  Each pass computes only
+    the output-head entries its targets are scored on (ntp_targets).
     """
     scales = value_scale_table(vocab)
+    sigma = loss_config.sl_sigma
+    causal_targets = ntp_targets(seq, vocab, sigma)
     causal_logits = forward(
         params, config, seq.tokens, seq.values, seq.modalities, seq.times,
         age, sex, build_mask(Causal(), seq.length), scales, dropout_rng=dropout_rng,
+        head=causal_targets.head,
     )
-    soft, mae, n_soft, _ = masked_ntp_loss(causal_logits, seq, vocab, loss_config.sl_sigma)
+    soft, mae, n_soft, _ = masked_ntp_loss(causal_logits, seq, vocab, sigma, targets=causal_targets)
 
     boundary = seq.visit_boundary
     if 0 < boundary < seq.length:
+        split_targets = ntp_targets(seq, vocab, sigma, min_target=boundary)
         split_logits = forward(
             params, config, seq.tokens, seq.values, seq.modalities, seq.times,
             age, sex, build_mask(SplitContext(boundary), seq.length), scales,
-            dropout_rng=dropout_rng,
+            dropout_rng=dropout_rng, head=split_targets.head,
         )
         split, _, n_split, _ = masked_ntp_loss(
-            split_logits, seq, vocab, loss_config.sl_sigma, min_target=boundary
+            split_logits, seq, vocab, sigma, min_target=boundary, targets=split_targets
         )
     else:
         split = nm.constant(np.array(0.0, dtype=causal_logits.dtype))

@@ -170,6 +170,19 @@ class TestEval:
         doc = json.loads(summary.read_text())
         assert "median_r" in doc
 
+    @pytest.mark.parametrize("workers", ["1", "2"])
+    def test_eval_ntp_counts_scored_and_skipped(self, workspace, tmp_path, capsys, workers):
+        # a one-event participant has no next-token target and is not scored
+        lines = workspace["cohort"].read_text(encoding="utf-8").splitlines()[:6]
+        first = json.loads(lines[0])
+        lines[0] = json.dumps({**first, "events": first["events"][:1]})
+        cohort = tmp_path / "cohort.jsonl"
+        cohort.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        assert main(["eval-ntp", "--ckpt", str(workspace["ckpt"]), "--cohort", str(cohort),
+                     "--vocab", str(workspace["vocab"]), "--report", str(tmp_path / "r.csv"),
+                     "--workers", workers]) == 0
+        assert "report on 5 participants, 1 skipped" in capsys.readouterr().out
+
     def test_eval_longitudinal_with_locf(self, workspace, tmp_path):
         report = tmp_path / "long.csv"
         assert main(["eval-longitudinal", "--ckpt", str(workspace["ckpt"]), "--cohort", str(workspace["cohort"]),

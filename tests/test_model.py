@@ -281,6 +281,23 @@ class TestForward:
         assert not np.array_equal(base[n + 1], out[n + 1])
 
 
+    @pytest.mark.parametrize("mask_kind", [Causal(), SplitContext(6)], ids=["causal", "split"])
+    def test_head_selection_matches_full_head(self, vocab, config, mask_kind):
+        params = init_params(config, np.random.default_rng(11), dtype=np.float64)
+        _, seq = sample_sequence(vocab, n_events=10, two_visits=True)
+        full = run_forward(params, config, vocab, seq, mask_kind=mask_kind).data
+        bounds = [vocab.token_range(m) for m in range(vocab.n_modalities)]
+        rows = np.array([0, 3, 3, 7, seq.length - 1])
+        starts = np.array([bounds[m][0] for m in (0, 2, 1, 0, 1)])
+        widths = np.array([bounds[m][1] - bounds[m][0] + 1 for m in (0, 2, 1, 0, 1)])
+        part = run_forward(params, config, vocab, seq, mask_kind=mask_kind, head=(rows, starts, widths)).data
+        assert part.shape == (5, widths.max())
+        for i, (r, s, k) in enumerate(zip(rows, starts, widths)):
+            assert np.max(np.abs(part[i, :k] - full[r, s : s + k])) <= 1e-12
+        whole_rows = run_forward(params, config, vocab, seq, mask_kind=mask_kind, head=(rows[::-1], None, None)).data
+        assert np.max(np.abs(whole_rows - full[rows[::-1]])) <= 1e-12
+
+
 class TestEmbeddingExtraction:
     def test_single_token_equals_hidden(self, vocab, config):
         rng = np.random.default_rng(11)

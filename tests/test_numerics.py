@@ -138,7 +138,7 @@ class TestGradCheck:
             lambda x: nm.abs_(nm.add(x, nm.constant(np.array(0.1)))),
             lambda x: nm.reshape(nm.mul(x, x), (8,)),
             lambda x: nm.transpose(nm.mul(x, x), (1, 0)),
-            lambda x: nm.slice_cols(nm.mul(x, x), 1, 3),
+            lambda x: nm.take_ranges(nm.mul(x, x), np.array([1, 0, 1]), np.array([1, 0, 3]), np.array([2, 4, 1]), -7.0),
             lambda x: nm.take_rows(nm.mul(x, x), np.array([0, 1, 1])),
             lambda x: nm.mean_(nm.exp(x), axis=1),
         ],
@@ -208,3 +208,77 @@ class TestPrecisionPolicy:
         exact = nm.gelu(nm.constant(x)).data
         approx = nm.gelu(nm.constant(x.astype(np.float32))).data
         assert np.max(np.abs(exact - approx)) < 1e-3
+
+
+class TestRangeHead:
+    # rows 2 and 4 repeat row 2's range, rows 0 and 1 share (4, 2); widths
+    # run from 1 to the full 9 columns
+    ROWS = np.array([2, 0, 2, 1, 3, 4])
+    STARTS = np.array([1, 4, 1, 4, 8, 0])
+    WIDTHS = np.array([3, 2, 3, 2, 1, 9])
+
+    def operands(self, seed=20):
+        rng = np.random.default_rng(seed)
+        return randt(rng, 5, 3), randt(rng, 3, 9), randt(rng, 9)
+
+    def test_entries_and_zero_padding(self):
+        h, w, b = self.operands()
+        full = h.data @ w.data + b.data
+        z = nm.range_head(h, w, b, self.ROWS, self.STARTS, self.WIDTHS).data
+        assert z.shape == (6, 9)
+        for i, (r, s, k) in enumerate(zip(self.ROWS, self.STARTS, self.WIDTHS)):
+            assert np.allclose(z[i, :k], full[r, s : s + k], rtol=0, atol=1e-12)
+            assert np.all(z[i, k:] == 0.0)
+
+    def test_gradcheck(self):
+        h, w, b = self.operands()
+        weight = nm.constant(np.random.default_rng(21).normal(size=(6, 9)))
+
+        def f():
+            z = nm.range_head(h, w, b, self.ROWS, self.STARTS, self.WIDTHS)
+            return nm.sum_(nm.mul(nm.tanh(z), weight))
+
+        assert nm.grad_check(f, {"h": h, "w": w, "b": b}) < 1e-6
+
+    def test_empty_selection(self):
+        h, w, b = self.operands()
+        z = nm.range_head(h, w, b, np.zeros(0, dtype=np.int64), np.zeros(0), np.zeros(0))
+        assert z.shape == (0, 0)
+
+        def f():
+            # the empty head adds nothing to a loss on h alone
+            return nm.add(nm.sum_(nm.range_head(h, w, b, [], [], [])), nm.sum_(nm.mul(h, h)))
+
+        assert nm.grad_check(f, {"h": h, "w": w, "b": b}) < 1e-6
+        assert not np.any(w.grad) and not np.any(b.grad)
+
+    def test_default_is_matmul_plus_bias_bitwise(self):
+        h, w, b = self.operands()
+        ref = nm.add(nm.matmul(h, w), b)
+        nm.backward(nm.sum_(nm.mul(ref, ref)))
+        grads = [p.grad.copy() for p in (h, w, b)]
+        for p in (h, w, b):
+            p.zero_grad()
+        z = nm.range_head(h, w, b)
+        nm.backward(nm.sum_(nm.mul(z, z)))
+        assert np.array_equal(z.data, ref.data)
+        for p, g in zip((h, w, b), grads):
+            assert np.array_equal(p.grad, g)
+
+    def test_one_shared_range_keeps_row_order(self):
+        h, w, b = self.operands()
+        z = nm.range_head(h, w, b, np.array([4, 0, 4]))
+        assert np.allclose(z.data, (h.data @ w.data + b.data)[[4, 0, 4]], rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("rows, starts, widths", [
+        ([5], [0], [1]),
+        ([0], [0], [0]),
+        ([0], [8], [2]),
+        ([0, 1], [0], [1, 1]),
+    ])
+    def test_bad_selection_rejected(self, rows, starts, widths):
+        h, w, b = self.operands()
+        with pytest.raises((IndexError, ValueError)):
+            nm.range_head(h, w, b, rows, starts, widths)
+        with pytest.raises((IndexError, ValueError)):
+            nm.take_ranges(nm.Tensor(np.zeros((5, 9))), rows, starts, widths, 0.0)

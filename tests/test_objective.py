@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 from datetime import datetime, timedelta
 
 import numpy as np
@@ -6,7 +7,8 @@ import pytest
 
 from trajlm import numerics as nm
 from trajlm.corpus import AugmentConfig, Event, ParticipantRecord, assemble_sequence
-from trajlm.model import Causal, ModelConfig, build_mask, forward, init_params, value_scale_table
+from trajlm import objective
+from trajlm.model import Causal, ModelConfig, SplitContext, build_mask, forward, init_params, value_scale_table
 from trajlm.numerics import Tensor
 from trajlm.objective import (
     LossConfig,
@@ -175,6 +177,114 @@ class TestLoss:
         # model's smallest-gradient coordinates; 1e-5 is fine for O(1) grads
         err = nm.grad_check(f, params, eps=1e-4, max_coords=80)
         assert err < 1e-4
+
+
+def full_logits(params, config, vocab, seq, mask_kind, dropout_rng=None):
+    return forward(
+        params, config, seq.tokens, seq.values, seq.modalities, seq.times,
+        50.0, "male", build_mask(mask_kind, seq.length), value_scale_table(vocab), dropout_rng=dropout_rng,
+    )
+
+
+class TestHeadSelectedLoss:
+    """sequence_loss scores only the head entries of its targets."""
+
+    def test_matches_full_head_causal_and_split(self, vocab, config):
+        params = init_params(config, np.random.default_rng(30), dtype=np.float64)
+        seq = assemble_sequence(make_record(vocab, n=10), vocab, 64)
+        assert 0 < seq.visit_boundary < seq.length
+        lc = LossConfig(mae_scale=0.7, split_scale=1.3)
+        total, parts = sequence_loss(params, config, vocab, seq, 50.0, "male", lc)
+        nm.backward(total)
+        grads = {name: p.grad for name, p in params.items()}
+        for p in params.values():
+            p.zero_grad()
+
+        soft, mae, n, _ = masked_ntp_loss(full_logits(params, config, vocab, seq, Causal()), seq, vocab, lc.sl_sigma)
+        split, _, n_split, _ = masked_ntp_loss(
+            full_logits(params, config, vocab, seq, SplitContext(seq.visit_boundary)),
+            seq, vocab, lc.sl_sigma, min_target=seq.visit_boundary,
+        )
+        ref = nm.add(nm.add(soft, nm.scale(mae, 0.7)), nm.scale(split, 1.3))
+        assert (parts["n_targets"], parts["n_split_targets"]) == (n, n_split)
+        assert n_split > 0
+        for got, want in ((parts["soft"], soft), (parts["mae"], mae), (parts["split"], split), (total.data, ref)):
+            assert abs(float(got) - float(want.data)) <= 1e-12
+        nm.backward(ref)
+        for name, p in params.items():
+            assert np.max(np.abs(grads[name] - p.grad)) <= 1e-12, name
+
+    def test_matches_per_target_loop(self, vocab, config):
+        """The padded block against one target at a time over its own range."""
+        params = init_params(config, np.random.default_rng(33), dtype=np.float64)
+        seq = assemble_sequence(make_record(vocab, n=10), vocab, 64)
+        logits = full_logits(params, config, vocab, seq, Causal())
+        sigma = 0.7
+        soft, mae, n, n_mae = masked_ntp_loss(logits, seq, vocab, sigma, min_target=3)
+        ce = dev = 0.0
+        count = count_mae = 0
+        for j in range(3, seq.length):
+            m = int(seq.modalities[j])
+            spec = vocab.modalities[m]
+            a, b = vocab.token_range(m)
+            row = logits.data[j - 1, a : b + 1]
+            p = np.exp(row - row.max())
+            p /= p.sum()
+            ce -= float(soft_target(a, b, int(seq.tokens[j]), sigma) @ np.log(p))
+            count += 1
+            if spec.kind == "continuous":
+                dev += abs(float(p @ np.asarray(spec.midpoints)) - float(seq.values[j])) / spec.train_sd
+                count_mae += 1
+        assert (n, n_mae) == (count, count_mae) and 0 < n_mae < n
+        assert abs(float(soft.data) - ce / count) <= 1e-12
+        assert abs(float(mae.data) - dev / count_mae) <= 1e-12
+
+    def test_pass_without_targets_contributes_zero_and_runs(self, vocab, config, monkeypatch):
+        seq = assemble_sequence(make_record(vocab, n=10), vocab, 64)
+        b = seq.visit_boundary
+        tokens = seq.tokens.copy()
+        tokens[b:] = vocab.pad_token  # the split pass scores positions >= b only
+        seq = replace(seq, tokens=tokens)
+        cfg = replace(config, dropout=0.1)
+        params = init_params(cfg, np.random.default_rng(31), dtype=np.float64)
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(kwargs.get("head"))
+            return forward(*args, **kwargs)
+
+        monkeypatch.setattr(objective, "forward", counted)
+        rng = np.random.default_rng(32)
+        total, parts = sequence_loss(params, cfg, vocab, seq, 50.0, "male", LossConfig(), dropout_rng=rng)
+        assert len(calls) == 2 and len(calls[1][0]) == 0
+        assert parts["split"] == 0.0 and parts["n_split_targets"] == 0
+        assert float(total.data) == parts["soft"] + parts["mae"]
+        # both passes drew their dropout masks, in order
+        ref_rng = np.random.default_rng(32)
+        full_logits(params, cfg, vocab, seq, Causal(), ref_rng)
+        full_logits(params, cfg, vocab, seq, SplitContext(b), ref_rng)
+        assert rng.random() == ref_rng.random()
+
+    def test_float32_training_agrees_with_float64(self, vocab):
+        """One set of double parameters cast to single: the -1e30 mask, tanh
+        GELU and the padded loss keep the loss and gradient close."""
+        config = ModelConfig(
+            vocab_size=vocab.total_tokens, n_modalities=vocab.n_modalities,
+            d_model=32, n_layers=2, n_heads=2, d_head=8, cont_pe_dim=16, dropout=0.0, max_seq_len=64,
+        )
+        for seed in range(10):
+            seq = assemble_sequence(make_record(vocab, n=8, seed=seed), vocab, 64)
+            p64 = init_params(config, np.random.default_rng(100 + seed), dtype=np.float64)
+            p32 = {name: Tensor(p.data.astype(np.float32), requires_grad=True) for name, p in p64.items()}
+            results = []
+            for params in (p64, p32):
+                loss, _ = sequence_loss(params, config, vocab, seq, 50.0, "male", LossConfig())
+                nm.backward(loss)
+                grad = np.concatenate([p.grad.astype(np.float64).ravel() for p in params.values()])
+                results.append((float(loss.data), grad))
+            (l64, g64), (l32, g32) = results
+            assert abs(l32 - l64) <= 1e-5 * abs(l64), seed
+            assert np.linalg.norm(g32 - g64) <= 1e-4 * np.linalg.norm(g64), seed
 
 
 class TestSchedule:
