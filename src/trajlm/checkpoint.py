@@ -1,12 +1,14 @@
 """Binary checkpoint container.
 
 Layout: 8-byte magic, 4-byte little-endian header length, UTF-8 JSON header
-(config, metadata, ordered parameter manifest with name/shape/offset), then
-raw little-endian float32 arrays concatenated in manifest order.
+(config, metadata, ordered parameter manifest with name/shape/offset, data
+length and SHA-256), then raw little-endian float32 arrays concatenated in
+manifest order.
 """
 
 from __future__ import annotations
 
+import hashlib
 import json
 import struct
 
@@ -35,11 +37,15 @@ def save_checkpoint(
         manifest.append({"name": name, "shape": list(arr.shape), "offset": offset})
         blobs.append(arr.tobytes())
         offset += arr.nbytes
+    digest = hashlib.sha256()
+    for b in blobs:
+        digest.update(b)
     header = {
         "config": config.to_dict(),
         "vocab_sha256": vocab_sha256,
         "meta": meta or {},
         "data_bytes": offset,
+        "data_sha256": digest.hexdigest(),
         "manifest": manifest,
     }
     hbytes = json.dumps(header, sort_keys=True, separators=(",", ":")).encode("utf-8")
@@ -61,7 +67,7 @@ def read_header(path) -> dict:
 
 
 def load_checkpoint(path):
-    """Return (params, config, header); validates the total byte length."""
+    """Return (params, config, header); validates the data's length and SHA-256."""
     with open(path, "rb") as f:
         raw = f.read()
     if raw[:8] != MAGIC:
@@ -72,6 +78,12 @@ def load_checkpoint(path):
     if len(data) != header["data_bytes"]:
         raise ValueError(
             f"checkpoint truncated or padded: {len(data)} data bytes, expected {header['data_bytes']}"
+        )
+    digest = hashlib.sha256(data).hexdigest()
+    if digest != header.get("data_sha256"):
+        raise ValueError(
+            f"checkpoint {path} is corrupt: data SHA-256 {digest} does not match the header's "
+            f"data_sha256 {header.get('data_sha256')!r}"
         )
     config = ModelConfig.from_dict(header["config"])
     params: dict[str, Tensor] = {}

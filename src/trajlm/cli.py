@@ -304,7 +304,8 @@ def cmd_train(args) -> int:
     if args.log:
         with open(args.log, "w", encoding="utf-8", newline="") as f:
             f.write(f"# seed={train_cfg.seed}\n# config_hash={cfg_hash}\n# version={__version__}\n")
-            w = csv.DictWriter(f, fieldnames=["step", "lr", "loss", "soft", "mae", "split", "val_loss"], lineterminator="\n")
+            columns = ["step", "lr", "loss", "soft", "mae", "split", "grad_norm", "clipped", "val_loss"]
+            w = csv.DictWriter(f, fieldnames=columns, lineterminator="\n")
             w.writeheader()
             for row in history:
                 w.writerow(row)

@@ -9,6 +9,7 @@ bounded by a smooth tanh clamp.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, asdict
 
 import numpy as np
@@ -333,11 +334,10 @@ def forward(
         raise ValueError(f"mask shape {mask.shape} does not match length {t}")
 
     c = config
-    dtype = params["tok_embed"].dtype
     rate = c.dropout if dropout_rng is not None else 0.0
 
     h = embed_inputs(params, c, tokens, values, modalities, times, age, sex, value_scales, pos_ids)
-    mask_add = np.where(mask, np.array(0.0, dtype=dtype), np.array(nm.neg_inf(dtype), dtype=dtype))
+    scale = 1.0 / math.sqrt(c.d_head)  # a Python float: keeps float32 scores float32
 
     for l in range(c.n_layers):
         pre = nm.layer_norm(h, params[f"layer{l}.ln1_g"], params[f"layer{l}.ln1_b"])
@@ -354,10 +354,8 @@ def forward(
             gate = nm.reshape(nm.take_rows(params[f"layer{l}.gates"], np.array([e])), (c.n_heads, 1, 1))
             v = nm.add(v, nm.mul(vx, gate))
 
-        scores = nm.scale(nm.matmul(q, nm.transpose(k, (0, 2, 1))), 1.0 / np.sqrt(c.d_head))
-        scores = nm.add(scores, nm.constant(mask_add))
-        attn = nm.dropout(nm.softmax(scores, axis=-1), rate, dropout_rng)
-        ctx = nm.reshape(nm.transpose(nm.matmul(attn, v), (1, 0, 2)), (t, hd))
+        attn = nm.attention(q, k, v, mask, scale, rate, dropout_rng)
+        ctx = nm.reshape(nm.transpose(attn, (1, 0, 2)), (t, hd))
         h = nm.add(h, nm.dropout(nm.matmul(ctx, params[f"layer{l}.w_o"]), rate, dropout_rng))
 
         pre2 = nm.layer_norm(h, params[f"layer{l}.ln2_g"], params[f"layer{l}.ln2_b"])

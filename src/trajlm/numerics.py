@@ -40,6 +40,7 @@ __all__ = [
     "sum_",
     "mean_",
     "dropout",
+    "attention",
     "backward",
     "grad_check",
     "neg_inf",
@@ -87,7 +88,7 @@ def constant(data, dtype=None) -> Tensor:
 
 
 def neg_inf(dtype) -> float:
-    """Additive-mask fill: true -inf in double, a large negative in single."""
+    """Masked-score fill: true -inf in double, a large negative in single."""
     return -np.inf if np.dtype(dtype) == np.float64 else -1e30
 
 
@@ -99,8 +100,9 @@ def _accum(x: Tensor, g: np.ndarray) -> None:
     if not x.requires_grad:
         return
     if x.grad is None:
-        x.grad = np.zeros_like(x.data)
-    x.grad += g
+        x.grad = np.array(g, dtype=x.data.dtype)  # a copy: g may be another node's grad
+    else:
+        x.grad += g
 
 
 def _unbroadcast(g: np.ndarray, shape) -> np.ndarray:
@@ -217,7 +219,7 @@ def gelu(a: Tensor) -> Tensor:
             _accum(a, g * (phi + x * pdf))
 
     else:
-        inner = _SQRT_2_OVER_PI * (x + 0.044715 * x**3)
+        inner = _SQRT_2_OVER_PI * (x + 0.044715 * (x * x * x))  # x**3 is pow(), far slower in float32
         t = np.tanh(inner)
         out = Tensor(0.5 * x * (1.0 + t), a.requires_grad, (a,))
 
@@ -445,6 +447,93 @@ def dropout(a: Tensor, rate: float, rng: np.random.Generator | None) -> Tensor:
     out = Tensor(a.data * mask, a.requires_grad, (a,))
     out._backward = lambda g: _accum(a, g * mask)
     return out
+
+
+# Query rows per attention block: a block's scores and probabilities are
+# (H, _ATTN_BLOCK, key extent), never (H, T, T) at once.
+_ATTN_BLOCK = 128
+
+
+def attention(q: Tensor, k: Tensor, v: Tensor, mask, scale: float, rate: float = 0.0, rng=None) -> Tensor:
+    """Masked scaled dot-product attention over stacked heads, one tape node:
+    dropout(softmax(q k^T * scale, masked), rate, rng) @ v.
+
+    q is (H, Tq, d), k (H, Tk, d), v (H, Tk, dv) and mask a boolean
+    (Tq, Tk) array, True where a query row may attend to a key column.  Query
+    rows run in blocks of _ATTN_BLOCK; each block multiplies only keys
+    [0, c1), c1 one past the last column any of its rows allows, so the
+    all-masked upper triangle of causal masks is skipped.  Each block's
+    probabilities are kept for the backward pass.  The dropout keep mask is
+    one rng.random((H, Tq, Tk)) draw, the draw `dropout` makes on the
+    probabilities.  Computes in q's dtype; a mask row that allows no key
+    raises ValueError.
+    """
+    qd = q.data
+    dtype = qd.dtype
+    kd = k.data.astype(dtype, copy=False)
+    vd = v.data.astype(dtype, copy=False)
+    mask = np.asarray(mask, dtype=bool)
+    if qd.ndim != 3 or kd.shape != (qd.shape[0], kd.shape[1], qd.shape[2]) or vd.shape[:2] != kd.shape[:2]:
+        raise ValueError(
+            f"attention needs q (H, Tq, d), k (H, Tk, d), v (H, Tk, dv); got {qd.shape}, {kd.shape}, {vd.shape}"
+        )
+    n_heads, t_q, _ = qd.shape
+    if mask.shape != (t_q, kd.shape[1]):
+        raise ValueError(f"attention mask shape {mask.shape} does not match ({t_q}, {kd.shape[1]})")
+    empty = np.flatnonzero(~mask.any(axis=1))
+    if empty.size:
+        raise ValueError(f"attention mask rows allow no key: {empty[:5].tolist()}")
+    keep = None
+    if rate > 0.0 and rng is not None:
+        keep = (rng.random((n_heads, t_q, kd.shape[1])) >= rate).astype(dtype) / (1.0 - rate)
+    # one past the last allowed column of each row
+    extent = mask.shape[1] - np.argmax(mask[:, ::-1], axis=1)
+    fill = neg_inf(dtype)
+    track = _track(q, k, v)
+
+    out = np.empty((n_heads, t_q, vd.shape[2]), dtype=dtype)
+    blocks = []  # (r0, r1, c1, probabilities) per query block
+    for r0 in range(0, t_q, _ATTN_BLOCK):
+        r1 = min(r0 + _ATTN_BLOCK, t_q)
+        c1 = int(extent[r0:r1].max())
+        p = qd[:, r0:r1] @ np.swapaxes(kd[:, :c1], -1, -2)
+        p *= scale
+        np.copyto(p, fill, where=~mask[r0:r1, :c1])
+        p -= p.max(axis=-1, keepdims=True)
+        np.exp(p, out=p)
+        p /= p.sum(axis=-1, keepdims=True)
+        if track:
+            blocks.append((r0, r1, c1, p))
+        if keep is not None:
+            p = p * keep[:, r0:r1, :c1]
+        out[:, r0:r1] = p @ vd[:, :c1]
+    result = Tensor(out, track, (q, k, v))
+
+    def bw(g):
+        gq = np.empty_like(qd) if q.requires_grad else None
+        gk = np.zeros_like(kd) if k.requires_grad else None
+        gv = np.zeros_like(vd) if v.requires_grad else None
+        for r0, r1, c1, p in blocks:
+            go = g[:, r0:r1]
+            kept = p if keep is None else p * keep[:, r0:r1, :c1]
+            if gv is not None:
+                gv[:, :c1] += np.swapaxes(kept, -1, -2) @ go
+            ds = go @ np.swapaxes(vd[:, :c1], -1, -2)
+            if keep is not None:
+                ds *= keep[:, r0:r1, :c1]
+            ds -= (ds * p).sum(axis=-1, keepdims=True)
+            ds *= p
+            ds *= scale
+            if gq is not None:
+                gq[:, r0:r1] = ds @ kd[:, :c1]
+            if gk is not None:
+                gk[:, :c1] += np.swapaxes(np.swapaxes(qd[:, r0:r1], -1, -2) @ ds, -1, -2)
+        for x, gx in ((q, gq), (k, gk), (v, gv)):
+            if gx is not None:
+                _accum(x, gx)
+
+    result._backward = bw
+    return result
 
 
 def _topo(root: Tensor) -> list[Tensor]:

@@ -320,6 +320,36 @@ def _zero_grads(params: dict[str, Tensor]) -> None:
         p.grad = None
 
 
+def _batch_gradients(params, model_config, vocab, loss_config, aug, batch, rng):
+    """Accumulate the batch's mean gradient into the parameters.
+
+    `batch` holds (sequence, age, sex) triples; a sequence that augmentation
+    leaves shorter than 2 tokens is skipped.  The gradient is the sum over
+    the n_used sequences kept, divided by n_used, the same mean the logged
+    loss takes.  Returns the summed loss parts and n_used.
+    """
+    sums = {"loss": 0.0, "soft": 0.0, "mae": 0.0, "split": 0.0}
+    n_used = 0
+    for seq, age, sex in batch:
+        aseq = augment(seq, aug, rng, vocab)
+        if aseq.length < 2:
+            continue
+        loss, parts = sequence_loss(
+            params, model_config, vocab, aseq, age, sex, loss_config,
+            dropout_rng=rng if model_config.dropout > 0 else None,
+        )
+        backward(loss)
+        n_used += 1
+        sums["loss"] += float(loss.data)
+        for key in ("soft", "mae", "split"):
+            sums[key] += parts[key]
+    if n_used > 1:
+        for p in params.values():
+            if p.grad is not None:
+                p.grad *= 1.0 / n_used
+    return sums, n_used
+
+
 def train(
     records,
     vocab: Vocabulary,
@@ -389,51 +419,27 @@ def train(
     for epoch in range(train_config.epochs):
         order = train_idx[rng.permutation(len(train_idx))]
         for b0 in range(0, len(order), train_config.batch_size):
-            batch = order[b0 : b0 + train_config.batch_size]
+            batch = [sequences[i] for i in order[b0 : b0 + train_config.batch_size]]
             step += 1
             lr = lr_at(step, total_steps, train_config.peak_lr, train_config.min_lr, train_config.warmup_steps)
             _zero_grads(params)
-            tot = s = m = sp = 0.0
-            n_used = 0
-            for i in batch:
-                seq, age, sex = sequences[i]
-                aseq = augment(seq, aug, rng, vocab)
-                if aseq.length < 2:
-                    continue
-                loss, parts = sequence_loss(
-                    params, model_config, vocab, aseq, age, sex, loss_config,
-                    dropout_rng=rng if model_config.dropout > 0 else None,
-                )
-                scaled = nm.scale(loss, 1.0 / len(batch))
-                backward(scaled)
-                tot += float(loss.data)
-                s += parts["soft"]
-                m += parts["mae"]
-                sp += parts["split"]
-                n_used += 1
+            sums, n_used = _batch_gradients(params, model_config, vocab, loss_config, aug, batch, rng)
             if n_used == 0:
                 continue
-            if not math.isfinite(tot):
+            if not math.isfinite(sums["loss"]):
                 if not saved_once:
                     checkpoint_now(math.inf)
                 raise TrainingDiverged(f"non-finite loss at step {step}")
-            clip_gradients(params, train_config.clip_norm)
+            norm = clip_gradients(params, train_config.clip_norm)
             adamw_step(
                 params, state, lr,
                 train_config.beta1, train_config.beta2, train_config.eps,
                 train_config.weight_decay,
             )
-            history.append(
-                {
-                    "step": step,
-                    "lr": lr,
-                    "loss": tot / n_used,
-                    "soft": s / n_used,
-                    "mae": m / n_used,
-                    "split": sp / n_used,
-                    "val_loss": "",
-                }
-            )
+            row = {"step": step, "lr": lr}
+            row.update({key: total / n_used for key, total in sums.items()})
+            row.update({"grad_norm": norm, "clipped": int(norm > train_config.clip_norm > 0), "val_loss": ""})
+            history.append(row)
         val = validation_loss()
         if history:
             history[-1]["val_loss"] = val

@@ -126,7 +126,7 @@ class TestTrain:
         assert text[0].startswith("# seed=")
         assert any(line.startswith("# config_hash=") for line in text[:3])
         header_idx = next(i for i, line in enumerate(text) if not line.startswith("#"))
-        assert text[header_idx] == "step,lr,loss,soft,mae,split,val_loss"
+        assert text[header_idx] == "step,lr,loss,soft,mae,split,grad_norm,clipped,val_loss"
         assert len(text) > header_idx + 1
 
     def test_deterministic_checkpoints(self, workspace, tmp_path):

@@ -403,6 +403,18 @@ class TestCheckpoint:
         with pytest.raises(ValueError, match="truncated"):
             load_checkpoint(path)
 
+    def test_flipped_data_byte_detected(self, vocab, config, tmp_path):
+        rng = np.random.default_rng(20)
+        params = init_params(config, rng, dtype=np.float32)
+        path = tmp_path / "m.ckpt"
+        save_checkpoint(path, params, config, "h")
+        assert len(read_header(path)["data_sha256"]) == 64
+        data = bytearray(path.read_bytes())
+        data[-5] ^= 0x01
+        path.write_bytes(bytes(data))
+        with pytest.raises(ValueError, match=r"m\.ckpt.*data_sha256"):
+            load_checkpoint(path)
+
     def test_header_readable_without_data(self, vocab, config, tmp_path):
         rng = np.random.default_rng(18)
         params = init_params(config, rng, dtype=np.float32)

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from trajlm import numerics as nm
+from trajlm.model import Causal, ParallelV2, SplitContext, build_mask
 
 
 def randt(rng, *shape, grad=True):
@@ -87,6 +88,16 @@ class TestBackward:
         y = nm.add(nm.mul(x, x), nm.mul(x, x))  # 2x^2, dy/dx = 4x
         nm.backward(nm.sum_(y))
         assert np.allclose(x.grad, [8.0])
+
+    def test_first_gradient_is_a_copy(self):
+        """The first write stores a copy: the second add into x must not
+        change the output node's own gradient."""
+        x = nm.Tensor(np.array([1.0, -3.0]), requires_grad=True)
+        y = nm.add(x, x)
+        nm.backward(nm.sum_(y))
+        assert np.array_equal(x.grad, [2.0, 2.0])
+        assert np.array_equal(y.grad, [1.0, 1.0])
+        assert x.grad is not y.grad
 
 
 class TestGradCheck:
@@ -282,3 +293,90 @@ class TestRangeHead:
             nm.range_head(h, w, b, rows, starts, widths)
         with pytest.raises((IndexError, ValueError)):
             nm.take_ranges(nm.Tensor(np.zeros((5, 9))), rows, starts, widths, 0.0)
+
+
+def chained_attention(q, k, v, mask, scale, rate=0.0, rng=None):
+    """The op chain `attention` replaces, built from the existing ops."""
+    dtype = q.data.dtype
+    mask_add = np.where(mask, np.array(0.0, dtype=dtype), np.array(nm.neg_inf(dtype), dtype=dtype))
+    scores = nm.add(nm.scale(nm.matmul(q, nm.transpose(k, (0, 2, 1))), scale), nm.constant(mask_add))
+    return nm.matmul(nm.dropout(nm.softmax(scores, axis=-1), rate, rng), v)
+
+
+MASKS = [Causal(), SplitContext(97), ParallelV2(260, 20), ParallelV2(260, 20, tuple(range(5, 260, 13)))]
+
+
+class TestAttention:
+    """The fused, row-blocked op against the chain of single ops."""
+
+    def run(self, fn, mask, dtype, rate, seed=0, heads=2, d=8):
+        rng = np.random.default_rng(seed)
+        t = mask.shape[0]
+        q, k, v = (nm.Tensor(rng.normal(size=(heads, t, d)).astype(dtype), requires_grad=True) for _ in range(3))
+        weights = nm.constant(rng.normal(size=(heads, t, d)).astype(dtype))
+        out = fn(q, k, v, mask, 1.0 / math.sqrt(d), rate, np.random.default_rng(seed + 1))
+        nm.backward(nm.sum_(nm.mul(out, weights)))
+        return [out.data, q.grad, k.grad, v.grad]
+
+    @pytest.mark.parametrize("kind", MASKS, ids=["causal", "split", "parallel", "parallel-prefixes"])
+    @pytest.mark.parametrize("rate", [0.0, 0.3])
+    @pytest.mark.parametrize("dtype, tol", [(np.float64, 1e-12), (np.float32, 1e-5)])
+    def test_matches_op_chain_over_several_blocks(self, kind, rate, dtype, tol):
+        mask = build_mask(kind, 300)
+        assert mask.shape[0] > 2 * nm._ATTN_BLOCK
+        got = self.run(nm.attention, mask, dtype, rate)
+        want = self.run(chained_attention, mask, dtype, rate)
+        for g, w in zip(got, want):
+            assert g.dtype == dtype
+            assert np.max(np.abs(g - w)) <= tol * np.max(np.abs(w))
+
+    @pytest.mark.parametrize("kind", [Causal(), SplitContext(9), ParallelV2(20, 5)])
+    @pytest.mark.parametrize("rate", [0.0, 0.3])
+    def test_one_block_is_bitwise_in_double(self, kind, rate):
+        mask = build_mask(kind, 30)
+        got = self.run(nm.attention, mask, np.float64, rate)
+        want = self.run(chained_attention, mask, np.float64, rate)
+        for g, w in zip(got, want):
+            assert np.array_equal(g, w)
+
+    @pytest.mark.parametrize("kind", [Causal(), SplitContext(4), ParallelV2(7, 3, (2, 7, 5))])
+    def test_gradcheck_over_small_blocks(self, kind, monkeypatch):
+        monkeypatch.setattr(nm, "_ATTN_BLOCK", 3)
+        mask = build_mask(kind, 13)
+        rng = np.random.default_rng(4)
+        q, k, v = (randt(rng, 2, 13, 3) for _ in range(3))
+        weights = nm.constant(rng.normal(size=(2, 13, 3)))
+
+        def f():
+            return nm.sum_(nm.mul(nm.attention(q, k, v, mask, 0.7), weights))
+
+        assert nm.grad_check(f, {"q": q, "k": k, "v": v}, max_coords=234) < 1e-6
+
+    def test_dropout_draws_where_dropout_does(self):
+        mask = build_mask(Causal(), 10)
+        q = nm.constant(np.ones((2, 10, 4)))
+        rng, ref = np.random.default_rng(8), np.random.default_rng(8)
+        nm.attention(q, q, q, mask, 0.5, 0.2, rng)
+        ref.random((2, 10, 10))
+        assert rng.random() == ref.random()
+        nm.attention(q, q, q, mask, 0.5, 0.2, None)  # no rng: no dropout, no draw
+        nm.attention(q, q, q, mask, 0.5, 0.0, rng)  # rate 0: no draw
+        assert rng.random() == ref.random()
+
+    def test_single_precision_stays_single(self):
+        q = nm.Tensor(np.ones((1, 5, 2), dtype=np.float32), requires_grad=True)
+        out = nm.attention(q, q, q, build_mask(Causal(), 5), 1.0 / math.sqrt(2.0))
+        nm.backward(nm.sum_(out))
+        assert out.dtype == np.float32 and q.grad.dtype == np.float32
+
+    def test_row_without_keys_rejected(self):
+        mask = build_mask(Causal(), 4)
+        mask[2] = False
+        q = nm.constant(np.zeros((1, 4, 2)))
+        with pytest.raises(ValueError, match="allow no key: \\[2\\]"):
+            nm.attention(q, q, q, mask, 1.0)
+
+    def test_mask_shape_checked(self):
+        q = nm.constant(np.zeros((1, 4, 2)))
+        with pytest.raises(ValueError, match="mask shape"):
+            nm.attention(q, q, q, np.ones((4, 3), dtype=bool), 1.0)

@@ -7,7 +7,7 @@ import pytest
 
 from trajlm import numerics as nm
 from trajlm.corpus import AugmentConfig, Event, ParticipantRecord, assemble_sequence
-from trajlm import objective
+from trajlm import evalharness, objective
 from trajlm.model import Causal, ModelConfig, SplitContext, build_mask, forward, init_params, value_scale_table
 from trajlm.numerics import Tensor
 from trajlm.objective import (
@@ -287,6 +287,40 @@ class TestHeadSelectedLoss:
             assert np.linalg.norm(g32 - g64) <= 1e-4 * np.linalg.norm(g64), seed
 
 
+    def test_single_precision_stays_single(self, vocab):
+        """Every tensor on a float32 loss's tape, every gradient and the
+        query logits stay float32: no float64 scalar promotes the stack."""
+        config = ModelConfig(
+            vocab_size=vocab.total_tokens, n_modalities=vocab.n_modalities,
+            d_model=32, n_layers=2, n_heads=2, d_head=8, cont_pe_dim=16, dropout=0.1, max_seq_len=64,
+        )
+        params = init_params(config, np.random.default_rng(7), dtype=np.float32)
+        seq = assemble_sequence(make_record(vocab, n=8), vocab, 64)
+        assert 0 < seq.visit_boundary < seq.length
+        loss, _ = sequence_loss(
+            params, config, vocab, seq, 50.0, "male", LossConfig(), dropout_rng=np.random.default_rng(1)
+        )
+        tape = nm._topo(loss)
+        assert len(tape) > 100
+        assert sorted({str(node.dtype) for node in tape}) == ["float32"]
+        nm.backward(loss)
+        assert {str(node.grad.dtype) for node in tape if node.grad is not None} == {"float32"}
+        assert {str(p.grad.dtype) for p in params.values()} == {"float32"}
+
+        rows = []
+        decode = evalharness.decode_expected
+
+        def capture(row, vocab, modality_id):
+            rows.append(row)
+            return decode(row, vocab, modality_id)
+
+        end = datetime(2021, 2, 1, 9, 0) + timedelta(days=800)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(evalharness, "decode_expected", capture)
+            evalharness.predict_queries(params, config, vocab, seq, 50.0, "male", [(0, end), (1, end)])
+        assert [row.dtype for row in rows] == [np.float32, np.float32]
+
+
 class TestSchedule:
     def test_warmup_endpoints(self):
         assert lr_at(0, 1000) == 0.0
@@ -390,6 +424,52 @@ class TestTrainLoop:
         _, history, _ = train(records, vocab, config, LossConfig(), tc, None, tmp_path / "m.ckpt")
         assert history[0]["step"] == 1
         assert all({"step", "lr", "loss", "soft", "mae", "split", "val_loss"} <= set(r) for r in history)
+
+    def test_log_rows_record_gradient_norm_and_clipping(self, vocab, tmp_path):
+        records, config = self.small_setup(vocab)
+        tc = TrainConfig(epochs=3, batch_size=2, peak_lr=1e-2, warmup_steps=2, seed=4, clip_norm=2.5)
+        _, history, _ = train(records, vocab, config, LossConfig(), tc, None, tmp_path / "m.ckpt")
+        norms = [row["grad_norm"] for row in history]
+        assert all(math.isfinite(n) and n > 0 for n in norms)
+        assert [row["clipped"] for row in history] == [int(n > tc.clip_norm) for n in norms]
+        assert 0 < sum(row["clipped"] for row in history) < len(history), norms  # both outcomes occur
+
+    def test_skipped_sequence_leaves_the_mean_gradient(self, vocab):
+        """A sequence too short to score drops out of the batch mean: the
+        gradient of [1-event record, record] equals that of [record] alone."""
+        _, config = self.small_setup(vocab)
+        short = assemble_sequence(make_record(vocab, n=1, two_visits=False), vocab, 64)
+        full = assemble_sequence(make_record(vocab, n=8, seed=4), vocab, 64)
+        assert short.length < 2 <= full.length
+        aug = AugmentConfig.disabled()
+        grads = []
+        for batch in ([(short, 50.0, "male"), (full, 50.0, "male")], [(full, 50.0, "male")]):
+            params = init_params(config, np.random.default_rng(6), dtype=np.float32)
+            sums, n_used = objective._batch_gradients(
+                params, config, vocab, LossConfig(), aug, batch, np.random.default_rng(2)
+            )
+            assert n_used == 1
+            grads.append({name: p.grad for name, p in params.items()})
+        for name, g in grads[1].items():
+            assert np.array_equal(grads[0][name], g), name
+
+    def test_batch_gradient_is_the_mean_of_sequence_gradients(self, vocab):
+        _, config = self.small_setup(vocab)
+        seqs = [assemble_sequence(make_record(vocab, n=8, seed=s), vocab, 64) for s in (4, 5)]
+        aug = AugmentConfig.disabled()
+        params = init_params(config, np.random.default_rng(6), dtype=np.float64)
+        singles = []
+        for seq in seqs:
+            objective._zero_grads(params)
+            objective._batch_gradients(params, config, vocab, LossConfig(), aug, [(seq, 50.0, "male")], np.random.default_rng(0))
+            singles.append({name: p.grad.copy() for name, p in params.items()})
+        objective._zero_grads(params)
+        _, n_used = objective._batch_gradients(
+            params, config, vocab, LossConfig(), aug, [(s, 50.0, "male") for s in seqs], np.random.default_rng(0)
+        )
+        assert n_used == 2
+        for name, p in params.items():
+            assert np.allclose(p.grad, (singles[0][name] + singles[1][name]) / 2, rtol=1e-12, atol=1e-15), name
 
 
 class TestConfigFile:
