@@ -37,16 +37,17 @@ from .evalharness import (
     write_metric_csv,
 )
 from .intervene import (
-    ArmResult,
+    SIMULATION_COUNTS,
     EligibilityRule,
+    Simulation,
+    check_horizon,
     concordance,
-    filter_eligible,
     four_arm,
     load_trial_spec,
     parse_intervention,
     sample_trial_population,
     simulate_arms,
-    trajectory,
+    simulate_cohort,
 )
 from .model import ModelConfig, param_count
 from .objective import LossConfig, TrainConfig, parse_config_file, train
@@ -436,33 +437,37 @@ def cmd_simulate(args) -> int:
     doc = _load_json(args.spec, "intervention spec")
     spec = parse_intervention(doc["intervention"], vocab)
     outcome = vocab.modality(doc["outcome"]).id
-    horizon = int(doc.get("horizon_months", 12))
+    try:
+        horizon = check_horizon(doc.get("horizon_months", 12))
+    except ValueError as e:
+        raise CliError(f"intervention spec {args.spec!r}: {e}") from e
     seed = resolve_seed(args.seed, doc.get("seed"), 0)
     rng = np.random.default_rng(seed)
-
+    rule = None
     if "eligibility" in doc:
         e = doc["eligibility"]
         rule = EligibilityRule(vocab.modality(e["modality"]).id, e["comparator"], float(e["threshold"]))
-        records, missing = filter_eligible(params, config, vocab, records, rule, horizon)
-        print(f"eligibility: {len(records)} kept, {missing} missing the rule modality")
-    if not records:
-        raise CliError("no eligible participants to simulate")
 
-    arm_fn = partial(simulate_arms, params, config, vocab, spec=spec, outcome_modality=outcome, horizon_months=horizon)
-    parts = map_participants(arm_fn, records, args.workers)
-    arm = ArmResult(
-        np.concatenate([p.control for p in parts]),
-        np.concatenate([p.treatment for p in parts]),
-        label=spec.label,
-        participants=[pid for p in parts for pid in p.participants],
+    sim_fn = partial(
+        simulate_cohort, params, config, vocab, spec=spec, outcome_modality=outcome,
+        horizon_months=horizon, months=horizon if args.trajectory else 0, rule=rule,
     )
-    if not arm.participants:
-        raise CliError("no participant to simulate has any visit-1 measurement")
+    sim = Simulation.merge(map_participants(sim_fn, records, args.workers))
+    counts = sim.counts
+    if rule is not None:
+        print(f"eligibility: {counts['simulated']} kept, {counts['missing_rule_modality']} missing the rule modality")
+    print("counts: " + " ".join(f"{k}={counts[k]}" for k in SIMULATION_COUNTS))
+    if not sim.participants:
+        if records and counts["no_visit1_context"] == len(records):
+            raise CliError("no participant to simulate has any visit-1 measurement")
+        raise CliError("no eligible participants to simulate")
+    arm = sim.arm(spec.label)
     arm.ci = arm.bootstrap_ci(rng)
     meta = _meta(seed, header["meta"].get("config_hash", ""))
     with open(args.out, "w", encoding="utf-8", newline="") as f:
         f.write("".join(f"# {k}={v}\n" for k, v in sorted(meta.items())))
         f.write(f"# label={spec.label}\n# outcome={doc['outcome']}\n# horizon_months={horizon}\n")
+        f.write("".join(f"# {k}={counts[k]}\n" for k in SIMULATION_COUNTS))
         f.write(f"# mean_delta={arm.mean_delta:.10g}\n# effect_percent={arm.effect_percent:.10g}\n")
         if arm.ci:
             f.write(f"# ci_low={arm.ci[0]:.10g}\n# ci_high={arm.ci[1]:.10g}\n")
@@ -471,7 +476,7 @@ def cmd_simulate(args) -> int:
         for pid, c, t in zip(arm.participants, arm.control, arm.treatment):
             w.writerow([pid, format(c, ".10g"), format(t, ".10g"), format(t - c, ".10g")])
     if args.trajectory:
-        series = trajectory(params, config, vocab, records, spec, outcome, months=horizon)
+        series = sim.monthly()
         tpath = f"{args.out}.trajectory.csv"
         with open(tpath, "w", encoding="utf-8", newline="") as f:
             w = csv.writer(f, lineterminator="\n")
@@ -499,7 +504,10 @@ def cmd_trial_run(args) -> int:
     forest = []
     for i, name in enumerate(paths):
         doc = _load_json(os.path.join(args.trials, name), f"trial spec {name}")
-        trial = load_trial_spec(doc, vocab)
+        try:
+            trial = load_trial_spec(doc, vocab)
+        except ValueError as e:
+            raise CliError(f"trial spec {name!r}: {e}") from e
         rng = np.random.default_rng([seed, i])
         population = sample_trial_population(trial, rng, vocab)
         outcome = vocab.modality(trial.outcome).id

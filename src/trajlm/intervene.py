@@ -3,8 +3,9 @@
 Sequences are edited declaratively: categorical token appending on a
 frequency/duration dosing grid (medications, exercise) or in-place scaling of
 continuous values (diet, CPAP-style event reduction, fibre).  Each
-participant's control and treatment queries go through one query plan, so
-contexts that extend one another share a forward pass; trial validation
+participant's eligibility, control, treatment and monthly trajectory queries
+go through one query plan, so contexts that extend one another share a
+forward pass; trial validation
 samples truncated-normal synthetic populations and scores direction/CI
 concordance against published estimates.
 """
@@ -44,10 +45,14 @@ __all__ = [
     "TrialVariable",
     "TrialSpec",
     "ArmResult",
+    "SIMULATION_COUNTS",
+    "Simulation",
     "load_catalog",
     "add_months",
     "dosing_schedule",
     "apply_intervention",
+    "check_horizon",
+    "simulate_cohort",
     "simulate_arms",
     "filter_eligible",
     "trajectory",
@@ -305,6 +310,21 @@ def _append_dosing(
     return out
 
 
+def _course_prefix(course: TokenSequence, n: int) -> TokenSequence:
+    """The first n positions of a dosing course as a sequence of its own.
+
+    A course appended to a visit-1 context holds all of that content first,
+    so its first len(seq) + t * frequency positions are the course of t
+    months, query slot included."""
+    return TokenSequence(
+        course.tokens[:n],
+        course.values[:n],
+        np.append(course.modalities[:n], course.modalities[-1]),
+        np.concatenate([course.times[:n], course.times[n - 1 : n]]),
+        min(course.visit_boundary, n),
+    )
+
+
 def _v1_sequences(records: list[ParticipantRecord], vocab: Vocabulary, config: ModelConfig):
     """Each record with a non-empty visit-1 context, paired with its sequence."""
     for rec in records:
@@ -313,11 +333,159 @@ def _v1_sequences(records: list[ParticipantRecord], vocab: Vocabulary, config: M
             yield rec, seq
 
 
-def _check_outcome(vocab: Vocabulary, outcome_modality: int, horizon_months: int) -> None:
+def check_horizon(months) -> int:
+    """A horizon or trajectory length: a whole number of months in [1, 24]."""
+    if isinstance(months, bool) or not isinstance(months, (int, np.integer)) or not 1 <= months <= 24:
+        raise ValueError(f"horizon must be a whole number of months in [1, 24], got {months!r}")
+    return int(months)
+
+
+def _check_outcome(vocab: Vocabulary, outcome_modality: int) -> None:
     if vocab.modalities[outcome_modality].kind != CONTINUOUS:
         raise ValueError("outcome modality must be continuous")
-    if horizon_months > 24:
-        raise ValueError(f"horizon {horizon_months} exceeds 24 months")
+
+
+# How a `simulate` run accounts for every participant it reads: each one is
+# dropped at exactly one step or simulated.
+SIMULATION_COUNTS = (
+    "participants_read",
+    "no_visit1_context",
+    "missing_rule_modality",
+    "excluded_observed",
+    "excluded_predicted",
+    "simulated",
+)
+
+
+@dataclass
+class Simulation:
+    """Row-aligned `simulate` answers for a run of participants."""
+
+    participants: list[str]
+    control: np.ndarray     # outcome at V1 + horizon on the untouched context
+    treatment: np.ndarray   # the same query on the intervened context
+    deltas: np.ndarray      # (participants, months): monthly treated minus control
+    counts: dict[str, int]  # keyed by SIMULATION_COUNTS
+
+    @classmethod
+    def merge(cls, parts: list["Simulation"]) -> "Simulation":
+        """Concatenate consecutive runs, in order."""
+        return cls(
+            [pid for p in parts for pid in p.participants],
+            np.concatenate([p.control for p in parts]),
+            np.concatenate([p.treatment for p in parts]),
+            np.concatenate([p.deltas for p in parts]),
+            {k: sum(p.counts[k] for p in parts) for k in SIMULATION_COUNTS},
+        )
+
+    def arm(self, label: str) -> ArmResult:
+        return ArmResult(self.control, self.treatment, label=label, participants=self.participants)
+
+    def monthly(self) -> list[tuple[int, float, float]]:
+        """(month, mean delta, standard error) for each trajectory month."""
+        out = []
+        for t, d in enumerate(self.deltas.T, 1):
+            sem = float(d.std(ddof=1) / math.sqrt(len(d))) if len(d) > 1 else 0.0
+            out.append((t, float(d.mean()), sem))
+        return out
+
+
+def _treated_contexts(seq: TokenSequence, spec: InterventionSpec, vocab: Vocabulary, doses: list[int]):
+    """The intervened visit-1 context after each number of months of dosing
+    in `doses`, all cut from one dosing course of the longest of them (so
+    each is a prefix of it); a continuous edit is one context for all."""
+    if isinstance(spec, CategoricalAppend):
+        course = _append_dosing(seq, spec.modality_id, spec.category_index, spec.frequency, max(doses), vocab)
+        return [_course_prefix(course, seq.length + t * spec.frequency) for t in doses]
+    return [apply_intervention(seq, spec, vocab)] * len(doses)
+
+
+def _simulate_participant(params, config, vocab, rec, spec, outcome_modality, horizon_months, months, rule):
+    """Answer one participant's `simulate` requests with one plan_queries call.
+
+    The requests are the eligibility query (the rule's modality at V1 +
+    horizon, given a rule), the control and treated outcome at V1 + horizon
+    (given a spec and a horizon) and the control and dosed outcome at each of
+    months 1..`months`.  Every dosed context is cut from one dosing course,
+    so all of them and the control context share one pass.  Returns
+    (exclusion, control, treatment, monthly deltas): exclusion is the
+    SIMULATION_COUNTS key that drops the participant, or None.
+    """
+    ctx = v1_context(rec)
+    if not ctx.events:
+        return "no_visit1_context", None, None, None
+    if rule is not None:
+        observed = [e.value for e in ctx.events if e.modality == rule.modality_id]
+        if not observed:
+            return "missing_rule_modality", None, None, None
+        if not rule.satisfied(float(observed[-1])):
+            return "excluded_observed", None, None, None
+    seq = assemble_sequence(ctx, vocab, config.max_seq_len)
+    end = _sequence_end_time(seq)
+    requests = [] if rule is None else [(seq, rule.modality_id, add_months(end, horizon_months))]
+    arms = spec is not None and horizon_months is not None
+    k = 0
+    if spec is not None:
+        # months of dosing behind each treated query (a continuous edit has no course)
+        doses = ([getattr(spec, "duration", 0)] if arms else []) + list(range(1, months + 1))
+        whens = ([add_months(end, horizon_months)] if arms else []) + [add_months(end, t) for t in range(1, months + 1)]
+        k = len(whens)
+        requests += [(seq, outcome_modality, w) for w in whens]
+        requests += [(c, outcome_modality, w) for c, w in zip(_treated_contexts(seq, spec, vocab, doses), whens)]
+    answers = plan_queries(params, config, vocab, rec.age, rec.sex, requests)
+    if rule is not None and not rule.satisfied(answers.pop(0)):
+        return "excluded_predicted", None, None, None
+    controls, treated = answers[:k], answers[k:]
+    control, treatment = (controls[0], treated[0]) if arms else (None, None)
+    return None, control, treatment, np.subtract(treated[k - months :], controls[k - months :])
+
+
+def simulate_cohort(
+    params: dict[str, Tensor],
+    config: ModelConfig,
+    vocab: Vocabulary,
+    records: list[ParticipantRecord],
+    spec: InterventionSpec,
+    outcome_modality: int,
+    horizon_months: int | None,
+    months: int = 0,
+    rule: EligibilityRule | None = None,
+) -> Simulation:
+    """Screen, simulate and trace each participant in one query plan.
+
+    With a rule, a participant is kept only if both the observed V1 value and
+    the control prediction of the rule's modality at V1 + horizon satisfy it.
+    Each kept participant gets the paired control/treatment outcome at V1 +
+    horizon (none when horizon_months is None) and, for `months` > 0, the
+    treated-minus-control outcome at each of months 1..months, where dosing
+    at month t covers V1 through t and continuous edits apply in full.
+    """
+    _check_outcome(vocab, outcome_modality)
+    if horizon_months is not None:
+        check_horizon(horizon_months)
+    if months or horizon_months is None:
+        check_horizon(months)
+    counts = dict.fromkeys(SIMULATION_COUNTS, 0)
+    counts["participants_read"] = len(records)
+    pids, controls, treatments, deltas = [], [], [], []
+    for rec in records:
+        exclusion, control, treatment, delta = _simulate_participant(
+            params, config, vocab, rec, spec, outcome_modality, horizon_months, months, rule
+        )
+        counts[exclusion or "simulated"] += 1
+        if exclusion is None:
+            pids.append(rec.participant_id)
+            deltas.append(delta)
+            if horizon_months is not None:
+                controls.append(control)
+                treatments.append(treatment)
+    return Simulation(
+        pids,
+        np.array(controls, dtype=np.float64),
+        np.array(treatments, dtype=np.float64),
+        np.array(deltas, dtype=np.float64).reshape(len(deltas), months),
+        counts,
+    )
 
 
 def simulate_arms(
@@ -336,19 +504,8 @@ def simulate_arms(
     The control arm is the untouched V1 context; the treatment arm is the same
     context with the intervention applied; both receive an identical query.
     """
-    _check_outcome(vocab, outcome_modality, horizon_months)
-    pids, pairs = [], []
-    for rec, seq in _v1_sequences(records, vocab, config):
-        when = add_months(_sequence_end_time(seq), horizon_months)
-        edited = apply_intervention(seq, spec, vocab)
-        pids.append(rec.participant_id)
-        pairs.append(plan_queries(
-            params, config, vocab, rec.age, rec.sex,
-            [(seq, outcome_modality, when), (edited, outcome_modality, when)],
-        ))
-    controls, treats = np.array(pairs, dtype=np.float64).reshape(-1, 2).T.copy()
-    result = ArmResult(controls, treats, label=spec.label, participants=pids)
-    if rng is not None and len(controls) > 0:
+    result = simulate_cohort(params, config, vocab, records, spec, outcome_modality, horizon_months).arm(spec.label)
+    if rng is not None and len(result.control) > 0:
         result.ci = result.bootstrap_ci(rng, resamples)
     return result
 
@@ -364,21 +521,13 @@ def filter_eligible(
     """Treatment-naive screen: both the observed V1 value and the control-arm
     prediction of the rule's modality must satisfy the threshold.  Returns
     (eligible records, number excluded for missing the modality)."""
-    eligible = []
-    missing = 0
+    check_horizon(horizon_months)
+    eligible, missing = [], 0
     for rec in records:
-        ctx = v1_context(rec)
-        v1_values = [e.value for e in ctx.events if e.modality == rule.modality_id]
-        if not v1_values:
-            missing += 1
-            continue
-        if not rule.satisfied(float(v1_values[-1])):
-            continue
-        seq = assemble_sequence(ctx, vocab, config.max_seq_len)
-        when = add_months(_sequence_end_time(seq), horizon_months)
-        [pred] = plan_queries(params, config, vocab, rec.age, rec.sex, [(seq, rule.modality_id, when)])
-        if rule.satisfied(pred):
+        exclusion = _simulate_participant(params, config, vocab, rec, None, None, horizon_months, 0, rule)[0]
+        if exclusion is None:
             eligible.append(rec)
+        missing += exclusion in ("no_visit1_context", "missing_rule_modality")
     return eligible, missing
 
 
@@ -396,29 +545,7 @@ def trajectory(
     Categorical dosing at month t covers V1 through t; continuous edits apply
     in full at every horizon.
     """
-    horizons = range(1, months + 1)
-    deltas = []
-    for rec, seq in _v1_sequences(records, vocab, config):
-        whens = [add_months(_sequence_end_time(seq), t) for t in horizons]
-        if isinstance(spec, CategoricalAppend):
-            edited = [
-                _append_dosing(seq, spec.modality_id, spec.category_index, spec.frequency, t, vocab)
-                for t in horizons
-            ]
-        else:
-            edited = [apply_intervention(seq, spec, vocab)] * months
-        preds = plan_queries(
-            params, config, vocab, rec.age, rec.sex,
-            [(seq, outcome_modality, w) for w in whens]
-            + [(e, outcome_modality, w) for e, w in zip(edited, whens)],
-        )
-        deltas.append(np.subtract(preds[months:], preds[:months]))
-    by_month = np.array(deltas, dtype=np.float64).reshape(len(deltas), months).T
-    out = []
-    for t, d in zip(horizons, by_month):
-        sem = float(d.std(ddof=1) / math.sqrt(len(d))) if len(d) > 1 else 0.0
-        out.append((t, float(d.mean()), sem))
-    return out
+    return simulate_cohort(params, config, vocab, records, spec, outcome_modality, None, months).monthly()
 
 
 def _truncnorm_mass(mean: float, sd: float, low: float, high: float) -> float:
@@ -514,7 +641,8 @@ def four_arm(
     """Control / A / B / A+B in one query plan per participant, so the three
     arms share one set of control predictions."""
     _combined_scale_conflict(spec_a, spec_b)
-    _check_outcome(vocab, outcome_modality, horizon_months)
+    _check_outcome(vocab, outcome_modality)
+    check_horizon(horizon_months)
     pids, rows = [], []
     for rec, seq in _v1_sequences(records, vocab, config):
         when = add_months(_sequence_end_time(seq), horizon_months)
@@ -542,7 +670,7 @@ def load_trial_spec(doc: dict | str, vocab: Vocabulary) -> TrialSpec:
         table1=table1,
         arms=arms,
         outcome=doc["outcome"],
-        horizon_months=int(doc["horizon_months"]),
+        horizon_months=check_horizon(doc["horizon_months"]),
         published_point=float(pub["point"]),
         published_ci=(float(pub["ci_low"]), float(pub["ci_high"])),
         n=int(doc.get("n", 200)),

@@ -8,8 +8,17 @@ import pytest
 
 import trajlm.cli as cli
 from trajlm.cli import main
-from trajlm.corpus import read_cohort_jsonl
-from trajlm.intervene import parse_intervention, simulate_arms
+from trajlm.corpus import assemble_sequence, read_cohort_jsonl, v1_context
+from trajlm.evalharness import predict_queries
+from trajlm.intervene import (
+    EligibilityRule,
+    _sequence_end_time,
+    add_months,
+    filter_eligible,
+    parse_intervention,
+    simulate_arms,
+    trajectory,
+)
 
 TRAIN_CONFIG = """
 n_embd = 16
@@ -41,6 +50,25 @@ DRUG_SPEC = {
     "horizon_months": 12,
     "seed": 4,
 }
+
+
+def _visit1(doc: dict, event) -> bool:
+    return datetime.fromisoformat(event["t"]) < datetime.fromisoformat(doc["visits"][1])
+
+
+def _set_visit1(doc: dict, modality: str, value) -> dict:
+    """A cohort line whose visit-1 events of `modality` read `value`, or are
+    removed when `value` is None."""
+    events = [
+        {**e, "v": value} if e["m"] == modality and _visit1(doc, e) else e
+        for e in doc["events"]
+        if value is not None or e["m"] != modality or not _visit1(doc, e)
+    ]
+    return {**doc, "events": events}
+
+
+def _csv_rows(path) -> list[list[str]]:
+    return [r for r in csv.reader(Path(path).read_text().splitlines()) if r and not r[0].startswith("#")]
 
 
 def _without_visit1(doc: dict) -> dict:
@@ -331,6 +359,104 @@ class TestProbeAndSimulate:
                    "--cohort", str(workspace["cohort"]), "--spec", str(spec), "--out", str(tmp_path / "x.csv")])
         assert rc == 1
         assert "malformed JSON" in capsys.readouterr().err
+
+
+class TestSimulatePlan:
+    """`simulate` answers each participant's screen, arms and trajectory in
+    one query plan, fanned out through --workers."""
+
+    def _run(self, workspace, cohort, spec_doc, out, *flags):
+        spec = Path(out).parent / "spec.json"
+        spec.write_text(json.dumps(spec_doc), encoding="utf-8")
+        return main(["simulate", "--ckpt", str(workspace["ckpt"]), "--vocab", str(workspace["vocab"]),
+                     "--cohort", str(cohort), "--spec", str(spec), "--out", str(out), *flags])
+
+    @pytest.mark.parametrize("horizon", [-6, 0, 6.5, 25])
+    def test_bad_horizon_rejected(self, workspace, tmp_path, capsys, horizon):
+        out = tmp_path / "sim.csv"
+        rc = self._run(workspace, workspace["cohort"], {**DRUG_SPEC, "horizon_months": horizon}, out)
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: intervention spec") and f"got {horizon!r}" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("workers", ["1", "2"])
+    def test_counts_one_participant_per_exclusion(self, workspace, tmp_path, capsys, workers):
+        params, config, _, vocab = cli._load_model(workspace["ckpt"], workspace["vocab"])
+        mids = vocab.modality("x_core").midpoints
+        docs = [json.loads(line) for line in workspace["cohort"].read_text(encoding="utf-8").splitlines()[:6]]
+        docs[0] = _without_visit1(docs[0])
+        docs[1] = _set_visit1(docs[1], "x_core", None)
+        docs[2] = _set_visit1(docs[2], "x_core", min(mids))
+        docs[3:] = [_set_visit1(d, "x_core", max(mids)) for d in docs[3:]]
+        cohort = tmp_path / "cohort.jsonl"
+        cohort.write_text("".join(json.dumps(d) + "\n" for d in docs), encoding="utf-8")
+        x_core = vocab.modality("x_core").id
+        preds = []
+        for rec in read_cohort_jsonl(cohort, vocab)[3:]:
+            seq = assemble_sequence(v1_context(rec), vocab, config.max_seq_len)
+            when = add_months(_sequence_end_time(seq), DRUG_SPEC["horizon_months"])
+            preds += predict_queries(params, config, vocab, seq, rec.age, rec.sex, [(x_core, when)])
+        low, second = sorted(preds)[:2]
+        assert low < second
+        # docs[2] fails the observed screen, the lowest prediction the predicted one
+        screen = {"modality": "x_core", "comparator": ">=", "threshold": (low + second) / 2}
+        out = tmp_path / "sim.csv"
+        assert self._run(workspace, cohort, {**DRUG_SPEC, "eligibility": screen}, out, "--workers", workers) == 0
+        counts = {
+            "participants_read": 6, "no_visit1_context": 1, "missing_rule_modality": 1,
+            "excluded_observed": 1, "excluded_predicted": 1, "simulated": 2,
+        }
+        console = capsys.readouterr().out
+        assert "eligibility: 2 kept, 1 missing the rule modality" in console
+        assert "counts: " + " ".join(f"{k}={v}" for k, v in counts.items()) in console
+        header = [line for line in out.read_text().splitlines() if line.startswith("# ")]
+        assert all(f"# {k}={v}" in header for k, v in counts.items())
+        kept = [docs[3 + i]["id"] for i, p in enumerate(preds) if p != low]
+        assert [r[0] for r in _csv_rows(out)[1:]] == kept
+
+    def test_trajectory_with_screen_matches_separate_calls(self, workspace, tmp_path, monkeypatch):
+        pools = []
+
+        class RecordedPool(ProcessPoolExecutor):
+            def __init__(self, max_workers=None, **kwargs):
+                pools.append(max_workers)
+                super().__init__(max_workers=max_workers, **kwargs)
+
+        monkeypatch.setattr(cli, "ProcessPoolExecutor", RecordedPool)
+        screen = {"modality": "x_core", "comparator": ">=", "threshold": 95.0}
+        doc = {**DRUG_SPEC, "eligibility": screen}
+        outs = {}
+        for workers in ("1", "2"):
+            run = tmp_path / f"workers{workers}"
+            run.mkdir()
+            out = run / "sim.csv"
+            assert self._run(workspace, workspace["cohort"], doc, out, "--trajectory", "--workers", workers) == 0
+            outs[workers] = [out.read_bytes(), Path(f"{out}.trajectory.csv").read_bytes()]
+        assert pools == [2]
+        assert outs["1"] == outs["2"]
+
+        params, config, _, vocab = cli._load_model(workspace["ckpt"], workspace["vocab"])
+        records = read_cohort_jsonl(workspace["cohort"], vocab)
+        rule = EligibilityRule(vocab.modality("x_core").id, ">=", 95.0)
+        drug = parse_intervention(DRUG_SPEC["intervention"], vocab)
+        outcome = vocab.modality(DRUG_SPEC["outcome"]).id
+        horizon = DRUG_SPEC["horizon_months"]
+        eligible, _ = filter_eligible(params, config, vocab, records, rule, horizon)
+        arm = simulate_arms(params, config, vocab, eligible, drug, outcome, horizon)
+        series = trajectory(params, config, vocab, eligible, drug, outcome, months=horizon)
+        mids = vocab.modalities[outcome].midpoints
+        tol = 1e-5 * (max(mids) - min(mids))
+
+        rows = _csv_rows(tmp_path / "workers1" / "sim.csv")[1:]
+        assert 0 < len(rows) < len(records)
+        assert [r[0] for r in rows] == [rec.participant_id for rec in eligible]
+        for row, c, t in zip(rows, arm.control, arm.treatment):
+            assert abs(float(row[1]) - c) <= tol and abs(float(row[2]) - t) <= tol
+        months = _csv_rows(tmp_path / "workers1" / "sim.csv.trajectory.csv")[1:]
+        assert [int(m[0]) for m in months] == [s[0] for s in series]
+        for m, (_, mean, sem) in zip(months, series):
+            assert abs(float(m[1]) - mean) <= tol and abs(float(m[2]) - sem) <= tol
 
 
 class TestTrialRun:

@@ -1,5 +1,6 @@
 import json
 import math
+import re
 from datetime import datetime, timedelta
 from pathlib import Path
 
@@ -27,9 +28,10 @@ from trajlm.intervene import (
     load_trial_spec,
     sample_trial_population,
     simulate_arms,
+    simulate_cohort,
     trajectory,
 )
-from trajlm.intervene import _append_dosing, _sequence_end_time
+from trajlm.intervene import _append_dosing, _sequence_end_time, _treated_contexts
 from trajlm.evalharness import predict_queries
 from trajlm.model import ModelConfig, init_params
 from trajlm.vocab import RawModality, build_vocabulary, decode_token
@@ -352,6 +354,102 @@ class TestQueryPlan:
         # the scaled context is not a prefix of the control: two passes each
         simulate_arms(params, config, vocab, records, ContinuousScale((0,), 0.8), 0, 12)
         assert pass_log == [1, 1, 1, 1]
+
+
+class TestOnePlan:
+    """simulate_cohort: the screen, the arms and the trajectory of each
+    participant in one query plan, dosed contexts cut from one course."""
+
+    def test_one_pass_per_participant_past_the_observed_screen(self, vocab, tiny_model, pass_log):
+        params, config = tiny_model
+        records = [
+            single_visit_record(vocab, ldl=ldl, pid=f"p{i}", seed=i)
+            for i, ldl in enumerate([160.0, 100.0, 150.0, 170.0])
+        ]
+        rule = EligibilityRule(0, ">=", 130.0)
+        sim = simulate_cohort(params, config, vocab, records, CategoricalAppend(2, 0, 1, 12), 1, 12, months=12, rule=rule)
+        # the eligibility query, 12 control and 12 dosed outcome queries; the
+        # arms' pair at 12 months repeats month 12 of the trajectory
+        assert pass_log == [25, 25, 25]
+        assert sim.counts["excluded_observed"] == 1
+        assert sim.deltas.shape == (len(sim.participants), 12)
+
+    @pytest.mark.parametrize("frequency", [1, 3, 20])
+    def test_month_prefixes_equal_shorter_courses(self, vocab, frequency):
+        t0 = datetime(2021, 3, 1, 9, 0)
+        events = [
+            Event(t0, 0, 150.0, False),
+            Event(t0, 2, "low_dose", False),
+            Event(t0 + timedelta(minutes=5), 1, 128.0, False),
+            Event(t0 + timedelta(hours=20), 1, 121.0, True),
+        ]
+        seq = assemble_sequence(ParticipantRecord("p", 50.0, "male", events, [t0]), vocab)
+        months = list(range(1, 13))
+        cut = _treated_contexts(seq, CategoricalAppend(2, 1, frequency, 9), vocab, months)
+        for t, ctx in zip(months, cut):
+            ref = _append_dosing(seq, 2, 1, frequency, t, vocab)
+            n = ref.length
+            assert ctx.length == n == seq.length + t * frequency
+            assert np.array_equal(ctx.tokens, ref.tokens)
+            assert np.array_equal(ctx.values, ref.values)
+            assert np.array_equal(ctx.modalities[:n], ref.modalities[:n])
+            assert np.array_equal(ctx.times[:n], ref.times[:n])
+            assert ctx.visit_boundary == ref.visit_boundary
+
+    def test_counts_partition_the_cohort(self, vocab, tiny_model):
+        params, config = tiny_model
+        t0 = datetime(2021, 3, 1, 9, 0)
+        high = [single_visit_record(vocab, ldl=250.0, pid=f"hi{i}", seed=i) for i in range(2)]
+        preds = []
+        for rec in high:
+            seq = assemble_sequence(rec, vocab, config.max_seq_len)
+            preds += predict_queries(params, config, vocab, seq, rec.age, rec.sex, [(0, add_months(_sequence_end_time(seq), 6))])
+        assert preds[0] != preds[1]
+        # both pass the observed screen; only the higher prediction passes the predicted one
+        rule = EligibilityRule(0, ">=", sum(preds) / 2)
+        records = [
+            ParticipantRecord("empty", 50.0, "male", [], [t0]),
+            ParticipantRecord("no-ldl", 50.0, "male", [Event(t0, 1, 130.0, False)], [t0]),
+            single_visit_record(vocab, ldl=50.0, pid="low"),
+            *high,
+        ]
+        sim = simulate_cohort(params, config, vocab, records, ContinuousScale((0,), 0.9), 1, 6, rule=rule)
+        assert sim.counts == {
+            "participants_read": 5, "no_visit1_context": 1, "missing_rule_modality": 1,
+            "excluded_observed": 1, "excluded_predicted": 1, "simulated": 1,
+        }
+        assert sim.participants == [high[int(preds[1] > preds[0])].participant_id]
+        eligible, missing = filter_eligible(params, config, vocab, records, rule, 6)
+        assert [r.participant_id for r in eligible] == sim.participants and missing == 2
+
+
+@pytest.mark.parametrize("horizon", [-6, 0, 6.5, 25])
+class TestHorizonRejected:
+    """A horizon is a whole number of months in [1, 24]; anything else is an
+    error naming the value, never a silent truncation or an empty answer."""
+
+    def test_simulate_arms(self, vocab, tiny_model, horizon):
+        params, config = tiny_model
+        with pytest.raises(ValueError, match=re.escape(f"got {horizon!r}")):
+            simulate_arms(params, config, vocab, [single_visit_record(vocab)], ContinuousScale((0,), 0.9), 1, horizon)
+
+    def test_trajectory(self, vocab, tiny_model, horizon):
+        params, config = tiny_model
+        with pytest.raises(ValueError, match=re.escape(f"got {horizon!r}")):
+            trajectory(params, config, vocab, [single_visit_record(vocab)], ContinuousScale((0,), 0.9), 1, months=horizon)
+
+    def test_filter_eligible(self, vocab, tiny_model, horizon):
+        params, config = tiny_model
+        with pytest.raises(ValueError, match=re.escape(f"got {horizon!r}")):
+            filter_eligible(params, config, vocab, [single_visit_record(vocab)], EligibilityRule(0, ">=", 130.0), horizon)
+
+    def test_trial_spec(self, vocab, horizon):
+        doc = {
+            "name": "demo", "table1": [], "arms": [], "outcome": "ldl", "horizon_months": horizon,
+            "published": {"point": -30.0, "ci_low": -35.0, "ci_high": -25.0},
+        }
+        with pytest.raises(ValueError, match=re.escape(f"got {horizon!r}")):
+            load_trial_spec(doc, vocab)
 
 
 class TestSampler:
