@@ -38,15 +38,14 @@ from .evalharness import (
 )
 from .intervene import (
     SIMULATION_COUNTS,
+    ArmResult,
     EligibilityRule,
-    Simulation,
     check_horizon,
     concordance,
     four_arm,
     load_trial_spec,
     parse_intervention,
     sample_trial_population,
-    simulate_arms,
     simulate_cohort,
 )
 from .model import ModelConfig, param_count
@@ -452,16 +451,15 @@ def cmd_simulate(args) -> int:
         simulate_cohort, params, config, vocab, spec=spec, outcome_modality=outcome,
         horizon_months=horizon, months=horizon if args.trajectory else 0, rule=rule,
     )
-    sim = Simulation.merge(map_participants(sim_fn, records, args.workers))
-    counts = sim.counts
+    arm = ArmResult.merge(map_participants(sim_fn, records, args.workers))
+    counts = arm.counts
     if rule is not None:
         print(f"eligibility: {counts['simulated']} kept, {counts['missing_rule_modality']} missing the rule modality")
     print("counts: " + " ".join(f"{k}={counts[k]}" for k in SIMULATION_COUNTS))
-    if not sim.participants:
+    if not arm.participants:
         if records and counts["no_visit1_context"] == len(records):
             raise CliError("no participant to simulate has any visit-1 measurement")
         raise CliError("no eligible participants to simulate")
-    arm = sim.arm(spec.label)
     arm.ci = arm.bootstrap_ci(rng)
     meta = _meta(seed, header["meta"].get("config_hash", ""))
     with open(args.out, "w", encoding="utf-8", newline="") as f:
@@ -469,14 +467,13 @@ def cmd_simulate(args) -> int:
         f.write(f"# label={spec.label}\n# outcome={doc['outcome']}\n# horizon_months={horizon}\n")
         f.write("".join(f"# {k}={counts[k]}\n" for k in SIMULATION_COUNTS))
         f.write(f"# mean_delta={arm.mean_delta:.10g}\n# effect_percent={arm.effect_percent:.10g}\n")
-        if arm.ci:
-            f.write(f"# ci_low={arm.ci[0]:.10g}\n# ci_high={arm.ci[1]:.10g}\n")
+        f.write(f"# ci_low={arm.ci[0]:.10g}\n# ci_high={arm.ci[1]:.10g}\n")
         w = csv.writer(f, lineterminator="\n")
         w.writerow(["participant", "predicted_control", "predicted_treatment", "delta"])
         for pid, c, t in zip(arm.participants, arm.control, arm.treatment):
             w.writerow([pid, format(c, ".10g"), format(t, ".10g"), format(t - c, ".10g")])
     if args.trajectory:
-        series = sim.monthly()
+        series = arm.monthly()
         tpath = f"{args.out}.trajectory.csv"
         with open(tpath, "w", encoding="utf-8", newline="") as f:
             w = csv.writer(f, lineterminator="\n")
@@ -512,19 +509,21 @@ def cmd_trial_run(args) -> int:
         population = sample_trial_population(trial, rng, vocab)
         outcome = vocab.modality(trial.outcome).id
         if len(trial.arms) == 1:
-            arm = simulate_arms(params, config, vocab, population, trial.arms[0], outcome, trial.horizon_months, rng=rng)
+            arm = simulate_cohort(params, config, vocab, population, trial.arms[0], outcome, trial.horizon_months)
         elif len(trial.arms) == 2:
             arm = four_arm(params, config, vocab, population, trial.arms[0], trial.arms[1], outcome, trial.horizon_months)["AB"]
-            arm.ci = arm.bootstrap_ci(rng)
         else:
             raise CliError(f"trial {trial.name!r} must declare 1 or 2 arms")
+        if not arm.participants:
+            raise CliError(f"trial {trial.name!r} simulates no participant: none has a visit-1 measurement")
+        arm.ci = arm.bootstrap_ci(rng)
         predicted = arm.signed_percent
         rows.append(
             {
                 "trial": trial.name,
                 "predicted": predicted,
-                "pred_ci_low": arm.ci[0] if arm.ci else "",
-                "pred_ci_high": arm.ci[1] if arm.ci else "",
+                "pred_ci_low": arm.ci[0],
+                "pred_ci_high": arm.ci[1],
                 "published": trial.published_point,
                 "ci_low": trial.published_ci[0],
                 "ci_high": trial.published_ci[1],

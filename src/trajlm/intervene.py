@@ -46,16 +46,12 @@ __all__ = [
     "TrialSpec",
     "ArmResult",
     "SIMULATION_COUNTS",
-    "Simulation",
     "load_catalog",
     "add_months",
     "dosing_schedule",
     "apply_intervention",
     "check_horizon",
     "simulate_cohort",
-    "simulate_arms",
-    "filter_eligible",
-    "trajectory",
     "sample_trial_population",
     "concordance",
     "four_arm",
@@ -157,13 +153,52 @@ class TrialSpec:
             raise ValueError(f"{self.name}: published point outside its own CI")
 
 
+# How a `simulate` run accounts for every participant it reads: each one is
+# dropped at exactly one step or simulated.
+SIMULATION_COUNTS = (
+    "participants_read",
+    "no_visit1_context",
+    "missing_rule_modality",
+    "excluded_observed",
+    "excluded_predicted",
+    "simulated",
+)
+
+
 @dataclass
 class ArmResult:
+    """Row-aligned answers for one arm: the outcome at V1 + horizon on the
+    untouched and on the intervened context of each participant."""
+
     control: np.ndarray
     treatment: np.ndarray
     label: str = ""
     ci: tuple[float, float] | None = None
     participants: list[str] = field(default_factory=list)  # ids, row-aligned with the arrays
+    # (participants, months): treated minus control at each trajectory month
+    monthly_deltas: np.ndarray = field(default_factory=lambda: np.empty((0, 0)))
+    counts: dict[str, int] = field(default_factory=dict)  # keyed by SIMULATION_COUNTS
+
+    @classmethod
+    def merge(cls, parts: list["ArmResult"]) -> "ArmResult":
+        """Concatenate consecutive `simulate_cohort` runs of one arm, in order."""
+        return cls(
+            np.concatenate([p.control for p in parts]),
+            np.concatenate([p.treatment for p in parts]),
+            parts[0].label,
+            None,
+            [pid for p in parts for pid in p.participants],
+            np.concatenate([p.monthly_deltas for p in parts]),
+            {k: sum(p.counts[k] for p in parts) for k in SIMULATION_COUNTS},
+        )
+
+    def monthly(self) -> list[tuple[int, float, float]]:
+        """(month, mean delta, standard error) for each trajectory month."""
+        out = []
+        for t, d in enumerate(self.monthly_deltas.T, 1):
+            sem = float(d.std(ddof=1) / math.sqrt(len(d))) if len(d) > 1 else 0.0
+            out.append((t, float(d.mean()), sem))
+        return out
 
     @property
     def deltas(self) -> np.ndarray:
@@ -232,8 +267,6 @@ def dosing_schedule(spec: CategoricalAppend, start: datetime, vocab: Vocabulary)
 
 def _sequence_end_time(seq: TokenSequence) -> datetime:
     idx = seq.visit_boundary - 1 if seq.visit_boundary > 0 else seq.length - 1
-    if idx < 0:
-        return features_to_datetime(seq.times[-1])
     return features_to_datetime(seq.times[idx])
 
 
@@ -273,8 +306,14 @@ def _append_dosing(
     vocab: Vocabulary,
 ) -> TokenSequence:
     """Merge a dosing course into the sequence after the visit-1 content."""
-    start = _sequence_end_time(seq)
-    dosing = _dosing_times(modality_id, category_index, frequency, duration, start, vocab)
+    dosing = _dosing_times(modality_id, category_index, frequency, duration, _sequence_end_time(seq), vocab)
+    return _merge_doses(seq, [(when, modality_id, token) for when, token in dosing])
+
+
+def _merge_doses(seq: TokenSequence, doses: list[tuple[datetime, int, int]]) -> TokenSequence:
+    """The sequence with (time, modality, token) dose events merged in by
+    (time, modality); ties keep the sequence's own events first and the
+    doses in (modality, token) order, whatever order they are given in."""
     rows = [
         (
             features_to_datetime(seq.times[i]),
@@ -285,7 +324,7 @@ def _append_dosing(
         )
         for i in range(seq.length)
     ]
-    for when, token in dosing:
+    for when, modality_id, token in sorted(doses):
         rows.append((when, modality_id, token, 0.0, np.array(time_features(when), dtype=np.int64)))
     rows.sort(key=lambda r: (r[0], r[1]))
 
@@ -325,14 +364,6 @@ def _course_prefix(course: TokenSequence, n: int) -> TokenSequence:
     )
 
 
-def _v1_sequences(records: list[ParticipantRecord], vocab: Vocabulary, config: ModelConfig):
-    """Each record with a non-empty visit-1 context, paired with its sequence."""
-    for rec in records:
-        seq = assemble_sequence(v1_context(rec), vocab, config.max_seq_len)
-        if seq.length:
-            yield rec, seq
-
-
 def check_horizon(months) -> int:
     """A horizon or trajectory length: a whole number of months in [1, 24]."""
     if isinstance(months, bool) or not isinstance(months, (int, np.integer)) or not 1 <= months <= 24:
@@ -343,51 +374,6 @@ def check_horizon(months) -> int:
 def _check_outcome(vocab: Vocabulary, outcome_modality: int) -> None:
     if vocab.modalities[outcome_modality].kind != CONTINUOUS:
         raise ValueError("outcome modality must be continuous")
-
-
-# How a `simulate` run accounts for every participant it reads: each one is
-# dropped at exactly one step or simulated.
-SIMULATION_COUNTS = (
-    "participants_read",
-    "no_visit1_context",
-    "missing_rule_modality",
-    "excluded_observed",
-    "excluded_predicted",
-    "simulated",
-)
-
-
-@dataclass
-class Simulation:
-    """Row-aligned `simulate` answers for a run of participants."""
-
-    participants: list[str]
-    control: np.ndarray     # outcome at V1 + horizon on the untouched context
-    treatment: np.ndarray   # the same query on the intervened context
-    deltas: np.ndarray      # (participants, months): monthly treated minus control
-    counts: dict[str, int]  # keyed by SIMULATION_COUNTS
-
-    @classmethod
-    def merge(cls, parts: list["Simulation"]) -> "Simulation":
-        """Concatenate consecutive runs, in order."""
-        return cls(
-            [pid for p in parts for pid in p.participants],
-            np.concatenate([p.control for p in parts]),
-            np.concatenate([p.treatment for p in parts]),
-            np.concatenate([p.deltas for p in parts]),
-            {k: sum(p.counts[k] for p in parts) for k in SIMULATION_COUNTS},
-        )
-
-    def arm(self, label: str) -> ArmResult:
-        return ArmResult(self.control, self.treatment, label=label, participants=self.participants)
-
-    def monthly(self) -> list[tuple[int, float, float]]:
-        """(month, mean delta, standard error) for each trajectory month."""
-        out = []
-        for t, d in enumerate(self.deltas.T, 1):
-            sem = float(d.std(ddof=1) / math.sqrt(len(d))) if len(d) > 1 else 0.0
-            out.append((t, float(d.mean()), sem))
-        return out
 
 
 def _treated_contexts(seq: TokenSequence, spec: InterventionSpec, vocab: Vocabulary, doses: list[int]):
@@ -405,39 +391,33 @@ def _simulate_participant(params, config, vocab, rec, spec, outcome_modality, ho
 
     The requests are the eligibility query (the rule's modality at V1 +
     horizon, given a rule), the control and treated outcome at V1 + horizon
-    (given a spec and a horizon) and the control and dosed outcome at each of
-    months 1..`months`.  Every dosed context is cut from one dosing course,
-    so all of them and the control context share one pass.  Returns
-    (exclusion, control, treatment, monthly deltas): exclusion is the
-    SIMULATION_COUNTS key that drops the participant, or None.
+    and the control and dosed outcome at each of months 1..`months`.  Every
+    dosed context is cut from one dosing course, so all of them and the
+    control context share one pass.  Returns (exclusion, answers): exclusion
+    is the SIMULATION_COUNTS key that drops the participant, or None, and
+    answers are the control then the treated outcomes, horizon first.
     """
     ctx = v1_context(rec)
     if not ctx.events:
-        return "no_visit1_context", None, None, None
+        return "no_visit1_context", None
     if rule is not None:
         observed = [e.value for e in ctx.events if e.modality == rule.modality_id]
         if not observed:
-            return "missing_rule_modality", None, None, None
+            return "missing_rule_modality", None
         if not rule.satisfied(float(observed[-1])):
-            return "excluded_observed", None, None, None
+            return "excluded_observed", None
     seq = assemble_sequence(ctx, vocab, config.max_seq_len)
     end = _sequence_end_time(seq)
-    requests = [] if rule is None else [(seq, rule.modality_id, add_months(end, horizon_months))]
-    arms = spec is not None and horizon_months is not None
-    k = 0
-    if spec is not None:
-        # months of dosing behind each treated query (a continuous edit has no course)
-        doses = ([getattr(spec, "duration", 0)] if arms else []) + list(range(1, months + 1))
-        whens = ([add_months(end, horizon_months)] if arms else []) + [add_months(end, t) for t in range(1, months + 1)]
-        k = len(whens)
-        requests += [(seq, outcome_modality, w) for w in whens]
-        requests += [(c, outcome_modality, w) for c, w in zip(_treated_contexts(seq, spec, vocab, doses), whens)]
+    whens = [add_months(end, t) for t in (horizon_months, *range(1, months + 1))]
+    # months of dosing behind each treated query (a continuous edit has no course)
+    doses = [getattr(spec, "duration", 0), *range(1, months + 1)]
+    requests = [] if rule is None else [(seq, rule.modality_id, whens[0])]
+    requests += [(seq, outcome_modality, w) for w in whens]
+    requests += [(c, outcome_modality, w) for c, w in zip(_treated_contexts(seq, spec, vocab, doses), whens)]
     answers = plan_queries(params, config, vocab, rec.age, rec.sex, requests)
     if rule is not None and not rule.satisfied(answers.pop(0)):
-        return "excluded_predicted", None, None, None
-    controls, treated = answers[:k], answers[k:]
-    control, treatment = (controls[0], treated[0]) if arms else (None, None)
-    return None, control, treatment, np.subtract(treated[k - months :], controls[k - months :])
+        return "excluded_predicted", None
+    return None, answers
 
 
 def simulate_cohort(
@@ -447,105 +427,39 @@ def simulate_cohort(
     records: list[ParticipantRecord],
     spec: InterventionSpec,
     outcome_modality: int,
-    horizon_months: int | None,
+    horizon_months: int,
     months: int = 0,
     rule: EligibilityRule | None = None,
-) -> Simulation:
+) -> ArmResult:
     """Screen, simulate and trace each participant in one query plan.
 
     With a rule, a participant is kept only if both the observed V1 value and
     the control prediction of the rule's modality at V1 + horizon satisfy it.
     Each kept participant gets the paired control/treatment outcome at V1 +
-    horizon (none when horizon_months is None) and, for `months` > 0, the
-    treated-minus-control outcome at each of months 1..months, where dosing
-    at month t covers V1 through t and continuous edits apply in full.
+    horizon (the untouched V1 context against the same context with `spec`
+    applied) and, for `months` > 0, the treated-minus-control outcome at each
+    of months 1..months, where dosing at month t covers V1 through t and
+    continuous edits apply in full.
     """
     _check_outcome(vocab, outcome_modality)
-    if horizon_months is not None:
-        check_horizon(horizon_months)
-    if months or horizon_months is None:
+    check_horizon(horizon_months)
+    if months:
         check_horizon(months)
     counts = dict.fromkeys(SIMULATION_COUNTS, 0)
     counts["participants_read"] = len(records)
-    pids, controls, treatments, deltas = [], [], [], []
+    pids, rows = [], []
     for rec in records:
-        exclusion, control, treatment, delta = _simulate_participant(
+        exclusion, answers = _simulate_participant(
             params, config, vocab, rec, spec, outcome_modality, horizon_months, months, rule
         )
         counts[exclusion or "simulated"] += 1
         if exclusion is None:
             pids.append(rec.participant_id)
-            deltas.append(delta)
-            if horizon_months is not None:
-                controls.append(control)
-                treatments.append(treatment)
-    return Simulation(
-        pids,
-        np.array(controls, dtype=np.float64),
-        np.array(treatments, dtype=np.float64),
-        np.array(deltas, dtype=np.float64).reshape(len(deltas), months),
-        counts,
+            rows.append(answers)
+    control, treated = np.array(rows, dtype=np.float64).reshape(len(rows), 2, 1 + months).transpose(1, 0, 2)
+    return ArmResult(
+        control[:, 0].copy(), treated[:, 0].copy(), spec.label, None, pids, treated[:, 1:] - control[:, 1:], counts
     )
-
-
-def simulate_arms(
-    params: dict[str, Tensor],
-    config: ModelConfig,
-    vocab: Vocabulary,
-    records: list[ParticipantRecord],
-    spec: InterventionSpec,
-    outcome_modality: int,
-    horizon_months: int,
-    rng: np.random.Generator | None = None,
-    resamples: int = 1000,
-) -> ArmResult:
-    """Paired control/treatment prediction of the outcome at V1 + horizon.
-
-    The control arm is the untouched V1 context; the treatment arm is the same
-    context with the intervention applied; both receive an identical query.
-    """
-    result = simulate_cohort(params, config, vocab, records, spec, outcome_modality, horizon_months).arm(spec.label)
-    if rng is not None and len(result.control) > 0:
-        result.ci = result.bootstrap_ci(rng, resamples)
-    return result
-
-
-def filter_eligible(
-    params: dict[str, Tensor],
-    config: ModelConfig,
-    vocab: Vocabulary,
-    records: list[ParticipantRecord],
-    rule: EligibilityRule,
-    horizon_months: int,
-):
-    """Treatment-naive screen: both the observed V1 value and the control-arm
-    prediction of the rule's modality must satisfy the threshold.  Returns
-    (eligible records, number excluded for missing the modality)."""
-    check_horizon(horizon_months)
-    eligible, missing = [], 0
-    for rec in records:
-        exclusion = _simulate_participant(params, config, vocab, rec, None, None, horizon_months, 0, rule)[0]
-        if exclusion is None:
-            eligible.append(rec)
-        missing += exclusion in ("no_visit1_context", "missing_rule_modality")
-    return eligible, missing
-
-
-def trajectory(
-    params: dict[str, Tensor],
-    config: ModelConfig,
-    vocab: Vocabulary,
-    records: list[ParticipantRecord],
-    spec: InterventionSpec,
-    outcome_modality: int,
-    months: int = 12,
-):
-    """Monthly mean treatment-minus-control series with standard errors.
-
-    Categorical dosing at month t covers V1 through t; continuous edits apply
-    in full at every horizon.
-    """
-    return simulate_cohort(params, config, vocab, records, spec, outcome_modality, None, months).monthly()
 
 
 def _truncnorm_mass(mean: float, sd: float, low: float, high: float) -> float:
@@ -604,15 +518,17 @@ def concordance(rows: list[dict]) -> dict:
     """Score predicted effects against published (point, 95% CI) references.
 
     A direction hit needs matching nonzero signs; a CI hit needs the predicted
-    point inside the published interval.  sign(0) never matches.
+    point inside the published interval.  sign(0) never matches, and a value
+    that is not finite is an error naming its row.
     """
     scored = []
     direction = 0
     ci = 0
-    for row in rows:
-        pred = float(row["predicted"])
-        pub = float(row["published"])
-        lo, hi = float(row["ci_low"]), float(row["ci_high"])
+    for i, row in enumerate(rows):
+        pred, pub, lo, hi = (float(row[k]) for k in ("predicted", "published", "ci_low", "ci_high"))
+        if not all(map(math.isfinite, (pred, pub, lo, hi))):
+            name = row.get("trial", row.get("label", i))
+            raise ValueError(f"concordance row {name!r}: predicted {pred}, published {pub} [{lo}, {hi}] must be finite")
         dir_hit = math.copysign(1, pred) == math.copysign(1, pub) and pred != 0 and pub != 0
         ci_hit = lo <= pred <= hi
         direction += int(dir_hit)
@@ -626,6 +542,20 @@ def _combined_scale_conflict(a: InterventionSpec, b: InterventionSpec) -> None:
         shared = set(a.modality_ids) & set(b.modality_ids)
         if shared:
             raise ValueError(f"conflicting continuous-scale targets: {sorted(shared)}")
+
+
+def _combined(seq: TokenSequence, spec_a: InterventionSpec, spec_b: InterventionSpec, vocab: Vocabulary) -> TokenSequence:
+    """The A+B context: each continuous edit applied in turn and every dosing
+    course starting at the visit-1 context's last event, so the arm does not
+    depend on which spec is A."""
+    start = _sequence_end_time(seq)
+    out, doses = seq, []
+    for spec in (spec_a, spec_b):
+        if isinstance(spec, CategoricalAppend):
+            doses += [(when, spec.modality_id, token) for when, token in dosing_schedule(spec, start, vocab)]
+        else:
+            out = apply_intervention(out, spec, vocab)
+    return _merge_doses(out, doses) if doses else out
 
 
 def four_arm(
@@ -644,10 +574,13 @@ def four_arm(
     _check_outcome(vocab, outcome_modality)
     check_horizon(horizon_months)
     pids, rows = [], []
-    for rec, seq in _v1_sequences(records, vocab, config):
+    for rec in records:
+        seq = assemble_sequence(v1_context(rec), vocab, config.max_seq_len)
+        if not seq.length:
+            continue
         when = add_months(_sequence_end_time(seq), horizon_months)
-        with_a = apply_intervention(seq, spec_a, vocab)
-        contexts = (seq, with_a, apply_intervention(seq, spec_b, vocab), apply_intervention(with_a, spec_b, vocab))
+        arms = [apply_intervention(seq, spec, vocab) for spec in (spec_a, spec_b)]
+        contexts = (seq, *arms, _combined(seq, spec_a, spec_b, vocab))
         pids.append(rec.participant_id)
         rows.append(plan_queries(params, config, vocab, rec.age, rec.sex, [(c, outcome_modality, when) for c in contexts]))
     control, a, b, ab = np.array(rows, dtype=np.float64).reshape(-1, 4).T.copy()
@@ -665,6 +598,9 @@ def load_trial_spec(doc: dict | str, vocab: Vocabulary) -> TrialSpec:
     table1 = [TrialVariable(v["modality"], v["mean"], v["sd"], v["low"], v["high"]) for v in doc["table1"]]
     arms = [parse_intervention(a, vocab) for a in doc["arms"]]
     pub = doc["published"]
+    n = doc.get("n", 200)
+    if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or n < 1:
+        raise ValueError(f"trial size n must be a whole number >= 1, got {n!r}")
     return TrialSpec(
         name=doc["name"],
         table1=table1,
@@ -673,7 +609,7 @@ def load_trial_spec(doc: dict | str, vocab: Vocabulary) -> TrialSpec:
         horizon_months=check_horizon(doc["horizon_months"]),
         published_point=float(pub["point"]),
         published_ci=(float(pub["ci_low"]), float(pub["ci_high"])),
-        n=int(doc.get("n", 200)),
+        n=int(n),
     )
 
 

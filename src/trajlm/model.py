@@ -32,7 +32,6 @@ __all__ = [
     "sinusoid_features",
     "embed_inputs",
     "forward",
-    "forward_sequence",
     "extract_embedding",
     "parallel_v2_layout",
 ]
@@ -382,35 +381,6 @@ def forward(
     return logits
 
 
-def forward_sequence(
-    params: dict[str, Tensor],
-    config: ModelConfig,
-    vocab: Vocabulary,
-    seq: TokenSequence,
-    age: float,
-    sex: str,
-    mask_kind,
-    dropout_rng: np.random.Generator | None = None,
-    return_hidden: bool = False,
-):
-    """Convenience wrapper: build the mask and scale table from the sequence."""
-    mask = build_mask(mask_kind, seq.length)
-    return forward(
-        params,
-        config,
-        seq.tokens,
-        seq.values,
-        seq.modalities,
-        seq.times,
-        age,
-        sex,
-        mask,
-        value_scale_table(vocab),
-        dropout_rng=dropout_rng,
-        return_hidden=return_hidden,
-    )
-
-
 def extract_embedding(
     params: dict[str, Tensor],
     config: ModelConfig,
@@ -422,7 +392,11 @@ def extract_embedding(
     """Mean of final-layer hidden states over non-pad positions."""
     if seq.length == 0:
         raise ValueError("cannot extract an embedding from an empty sequence")
-    _, hidden = forward_sequence(params, config, vocab, seq, age, sex, Causal(), return_hidden=True)
+    mask = build_mask(Causal(), seq.length)
+    _, hidden = forward(
+        params, config, seq.tokens, seq.values, seq.modalities, seq.times, age, sex, mask,
+        value_scale_table(vocab), return_hidden=True,
+    )
     keep = seq.tokens != vocab.pad_token
     if not np.any(keep):
         raise ValueError("sequence has no non-pad positions")

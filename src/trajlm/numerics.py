@@ -23,8 +23,6 @@ __all__ = [
     "mul",
     "neg",
     "matmul",
-    "exp",
-    "log",
     "tanh",
     "gelu",
     "abs_",
@@ -38,7 +36,6 @@ __all__ = [
     "reshape",
     "transpose",
     "sum_",
-    "mean_",
     "dropout",
     "attention",
     "backward",
@@ -178,19 +175,6 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
         _accum(b, _unbroadcast(gb, b.data.shape))
 
     out._backward = bw
-    return out
-
-
-def exp(a: Tensor) -> Tensor:
-    y = np.exp(a.data)
-    out = Tensor(y, a.requires_grad, (a,))
-    out._backward = lambda g: _accum(a, g * y)
-    return out
-
-
-def log(a: Tensor) -> Tensor:
-    out = Tensor(np.log(a.data), a.requires_grad, (a,))
-    out._backward = lambda g: _accum(a, g / a.data)
     return out
 
 
@@ -432,11 +416,6 @@ def sum_(a: Tensor, axis=None) -> Tensor:
 
     out._backward = bw
     return out
-
-
-def mean_(a: Tensor, axis=None) -> Tensor:
-    n = a.data.size if axis is None else a.data.shape[axis]
-    return scale(sum_(a, axis=axis), 1.0 / n)
 
 
 def dropout(a: Tensor, rate: float, rng: np.random.Generator | None) -> Tensor:

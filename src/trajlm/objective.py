@@ -65,7 +65,6 @@ class TrainConfig:
     clip_norm: float = 0.1
     seed: int = 42
     val_fraction: float = 0.2
-    max_seq_len: int = 25_000
 
 
 class TrainingDiverged(RuntimeError):
@@ -376,7 +375,7 @@ def train(
 
     sequences = []
     for r in records:
-        seq = assemble_sequence(r, vocab, train_config.max_seq_len)
+        seq = assemble_sequence(r, vocab, model_config.max_seq_len)
         sequences.append((seq, r.age, r.sex))
 
     perm = rng.permutation(len(sequences))

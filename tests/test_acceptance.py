@@ -383,9 +383,9 @@ class TestCriterion7InterventionRecovery:
 
 
 def simulate(desk, records, spec, outcome):
-    from trajlm.intervene import simulate_arms
+    from trajlm.intervene import simulate_cohort
 
-    return simulate_arms(desk["params"], desk["model_cfg"], desk["vocab"], records, spec, outcome, 24)
+    return simulate_cohort(desk["params"], desk["model_cfg"], desk["vocab"], records, spec, outcome, 24)
 
 
 class TestCriterion8LongitudinalOrdering:

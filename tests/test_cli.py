@@ -4,6 +4,7 @@ from concurrent.futures import ProcessPoolExecutor
 from datetime import datetime
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import trajlm.cli as cli
@@ -11,13 +12,11 @@ from trajlm.cli import main
 from trajlm.corpus import assemble_sequence, read_cohort_jsonl, v1_context
 from trajlm.evalharness import predict_queries
 from trajlm.intervene import (
-    EligibilityRule,
+    _append_dosing,
     _sequence_end_time,
     add_months,
-    filter_eligible,
     parse_intervention,
-    simulate_arms,
-    trajectory,
+    simulate_cohort,
 )
 
 TRAIN_CONFIG = """
@@ -306,7 +305,7 @@ class TestProbeAndSimulate:
         rows = [r for r in csv.reader(out.read_text().splitlines()) if r and not r[0].startswith("#")][1:]
         assert [r[0] for r in rows] == [rec.participant_id for rec in records[1:]]
         for row, rec in zip(rows, records[1:]):
-            alone = simulate_arms(params, config, vocab, [rec], drug, outcome, DRUG_SPEC["horizon_months"])
+            alone = simulate_cohort(params, config, vocab, [rec], drug, outcome, DRUG_SPEC["horizon_months"])
             assert row[1:3] == [format(alone.control[0], ".10g"), format(alone.treatment[0], ".10g")]
 
     def test_simulate_without_visit1_context_is_error(self, workspace, tmp_path, capsys):
@@ -416,6 +415,8 @@ class TestSimulatePlan:
         assert [r[0] for r in _csv_rows(out)[1:]] == kept
 
     def test_trajectory_with_screen_matches_separate_calls(self, workspace, tmp_path, monkeypatch):
+        """The planned CLI run against one predict_queries pass per context
+        and query, participant by participant."""
         pools = []
 
         class RecordedPool(ProcessPoolExecutor):
@@ -438,25 +439,46 @@ class TestSimulatePlan:
 
         params, config, _, vocab = cli._load_model(workspace["ckpt"], workspace["vocab"])
         records = read_cohort_jsonl(workspace["cohort"], vocab)
-        rule = EligibilityRule(vocab.modality("x_core").id, ">=", 95.0)
+        x_core = vocab.modality("x_core").id
         drug = parse_intervention(DRUG_SPEC["intervention"], vocab)
         outcome = vocab.modality(DRUG_SPEC["outcome"]).id
         horizon = DRUG_SPEC["horizon_months"]
-        eligible, _ = filter_eligible(params, config, vocab, records, rule, horizon)
-        arm = simulate_arms(params, config, vocab, eligible, drug, outcome, horizon)
-        series = trajectory(params, config, vocab, eligible, drug, outcome, months=horizon)
+
+        def single(rec, seq, modality, when):
+            return predict_queries(params, config, vocab, seq, rec.age, rec.sex, [(modality, when)])[0]
+
+        def dosed(seq, months):
+            return _append_dosing(seq, drug.modality_id, drug.category_index, drug.frequency, months, vocab)
+
+        kept, arms, deltas = [], [], []
+        for rec in records:
+            ctx = v1_context(rec)
+            observed = [e.value for e in ctx.events if e.modality == x_core]
+            if not observed or observed[-1] < 95.0:
+                continue
+            v1 = assemble_sequence(ctx, vocab, config.max_seq_len)
+            at = [add_months(_sequence_end_time(v1), t) for t in range(horizon + 1)]  # t months after visit 1
+            if single(rec, v1, x_core, at[horizon]) < 95.0:
+                continue
+            kept.append(rec.participant_id)
+            arms.append((single(rec, v1, outcome, at[horizon]), single(rec, dosed(v1, drug.duration), outcome, at[horizon])))
+            deltas.append([
+                single(rec, dosed(v1, t), outcome, at[t]) - single(rec, v1, outcome, at[t]) for t in range(1, horizon + 1)
+            ])
+        deltas = np.array(deltas)
         mids = vocab.modalities[outcome].midpoints
         tol = 1e-5 * (max(mids) - min(mids))
 
         rows = _csv_rows(tmp_path / "workers1" / "sim.csv")[1:]
         assert 0 < len(rows) < len(records)
-        assert [r[0] for r in rows] == [rec.participant_id for rec in eligible]
-        for row, c, t in zip(rows, arm.control, arm.treatment):
+        assert [r[0] for r in rows] == kept
+        for row, (c, t) in zip(rows, arms):
             assert abs(float(row[1]) - c) <= tol and abs(float(row[2]) - t) <= tol
         months = _csv_rows(tmp_path / "workers1" / "sim.csv.trajectory.csv")[1:]
-        assert [int(m[0]) for m in months] == [s[0] for s in series]
-        for m, (_, mean, sem) in zip(months, series):
-            assert abs(float(m[1]) - mean) <= tol and abs(float(m[2]) - sem) <= tol
+        assert [int(m[0]) for m in months] == list(range(1, horizon + 1))
+        for m, d in zip(months, deltas.T):
+            assert abs(float(m[1]) - d.mean()) <= tol
+            assert abs(float(m[2]) - d.std(ddof=1) / np.sqrt(len(d))) <= tol
 
 
 class TestTrialRun:
@@ -487,6 +509,32 @@ class TestTrialRun:
         assert rows[0][0] == "trial"
         assert rows[1][0] == "demo"
         assert svg.exists()
+
+    @pytest.mark.parametrize("arms", [1, 2])
+    @pytest.mark.parametrize("change", ["n=0", "age only"])
+    def test_trial_simulating_no_one_is_error(self, workspace, tmp_path, capsys, arms, change):
+        # a table1 of age alone gives participants without any measurement
+        drug = {"kind": "append", "modality": "medication", "category_index": 0,
+                "frequency": 1, "duration": 12, "label": "drug_a"}
+        diet = {"kind": "scale", "modalities": ["x_core"], "factor": 0.9, "label": "diet"}
+        age = {"modality": "age", "mean": 60, "sd": 5, "low": 40, "high": 80}
+        target = {"modality": "t_target", "mean": 160, "sd": 10, "low": 100, "high": 220}
+        doc = {
+            "name": "hollow", "n": 0 if change == "n=0" else 12,
+            "table1": [age] if change == "age only" else [age, target],
+            "arms": [drug, diet][:arms], "outcome": "t_target", "horizon_months": 12,
+            "published": {"point": -20.0, "ci_low": -25.0, "ci_high": -15.0},
+        }
+        trials = tmp_path / "trials"
+        trials.mkdir()
+        (trials / "hollow.json").write_text(json.dumps(doc), encoding="utf-8")
+        out = tmp_path / "forest.csv"
+        rc = main(["trial-run", "--ckpt", str(workspace["ckpt"]), "--vocab", str(workspace["vocab"]),
+                   "--trials", str(trials), "--out", str(out)])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert "hollow" in err and ("got 0" in err if change == "n=0" else "no participant" in err)
+        assert not out.exists()
 
     def test_empty_trials_dir(self, workspace, tmp_path, capsys):
         trials = tmp_path / "empty"

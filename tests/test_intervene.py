@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 import trajlm.evalharness as evalharness
+import trajlm.intervene as intervene
 from trajlm.corpus import Event, ParticipantRecord, assemble_sequence
 from trajlm.intervene import (
     DURATIONS,
@@ -22,14 +23,11 @@ from trajlm.intervene import (
     apply_intervention,
     concordance,
     dosing_schedule,
-    filter_eligible,
     four_arm,
     load_catalog,
     load_trial_spec,
     sample_trial_population,
-    simulate_arms,
     simulate_cohort,
-    trajectory,
 )
 from trajlm.intervene import _append_dosing, _sequence_end_time, _treated_contexts
 from trajlm.evalharness import predict_queries
@@ -37,6 +35,7 @@ from trajlm.model import ModelConfig, init_params
 from trajlm.vocab import RawModality, build_vocabulary, decode_token
 
 FIXTURES = Path(__file__).parent / "data"
+NOOP = ContinuousScale((0,), 1.0, label="noop")
 
 
 @pytest.fixture(scope="module")
@@ -148,7 +147,7 @@ class TestSimulateArms:
     def test_noop_gives_zero_effect(self, vocab, tiny_model):
         params, config = tiny_model
         records = [single_visit_record(vocab, pid=f"p{i}", seed=i) for i in range(6)]
-        arm = simulate_arms(params, config, vocab, records, ContinuousScale((0,), 1.0), 1, 12)
+        arm = simulate_cohort(params, config, vocab, records, ContinuousScale((0,), 1.0), 1, 12)
         assert np.array_equal(arm.control, arm.treatment)
         assert arm.mean_delta == 0.0
         assert arm.effect_percent == 0.0
@@ -171,17 +170,14 @@ class TestSimulateArms:
     def test_bootstrap_ci_brackets_point(self, vocab, tiny_model):
         params, config = tiny_model
         records = [single_visit_record(vocab, ldl=140 + 5 * i, pid=f"p{i}", seed=i) for i in range(8)]
-        arm = simulate_arms(
-            params, config, vocab, records, CategoricalAppend(2, 0, 1, 12), 0, 12,
-            rng=np.random.default_rng(0), resamples=200,
-        )
-        lo, hi = arm.ci
+        arm = simulate_cohort(params, config, vocab, records, CategoricalAppend(2, 0, 1, 12), 0, 12)
+        lo, hi = arm.bootstrap_ci(np.random.default_rng(0), resamples=200)
         assert lo <= arm.signed_percent <= hi
 
     def test_horizon_cap(self, vocab, tiny_model):
         params, config = tiny_model
         with pytest.raises(ValueError, match="24"):
-            simulate_arms(params, config, vocab, [], ContinuousScale((0,), 1.0), 1, 36)
+            simulate_cohort(params, config, vocab, [], ContinuousScale((0,), 1.0), 1, 36)
 
 
 class TestEligibility:
@@ -225,42 +221,40 @@ class TestEligibility:
             [(0, add_months(_sequence_end_time(seq), 12))],
         )[0]
         rule = EligibilityRule(0, ">=", 130.0)
-        kept, missing = filter_eligible(params, config, vocab, records, rule, 12)
-        assert missing == 0
-        assert "lo" not in {r.participant_id for r in kept}
-        expected = {"hi"} if pred_hi >= 130.0 else set()
-        assert {r.participant_id for r in kept} == expected
+        arm = simulate_cohort(params, config, vocab, records, NOOP, 0, 12, rule=rule)
+        assert arm.counts["missing_rule_modality"] == 0
+        assert "lo" not in arm.participants
+        expected = ["hi"] if pred_hi >= 130.0 else []
+        assert arm.participants == expected
 
     def test_control_prediction_gate(self, vocab, tiny_model):
         params, config = tiny_model
         records = [single_visit_record(vocab, ldl=1e9 if False else 160.0, pid="hi")]
         # threshold above every decodable midpoint: criterion 2 always fails
         impossible = EligibilityRule(0, ">=", max(vocab.modalities[0].midpoints) + 1)
-        kept, missing = filter_eligible(params, config, vocab, records, impossible, 12)
-        assert kept == [] and missing == 0
+        arm = simulate_cohort(params, config, vocab, records, NOOP, 0, 12, rule=impossible)
+        assert arm.participants == [] and arm.counts["missing_rule_modality"] == 0
 
     def test_missing_modality_counted(self, vocab, tiny_model):
         params, config = tiny_model
         t0 = datetime(2021, 3, 1, 9, 0)
         rec = ParticipantRecord("nomod", 50.0, "male", [Event(t0, 1, 130.0, False)], [t0])
-        kept, missing = filter_eligible(params, config, vocab, [rec], EligibilityRule(0, ">=", 0.0), 12)
-        assert kept == [] and missing == 1
+        arm = simulate_cohort(params, config, vocab, [rec], NOOP, 0, 12, rule=EligibilityRule(0, ">=", 0.0))
+        assert arm.participants == [] and arm.counts["missing_rule_modality"] == 1
 
 
 class TestTrajectory:
     def test_noop_flat_zero(self, vocab, tiny_model):
         params, config = tiny_model
         records = [single_visit_record(vocab, pid=f"p{i}", seed=i) for i in range(4)]
-        series = trajectory(params, config, vocab, records, ContinuousScale((0,), 1.0), 1, months=6)
+        series = simulate_cohort(params, config, vocab, records, NOOP, 1, 6, months=6).monthly()
         assert len(series) == 6
         assert all(mean == 0.0 for _, mean, _ in series)
 
     def test_dosing_extends_with_month(self, vocab, tiny_model):
         params, config = tiny_model
         records = [single_visit_record(vocab, pid=f"p{i}", seed=i) for i in range(2)]
-        series = trajectory(
-            params, config, vocab, records, CategoricalAppend(2, 0, 10, 12), 0, months=3
-        )
+        series = simulate_cohort(params, config, vocab, records, CategoricalAppend(2, 0, 10, 12), 0, 3, months=3).monthly()
         assert [t for t, _, _ in series] == [1, 2, 3]
 
 
@@ -296,7 +290,7 @@ class TestQueryPlan:
         params, config = tiny_model
         records = [single_visit_record(vocab, ldl=140 + 10 * i, pid=f"p{i}", seed=i) for i in range(3)]
         months = 4
-        series = trajectory(params, config, vocab, records, spec, 0, months=months)
+        series = simulate_cohort(params, config, vocab, records, spec, 0, months, months=months).monthly()
         for t, mean, _ in series:
             deltas = []
             for rec in records:
@@ -314,7 +308,7 @@ class TestQueryPlan:
         params, config = tiny_model
         records = [single_visit_record(vocab, ldl=150 + 5 * i, pid=f"p{i}", seed=i) for i in range(3)]
         spec = CategoricalAppend(2, 1, 10, 6)
-        arm = simulate_arms(params, config, vocab, records, spec, 0, 9)
+        arm = simulate_cohort(params, config, vocab, records, spec, 0, 9)
         tol = span_tolerance(vocab, 0)
         for rec, ctrl, treat in zip(records, arm.control, arm.treatment):
             seq = assemble_sequence(rec, vocab, config.max_seq_len)
@@ -341,18 +335,19 @@ class TestQueryPlan:
     def test_dosing_trajectory_one_pass_per_participant(self, vocab, tiny_model, pass_log):
         params, config = tiny_model
         records = [single_visit_record(vocab, pid=f"p{i}", seed=i) for i in range(3)]
-        trajectory(params, config, vocab, records, CategoricalAppend(2, 0, 10, 12), 0, months=12)
-        # 12 control and 12 dosed queries, all on prefixes of the 12-month context
+        simulate_cohort(params, config, vocab, records, CategoricalAppend(2, 0, 10, 12), 0, 12, months=12)
+        # 12 control and 12 dosed queries, all on prefixes of the 12-month
+        # context; the arms' pair at the 12-month horizon repeats month 12
         assert pass_log == [24, 24, 24]
 
     def test_paired_arms_share_one_pass(self, vocab, tiny_model, pass_log):
         params, config = tiny_model
         records = [single_visit_record(vocab, pid=f"p{i}", seed=i) for i in range(2)]
-        simulate_arms(params, config, vocab, records, CategoricalAppend(2, 0, 1, 12), 0, 12)
+        simulate_cohort(params, config, vocab, records, CategoricalAppend(2, 0, 1, 12), 0, 12)
         assert pass_log == [2, 2]
         pass_log.clear()
         # the scaled context is not a prefix of the control: two passes each
-        simulate_arms(params, config, vocab, records, ContinuousScale((0,), 0.8), 0, 12)
+        simulate_cohort(params, config, vocab, records, ContinuousScale((0,), 0.8), 0, 12)
         assert pass_log == [1, 1, 1, 1]
 
 
@@ -372,7 +367,7 @@ class TestOnePlan:
         # arms' pair at 12 months repeats month 12 of the trajectory
         assert pass_log == [25, 25, 25]
         assert sim.counts["excluded_observed"] == 1
-        assert sim.deltas.shape == (len(sim.participants), 12)
+        assert sim.monthly_deltas.shape == (len(sim.participants), 12)
 
     @pytest.mark.parametrize("frequency", [1, 3, 20])
     def test_month_prefixes_equal_shorter_courses(self, vocab, frequency):
@@ -419,8 +414,6 @@ class TestOnePlan:
             "excluded_observed": 1, "excluded_predicted": 1, "simulated": 1,
         }
         assert sim.participants == [high[int(preds[1] > preds[0])].participant_id]
-        eligible, missing = filter_eligible(params, config, vocab, records, rule, 6)
-        assert [r.participant_id for r in eligible] == sim.participants and missing == 2
 
 
 @pytest.mark.parametrize("horizon", [-6, 0, 6.5, 25])
@@ -431,17 +424,21 @@ class TestHorizonRejected:
     def test_simulate_arms(self, vocab, tiny_model, horizon):
         params, config = tiny_model
         with pytest.raises(ValueError, match=re.escape(f"got {horizon!r}")):
-            simulate_arms(params, config, vocab, [single_visit_record(vocab)], ContinuousScale((0,), 0.9), 1, horizon)
+            simulate_cohort(params, config, vocab, [single_visit_record(vocab)], ContinuousScale((0,), 0.9), 1, horizon)
 
     def test_trajectory(self, vocab, tiny_model, horizon):
+        # a trajectory as `simulate --trajectory` asks for it: months up to the horizon
         params, config = tiny_model
         with pytest.raises(ValueError, match=re.escape(f"got {horizon!r}")):
-            trajectory(params, config, vocab, [single_visit_record(vocab)], ContinuousScale((0,), 0.9), 1, months=horizon)
+            simulate_cohort(
+                params, config, vocab, [single_visit_record(vocab)], ContinuousScale((0,), 0.9), 1, horizon, months=horizon
+            )
 
     def test_filter_eligible(self, vocab, tiny_model, horizon):
         params, config = tiny_model
+        rule = EligibilityRule(0, ">=", 130.0)
         with pytest.raises(ValueError, match=re.escape(f"got {horizon!r}")):
-            filter_eligible(params, config, vocab, [single_visit_record(vocab)], EligibilityRule(0, ">=", 130.0), horizon)
+            simulate_cohort(params, config, vocab, [single_visit_record(vocab)], NOOP, 1, horizon, rule=rule)
 
     def test_trial_spec(self, vocab, horizon):
         doc = {
@@ -534,6 +531,16 @@ class TestConcordance:
         out = concordance([{"predicted": -10.1, "published": -2.4, "ci_low": -3.3, "ci_high": -1.5}])
         assert out["direction_hits"] == 1 and out["ci_hits"] == 0
 
+    @pytest.mark.parametrize("key", ["predicted", "published", "ci_low", "ci_high"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_non_finite_value_rejected(self, key, value):
+        rows = [
+            {"trial": "ok", "predicted": -7.9, "published": -7.5, "ci_low": -8.5, "ci_high": -6.5},
+            {"trial": "empty", "predicted": -7.9, "published": -7.5, "ci_low": -8.5, "ci_high": -6.5, key: value},
+        ]
+        with pytest.raises(ValueError, match="'empty'.*finite"):
+            concordance(rows)
+
     def test_zero_prediction_is_direction_miss(self):
         out = concordance([{"predicted": 0.0, "published": -5.0, "ci_low": -6.0, "ci_high": -4.0}])
         assert out["direction_hits"] == 0
@@ -573,6 +580,33 @@ class TestFourArm:
         for key in ("A", "B", "AB"):
             assert np.array_equal(arms[key].control, arms[key].treatment)
 
+    def test_two_dosing_courses_start_at_visit1(self, vocab, tiny_model, monkeypatch):
+        """In A+B every course starts at the visit-1 context's last event, so
+        the arm is the same whichever course is A."""
+        params, config = tiny_model
+        records = [single_visit_record(vocab, pid=f"p{i}", seed=i) for i in range(3)]
+        spec_a, spec_b = CategoricalAppend(2, 0, 1, 6, label="a"), CategoricalAppend(2, 1, 1, 6, label="b")
+        asked = []
+        inner = intervene.plan_queries
+
+        def recorded(params, config, vocab, age, sex, requests):
+            asked.append([seq for seq, _, _ in requests])
+            return inner(params, config, vocab, age, sex, requests)
+
+        monkeypatch.setattr(intervene, "plan_queries", recorded)
+        ab = four_arm(params, config, vocab, records, spec_a, spec_b, 0, 6)["AB"]
+        ba = four_arm(params, config, vocab, records, spec_b, spec_a, 0, 6)["AB"]
+        assert np.array_equal(ab.treatment, ba.treatment)
+        b_token = vocab.modalities[2].cum_base + 1
+        n = len(records)
+        for (_, _, b, both), (_, _, _, swapped) in zip(asked[:n], asked[n:]):
+            for stream in ("tokens", "values", "modalities", "times"):
+                assert np.array_equal(getattr(both, stream), getattr(swapped, stream)), stream
+            assert both.visit_boundary == swapped.visit_boundary
+            # B's doses fall where they fall when B is given alone
+            dose_times = [seq.times[: seq.length][seq.tokens == b_token] for seq in (both, b)]
+            assert len(dose_times[0]) == 6 and np.array_equal(*dose_times)
+
     def test_conflicting_scale_targets_rejected(self, vocab, tiny_model):
         params, config = tiny_model
         with pytest.raises(ValueError, match="conflicting"):
@@ -611,6 +645,15 @@ class TestCatalogAndSpecs:
         assert trial.name == "demo"
         assert isinstance(trial.arms[0], CategoricalAppend)
         assert trial.arms[0].frequency == 10
+
+    @pytest.mark.parametrize("n", [0, -3, 2.5, True, "12"])
+    def test_trial_size_must_be_whole_and_positive(self, vocab, n):
+        doc = {
+            "name": "demo", "table1": [], "arms": [], "outcome": "ldl", "horizon_months": 12, "n": n,
+            "published": {"point": -30.0, "ci_low": -35.0, "ci_high": -25.0},
+        }
+        with pytest.raises(ValueError, match=re.escape(f"got {n!r}")):
+            load_trial_spec(doc, vocab)
 
     def test_published_point_outside_ci_rejected(self, vocab):
         doc = {

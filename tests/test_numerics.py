@@ -140,8 +140,6 @@ class TestGradCheck:
     @pytest.mark.parametrize(
         "op",
         [
-            lambda x: nm.exp(x),
-            lambda x: nm.log(nm.add(nm.mul(x, x), nm.constant(np.array(1.0)))),
             lambda x: nm.tanh(x),
             lambda x: nm.gelu(x),
             lambda x: nm.softmax(x),
@@ -151,7 +149,6 @@ class TestGradCheck:
             lambda x: nm.transpose(nm.mul(x, x), (1, 0)),
             lambda x: nm.take_ranges(nm.mul(x, x), np.array([1, 0, 1]), np.array([1, 0, 3]), np.array([2, 4, 1]), -7.0),
             lambda x: nm.take_rows(nm.mul(x, x), np.array([0, 1, 1])),
-            lambda x: nm.mean_(nm.exp(x), axis=1),
         ],
     )
     def test_each_op(self, op):
@@ -198,9 +195,8 @@ class TestGradCheck:
 
     def test_nonfinite_loss_rejected(self):
         w = nm.Tensor(np.array([1.0]), requires_grad=True)
-        with np.errstate(invalid="ignore"):
-            with pytest.raises(ValueError, match="non-finite"):
-                nm.grad_check(lambda: nm.log(nm.constant(np.array(-1.0))), {"w": w})
+        with pytest.raises(ValueError, match="non-finite"):
+            nm.grad_check(lambda: nm.constant(np.array(np.nan)), {"w": w})
 
 
 class TestPrecisionPolicy:

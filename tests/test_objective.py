@@ -434,6 +434,23 @@ class TestTrainLoop:
         assert [row["clipped"] for row in history] == [int(n > tc.clip_norm) for n in norms]
         assert 0 < sum(row["clipped"] for row in history) < len(history), norms  # both outcomes occur
 
+    def test_model_max_seq_len_bounds_training(self, vocab, tmp_path, monkeypatch):
+        """`max_seq_length` (ModelConfig.max_seq_len) truncates every training
+        and validation sequence."""
+        records = [make_record(vocab, n=20, seed=10 + i) for i in range(4)]
+        config = replace(self.small_setup(vocab)[1], max_seq_len=8)
+        lengths = []
+        inner = objective.sequence_loss
+
+        def recorded(params, config, vocab, seq, *args, **kwargs):
+            lengths.append(seq.length)
+            return inner(params, config, vocab, seq, *args, **kwargs)
+
+        monkeypatch.setattr(objective, "sequence_loss", recorded)
+        train(records, vocab, config, LossConfig(), TrainConfig(epochs=1, seed=0), None, tmp_path / "m.ckpt")
+        assert len(lengths) == len(records)  # three training steps and one validation pass
+        assert max(lengths) <= 8 < min(assemble_sequence(r, vocab, 64).length for r in records)
+
     def test_skipped_sequence_leaves_the_mean_gradient(self, vocab):
         """A sequence too short to score drops out of the batch mean: the
         gradient of [1-event record, record] equals that of [record] alone."""
