@@ -291,7 +291,6 @@ def cmd_train(args) -> int:
         }
     )
     vocab_sha = file_sha256(args.vocab)
-    rows: list[dict] = []
 
     def progress(epoch, step, val):
         print(f"epoch {epoch + 1}/{train_cfg.epochs} step {step} val_loss {val:.6f}")
@@ -299,7 +298,7 @@ def cmd_train(args) -> int:
     _, history, best = train(
         records, vocab, model_cfg, loss_cfg, train_cfg, aug_cfg,
         args.out, vocab_sha256=vocab_sha,
-        meta=_meta(train_cfg.seed, cfg_hash), log_rows=rows, progress=progress,
+        meta=_meta(train_cfg.seed, cfg_hash), progress=progress,
     )
     if args.log:
         with open(args.log, "w", encoding="utf-8", newline="") as f:

@@ -130,6 +130,9 @@ class TrialVariable:
     high: float
 
     def __post_init__(self):
+        # a NaN passes every comparison below and would stall the rejection sampler
+        if not (math.isfinite(self.mean) and math.isfinite(self.sd)) or math.isnan(self.low) or math.isnan(self.high):
+            raise ValueError(f"{self.modality}: mean and sd must be finite and bounds must not be NaN")
         if self.low >= self.high:
             raise ValueError(f"{self.modality}: low bound must be below high bound")
         if self.sd < 0:
@@ -215,10 +218,7 @@ class ArmResult:
     @property
     def effect_percent(self) -> float:
         """Unsigned percent change of the treatment mean vs the control mean."""
-        mc = self.mean_control
-        if mc == 0:
-            raise ZeroDivisionError("undefined percent effect: control mean is zero")
-        return 100.0 * abs(self.treatment.mean() - mc) / mc
+        return abs(self.signed_percent)
 
     @property
     def signed_percent(self) -> float:

@@ -350,7 +350,7 @@ def forward(
         v = heads(nm.matmul(pre, params[f"layer{l}.w_v"]))
         for e in range(c.n_value_extras):
             vx = heads(nm.matmul(pre, params[f"layer{l}.w_vx{e}"]))
-            gate = nm.reshape(nm.take_rows(params[f"layer{l}.gates"], np.array([e])), (c.n_heads, 1, 1))
+            gate = nm.reshape(nm.embedding(params[f"layer{l}.gates"], [e]), (c.n_heads, 1, 1))
             v = nm.add(v, nm.mul(vx, gate))
 
         attn = nm.attention(q, k, v, mask, scale, rate, dropout_rng)

@@ -1,10 +1,15 @@
 """Dense tensors with reverse-mode automatic differentiation.
 
-Minimal tape-based engine: every op records its parents and a backward rule on
-the produced tensor; `backward` replays the rules in reverse topological
-order.  Data lives in contiguous numpy arrays (float32 for training, float64
-for correctness tests) and all reductions use numpy's fixed evaluation order,
-so results are deterministic for identical inputs.
+Minimal tape-based engine.  Every op computes its output array and a local
+backward rule, then hands both to `_node`, which records the parents and the
+rule only when some input requires grad; an op over untracked inputs returns
+a bare tensor and keeps nothing alive.  A rule holds the op's inputs and the
+arrays it needs, never its own output tensor, so the tape has no reference
+cycles and is freed as soon as the loss is dropped.  `backward` replays the
+rules in reverse topological order.  Data lives in contiguous numpy arrays
+(float32 for training, float64 for correctness tests) and all reductions use
+numpy's fixed evaluation order, so results are deterministic for identical
+inputs.
 """
 
 from __future__ import annotations
@@ -16,7 +21,6 @@ from scipy.special import erf as _erf
 
 __all__ = [
     "Tensor",
-    "tensor",
     "constant",
     "add",
     "sub",
@@ -30,7 +34,6 @@ __all__ = [
     "log_softmax",
     "layer_norm",
     "embedding",
-    "take_rows",
     "take_ranges",
     "range_head",
     "reshape",
@@ -65,19 +68,11 @@ class Tensor:
     def dtype(self):
         return self.data.dtype
 
-    def item(self) -> float:
-        return float(self.data)
-
     def zero_grad(self) -> None:
         self.grad = None
 
     def __repr__(self):
         return f"Tensor(shape={self.data.shape}, dtype={self.data.dtype}, grad={self.requires_grad})"
-
-
-def tensor(data, requires_grad: bool = False, dtype=None) -> Tensor:
-    arr = np.asarray(data, dtype=dtype) if dtype is not None else np.asarray(data, dtype=float)
-    return Tensor(arr, requires_grad=requires_grad)
 
 
 def constant(data, dtype=None) -> Tensor:
@@ -89,75 +84,74 @@ def neg_inf(dtype) -> float:
     return -np.inf if np.dtype(dtype) == np.float64 else -1e30
 
 
-def _track(*xs: Tensor) -> bool:
-    return any(x.requires_grad for x in xs)
+def _node(data, parents: tuple, backward) -> Tensor:
+    """An op's output: a tape node when any parent requires grad, else a bare tensor."""
+    if any(p.requires_grad for p in parents):
+        return Tensor(data, True, parents, backward)
+    return Tensor(data)
 
 
 def _accum(x: Tensor, g: np.ndarray) -> None:
+    """Add g into x.grad, first summing it over the axes x was broadcast along."""
     if not x.requires_grad:
         return
+    shape = x.data.shape
+    if g.shape != shape:
+        extra = g.ndim - len(shape)
+        if extra > 0:
+            g = g.sum(axis=tuple(range(extra)))
+        axes = tuple(i for i, s in enumerate(shape) if s == 1 and g.shape[i] != 1)
+        if axes:
+            g = g.sum(axis=axes, keepdims=True)
     if x.grad is None:
         x.grad = np.array(g, dtype=x.data.dtype)  # a copy: g may be another node's grad
     else:
         x.grad += g
 
 
-def _unbroadcast(g: np.ndarray, shape) -> np.ndarray:
-    """Reduce a gradient back to the shape it was broadcast from."""
-    if g.shape == tuple(shape):
-        return g
-    extra = g.ndim - len(shape)
-    if extra > 0:
-        g = g.sum(axis=tuple(range(extra)))
-    axes = tuple(i for i, s in enumerate(shape) if s == 1 and g.shape[i] != 1)
-    if axes:
-        g = g.sum(axis=axes, keepdims=True)
-    return g
+def _grad_buffer(x: Tensor) -> np.ndarray:
+    """x.grad, zero-filled on first use, for ops that add into parts of it."""
+    if x.grad is None:
+        x.grad = np.zeros_like(x.data)
+    return x.grad
+
+
+def _accum_at(x: Tensor, index, g: np.ndarray) -> None:
+    """Scatter-add g into x.grad at index; repeated indices accumulate."""
+    if x.requires_grad:
+        np.add.at(_grad_buffer(x), index, g)
 
 
 def add(a: Tensor, b: Tensor) -> Tensor:
-    out = Tensor(a.data + b.data, _track(a, b), (a, b))
-
     def bw(g):
-        _accum(a, _unbroadcast(g, a.data.shape))
-        _accum(b, _unbroadcast(g, b.data.shape))
+        _accum(a, g)
+        _accum(b, g)
 
-    out._backward = bw
-    return out
+    return _node(a.data + b.data, (a, b), bw)
 
 
 def sub(a: Tensor, b: Tensor) -> Tensor:
-    out = Tensor(a.data - b.data, _track(a, b), (a, b))
-
     def bw(g):
-        _accum(a, _unbroadcast(g, a.data.shape))
-        _accum(b, _unbroadcast(-g, b.data.shape))
+        _accum(a, g)
+        _accum(b, -g)
 
-    out._backward = bw
-    return out
+    return _node(a.data - b.data, (a, b), bw)
 
 
 def mul(a: Tensor, b: Tensor) -> Tensor:
-    out = Tensor(a.data * b.data, _track(a, b), (a, b))
-
     def bw(g):
-        _accum(a, _unbroadcast(g * b.data, a.data.shape))
-        _accum(b, _unbroadcast(g * a.data, b.data.shape))
+        _accum(a, g * b.data)
+        _accum(b, g * a.data)
 
-    out._backward = bw
-    return out
+    return _node(a.data * b.data, (a, b), bw)
 
 
 def neg(a: Tensor) -> Tensor:
-    out = Tensor(-a.data, a.requires_grad, (a,))
-    out._backward = lambda g: _accum(a, -g)
-    return out
+    return _node(-a.data, (a,), lambda g: _accum(a, -g))
 
 
 def scale(a: Tensor, c: float) -> Tensor:
-    out = Tensor(a.data * c, a.requires_grad, (a,))
-    out._backward = lambda g: _accum(a, g * c)
-    return out
+    return _node(a.data * c, (a,), lambda g: _accum(a, g * c))
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
@@ -166,29 +160,21 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
         raise ValueError(f"matmul needs >=2-d operands, got {a.data.shape} @ {b.data.shape}")
     if a.data.shape[-1] != b.data.shape[-2]:
         raise ValueError(f"shape mismatch in matmul: {a.data.shape} @ {b.data.shape}")
-    out = Tensor(a.data @ b.data, _track(a, b), (a, b))
 
     def bw(g):
-        ga = g @ np.swapaxes(b.data, -1, -2)
-        gb = np.swapaxes(a.data, -1, -2) @ g
-        _accum(a, _unbroadcast(ga, a.data.shape))
-        _accum(b, _unbroadcast(gb, b.data.shape))
+        _accum(a, g @ np.swapaxes(b.data, -1, -2))
+        _accum(b, np.swapaxes(a.data, -1, -2) @ g)
 
-    out._backward = bw
-    return out
+    return _node(a.data @ b.data, (a, b), bw)
 
 
 def tanh(a: Tensor) -> Tensor:
     y = np.tanh(a.data)
-    out = Tensor(y, a.requires_grad, (a,))
-    out._backward = lambda g: _accum(a, g * (1.0 - y * y))
-    return out
+    return _node(y, (a,), lambda g: _accum(a, g * (1.0 - y * y)))
 
 
 def abs_(a: Tensor) -> Tensor:
-    out = Tensor(np.abs(a.data), a.requires_grad, (a,))
-    out._backward = lambda g: _accum(a, g * np.sign(a.data))
-    return out
+    return _node(np.abs(a.data), (a,), lambda g: _accum(a, g * np.sign(a.data)))
 
 
 def gelu(a: Tensor) -> Tensor:
@@ -196,7 +182,7 @@ def gelu(a: Tensor) -> Tensor:
     x = a.data
     if x.dtype == np.float64:
         phi = 0.5 * (1.0 + _erf(x * _INV_SQRT2))
-        out = Tensor(x * phi, a.requires_grad, (a,))
+        y = x * phi
 
         def bw(g):
             pdf = np.exp(-0.5 * x * x) / math.sqrt(2.0 * math.pi)
@@ -205,41 +191,35 @@ def gelu(a: Tensor) -> Tensor:
     else:
         inner = _SQRT_2_OVER_PI * (x + 0.044715 * (x * x * x))  # x**3 is pow(), far slower in float32
         t = np.tanh(inner)
-        out = Tensor(0.5 * x * (1.0 + t), a.requires_grad, (a,))
+        y = 0.5 * x * (1.0 + t)
 
         def bw(g):
             dinner = _SQRT_2_OVER_PI * (1.0 + 3 * 0.044715 * x * x)
             _accum(a, g * (0.5 * (1.0 + t) + 0.5 * x * (1.0 - t * t) * dinner))
 
-    out._backward = bw
-    return out
+    return _node(y, (a,), bw)
 
 
 def softmax(a: Tensor, axis: int = -1) -> Tensor:
     z = a.data - a.data.max(axis=axis, keepdims=True)
     e = np.exp(z)
     y = e / e.sum(axis=axis, keepdims=True)
-    out = Tensor(y, a.requires_grad, (a,))
 
     def bw(g):
         dot = (g * y).sum(axis=axis, keepdims=True)
         _accum(a, y * (g - dot))
 
-    out._backward = bw
-    return out
+    return _node(y, (a,), bw)
 
 
 def log_softmax(a: Tensor, axis: int = -1) -> Tensor:
     z = a.data - a.data.max(axis=axis, keepdims=True)
-    lse = np.log(np.exp(z).sum(axis=axis, keepdims=True))
-    out = Tensor(z - lse, a.requires_grad, (a,))
+    y = z - np.log(np.exp(z).sum(axis=axis, keepdims=True))
 
     def bw(g):
-        p = np.exp(out.data)
-        _accum(a, g - p * g.sum(axis=axis, keepdims=True))
+        _accum(a, g - np.exp(y) * g.sum(axis=axis, keepdims=True))
 
-    out._backward = bw
-    return out
+    return _node(y, (a,), bw)
 
 
 def layer_norm(a: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tensor:
@@ -250,18 +230,15 @@ def layer_norm(a: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tens
     var = (xc * xc).mean(axis=-1, keepdims=True)
     inv = 1.0 / np.sqrt(var + eps)
     xhat = xc * inv
-    out = Tensor(xhat * gain.data + bias.data, _track(a, gain, bias), (a, gain, bias))
 
     def bw(g):
-        n = x.shape[-1]
-        _accum(gain, _unbroadcast(g * xhat, gain.data.shape))
-        _accum(bias, _unbroadcast(g, bias.data.shape))
+        _accum(gain, g * xhat)
+        _accum(bias, g)
         gx = g * gain.data
         dx = inv * (gx - gx.mean(axis=-1, keepdims=True) - xhat * (gx * xhat).mean(axis=-1, keepdims=True))
         _accum(a, dx)
 
-    out._backward = bw
-    return out
+    return _node(xhat * gain.data + bias.data, (a, gain, bias), bw)
 
 
 def embedding(table: Tensor, ids) -> Tensor:
@@ -270,32 +247,7 @@ def embedding(table: Tensor, ids) -> Tensor:
         raise IndexError(
             f"embedding index out of range: [{ids.min()}, {ids.max()}] vs table {table.data.shape[0]}"
         )
-    out = Tensor(table.data[ids], table.requires_grad, (table,))
-
-    def bw(g):
-        if not table.requires_grad:
-            return
-        if table.grad is None:
-            table.grad = np.zeros_like(table.data)
-        np.add.at(table.grad, ids, g)
-
-    out._backward = bw
-    return out
-
-
-def take_rows(a: Tensor, idx) -> Tensor:
-    idx = np.asarray(idx, dtype=np.int64)
-    out = Tensor(a.data[idx], a.requires_grad, (a,))
-
-    def bw(g):
-        if not a.requires_grad:
-            return
-        if a.grad is None:
-            a.grad = np.zeros_like(a.data)
-        np.add.at(a.grad, idx, g)
-
-    out._backward = bw
-    return out
+    return _node(table.data[ids], (table,), lambda g: _accum_at(table, ids, g))
 
 
 def _ranges(rows, starts, widths, n_rows: int, n_cols: int):
@@ -322,17 +274,7 @@ def take_ranges(a: Tensor, rows, starts, widths, fill: float) -> Tensor:
     c = (starts[:, None] + span)[valid]
     y = np.full(valid.shape, fill, dtype=a.data.dtype)
     y[valid] = a.data[r, c]
-    out = Tensor(y, a.requires_grad, (a,))
-
-    def bw(g):
-        if not a.requires_grad:
-            return
-        if a.grad is None:
-            a.grad = np.zeros_like(a.data)
-        np.add.at(a.grad, (r, c), g[valid])
-
-    out._backward = bw
-    return out
+    return _node(y, (a,), lambda g: _accum_at(a, (r, c), g[valid]))
 
 
 def range_head(h: Tensor, w: Tensor, b: Tensor, rows=None, starts=None, widths=None) -> Tensor:
@@ -366,56 +308,44 @@ def range_head(h: Tensor, w: Tensor, b: Tensor, rows=None, starts=None, widths=N
         z = np.zeros(shape, dtype=np.result_type(hd, wd, bd))
         for (idx, _, _, k), blk in zip(groups, blocks):
             z[idx, :k] = blk
-    out = Tensor(z, _track(h, w, b), (h, w, b))
 
     def bw(g):
         gsel = np.empty((shape[0], hd.shape[1]), dtype=hd.dtype) if h.requires_grad else None
-        for p in (w, b):
-            if p.requires_grad and p.grad is None:
-                p.grad = np.zeros_like(p.data)
+        gw = _grad_buffer(w) if w.requires_grad else None
+        gb = _grad_buffer(b) if b.requires_grad else None
         for idx, r, s, k in groups:
             gz = g[idx, :k]
             if gsel is not None:
                 gsel[idx] = gz @ wd[:, s : s + k].T
-            if w.requires_grad:
-                w.grad[:, s : s + k] += hd[r].T @ gz
-            if b.requires_grad:
-                b.grad[s : s + k] += gz.sum(axis=0)
+            if gw is not None:
+                gw[:, s : s + k] += hd[r].T @ gz
+            if gb is not None:
+                gb[s : s + k] += gz.sum(axis=0)
         if gsel is not None and rows is None:
             _accum(h, gsel)
         elif gsel is not None:
-            gh = np.zeros_like(hd)
-            np.add.at(gh, rows, gsel)
-            _accum(h, gh)
+            _accum_at(h, rows, gsel)
 
-    out._backward = bw
-    return out
+    return _node(z, (h, w, b), bw)
 
 
 def reshape(a: Tensor, shape) -> Tensor:
-    out = Tensor(a.data.reshape(shape), a.requires_grad, (a,))
-    out._backward = lambda g: _accum(a, g.reshape(a.data.shape))
-    return out
+    return _node(a.data.reshape(shape), (a,), lambda g: _accum(a, g.reshape(a.data.shape)))
 
 
 def transpose(a: Tensor, axes) -> Tensor:
     inv = np.argsort(axes)
-    out = Tensor(np.transpose(a.data, axes), a.requires_grad, (a,))
-    out._backward = lambda g: _accum(a, np.transpose(g, inv))
-    return out
+    return _node(np.transpose(a.data, axes), (a,), lambda g: _accum(a, np.transpose(g, inv)))
 
 
 def sum_(a: Tensor, axis=None) -> Tensor:
-    out = Tensor(a.data.sum(axis=axis), a.requires_grad, (a,))
-
     def bw(g):
         if axis is None:
             _accum(a, np.full_like(a.data, 1.0) * g)
         else:
             _accum(a, np.broadcast_to(np.expand_dims(g, axis), a.data.shape).copy())
 
-    out._backward = bw
-    return out
+    return _node(a.data.sum(axis=axis), (a,), bw)
 
 
 def dropout(a: Tensor, rate: float, rng: np.random.Generator | None) -> Tensor:
@@ -423,9 +353,7 @@ def dropout(a: Tensor, rate: float, rng: np.random.Generator | None) -> Tensor:
     if rate <= 0.0 or rng is None:
         return a
     mask = (rng.random(a.data.shape) >= rate).astype(a.data.dtype) / (1.0 - rate)
-    out = Tensor(a.data * mask, a.requires_grad, (a,))
-    out._backward = lambda g: _accum(a, g * mask)
-    return out
+    return _node(a.data * mask, (a,), lambda g: _accum(a, g * mask))
 
 
 # Query rows per attention block: a block's scores and probabilities are
@@ -442,10 +370,10 @@ def attention(q: Tensor, k: Tensor, v: Tensor, mask, scale: float, rate: float =
     rows run in blocks of _ATTN_BLOCK; each block multiplies only keys
     [0, c1), c1 one past the last column any of its rows allows, so the
     all-masked upper triangle of causal masks is skipped.  Each block's
-    probabilities are kept for the backward pass.  The dropout keep mask is
-    one rng.random((H, Tq, Tk)) draw, the draw `dropout` makes on the
-    probabilities.  Computes in q's dtype; a mask row that allows no key
-    raises ValueError.
+    probabilities are kept for the backward pass when an input tracks.  The
+    dropout keep mask is one rng.random((H, Tq, Tk)) draw, the draw `dropout`
+    makes on the probabilities.  Computes in q's dtype; a mask row that allows
+    no key raises ValueError.
     """
     qd = q.data
     dtype = qd.dtype
@@ -468,7 +396,7 @@ def attention(q: Tensor, k: Tensor, v: Tensor, mask, scale: float, rate: float =
     # one past the last allowed column of each row
     extent = mask.shape[1] - np.argmax(mask[:, ::-1], axis=1)
     fill = neg_inf(dtype)
-    track = _track(q, k, v)
+    track = q.requires_grad or k.requires_grad or v.requires_grad
 
     out = np.empty((n_heads, t_q, vd.shape[2]), dtype=dtype)
     blocks = []  # (r0, r1, c1, probabilities) per query block
@@ -486,7 +414,6 @@ def attention(q: Tensor, k: Tensor, v: Tensor, mask, scale: float, rate: float =
         if keep is not None:
             p = p * keep[:, r0:r1, :c1]
         out[:, r0:r1] = p @ vd[:, :c1]
-    result = Tensor(out, track, (q, k, v))
 
     def bw(g):
         gq = np.empty_like(qd) if q.requires_grad else None
@@ -511,8 +438,7 @@ def attention(q: Tensor, k: Tensor, v: Tensor, mask, scale: float, rate: float =
             if gx is not None:
                 _accum(x, gx)
 
-    result._backward = bw
-    return result
+    return _node(out, (q, k, v), bw)
 
 
 def _topo(root: Tensor) -> list[Tensor]:

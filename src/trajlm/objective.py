@@ -359,7 +359,6 @@ def train(
     out_path,
     vocab_sha256: str = "",
     meta: dict | None = None,
-    log_rows: list | None = None,
     progress=None,
 ):
     """Fit the model on a cohort; checkpoints the best-validation parameters.
@@ -405,7 +404,7 @@ def train(
 
     best_val = math.inf
     step = 0
-    history = log_rows if log_rows is not None else []
+    history = []
     saved_once = False
 
     def checkpoint_now(val_loss: float) -> None:

@@ -1,5 +1,6 @@
 import csv
 import json
+import math
 from concurrent.futures import ProcessPoolExecutor
 from datetime import datetime
 from pathlib import Path
@@ -534,6 +535,27 @@ class TestTrialRun:
         assert rc == 1
         err = capsys.readouterr().err
         assert "hollow" in err and ("got 0" in err if change == "n=0" else "no participant" in err)
+        assert not out.exists()
+
+    def test_nan_in_spec_is_error(self, workspace, tmp_path, capsys):
+        # Python's json reads a literal NaN; the sampler must never see it
+        doc = {
+            "name": "nan", "n": 12,
+            "table1": [{"modality": "x_core", "mean": math.nan, "sd": 5, "low": 60, "high": 140}],
+            "arms": [{"kind": "scale", "modalities": ["x_core"], "factor": 0.9, "label": "diet"}],
+            "outcome": "t_target", "horizon_months": 12,
+            "published": {"point": -20.0, "ci_low": -25.0, "ci_high": -15.0},
+        }
+        trials = tmp_path / "trials"
+        trials.mkdir()
+        (trials / "nan.json").write_text(json.dumps(doc), encoding="utf-8")
+        assert "NaN" in (trials / "nan.json").read_text(encoding="utf-8")
+        out = tmp_path / "forest.csv"
+        rc = main(["trial-run", "--ckpt", str(workspace["ckpt"]), "--vocab", str(workspace["vocab"]),
+                   "--trials", str(trials), "--out", str(out)])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert "nan.json" in err and "x_core" in err
         assert not out.exists()
 
     def test_empty_trials_dir(self, workspace, tmp_path, capsys):

@@ -160,6 +160,13 @@ class TestSimulateArms:
         assert arm.effect_percent == pytest.approx(37.142857, abs=1e-4)
         assert arm.signed_percent < 0
 
+    def test_effect_percent_unsigned_for_negative_outcomes(self):
+        from trajlm.intervene import ArmResult
+
+        arm = ArmResult(np.array([-10.0, -12.0]), np.array([-8.0, -9.0]))
+        assert arm.effect_percent == pytest.approx(22.727273, abs=1e-4)
+        assert arm.effect_percent == abs(arm.signed_percent)
+
     def test_zero_control_mean_rejected(self):
         from trajlm.intervene import ArmResult
 
@@ -450,6 +457,20 @@ class TestHorizonRejected:
 
 
 class TestSampler:
+    @pytest.mark.parametrize("row", [
+        {"modality": "x_core", "mean": math.nan, "sd": 5.0, "low": 60.0, "high": 140.0},
+        {"modality": "x_core", "mean": 100.0, "sd": math.nan, "low": 60.0, "high": 140.0},
+        {"modality": "age", "mean": 60.0, "sd": 5.0, "low": math.nan, "high": 80.0},
+    ])
+    def test_nan_row_rejected(self, vocab, row):
+        # a NaN passes the feasibility check and would stall the rejection sampler
+        doc = {
+            "name": "demo", "table1": [row], "arms": [], "outcome": "ldl", "horizon_months": 12,
+            "published": {"point": -30.0, "ci_low": -35.0, "ci_high": -25.0},
+        }
+        with pytest.raises(ValueError, match=row["modality"]):
+            load_trial_spec(doc, vocab)
+
     def test_degenerate_sd(self, vocab):
         trial = TrialSpec(
             name="t", table1=[TrialVariable("ldl", 50.0, 0.0, 0.0, 100.0)],
