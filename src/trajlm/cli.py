@@ -42,7 +42,6 @@ from .intervene import (
     EligibilityRule,
     check_horizon,
     concordance,
-    four_arm,
     load_trial_spec,
     parse_intervention,
     sample_trial_population,
@@ -447,7 +446,7 @@ def cmd_simulate(args) -> int:
         rule = EligibilityRule(vocab.modality(e["modality"]).id, e["comparator"], float(e["threshold"]))
 
     sim_fn = partial(
-        simulate_cohort, params, config, vocab, spec=spec, outcome_modality=outcome,
+        simulate_cohort, params, config, vocab, arm=spec, outcome_modality=outcome,
         horizon_months=horizon, months=horizon if args.trajectory else 0, rule=rule,
     )
     arm = ArmResult.merge(map_participants(sim_fn, records, args.workers))
@@ -507,12 +506,9 @@ def cmd_trial_run(args) -> int:
         rng = np.random.default_rng([seed, i])
         population = sample_trial_population(trial, rng, vocab)
         outcome = vocab.modality(trial.outcome).id
-        if len(trial.arms) == 1:
-            arm = simulate_cohort(params, config, vocab, population, trial.arms[0], outcome, trial.horizon_months)
-        elif len(trial.arms) == 2:
-            arm = four_arm(params, config, vocab, population, trial.arms[0], trial.arms[1], outcome, trial.horizon_months)["AB"]
-        else:
+        if len(trial.arms) not in (1, 2):
             raise CliError(f"trial {trial.name!r} must declare 1 or 2 arms")
+        arm = simulate_cohort(params, config, vocab, population, tuple(trial.arms), outcome, trial.horizon_months)
         if not arm.participants:
             raise CliError(f"trial {trial.name!r} simulates no participant: none has a visit-1 measurement")
         arm.ci = arm.bootstrap_ci(rng)
@@ -526,6 +522,8 @@ def cmd_trial_run(args) -> int:
                 "published": trial.published_point,
                 "ci_low": trial.published_ci[0],
                 "ci_high": trial.published_ci[1],
+                "participants_read": arm.counts["participants_read"],
+                "simulated": arm.counts["simulated"],
             }
         )
         forest.append((trial.name, predicted, trial.published_point, trial.published_ci[0], trial.published_ci[1]))
@@ -537,7 +535,10 @@ def cmd_trial_run(args) -> int:
         f.write(f"# ci_hits={score['ci_hits']}/{score['n']}\n")
         w = csv.DictWriter(
             f,
-            fieldnames=["trial", "predicted", "pred_ci_low", "pred_ci_high", "published", "ci_low", "ci_high", "direction_hit", "ci_hit"],
+            fieldnames=[
+                "trial", "predicted", "pred_ci_low", "pred_ci_high", "published", "ci_low", "ci_high",
+                "direction_hit", "ci_hit", "participants_read", "simulated",
+            ],
             lineterminator="\n",
         )
         w.writeheader()

@@ -177,7 +177,7 @@ def assemble_sequence(
         spec = vocab.modalities[ev.modality]
         try:
             tokens[i] = encode_value(vocab, ev.modality, ev.value)
-        except ValueError as e:
+        except (TypeError, ValueError) as e:
             raise ValueError(
                 f"participant {record.participant_id!r}: cannot encode event "
                 f"({ev.timestamp.isoformat()}, {spec.name!r}, {ev.value!r}): {e}"
@@ -306,27 +306,28 @@ def read_cohort_jsonl(path, vocab: Vocabulary) -> list[ParticipantRecord]:
                 continue
             try:
                 doc = json.loads(line)
-            except json.JSONDecodeError as e:
-                raise ValueError(f"{path}:{line_no}: malformed JSON: {e}") from e
-            events = []
-            for ev in doc["events"]:
-                spec = vocab.modality(ev["m"])
-                events.append(
+                events = [
                     Event(
                         timestamp=datetime.fromisoformat(ev["t"]),
-                        modality=spec.id,
+                        modality=vocab.modality(ev["m"]).id,
                         value=ev["v"],
                         sleep_flag=bool(ev.get("sleep", False)),
                     )
+                    for ev in doc["events"]
+                ]
+                records.append(
+                    ParticipantRecord(
+                        participant_id=doc["id"],
+                        age=float(doc["age"]),
+                        sex=doc.get("sex", "unknown"),
+                        events=events,
+                        visit_timestamps=[datetime.fromisoformat(v) for v in doc.get("visits", [])],
+                    )
                 )
-            records.append(
-                ParticipantRecord(
-                    participant_id=doc["id"],
-                    age=float(doc["age"]),
-                    sex=doc.get("sex", "unknown"),
-                    events=events,
-                    visit_timestamps=[datetime.fromisoformat(v) for v in doc.get("visits", [])],
-                )
-            )
+            except json.JSONDecodeError as e:
+                raise ValueError(f"{path}:{line_no}: malformed JSON: {e}") from e
+            except (AttributeError, KeyError, TypeError, ValueError) as e:
+                # a field of the wrong type or a missing one, e.g. "age": null
+                raise ValueError(f"{path}:{line_no}: {type(e).__name__}: {e}") from e
     return records
 

@@ -2,11 +2,13 @@
 
 Sequences are edited declaratively: categorical token appending on a
 frequency/duration dosing grid (medications, exercise) or in-place scaling of
-continuous values (diet, CPAP-style event reduction, fibre).  Each
-participant's eligibility, control, treatment and monthly trajectory queries
-go through one query plan, so contexts that extend one another share a
-forward pass; trial validation
-samples truncated-normal synthetic populations and scores direction/CI
+continuous values (diet, CPAP-style event reduction, fibre).  An arm is one
+such spec or a tuple of specs given together (A+B), and `apply_intervention`
+is the only context edit.  `simulate_cohort` is the only arm simulation:
+each participant's eligibility, control, treatment and monthly trajectory
+queries go through one query plan, so contexts that extend one another share
+a forward pass.  Trial validation samples truncated-normal synthetic
+populations, simulates the trial's arms together, and scores direction/CI
 concordance against published estimates.
 """
 
@@ -14,6 +16,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 from dataclasses import dataclass, field
 from datetime import datetime, timedelta
 from importlib import resources
@@ -54,7 +57,6 @@ __all__ = [
     "simulate_cohort",
     "sample_trial_population",
     "concordance",
-    "four_arm",
     "load_trial_spec",
 ]
 
@@ -103,6 +105,8 @@ class ContinuousScale:
 
 
 InterventionSpec = CategoricalAppend | ContinuousScale
+# one spec, or a tuple of specs applied together
+Arm = InterventionSpec | tuple[InterventionSpec, ...]
 
 
 @dataclass(frozen=True)
@@ -130,6 +134,10 @@ class TrialVariable:
     high: float
 
     def __post_init__(self):
+        for name in ("mean", "sd", "low", "high"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Real):
+                raise ValueError(f"{self.modality}: {name} must be a number, got {value!r}")
         # a NaN passes every comparison below and would stall the rejection sampler
         if not (math.isfinite(self.mean) and math.isfinite(self.sd)) or math.isnan(self.low) or math.isnan(self.high):
             raise ValueError(f"{self.modality}: mean and sd must be finite and bounds must not be NaN")
@@ -247,22 +255,19 @@ def add_months(when: datetime, months: float) -> datetime:
     return when + timedelta(days=months * MONTH_DAYS)
 
 
-def _dosing_times(modality_id: int, category_index: int, frequency: int, duration: int, start: datetime, vocab: Vocabulary):
-    m = vocab.modalities[modality_id]
+def dosing_schedule(spec: CategoricalAppend, start: datetime, vocab: Vocabulary, months: int | None = None):
+    """Token/timestamp pairs for a dosing course of the spec's duration, or of
+    `months` months when given: frequency tokens a month, spaced 1/frequency
+    months apart, starting one spacing after `start`."""
+    m = vocab.modalities[spec.modality_id]
     if m.kind != CATEGORICAL:
         raise ValueError(f"dosing requires a categorical modality, got {m.name!r}")
-    if not 0 <= category_index < m.n_tokens:
-        raise ValueError(f"category index {category_index} outside {m.name!r}")
-    token = m.cum_base + category_index
-    n_tokens = frequency * duration
-    spacing = 1.0 / frequency
+    if not 0 <= spec.category_index < m.n_tokens:
+        raise ValueError(f"category index {spec.category_index} outside {m.name!r}")
+    token = m.cum_base + spec.category_index
+    spacing = 1.0 / spec.frequency
+    n_tokens = spec.frequency * (spec.duration if months is None else months)
     return [(add_months(start, (k + 1) * spacing), token) for k in range(n_tokens)]
-
-
-def dosing_schedule(spec: CategoricalAppend, start: datetime, vocab: Vocabulary):
-    """Token/timestamp pairs for a dosing course: frequency * duration tokens,
-    spaced 1/frequency months apart, starting one spacing after `start`."""
-    return _dosing_times(spec.modality_id, spec.category_index, spec.frequency, spec.duration, start, vocab)
 
 
 def _sequence_end_time(seq: TokenSequence) -> datetime:
@@ -270,44 +275,57 @@ def _sequence_end_time(seq: TokenSequence) -> datetime:
     return features_to_datetime(seq.times[idx])
 
 
-def apply_intervention(seq: TokenSequence, spec: InterventionSpec, vocab: Vocabulary) -> TokenSequence:
-    """Return an edited copy of the sequence; streams stay synchronized,
-    sorted, and token/value consistent."""
-    if isinstance(spec, ContinuousScale):
-        out = seq.copy()
-        targets = set(spec.modality_ids)
-        for m in targets:
-            if vocab.modalities[m].kind != CONTINUOUS:
-                raise ValueError(
-                    f"cannot scale categorical modality {vocab.modalities[m].name!r}"
-                )
-        limit = out.visit_boundary if out.visit_boundary > 0 else out.length
-        for i in range(limit):
-            m = int(out.modalities[i])
-            if m in targets:
-                new_val = out.values[i] * spec.factor
-                out.values[i] = new_val
-                out.tokens[i] = encode_value(vocab, m, new_val)
-        out.check()
-        return out
-
-    if isinstance(spec, CategoricalAppend):
-        return _append_dosing(seq, spec.modality_id, spec.category_index, spec.frequency, spec.duration, vocab)
-
-    raise TypeError(f"unknown intervention spec: {spec!r}")
+def _specs(arm: Arm) -> tuple[InterventionSpec, ...]:
+    return arm if isinstance(arm, tuple) else (arm,)
 
 
-def _append_dosing(
-    seq: TokenSequence,
-    modality_id: int,
-    category_index: int,
-    frequency: int,
-    duration: int,
-    vocab: Vocabulary,
-) -> TokenSequence:
-    """Merge a dosing course into the sequence after the visit-1 content."""
-    dosing = _dosing_times(modality_id, category_index, frequency, duration, _sequence_end_time(seq), vocab)
-    return _merge_doses(seq, [(when, modality_id, token) for when, token in dosing])
+def _check_scale_conflicts(specs: tuple[InterventionSpec, ...]) -> None:
+    seen: set[int] = set()
+    for spec in specs:
+        if isinstance(spec, ContinuousScale):
+            shared = seen & set(spec.modality_ids)
+            if shared:
+                raise ValueError(f"conflicting continuous-scale targets: {sorted(shared)}")
+            seen |= set(spec.modality_ids)
+
+
+def _scale(seq: TokenSequence, spec: ContinuousScale, vocab: Vocabulary) -> TokenSequence:
+    out = seq.copy()
+    targets = set(spec.modality_ids)
+    for m in targets:
+        if vocab.modalities[m].kind != CONTINUOUS:
+            raise ValueError(f"cannot scale categorical modality {vocab.modalities[m].name!r}")
+    limit = out.visit_boundary if out.visit_boundary > 0 else out.length
+    for i in range(limit):
+        m = int(out.modalities[i])
+        if m in targets:
+            new_val = out.values[i] * spec.factor
+            out.values[i] = new_val
+            out.tokens[i] = encode_value(vocab, m, new_val)
+    out.check()
+    return out
+
+
+def apply_intervention(seq: TokenSequence, arm: Arm, vocab: Vocabulary, months: int | None = None) -> TokenSequence:
+    """The sequence with every spec of the arm applied; `seq` is left as is.
+
+    Continuous edits apply in turn; every dosing course starts at the
+    visit-1 context's last event, whichever spec it comes from, and lasts
+    its own duration, or `months` months when given.  Streams stay
+    synchronized, sorted, and token/value consistent.
+    """
+    specs = _specs(arm)
+    _check_scale_conflicts(specs)
+    start = _sequence_end_time(seq)
+    out, doses = seq, []
+    for spec in specs:
+        if isinstance(spec, CategoricalAppend):
+            doses += [(when, spec.modality_id, token) for when, token in dosing_schedule(spec, start, vocab, months)]
+        elif isinstance(spec, ContinuousScale):
+            out = _scale(out, spec, vocab)
+        else:
+            raise TypeError(f"unknown intervention spec: {spec!r}")
+    return _merge_doses(out, doses) if doses else out
 
 
 def _merge_doses(seq: TokenSequence, doses: list[tuple[datetime, int, int]]) -> TokenSequence:
@@ -350,11 +368,11 @@ def _merge_doses(seq: TokenSequence, doses: list[tuple[datetime, int, int]]) -> 
 
 
 def _course_prefix(course: TokenSequence, n: int) -> TokenSequence:
-    """The first n positions of a dosing course as a sequence of its own.
+    """The first n positions of a dosed context as a sequence of its own.
 
-    A course appended to a visit-1 context holds all of that content first,
-    so its first len(seq) + t * frequency positions are the course of t
-    months, query slot included."""
+    Courses appended to a visit-1 context follow all of that content, so
+    the first len(seq) + t * (sum of the course frequencies) positions are
+    the courses of t months, query slot included."""
     return TokenSequence(
         course.tokens[:n],
         course.values[:n],
@@ -376,26 +394,31 @@ def _check_outcome(vocab: Vocabulary, outcome_modality: int) -> None:
         raise ValueError("outcome modality must be continuous")
 
 
-def _treated_contexts(seq: TokenSequence, spec: InterventionSpec, vocab: Vocabulary, doses: list[int]):
-    """The intervened visit-1 context after each number of months of dosing
-    in `doses`, all cut from one dosing course of the longest of them (so
-    each is a prefix of it); a continuous edit is one context for all."""
-    if isinstance(spec, CategoricalAppend):
-        course = _append_dosing(seq, spec.modality_id, spec.category_index, spec.frequency, max(doses), vocab)
-        return [_course_prefix(course, seq.length + t * spec.frequency) for t in doses]
-    return [apply_intervention(seq, spec, vocab)] * len(doses)
+def _treated_contexts(seq: TokenSequence, arm: Arm, vocab: Vocabulary, months: int):
+    """The intervened visit-1 context at the horizon, then after each month
+    t in 1..`months`.  Every month's context is cut from one context whose
+    courses last `months` months, so each is a prefix of it: month t holds
+    the edited visit-1 content and t * frequency doses of each course (a
+    pure scale doses nothing, so its cut is the whole edited context)."""
+    horizon = apply_intervention(seq, arm, vocab)
+    if not months:
+        return [horizon]
+    course = apply_intervention(seq, arm, vocab, months)
+    per_month = sum(spec.frequency for spec in _specs(arm) if isinstance(spec, CategoricalAppend))
+    return [horizon, *(_course_prefix(course, seq.length + t * per_month) for t in range(1, months + 1))]
 
 
-def _simulate_participant(params, config, vocab, rec, spec, outcome_modality, horizon_months, months, rule):
+def _simulate_participant(params, config, vocab, rec, arm, outcome_modality, horizon_months, months, rule):
     """Answer one participant's `simulate` requests with one plan_queries call.
 
     The requests are the eligibility query (the rule's modality at V1 +
     horizon, given a rule), the control and treated outcome at V1 + horizon
     and the control and dosed outcome at each of months 1..`months`.  Every
-    dosed context is cut from one dosing course, so all of them and the
-    control context share one pass.  Returns (exclusion, answers): exclusion
-    is the SIMULATION_COUNTS key that drops the participant, or None, and
-    answers are the control then the treated outcomes, horizon first.
+    month's treated context is cut from one course, so for a dosing-only arm
+    all of them and the control context share one pass.  Returns
+    (exclusion, answers): exclusion is the SIMULATION_COUNTS key that drops
+    the participant, or None, and answers are the control then the treated
+    outcomes, horizon first.
     """
     ctx = v1_context(rec)
     if not ctx.events:
@@ -409,11 +432,9 @@ def _simulate_participant(params, config, vocab, rec, spec, outcome_modality, ho
     seq = assemble_sequence(ctx, vocab, config.max_seq_len)
     end = _sequence_end_time(seq)
     whens = [add_months(end, t) for t in (horizon_months, *range(1, months + 1))]
-    # months of dosing behind each treated query (a continuous edit has no course)
-    doses = [getattr(spec, "duration", 0), *range(1, months + 1)]
     requests = [] if rule is None else [(seq, rule.modality_id, whens[0])]
     requests += [(seq, outcome_modality, w) for w in whens]
-    requests += [(c, outcome_modality, w) for c, w in zip(_treated_contexts(seq, spec, vocab, doses), whens)]
+    requests += [(c, outcome_modality, w) for c, w in zip(_treated_contexts(seq, arm, vocab, months), whens)]
     answers = plan_queries(params, config, vocab, rec.age, rec.sex, requests)
     if rule is not None and not rule.satisfied(answers.pop(0)):
         return "excluded_predicted", None
@@ -425,7 +446,7 @@ def simulate_cohort(
     config: ModelConfig,
     vocab: Vocabulary,
     records: list[ParticipantRecord],
-    spec: InterventionSpec,
+    arm: Arm,
     outcome_modality: int,
     horizon_months: int,
     months: int = 0,
@@ -436,11 +457,12 @@ def simulate_cohort(
     With a rule, a participant is kept only if both the observed V1 value and
     the control prediction of the rule's modality at V1 + horizon satisfy it.
     Each kept participant gets the paired control/treatment outcome at V1 +
-    horizon (the untouched V1 context against the same context with `spec`
-    applied) and, for `months` > 0, the treated-minus-control outcome at each
-    of months 1..months, where dosing at month t covers V1 through t and
-    continuous edits apply in full.
+    horizon (the untouched V1 context against the same context with the arm
+    applied: one spec, or a tuple of specs given together) and, for `months`
+    > 0, the treated-minus-control outcome at each of months 1..months, where
+    dosing at month t covers V1 through t and continuous edits apply in full.
     """
+    _check_scale_conflicts(_specs(arm))
     _check_outcome(vocab, outcome_modality)
     check_horizon(horizon_months)
     if months:
@@ -450,16 +472,15 @@ def simulate_cohort(
     pids, rows = [], []
     for rec in records:
         exclusion, answers = _simulate_participant(
-            params, config, vocab, rec, spec, outcome_modality, horizon_months, months, rule
+            params, config, vocab, rec, arm, outcome_modality, horizon_months, months, rule
         )
         counts[exclusion or "simulated"] += 1
         if exclusion is None:
             pids.append(rec.participant_id)
             rows.append(answers)
     control, treated = np.array(rows, dtype=np.float64).reshape(len(rows), 2, 1 + months).transpose(1, 0, 2)
-    return ArmResult(
-        control[:, 0].copy(), treated[:, 0].copy(), spec.label, None, pids, treated[:, 1:] - control[:, 1:], counts
-    )
+    label = "+".join(spec.label for spec in _specs(arm))
+    return ArmResult(control[:, 0].copy(), treated[:, 0].copy(), label, None, pids, treated[:, 1:] - control[:, 1:], counts)
 
 
 def _truncnorm_mass(mean: float, sd: float, low: float, high: float) -> float:
@@ -535,60 +556,6 @@ def concordance(rows: list[dict]) -> dict:
         ci += int(ci_hit)
         scored.append({**row, "direction_hit": dir_hit, "ci_hit": ci_hit})
     return {"n": len(rows), "direction_hits": direction, "ci_hits": ci, "rows": scored}
-
-
-def _combined_scale_conflict(a: InterventionSpec, b: InterventionSpec) -> None:
-    if isinstance(a, ContinuousScale) and isinstance(b, ContinuousScale):
-        shared = set(a.modality_ids) & set(b.modality_ids)
-        if shared:
-            raise ValueError(f"conflicting continuous-scale targets: {sorted(shared)}")
-
-
-def _combined(seq: TokenSequence, spec_a: InterventionSpec, spec_b: InterventionSpec, vocab: Vocabulary) -> TokenSequence:
-    """The A+B context: each continuous edit applied in turn and every dosing
-    course starting at the visit-1 context's last event, so the arm does not
-    depend on which spec is A."""
-    start = _sequence_end_time(seq)
-    out, doses = seq, []
-    for spec in (spec_a, spec_b):
-        if isinstance(spec, CategoricalAppend):
-            doses += [(when, spec.modality_id, token) for when, token in dosing_schedule(spec, start, vocab)]
-        else:
-            out = apply_intervention(out, spec, vocab)
-    return _merge_doses(out, doses) if doses else out
-
-
-def four_arm(
-    params: dict[str, Tensor],
-    config: ModelConfig,
-    vocab: Vocabulary,
-    records: list[ParticipantRecord],
-    spec_a: InterventionSpec,
-    spec_b: InterventionSpec,
-    outcome_modality: int,
-    horizon_months: int,
-) -> dict[str, ArmResult]:
-    """Control / A / B / A+B in one query plan per participant, so the three
-    arms share one set of control predictions."""
-    _combined_scale_conflict(spec_a, spec_b)
-    _check_outcome(vocab, outcome_modality)
-    check_horizon(horizon_months)
-    pids, rows = [], []
-    for rec in records:
-        seq = assemble_sequence(v1_context(rec), vocab, config.max_seq_len)
-        if not seq.length:
-            continue
-        when = add_months(_sequence_end_time(seq), horizon_months)
-        arms = [apply_intervention(seq, spec, vocab) for spec in (spec_a, spec_b)]
-        contexts = (seq, *arms, _combined(seq, spec_a, spec_b, vocab))
-        pids.append(rec.participant_id)
-        rows.append(plan_queries(params, config, vocab, rec.age, rec.sex, [(c, outcome_modality, when) for c in contexts]))
-    control, a, b, ab = np.array(rows, dtype=np.float64).reshape(-1, 4).T.copy()
-    return {
-        "A": ArmResult(control, a, label=spec_a.label, participants=pids),
-        "B": ArmResult(control, b, label=spec_b.label, participants=pids),
-        "AB": ArmResult(control, ab, label=f"{spec_a.label}+{spec_b.label}", participants=pids),
-    }
 
 
 def load_trial_spec(doc: dict | str, vocab: Vocabulary) -> TrialSpec:

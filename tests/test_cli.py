@@ -13,9 +13,9 @@ from trajlm.cli import main
 from trajlm.corpus import assemble_sequence, read_cohort_jsonl, v1_context
 from trajlm.evalharness import predict_queries
 from trajlm.intervene import (
-    _append_dosing,
     _sequence_end_time,
     add_months,
+    apply_intervention,
     parse_intervention,
     simulate_cohort,
 )
@@ -449,7 +449,7 @@ class TestSimulatePlan:
             return predict_queries(params, config, vocab, seq, rec.age, rec.sex, [(modality, when)])[0]
 
         def dosed(seq, months):
-            return _append_dosing(seq, drug.modality_id, drug.category_index, drug.frequency, months, vocab)
+            return apply_intervention(seq, drug, vocab, months=months)
 
         kept, arms, deltas = [], [], []
         for rec in records:
@@ -506,9 +506,10 @@ class TestTrialRun:
                      "--trials", str(trials), "--out", str(out), "--plot", str(svg), "--seed", "5"]) == 0
         lines = out.read_text().splitlines()
         assert any(line.startswith("# direction_hits=") for line in lines)
-        rows = [r for r in csv.reader(lines) if r and not r[0].startswith("#")]
-        assert rows[0][0] == "trial"
-        assert rows[1][0] == "demo"
+        rows = list(csv.DictReader(line for line in lines if not line.startswith("#")))
+        assert [r["trial"] for r in rows] == ["demo"]
+        # every sampled participant has a visit-1 measurement
+        assert (rows[0]["participants_read"], rows[0]["simulated"]) == ("12", "12")
         assert svg.exists()
 
     @pytest.mark.parametrize("arms", [1, 2])
@@ -538,25 +539,27 @@ class TestTrialRun:
         assert not out.exists()
 
     def test_nan_in_spec_is_error(self, workspace, tmp_path, capsys):
-        # Python's json reads a literal NaN; the sampler must never see it
-        doc = {
-            "name": "nan", "n": 12,
-            "table1": [{"modality": "x_core", "mean": math.nan, "sd": 5, "low": 60, "high": 140}],
-            "arms": [{"kind": "scale", "modalities": ["x_core"], "factor": 0.9, "label": "diet"}],
-            "outcome": "t_target", "horizon_months": 12,
-            "published": {"point": -20.0, "ci_low": -25.0, "ci_high": -15.0},
-        }
-        trials = tmp_path / "trials"
-        trials.mkdir()
-        (trials / "nan.json").write_text(json.dumps(doc), encoding="utf-8")
-        assert "NaN" in (trials / "nan.json").read_text(encoding="utf-8")
-        out = tmp_path / "forest.csv"
-        rc = main(["trial-run", "--ckpt", str(workspace["ckpt"]), "--vocab", str(workspace["vocab"]),
-                   "--trials", str(trials), "--out", str(out)])
-        assert rc == 1
-        err = capsys.readouterr().err
-        assert "nan.json" in err and "x_core" in err
-        assert not out.exists()
+        # Python's json reads a literal NaN; the sampler must never see it,
+        # nor a number given as a string
+        for i, mean in enumerate([math.nan, "100"]):
+            doc = {
+                "name": "nan", "n": 12,
+                "table1": [{"modality": "x_core", "mean": mean, "sd": 5, "low": 60, "high": 140}],
+                "arms": [{"kind": "scale", "modalities": ["x_core"], "factor": 0.9, "label": "diet"}],
+                "outcome": "t_target", "horizon_months": 12,
+                "published": {"point": -20.0, "ci_low": -25.0, "ci_high": -15.0},
+            }
+            trials = tmp_path / f"trials{i}"
+            trials.mkdir()
+            (trials / "nan.json").write_text(json.dumps(doc), encoding="utf-8")
+            assert ("NaN" if i == 0 else '"100"') in (trials / "nan.json").read_text(encoding="utf-8")
+            out = tmp_path / "forest.csv"
+            rc = main(["trial-run", "--ckpt", str(workspace["ckpt"]), "--vocab", str(workspace["vocab"]),
+                       "--trials", str(trials), "--out", str(out)])
+            assert rc == 1
+            err = capsys.readouterr().err
+            assert "nan.json" in err and "x_core" in err, err
+            assert not out.exists()
 
     def test_empty_trials_dir(self, workspace, tmp_path, capsys):
         trials = tmp_path / "empty"

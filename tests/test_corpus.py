@@ -1,3 +1,4 @@
+import re
 from datetime import datetime, timedelta
 
 import numpy as np
@@ -108,9 +109,11 @@ class TestAssemble:
         assert list(seq.values) == [8.0, 9.0, 10.0, 11.0]
 
     def test_unencodable_names_participant(self, vocab):
-        events = [Event(datetime(2021, 1, 4), 2, "missing-cat", False)]
-        with pytest.raises(ValueError, match="p1"):
-            assemble_sequence(record_with(events), vocab, 10)
+        # an unknown category, and a null measurement (JSON `"v": null`)
+        t0 = datetime(2021, 1, 4)
+        for event in (Event(t0, 2, "missing-cat", False), Event(t0, 0, None, False)):
+            with pytest.raises(ValueError, match="p1"):
+                assemble_sequence(record_with([event]), vocab, 10)
 
     def test_trailing_slot_initialized(self, vocab):
         t0 = datetime(2021, 3, 1, 8, 0)
@@ -204,6 +207,7 @@ class TestCohortIO:
 
     def test_malformed_line_reports_position(self, vocab, tmp_path):
         path = tmp_path / "bad.jsonl"
-        path.write_text('{"id": "p", "age": 1, "events": []}\nnot json\n', encoding="utf-8")
-        with pytest.raises(ValueError, match="2"):
-            read_cohort_jsonl(path, vocab)
+        for bad in ("not json", '{"id": "p", "age": null, "events": []}', '{"id": "p", "age": 1, "events": null}'):
+            path.write_text('{"id": "p", "age": 1, "events": []}\n' + bad + "\n", encoding="utf-8")
+            with pytest.raises(ValueError, match=f"{re.escape(str(path))}:2: "):
+                read_cohort_jsonl(path, vocab)

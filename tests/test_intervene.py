@@ -23,13 +23,12 @@ from trajlm.intervene import (
     apply_intervention,
     concordance,
     dosing_schedule,
-    four_arm,
     load_catalog,
     load_trial_spec,
     sample_trial_population,
     simulate_cohort,
 )
-from trajlm.intervene import _append_dosing, _sequence_end_time, _treated_contexts
+from trajlm.intervene import _sequence_end_time, _treated_contexts
 from trajlm.evalharness import predict_queries
 from trajlm.model import ModelConfig, init_params
 from trajlm.vocab import RawModality, build_vocabulary, decode_token
@@ -80,6 +79,8 @@ class TestDosing:
         assert all(abs(g - 0.1 * 30.4375 * 86400) < 1 for g in gaps)
         m = vocab.modalities[2]
         assert all(tok == m.cum_base + 1 for _, tok in sched)
+        # a course of `months` months is the first months * frequency doses
+        assert dosing_schedule(spec, start, vocab, months=2) == sched[:20]
 
     def test_monthly_single_month(self, vocab):
         sched = dosing_schedule(CategoricalAppend(2, 0, 1, 1), datetime(2021, 3, 1), vocab)
@@ -303,10 +304,7 @@ class TestQueryPlan:
             for rec in records:
                 seq = assemble_sequence(rec, vocab, config.max_seq_len)
                 when = add_months(_sequence_end_time(seq), t)
-                if isinstance(spec, CategoricalAppend):
-                    edited = _append_dosing(seq, 2, 0, spec.frequency, t, vocab)
-                else:
-                    edited = apply_intervention(seq, spec, vocab)
+                edited = apply_intervention(seq, spec, vocab, months=t)
                 ctrl, treat = v1_singles(params, config, vocab, rec, [seq, edited], 0, when)
                 deltas.append(treat - ctrl)
             assert abs(mean - float(np.mean(deltas))) <= span_tolerance(vocab, 0)
@@ -323,21 +321,20 @@ class TestQueryPlan:
             ref = v1_singles(params, config, vocab, rec, [seq, apply_intervention(seq, spec, vocab)], 0, when)
             assert abs(ctrl - ref[0]) <= tol and abs(treat - ref[1]) <= tol
 
-    def test_four_arm_matches_single_passes(self, vocab, tiny_model):
+    def test_tuple_arm_matches_single_passes(self, vocab, tiny_model):
         params, config = tiny_model
         records = [single_visit_record(vocab, ldl=150 + 5 * i, pid=f"p{i}", seed=i) for i in range(3)]
         spec_a, spec_b = CategoricalAppend(2, 0, 2, 6), ContinuousScale((1,), 0.9)
-        arms = four_arm(params, config, vocab, records, spec_a, spec_b, 0, 6)
+        arm = simulate_cohort(params, config, vocab, records, (spec_a, spec_b), 0, 6)
+        assert arm.label == f"{spec_a.label}+{spec_b.label}"
         tol = span_tolerance(vocab, 0)
         for i, rec in enumerate(records):
             seq = assemble_sequence(rec, vocab, config.max_seq_len)
             when = add_months(_sequence_end_time(seq), 6)
-            with_a = apply_intervention(seq, spec_a, vocab)
-            contexts = [seq, with_a, apply_intervention(seq, spec_b, vocab), apply_intervention(with_a, spec_b, vocab)]
-            ctrl, a, b, ab = v1_singles(params, config, vocab, rec, contexts, 0, when)
-            for key, ref in (("A", a), ("B", b), ("AB", ab)):
-                assert abs(arms[key].control[i] - ctrl) <= tol
-                assert abs(arms[key].treatment[i] - ref) <= tol
+            both = apply_intervention(apply_intervention(seq, spec_a, vocab), spec_b, vocab)
+            ctrl, ab = v1_singles(params, config, vocab, rec, [seq, both], 0, when)
+            assert abs(arm.control[i] - ctrl) <= tol
+            assert abs(arm.treatment[i] - ab) <= tol
 
     def test_dosing_trajectory_one_pass_per_participant(self, vocab, tiny_model, pass_log):
         params, config = tiny_model
@@ -378,6 +375,9 @@ class TestOnePlan:
 
     @pytest.mark.parametrize("frequency", [1, 3, 20])
     def test_month_prefixes_equal_shorter_courses(self, vocab, frequency):
+        """Each month's cut equals a course of that many months, for one
+        course and for two courses (frequencies `frequency` and 3) plus a
+        scale."""
         t0 = datetime(2021, 3, 1, 9, 0)
         events = [
             Event(t0, 0, 150.0, False),
@@ -386,17 +386,17 @@ class TestOnePlan:
             Event(t0 + timedelta(hours=20), 1, 121.0, True),
         ]
         seq = assemble_sequence(ParticipantRecord("p", 50.0, "male", events, [t0]), vocab)
-        months = list(range(1, 13))
-        cut = _treated_contexts(seq, CategoricalAppend(2, 1, frequency, 9), vocab, months)
-        for t, ctx in zip(months, cut):
-            ref = _append_dosing(seq, 2, 1, frequency, t, vocab)
-            n = ref.length
-            assert ctx.length == n == seq.length + t * frequency
-            assert np.array_equal(ctx.tokens, ref.tokens)
-            assert np.array_equal(ctx.values, ref.values)
-            assert np.array_equal(ctx.modalities[:n], ref.modalities[:n])
-            assert np.array_equal(ctx.times[:n], ref.times[:n])
-            assert ctx.visit_boundary == ref.visit_boundary
+        drug = CategoricalAppend(2, 1, frequency, 9)
+        combined = (drug, CategoricalAppend(2, 0, 3, 6), ContinuousScale((1,), 0.9))
+        for arm, per_month in ((drug, frequency), (combined, frequency + 3)):
+            contexts = _treated_contexts(seq, arm, vocab, 12)
+            # the horizon context has each course's own duration
+            refs = [apply_intervention(seq, arm, vocab)] + [apply_intervention(seq, arm, vocab, months=t) for t in range(1, 13)]
+            assert [ctx.length for ctx in contexts[1:]] == [seq.length + t * per_month for t in range(1, 13)]
+            for ctx, ref in zip(contexts, refs, strict=True):
+                for stream in ("tokens", "values", "modalities", "times"):
+                    assert np.array_equal(getattr(ctx, stream), getattr(ref, stream)), stream
+                assert ctx.visit_boundary == ref.visit_boundary
 
     def test_counts_partition_the_cohort(self, vocab, tiny_model):
         params, config = tiny_model
@@ -461,9 +461,12 @@ class TestSampler:
         {"modality": "x_core", "mean": math.nan, "sd": 5.0, "low": 60.0, "high": 140.0},
         {"modality": "x_core", "mean": 100.0, "sd": math.nan, "low": 60.0, "high": 140.0},
         {"modality": "age", "mean": 60.0, "sd": 5.0, "low": math.nan, "high": 80.0},
+        {"modality": "x_core", "mean": "100", "sd": 5.0, "low": 60.0, "high": 140.0},
+        {"modality": "age", "mean": 60.0, "sd": 5.0, "low": None, "high": 80.0},
     ])
     def test_nan_row_rejected(self, vocab, row):
-        # a NaN passes the feasibility check and would stall the rejection sampler
+        # a NaN passes the feasibility check and would stall the rejection
+        # sampler; a string or a null must not reach it either
         doc = {
             "name": "demo", "table1": [row], "arms": [], "outcome": "ldl", "horizon_months": 12,
             "published": {"point": -30.0, "ci_low": -35.0, "ci_high": -25.0},
@@ -582,24 +585,27 @@ class TestConcordance:
 
 
 class TestFourArm:
+    """Control, A, B and A+B: a two-spec arm is one tuple arm of
+    simulate_cohort, and the order of its specs does not matter."""
+
     def test_noop_b_matches_a_bitwise(self, vocab, tiny_model):
         params, config = tiny_model
         records = [single_visit_record(vocab, pid=f"p{i}", seed=i) for i in range(4)]
         spec_a = CategoricalAppend(2, 0, 1, 6, label="statin")
         noop = ContinuousScale((0,), 1.0, label="noop")
-        arms = four_arm(params, config, vocab, records, spec_a, noop, 1, 12)
-        assert np.array_equal(arms["A"].treatment, arms["AB"].treatment)
-        assert np.array_equal(arms["A"].control, arms["AB"].control)
-        assert np.array_equal(arms["A"].control, arms["B"].control)
+        a = simulate_cohort(params, config, vocab, records, spec_a, 1, 12)
+        ab = simulate_cohort(params, config, vocab, records, (spec_a, noop), 1, 12)
+        assert np.array_equal(a.treatment, ab.treatment)
+        assert np.array_equal(a.control, ab.control)
 
     def test_all_noop_arms_equal(self, vocab, tiny_model):
         params, config = tiny_model
         records = [single_visit_record(vocab, pid=f"p{i}", seed=i) for i in range(3)]
         noop = ContinuousScale((0,), 1.0, label="noop")
         noop2 = ContinuousScale((1,), 1.0, label="noop2")
-        arms = four_arm(params, config, vocab, records, noop, noop2, 1, 12)
-        for key in ("A", "B", "AB"):
-            assert np.array_equal(arms[key].control, arms[key].treatment)
+        for arm in (noop, noop2, (noop, noop2)):
+            result = simulate_cohort(params, config, vocab, records, arm, 1, 12)
+            assert np.array_equal(result.control, result.treatment)
 
     def test_two_dosing_courses_start_at_visit1(self, vocab, tiny_model, monkeypatch):
         """In A+B every course starts at the visit-1 context's last event, so
@@ -607,20 +613,21 @@ class TestFourArm:
         params, config = tiny_model
         records = [single_visit_record(vocab, pid=f"p{i}", seed=i) for i in range(3)]
         spec_a, spec_b = CategoricalAppend(2, 0, 1, 6, label="a"), CategoricalAppend(2, 1, 1, 6, label="b")
-        asked = []
+        treated = []
         inner = intervene.plan_queries
 
         def recorded(params, config, vocab, age, sex, requests):
-            asked.append([seq for seq, _, _ in requests])
+            treated.append(requests[-1][0])
             return inner(params, config, vocab, age, sex, requests)
 
         monkeypatch.setattr(intervene, "plan_queries", recorded)
-        ab = four_arm(params, config, vocab, records, spec_a, spec_b, 0, 6)["AB"]
-        ba = four_arm(params, config, vocab, records, spec_b, spec_a, 0, 6)["AB"]
+        ab = simulate_cohort(params, config, vocab, records, (spec_a, spec_b), 0, 6)
+        ba = simulate_cohort(params, config, vocab, records, (spec_b, spec_a), 0, 6)
+        simulate_cohort(params, config, vocab, records, spec_b, 0, 6)
         assert np.array_equal(ab.treatment, ba.treatment)
         b_token = vocab.modalities[2].cum_base + 1
         n = len(records)
-        for (_, _, b, both), (_, _, _, swapped) in zip(asked[:n], asked[n:]):
+        for both, swapped, b in zip(treated[:n], treated[n : 2 * n], treated[2 * n :]):
             for stream in ("tokens", "values", "modalities", "times"):
                 assert np.array_equal(getattr(both, stream), getattr(swapped, stream)), stream
             assert both.visit_boundary == swapped.visit_boundary
@@ -630,11 +637,12 @@ class TestFourArm:
 
     def test_conflicting_scale_targets_rejected(self, vocab, tiny_model):
         params, config = tiny_model
+        arm = (ContinuousScale((0, 1), 0.9), ContinuousScale((1,), 0.8))
         with pytest.raises(ValueError, match="conflicting"):
-            four_arm(
-                params, config, vocab, [],
-                ContinuousScale((0, 1), 0.9), ContinuousScale((1,), 0.8), 1, 12,
-            )
+            simulate_cohort(params, config, vocab, [], arm, 1, 12)
+        seq = assemble_sequence(single_visit_record(vocab), vocab, 100)
+        with pytest.raises(ValueError, match="conflicting"):
+            apply_intervention(seq, arm, vocab)
 
 
 class TestCatalogAndSpecs:
