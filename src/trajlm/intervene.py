@@ -399,12 +399,15 @@ def _treated_contexts(seq: TokenSequence, arm: Arm, vocab: Vocabulary, months: i
     t in 1..`months`.  Every month's context is cut from one context whose
     courses last `months` months, so each is a prefix of it: month t holds
     the edited visit-1 content and t * frequency doses of each course (a
-    pure scale doses nothing, so its cut is the whole edited context)."""
-    horizon = apply_intervention(seq, arm, vocab)
+    pure scale doses nothing, so its cut is the whole edited context).  When
+    every course already lasts `months` months, that context is the horizon
+    context too and is built once."""
     if not months:
-        return [horizon]
+        return [apply_intervention(seq, arm, vocab)]
     course = apply_intervention(seq, arm, vocab, months)
-    per_month = sum(spec.frequency for spec in _specs(arm) if isinstance(spec, CategoricalAppend))
+    dosing = [spec for spec in _specs(arm) if isinstance(spec, CategoricalAppend)]
+    horizon = course if all(spec.duration == months for spec in dosing) else apply_intervention(seq, arm, vocab)
+    per_month = sum(spec.frequency for spec in dosing)
     return [horizon, *(_course_prefix(course, seq.length + t * per_month) for t in range(1, months + 1))]
 
 

@@ -5,8 +5,11 @@ backward rule, then hands both to `_node`, which records the parents and the
 rule only when some input requires grad; an op over untracked inputs returns
 a bare tensor and keeps nothing alive.  A rule holds the op's inputs and the
 arrays it needs, never its own output tensor, so the tape has no reference
-cycles and is freed as soon as the loss is dropped.  `backward` replays the
-rules in reverse topological order.  Data lives in contiguous numpy arrays
+cycles and a loss dropped without backward frees its tape at once.
+`backward` replays the rules in reverse topological order and frees the tape
+as it goes: each node drops its gradient, rule and parents once its rule has
+run, so afterwards only leaves (the parameters) hold `.grad` and the tape
+cannot be walked twice.  Data lives in contiguous numpy arrays
 (float32 for training, float64 for correctness tests) and all reductions use
 numpy's fixed evaluation order, so results are deterministic for identical
 inputs.
@@ -461,15 +464,33 @@ def _topo(root: Tensor) -> list[Tensor]:
     return order
 
 
+def _released(g) -> None:
+    """The rule of a node whose tape `backward` has already walked."""
+    raise ValueError("backward over a tape that was already used: its rules and gradients are freed")
+
+
 def backward(loss: Tensor) -> None:
-    """Accumulate gradients of a scalar loss into every requires_grad leaf."""
+    """Accumulate gradients of a scalar loss into every requires_grad leaf.
+
+    The tape is released as it is walked: once a node's rule has run, the
+    node drops its gradient, its rule and its parents, so an intermediate
+    gradient and every array a rule saved are freed as soon as the last rule
+    that needs them has run.  Leaves (tensors without a rule) keep `.grad`.
+    A released node's rule raises ValueError, so a second backward over the
+    same tape fails instead of silently doing nothing.
+    """
     if loss.data.size != 1:
         raise ValueError(f"backward expects a scalar loss, got shape {loss.data.shape}")
     order = _topo(loss)
     loss.grad = np.ones_like(loss.data)
-    for node in reversed(order):
-        if node._backward is not None and node.grad is not None:
-            node._backward(node.grad)
+    while order:
+        node = order.pop()
+        rule = node._backward
+        if rule is None:
+            continue
+        if node.grad is not None:
+            rule(node.grad)
+        node.grad, node._backward, node._parents = None, _released, ()
 
 
 def grad_check(f, params: dict[str, Tensor], eps: float = 1e-5, max_coords: int = 200, seed: int = 0) -> float:

@@ -398,8 +398,9 @@ def train(
             seq, age, sex = sequences[i]
             if seq.length < 2:
                 continue
-            loss, _ = sequence_loss(params, model_config, vocab, seq, age, sex, loss_config)
-            losses.append(float(loss.data))
+            # keep only the float: a held loss would keep its whole tape
+            # alive while the next sequence's forward is recorded
+            losses.append(float(sequence_loss(params, model_config, vocab, seq, age, sex, loss_config)[0].data))
         return float(np.mean(losses)) if losses else math.nan
 
     best_val = math.inf

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 import trajlm.cli as cli
+import trajlm.intervene as intervene
 from trajlm.cli import main
 from trajlm.corpus import assemble_sequence, read_cohort_jsonl, v1_context
 from trajlm.evalharness import predict_queries
@@ -414,6 +415,23 @@ class TestSimulatePlan:
         assert all(f"# {k}={v}" in header for k, v in counts.items())
         kept = [docs[3 + i]["id"] for i, p in enumerate(preds) if p != low]
         assert [r[0] for r in _csv_rows(out)[1:]] == kept
+
+    def test_trajectory_builds_one_context_edit_per_participant(self, workspace, tmp_path, monkeypatch):
+        """A 12-month course under `--trajectory` at a 12-month horizon is
+        its own horizon context: one apply_intervention call per participant."""
+        inner = intervene.apply_intervention
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return inner(*args, **kwargs)
+
+        monkeypatch.setattr(intervene, "apply_intervention", counted)
+        out = tmp_path / "sim.csv"
+        assert self._run(workspace, workspace["cohort"], DRUG_SPEC, out, "--trajectory") == 0
+        header = dict(line[2:].split("=", 1) for line in out.read_text().splitlines() if line.startswith("# "))
+        assert int(header["simulated"]) > 0
+        assert len(calls) == int(header["simulated"])  # no screen, so every planned participant is simulated
 
     def test_trajectory_with_screen_matches_separate_calls(self, workspace, tmp_path, monkeypatch):
         """The planned CLI run against one predict_queries pass per context

@@ -398,6 +398,35 @@ class TestOnePlan:
                     assert np.array_equal(getattr(ctx, stream), getattr(ref, stream)), stream
                 assert ctx.visit_boundary == ref.visit_boundary
 
+    @pytest.mark.parametrize(
+        "arm, calls",
+        [
+            (CategoricalAppend(2, 1, 1, 12), 1),
+            (ContinuousScale((1,), 0.9), 1),
+            ((CategoricalAppend(2, 1, 1, 12), ContinuousScale((1,), 0.9)), 1),
+            (CategoricalAppend(2, 1, 1, 9), 2),
+            ((CategoricalAppend(2, 1, 1, 12), CategoricalAppend(2, 0, 3, 6)), 2),
+        ],
+    )
+    def test_horizon_context_built_once_when_courses_last_months(self, vocab, monkeypatch, arm, calls):
+        """A context whose courses all last `months` months (or that doses
+        nothing) is the horizon context too; any other duration builds both."""
+        t0 = datetime(2021, 3, 1, 9, 0)
+        events = [Event(t0, 0, 150.0, False), Event(t0 + timedelta(minutes=5), 1, 128.0, False)]
+        seq = assemble_sequence(ParticipantRecord("p", 50.0, "male", events, [t0]), vocab)
+        built = []
+
+        def counted(seq, arm, vocab, months=None):
+            built.append(months)
+            return apply_intervention(seq, arm, vocab, months)
+
+        monkeypatch.setattr(intervene, "apply_intervention", counted)
+        contexts = _treated_contexts(seq, arm, vocab, 12)
+        assert len(built) == calls
+        ref = apply_intervention(seq, arm, vocab)
+        for stream in ("tokens", "values", "modalities", "times"):
+            assert np.array_equal(getattr(contexts[0], stream), getattr(ref, stream)), stream
+
     def test_counts_partition_the_cohort(self, vocab, tiny_model):
         params, config = tiny_model
         t0 = datetime(2021, 3, 1, 9, 0)

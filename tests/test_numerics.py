@@ -92,14 +92,45 @@ class TestBackward:
         assert np.allclose(x.grad, [8.0])
 
     def test_first_gradient_is_a_copy(self):
-        """The first write stores a copy: the second add into x must not
-        change the output node's own gradient."""
+        """The first write stores a copy.  y's rule hands one array to both s
+        and x; without the copy, s's rule adding s.grad into x.grad would
+        double that shared array, and z would then receive 2, not 1."""
         x = nm.Tensor(np.array([1.0, -3.0]), requires_grad=True)
-        y = nm.add(x, x)
+        z = nm.Tensor(np.array([0.5, 4.0]), requires_grad=True)
+        s = nm.add(x, z)
+        y = nm.add(s, x)
         nm.backward(nm.sum_(y))
         assert np.array_equal(x.grad, [2.0, 2.0])
-        assert np.array_equal(y.grad, [1.0, 1.0])
-        assert x.grad is not y.grad
+        assert np.array_equal(z.grad, [1.0, 1.0])
+        assert x.grad is not z.grad
+
+    def test_intermediates_drop_their_gradients(self):
+        """After backward only leaves hold `.grad`; the walked nodes hold no
+        gradient, rule or parents."""
+        x = nm.Tensor(np.array([1.0, -3.0]), requires_grad=True)
+        y = nm.mul(x, x)
+        loss = nm.sum_(y)
+        nm.backward(loss)
+        assert np.array_equal(x.grad, [2.0, -6.0])
+        for node in (y, loss):
+            assert node.grad is None and node._parents == ()
+
+    def test_second_backward_over_a_used_tape_raises(self):
+        x = nm.Tensor(np.array([1.0, -3.0]), requires_grad=True)
+        y = nm.mul(x, x)
+        loss = nm.sum_(y)
+        nm.backward(loss)
+        with pytest.raises(ValueError, match="already used"):
+            nm.backward(loss)
+        with pytest.raises(ValueError, match="already used"):
+            nm.backward(nm.sum_(y))  # a new loss over a walked node
+        assert np.array_equal(x.grad, [2.0, -6.0])
+
+    def test_scalar_leaf_is_its_own_loss(self):
+        w = nm.Tensor(np.array(3.0), requires_grad=True)
+        for _ in range(2):
+            nm.backward(w)
+            assert w.grad == 1.0
 
 
 def loss_through_every_op(rng):
@@ -129,12 +160,17 @@ def loss_through_every_op(rng):
 class TestTape:
     def test_dropped_loss_frees_its_tape(self):
         """No backward rule holds its own output, so the tape has no cycles:
-        with the cyclic collector off, dropping the loss frees every node."""
+        with the cyclic collector off, backward frees every node while the
+        loss is still held, and dropping a loss without backward frees them
+        too."""
         gc.disable()
         try:
             loss, upstream = loss_through_every_op(np.random.default_rng(30))
-            assert loss.requires_grad
+            assert loss.requires_grad and upstream() is not None
             nm.backward(loss)
+            assert upstream() is None
+            assert np.isfinite(float(loss.data))
+            loss, upstream = loss_through_every_op(np.random.default_rng(30))
             assert upstream() is not None
             del loss
             assert upstream() is None

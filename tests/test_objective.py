@@ -1,4 +1,7 @@
+import gc
 import math
+import tracemalloc
+import weakref
 from dataclasses import replace
 from datetime import datetime, timedelta
 
@@ -303,8 +306,23 @@ class TestHeadSelectedLoss:
         tape = nm._topo(loss)
         assert len(tape) > 100
         assert sorted({str(node.dtype) for node in tape}) == ["float32"]
+        # backward frees each intermediate's gradient once its rule has run,
+        # so record the gradient every rule receives
+        received = []
+
+        def recording(rule):
+            def rule_with_record(g):
+                received.append(str(g.dtype))
+                rule(g)
+
+            return rule_with_record
+
+        for node in tape:
+            if node._backward is not None:
+                node._backward = recording(node._backward)
+        del tape
         nm.backward(loss)
-        assert {str(node.grad.dtype) for node in tape if node.grad is not None} == {"float32"}
+        assert len(received) > 100 and set(received) == {"float32"}
         assert {str(p.grad.dtype) for p in params.values()} == {"float32"}
 
         rows = []
@@ -319,6 +337,33 @@ class TestHeadSelectedLoss:
             mp.setattr(evalharness, "decode_expected", capture)
             evalharness.predict_queries(params, config, vocab, seq, 50.0, "male", [(0, end), (1, end)])
         assert [row.dtype for row in rows] == [np.float32, np.float32]
+
+
+class TestBackwardMemory:
+    def test_backward_peak_stays_below_tape_plus_parameter_gradients(self, vocab, config):
+        """backward frees each node once its rule has run, so its traced peak
+        stays below the live tape after forward plus the parameter gradients;
+        a backward that kept the tape and every intermediate gradient to the
+        end would hold about twice the tape."""
+        params = init_params(config, np.random.default_rng(7), dtype=np.float64)
+        seq = assemble_sequence(make_record(vocab, n=8), vocab, 64)
+
+        def step():
+            loss, _ = sequence_loss(params, config, vocab, seq, 50.0, "male", LossConfig())
+            tape = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            nm.backward(loss)
+            return tape, tracemalloc.get_traced_memory()[1]
+
+        tracemalloc.start()
+        try:
+            step()  # first calls allocate once-only caches; measure the second step
+            objective._zero_grads(params)
+            tape, peak = step()
+        finally:
+            tracemalloc.stop()
+        grads = sum(p.data.nbytes for p in params.values())
+        assert peak < tape + grads
 
 
 class TestSchedule:
@@ -450,6 +495,29 @@ class TestTrainLoop:
         train(records, vocab, config, LossConfig(), TrainConfig(epochs=1, seed=0), None, tmp_path / "m.ckpt")
         assert len(lengths) == len(records)  # three training steps and one validation pass
         assert max(lengths) <= 8 < min(assemble_sequence(r, vocab, 64).length for r in records)
+
+    def test_validation_holds_one_loss_at_a_time(self, vocab, tmp_path, monkeypatch):
+        """Every loss's tape, validation ones included, is freed before the
+        next sequence_loss call records another."""
+        records, config = self.small_setup(vocab)
+        inner = objective.sequence_loss
+        tapes, held = [], []
+
+        def recorded(*args, **kwargs):
+            held.append(sum(ref() is not None for ref in tapes))
+            loss, parts = inner(*args, **kwargs)
+            tapes.append(weakref.ref(loss._parents[0].data))  # an array on the loss's tape
+            return loss, parts
+
+        monkeypatch.setattr(objective, "sequence_loss", recorded)
+        gc.disable()
+        try:
+            tc = TrainConfig(epochs=1, batch_size=1, val_fraction=0.5, seed=0)
+            train(records, vocab, config, LossConfig(), tc, None, tmp_path / "m.ckpt")
+        finally:
+            gc.enable()
+        assert len(held) == len(records)  # three training steps and three validation passes
+        assert held == [0] * len(records)
 
     def test_skipped_sequence_leaves_the_mean_gradient(self, vocab):
         """A sequence too short to score drops out of the batch mean: the
