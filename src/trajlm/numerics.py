@@ -485,11 +485,10 @@ def backward(loss: Tensor) -> None:
     loss.grad = np.ones_like(loss.data)
     while order:
         node = order.pop()
-        rule = node._backward
-        if rule is None:
+        if node._backward is None:
             continue
         if node.grad is not None:
-            rule(node.grad)
+            node._backward(node.grad)
         node.grad, node._backward, node._parents = None, _released, ()
 
 
