@@ -3,23 +3,35 @@
 Layout: 8-byte magic, 4-byte little-endian header length, UTF-8 JSON header
 (config, metadata, ordered parameter manifest with name/shape/offset, data
 length and SHA-256), then raw little-endian float32 arrays concatenated in
-manifest order.
+manifest order.  That data section is the flat vector of a
+`numerics.ParamStore`: saving writes and hashes the store's vector as is, and
+loading reads it back as one vector whose slices are the parameters.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+import math
 import struct
 
 import numpy as np
 
-from .model import ModelConfig
-from .numerics import Tensor
+from .model import ModelConfig, param_manifest
+from .numerics import ParamStore, Tensor
 
 __all__ = ["MAGIC", "save_checkpoint", "load_checkpoint", "read_header"]
 
 MAGIC = b"TRAJLM01"
+
+
+def _flat_f4(params: dict[str, Tensor]) -> np.ndarray:
+    """Every parameter's values as one little-endian float32 vector, in dict
+    order: the store's own vector when params is a float32 store."""
+    store = ParamStore.find(params)
+    if store is not None and store.data.dtype == np.dtype("<f4"):
+        return store.data
+    return np.concatenate([p.data.ravel() for p in params.values()], dtype="<f4", casting="unsafe")
 
 
 def save_checkpoint(
@@ -29,23 +41,18 @@ def save_checkpoint(
     vocab_sha256: str,
     meta: dict | None = None,
 ) -> None:
+    data = _flat_f4(params)
     manifest = []
-    blobs = []
     offset = 0
     for name, p in params.items():
-        arr = np.ascontiguousarray(p.data, dtype="<f4")
-        manifest.append({"name": name, "shape": list(arr.shape), "offset": offset})
-        blobs.append(arr.tobytes())
-        offset += arr.nbytes
-    digest = hashlib.sha256()
-    for b in blobs:
-        digest.update(b)
+        manifest.append({"name": name, "shape": list(p.data.shape), "offset": offset})
+        offset += 4 * p.data.size
     header = {
         "config": config.to_dict(),
         "vocab_sha256": vocab_sha256,
         "meta": meta or {},
-        "data_bytes": offset,
-        "data_sha256": digest.hexdigest(),
+        "data_bytes": data.nbytes,
+        "data_sha256": hashlib.sha256(data).hexdigest(),
         "manifest": manifest,
     }
     hbytes = json.dumps(header, sort_keys=True, separators=(",", ":")).encode("utf-8")
@@ -53,8 +60,7 @@ def save_checkpoint(
         f.write(MAGIC)
         f.write(struct.pack("<I", len(hbytes)))
         f.write(hbytes)
-        for b in blobs:
-            f.write(b)
+        f.write(data)
 
 
 def read_header(path) -> dict:
@@ -66,15 +72,44 @@ def read_header(path) -> dict:
         return json.loads(f.read(hlen).decode("utf-8"))
 
 
+def _check_manifest(manifest, config: ModelConfig, data_bytes: int) -> None:
+    """The manifest must list param_manifest(config) in order, each entry at
+    the byte offset where the previous one ends, tiling the data section;
+    else ValueError naming the first bad entry.  The header is outside
+    data_sha256, so nothing else catches a damaged manifest."""
+    if not isinstance(manifest, list):
+        raise ValueError(f"checkpoint manifest is a {type(manifest).__name__}, not a list")
+    expected = param_manifest(config)
+    offset = 0
+    for i, (name, shape) in enumerate(expected):
+        if i >= len(manifest):
+            raise ValueError(f"checkpoint manifest ends after {i} entries: parameter {name!r} is missing")
+        entry = manifest[i] if isinstance(manifest[i], dict) else {"name": manifest[i]}
+        for key, want in (("name", name), ("shape", list(shape)), ("offset", offset)):
+            if entry.get(key) != want:
+                raise ValueError(
+                    f"checkpoint manifest entry {i} ({entry.get('name')!r}): {key} is {entry.get(key)!r}, "
+                    f"expected {want!r}"
+                )
+        offset += 4 * math.prod(shape)
+    if len(manifest) > len(expected):
+        extra = manifest[len(expected)]
+        raise ValueError(f"checkpoint manifest entry {len(expected)} is not a parameter of this model: {extra!r}")
+    if offset != data_bytes:
+        raise ValueError(f"checkpoint manifest covers {offset} bytes, the data section holds {data_bytes}")
+
+
 def load_checkpoint(path):
-    """Return (params, config, header); validates the data's length and SHA-256."""
+    """Return (params, config, header); validates the data's length and
+    SHA-256 and the manifest against the config.  The parameters are views of
+    one flat vector (numerics.ParamStore)."""
     with open(path, "rb") as f:
         raw = f.read()
     if raw[:8] != MAGIC:
         raise ValueError(f"not a checkpoint file: bad magic {raw[:8]!r}")
     (hlen,) = struct.unpack("<I", raw[8:12])
     header = json.loads(raw[12 : 12 + hlen].decode("utf-8"))
-    data = raw[12 + hlen :]
+    data = memoryview(raw)[12 + hlen :]
     if len(data) != header["data_bytes"]:
         raise ValueError(
             f"checkpoint truncated or padded: {len(data)} data bytes, expected {header['data_bytes']}"
@@ -86,11 +121,7 @@ def load_checkpoint(path):
             f"data_sha256 {header.get('data_sha256')!r}"
         )
     config = ModelConfig.from_dict(header["config"])
-    params: dict[str, Tensor] = {}
-    for entry in header["manifest"]:
-        shape = tuple(entry["shape"])
-        n = int(np.prod(shape)) if shape else 1
-        start = entry["offset"]
-        arr = np.frombuffer(data, dtype="<f4", count=n, offset=start).reshape(shape)
-        params[entry["name"]] = Tensor(arr.copy(), requires_grad=True)
+    _check_manifest(header["manifest"], config, len(data))
+    shapes = {entry["name"]: tuple(entry["shape"]) for entry in header["manifest"]}
+    params = ParamStore(shapes, np.frombuffer(data, dtype="<f4").copy()).params
     return params, config, header

@@ -199,21 +199,23 @@ def param_count(config: ModelConfig) -> int:
 _ZERO_INIT_SUFFIXES = ("_b", ".gates", "qmod_w2", "qmod_b2", "qtime_w2", "qtime_b2")
 
 
-def _init_array(name: str, shape, rng: np.random.Generator, dtype) -> np.ndarray:
+def _init_array(name: str, out: np.ndarray, rng: np.random.Generator) -> None:
+    """Fill one zero-initialised parameter in place."""
     if name.endswith("ln1_g") or name.endswith("ln2_g"):
-        return np.ones(shape, dtype=dtype)
-    if name.endswith(_ZERO_INIT_SUFFIXES) or name.endswith("out_b"):
-        return np.zeros(shape, dtype=dtype)
-    return (rng.normal(0.0, 0.02, size=shape)).astype(dtype)
+        out.fill(1.0)
+    elif not (name.endswith(_ZERO_INIT_SUFFIXES) or name.endswith("out_b")):
+        out[...] = rng.normal(0.0, 0.02, size=out.shape)
 
 
 def init_params(config: ModelConfig, rng: np.random.Generator, dtype=np.float32) -> dict[str, Tensor]:
-    """Fresh parameters; query-MLP output layers and gates start at zero so
-    query injection and value extras begin as identities."""
-    return {
-        name: Tensor(_init_array(name, shape, rng, dtype), requires_grad=True)
-        for name, shape in param_manifest(config)
-    }
+    """Fresh parameters, views of one flat vector (numerics.ParamStore);
+    query-MLP output layers and gates start at zero so query injection and
+    value extras begin as identities."""
+    shapes = dict(param_manifest(config))
+    params = nm.ParamStore(shapes, np.zeros(param_count(config), dtype)).params
+    for name, p in params.items():
+        _init_array(name, p.data, rng)
+    return params
 
 
 def value_scale_table(vocab: Vocabulary) -> np.ndarray:

@@ -12,7 +12,9 @@ run, so afterwards only leaves (the parameters) hold `.grad` and the tape
 cannot be walked twice.  Data lives in contiguous numpy arrays
 (float32 for training, float64 for correctness tests) and all reductions use
 numpy's fixed evaluation order, so results are deterministic for identical
-inputs.
+inputs.  Model parameters live in a `ParamStore`: one flat vector whose
+slices are the tensors' data, and one flat gradient vector that a
+parameter's first gradient write in a backward pass lands in.
 """
 
 from __future__ import annotations
@@ -24,6 +26,7 @@ from scipy.special import erf as _erf
 
 __all__ = [
     "Tensor",
+    "ParamStore",
     "constant",
     "add",
     "sub",
@@ -54,7 +57,7 @@ _SQRT_2_OVER_PI = math.sqrt(2.0 / math.pi)
 
 
 class Tensor:
-    __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward")
+    __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward", "_store")
 
     def __init__(self, data, requires_grad: bool = False, parents=(), backward=None):
         self.data = np.asarray(data)
@@ -62,6 +65,12 @@ class Tensor:
         self.requires_grad = bool(requires_grad)
         self._parents = tuple(parents)
         self._backward = backward
+        self._store = None
+
+    def __getstate__(self):
+        # a pickled parameter leaves its store behind and owns a copy of its
+        # data, so a params dict sent to a worker process is not sent twice
+        return None, {name: getattr(self, name) for name in self.__slots__} | {"_store": None}
 
     @property
     def shape(self):
@@ -76,6 +85,75 @@ class Tensor:
 
     def __repr__(self):
         return f"Tensor(shape={self.data.shape}, dtype={self.data.dtype}, grad={self.requires_grad})"
+
+
+class ParamStore:
+    """Parameter tensors that are views of one contiguous vector.
+
+    `data` holds every tensor's values back to back in `params` order, and
+    `bounds[i]:bounds[i + 1]` is tensor i's slice of it.  `grad` is the
+    gradient vector in the same layout, allocated on the first gradient write
+    into any of the tensors: from then on a tensor's first write in a
+    backward pass lands in its own slice (`_accum`, `_grad_buffer`), also
+    after a caller has set its `.grad` to None, so an optimizer can step the
+    whole vector at once.  A tensor whose `.grad` is None has no gradient this
+    pass, whatever its slice of `grad` holds.
+    """
+
+    __slots__ = ("data", "grad", "bounds", "params", "_grad_views")
+
+    def __init__(self, shapes: dict[str, tuple], data: np.ndarray):
+        bounds = [0]
+        for shape in shapes.values():
+            bounds.append(bounds[-1] + math.prod(shape))
+        if data.shape != (bounds[-1],):
+            raise ValueError(f"a store of {bounds[-1]} values needs a flat vector that long, got shape {data.shape}")
+        self.data, self.grad, self.bounds, self._grad_views = data, None, bounds, {}
+        self.params: dict[str, Tensor] = {}
+        for (name, shape), a, b in zip(shapes.items(), bounds, bounds[1:]):
+            t = self.params[name] = Tensor(data[a:b].reshape(shape), requires_grad=True)
+            t._store = self
+
+    @staticmethod
+    def find(params: dict[str, Tensor]) -> "ParamStore | None":
+        """The store whose tensors are exactly params' values, in order, else None."""
+        tensors = list(params.values())
+        store = tensors[0]._store if tensors else None
+        if store is None or len(store.params) != len(tensors):
+            return None
+        if any(a is not b for a, b in zip(store.params.values(), tensors)):
+            return None
+        return store
+
+    @classmethod
+    def of(cls, params: dict[str, Tensor]) -> "ParamStore":
+        """The store behind params.  A dict of tensors outside any store (one
+        built by hand) is copied into a new store the first time: each tensor
+        keeps its identity and `.grad`, and its data becomes a view."""
+        store = cls.find(params)
+        if store is not None:
+            return store
+        taken = [name for name, p in params.items() if p._store is not None]
+        if taken:
+            raise ValueError(f"parameter {taken[0]!r} already belongs to another parameter store")
+        tensors = list(params.values())
+        data = np.zeros(sum(p.data.size for p in tensors), np.result_type(*(p.data.dtype for p in tensors)))
+        store = cls({name: p.data.shape for name, p in params.items()}, data)
+        for p, view in zip(tensors, store.params.values()):
+            view.data[...] = p.data
+            p.data, p._store = view.data, store
+        store.params = dict(params)
+        return store
+
+    def grad_view(self, t: Tensor) -> np.ndarray:
+        """t's own slice of `grad`, allocating `grad` on first use."""
+        if self.grad is None:
+            self.grad = np.zeros(self.data.shape, self.data.dtype)  # zeros, not zeros_like: untouched pages stay free
+            self._grad_views = {
+                id(p): self.grad[a:b].reshape(p.data.shape)
+                for p, a, b in zip(self.params.values(), self.bounds, self.bounds[1:])
+            }
+        return self._grad_views[id(t)]
 
 
 def constant(data, dtype=None) -> Tensor:
@@ -106,16 +184,23 @@ def _accum(x: Tensor, g: np.ndarray) -> None:
         axes = tuple(i for i, s in enumerate(shape) if s == 1 and g.shape[i] != 1)
         if axes:
             g = g.sum(axis=axes, keepdims=True)
-    if x.grad is None:
+    if x.grad is not None:
+        x.grad += g
+    elif x._store is None:
         x.grad = np.array(g, dtype=x.data.dtype)  # a copy: g may be another node's grad
     else:
-        x.grad += g
+        x.grad = x._store.grad_view(x)
+        x.grad[...] = g  # likewise a copy, into x's slice of the flat gradient
 
 
 def _grad_buffer(x: Tensor) -> np.ndarray:
     """x.grad, zero-filled on first use, for ops that add into parts of it."""
     if x.grad is None:
-        x.grad = np.zeros_like(x.data)
+        if x._store is None:
+            x.grad = np.zeros_like(x.data)
+        else:
+            x.grad = x._store.grad_view(x)
+            x.grad.fill(0)
     return x.grad
 
 
@@ -142,9 +227,11 @@ def sub(a: Tensor, b: Tensor) -> Tensor:
 
 
 def mul(a: Tensor, b: Tensor) -> Tensor:
-    def bw(g):
-        _accum(a, g * b.data)
-        _accum(b, g * a.data)
+    def bw(g):  # each product only for an operand that takes its gradient
+        if a.requires_grad:
+            _accum(a, g * b.data)
+        if b.requires_grad:
+            _accum(b, g * a.data)
 
     return _node(a.data * b.data, (a, b), bw)
 
@@ -164,9 +251,11 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     if a.data.shape[-1] != b.data.shape[-2]:
         raise ValueError(f"shape mismatch in matmul: {a.data.shape} @ {b.data.shape}")
 
-    def bw(g):
-        _accum(a, g @ np.swapaxes(b.data, -1, -2))
-        _accum(b, np.swapaxes(a.data, -1, -2) @ g)
+    def bw(g):  # a constant operand (the sinusoid features) skips its product
+        if a.requires_grad:
+            _accum(a, g @ np.swapaxes(b.data, -1, -2))
+        if b.requires_grad:
+            _accum(b, np.swapaxes(a.data, -1, -2) @ g)
 
     return _node(a.data @ b.data, (a, b), bw)
 

@@ -10,7 +10,7 @@ first-visit history.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -253,28 +253,70 @@ def lr_at(step: int, total_steps: int, peak: float = 3e-4, minimum: float = 3e-5
     return minimum + 0.5 * (peak - minimum) * (1.0 + math.cos(math.pi * min(frac, 1.0)))
 
 
-def clip_gradients(params: dict[str, Tensor], max_norm: float) -> float:
-    """Scale all gradients so the global L2 norm is at most max_norm."""
-    sq = 0.0
-    for name, p in params.items():
+# Elements per optimizer pass: the float64 squares of the norm and AdamW's
+# two temporaries stay this size, not the size of the flat vector.
+_CHUNK = 1 << 16
+
+
+def _grad_slices(params: dict[str, Tensor]) -> tuple[nm.ParamStore, list[slice]]:
+    """The store behind params and the slices of its flat gradient that hold
+    this step's gradients, each at most _CHUNK long.
+
+    The slices cover exactly the tensors whose `.grad` is set, so a tensor
+    with `.grad` None adds nothing to the norm and keeps its data and AdamW
+    moments.  A gradient set by hand rather than by backward is first copied
+    into the tensor's slice.
+    """
+    store = nm.ParamStore.of(params)
+    runs: list[list[int]] = []
+    for p, a, b in zip(params.values(), store.bounds, store.bounds[1:]):
         if p.grad is None:
             continue
-        if not np.all(np.isfinite(p.grad)):
+        home = store.grad_view(p)
+        if p.grad is not home:
+            if p.grad.shape != home.shape:
+                raise ValueError(f"gradient of shape {p.grad.shape} for a parameter of shape {home.shape}")
+            home[...] = p.grad
+            p.grad = home
+        if runs and runs[-1][1] == a:
+            runs[-1][1] = b
+        else:
+            runs.append([a, b])
+    return store, [slice(i, min(i + _CHUNK, b)) for a, b in runs for i in range(a, b, _CHUNK)]
+
+
+def _raise_nonfinite(params: dict[str, Tensor]) -> None:
+    """Name the first parameter whose gradient holds a NaN or an infinity."""
+    for name, p in params.items():
+        if p.grad is not None and not np.all(np.isfinite(p.grad)):
             raise FloatingPointError(f"non-finite gradient in parameter {name!r}")
-        sq += float(np.sum(p.grad.astype(np.float64) ** 2))
+
+
+def clip_gradients(params: dict[str, Tensor], max_norm: float) -> float:
+    """Scale all gradients so the global L2 norm is at most max_norm.
+
+    The norm is one float64 sum of squares over the flat gradient."""
+    store, parts = _grad_slices(params)
+    sq = 0.0
+    for s in parts:
+        sq += float(np.square(store.grad[s], dtype=np.float64).sum())
+    if not math.isfinite(sq):
+        _raise_nonfinite(params)  # else finite float64 squares overflowed
     norm = math.sqrt(sq)
     if norm > max_norm > 0:
         factor = max_norm / norm
-        for p in params.values():
-            if p.grad is not None:
-                p.grad *= factor
+        for s in parts:
+            store.grad[s] *= factor
     return norm
 
 
 @dataclass
 class OptimizerState:
-    m: dict[str, np.ndarray] = field(default_factory=dict)
-    v: dict[str, np.ndarray] = field(default_factory=dict)
+    """AdamW moments: flat vectors in the layout of the parameters' store,
+    allocated on the first step."""
+
+    m: np.ndarray | None = None
+    v: np.ndarray | None = None
     step: int = 0
 
 
@@ -287,31 +329,44 @@ def adamw_step(
     eps: float = 1e-8,
     weight_decay: float = 0.0,
 ) -> None:
-    """Decoupled-weight-decay Adam update with bias correction."""
+    """Decoupled-weight-decay Adam update with bias correction, over the flat
+    parameter, gradient and moment vectors; tensors without a gradient are
+    left alone."""
+    store, parts = _grad_slices(params)
+    for s in parts:
+        g = store.grad[s]
+        if not (math.isfinite(g.min()) and math.isfinite(g.max())):  # min and max propagate NaN
+            _raise_nonfinite(params)
+    if state.m is None:
+        state.m = np.zeros(store.data.shape, store.data.dtype)
+        state.v = np.zeros(store.data.shape, store.data.dtype)
+    elif state.m.shape != store.data.shape:
+        raise ValueError(f"optimizer state holds {state.m.size} values, the parameters {store.data.size}")
     state.step += 1
     t = state.step
     bc1 = 1.0 - beta1**t
     bc2 = 1.0 - beta2**t
-    for name, p in params.items():
-        g = p.grad
-        if g is None:
-            continue
-        if not np.all(np.isfinite(g)):
-            raise FloatingPointError(f"non-finite gradient in parameter {name!r}")
-        if name not in state.m:
-            state.m[name] = np.zeros_like(p.data)
-            state.v[name] = np.zeros_like(p.data)
-        m = state.m[name]
-        v = state.v[name]
+    for s in parts:
+        g, m, v, w = store.grad[s], state.m[s], state.v[s], store.data[s]
+        # m += (1 - beta1) g;  v += (1 - beta2) g g;
+        # w -= lr wd w;  w -= lr (m / bc1) / (sqrt(v / bc2) + eps)
         m *= beta1
-        m += (1.0 - beta1) * g
+        u = g * (1.0 - beta1)
+        m += u
         v *= beta2
-        v += (1.0 - beta2) * g * g
-        mhat = m / bc1
-        vhat = v / bc2
+        np.multiply(g, 1.0 - beta2, out=u)
+        u *= g
+        v += u
+        np.divide(m, bc1, out=u)
+        u *= lr
+        r = v / bc2
+        np.sqrt(r, out=r)
+        r += eps
+        u /= r
         if weight_decay:
-            p.data -= lr * weight_decay * p.data
-        p.data -= (lr * mhat / (np.sqrt(vhat) + eps)).astype(p.data.dtype)
+            np.multiply(w, lr * weight_decay, out=r)
+            w -= r
+        w -= u
 
 
 def _zero_grads(params: dict[str, Tensor]) -> None:
@@ -343,9 +398,9 @@ def _batch_gradients(params, model_config, vocab, loss_config, aug, batch, rng):
         for key in ("soft", "mae", "split"):
             sums[key] += parts[key]
     if n_used > 1:
-        for p in params.values():
-            if p.grad is not None:
-                p.grad *= 1.0 / n_used
+        store, parts = _grad_slices(params)
+        for s in parts:
+            store.grad[s] *= 1.0 / n_used
     return sums, n_used
 
 

@@ -1,3 +1,5 @@
+import json
+import struct
 from dataclasses import replace
 from datetime import datetime, timedelta
 
@@ -21,6 +23,7 @@ from trajlm.model import (
     sinusoid_features,
     value_scale_table,
 )
+from trajlm.numerics import ParamStore
 from trajlm.vocab import RawModality, build_vocabulary
 
 
@@ -433,3 +436,72 @@ class TestCheckpoint:
         save_checkpoint(p1, params, config, "h", {"seed": 1})
         save_checkpoint(p2, params, config, "h", {"seed": 1})
         assert p1.read_bytes() == p2.read_bytes()
+
+    def test_loaded_parameters_view_one_buffer_and_resave_byte_identically(self, vocab, config, tmp_path):
+        params = init_params(config, np.random.default_rng(21), dtype=np.float32)
+        first, second = tmp_path / "a.ckpt", tmp_path / "b.ckpt"
+        save_checkpoint(first, params, config, "h", {"seed": 1})
+        loaded, config2, header = load_checkpoint(first)
+        store = ParamStore.find(loaded)
+        assert store is not None and store.data.size == param_count(config)
+        for p in loaded.values():
+            assert np.shares_memory(p.data, store.data) and p.requires_grad
+        save_checkpoint(second, loaded, config2, header["vocab_sha256"], header["meta"])
+        assert second.read_bytes() == first.read_bytes()
+
+    def test_float64_parameters_save_as_float32(self, vocab, config, tmp_path):
+        """Parameters outside a float32 store are concatenated and cast to
+        float32 once."""
+        params = init_params(config, np.random.default_rng(22), dtype=np.float64)
+        single = {name: p.data.astype(np.float32) for name, p in params.items()}
+        save_checkpoint(tmp_path / "d.ckpt", params, config, "h")
+        loaded, _, _ = load_checkpoint(tmp_path / "d.ckpt")
+        for name, p in loaded.items():
+            assert np.array_equal(p.data, single[name])
+
+
+def rewrite_manifest(path, edit) -> None:
+    """Apply edit to a checkpoint's manifest in place; the data and its
+    SHA-256 stay as they were, since the header is outside the hash."""
+    raw = path.read_bytes()
+    (hlen,) = struct.unpack("<I", raw[8:12])
+    header = json.loads(raw[12 : 12 + hlen])
+    edit(header["manifest"])
+    hbytes = json.dumps(header, sort_keys=True, separators=(",", ":")).encode("utf-8")
+    path.write_bytes(raw[:8] + struct.pack("<I", len(hbytes)) + hbytes + raw[12 + hlen :])
+
+
+class TestCheckpointManifest:
+    """load_checkpoint checks the manifest against param_manifest(config)."""
+
+    @pytest.fixture
+    def saved(self, config, tmp_path):
+        path = tmp_path / "m.ckpt"
+        save_checkpoint(path, init_params(config, np.random.default_rng(23), dtype=np.float32), config, "h")
+        return path
+
+    def test_missing_parameter_is_named(self, saved):
+        rewrite_manifest(saved, lambda m: m.remove(next(e for e in m if e["name"] == "qmod_w1")))
+        with pytest.raises(ValueError, match=r"entry \d+ \('qmod_b1'\): name is 'qmod_b1', expected 'qmod_w1'"):
+            load_checkpoint(saved)
+
+    def test_wrong_shape_is_named(self, saved, config):
+        def widen(m):
+            m[0]["shape"] = [config.vocab_size + 1, config.d_model + 1]
+
+        rewrite_manifest(saved, widen)
+        with pytest.raises(ValueError, match=r"entry 0 \('tok_embed'\): shape is \[\d+, \d+\], expected"):
+            load_checkpoint(saved)
+
+    def test_bad_offset_is_named(self, saved):
+        def shift(m):
+            m[3]["offset"] = -4
+
+        rewrite_manifest(saved, shift)
+        with pytest.raises(ValueError, match=r"entry 3 \('time_embed_0'\): offset is -4, expected \d+"):
+            load_checkpoint(saved)
+
+    def test_extra_entry_is_named(self, saved):
+        rewrite_manifest(saved, lambda m: m.append({"name": "stray", "shape": [1], "offset": 0}))
+        with pytest.raises(ValueError, match="'stray'"):
+            load_checkpoint(saved)

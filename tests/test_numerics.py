@@ -1,5 +1,6 @@
 import gc
 import math
+import pickle
 import weakref
 
 import numpy as np
@@ -131,6 +132,122 @@ class TestBackward:
         for _ in range(2):
             nm.backward(w)
             assert w.grad == 1.0
+
+
+class _CountingArray(np.ndarray):
+    """An array that counts the ufunc calls it takes part in, by ufunc."""
+
+    calls: dict = {}
+
+    def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
+        _CountingArray.calls[ufunc.__name__] = _CountingArray.calls.get(ufunc.__name__, 0) + 1
+        inputs = tuple(np.asarray(x) for x in inputs)
+        return getattr(ufunc, method)(*inputs, **kwargs)
+
+
+class TestParamStore:
+    def store(self, rng, dtype=np.float64):
+        shapes = {"table": (5, 3), "w": (3, 2), "b": (2,)}
+        store = nm.ParamStore(shapes, rng.normal(size=sum(math.prod(s) for s in shapes.values())).astype(dtype))
+        return store, store.params
+
+    def test_tensors_view_the_flat_vector_in_order(self):
+        store, params = self.store(np.random.default_rng(0))
+        assert store.bounds == [0, 15, 21, 23]
+        for p, a, b in zip(params.values(), store.bounds, store.bounds[1:]):
+            assert np.shares_memory(p.data, store.data)
+            assert np.array_equal(p.data.ravel(), store.data[a:b])
+        assert store.grad is None  # allocated on the first gradient write
+
+    def test_first_write_lands_in_the_flat_gradient_as_a_copy(self):
+        """The store version of test_first_gradient_is_a_copy: y's rule hands
+        one array to s and x, and x's first write must copy it into x's slice."""
+        store, params = self.store(np.random.default_rng(1))
+        x, z = params["b"], nm.Tensor(np.array([0.5, 4.0]), requires_grad=True)
+        y = nm.add(nm.add(x, z), x)
+        nm.backward(nm.sum_(y))
+        assert x.grad is store.grad_view(x)
+        assert np.shares_memory(x.grad, store.grad)
+        assert np.array_equal(x.grad, [2.0, 2.0])
+        assert np.array_equal(z.grad, [1.0, 1.0])
+
+    def test_scatter_zero_fills_its_slice_after_grad_none(self):
+        """`_grad_buffer` zero-fills a tensor's slice before a scatter, so what
+        the slice held from an earlier pass never leaks into the gradient."""
+        store, params = self.store(np.random.default_rng(2))
+        table = params["table"]
+        nm.backward(nm.sum_(nm.embedding(table, [1, 1, 4])))
+        table.grad = None
+        store.grad_view(table)[...] = np.nan
+        nm.backward(nm.sum_(nm.embedding(table, [0, 2])))
+        expected = np.zeros((5, 3))
+        expected[[0, 2]] = 1.0
+        assert np.array_equal(table.grad, expected)
+        assert table.grad is store.grad_view(table)
+
+    def test_untracked_parameter_gets_no_gradient(self):
+        store, params = self.store(np.random.default_rng(3))
+        params["w"].requires_grad = False
+        x = nm.constant(np.ones((4, 3)))
+        nm.backward(nm.sum_(nm.add(nm.matmul(x, params["w"]), params["b"])))
+        assert params["w"].grad is None
+        assert np.array_equal(params["b"].grad, [4.0, 4.0])
+
+    @pytest.mark.parametrize("op, ufunc", [(nm.matmul, "matmul"), (nm.mul, "multiply")])
+    @pytest.mark.parametrize("constant_first", [True, False])
+    def test_constant_operand_skips_its_product(self, op, ufunc, constant_first):
+        """Backward computes no product for an operand that does not require
+        grad, and the tracked operand's gradient is the same product as ever."""
+        rng = np.random.default_rng(4)
+        c = nm.constant(rng.normal(size=(4, 4)))
+        w = nm.Tensor(rng.normal(size=(4, 4)), requires_grad=True)
+        w.data = w.data.view(_CountingArray)
+        _CountingArray.calls = {}
+        y = op(c, w) if constant_first else op(w, c)
+        g = rng.normal(size=(4, 4))
+        nm.backward(nm.sum_(nm.mul(y, nm.constant(g))))
+        # the forward product is the only one that reads w's data
+        assert _CountingArray.calls.get(ufunc) == 1
+        cd = c.data
+        if op is nm.mul:
+            expected = g * cd
+        elif constant_first:
+            expected = np.swapaxes(cd, -1, -2) @ g
+        else:
+            expected = g @ np.swapaxes(cd, -1, -2)
+        assert np.array_equal(np.asarray(w.grad), expected)
+        assert c.grad is None
+
+    def test_hand_built_dict_is_copied_into_one_store(self):
+        a = nm.Tensor(np.array([1.0, 2.0]), requires_grad=True)
+        b = nm.Tensor(np.ones((2, 2)), requires_grad=True)
+        a.grad = np.array([0.5, 0.5])
+        params = {"a": a, "b": b}
+        store = nm.ParamStore.of(params)
+        assert nm.ParamStore.of(params) is store and nm.ParamStore.find(dict(params)) is store
+        assert store.params["a"] is a and np.array_equal(store.data, [1.0, 2.0, 1.0, 1.0, 1.0, 1.0])
+        assert np.shares_memory(a.data, store.data) and np.shares_memory(b.data, store.data)
+        assert np.array_equal(a.grad, [0.5, 0.5])  # kept as it was
+        with pytest.raises(ValueError, match="'b' already belongs"):
+            nm.ParamStore.of({"b": b})
+
+    def test_pickled_parameters_leave_the_store_behind(self):
+        """A params dict sent to a worker process carries each tensor's data
+        once, not the flat vector besides, and unpickles as plain tensors."""
+        store = nm.ParamStore({"w": (100, 50), "b": (50,)}, np.random.default_rng(5).normal(size=5050))
+        params = store.params
+        params["b"].grad = np.ones(50)
+        blob = pickle.dumps(params)
+        assert len(blob) < 1.2 * store.data.nbytes
+        copies = pickle.loads(blob)
+        for name, p in copies.items():
+            assert p._store is None and p.requires_grad
+            assert np.array_equal(p.data, params[name].data)
+        assert np.array_equal(copies["b"].grad, np.ones(50)) and copies["w"].grad is None
+
+    def test_flat_vector_must_fit_the_shapes(self):
+        with pytest.raises(ValueError, match="flat vector"):
+            nm.ParamStore({"w": (2, 3)}, np.zeros(5))
 
 
 def loss_through_every_op(rng):

@@ -422,6 +422,153 @@ class TestOptimizer:
         assert abs(float(w.data[0])) < 1e-3
 
 
+def reference_adamw(data, grads, m, v, t, lr, beta1=0.9, beta2=0.999, eps=1e-8, weight_decay=0.0):
+    """The per-tensor AdamW update the flat one must reproduce bit for bit."""
+    bc1 = 1.0 - beta1**t
+    bc2 = 1.0 - beta2**t
+    for name, g in grads.items():
+        if g is None:
+            continue
+        m[name] *= beta1
+        m[name] += (1.0 - beta1) * g
+        v[name] *= beta2
+        v[name] += (1.0 - beta2) * g * g
+        mhat = m[name] / bc1
+        vhat = v[name] / bc2
+        if weight_decay:
+            data[name] -= lr * weight_decay * data[name]
+        data[name] -= (lr * mhat / (np.sqrt(vhat) + eps)).astype(data[name].dtype)
+
+
+class TestFlatOptimizer:
+    """clip_gradients and adamw_step over the parameters' one flat vector."""
+
+    def backward_once(self, params, vocab, config, seed):
+        seq = assemble_sequence(make_record(vocab, n=8, seed=seed), vocab, 64)
+        objective._zero_grads(params)
+        loss, _ = sequence_loss(params, config, vocab, seq, 50.0, "male", LossConfig())
+        nm.backward(loss)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("chunk", [None, 100])
+    def test_adamw_is_bitwise_the_per_tensor_update(self, vocab, config, monkeypatch, dtype, chunk):
+        """Five steps with weight decay on: data, m and v equal the per-tensor
+        reference bit for bit, also when the passes are cut into chunks that
+        straddle tensor boundaries."""
+        if chunk is not None:
+            monkeypatch.setattr(objective, "_CHUNK", chunk)
+        params = init_params(config, np.random.default_rng(3), dtype=dtype)
+        data = {name: p.data.copy() for name, p in params.items()}
+        m = {name: np.zeros_like(a) for name, a in data.items()}
+        v = {name: np.zeros_like(a) for name, a in data.items()}
+        state = OptimizerState()
+        for step in range(1, 6):
+            self.backward_once(params, vocab, config, seed=step)
+            grads = {name: None if p.grad is None else p.grad.copy() for name, p in params.items()}
+            adamw_step(params, state, 1e-2, weight_decay=0.1)
+            reference_adamw(data, grads, m, v, step, 1e-2, weight_decay=0.1)
+        store = nm.ParamStore.find(params)
+        for (name, p), a, b in zip(params.items(), store.bounds, store.bounds[1:]):
+            assert p.data.dtype == dtype
+            assert np.array_equal(p.data, data[name]), name
+            assert np.array_equal(state.m[a:b], m[name].ravel()), name
+            assert np.array_equal(state.v[a:b], v[name].ravel()), name
+
+    @pytest.mark.parametrize("chunk", [None, 100])
+    def test_norm_matches_the_per_tensor_float64_norm(self, vocab, config, monkeypatch, chunk):
+        if chunk is not None:
+            monkeypatch.setattr(objective, "_CHUNK", chunk)
+        params = init_params(config, np.random.default_rng(5), dtype=np.float32)
+        self.backward_once(params, vocab, config, seed=2)
+        grads = [p.grad for p in params.values() if p.grad is not None]
+        ref = math.sqrt(sum(float(np.sum(g.astype(np.float64) ** 2)) for g in grads))
+        norm = clip_gradients(params, 0.0)  # max_norm 0 never clips
+        assert abs(norm - ref) <= 1e-15 * ref
+
+    def test_training_step_leaves_a_parameter_without_gradient_alone(self, vocab, tmp_path, monkeypatch):
+        """With n_value_extras=0 no gradient reaches `layer0.gates`: one `train`
+        step with weight decay on moves every other parameter but not the
+        gates, which start at 1 here so that decay would show."""
+        records = [make_record(vocab, n=6, seed=10 + i) for i in range(4)]
+        config = ModelConfig(
+            vocab_size=vocab.total_tokens, n_modalities=vocab.n_modalities, d_model=16, n_layers=1,
+            n_heads=2, d_head=4, n_value_extras=0, cont_pe_dim=8, dropout=0.0, max_seq_len=64,
+        )
+        inner = objective.init_params
+        start = {}
+
+        def gates_at_one(config, rng, dtype):
+            params = inner(config, rng, dtype)
+            params["layer0.gates"].data[...] = 1.0
+            start.update({name: p.data.copy() for name, p in params.items()})
+            return params
+
+        monkeypatch.setattr(objective, "init_params", gates_at_one)
+        tc = TrainConfig(epochs=1, batch_size=4, peak_lr=1e-2, warmup_steps=1, weight_decay=0.5, seed=0)
+        params, history, _ = train(records, vocab, config, LossConfig(), tc, None, tmp_path / "m.ckpt")
+        assert len(history) == 1
+        gates = params["layer0.gates"]
+        assert gates.grad is None
+        assert np.array_equal(gates.data, np.ones_like(gates.data))
+        moved = [name for name, p in params.items() if not np.array_equal(p.data, start[name])]
+        assert moved == [name for name in params if name != "layer0.gates"]
+
+    def test_none_grad_keeps_data_and_moments_whatever_its_slice_holds(self, vocab, config):
+        params = init_params(config, np.random.default_rng(7), dtype=np.float64)
+        state = OptimizerState()
+        self.backward_once(params, vocab, config, seed=1)
+        adamw_step(params, state, 1e-2, weight_decay=0.1)
+        self.backward_once(params, vocab, config, seed=2)
+        store = nm.ParamStore.find(params)
+        name = "layer0.w_q"
+        i = list(params).index(name)
+        a, b = store.bounds[i], store.bounds[i + 1]
+        params[name].grad = None
+        store.grad[a:b] = np.nan  # a stale slice is never read
+        before = (params[name].data.copy(), state.m[a:b].copy(), state.v[a:b].copy())
+        assert math.isfinite(clip_gradients(params, 0.1))
+        adamw_step(params, state, 1e-2, weight_decay=0.1)
+        assert np.array_equal(params[name].data, before[0])
+        assert np.array_equal(state.m[a:b], before[1]) and np.array_equal(state.v[a:b], before[2])
+
+    def test_gradients_stay_in_the_flat_vector_after_grad_none(self, vocab, config):
+        """Setting every `.grad` to None between passes, as a hand-written
+        training step does, still lands the next pass's gradients in the flat
+        gradient."""
+        params = init_params(config, np.random.default_rng(8), dtype=np.float32)
+        store = nm.ParamStore.find(params)
+        assert store is not None
+        for seed in (1, 2):
+            for p in params.values():
+                p.grad = None
+            loss, _ = sequence_loss(
+                params, config, vocab, assemble_sequence(make_record(vocab, n=8, seed=seed), vocab, 64),
+                50.0, "male", LossConfig(),
+            )
+            nm.backward(loss)
+            with_grad = [p for p in params.values() if p.grad is not None]
+            assert len(with_grad) == len(params)
+            for p in with_grad:
+                assert np.shares_memory(p.grad, store.grad) and p.grad is store.grad_view(p)
+
+    def test_nonfinite_gradient_raises_before_any_update(self):
+        a = Tensor(np.array([1.0, 2.0]), requires_grad=True)
+        b = Tensor(np.array([3.0]), requires_grad=True)
+        a.grad, b.grad = np.array([1.0, 1.0]), np.array([np.inf])
+        state = OptimizerState()
+        with pytest.raises(FloatingPointError, match="'b'"):
+            adamw_step({"a": a, "b": b}, state, lr=0.1)
+        assert np.array_equal(a.data, [1.0, 2.0]) and state.step == 0
+
+    def test_state_of_another_layout_is_rejected(self):
+        state = OptimizerState()
+        p, q = Tensor(np.zeros(2), requires_grad=True), Tensor(np.zeros(3), requires_grad=True)
+        p.grad, q.grad = np.ones(2), np.ones(3)
+        adamw_step({"p": p}, state, lr=0.1)
+        with pytest.raises(ValueError, match="optimizer state holds 2 values"):
+            adamw_step({"q": q}, state, lr=0.1)
+
+
 class TestTrainLoop:
     def small_setup(self, vocab, n_participants=6):
         records = [make_record(vocab, n=6, seed=10 + i) for i in range(n_participants)]
