@@ -3,9 +3,9 @@
 Layout: 8-byte magic, 4-byte little-endian header length, UTF-8 JSON header
 (config, metadata, ordered parameter manifest with name/shape/offset, data
 length and SHA-256), then raw little-endian float32 arrays concatenated in
-manifest order.  That data section is the flat vector of a
-`numerics.ParamStore`: saving writes and hashes the store's vector as is, and
-loading reads it back as one vector whose slices are the parameters.
+manifest order.  That data section has the layout of a
+`numerics.ParamStore`'s flat vector: loading reads it back as one vector whose
+slices are the parameters.
 """
 
 from __future__ import annotations
@@ -25,15 +25,6 @@ __all__ = ["MAGIC", "save_checkpoint", "load_checkpoint", "read_header"]
 MAGIC = b"TRAJLM01"
 
 
-def _flat_f4(params: dict[str, Tensor]) -> np.ndarray:
-    """Every parameter's values as one little-endian float32 vector, in dict
-    order: the store's own vector when params is a float32 store."""
-    store = ParamStore.find(params)
-    if store is not None and store.data.dtype == np.dtype("<f4"):
-        return store.data
-    return np.concatenate([p.data.ravel() for p in params.values()], dtype="<f4", casting="unsafe")
-
-
 def save_checkpoint(
     path,
     params: dict[str, Tensor],
@@ -41,7 +32,7 @@ def save_checkpoint(
     vocab_sha256: str,
     meta: dict | None = None,
 ) -> None:
-    data = _flat_f4(params)
+    data = np.concatenate([p.data.ravel() for p in params.values()], dtype="<f4", casting="unsafe")
     manifest = []
     offset = 0
     for name, p in params.items():

@@ -97,7 +97,8 @@ class ParamStore:
     backward pass lands in its own slice (`_accum`, `_grad_buffer`), also
     after a caller has set its `.grad` to None, so an optimizer can step the
     whole vector at once.  A tensor whose `.grad` is None has no gradient this
-    pass, whatever its slice of `grad` holds.
+    pass, whatever its slice of `grad` holds.  So a `.grad` array kept across
+    a later backward is overwritten by it; copy it to keep it.
     """
 
     __slots__ = ("data", "grad", "bounds", "params", "_grad_views")
@@ -172,8 +173,11 @@ def _node(data, parents: tuple, backward) -> Tensor:
     return Tensor(data)
 
 
-def _accum(x: Tensor, g: np.ndarray) -> None:
-    """Add g into x.grad, first summing it over the axes x was broadcast along."""
+def _accum(x: Tensor, g: np.ndarray, owned: bool = False) -> None:
+    """Add g into x.grad, first summing it over the axes x was broadcast along.
+
+    `owned` says the rule built g for this call and nothing else holds it,
+    so a first write may keep g itself as x.grad instead of a copy."""
     if not x.requires_grad:
         return
     shape = x.data.shape
@@ -187,7 +191,10 @@ def _accum(x: Tensor, g: np.ndarray) -> None:
     if x.grad is not None:
         x.grad += g
     elif x._store is None:
-        x.grad = np.array(g, dtype=x.data.dtype)  # a copy: g may be another node's grad
+        if owned and g.dtype == x.data.dtype:
+            x.grad = g
+        else:
+            x.grad = np.array(g, dtype=x.data.dtype)  # a copy: g may be another node's grad
     else:
         x.grad = x._store.grad_view(x)
         x.grad[...] = g  # likewise a copy, into x's slice of the flat gradient
@@ -253,9 +260,9 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
 
     def bw(g):  # a constant operand (the sinusoid features) skips its product
         if a.requires_grad:
-            _accum(a, g @ np.swapaxes(b.data, -1, -2))
+            _accum(a, g @ np.swapaxes(b.data, -1, -2), owned=True)
         if b.requires_grad:
-            _accum(b, np.swapaxes(a.data, -1, -2) @ g)
+            _accum(b, np.swapaxes(a.data, -1, -2) @ g, owned=True)
 
     return _node(a.data @ b.data, (a, b), bw)
 
@@ -267,6 +274,16 @@ def tanh(a: Tensor) -> Tensor:
 
 def abs_(a: Tensor) -> Tensor:
     return _node(np.abs(a.data), (a,), lambda g: _accum(a, g * np.sign(a.data)))
+
+
+def _gelu_tanh(x: np.ndarray) -> np.ndarray:
+    """tanh(sqrt(2/pi) (x + 0.044715 x^3)) in one buffer."""
+    u = x * x
+    u *= x  # x**3 is pow(), far slower in float32
+    u *= 0.044715
+    u += x
+    u *= _SQRT_2_OVER_PI
+    return np.tanh(u, out=u)
 
 
 def gelu(a: Tensor) -> Tensor:
@@ -281,13 +298,29 @@ def gelu(a: Tensor) -> Tensor:
             _accum(a, g * (phi + x * pdf))
 
     else:
-        inner = _SQRT_2_OVER_PI * (x + 0.044715 * (x * x * x))  # x**3 is pow(), far slower in float32
-        t = np.tanh(inner)
-        y = 0.5 * x * (1.0 + t)
+        y = 0.5 * x * (1.0 + _gelu_tanh(x))
 
         def bw(g):
-            dinner = _SQRT_2_OVER_PI * (1.0 + 3 * 0.044715 * x * x)
-            _accum(a, g * (0.5 * (1.0 + t) + 0.5 * x * (1.0 - t * t) * dinner))
+            # g (0.5 (1 + t) + 0.5 x (1 - t^2) dinner), evaluated in that
+            # order in three buffers; t is recomputed, so the tape keeps
+            # only y
+            t = _gelu_tanh(x)
+            f = t * t
+            np.subtract(1.0, f, out=f)
+            h = x * 0.5
+            h *= f
+            np.multiply(x, 3 * 0.044715, out=f)
+            f *= x
+            f += 1.0
+            f *= _SQRT_2_OVER_PI  # dinner
+            h *= f
+            del f
+            t += 1.0
+            t *= 0.5
+            t += h
+            del h
+            t *= g
+            _accum(a, t, owned=True)
 
     return _node(y, (a,), bw)
 

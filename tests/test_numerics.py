@@ -1,6 +1,7 @@
 import gc
 import math
 import pickle
+import tracemalloc
 import weakref
 
 import numpy as np
@@ -104,6 +105,22 @@ class TestBackward:
         assert np.array_equal(x.grad, [2.0, 2.0])
         assert np.array_equal(z.grad, [1.0, 1.0])
         assert x.grad is not z.grad
+
+    def test_owned_first_write_is_kept_not_copied(self):
+        """A rule's own fresh array becomes the first gradient as is, unless
+        its dtype differs or the tensor's gradient has a home in a store."""
+        x = nm.Tensor(np.zeros(3), requires_grad=True)
+        g = np.ones(3)
+        nm._accum(x, g, owned=True)
+        assert x.grad is g
+        x32 = nm.Tensor(np.zeros(3, np.float32), requires_grad=True)
+        nm._accum(x32, g, owned=True)
+        assert x32.grad.dtype == np.float32 and not np.shares_memory(x32.grad, g)
+        store = nm.ParamStore({"w": (3,)}, np.zeros(3))
+        w = store.params["w"]
+        nm._accum(w, g, owned=True)
+        assert np.shares_memory(w.grad, store.grad) and not np.shares_memory(w.grad, g)
+        assert np.array_equal(w.grad, g)
 
     def test_intermediates_drop_their_gradients(self):
         """After backward only leaves hold `.grad`; the walked nodes hold no
@@ -425,6 +442,42 @@ class TestPrecisionPolicy:
         exact = nm.gelu(nm.constant(x)).data
         approx = nm.gelu(nm.constant(x.astype(np.float32))).data
         assert np.max(np.abs(exact - approx)) < 1e-3
+
+    def test_gelu_single_is_the_closed_form_bitwise(self):
+        """The float32 rules evaluate the tanh form and its derivative in the
+        order of the closed form written out here, so every bit is kept."""
+        rng = np.random.default_rng(40)
+        x = (3.0 * rng.normal(size=(64, 48))).astype(np.float32)
+        g = rng.normal(size=x.shape).astype(np.float32)
+        c = math.sqrt(2.0 / math.pi)
+        t = np.tanh(c * (x + 0.044715 * (x * x * x)))
+        dinner = c * (1.0 + 3 * 0.044715 * x * x)
+        a = nm.Tensor(x, requires_grad=True)
+        y = nm.gelu(a)
+        nm.backward(nm.sum_(nm.mul(y, nm.constant(g))))
+        assert np.array_equal(y.data, 0.5 * x * (1.0 + t))
+        assert a.grad.dtype == np.float32
+        assert np.array_equal(a.grad, g * (0.5 * (1.0 + t) + 0.5 * x * (1.0 - t * t) * dinner))
+
+    def test_gelu_single_keeps_only_its_output(self):
+        """The float32 rule recomputes tanh in backward: the tape holds y
+        alone, and backward holds y's gradient and three buffers at most
+        (the closed form evaluated directly holds six)."""
+        x = nm.Tensor(np.random.default_rng(41).normal(size=(256, 512)).astype(np.float32), requires_grad=True)
+        n = x.data.nbytes
+        tracemalloc.start()
+        try:
+            y = nm.gelu(x)
+            held, _ = tracemalloc.get_traced_memory()
+            loss = nm.sum_(y)
+            tracemalloc.reset_peak()
+            start, _ = tracemalloc.get_traced_memory()
+            nm.backward(loss)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert n <= held < 1.5 * n
+        assert peak - start < 4.5 * n
 
 
 class TestRangeHead:

@@ -199,7 +199,7 @@ class TestHeadSelectedLoss:
         lc = LossConfig(mae_scale=0.7, split_scale=1.3)
         total, parts = sequence_loss(params, config, vocab, seq, 50.0, "male", lc)
         nm.backward(total)
-        grads = {name: p.grad for name, p in params.items()}
+        grads = {name: p.grad.copy() for name, p in params.items()}  # the next backward reuses p.grad's memory
         for p in params.values():
             p.zero_grad()
 
