@@ -282,15 +282,12 @@ def embed_inputs(
 
 
 def _time_embedding(params: dict[str, Tensor], times: np.ndarray) -> Tensor:
-    parts = nm.embedding(params["time_embed_0"], times[:, 0])
-    for d in range(1, 7):
-        parts = nm.add(parts, nm.embedding(params[f"time_embed_{d}"], times[:, d]))
-    return parts
+    return nm.embedding_sum([params[f"time_embed_{d}"] for d in range(7)], times)
 
 
 def _query_mlp(params: dict[str, Tensor], prefix: str, x: Tensor) -> Tensor:
-    h = nm.gelu(nm.add(nm.matmul(x, params[f"{prefix}_w1"]), params[f"{prefix}_b1"]))
-    return nm.add(nm.matmul(h, params[f"{prefix}_w2"]), params[f"{prefix}_b2"])
+    h = nm.gelu(nm.linear(x, params[f"{prefix}_w1"], params[f"{prefix}_b1"]))
+    return nm.linear(h, params[f"{prefix}_w2"], params[f"{prefix}_b2"])
 
 
 def forward(
@@ -344,24 +341,24 @@ def forward(
         pre = nm.layer_norm(h, params[f"layer{l}.ln1_g"], params[f"layer{l}.ln1_b"])
         hd = c.n_heads * c.d_head
 
-        def heads(x: Tensor) -> Tensor:
-            return nm.transpose(nm.reshape(x, (t, c.n_heads, c.d_head)), (1, 0, 2))
+        def heads(x: Tensor) -> Tensor:  # token-major (T, H, d_head), a view
+            return nm.reshape(x, (t, c.n_heads, c.d_head))
 
         q = heads(nm.matmul(pre, params[f"layer{l}.w_q"]))
         k = heads(nm.matmul(pre, params[f"layer{l}.w_k"]))
         v = heads(nm.matmul(pre, params[f"layer{l}.w_v"]))
         for e in range(c.n_value_extras):
             vx = heads(nm.matmul(pre, params[f"layer{l}.w_vx{e}"]))
-            gate = nm.reshape(nm.embedding(params[f"layer{l}.gates"], [e]), (c.n_heads, 1, 1))
+            gate = nm.reshape(nm.embedding(params[f"layer{l}.gates"], [e]), (c.n_heads, 1))
             v = nm.add(v, nm.mul(vx, gate))
 
         attn = nm.attention(q, k, v, mask, scale, rate, dropout_rng)
-        ctx = nm.reshape(nm.transpose(attn, (1, 0, 2)), (t, hd))
+        ctx = nm.reshape(attn, (t, hd))
         h = nm.add(h, nm.dropout(nm.matmul(ctx, params[f"layer{l}.w_o"]), rate, dropout_rng))
 
         pre2 = nm.layer_norm(h, params[f"layer{l}.ln2_g"], params[f"layer{l}.ln2_b"])
-        ff = nm.gelu(nm.add(nm.matmul(pre2, params[f"layer{l}.w_ff1"]), params[f"layer{l}.b_ff1"]))
-        ff = nm.add(nm.matmul(ff, params[f"layer{l}.w_ff2"]), params[f"layer{l}.b_ff2"])
+        ff = nm.gelu(nm.linear(pre2, params[f"layer{l}.w_ff1"], params[f"layer{l}.b_ff1"]))
+        ff = nm.linear(ff, params[f"layer{l}.w_ff2"], params[f"layer{l}.b_ff2"])
         h = nm.add(h, nm.dropout(ff, rate, dropout_rng))
 
     hidden = h
@@ -376,8 +373,7 @@ def forward(
     h_tilde = nm.add(nm.add(h, q_mod), q_time)
 
     z = nm.range_head(h_tilde, params["out_w"], params["out_b"], *(head or ()))
-    cc = c.logit_clamp
-    logits = nm.scale(nm.tanh(nm.scale(z, 1.0 / cc)), cc)
+    logits = nm.clamp(z, c.logit_clamp)
     if return_hidden:
         return logits, hidden
     return logits

@@ -6,8 +6,9 @@ rule only when some input requires grad; an op over untracked inputs returns
 a bare tensor and keeps nothing alive.  A rule holds the op's inputs and the
 arrays it needs, never its own output tensor, so the tape has no reference
 cycles and a loss dropped without backward frees its tape at once.
-`backward` replays the rules in reverse topological order and frees the tape
-as it goes: each node drops its gradient, rule and parents once its rule has
+Each tape node carries its creation sequence number, and `backward` replays
+the rules newest first, a reverse topological order, freeing the tape as it
+goes: each node drops its gradient, rule and parents once its rule has
 run, so afterwards only leaves (the parameters) hold `.grad` and the tape
 cannot be walked twice.  Data lives in contiguous numpy arrays
 (float32 for training, float64 for correctness tests) and all reductions use
@@ -19,7 +20,9 @@ parameter's first gradient write in a backward pass lands in.
 
 from __future__ import annotations
 
+import itertools
 import math
+import operator
 
 import numpy as np
 from scipy.special import erf as _erf
@@ -33,17 +36,18 @@ __all__ = [
     "mul",
     "neg",
     "matmul",
-    "tanh",
+    "linear",
+    "clamp",
     "gelu",
     "abs_",
     "softmax",
     "log_softmax",
     "layer_norm",
     "embedding",
+    "embedding_sum",
     "take_ranges",
     "range_head",
     "reshape",
-    "transpose",
     "sum_",
     "dropout",
     "attention",
@@ -57,7 +61,7 @@ _SQRT_2_OVER_PI = math.sqrt(2.0 / math.pi)
 
 
 class Tensor:
-    __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward", "_store")
+    __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward", "_store", "_seq")
 
     def __init__(self, data, requires_grad: bool = False, parents=(), backward=None):
         self.data = np.asarray(data)
@@ -66,6 +70,7 @@ class Tensor:
         self._parents = tuple(parents)
         self._backward = backward
         self._store = None
+        self._seq = 0  # a tape node's place in creation order (`_node`)
 
     def __getstate__(self):
         # a pickled parameter leaves its store behind and owns a copy of its
@@ -166,10 +171,17 @@ def neg_inf(dtype) -> float:
     return -np.inf if np.dtype(dtype) == np.float64 else -1e30
 
 
+# Creation sequence numbers of tape nodes.  A node is made after its
+# parents, so creation order is a topological order of any tape.
+_created = itertools.count(1)
+
+
 def _node(data, parents: tuple, backward) -> Tensor:
     """An op's output: a tape node when any parent requires grad, else a bare tensor."""
     if any(p.requires_grad for p in parents):
-        return Tensor(data, True, parents, backward)
+        node = Tensor(data, True, parents, backward)
+        node._seq = next(_created)
+        return node
     return Tensor(data)
 
 
@@ -212,9 +224,22 @@ def _grad_buffer(x: Tensor) -> np.ndarray:
 
 
 def _accum_at(x: Tensor, index, g: np.ndarray) -> None:
-    """Scatter-add g into x.grad at index; repeated indices accumulate."""
-    if x.requires_grad:
-        np.add.at(_grad_buffer(x), index, g)
+    """Scatter-add g into x.grad at index; repeated indices accumulate.
+
+    An integer array of several row ids into a 2-d gradient scatters through
+    one flat element index, which numpy runs several times faster than a
+    scatter of whole rows; each element still receives its additions in id
+    order, so the sums are bitwise the same.  A single id, and a
+    (rows, cols) tuple, take the row path."""
+    if not x.requires_grad:
+        return
+    buf = _grad_buffer(x)
+    if isinstance(index, np.ndarray) and index.size > 1 and buf.ndim == 2 and buf.flags.c_contiguous:
+        d = buf.shape[1]
+        flat = (index.reshape(-1, 1) * d + np.arange(d)).ravel()
+        np.add.at(buf.reshape(-1), flat, g.ravel())
+    else:
+        np.add.at(buf, index, g)
 
 
 def add(a: Tensor, b: Tensor) -> Tensor:
@@ -251,25 +276,57 @@ def scale(a: Tensor, c: float) -> Tensor:
     return _node(a.data * c, (a,), lambda g: _accum(a, g * c))
 
 
-def matmul(a: Tensor, b: Tensor) -> Tensor:
-    """Matrix product; supports stacked 3-d operands with matching batch dims."""
+def _check_matmul(a: Tensor, b: Tensor) -> None:
     if a.data.ndim < 2 or b.data.ndim < 2:
         raise ValueError(f"matmul needs >=2-d operands, got {a.data.shape} @ {b.data.shape}")
     if a.data.shape[-1] != b.data.shape[-2]:
         raise ValueError(f"shape mismatch in matmul: {a.data.shape} @ {b.data.shape}")
 
-    def bw(g):  # a constant operand (the sinusoid features) skips its product
-        if a.requires_grad:
-            _accum(a, g @ np.swapaxes(b.data, -1, -2), owned=True)
-        if b.requires_grad:
-            _accum(b, np.swapaxes(a.data, -1, -2) @ g, owned=True)
 
-    return _node(a.data @ b.data, (a, b), bw)
+def _matmul_grads(a: Tensor, b: Tensor, g: np.ndarray) -> None:
+    """Both operands' gradients of a @ b; a constant operand (the sinusoid
+    features) skips its product."""
+    if a.requires_grad:
+        _accum(a, g @ np.swapaxes(b.data, -1, -2), owned=True)
+    if b.requires_grad:
+        _accum(b, np.swapaxes(a.data, -1, -2) @ g, owned=True)
 
 
-def tanh(a: Tensor) -> Tensor:
-    y = np.tanh(a.data)
-    return _node(y, (a,), lambda g: _accum(a, g * (1.0 - y * y)))
+def matmul(a: Tensor, b: Tensor) -> Tensor:
+    """Matrix product; supports stacked 3-d operands with matching batch dims."""
+    _check_matmul(a, b)
+    return _node(a.data @ b.data, (a, b), lambda g: _matmul_grads(a, b, g))
+
+
+def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
+    """x @ w + b in one node: the bias is added into the product in place,
+    so the tape keeps one output array, bitwise add(matmul(x, w), b)."""
+    _check_matmul(x, w)
+    y = x.data @ w.data
+    y += b.data
+
+    def bw(g):
+        _matmul_grads(x, w, g)
+        _accum(b, g)
+
+    return _node(y, (x, w, b), bw)
+
+
+def clamp(z: Tensor, c: float) -> Tensor:
+    """The smooth bound c * tanh(z / c) in one node.  The tape keeps
+    t = tanh(z / c) and the output; the rule evaluates (g c)(1 - t^2) / c in
+    that order, the chain rule through scaling by 1/c, tanh and scaling by c,
+    so both directions match that three-node chain bitwise."""
+    t = z.data * (1.0 / c)
+    np.tanh(t, out=t)
+
+    def bw(g):
+        u = g * c
+        u *= 1.0 - t * t
+        u *= 1.0 / c
+        _accum(z, u, owned=True)
+
+    return _node(t * c, (z,), bw)
 
 
 def abs_(a: Tensor) -> Tensor:
@@ -366,13 +423,36 @@ def layer_norm(a: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tens
     return _node(xhat * gain.data + bias.data, (a, gain, bias), bw)
 
 
-def embedding(table: Tensor, ids) -> Tensor:
+def _table_ids(table: Tensor, ids) -> np.ndarray:
     ids = np.asarray(ids, dtype=np.int64)
     if ids.size and (ids.min() < 0 or ids.max() >= table.data.shape[0]):
         raise IndexError(
             f"embedding index out of range: [{ids.min()}, {ids.max()}] vs table {table.data.shape[0]}"
         )
+    return ids
+
+
+def embedding(table: Tensor, ids) -> Tensor:
+    ids = _table_ids(table, ids)
     return _node(table.data[ids], (table,), lambda g: _accum_at(table, ids, g))
+
+
+def embedding_sum(tables, ids) -> Tensor:
+    """tables[0][ids[:, 0]] + tables[1][ids[:, 1]] + ... in one node, summed
+    left to right in place: bitwise the chain of embedding and add nodes."""
+    ids = np.asarray(ids, dtype=np.int64)
+    if ids.ndim != 2 or ids.shape[1] != len(tables):
+        raise ValueError(f"embedding_sum needs one id column per table ({len(tables)}), got ids of shape {ids.shape}")
+    cols = [_table_ids(table, ids[:, j]) for j, table in enumerate(tables)]
+    y = tables[0].data[cols[0]]
+    for table, col in zip(tables[1:], cols[1:]):
+        y += table.data[col]
+
+    def bw(g):
+        for table, col in zip(tables, cols):
+            _accum_at(table, col, g)
+
+    return _node(y, tuple(tables), bw)
 
 
 def _ranges(rows, starts, widths, n_rows: int, n_cols: int):
@@ -458,11 +538,6 @@ def reshape(a: Tensor, shape) -> Tensor:
     return _node(a.data.reshape(shape), (a,), lambda g: _accum(a, g.reshape(a.data.shape)))
 
 
-def transpose(a: Tensor, axes) -> Tensor:
-    inv = np.argsort(axes)
-    return _node(np.transpose(a.data, axes), (a,), lambda g: _accum(a, np.transpose(g, inv)))
-
-
 def sum_(a: Tensor, axis=None) -> Tensor:
     def bw(g):
         if axis is None:
@@ -488,47 +563,54 @@ _ATTN_BLOCK = 128
 
 def attention(q: Tensor, k: Tensor, v: Tensor, mask, scale: float, rate: float = 0.0, rng=None) -> Tensor:
     """Masked scaled dot-product attention over stacked heads, one tape node:
-    dropout(softmax(q k^T * scale, masked), rate, rng) @ v.
+    dropout(softmax(q k^T * scale, masked), rate, rng) @ v per head.
 
-    q is (H, Tq, d), k (H, Tk, d), v (H, Tk, dv) and mask a boolean
-    (Tq, Tk) array, True where a query row may attend to a key column.  Query
-    rows run in blocks of _ATTN_BLOCK; each block multiplies only keys
-    [0, c1), c1 one past the last column any of its rows allows, so the
-    all-masked upper triangle of causal masks is skipped.  Each block's
+    Token-major: q is (Tq, H, d), k (Tk, H, d), v (Tk, H, dv) and the output
+    (Tq, H, dv), so the projections feed in and the output projection reads
+    out through reshapes that are views.  mask is a boolean (Tq, Tk) array,
+    True where a query row may attend to a key column.  Query rows run in
+    blocks of _ATTN_BLOCK; each block multiplies only keys [0, c1), c1 one
+    past the last column any of its rows allows, so the all-masked upper
+    triangle of causal masks is skipped.  Each block's (H, rows, c1)
     probabilities are kept for the backward pass when an input tracks.  The
     dropout keep mask is one rng.random((H, Tq, Tk)) draw, the draw `dropout`
-    makes on the probabilities.  Computes in q's dtype; a mask row that allows
-    no key raises ValueError.
+    makes on head-major probabilities.  Computes in q's dtype; a mask row
+    that allows no key raises ValueError.
     """
     qd = q.data
     dtype = qd.dtype
     kd = k.data.astype(dtype, copy=False)
     vd = v.data.astype(dtype, copy=False)
     mask = np.asarray(mask, dtype=bool)
-    if qd.ndim != 3 or kd.shape != (qd.shape[0], kd.shape[1], qd.shape[2]) or vd.shape[:2] != kd.shape[:2]:
+    if qd.ndim != 3 or kd.shape != (kd.shape[0], *qd.shape[1:]) or vd.shape[:2] != kd.shape[:2]:
         raise ValueError(
-            f"attention needs q (H, Tq, d), k (H, Tk, d), v (H, Tk, dv); got {qd.shape}, {kd.shape}, {vd.shape}"
+            f"attention needs q (Tq, H, d), k (Tk, H, d), v (Tk, H, dv); got {qd.shape}, {kd.shape}, {vd.shape}"
         )
-    n_heads, t_q, _ = qd.shape
-    if mask.shape != (t_q, kd.shape[1]):
-        raise ValueError(f"attention mask shape {mask.shape} does not match ({t_q}, {kd.shape[1]})")
+    t_q, n_heads, _ = qd.shape
+    if mask.shape != (t_q, kd.shape[0]):
+        raise ValueError(f"attention mask shape {mask.shape} does not match ({t_q}, {kd.shape[0]})")
     empty = np.flatnonzero(~mask.any(axis=1))
     if empty.size:
         raise ValueError(f"attention mask rows allow no key: {empty[:5].tolist()}")
     keep = None
     if rate > 0.0 and rng is not None:
-        keep = (rng.random((n_heads, t_q, kd.shape[1])) >= rate).astype(dtype) / (1.0 - rate)
+        keep = (rng.random((n_heads, t_q, kd.shape[0])) >= rate).astype(dtype) / (1.0 - rate)
     # one past the last allowed column of each row
     extent = mask.shape[1] - np.argmax(mask[:, ::-1], axis=1)
     fill = neg_inf(dtype)
     track = q.requires_grad or k.requires_grad or v.requires_grad
 
-    out = np.empty((n_heads, t_q, vd.shape[2]), dtype=dtype)
+    def by_head(x):
+        return np.swapaxes(x, 0, 1)  # a strided (H, T, d) view; BLAS reads it in place
+
+    qh, kh, vh = by_head(qd), by_head(kd), by_head(vd)
+    out = np.empty((t_q, n_heads, vd.shape[2]), dtype=dtype)
+    oh = by_head(out)
     blocks = []  # (r0, r1, c1, probabilities) per query block
     for r0 in range(0, t_q, _ATTN_BLOCK):
         r1 = min(r0 + _ATTN_BLOCK, t_q)
         c1 = int(extent[r0:r1].max())
-        p = qd[:, r0:r1] @ np.swapaxes(kd[:, :c1], -1, -2)
+        p = qh[:, r0:r1] @ np.swapaxes(kh[:, :c1], -1, -2)
         p *= scale
         np.copyto(p, fill, where=~mask[r0:r1, :c1])
         p -= p.max(axis=-1, keepdims=True)
@@ -538,52 +620,52 @@ def attention(q: Tensor, k: Tensor, v: Tensor, mask, scale: float, rate: float =
             blocks.append((r0, r1, c1, p))
         if keep is not None:
             p = p * keep[:, r0:r1, :c1]
-        out[:, r0:r1] = p @ vd[:, :c1]
+        oh[:, r0:r1] = p @ vh[:, :c1]
 
     def bw(g):
+        gh = by_head(g)
         gq = np.empty_like(qd) if q.requires_grad else None
         gk = np.zeros_like(kd) if k.requires_grad else None
         gv = np.zeros_like(vd) if v.requires_grad else None
         for r0, r1, c1, p in blocks:
-            go = g[:, r0:r1]
+            go = gh[:, r0:r1]
             kept = p if keep is None else p * keep[:, r0:r1, :c1]
             if gv is not None:
-                gv[:, :c1] += np.swapaxes(kept, -1, -2) @ go
-            ds = go @ np.swapaxes(vd[:, :c1], -1, -2)
+                by_head(gv)[:, :c1] += np.swapaxes(kept, -1, -2) @ go
+            ds = go @ np.swapaxes(vh[:, :c1], -1, -2)
             if keep is not None:
                 ds *= keep[:, r0:r1, :c1]
             ds -= (ds * p).sum(axis=-1, keepdims=True)
             ds *= p
             ds *= scale
             if gq is not None:
-                gq[:, r0:r1] = ds @ kd[:, :c1]
+                by_head(gq)[:, r0:r1] = ds @ kh[:, :c1]
             if gk is not None:
-                gk[:, :c1] += np.swapaxes(np.swapaxes(qd[:, r0:r1], -1, -2) @ ds, -1, -2)
+                by_head(gk)[:, :c1] += np.swapaxes(np.swapaxes(qh[:, r0:r1], -1, -2) @ ds, -1, -2)
         for x, gx in ((q, gq), (k, gk), (v, gv)):
             if gx is not None:
-                _accum(x, gx)
+                _accum(x, gx, owned=True)
 
     return _node(out, (q, k, v), bw)
 
 
-def _topo(root: Tensor) -> list[Tensor]:
-    """Reverse-topological tape: every reachable node exactly once."""
-    order: list[Tensor] = []
-    seen: set[int] = set()
-    stack: list[tuple[Tensor, bool]] = [(root, False)]
+def _tape(root: Tensor) -> list[Tensor]:
+    """Every node with a rule that root depends on, root included, once each
+    and in creation order."""
+    nodes: list[Tensor] = []
+    seen = {id(root)}
+    stack = [root]
     while stack:
-        node, expanded = stack.pop()
-        if expanded:
-            order.append(node)
+        node = stack.pop()
+        if node._backward is None:
             continue
-        if id(node) in seen:
-            continue
-        seen.add(id(node))
-        stack.append((node, True))
+        nodes.append(node)
         for p in node._parents:
-            if id(p) not in seen:
-                stack.append((p, False))
-    return order
+            if p._backward is not None and id(p) not in seen:
+                seen.add(id(p))
+                stack.append(p)
+    nodes.sort(key=operator.attrgetter("_seq"))
+    return nodes
 
 
 def _released(g) -> None:
@@ -603,12 +685,10 @@ def backward(loss: Tensor) -> None:
     """
     if loss.data.size != 1:
         raise ValueError(f"backward expects a scalar loss, got shape {loss.data.shape}")
-    order = _topo(loss)
+    order = _tape(loss)
     loss.grad = np.ones_like(loss.data)
-    while order:
+    while order:  # newest first: every node's consumers have run before it
         node = order.pop()
-        if node._backward is None:
-            continue
         if node.grad is not None:
             node._backward(node.grad)
         node.grad, node._backward, node._parents = None, _released, ()

@@ -39,7 +39,7 @@ class TestForwardOps:
         assert nm.gelu(nm.constant(np.array([0.0]))).data[0] == 0.0
 
     def test_tanh_clamp_at_50(self):
-        z = nm.scale(nm.tanh(nm.scale(nm.constant(np.array([1000.0])), 1 / 50.0)), 50.0)
+        z = nm.clamp(nm.constant(np.array([1000.0])), 50.0)
         # 50*tanh(20) equals 50.0 to machine precision; saturation never exceeds the scale
         assert z.data[0] == 50.0 * math.tanh(20.0)
         assert abs(z.data[0] - 50.0) < 1e-12
@@ -272,19 +272,22 @@ def loss_through_every_op(rng):
     its first intermediate, upstream of all the others."""
     p = {
         name: nm.Tensor(rng.normal(size=shape), requires_grad=True)
-        for name, shape in (("table", (6, 4)), ("gain", (4,)), ("bias", (4,)), ("w", (4, 8)), ("b", (8,)))
+        for name, shape in (
+            ("table", (6, 4)), ("t0", (3, 4)), ("t1", (5, 4)), ("gain", (4,)), ("bias", (4,)), ("w", (4, 8)), ("b", (8,))
+        )
     }
     x = nm.embedding(p["table"], [0, 2, 2, 5])
     upstream = weakref.ref(x.data)
+    x = nm.add(x, nm.embedding_sum([p["t0"], p["t1"]], [[0, 4], [2, 1], [2, 1], [1, 0]]))
     x = nm.layer_norm(x, p["gain"], p["bias"])
-    x = nm.sub(nm.gelu(x), nm.neg(nm.tanh(nm.abs_(x))))
+    x = nm.sub(nm.gelu(x), nm.neg(nm.clamp(nm.abs_(x), 2.0)))
     x = nm.dropout(nm.scale(x, 0.5), 0.25, rng)
-    qkv = nm.transpose(nm.reshape(x, (4, 2, 2)), (1, 0, 2))
+    qkv = nm.reshape(x, (4, 2, 2))
     x = nm.attention(qkv, qkv, qkv, np.tril(np.ones((4, 4), dtype=bool)), 0.7)
-    x = nm.reshape(nm.transpose(x, (1, 0, 2)), (4, 4))
+    x = nm.reshape(x, (4, 4))
     rows, starts, widths = [0, 1, 3], [0, 2, 4], [4, 4, 4]
     logits = nm.add(
-        nm.take_ranges(nm.add(nm.matmul(x, p["w"]), p["b"]), rows, starts, widths, 0.0),
+        nm.take_ranges(nm.add(nm.linear(x, p["w"], p["b"]), nm.matmul(x, p["w"])), rows, starts, widths, 0.0),
         nm.range_head(x, p["w"], p["b"], rows, starts, widths),
     )
     logp = nm.log_softmax(logits)
@@ -315,13 +318,14 @@ class TestTape:
         rng = np.random.default_rng(31)
         x = nm.constant(rng.normal(size=(4, 4)))
         row = nm.constant(rng.normal(size=4))
-        qkv = nm.constant(rng.normal(size=(2, 4, 2)))
+        qkv = nm.constant(rng.normal(size=(4, 2, 2)))
         outs = [
             nm.add(x, row), nm.sub(x, row), nm.mul(x, row), nm.neg(x), nm.scale(x, 2.0),
-            nm.matmul(x, x), nm.tanh(x), nm.gelu(x), nm.abs_(x), nm.softmax(x), nm.log_softmax(x),
-            nm.layer_norm(x, row, row), nm.embedding(x, [0, 3, 3]),
+            nm.matmul(x, x), nm.linear(x, x, row), nm.clamp(x, 3.0), nm.gelu(x), nm.abs_(x),
+            nm.softmax(x), nm.log_softmax(x), nm.layer_norm(x, row, row), nm.embedding(x, [0, 3, 3]),
+            nm.embedding_sum([x, x], [[0, 1], [3, 3]]),
             nm.take_ranges(x, [0, 2], [1, 0], [2, 4], 0.0), nm.range_head(x, x, row, [1, 2]),
-            nm.reshape(x, (16,)), nm.transpose(x, (1, 0)), nm.sum_(x), nm.dropout(x, 0.5, rng),
+            nm.reshape(x, (16,)), nm.sum_(x), nm.dropout(x, 0.5, rng),
             nm.attention(qkv, qkv, qkv, np.ones((4, 4), dtype=bool), 0.7),
         ]
         for y in outs:
@@ -360,7 +364,7 @@ class TestGradCheck:
 
         def f():
             h = nm.gelu(nm.add(nm.matmul(x, params["w1"]), params["b1"]))
-            h = nm.tanh(nm.add(nm.matmul(h, params["w2"]), params["b2"]))
+            h = nm.clamp(nm.add(nm.matmul(h, params["w2"]), params["b2"]), 1.0)  # tanh
             return nm.sum_(nm.mul(nm.matmul(h, params["w3"]), nm.matmul(h, params["w3"])))
 
         assert nm.grad_check(f, params) < 1e-4
@@ -368,13 +372,13 @@ class TestGradCheck:
     @pytest.mark.parametrize(
         "op",
         [
-            lambda x: nm.tanh(x),
+            lambda x: nm.clamp(x, 0.8),
             lambda x: nm.gelu(x),
             lambda x: nm.softmax(x),
             lambda x: nm.log_softmax(x),
             lambda x: nm.abs_(nm.add(x, nm.constant(np.array(0.1)))),
             lambda x: nm.reshape(nm.mul(x, x), (8,)),
-            lambda x: nm.transpose(nm.mul(x, x), (1, 0)),
+            lambda x: nm.embedding_sum([x, nm.mul(x, x)], np.array([[1, 0], [0, 0], [1, 1]])),
             lambda x: nm.take_ranges(nm.mul(x, x), np.array([1, 0, 1]), np.array([1, 0, 3]), np.array([2, 4, 1]), -7.0),
         ],
     )
@@ -506,7 +510,7 @@ class TestRangeHead:
 
         def f():
             z = nm.range_head(h, w, b, self.ROWS, self.STARTS, self.WIDTHS)
-            return nm.sum_(nm.mul(nm.tanh(z), weight))
+            return nm.sum_(nm.mul(nm.clamp(z, 1.0), weight))
 
         assert nm.grad_check(f, {"h": h, "w": w, "b": b}) < 1e-6
 
@@ -554,12 +558,127 @@ class TestRangeHead:
             nm.take_ranges(nm.Tensor(np.zeros((5, 9))), rows, starts, widths, 0.0)
 
 
+def tanh_op(a):
+    """The tanh op `clamp` replaced, kept here as the clamp's reference."""
+    y = np.tanh(a.data)
+    return nm._node(y, (a,), lambda g: nm._accum(a, g * (1.0 - y * y)))
+
+
+# ids with repeats in every column, so the scatters accumulate
+TABLE_IDS = np.array([[0, 3, 1], [2, 3, 0], [2, 1, 1], [0, 0, 4], [2, 3, 0]])
+
+# (fused op, the chain it replaces, operand shapes)
+FUSED = {
+    "linear": (
+        lambda x, w, b: nm.linear(x, w, b),
+        lambda x, w, b: nm.add(nm.matmul(x, w), b),
+        [(7, 5), (5, 3), (3,)],
+    ),
+    "embedding_sum": (
+        lambda *tables: nm.embedding_sum(tables, TABLE_IDS),
+        lambda t0, t1, t2: nm.add(
+            nm.add(nm.embedding(t0, TABLE_IDS[:, 0]), nm.embedding(t1, TABLE_IDS[:, 1])),
+            nm.embedding(t2, TABLE_IDS[:, 2]),
+        ),
+        [(3, 6), (4, 6), (5, 6)],
+    ),
+    "clamp": (
+        lambda z: nm.clamp(z, 5.0),
+        lambda z: nm.scale(tanh_op(nm.scale(z, 1.0 / 5.0)), 5.0),
+        [(6, 9)],
+    ),
+}
+
+
+class TestFusedOps:
+    """Each fused op against the chain of ops it replaces."""
+
+    def operands(self, shapes, dtype, seed=50):
+        rng = np.random.default_rng(seed)
+        # spread over decades so a changed rounding order would show
+        return [(rng.normal(size=s) * 10.0 ** rng.uniform(-2, 2, size=s)).astype(dtype) for s in shapes]
+
+    def run(self, build, arrays, weights):
+        leaves = [nm.Tensor(a.copy(), requires_grad=True) for a in arrays]
+        out = build(*leaves)
+        nm.backward(nm.sum_(nm.mul(out, nm.constant(weights))))
+        return [out.data] + [p.grad for p in leaves]
+
+    @pytest.mark.parametrize("name", FUSED)
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_bitwise_the_chain(self, name, dtype):
+        op, chain, shapes = FUSED[name]
+        arrays = self.operands(shapes, dtype)
+        weights = self.operands([op(*map(nm.constant, arrays)).shape], dtype, seed=51)[0]
+        got = self.run(op, arrays, weights)
+        want = self.run(chain, arrays, weights)
+        for g, w in zip(got, want):
+            assert g.dtype == dtype
+            assert np.array_equal(g, w)
+
+    @pytest.mark.parametrize("name", FUSED)
+    def test_gradcheck(self, name):
+        op, _, shapes = FUSED[name]
+        rng = np.random.default_rng(52)
+        params = {str(i): nm.Tensor(rng.normal(size=s), requires_grad=True) for i, s in enumerate(shapes)}
+
+        def f():
+            y = op(*params.values())
+            return nm.sum_(nm.mul(y, y))
+
+        assert nm.grad_check(f, params) < 1e-6
+
+    def test_embedding_sum_needs_one_id_column_per_table(self):
+        tables = [nm.constant(np.zeros((3, 2))) for _ in range(2)]
+        with pytest.raises(ValueError, match="one id column per table"):
+            nm.embedding_sum(tables, TABLE_IDS)
+        with pytest.raises(IndexError, match="out of range"):
+            nm.embedding_sum(tables, [[0, 3]])
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_flat_scatter_is_add_at_over_rows_bitwise(self, dtype):
+        """A scatter of many row ids through one flat index adds into each
+        element in the order np.add.at over rows does, onto the gradient
+        already there."""
+        rng = np.random.default_rng(53)
+        ids = rng.integers(0, 9, size=50)
+        g = self.operands([(50, 16)], dtype, seed=54)[0]
+        x = nm.Tensor(np.zeros((9, 16), dtype), requires_grad=True)
+        x.grad = self.operands([(9, 16)], dtype, seed=55)[0]
+        want = x.grad.copy()
+        np.add.at(want, ids, g)
+        nm._accum_at(x, ids, g)
+        assert np.array_equal(x.grad, want)
+
+
 def chained_attention(q, k, v, mask, scale, rate=0.0, rng=None):
-    """The op chain `attention` replaces, built from the existing ops."""
+    """The op chain `attention` replaces, built from the existing ops over
+    head-major leaves: q and v (H, T, d), and k already transposed to
+    (H, d, Tk)."""
     dtype = q.data.dtype
     mask_add = np.where(mask, np.array(0.0, dtype=dtype), np.array(nm.neg_inf(dtype), dtype=dtype))
-    scores = nm.add(nm.scale(nm.matmul(q, nm.transpose(k, (0, 2, 1))), scale), nm.constant(mask_add))
+    scores = nm.add(nm.scale(nm.matmul(q, k), scale), nm.constant(mask_add))
     return nm.matmul(nm.dropout(nm.softmax(scores, axis=-1), rate, rng), v)
+
+
+def fused(q, k, v, weights, mask, scale, rate, rng):
+    """Output and q, k, v gradients of sum(attention(q, k, v) * weights),
+    every array token-major (T, H, d)."""
+    q, k, v = (nm.Tensor(x, requires_grad=True) for x in (q, k, v))
+    out = nm.attention(q, k, v, mask, scale, rate, rng)
+    nm.backward(nm.sum_(nm.mul(out, nm.constant(weights))))
+    return [out.data, q.grad, k.grad, v.grad]
+
+
+def chained(q, k, v, weights, mask, scale, rate, rng):
+    """`fused` through chained_attention: the token-major inputs are
+    transposed to head-major leaves, and the output and gradients back."""
+    by_head = (1, 0, 2)
+    qh, vh = (nm.Tensor(np.ascontiguousarray(x.transpose(by_head)), requires_grad=True) for x in (q, v))
+    kt = nm.Tensor(np.ascontiguousarray(k.transpose(1, 2, 0)), requires_grad=True)
+    out = chained_attention(qh, kt, vh, mask, scale, rate, rng)
+    nm.backward(nm.sum_(nm.mul(out, nm.constant(weights.transpose(by_head)))))
+    return [out.data.transpose(by_head), qh.grad.transpose(by_head), kt.grad.transpose(2, 0, 1), vh.grad.transpose(by_head)]
 
 
 MASKS = [Causal(), SplitContext(97), ParallelV2(260, 20), ParallelV2(260, 20, tuple(range(5, 260, 13)))]
@@ -571,11 +690,8 @@ class TestAttention:
     def run(self, fn, mask, dtype, rate, seed=0, heads=2, d=8):
         rng = np.random.default_rng(seed)
         t = mask.shape[0]
-        q, k, v = (nm.Tensor(rng.normal(size=(heads, t, d)).astype(dtype), requires_grad=True) for _ in range(3))
-        weights = nm.constant(rng.normal(size=(heads, t, d)).astype(dtype))
-        out = fn(q, k, v, mask, 1.0 / math.sqrt(d), rate, np.random.default_rng(seed + 1))
-        nm.backward(nm.sum_(nm.mul(out, weights)))
-        return [out.data, q.grad, k.grad, v.grad]
+        q, k, v, weights = (rng.normal(size=(t, heads, d)).astype(dtype) for _ in range(4))
+        return fn(q, k, v, weights, mask, 1.0 / math.sqrt(d), rate, np.random.default_rng(seed + 1))
 
     @pytest.mark.parametrize("kind", MASKS, ids=["causal", "split", "parallel", "parallel-prefixes"])
     @pytest.mark.parametrize("rate", [0.0, 0.3])
@@ -583,8 +699,8 @@ class TestAttention:
     def test_matches_op_chain_over_several_blocks(self, kind, rate, dtype, tol):
         mask = build_mask(kind, 300)
         assert mask.shape[0] > 2 * nm._ATTN_BLOCK
-        got = self.run(nm.attention, mask, dtype, rate)
-        want = self.run(chained_attention, mask, dtype, rate)
+        got = self.run(fused, mask, dtype, rate)
+        want = self.run(chained, mask, dtype, rate)
         for g, w in zip(got, want):
             assert g.dtype == dtype
             assert np.max(np.abs(g - w)) <= tol * np.max(np.abs(w))
@@ -593,8 +709,8 @@ class TestAttention:
     @pytest.mark.parametrize("rate", [0.0, 0.3])
     def test_one_block_is_bitwise_in_double(self, kind, rate):
         mask = build_mask(kind, 30)
-        got = self.run(nm.attention, mask, np.float64, rate)
-        want = self.run(chained_attention, mask, np.float64, rate)
+        got = self.run(fused, mask, np.float64, rate)
+        want = self.run(chained, mask, np.float64, rate)
         for g, w in zip(got, want):
             assert np.array_equal(g, w)
 
@@ -603,8 +719,8 @@ class TestAttention:
         monkeypatch.setattr(nm, "_ATTN_BLOCK", 3)
         mask = build_mask(kind, 13)
         rng = np.random.default_rng(4)
-        q, k, v = (randt(rng, 2, 13, 3) for _ in range(3))
-        weights = nm.constant(rng.normal(size=(2, 13, 3)))
+        q, k, v = (randt(rng, 13, 2, 3) for _ in range(3))
+        weights = nm.constant(rng.normal(size=(13, 2, 3)))
 
         def f():
             return nm.sum_(nm.mul(nm.attention(q, k, v, mask, 0.7), weights))
@@ -613,7 +729,7 @@ class TestAttention:
 
     def test_dropout_draws_where_dropout_does(self):
         mask = build_mask(Causal(), 10)
-        q = nm.constant(np.ones((2, 10, 4)))
+        q = nm.constant(np.ones((10, 2, 4)))
         rng, ref = np.random.default_rng(8), np.random.default_rng(8)
         nm.attention(q, q, q, mask, 0.5, 0.2, rng)
         ref.random((2, 10, 10))
@@ -623,7 +739,7 @@ class TestAttention:
         assert rng.random() == ref.random()
 
     def test_single_precision_stays_single(self):
-        q = nm.Tensor(np.ones((1, 5, 2), dtype=np.float32), requires_grad=True)
+        q = nm.Tensor(np.ones((5, 1, 2), dtype=np.float32), requires_grad=True)
         out = nm.attention(q, q, q, build_mask(Causal(), 5), 1.0 / math.sqrt(2.0))
         nm.backward(nm.sum_(out))
         assert out.dtype == np.float32 and q.grad.dtype == np.float32
@@ -631,11 +747,11 @@ class TestAttention:
     def test_row_without_keys_rejected(self):
         mask = build_mask(Causal(), 4)
         mask[2] = False
-        q = nm.constant(np.zeros((1, 4, 2)))
+        q = nm.constant(np.zeros((4, 1, 2)))
         with pytest.raises(ValueError, match="allow no key: \\[2\\]"):
             nm.attention(q, q, q, mask, 1.0)
 
     def test_mask_shape_checked(self):
-        q = nm.constant(np.zeros((1, 4, 2)))
+        q = nm.constant(np.zeros((4, 1, 2)))
         with pytest.raises(ValueError, match="mask shape"):
             nm.attention(q, q, q, np.ones((4, 3), dtype=bool), 1.0)

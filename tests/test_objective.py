@@ -303,7 +303,7 @@ class TestHeadSelectedLoss:
         loss, _ = sequence_loss(
             params, config, vocab, seq, 50.0, "male", LossConfig(), dropout_rng=np.random.default_rng(1)
         )
-        tape = nm._topo(loss)
+        tape = nm._tape(loss)
         assert len(tape) > 100
         assert sorted({str(node.dtype) for node in tape}) == ["float32"]
         # backward frees each intermediate's gradient once its rule has run,
