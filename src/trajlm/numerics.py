@@ -488,24 +488,21 @@ def range_head(h: Tensor, w: Tensor, b: Tensor, rows=None, starts=None, widths=N
 
     Rows that share a (start, width) range share one matmul, so memory stays
     O(len(rows) x max(widths)) beyond the operands.  rows=None is every row at
-    full width: `h @ w + b`, the same BLAS call as matmul then add; starts=None
-    is column 0 and widths=None runs to the last column.
+    full width, `linear(h, w, b)`; starts=None is column 0 and widths=None
+    runs to the last column.
     """
-    hd, wd, bd = h.data, w.data, b.data
-    n_cols = wd.shape[1]
     if rows is None:
-        shape = (hd.shape[0], n_cols)
-        groups = [(slice(None), slice(None), 0, n_cols)]
-    else:
-        rows, starts, widths = _ranges(rows, starts, widths, hd.shape[0], n_cols)
-        shape = (len(rows), int(widths.max(initial=0)))
-        order = np.lexsort((widths, starts))
-        cuts = np.flatnonzero(np.diff(starts[order]) | np.diff(widths[order])) + 1
-        groups = [
-            (idx, rows[idx], int(starts[idx[0]]), int(widths[idx[0]]))
-            for idx in np.split(order, cuts)
-            if idx.size
-        ]
+        return linear(h, w, b)
+    hd, wd, bd = h.data, w.data, b.data
+    rows, starts, widths = _ranges(rows, starts, widths, hd.shape[0], wd.shape[1])
+    shape = (len(rows), int(widths.max(initial=0)))
+    order = np.lexsort((widths, starts))
+    cuts = np.flatnonzero(np.diff(starts[order]) | np.diff(widths[order])) + 1
+    groups = [
+        (idx, rows[idx], int(starts[idx[0]]), int(widths[idx[0]]))
+        for idx in np.split(order, cuts)
+        if idx.size
+    ]
     blocks = [hd[r] @ wd[:, s : s + k] + bd[s : s + k] for _, r, s, k in groups]
     if len(blocks) == 1:  # one shared range: the stable sort left every row in place
         z = blocks[0]
@@ -526,9 +523,7 @@ def range_head(h: Tensor, w: Tensor, b: Tensor, rows=None, starts=None, widths=N
                 gw[:, s : s + k] += hd[r].T @ gz
             if gb is not None:
                 gb[s : s + k] += gz.sum(axis=0)
-        if gsel is not None and rows is None:
-            _accum(h, gsel)
-        elif gsel is not None:
+        if gsel is not None:
             _accum_at(h, rows, gsel)
 
     return _node(z, (h, w, b), bw)
