@@ -54,13 +54,19 @@ def save_checkpoint(
         f.write(data)
 
 
+def _read_header(f) -> dict:
+    """Read the magic and the JSON header from an open checkpoint file, leaving
+    it at the start of the data section."""
+    magic = f.read(8)
+    if magic != MAGIC:
+        raise ValueError(f"not a checkpoint file: bad magic {magic!r}")
+    (hlen,) = struct.unpack("<I", f.read(4))
+    return json.loads(f.read(hlen).decode("utf-8"))
+
+
 def read_header(path) -> dict:
     with open(path, "rb") as f:
-        magic = f.read(8)
-        if magic != MAGIC:
-            raise ValueError(f"not a checkpoint file: bad magic {magic!r}")
-        (hlen,) = struct.unpack("<I", f.read(4))
-        return json.loads(f.read(hlen).decode("utf-8"))
+        return _read_header(f)
 
 
 def _check_manifest(manifest, config: ModelConfig, data_bytes: int) -> None:
@@ -94,13 +100,9 @@ def load_checkpoint(path):
     """Return (params, config, header); validates the data's length and
     SHA-256 and the manifest against the config.  The parameters are views of
     one flat vector (numerics.ParamStore)."""
-    with open(path, "rb") as f:
-        raw = f.read()
-    if raw[:8] != MAGIC:
-        raise ValueError(f"not a checkpoint file: bad magic {raw[:8]!r}")
-    (hlen,) = struct.unpack("<I", raw[8:12])
-    header = json.loads(raw[12 : 12 + hlen].decode("utf-8"))
-    data = memoryview(raw)[12 + hlen :]
+    with open(path, "rb", buffering=0) as f:  # unbuffered: the data is read into one bytes, not joined from two
+        header = _read_header(f)
+        data = f.read()
     if len(data) != header["data_bytes"]:
         raise ValueError(
             f"checkpoint truncated or padded: {len(data)} data bytes, expected {header['data_bytes']}"

@@ -9,7 +9,6 @@ checkpoint against the wrong vocabulary fails before any inference runs.
 from __future__ import annotations
 
 import argparse
-import csv
 import hashlib
 import json
 import math
@@ -34,6 +33,7 @@ from .evalharness import (
     longitudinal_pools,
     merge_pools,
     within_visit_pools,
+    write_csv,
     write_metric_csv,
 )
 from .intervene import (
@@ -108,6 +108,12 @@ def _meta(seed: int, cfg_hash: str) -> dict:
     return {"seed": seed, "config_hash": cfg_hash, "version": __version__}
 
 
+def _write_json(path, doc: dict) -> None:
+    with open(path, "w", encoding="utf-8") as f:
+        json.dump(doc, f, sort_keys=True, default=str)
+        f.write("\n")
+
+
 def _load_model(ckpt_path, vocab_path):
     """Load checkpoint + vocabulary, enforcing the vocabulary hash pin."""
     _require_file(ckpt_path, "checkpoint")
@@ -143,9 +149,7 @@ def cmd_synth(args) -> int:
         save_ground_truth(truth, args.truth)
     if args.vocab_out:
         save_vocabulary(vocab, args.vocab_out)
-    with open(str(args.out) + ".meta.json", "w", encoding="utf-8") as f:
-        json.dump(_meta(seed, config_hash({"n": args.participants, "seed": seed})), f, sort_keys=True)
-        f.write("\n")
+    _write_json(str(args.out) + ".meta.json", _meta(seed, config_hash({"n": args.participants, "seed": seed})))
     print(f"wrote {len(records)} participants to {args.out}")
     return 0
 
@@ -300,13 +304,10 @@ def cmd_train(args) -> int:
         meta=_meta(train_cfg.seed, cfg_hash), progress=progress,
     )
     if args.log:
-        with open(args.log, "w", encoding="utf-8", newline="") as f:
-            f.write(f"# seed={train_cfg.seed}\n# config_hash={cfg_hash}\n# version={__version__}\n")
-            columns = ["step", "lr", "loss", "soft", "mae", "split", "grad_norm", "clipped", "val_loss"]
-            w = csv.DictWriter(f, fieldnames=columns, lineterminator="\n")
-            w.writeheader()
-            for row in history:
-                w.writerow(row)
+        # the provenance lines in _meta's order, seed first
+        columns = ["step", "lr", "loss", "soft", "mae", "split", "grad_norm", "clipped", "val_loss"]
+        rows = ([row[c] for c in columns] for row in history)
+        write_csv(args.log, {}, columns, rows, _meta(train_cfg.seed, cfg_hash).items())
     print(f"best validation loss {best:.6f}; checkpoint at {args.out}")
     return 0
 
@@ -333,10 +334,7 @@ def cmd_eval_ntp(args) -> int:
     meta = _meta(header["meta"].get("seed", ""), header["meta"].get("config_hash", ""))
     write_metric_csv(report, args.report, meta)
     if args.json:
-        summary = {"median_r": report.median_r(), "n_modalities": len(report.rows), **meta}
-        with open(args.json, "w", encoding="utf-8") as f:
-            json.dump(summary, f, sort_keys=True)
-            f.write("\n")
+        _write_json(args.json, {"median_r": report.median_r(), "n_modalities": len(report.rows), **meta})
     scored = sum(p[2] for p in parts)
     print(
         f"within-visit report on {scored} participants, {len(records) - scored} skipped (fewer than 2 tokens) "
@@ -400,9 +398,7 @@ def cmd_eval_longitudinal(args) -> int:
             summary[f"{kind}_comparisons"] = comparisons
         print(f"{kind} baseline -> {out} (median r {rows.median_r():.3f})")
     if args.json:
-        with open(args.json, "w", encoding="utf-8") as f:
-            json.dump(summary, f, sort_keys=True, default=str)
-            f.write("\n")
+        _write_json(args.json, summary)
     print(f"longitudinal report -> {args.report} (median r {report.median_r():.3f})")
     return 0
 
@@ -414,12 +410,8 @@ def cmd_probe_crossmodal(args) -> int:
     when = datetime.fromisoformat(args.time)
     xs, ys = crossmodal_sweep(params, config, vocab, m_in, m_out, when)
     meta = _meta(header["meta"].get("seed", ""), header["meta"].get("config_hash", ""))
-    with open(args.out, "w", encoding="utf-8", newline="") as f:
-        f.write("".join(f"# {k}={v}\n" for k, v in sorted(meta.items())))
-        w = csv.writer(f, lineterminator="\n")
-        w.writerow(["input_midpoint", "expected_output"])
-        for x, y in zip(xs, ys):
-            w.writerow([format(x, ".10g"), format(y, ".10g")])
+    rows = ([format(x, ".10g"), format(y, ".10g")] for x, y in zip(xs, ys))
+    write_csv(args.out, meta, ["input_midpoint", "expected_output"], rows)
     if args.plot:
         from .plots import scatter_svg
 
@@ -460,24 +452,20 @@ def cmd_simulate(args) -> int:
         raise CliError("no eligible participants to simulate")
     arm.ci = arm.bootstrap_ci(rng)
     meta = _meta(seed, header["meta"].get("config_hash", ""))
-    with open(args.out, "w", encoding="utf-8", newline="") as f:
-        f.write("".join(f"# {k}={v}\n" for k, v in sorted(meta.items())))
-        f.write(f"# label={spec.label}\n# outcome={doc['outcome']}\n# horizon_months={horizon}\n")
-        f.write("".join(f"# {k}={counts[k]}\n" for k in SIMULATION_COUNTS))
-        f.write(f"# mean_delta={arm.mean_delta:.10g}\n# effect_percent={arm.effect_percent:.10g}\n")
-        f.write(f"# ci_low={arm.ci[0]:.10g}\n# ci_high={arm.ci[1]:.10g}\n")
-        w = csv.writer(f, lineterminator="\n")
-        w.writerow(["participant", "predicted_control", "predicted_treatment", "delta"])
-        for pid, c, t in zip(arm.participants, arm.control, arm.treatment):
-            w.writerow([pid, format(c, ".10g"), format(t, ".10g"), format(t - c, ".10g")])
+    effect = {"mean_delta": arm.mean_delta, "effect_percent": arm.effect_percent, "ci_low": arm.ci[0], "ci_high": arm.ci[1]}
+    notes = [
+        ("label", spec.label), ("outcome", doc["outcome"]), ("horizon_months", horizon),
+        *((k, counts[k]) for k in SIMULATION_COUNTS), *((k, format(v, ".10g")) for k, v in effect.items()),
+    ]
+    rows = (
+        [pid, format(c, ".10g"), format(t, ".10g"), format(t - c, ".10g")]
+        for pid, c, t in zip(arm.participants, arm.control, arm.treatment)
+    )
+    write_csv(args.out, meta, ["participant", "predicted_control", "predicted_treatment", "delta"], rows, notes)
     if args.trajectory:
         series = arm.monthly()
-        tpath = f"{args.out}.trajectory.csv"
-        with open(tpath, "w", encoding="utf-8", newline="") as f:
-            w = csv.writer(f, lineterminator="\n")
-            w.writerow(["month", "mean_delta", "sem"])
-            for t, mean, sem in series:
-                w.writerow([t, format(mean, ".10g"), format(sem, ".10g")])
+        rows = ([t, format(mean, ".10g"), format(sem, ".10g")] for t, mean, sem in series)
+        write_csv(f"{args.out}.trajectory.csv", meta, ["month", "mean_delta", "sem"], rows)
         if args.plot:
             from .plots import line_svg
 
@@ -529,21 +517,12 @@ def cmd_trial_run(args) -> int:
         forest.append((trial.name, predicted, trial.published_point, trial.published_ci[0], trial.published_ci[1]))
     score = concordance(rows)
     meta = _meta(seed, header["meta"].get("config_hash", ""))
-    with open(args.out, "w", encoding="utf-8", newline="") as f:
-        f.write("".join(f"# {k}={v}\n" for k, v in sorted(meta.items())))
-        f.write(f"# direction_hits={score['direction_hits']}/{score['n']}\n")
-        f.write(f"# ci_hits={score['ci_hits']}/{score['n']}\n")
-        w = csv.DictWriter(
-            f,
-            fieldnames=[
-                "trial", "predicted", "pred_ci_low", "pred_ci_high", "published", "ci_low", "ci_high",
-                "direction_hit", "ci_hit", "participants_read", "simulated",
-            ],
-            lineterminator="\n",
-        )
-        w.writeheader()
-        for row in score["rows"]:
-            w.writerow(row)
+    columns = [
+        "trial", "predicted", "pred_ci_low", "pred_ci_high", "published", "ci_low", "ci_high",
+        "direction_hit", "ci_hit", "participants_read", "simulated",
+    ]
+    notes = [(k, f"{score[k]}/{score['n']}") for k in ("direction_hits", "ci_hits")]
+    write_csv(args.out, meta, columns, ([row[c] for c in columns] for row in score["rows"]), notes)
     if args.plot:
         from .plots import forest_svg
 

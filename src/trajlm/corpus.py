@@ -77,11 +77,30 @@ class TokenSequence:
         return int(self.tokens.shape[0])
 
     def check(self) -> None:
+        """Raise ValueError naming the first stream out of step with tokens."""
         t = self.length
-        assert self.values.shape == (t,), "values out of sync with tokens"
-        assert self.modalities.shape == (t + 1,), "modalities must be one longer"
-        assert self.times.shape == (t + 1, 7), "times must be one longer"
-        assert 0 <= self.visit_boundary <= t, "visit boundary out of range"
+        for name, shape in (("values", (t,)), ("modalities", (t + 1,)), ("times", (t + 1, 7))):
+            got = getattr(self, name).shape
+            if got != shape:
+                raise ValueError(f"{name} has shape {got}, expected {shape} for {t} tokens")
+        if not 0 <= self.visit_boundary <= t:
+            raise ValueError(f"visit_boundary {self.visit_boundary} outside [0, {t}]")
+
+    def take(self, idx) -> "TokenSequence":
+        """The streams at the kept positions `idx` (ascending), as a sequence
+        of their own.  Its query slot keeps this sequence's modality and
+        takes the time of the last kept position, as `assemble_sequence`
+        sets it (this one's when nothing is kept); its visit boundary is the
+        number of kept positions before this one's."""
+        idx = np.asarray(idx, dtype=np.int64)
+        last = idx[-1] if len(idx) else -1
+        return TokenSequence(
+            self.tokens[idx],
+            self.values[idx],
+            np.append(self.modalities[idx], self.modalities[-1]),
+            np.concatenate([self.times[idx], self.times[last][None]]),
+            int(np.sum(idx < self.visit_boundary)),
+        )
 
     def copy(self) -> "TokenSequence":
         return TokenSequence(
@@ -117,20 +136,20 @@ class AugmentConfig:
         )
 
 
-def time_features(ts: datetime, sleep_flag: bool = False, year_base: int = YEAR_BASE) -> list[int]:
+def time_features(ts: datetime, sleep_flag: bool = False) -> list[int]:
     """Encode a timestamp as [dow, hour, minute, month, year_index, dom, sleep]."""
-    yi = ts.year - year_base
+    yi = ts.year - YEAR_BASE
     if not 0 <= yi < N_YEARS:
         raise ValueError(
-            f"year {ts.year} outside the {N_YEARS}-entry table starting at {year_base}"
+            f"year {ts.year} outside the {N_YEARS}-entry table starting at {YEAR_BASE}"
         )
     return [ts.weekday(), ts.hour, ts.minute, ts.month, yi, ts.day, int(bool(sleep_flag))]
 
 
-def features_to_datetime(vec, year_base: int = YEAR_BASE) -> datetime:
+def features_to_datetime(vec) -> datetime:
     """Reconstruct the calendar timestamp from a 7-dim time vector."""
     _, hour, minute, month, yi, dom, _ = (int(x) for x in vec)
-    return datetime(year_base + yi, month, dom, hour, minute)
+    return datetime(YEAR_BASE + yi, month, dom, hour, minute)
 
 
 def v1_context(record: ParticipantRecord) -> ParticipantRecord:
@@ -152,7 +171,6 @@ def assemble_sequence(
     record: ParticipantRecord,
     vocab: Vocabulary,
     max_len: int = 25_000,
-    year_base: int = YEAR_BASE,
 ) -> TokenSequence:
     """Sort, encode, and truncate one participant's events into streams.
 
@@ -184,14 +202,14 @@ def assemble_sequence(
             ) from e
         values[i] = float(ev.value) if spec.kind == CONTINUOUS else 0.0
         mods[i] = ev.modality
-        times[i] = time_features(ev.timestamp, ev.sleep_flag, year_base)
+        times[i] = time_features(ev.timestamp, ev.sleep_flag)
 
     if t > 0:
         times[t] = times[t - 1]
     elif record.visit_timestamps:
-        times[t] = time_features(record.visit_timestamps[0], False, year_base)
+        times[t] = time_features(record.visit_timestamps[0])
     else:
-        times[t] = time_features(datetime(year_base, 1, 1), False, year_base)
+        times[t] = time_features(datetime(YEAR_BASE, 1, 1))
 
     boundary = t
     if len(record.visit_timestamps) >= 2:
@@ -201,18 +219,6 @@ def assemble_sequence(
     seq = TokenSequence(tokens, values, mods, times, boundary)
     seq.check()
     return seq
-
-
-def _keep(seq: TokenSequence, keep_idx: np.ndarray) -> TokenSequence:
-    """Restrict all four streams to the kept token positions."""
-    keep_idx = np.asarray(keep_idx, dtype=np.int64)
-    t = len(keep_idx)
-    mods = np.concatenate([seq.modalities[keep_idx], seq.modalities[-1:]])
-    times = np.concatenate([seq.times[keep_idx], seq.times[-1:]], axis=0)
-    boundary = int(np.sum(keep_idx < seq.visit_boundary))
-    out = TokenSequence(seq.tokens[keep_idx], seq.values[keep_idx], mods, times, boundary)
-    assert out.length == t
-    return out
 
 
 def augment(
@@ -241,7 +247,7 @@ def augment(
 
     if rng.random() < config.token_removal_chance and out.length > 0:
         keep = rng.random(out.length) >= config.token_removal_rate
-        out = _keep(out, np.flatnonzero(keep))
+        out = out.take(np.flatnonzero(keep))
 
     if rng.random() < config.block_removal_chance and out.length > 0:
         drop = np.zeros(out.length, dtype=bool)
@@ -249,20 +255,20 @@ def augment(
         for _ in range(config.block_removal_blocks):
             start = int(rng.integers(0, out.length))
             drop[start : start + block] = True
-        out = _keep(out, np.flatnonzero(~drop))
+        out = out.take(np.flatnonzero(~drop))
 
     if rng.random() < config.modality_subset_chance and out.length > 0:
         present = np.unique(out.modalities[: out.length])
         n_keep = max(1, int(round(config.modality_subset_fraction * len(present))))
         chosen = set(rng.choice(present, size=n_keep, replace=False).tolist())
         keep = np.array([m in chosen for m in out.modalities[: out.length]])
-        out = _keep(out, np.flatnonzero(keep))
+        out = out.take(np.flatnonzero(keep))
 
     if rng.random() < config.modality_exclusion_chance and out.length > 0:
         present = np.unique(out.modalities[: out.length])
         excluded = int(rng.choice(present))
         keep = out.modalities[: out.length] != excluded
-        out = _keep(out, np.flatnonzero(keep))
+        out = out.take(np.flatnonzero(keep))
 
     out.check()
     return out

@@ -37,6 +37,7 @@ __all__ = [
     "baseline_predict",
     "crossmodal_sweep",
     "bioage",
+    "write_csv",
     "write_metric_csv",
 ]
 
@@ -136,7 +137,6 @@ def within_visit_pools(
     config: ModelConfig,
     vocab: Vocabulary,
     records: list[ParticipantRecord],
-    max_len: int | None = None,
 ):
     """Per-modality (prediction, truth) pools under the causal mask, plus the
     number of participants scored (a sequence shorter than 2 tokens has no
@@ -146,7 +146,7 @@ def within_visit_pools(
     cat_pool: dict[int, tuple[list, list]] = {}
     scored = 0
     for rec in records:
-        seq = assemble_sequence(rec, vocab, max_len or config.max_seq_len)
+        seq = assemble_sequence(rec, vocab, config.max_seq_len)
         if seq.length < 2:
             continue
         scored += 1
@@ -185,11 +185,26 @@ def eval_within_visit(
     config: ModelConfig,
     vocab: Vocabulary,
     records: list[ParticipantRecord],
-    max_len: int | None = None,
 ) -> MetricReport:
     """Next-token prediction under the causal mask, aggregated per modality."""
-    cont_pool, cat_pool, _ = within_visit_pools(params, config, vocab, records, max_len)
+    cont_pool, cat_pool, _ = within_visit_pools(params, config, vocab, records)
     return _metrics_from_pools(cont_pool, cat_pool, vocab)
+
+
+def _visit_values(rec: ParticipantRecord, vocab: Vocabulary):
+    """Each continuous modality's last visit-1 and first visit-2 (time, value)
+    in a two-visit record, events taken in (time, modality) order."""
+    v2_start = rec.visit_timestamps[1]
+    last_v1: dict[int, tuple[datetime, float]] = {}
+    first_v2: dict[int, tuple[datetime, float]] = {}
+    for ev in sorted(rec.events, key=lambda e: (e.timestamp, e.modality)):
+        if vocab.modalities[ev.modality].kind != CONTINUOUS:
+            continue
+        if ev.timestamp < v2_start:
+            last_v1[ev.modality] = (ev.timestamp, float(ev.value))
+        elif ev.modality not in first_v2:
+            first_v2[ev.modality] = (ev.timestamp, float(ev.value))
+    return last_v1, first_v2
 
 
 def longitudinal_pairs(records: list[ParticipantRecord], vocab: Vocabulary):
@@ -202,16 +217,7 @@ def longitudinal_pairs(records: list[ParticipantRecord], vocab: Vocabulary):
     for rec in records:
         if len(rec.visit_timestamps) < 2:
             continue
-        v2_start = rec.visit_timestamps[1]
-        last_v1: dict[int, tuple[datetime, float]] = {}
-        first_v2: dict[int, tuple[datetime, float]] = {}
-        for ev in sorted(rec.events, key=lambda e: (e.timestamp, e.modality)):
-            if vocab.modalities[ev.modality].kind != CONTINUOUS:
-                continue
-            if ev.timestamp < v2_start:
-                last_v1[ev.modality] = (ev.timestamp, float(ev.value))
-            elif ev.modality not in first_v2:
-                first_v2[ev.modality] = (ev.timestamp, float(ev.value))
+        last_v1, first_v2 = _visit_values(rec, vocab)
         for m in sorted(set(last_v1) & set(first_v2)):
             pairs.setdefault(m, []).append(
                 {
@@ -338,21 +344,16 @@ def longitudinal_pools(
     config: ModelConfig,
     vocab: Vocabulary,
     records: list[ParticipantRecord],
-    max_len: int | None = None,
 ):
     """Per-modality (pid, predicted, true) pools for the V1 -> V2 task."""
     pools: dict[int, tuple[list, list, list]] = {}
     for rec in records:
         if len(rec.visit_timestamps) < 2:
             continue
-        seq = assemble_sequence(v1_context(rec), vocab, max_len or config.max_seq_len)
+        seq = assemble_sequence(v1_context(rec), vocab, config.max_seq_len)
         if seq.length == 0:
             continue
-        targets: dict[int, tuple[datetime, float]] = {}
-        for ev in sorted(rec.events, key=lambda e: (e.timestamp, e.modality)):
-            if ev.timestamp >= rec.visit_timestamps[1] and ev.modality not in targets:
-                if vocab.modalities[ev.modality].kind == CONTINUOUS:
-                    targets[ev.modality] = (ev.timestamp, float(ev.value))
+        _, targets = _visit_values(rec, vocab)
         if not targets:
             continue
         mods = sorted(targets)
@@ -371,14 +372,13 @@ def eval_longitudinal(
     config: ModelConfig,
     vocab: Vocabulary,
     records: list[ParticipantRecord],
-    max_len: int | None = None,
 ) -> tuple[MetricReport, dict]:
     """Predict every second-visit measurement from first-visit context alone.
 
     Returns the per-modality report plus the raw (pid, predicted, true) pools
     so baselines can be scored on identical participant sets.
     """
-    pools = longitudinal_pools(params, config, vocab, records, max_len)
+    pools = longitudinal_pools(params, config, vocab, records)
     report = _metrics_from_pools({m: (p[1], p[2]) for m, p in pools.items()}, {}, vocab)
     return report, pools
 
@@ -389,13 +389,13 @@ def baseline_predict(
     test_records: list[ParticipantRecord],
     vocab: Vocabulary,
     bmi_modality: str | None = None,
-    min_train_pairs: int = 5,
 ):
     """Forecasting baselines for the V1 -> V2 task.
 
     'locf' copies the V1 value; 'linear' fits per-modality OLS on four discrete
     token features (V1 value token, age, gender, BMI token; 0 when missing).
-    Returns {modality_id: {pid: prediction}} plus a list of skipped modalities.
+    Returns {modality_id: {pid: prediction}} plus a list of skipped modalities:
+    'linear' skips a modality with fewer than 5 training pairs.
     """
     test_pairs = longitudinal_pairs(test_records, vocab)
     out: dict[int, dict[str, float]] = {}
@@ -444,7 +444,7 @@ def baseline_predict(
 
     for m, rows in test_pairs.items():
         train_rows = train_pairs.get(m, [])
-        if len(train_rows) < min_train_pairs:
+        if len(train_rows) < 5:
             skipped.append(vocab.modalities[m].name)
             continue
         x = features(m, train_rows, train_bmi)
@@ -464,10 +464,9 @@ def crossmodal_sweep(
     m_in: int,
     m_out: int,
     when: datetime,
-    age: float = 50.0,
-    sex: str = "unknown",
 ):
-    """Minimal 2-position probe: one input token, one query, per input bin.
+    """Minimal 2-position probe: one input token, one query, per input bin,
+    for a participant aged 50 of unknown sex.
 
     Returns (input midpoints, expected output values) over the input modality's
     full bin range.
@@ -488,14 +487,14 @@ def crossmodal_sweep(
         mods = np.array([m_in, m_out], dtype=np.int64)
         times = np.array([tf, tf], dtype=np.int64)
         logits = forward(
-            params, config, tokens, values, mods, times, age, sex, mask, scales
+            params, config, tokens, values, mods, times, 50.0, "unknown", mask, scales
         ).data
         xs.append(mid)
         ys.append(decode_expected(logits[0], vocab, m_out))
     return np.array(xs), np.array(ys)
 
 
-def bioage(embeddings, ages, alpha: float = 1000.0, folds: int = 5):
+def bioage(embeddings, ages):
     """Two-stage biological age: cross-validated ridge prediction of
     chronological age, then residualization so the acceleration is orthogonal
     to age.  Returns (predicted_age, acceleration)."""
@@ -507,30 +506,28 @@ def bioage(embeddings, ages, alpha: float = 1000.0, folds: int = 5):
         raise ValueError(f"need at least 10 participants, got {x.shape[0]}")
     if np.ptp(ages) == 0:
         raise ValueError("chronological ages are constant")
-    pred = ridge_cv_predict(x, ages, alpha=alpha, folds=folds)
+    pred = ridge_cv_predict(x, ages)
     baa = ols_residuals(pred, ages)
     return pred, baa
 
 
-def write_metric_csv(report: MetricReport, path, meta: dict | None = None) -> None:
+def write_csv(path, meta: dict, columns, rows, notes=()) -> None:
+    """Write one CSV artifact: `meta` as sorted `# key=value` lines, then the
+    (key, value) pairs of `notes` the same way in their given order, then the
+    column header and the rows."""
     with open(path, "w", encoding="utf-8", newline="") as f:
-        if meta:
-            f.write("".join(f"# {k}={v}\n" for k, v in sorted(meta.items())))
+        f.write("".join(f"# {k}={v}\n" for k, v in [*sorted(meta.items()), *notes]))
         w = csv.writer(f, lineterminator="\n")
-        w.writerow(["modality", "n", "r", "p", "ci_low", "ci_high", "top1", "top5"])
-        for row in report.rows:
-            w.writerow(
-                [
-                    row.name,
-                    row.n,
-                    _fmt_stat(row.r),
-                    _fmt_stat(row.p),
-                    _fmt_stat(row.ci_low),
-                    _fmt_stat(row.ci_high),
-                    _fmt_stat(row.top1),
-                    _fmt_stat(row.top5),
-                ]
-            )
+        w.writerow(columns)
+        w.writerows(rows)
+
+
+def write_metric_csv(report: MetricReport, path, meta: dict | None = None) -> None:
+    fields = ("r", "p", "ci_low", "ci_high", "top1", "top5")
+    write_csv(
+        path, meta or {}, ["modality", "n", *fields],
+        ([row.name, row.n, *(_fmt_stat(getattr(row, k)) for k in fields)] for row in report.rows),
+    )
 
 
 def _fmt_stat(x: float) -> str:

@@ -63,6 +63,7 @@ __all__ = [
 FREQUENCIES = (1, 2, 3, 4, 6, 8, 10, 15, 20)
 DURATIONS = (1, 2, 3, 4, 6, 9, 12, 18, 24)
 MONTH_DAYS = 30.4375
+TRIAL_VISIT = datetime(2021, 3, 1, 9, 0)  # the one visit of every synthetic trial participant
 
 # name -> (comparator, threshold in modality units)
 ELIGIBILITY_DEFAULTS = {
@@ -367,21 +368,6 @@ def _merge_doses(seq: TokenSequence, doses: list[tuple[datetime, int, int]]) -> 
     return out
 
 
-def _course_prefix(course: TokenSequence, n: int) -> TokenSequence:
-    """The first n positions of a dosed context as a sequence of its own.
-
-    Courses appended to a visit-1 context follow all of that content, so
-    the first len(seq) + t * (sum of the course frequencies) positions are
-    the courses of t months, query slot included."""
-    return TokenSequence(
-        course.tokens[:n],
-        course.values[:n],
-        np.append(course.modalities[:n], course.modalities[-1]),
-        np.concatenate([course.times[:n], course.times[n - 1 : n]]),
-        min(course.visit_boundary, n),
-    )
-
-
 def check_horizon(months) -> int:
     """A horizon or trajectory length: a whole number of months in [1, 24]."""
     if isinstance(months, bool) or not isinstance(months, (int, np.integer)) or not 1 <= months <= 24:
@@ -408,7 +394,7 @@ def _treated_contexts(seq: TokenSequence, arm: Arm, vocab: Vocabulary, months: i
     dosing = [spec for spec in _specs(arm) if isinstance(spec, CategoricalAppend)]
     horizon = course if all(spec.duration == months for spec in dosing) else apply_intervention(seq, arm, vocab)
     per_month = sum(spec.frequency for spec in dosing)
-    return [horizon, *(_course_prefix(course, seq.length + t * per_month) for t in range(1, months + 1))]
+    return [horizon, *(course.take(np.arange(seq.length + t * per_month)) for t in range(1, months + 1))]
 
 
 def _simulate_participant(params, config, vocab, rec, arm, outcome_modality, horizon_months, months, rule):
@@ -494,13 +480,9 @@ def _truncnorm_mass(mean: float, sd: float, low: float, high: float) -> float:
     return 0.5 * (math.erf(b / math.sqrt(2)) - math.erf(a / math.sqrt(2)))
 
 
-def sample_trial_population(
-    trial: TrialSpec,
-    rng: np.random.Generator,
-    vocab: Vocabulary,
-    anchor: datetime = datetime(2021, 3, 1, 9, 0),
-) -> list[ParticipantRecord]:
-    """Draw a synthetic single-visit cohort matching the trial's baseline table.
+def sample_trial_population(trial: TrialSpec, rng: np.random.Generator, vocab: Vocabulary) -> list[ParticipantRecord]:
+    """Draw a synthetic single-visit cohort matching the trial's baseline table,
+    every participant measured at TRIAL_VISIT.
 
     Each variable is a truncated normal realized by rejection sampling; a
     table row named 'age' (absent from the vocabulary) sets chronological age.
@@ -529,11 +511,11 @@ def sample_trial_population(
         age = draw(age_var) if age_var is not None else 55.0
         sex = "female" if i % 2 == 0 else "male"
         events = [
-            Event(anchor, vocab.modality(var.modality).id, draw(var), False)
+            Event(TRIAL_VISIT, vocab.modality(var.modality).id, draw(var), False)
             for var in measured
         ]
         records.append(
-            ParticipantRecord(f"{trial.name}-{i:04d}", age, sex, events, [anchor])
+            ParticipantRecord(f"{trial.name}-{i:04d}", age, sex, events, [TRIAL_VISIT])
         )
     return records
 

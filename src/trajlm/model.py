@@ -62,6 +62,11 @@ class ModelConfig:
                 raise ValueError(f"{name} must be positive")
         if self.cont_pe_dim % 2 or self.d_model % 2:
             raise ValueError("d_model and cont_pe_dim must be even")
+        sizes = self.temporal_vocab_sizes
+        if len(sizes) != 7 or any(s < need for s, need in zip(sizes, TEMPORAL_VOCAB_SIZES)):
+            raise ValueError(
+                f"temporal_vocab_sizes must be 7 table sizes, each at least {TEMPORAL_VOCAB_SIZES}; got {sizes}"
+            )
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -107,10 +112,8 @@ def build_mask(kind, t: int) -> np.ndarray:
         b = kind.boundary
         if b > t:
             raise ValueError(f"split boundary {b} exceeds length {t}")
-        mask = np.zeros((t, t), dtype=bool)
+        mask = np.tril(np.ones((t, t), dtype=bool))
         mask[:, :b] = True
-        for row in range(b, t):
-            mask[row, b : row + 1] = True
         return mask
     if isinstance(kind, ParallelV2):
         n, k = kind.n_ctx, kind.n_targets

@@ -42,7 +42,7 @@ def normal_sf(z: float) -> float:
     return 0.5 * math.erfc(z / math.sqrt(2.0))
 
 
-def pearson_with_ci(x, y, z_crit: float = 1.96):
+def pearson_with_ci(x, y):
     """Pearson r with its t-test p-value and Fisher-Z 95% confidence interval.
 
     Returns (r, p, (ci_low, ci_high)).  The CI needs n >= 4; below that the
@@ -76,7 +76,7 @@ def pearson_with_ci(x, y, z_crit: float = 1.96):
         if abs(r) < 1.0:
             z = math.atanh(r)
             se = 1.0 / math.sqrt(n - 3)
-            ci = (math.tanh(z - z_crit * se), math.tanh(z + z_crit * se))
+            ci = (math.tanh(z - 1.96 * se), math.tanh(z + 1.96 * se))
         else:
             ci = (r, r)
     else:

@@ -1,4 +1,5 @@
 import csv
+import itertools
 import json
 import math
 from concurrent.futures import ProcessPoolExecutor
@@ -586,3 +587,37 @@ class TestTrialRun:
                    "--trials", str(trials), "--out", str(tmp_path / "f.csv")])
         assert rc == 1
         assert "no trial specs" in capsys.readouterr().err
+
+
+class TestProvenance:
+    def test_every_query_csv_names_its_provenance(self, workspace, tmp_path):
+        """Each CSV of the query commands, the trajectory included, leads with
+        the config hash, seed and version."""
+        model = ["--ckpt", str(workspace["ckpt"]), "--vocab", str(workspace["vocab"])]
+        cohort = ["--cohort", str(workspace["cohort"])]
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps(DRUG_SPEC), encoding="utf-8")
+        trials = tmp_path / "trials"
+        trials.mkdir()
+        (trials / "t.json").write_text(json.dumps({
+            "name": "t", "n": 4, "outcome": "t_target", "horizon_months": 6,
+            "table1": [{"modality": "t_target", "mean": 160, "sd": 10, "low": 100, "high": 220}],
+            "arms": [{"kind": "scale", "modalities": ["t_target"], "factor": 0.9}],
+            "published": {"point": -10.0, "ci_low": -15.0, "ci_high": -5.0},
+        }), encoding="utf-8")
+        out = tmp_path / "out"
+        out.mkdir()
+        for argv in (
+            ["eval-ntp", *model, *cohort, "--report", str(out / "ntp.csv")],
+            ["eval-longitudinal", *model, *cohort, "--report", str(out / "long.csv")],
+            ["probe-crossmodal", *model, "--input", "x_core", "--output", "y_double", "--out", str(out / "probe.csv")],
+            ["simulate", *model, *cohort, "--spec", str(spec), "--out", str(out / "sim.csv"), "--trajectory"],
+            ["trial-run", *model, "--trials", str(trials), "--out", str(out / "forest.csv")],
+        ):
+            assert main(argv) == 0, argv[0]
+        written = sorted(p.name for p in out.glob("*.csv"))
+        assert written == ["forest.csv", "long.csv", "long.csv.locf.csv", "ntp.csv", "probe.csv",
+                           "sim.csv", "sim.csv.trajectory.csv"]
+        for name in written:
+            leading = itertools.takewhile(lambda line: line.startswith("# "), (out / name).read_text().splitlines())
+            assert {"config_hash", "seed", "version"} <= {line[2:].split("=", 1)[0] for line in leading}, name

@@ -122,6 +122,42 @@ class TestAssemble:
         assert np.array_equal(seq.times[-1], seq.times[0])
 
 
+class TestTokenSequence:
+    @pytest.fixture
+    def two_visits(self, vocab):
+        v1, v2 = datetime(2022, 5, 2, 9, 0), datetime(2024, 5, 2, 9, 0)
+        events = [Event(v1 + timedelta(hours=i), 0, 10.0 + i, False) for i in range(4)]
+        events += [Event(v2 + timedelta(hours=i), 1, 50.0 + i, False) for i in range(3)]
+        return assemble_sequence(record_with(events, [v1, v2]), vocab, 100)
+
+    @pytest.mark.parametrize(
+        "stream, bad",
+        [("values", np.zeros(2)), ("modalities", np.zeros(7, np.int64)), ("times", np.zeros((8, 6), np.int64)),
+         ("visit_boundary", 8)],
+    )
+    def test_check_raises_naming_the_stream(self, two_visits, stream, bad):
+        setattr(two_visits, stream, bad)
+        with pytest.raises(ValueError, match=stream):
+            two_visits.check()
+
+    def test_take(self, two_visits):
+        """Kept positions keep their streams; the query slot keeps the
+        modality and takes the last kept position's time; the boundary counts
+        the kept visit-1 positions."""
+        seq = two_visits
+        seq.modalities[-1] = 2
+        idx = [0, 2, 4, 5]
+        cut = seq.take(idx)
+        cut.check()
+        assert np.array_equal(cut.tokens, seq.tokens[idx]) and np.array_equal(cut.values, seq.values[idx])
+        assert cut.modalities.tolist() == [0, 0, 1, 1, 2]
+        assert np.array_equal(cut.times, seq.times[[0, 2, 4, 5, 5]])
+        assert cut.visit_boundary == 2
+        empty = seq.take([])
+        assert (empty.length, empty.visit_boundary, empty.modalities.tolist()) == (0, 0, [2])
+        assert np.array_equal(empty.times, seq.times[-1:])
+
+
 class TestAugment:
     @pytest.fixture
     def base(self, vocab):

@@ -177,7 +177,7 @@ class TestBaselines:
     def test_linear_skips_thin_modalities(self, vocab):
         test_records = two_visit_cohort(vocab, n=6)
         train_records = two_visit_cohort(vocab, n=2, seed=9)
-        preds, skipped = baseline_predict("linear", train_records, test_records, vocab, min_train_pairs=5)
+        preds, skipped = baseline_predict("linear", train_records, test_records, vocab)
         assert "wide" in skipped
         assert preds == {}
 

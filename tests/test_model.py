@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from trajlm.checkpoint import MAGIC, load_checkpoint, read_header, save_checkpoint
-from trajlm.corpus import Event, ParticipantRecord, assemble_sequence
+from trajlm.corpus import TEMPORAL_VOCAB_SIZES, Event, ParticipantRecord, assemble_sequence
 from trajlm.model import (
     Causal,
     ModelConfig,
@@ -89,6 +89,13 @@ class TestConfig:
     def test_positivity_enforced(self):
         with pytest.raises(ValueError):
             ModelConfig(vocab_size=0, n_modalities=2)
+
+    @pytest.mark.parametrize(
+        "sizes", [TEMPORAL_VOCAB_SIZES[:6], [*TEMPORAL_VOCAB_SIZES, 2], [7, *TEMPORAL_VOCAB_SIZES[1:]]]
+    )
+    def test_temporal_vocab_sizes_checked(self, sizes):
+        with pytest.raises(ValueError, match="temporal_vocab_sizes"):
+            ModelConfig(vocab_size=10, n_modalities=2, temporal_vocab_sizes=list(sizes))
 
     def test_round_trip_dict(self, config):
         assert ModelConfig.from_dict(config.to_dict()) == config
