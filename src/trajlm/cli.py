@@ -354,13 +354,15 @@ def cmd_eval_longitudinal(args) -> int:
     baselines = [b.strip() for b in args.baselines.split(",") if b.strip()]
     summary: dict = {"model_median_r": report.median_r(), **meta}
     train_records = None
+    # the linear baseline's BMI feature, under the name the eligibility defaults use
+    bmi = "bmi" if any(m.name == "bmi" for m in vocab.modalities) else None
     if args.train_cohort:
         train_records = read_cohort_jsonl(_require_file(args.train_cohort, "train cohort"), vocab)
     for kind in baselines:
         if kind == "linear" and train_records is None:
             print("skipping linear baseline: no --train-cohort given", file=sys.stderr)
             continue
-        preds, skipped = baseline_predict(kind, train_records or [], records, vocab)
+        preds, skipped = baseline_predict(kind, train_records or [], records, vocab, bmi)
         rows = MetricReport()
         comparisons = []
         for m, pool in sorted(pools.items()):

@@ -394,6 +394,8 @@ def baseline_predict(
 
     'locf' copies the V1 value; 'linear' fits per-modality OLS on four discrete
     token features (V1 value token, age, gender, BMI token; 0 when missing).
+    The BMI token is the last pre-V2 token of `bmi_modality` (`eval-longitudinal`
+    passes the vocabulary's `bmi` modality when it has one).
     Returns {modality_id: {pid: prediction}} plus a list of skipped modalities:
     'linear' skips a modality with fewer than 5 training pairs.
     """

@@ -16,16 +16,22 @@ numpy's fixed evaluation order, so results are deterministic for identical
 inputs.  Model parameters live in a `ParamStore`: one flat vector whose
 slices are the tensors' data, and one flat gradient vector that a
 parameter's first gradient write in a backward pass lands in.
+
+Importing this module sets the process's heap policy (`_keep_heap_mapped`):
+every array below 32 MiB comes from a heap that is never trimmed, so each
+pass reuses pages the previous pass faulted in.
 """
 
 from __future__ import annotations
 
+import ctypes
 import itertools
 import math
 import operator
+import os
+import platform
 
 import numpy as np
-from scipy.special import erf as _erf
 
 __all__ = [
     "Tensor",
@@ -58,6 +64,38 @@ __all__ = [
 
 _INV_SQRT2 = 1.0 / math.sqrt(2.0)
 _SQRT_2_OVER_PI = math.sqrt(2.0 / math.pi)
+
+# glibc's mallopt parameters (malloc.h) and the values set for them
+_M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3
+_MMAP_THRESHOLD = 32 << 20  # glibc's ceiling for its dynamic threshold on 64-bit
+_TRIM_THRESHOLD = 1 << 30
+
+
+def _keep_heap_mapped() -> bool:
+    """Serve every allocation below 32 MiB from a heap that is never trimmed.
+
+    glibc's default policy moves its mmap threshold with each large free and
+    returns heap pages to the kernel once 128 KiB lie free at the top, so how
+    often a pass faults its tape in depended on what the process happened to
+    import.  Fixing both thresholds keeps the tape's freed pages mapped for
+    the next pass.  Returns whether the policy was applied: not off glibc,
+    not when the process was started with glibc's own `MALLOC_MMAP_THRESHOLD_`
+    or `MALLOC_TRIM_THRESHOLD_`, and not when `mallopt` refuses a value.
+    """
+    if platform.libc_ver()[0] != "glibc":
+        return False
+    if "MALLOC_MMAP_THRESHOLD_" in os.environ or "MALLOC_TRIM_THRESHOLD_" in os.environ:
+        return False
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (OSError, AttributeError):
+        return False
+    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
+    mallopt.restype = ctypes.c_int
+    return bool(mallopt(_M_MMAP_THRESHOLD, _MMAP_THRESHOLD)) and bool(mallopt(_M_TRIM_THRESHOLD, _TRIM_THRESHOLD))
+
+
+_HEAP_POLICY = _keep_heap_mapped()
 
 
 class Tensor:
@@ -347,7 +385,9 @@ def gelu(a: Tensor) -> Tensor:
     """GELU: exact erf form in double, tanh approximation in single."""
     x = a.data
     if x.dtype == np.float64:
-        phi = 0.5 * (1.0 + _erf(x * _INV_SQRT2))
+        from scipy.special import erf  # here, so float32 passes never import scipy.special
+
+        phi = 0.5 * (1.0 + erf(x * _INV_SQRT2))
         y = x * phi
 
         def bw(g):
@@ -423,17 +463,12 @@ def layer_norm(a: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
     return _node(xhat * gain.data + bias.data, (a, gain, bias), bw)
 
 
-def _table_ids(table: Tensor, ids) -> np.ndarray:
+def embedding(table: Tensor, ids) -> Tensor:
     ids = np.asarray(ids, dtype=np.int64)
     if ids.size and (ids.min() < 0 or ids.max() >= table.data.shape[0]):
         raise IndexError(
             f"embedding index out of range: [{ids.min()}, {ids.max()}] vs table {table.data.shape[0]}"
         )
-    return ids
-
-
-def embedding(table: Tensor, ids) -> Tensor:
-    ids = _table_ids(table, ids)
     return _node(table.data[ids], (table,), lambda g: _accum_at(table, ids, g))
 
 
@@ -443,7 +478,15 @@ def embedding_sum(tables, ids) -> Tensor:
     ids = np.asarray(ids, dtype=np.int64)
     if ids.ndim != 2 or ids.shape[1] != len(tables):
         raise ValueError(f"embedding_sum needs one id column per table ({len(tables)}), got ids of shape {ids.shape}")
-    cols = [_table_ids(table, ids[:, j]) for j, table in enumerate(tables)]
+    sizes = np.array([table.data.shape[0] for table in tables], dtype=np.uint64)
+    bad = ids.view(np.uint64) >= sizes  # a negative id wraps past every size
+    if bad.any():
+        j = int(bad.any(axis=0).argmax())
+        raise IndexError(
+            f"embedding index out of range in id column {j}: {np.unique(ids[bad[:, j], j]).tolist()} "
+            f"vs table {sizes[j]}"
+        )
+    cols = list(ids.T)
     y = tables[0].data[cols[0]]
     for table, col in zip(tables[1:], cols[1:]):
         y += table.data[col]

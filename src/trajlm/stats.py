@@ -7,7 +7,6 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy import special
 
 __all__ = [
     "betainc_reg",
@@ -25,7 +24,9 @@ def betainc_reg(a: float, b: float, x: float) -> float:
     """Regularized incomplete beta I_x(a, b)."""
     if not 0.0 <= x <= 1.0:
         raise ValueError(f"x must be in [0, 1], got {x}")
-    return float(special.betainc(a, b, x))
+    from scipy.special import betainc  # here: importing scipy.special costs about 0.2 s
+
+    return float(betainc(a, b, x))
 
 
 def student_t_p_value(t: float, df: float) -> float:

@@ -221,6 +221,26 @@ class TestEval:
         assert report.exists()
         assert (tmp_path / "long.csv.locf.csv").exists()
 
+    def test_eval_longitudinal_feeds_a_bmi_modality_to_the_linear_baseline(self, workspace, tmp_path, monkeypatch):
+        """The linear baseline gets `bmi_modality="bmi"` when the vocabulary
+        has that modality, and None otherwise (the synthetic vocabulary)."""
+        seen = []
+        baseline_predict = cli.baseline_predict
+        monkeypatch.setattr(cli, "baseline_predict", lambda *a: seen.append((a[0], a[4:])) or baseline_predict(*a))
+        renamed = {}
+        for key in ("cohort", "vocab"):
+            renamed[key] = tmp_path / workspace[key].name
+            renamed[key].write_text(workspace[key].read_text().replace('"aux_1"', '"bmi"'), encoding="utf-8")
+        ckpt = tmp_path / "bmi.ckpt"
+        assert main(["train", "--cohort", str(renamed["cohort"]), "--vocab", str(renamed["vocab"]),
+                     "--config", str(workspace["root"] / "train.cfg"), "--out", str(ckpt),
+                     "--log", str(tmp_path / "log.csv")]) == 0
+        for model in ((workspace["ckpt"], workspace["cohort"], workspace["vocab"]), (ckpt, *renamed.values())):
+            assert main(["eval-longitudinal", "--ckpt", str(model[0]), "--cohort", str(model[1]),
+                         "--vocab", str(model[2]), "--baselines", "locf,linear", "--train-cohort", str(model[1]),
+                         "--report", str(tmp_path / "long.csv")]) == 0
+        assert seen == [("locf", (None,)), ("linear", (None,)), ("locf", ("bmi",)), ("linear", ("bmi",))]
+
     def test_vocab_hash_mismatch_fails_before_inference(self, workspace, tmp_path, capsys):
         other_vocab = tmp_path / "other_vocab.json"
         assert main(["synth", "--seed", "123", "--participants", "6",

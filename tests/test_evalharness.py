@@ -181,6 +181,32 @@ class TestBaselines:
         assert "wide" in skipped
         assert preds == {}
 
+    def test_linear_fits_on_the_bmi_token_when_named(self, monkeypatch):
+        rng = np.random.default_rng(11)
+        vocab = build_vocabulary(
+            [
+                RawModality("wide", "continuous", values=list(rng.normal(100, 10, 600)), bin_count=8),
+                RawModality("bmi", "continuous", values=list(rng.normal(28, 4, 600)), bin_count=8),
+            ]
+        )
+        t0 = datetime(2021, 1, 4, 9, 0)
+        v2 = t0 + timedelta(days=730)
+        records = []
+        for i in range(40):
+            base, bmi = float(rng.normal(100, 10)), float(rng.normal(28, 4))
+            events = [Event(t0, 0, base), Event(t0, 1, bmi), Event(v2, 0, base + 3.0 * (bmi - 28.0))]
+            records.append(ParticipantRecord(f"p{i}", 50.0, "female", events, [t0, v2]))
+        designs = []
+        lstsq = np.linalg.lstsq
+        monkeypatch.setattr(np.linalg, "lstsq", lambda a, b, rcond: designs.append(a) or lstsq(a, b, rcond=rcond))
+        without, _ = baseline_predict("linear", records, records, vocab)
+        with_bmi, _ = baseline_predict("linear", records, records, vocab, bmi_modality="bmi")
+        # design columns: intercept, V1 token, age, sex, BMI token
+        assert len(designs) == 2
+        assert not designs[0][:, 4].any()
+        assert designs[1][:, 4].min() > 0
+        assert with_bmi[0] != without[0]
+
     def test_unknown_kind(self, vocab):
         with pytest.raises(ValueError, match="unknown baseline"):
             baseline_predict("mean", [], [], vocab)

@@ -1,14 +1,84 @@
 import gc
 import math
+import os
 import pickle
+import platform
+import subprocess
+import sys
 import tracemalloc
+import types
 import weakref
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from trajlm import numerics as nm
 from trajlm.model import Causal, ParallelV2, SplitContext, build_mask
+
+
+SRC = str(Path(nm.__file__).resolve().parents[1])
+GLIBC_VARS = ("MALLOC_MMAP_THRESHOLD_", "MALLOC_TRIM_THRESHOLD_")
+
+
+def run_python(code, **env):
+    """Run `code` in a fresh interpreter that imports trajlm from this tree; its stdout."""
+    env = {k: v for k, v in os.environ.items() if k not in GLIBC_VARS} | {"PYTHONPATH": SRC} | env
+    return subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True).stdout
+
+
+class TestHeapPolicy:
+    @pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="the policy is glibc's mallopt")
+    def test_applied_on_glibc(self):
+        assert run_python("import trajlm.numerics as nm; print(nm._HEAP_POLICY)") == "True\n"
+        if not any(v in os.environ for v in GLIBC_VARS):
+            assert nm._HEAP_POLICY is True
+            assert nm._keep_heap_mapped() is True  # setting it again is harmless
+
+    @pytest.mark.parametrize("var", GLIBC_VARS)
+    def test_glibc_variable_at_start_up_wins(self, var):
+        assert run_python("import trajlm.numerics as nm; print(nm._HEAP_POLICY)", **{var: "131072"}) == "False\n"
+
+    def mallopt_calls(self, monkeypatch, returns=1):
+        calls = []
+
+        def mallopt(param, value):
+            calls.append((param, value))
+            return returns
+
+        for var in GLIBC_VARS:
+            monkeypatch.delenv(var, raising=False)
+        monkeypatch.setattr(nm.ctypes, "CDLL", lambda name: types.SimpleNamespace(mallopt=mallopt))
+        return calls
+
+    def test_off_glibc_mallopt_is_not_called(self, monkeypatch):
+        calls = self.mallopt_calls(monkeypatch)
+        monkeypatch.setattr(platform, "libc_ver", lambda *a, **k: ("musl", "1.2"))
+        assert nm._keep_heap_mapped() is False
+        assert calls == []
+
+    def test_refused_value_reports_not_applied(self, monkeypatch):
+        calls = self.mallopt_calls(monkeypatch, returns=0)
+        monkeypatch.setattr(platform, "libc_ver", lambda *a, **k: ("glibc", "2.36"))
+        assert nm._keep_heap_mapped() is False
+        assert calls == [(-3, 32 << 20)]
+
+
+def test_cli_import_leaves_scipy_special_unloaded():
+    """Only float64 GELU and the t-test's incomplete beta need scipy.special,
+    and each imports it when called; both still match closed forms then."""
+    out = run_python(
+        "import sys, math\n"
+        "import numpy as np\n"
+        "import trajlm.cli\n"
+        "from trajlm import numerics as nm, stats\n"
+        "print('scipy.special' in sys.modules)\n"
+        "x = np.linspace(-4, 4, 33)\n"
+        "want = [0.5 * v * (1 + math.erf(v / math.sqrt(2))) for v in x]\n"
+        "print(max(abs(a - b) for a, b in zip(nm.gelu(nm.constant(x)).data, want)) < 1e-15)\n"
+        "print(abs(stats.betainc_reg(1.0, 3.0, 0.3) - (1 - 0.7 ** 3)) < 1e-15)\n"
+    )
+    assert out.split() == ["False", "True", "True"]
 
 
 def randt(rng, *shape, grad=True):
@@ -634,6 +704,15 @@ class TestFusedOps:
             nm.embedding_sum(tables, TABLE_IDS)
         with pytest.raises(IndexError, match="out of range"):
             nm.embedding_sum(tables, [[0, 3]])
+
+    @pytest.mark.parametrize("bad, column, listed", [(7, 2, r"\[7\]"), (-1, 1, r"\[-1\]")])
+    def test_embedding_sum_names_a_bad_id_in_any_column(self, bad, column, listed):
+        tables = [nm.constant(np.zeros((n, 2))) for n in (3, 4, 5)]
+        ids = TABLE_IDS.copy()
+        ids[1:3, column] = bad
+        size = tables[column].shape[0]
+        with pytest.raises(IndexError, match=rf"column {column}: {listed} vs table {size}"):
+            nm.embedding_sum(tables, ids)
 
     @pytest.mark.parametrize("dtype", [np.float64, np.float32])
     def test_flat_scatter_is_add_at_over_rows_bitwise(self, dtype):
