@@ -72,10 +72,17 @@ def _require_file(path, what: str) -> str:
 
 
 def _load_json(path, what: str):
+    """The JSON document at `path`; reading a key missing from any of its
+    objects raises a CliError naming the file and the key."""
     _require_file(path, what)
+
+    class SpecObject(dict):
+        def __missing__(self, key):
+            raise CliError(f"{what} {path!r} has no key {key!r}")
+
     try:
         with open(path, encoding="utf-8") as f:
-            return json.load(f)
+            return json.load(f, object_hook=SpecObject)
     except json.JSONDecodeError as e:
         raise CliError(f"malformed JSON in {what} {path!r}: {e}") from e
 
@@ -268,11 +275,12 @@ def build_configs(flat: dict[str, str], vocab) -> tuple[ModelConfig, LossConfig,
             raise CliError(f"unknown config key {key!r}")
         bucket, name, conv = _CONFIG_KEYS[key]
         buckets[bucket][name] = conv(value)
-    gamma = buckets["train"].pop("_gamma", None)
+    train_kw = buckets["train"]
+    gamma = train_kw.pop("_gamma", None)
+    if gamma is not None:
+        train_kw.setdefault("min_lr", gamma * train_kw.get("peak_lr", TrainConfig.peak_lr))
     model = ModelConfig(vocab_size=vocab.total_tokens, n_modalities=vocab.n_modalities, **buckets["model"])
-    train_cfg = TrainConfig(**buckets["train"])
-    if gamma is not None and "min_lr" not in buckets["train"]:
-        train_cfg.min_lr = gamma * train_cfg.peak_lr
+    train_cfg = TrainConfig(**train_kw)
     loss = LossConfig(**buckets["loss"])
     aug = AugmentConfig(**buckets["aug"])
     return model, train_cfg, loss, aug
@@ -330,12 +338,12 @@ def cmd_eval_ntp(args) -> int:
     params, config, header, vocab = _load_model(args.ckpt, args.vocab)
     records = read_cohort_jsonl(_require_file(args.cohort, "cohort"), vocab)
     parts = map_participants(partial(within_visit_pools, params, config, vocab), records, args.workers)
-    report = _metrics_from_pools(merge_pools(p[0] for p in parts), merge_pools(p[1] for p in parts), vocab)
+    report = _metrics_from_pools(merge_pools(p[0] for p in parts), vocab)
     meta = _meta(header["meta"].get("seed", ""), header["meta"].get("config_hash", ""))
     write_metric_csv(report, args.report, meta)
     if args.json:
         _write_json(args.json, {"median_r": report.median_r(), "n_modalities": len(report.rows), **meta})
-    scored = sum(p[2] for p in parts)
+    scored = sum(p[1] for p in parts)
     print(
         f"within-visit report on {scored} participants, {len(records) - scored} skipped (fewer than 2 tokens) "
         f"-> {args.report} (median r {report.median_r():.3f})"
@@ -347,7 +355,7 @@ def cmd_eval_longitudinal(args) -> int:
     params, config, header, vocab = _load_model(args.ckpt, args.vocab)
     records = read_cohort_jsonl(_require_file(args.cohort, "cohort"), vocab)
     pools = merge_pools(map_participants(partial(longitudinal_pools, params, config, vocab), records, args.workers))
-    report = _metrics_from_pools({m: (p[1], p[2]) for m, p in pools.items()}, {}, vocab)
+    report = _metrics_from_pools({m: (p[1], p[2]) for m, p in pools.items()}, vocab)
     meta = _meta(header["meta"].get("seed", ""), header["meta"].get("config_hash", ""))
     write_metric_csv(report, args.report, meta)
 
@@ -556,90 +564,60 @@ def make_parser() -> argparse.ArgumentParser:
     p.add_argument("--version", action="version", version=f"trajlm {__version__}")
     sub = p.add_subparsers(dest="command", required=True)
 
-    s = sub.add_parser("synth", help="generate the planted-truth synthetic cohort")
+    def command(name, func, help, *required):
+        """A subcommand running `func`, with a required `--flag` per name in `required`."""
+        s = sub.add_parser(name, help=help)
+        s.set_defaults(func=func)
+        for flag in required:
+            s.add_argument(f"--{flag}", required=True)
+        return s
+
+    s = command("synth", cmd_synth, "generate the planted-truth synthetic cohort", "out")
     s.add_argument("--seed", type=int, default=None)
     s.add_argument("--participants", type=int, default=500)
-    s.add_argument("--out", required=True)
     s.add_argument("--truth")
     s.add_argument("--vocab-out")
-    s.set_defaults(func=cmd_synth)
 
-    s = sub.add_parser("build-vocab", help="fit the tokenizer on a cohort file")
-    s.add_argument("--cohort", required=True)
-    s.add_argument("--out", required=True)
-    s.set_defaults(func=cmd_build_vocab)
+    command("build-vocab", cmd_build_vocab, "fit the tokenizer on a cohort file", "cohort", "out")
 
-    s = sub.add_parser("tokenize", help="emit token streams for a cohort")
-    s.add_argument("--cohort", required=True)
-    s.add_argument("--vocab", required=True)
-    s.add_argument("--out", required=True)
+    s = command("tokenize", cmd_tokenize, "emit token streams for a cohort", "cohort", "vocab", "out")
     s.add_argument("--max-len", type=int, default=25_000)
-    s.set_defaults(func=cmd_tokenize)
 
-    s = sub.add_parser("train", help="train a model")
-    s.add_argument("--cohort", required=True)
-    s.add_argument("--vocab", required=True)
-    s.add_argument("--config", required=True)
-    s.add_argument("--out", required=True)
+    s = command("train", cmd_train, "train a model", "cohort", "vocab", "config", "out")
     s.add_argument("--log")
     s.add_argument("--seed", type=int, default=None)
-    s.set_defaults(func=cmd_train)
 
-    s = sub.add_parser("eval-ntp", help="within-visit next-token evaluation")
-    s.add_argument("--ckpt", required=True)
-    s.add_argument("--cohort", required=True)
-    s.add_argument("--vocab", required=True)
-    s.add_argument("--report", required=True)
+    s = command("eval-ntp", cmd_eval_ntp, "within-visit next-token evaluation", "ckpt", "cohort", "vocab", "report")
     s.add_argument("--json")
     s.add_argument("--workers", type=int, default=1)
-    s.set_defaults(func=cmd_eval_ntp)
 
-    s = sub.add_parser("eval-longitudinal", help="visit-1 to visit-2 evaluation")
-    s.add_argument("--ckpt", required=True)
-    s.add_argument("--cohort", required=True)
-    s.add_argument("--vocab", required=True)
-    s.add_argument("--report", required=True)
+    s = command(
+        "eval-longitudinal", cmd_eval_longitudinal, "visit-1 to visit-2 evaluation", "ckpt", "cohort", "vocab", "report"
+    )
     s.add_argument("--baselines", default="locf")
     s.add_argument("--train-cohort")
     s.add_argument("--json")
     s.add_argument("--workers", type=int, default=1)
-    s.set_defaults(func=cmd_eval_longitudinal)
 
-    s = sub.add_parser("probe-crossmodal", help="2-position conditional probe")
-    s.add_argument("--ckpt", required=True)
-    s.add_argument("--vocab", required=True)
-    s.add_argument("--input", required=True)
-    s.add_argument("--output", required=True)
+    s = command(
+        "probe-crossmodal", cmd_probe_crossmodal, "2-position conditional probe", "ckpt", "vocab", "input", "output", "out"
+    )
     s.add_argument("--time", default="2022-01-03T09:00:00")
-    s.add_argument("--out", required=True)
     s.add_argument("--plot")
-    s.set_defaults(func=cmd_probe_crossmodal)
 
-    s = sub.add_parser("simulate", help="intervention-conditioned arm simulation")
-    s.add_argument("--ckpt", required=True)
-    s.add_argument("--vocab", required=True)
-    s.add_argument("--cohort", required=True)
-    s.add_argument("--spec", required=True)
-    s.add_argument("--out", required=True)
+    s = command(
+        "simulate", cmd_simulate, "intervention-conditioned arm simulation", "ckpt", "vocab", "cohort", "spec", "out"
+    )
     s.add_argument("--trajectory", action="store_true")
     s.add_argument("--plot")
     s.add_argument("--seed", type=int, default=None)
     s.add_argument("--workers", type=int, default=1)
-    s.set_defaults(func=cmd_simulate)
 
-    s = sub.add_parser("trial-run", help="synthetic-population trial concordance")
-    s.add_argument("--ckpt", required=True)
-    s.add_argument("--vocab", required=True)
-    s.add_argument("--trials", required=True)
-    s.add_argument("--out", required=True)
+    s = command("trial-run", cmd_trial_run, "synthetic-population trial concordance", "ckpt", "vocab", "trials", "out")
     s.add_argument("--plot")
     s.add_argument("--seed", type=int, default=None)
-    s.set_defaults(func=cmd_trial_run)
 
-    s = sub.add_parser("inspect-checkpoint", help="print the parameter manifest")
-    s.add_argument("--ckpt", required=True)
-    s.set_defaults(func=cmd_inspect_checkpoint)
-
+    command("inspect-checkpoint", cmd_inspect_checkpoint, "print the parameter manifest", "ckpt")
     return p
 
 

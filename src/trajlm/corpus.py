@@ -9,6 +9,7 @@ trailing entry so the position after the last token can hold a query.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from datetime import datetime
 
@@ -321,11 +322,16 @@ def read_cohort_jsonl(path, vocab: Vocabulary) -> list[ParticipantRecord]:
                     )
                     for ev in doc["events"]
                 ]
+                age, sex = float(doc["age"]), doc.get("sex", "unknown")
+                if not math.isfinite(age):
+                    raise ValueError(f"age must be finite, got {doc['age']!r}")
+                if sex not in SEX_INDEX:
+                    raise ValueError(f"sex must be one of {', '.join(SEX_INDEX)}, got {sex!r}")
                 records.append(
                     ParticipantRecord(
                         participant_id=doc["id"],
-                        age=float(doc["age"]),
-                        sex=doc.get("sex", "unknown"),
+                        age=age,
+                        sex=sex,
                         events=events,
                         visit_timestamps=[datetime.fromisoformat(v) for v in doc.get("visits", [])],
                     )

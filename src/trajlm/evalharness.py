@@ -19,7 +19,6 @@ from .model import (
     ParallelV2,
     build_mask,
     forward,
-    parallel_v2_layout,
     value_scale_table,
 )
 from .numerics import Tensor
@@ -29,6 +28,7 @@ from .vocab import CATEGORICAL, CONTINUOUS, Vocabulary, encode_value
 __all__ = [
     "ModalityMetrics",
     "MetricReport",
+    "decode_block",
     "decode_expected",
     "topk_accuracy",
     "eval_within_visit",
@@ -71,64 +71,81 @@ class MetricReport:
         return float(np.median(rs)) if rs else math.nan
 
 
+def decode_block(block, widths, mids, truth=None):
+    """Decode a ranged output-head block, as `forward(..., head=...)` returns it.
+
+    Row i holds the logits of one modality's widths[i] tokens; the columns
+    past widths[i] are padding and count as absent.  Returns (expected,
+    ranks): expected[i] is the float64 softmax over the row's own entries
+    times mids[i], the row's bin midpoints; ranks[i] is the number of the
+    row's entries that beat entry truth[i], ties going to the lower token
+    id, so truth[i] is in the top K exactly when ranks[i] < K (None when
+    truth is).  The sums run left to right, so the padding's zeros come last
+    and change nothing: a row decodes bitwise the same in a block of any
+    width.
+    """
+    z = np.array(block, dtype=np.float64)
+    col = np.arange(z.shape[1])
+    z[col >= np.asarray(widths)[:, None]] = -np.inf
+    p = np.exp(z - z.max(axis=1, keepdims=True))
+    p /= np.cumsum(p, axis=1)[:, -1:]
+    expected = np.cumsum(p * mids, axis=1)[:, -1]
+    if truth is None:
+        return expected, None
+    truth = np.asarray(truth, dtype=np.int64)
+    t = z[np.arange(len(z)), truth][:, None]
+    return expected, np.sum((z > t) | ((z == t) & (col < truth[:, None])), axis=1)
+
+
+def _continuous_ranges(vocab: Vocabulary, modality_ids):
+    """vocab.head_ranges of continuous modalities only."""
+    for spec in (vocab.modalities[m] for m in modality_ids):
+        if spec.kind != CONTINUOUS:
+            raise ValueError(f"modality {spec.name!r} is categorical: use top-K accuracy")
+    return vocab.head_ranges(modality_ids)
+
+
 def decode_expected(logits_row: np.ndarray, vocab: Vocabulary, modality_id: int) -> float:
-    """Probability-weighted mean of bin midpoints, restricted to the modality."""
-    spec = vocab.modalities[modality_id]
-    if spec.kind != CONTINUOUS:
-        raise ValueError(f"modality {spec.name!r} is categorical: use top-K accuracy")
-    a, b = vocab.token_range(modality_id)
-    z = np.asarray(logits_row, dtype=np.float64)[a : b + 1]
-    z = z - z.max()
-    p = np.exp(z)
-    p /= p.sum()
-    return float(p @ np.asarray(spec.midpoints))
+    """Probability-weighted mean of bin midpoints of one full-width logits row (decode_block)."""
+    starts, widths, mids = _continuous_ranges(vocab, [modality_id])
+    row = np.asarray(logits_row)[starts[0] : starts[0] + widths[0]]
+    return float(decode_block(row[None], widths, mids)[0][0])
 
 
 def topk_accuracy(logit_rows, true_categories, vocab: Vocabulary, modality_id: int, k: int) -> float:
-    """Fraction of rows whose true category ranks in the top K within the
-    modality's range; ties resolve toward the lower token id."""
+    """Fraction of full-width logits rows whose true category ranks in the top K
+    of the modality's range (decode_block's ranks: ties go to the lower token id)."""
     spec = vocab.modalities[modality_id]
     if spec.kind != CATEGORICAL:
         raise ValueError(f"modality {spec.name!r} is continuous: use expected-value decoding")
-    a, b = vocab.token_range(modality_id)
-    width = b - a + 1
+    width = spec.n_tokens
     if k > width:
         raise ValueError(f"K={k} exceeds the {width}-token range of {spec.name!r}")
-    rows = np.atleast_2d(np.asarray(logit_rows, dtype=np.float64))[:, a : b + 1]
-    truth = np.asarray(true_categories, dtype=np.int64)
-    hits = 0
-    for i in range(rows.shape[0]):
-        top = np.argsort(-rows[i], kind="stable")[:k]
-        hits += int(truth[i] in top)
-    return hits / rows.shape[0]
+    rows = np.atleast_2d(np.asarray(logit_rows))[:, spec.cum_base : spec.cum_base + width]
+    _, ranks = decode_block(rows, np.full(len(rows), width), np.zeros(rows.shape), true_categories)
+    return float(np.mean(ranks < k))
 
 
-def _metrics_from_pools(cont_pool, cat_pool, vocab: Vocabulary) -> MetricReport:
+def _metrics_from_pools(pools, vocab: Vocabulary) -> MetricReport:
+    """Per-modality metrics, continuous modalities first: Pearson r of a
+    (prediction, truth) pool, top-1 and top-5 of a categorical (rank, truth) one."""
     report = MetricReport()
-    for m in sorted(cont_pool):
-        preds, trues = cont_pool[m]
+    for m in sorted(pools, key=lambda m: (vocab.modalities[m].kind != CONTINUOUS, m)):
+        got, trues = pools[m]
         spec = vocab.modalities[m]
-        n = len(preds)
-        if n < 2:
+        row = ModalityMetrics(m, spec.name, spec.kind, len(got))
+        if spec.kind != CONTINUOUS:
+            ranks = np.asarray(got)
+            row.top1, row.top5 = (float(np.mean(ranks < k)) for k in (1, min(5, spec.n_tokens)))
+        elif len(got) < 2:
             continue
-        row = ModalityMetrics(m, spec.name, spec.kind, n)
-        try:
-            r, p, ci = pearson_with_ci(preds, trues)
-            row.r, row.p, row.ci_low, row.ci_high = r, p, ci[0], ci[1]
-        except ValueError:
-            pass
+        else:
+            try:
+                r, p, ci = pearson_with_ci(got, trues)
+                row.r, row.p, row.ci_low, row.ci_high = r, p, ci[0], ci[1]
+            except ValueError:
+                pass
         report.rows.append(row)
-    for m in sorted(cat_pool):
-        rows, trues = cat_pool[m]
-        spec = vocab.modalities[m]
-        n = len(trues)
-        if n < 1:
-            continue
-        width = spec.n_tokens
-        metric = ModalityMetrics(m, spec.name, spec.kind, n)
-        metric.top1 = topk_accuracy(rows, trues, vocab, m, 1)
-        metric.top5 = topk_accuracy(rows, trues, vocab, m, min(5, width))
-        report.rows.append(metric)
     return report
 
 
@@ -138,34 +155,34 @@ def within_visit_pools(
     vocab: Vocabulary,
     records: list[ParticipantRecord],
 ):
-    """Per-modality (prediction, truth) pools under the causal mask, plus the
-    number of participants scored (a sequence shorter than 2 tokens has no
-    target and is skipped)."""
+    """Per-modality pools under the causal mask, (expected value, true value)
+    for a continuous modality and (rank, index) of the true category for a
+    categorical one, plus the number of participants scored (a sequence
+    shorter than 2 tokens has no target and is skipped).  Each pass computes
+    only row j - 1 at the range of target j's modality."""
     scales = value_scale_table(vocab)
-    cont_pool: dict[int, tuple[list, list]] = {}
-    cat_pool: dict[int, tuple[list, list]] = {}
+    pools: dict[int, tuple[list, list]] = {}
     scored = 0
     for rec in records:
         seq = assemble_sequence(rec, vocab, config.max_seq_len)
         if seq.length < 2:
             continue
         scored += 1
-        logits = forward(
+        mods = seq.modalities[1 : seq.length]
+        starts, widths, mids = vocab.head_ranges(mods)
+        block = forward(
             params, config, seq.tokens, seq.values, seq.modalities, seq.times,
             rec.age, rec.sex, build_mask(Causal(), seq.length), scales,
+            head=(np.arange(seq.length - 1), starts, widths),
         ).data
-        for j in range(1, seq.length):
-            m = int(seq.modalities[j])
-            spec = vocab.modalities[m]
-            if spec.kind == CONTINUOUS:
-                pool = cont_pool.setdefault(m, ([], []))
-                pool[0].append(decode_expected(logits[j - 1], vocab, m))
-                pool[1].append(float(seq.values[j]))
-            else:
-                pool = cat_pool.setdefault(m, ([], []))
-                pool[0].append(logits[j - 1])
-                pool[1].append(int(seq.tokens[j]) - spec.cum_base)
-    return cont_pool, cat_pool, scored
+        truth = seq.tokens[1:] - starts
+        expected, ranks = decode_block(block, widths, mids, truth)
+        for i, m in enumerate(mods.tolist()):
+            cont = vocab.modalities[m].kind == CONTINUOUS
+            pool = pools.setdefault(m, ([], []))
+            pool[0].append(float(expected[i]) if cont else int(ranks[i]))
+            pool[1].append(float(seq.values[i + 1]) if cont else int(truth[i]))
+    return pools, scored
 
 
 def merge_pools(parts):
@@ -173,9 +190,7 @@ def merge_pools(parts):
     merged: dict[int, tuple] = {}
     for part in parts:
         for m, lists in part.items():
-            if m not in merged:
-                merged[m] = tuple([] for _ in lists)
-            for dst, src in zip(merged[m], lists):
+            for dst, src in zip(merged.setdefault(m, tuple([] for _ in lists)), lists):
                 dst.extend(src)
     return merged
 
@@ -187,8 +202,7 @@ def eval_within_visit(
     records: list[ParticipantRecord],
 ) -> MetricReport:
     """Next-token prediction under the causal mask, aggregated per modality."""
-    cont_pool, cat_pool, _ = within_visit_pools(params, config, vocab, records)
-    return _metrics_from_pools(cont_pool, cat_pool, vocab)
+    return _metrics_from_pools(within_visit_pools(params, config, vocab, records)[0], vocab)
 
 
 def _visit_values(rec: ParticipantRecord, vocab: Vocabulary):
@@ -249,43 +263,31 @@ def predict_queries(
     answered from the first n context positions only, as if the sequence
     ended there.
     """
-    n = seq.length
-    k = len(queries)
+    n, k = seq.length, len(queries)
     if n == 0 or k == 0:
         return []
     lens = tuple(q[2] if len(q) > 2 else n for q in queries)
-    probes, preds = parallel_v2_layout(n, k)
-    t = n + 2 * k
-    pad_mod = vocab.n_modalities
-
-    tokens = np.full(t, vocab.pad_token, dtype=np.int64)
-    tokens[:n] = seq.tokens
-    values = np.zeros(t, dtype=np.float64)
-    values[:n] = seq.values
-    mods = np.full(t + 1, pad_mod, dtype=np.int64)
-    mods[:n] = seq.modalities[:n]
-    times = np.zeros((t + 1, 7), dtype=np.int64)
-    times[:n] = seq.times[:n]
-    times[n:] = seq.times[n - 1]
-
-    q_mods = np.full(t, pad_mod, dtype=np.int64)
-    q_times = times[1 : t + 1].copy()
-    pos_ids = np.concatenate([np.arange(n), np.repeat(lens, 2) + np.tile([0, 1], k)])
-
-    for i, (m, when, *_) in enumerate(queries):
-        tf = time_features(when)
-        for slot in (probes[i], preds[i]):
-            mods[slot] = m
-            times[slot] = tf
-        q_mods[preds[i]] = m
-        q_times[preds[i]] = tf
-
-    logits = forward(
-        params, config, tokens, values, mods, times, age, sex,
-        build_mask(ParallelV2(n, k, lens), t), value_scale_table(vocab),
-        query_modalities=q_mods, query_times=q_times, pos_ids=pos_ids, head=(preds, None, None),
-    ).data
-    return [decode_expected(logits[i], vocab, q[0]) for i, q in enumerate(queries)]
+    q_ids = [q[0] for q in queries]
+    starts, widths, mids = _continuous_ranges(vocab, q_ids)
+    q_times = np.array([time_features(q[1]) for q in queries], dtype=np.int64)
+    # Each query's modality and time fill its probe and prediction slots, and
+    # the query streams of its prediction slot preds[i]; the head reads no other row.
+    preds = n + 1 + 2 * np.arange(k)
+    mods = np.concatenate([seq.modalities[:n], np.repeat(q_ids, 2), [vocab.n_modalities]])
+    times = np.concatenate([seq.times[:n], np.repeat(q_times, 2, axis=0), seq.times[n - 1 : n]])
+    query_mods, query_times = mods[1:].copy(), times[1:].copy()
+    query_mods[preds], query_times[preds] = q_ids, q_times
+    # A query alone with its modality has its head row asked for twice: BLAS rounds a
+    # one-row product differently, and no answer may depend on companions' modalities.
+    _, group, size = np.unique(q_ids, return_inverse=True, return_counts=True)
+    head = tuple(np.append(x, x[size[group] == 1]) for x in (preds, starts, widths))
+    block = forward(
+        params, config, np.append(seq.tokens, [vocab.pad_token] * (2 * k)), np.append(seq.values, np.zeros(2 * k)),
+        mods, times, age, sex, build_mask(ParallelV2(n, k, lens), n + 2 * k), value_scale_table(vocab),
+        query_modalities=query_mods, query_times=query_times, head=head,
+        pos_ids=np.concatenate([np.arange(n), np.repeat(lens, 2) + np.tile([0, 1], k)]),
+    ).data[:k]
+    return decode_block(block, widths, mids)[0].tolist()
 
 
 def _is_prefix(short, long) -> bool:
@@ -357,8 +359,8 @@ def longitudinal_pools(
         if not targets:
             continue
         mods = sorted(targets)
-        queries = [(m, targets[m][0]) for m in mods]
-        predictions = predict_queries(params, config, vocab, seq, rec.age, rec.sex, queries)
+        requests = [(seq, m, targets[m][0]) for m in mods]
+        predictions = plan_queries(params, config, vocab, rec.age, rec.sex, requests)
         for m, pred in zip(mods, predictions):
             pool = pools.setdefault(m, ([], [], []))
             pool[0].append(rec.participant_id)
@@ -379,8 +381,7 @@ def eval_longitudinal(
     so baselines can be scored on identical participant sets.
     """
     pools = longitudinal_pools(params, config, vocab, records)
-    report = _metrics_from_pools({m: (p[1], p[2]) for m, p in pools.items()}, {}, vocab)
-    return report, pools
+    return _metrics_from_pools({m: (p[1], p[2]) for m, p in pools.items()}, vocab), pools
 
 
 def baseline_predict(
@@ -427,17 +428,11 @@ def baseline_predict(
                     vals[rec.participant_id] = float(encode_value(vocab, bmi_id, ev.value))
         return vals
 
-    def features(m, rows, bmi_values):
-        return np.asarray(
-            [
-                [
-                    float(encode_value(vocab, m, row["v1_value"])),
-                    float(int(row["age"])),
-                    float(SEX_INDEX.get(row["sex"], 2)),
-                    bmi_values.get(row["pid"], 0.0),
-                ]
-                for row in rows
-            ]
+    def design(m, rows, bmi_values):  # an intercept column, then the four features
+        return np.array(
+            [[1.0, encode_value(vocab, m, r["v1_value"]), int(r["age"]), SEX_INDEX[r["sex"]], bmi_values.get(r["pid"], 0.0)]
+             for r in rows],
+            dtype=np.float64,
         )
 
     train_pairs = longitudinal_pairs(train_records, vocab)
@@ -449,12 +444,9 @@ def baseline_predict(
         if len(train_rows) < 5:
             skipped.append(vocab.modalities[m].name)
             continue
-        x = features(m, train_rows, train_bmi)
         y = np.array([row["v2_value"] for row in train_rows])
-        design = np.column_stack([np.ones(len(x)), x])
-        coef, *_ = np.linalg.lstsq(design, y, rcond=None)
-        xt = features(m, rows, test_bmi)
-        preds = np.column_stack([np.ones(len(xt)), xt]) @ coef
+        coef, *_ = np.linalg.lstsq(design(m, train_rows, train_bmi), y, rcond=None)
+        preds = design(m, rows, test_bmi) @ coef
         out[m] = {row["pid"]: float(p) for row, p in zip(rows, preds)}
     return out, skipped
 
@@ -479,21 +471,20 @@ def crossmodal_sweep(
         raise ValueError(f"probe target {spec_out.name!r} must be continuous")
     if spec_in.kind != CONTINUOUS:
         raise ValueError(f"probe input {spec_in.name!r} must be continuous")
-    tf = time_features(when)
     scales = value_scale_table(vocab)
     mask = build_mask(Causal(), 1)
-    xs, ys = [], []
-    for b, mid in enumerate(spec_in.midpoints):
-        tokens = np.array([spec_in.cum_base + b], dtype=np.int64)
-        values = np.array([mid], dtype=np.float64)
-        mods = np.array([m_in, m_out], dtype=np.int64)
-        times = np.array([tf, tf], dtype=np.int64)
-        logits = forward(
-            params, config, tokens, values, mods, times, 50.0, "unknown", mask, scales
-        ).data
-        xs.append(mid)
-        ys.append(decode_expected(logits[0], vocab, m_out))
-    return np.array(xs), np.array(ys)
+    xs = np.array(spec_in.midpoints)
+    starts, widths, mids = vocab.head_ranges(np.full(len(xs), m_out))
+    mods = np.array([m_in, m_out], dtype=np.int64)
+    times = np.array([time_features(when)] * 2, dtype=np.int64)
+    rows = [
+        forward(
+            params, config, np.array([spec_in.cum_base + b]), np.array([mid]), mods, times,
+            50.0, "unknown", mask, scales, head=([0], starts[:1], widths[:1]),
+        ).data[0]
+        for b, mid in enumerate(xs)
+    ]
+    return xs, decode_block(rows, widths, mids)[0]
 
 
 def bioage(embeddings, ages):

@@ -33,7 +33,6 @@ __all__ = [
     "embed_inputs",
     "forward",
     "extract_embedding",
-    "parallel_v2_layout",
 ]
 
 
@@ -133,13 +132,6 @@ def build_mask(kind, t: int) -> np.ndarray:
             mask[p, p] = True
         return mask
     raise TypeError(f"unknown mask kind: {kind!r}")
-
-
-def parallel_v2_layout(n_ctx: int, n_targets: int):
-    """Positions of each target's probe/prediction slots in the parallel mask."""
-    probes = [n_ctx + 2 * i for i in range(n_targets)]
-    preds = [f + 1 for f in probes]
-    return probes, preds
 
 
 # --- parameters ---------------------------------------------------------------
@@ -279,7 +271,7 @@ def embed_inputs(
     age_feat = nm.constant(sinusoid_features(np.array([age]), config.cont_pe_dim, dtype))
     demo = nm.add(
         nm.matmul(age_feat, params["age_proj"]),
-        nm.embedding(params["sex_embed"], np.array([SEX_INDEX.get(sex, 2)])),
+        nm.embedding(params["sex_embed"], np.array([SEX_INDEX[sex]])),
     )
     return nm.add(h, demo)
 
@@ -319,7 +311,8 @@ def forward(
     head=(rows, starts, widths) returns only those output-head entries:
     row i holds logits[rows[i], starts[i] : starts[i] + widths[i]], padded
     with 0 to the widest range (numerics.range_head; starts/widths None mean
-    every column).  The default is every row at full width, (T, V).
+    every column).  The default, every row at full width (T, V), serves only
+    as the tests' reference.
     """
     t = len(tokens)
     if t == 0:
@@ -390,13 +383,13 @@ def extract_embedding(
     age: float,
     sex: str,
 ) -> np.ndarray:
-    """Mean of final-layer hidden states over non-pad positions."""
+    """Mean of final-layer hidden states over non-pad positions (no head rows)."""
     if seq.length == 0:
         raise ValueError("cannot extract an embedding from an empty sequence")
     mask = build_mask(Causal(), seq.length)
     _, hidden = forward(
         params, config, seq.tokens, seq.values, seq.modalities, seq.times, age, sex, mask,
-        value_scale_table(vocab), return_hidden=True,
+        value_scale_table(vocab), return_hidden=True, head=((), None, None),
     )
     keep = seq.tokens != vocab.pad_token
     if not np.any(keep):

@@ -66,6 +66,18 @@ class TrainConfig:
     seed: int = 42
     val_fraction: float = 0.2
 
+    def __post_init__(self):
+        rules = {
+            "at least 1": (lambda x: x >= 1, ("batch_size",)),
+            "positive": (lambda x: x > 0, ("peak_lr", "eps")),
+            "non-negative": (lambda x: x >= 0, ("min_lr", "warmup_steps", "weight_decay", "clip_norm")),
+            "in [0, 1)": (lambda x: 0 <= x < 1, ("val_fraction", "beta1", "beta2")),
+        }
+        for rule, (ok, names) in rules.items():
+            for name in names:
+                if not ok(getattr(self, name)):  # NaN fails every rule
+                    raise ValueError(f"{name} must be {rule}, got {getattr(self, name)!r}")
+
 
 class TrainingDiverged(RuntimeError):
     pass
@@ -117,11 +129,8 @@ def ntp_targets(seq: TokenSequence, vocab: Vocabulary, sigma: float, min_target:
     tok = np.asarray(seq.tokens[j], dtype=np.int64)
     keep = tok < vocab.total_tokens
     j, tok = j[keep], tok[keep]
-    mods, inv = np.unique(np.asarray(seq.modalities[j], dtype=np.int64), return_inverse=True)
-    specs = [vocab.modalities[m] for m in mods]
-    cont = np.array([spec.kind == CONTINUOUS for spec in specs], dtype=bool)
-    starts = np.array([spec.cum_base for spec in specs], dtype=np.int64)[inv]
-    widths = np.array([spec.n_tokens for spec in specs], dtype=np.int64)[inv]
+    specs = [vocab.modalities[m] for m in seq.modalities[j]]
+    starts, widths, mids = vocab.head_ranges(seq.modalities[j])
     offset = tok - starts
     bad = np.flatnonzero((offset < 0) | (offset >= widths))
     if bad.size:
@@ -132,20 +141,16 @@ def ntp_targets(seq: TokenSequence, vocab: Vocabulary, sigma: float, min_target:
     valid = span < widths[:, None]
     q = np.where(valid, np.exp(-((span - offset[:, None]) ** 2) / (2.0 * sigma * sigma)), 0.0)
     q /= q.sum(axis=1, keepdims=True)
-    mid_table = np.zeros((len(specs), len(span)))
-    for u, spec in enumerate(specs):
-        if cont[u]:
-            mid_table[u, : spec.n_tokens] = spec.midpoints
-    inv_sd = np.array([1.0 / spec.train_sd if c else 0.0 for spec, c in zip(specs, cont)])
+    cont = np.array([spec.kind == CONTINUOUS for spec in specs], dtype=bool)
     return NTPTargets(
         rows=j - 1,
         starts=starts,
         widths=widths,
         soft=q,
-        mids=mid_table[inv],
-        truth=np.where(cont[inv], np.asarray(seq.values[j], dtype=np.float64), 0.0),
-        mae_weight=inv_sd[inv],
-        n_mae=int(cont[inv].sum()),
+        mids=mids,
+        truth=np.where(cont, np.asarray(seq.values[j], dtype=np.float64), 0.0),
+        mae_weight=np.array([1.0 / spec.train_sd if c else 0.0 for spec, c in zip(specs, cont)]),
+        n_mae=int(cont.sum()),
     )
 
 

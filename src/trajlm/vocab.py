@@ -102,6 +102,20 @@ class Vocabulary:
         m = self.modalities[modality_id]
         return m.cum_base, m.cum_base + m.n_tokens - 1
 
+    def head_ranges(self, modality_ids):
+        """The output-head range of each given modality: int64 (starts,
+        widths), and float64 bin midpoints zero-padded to the widest range
+        (all zero for a categorical modality), one row per id."""
+        mods, inv = np.unique(np.asarray(modality_ids, dtype=np.int64), return_inverse=True)
+        specs = [self.modalities[m] for m in mods]
+        widths = np.array([spec.n_tokens for spec in specs], dtype=np.int64)
+        mids = np.zeros((len(specs), widths.max(initial=0)))
+        for u, spec in enumerate(specs):
+            if spec.kind == CONTINUOUS:
+                mids[u, : spec.n_tokens] = spec.midpoints
+        starts = np.array([spec.cum_base for spec in specs], dtype=np.int64)
+        return starts[inv], widths[inv], mids[inv]
+
 
 @dataclass
 class RawModality:

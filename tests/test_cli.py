@@ -178,6 +178,16 @@ class TestTrain:
         assert rc == 1
         assert "unknown config key" in capsys.readouterr().err
 
+    def test_out_of_range_train_config_is_error(self, workspace, tmp_path, capsys):
+        config = tmp_path / "bad.cfg"
+        config.write_text(TRAIN_CONFIG.replace("batch_size = 4", "batch_size = 0"), encoding="utf-8")
+        out = tmp_path / "x.ckpt"
+        rc = main(["train", "--cohort", str(workspace["cohort"]), "--vocab", str(workspace["vocab"]),
+                   "--config", str(config), "--out", str(out)])
+        assert rc == 1
+        assert capsys.readouterr().err == "error: ValueError: batch_size must be at least 1, got 0\n"
+        assert not out.exists()
+
 
 class TestInspect:
     def test_manifest_printed(self, workspace, capsys):
@@ -381,6 +391,18 @@ class TestProbeAndSimulate:
                    "--cohort", str(workspace["cohort"]), "--spec", str(spec), "--out", str(tmp_path / "x.csv")])
         assert rc == 1
         assert "malformed JSON" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("key", ["outcome", "intervention"])
+    def test_simulate_spec_missing_key_names_file_and_key(self, workspace, tmp_path, capsys, key):
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps({k: v for k, v in DRUG_SPEC.items() if k != key}), encoding="utf-8")
+        out = tmp_path / "x.csv"
+        rc = main(["simulate", "--ckpt", str(workspace["ckpt"]), "--vocab", str(workspace["vocab"]),
+                   "--cohort", str(workspace["cohort"]), "--spec", str(spec), "--out", str(out)])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err == f"error: intervention spec {str(spec)!r} has no key {key!r}\n"
+        assert not out.exists()
 
 
 class TestSimulatePlan:
@@ -599,6 +621,25 @@ class TestTrialRun:
             err = capsys.readouterr().err
             assert "nan.json" in err and "x_core" in err, err
             assert not out.exists()
+
+    def test_trial_missing_key_names_file_and_key(self, workspace, tmp_path, capsys):
+        trials = tmp_path / "trials"
+        trials.mkdir()
+        doc = {
+            "name": "short", "n": 12,
+            "table1": [{"modality": "x_core", "mean": 100, "sd": 5, "low": 60, "high": 140}],
+            "arms": [{"kind": "scale", "modalities": ["x_core"], "factor": 0.9, "label": "diet"}],
+            "outcome": "t_target",
+            "published": {"point": -20.0, "ci_low": -25.0, "ci_high": -15.0},
+        }
+        (trials / "short.json").write_text(json.dumps(doc), encoding="utf-8")
+        out = tmp_path / "forest.csv"
+        rc = main(["trial-run", "--ckpt", str(workspace["ckpt"]), "--vocab", str(workspace["vocab"]),
+                   "--trials", str(trials), "--out", str(out)])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err == f"error: trial spec short.json {str(trials / 'short.json')!r} has no key 'horizon_months'\n"
+        assert not out.exists()
 
     def test_empty_trials_dir(self, workspace, tmp_path, capsys):
         trials = tmp_path / "empty"

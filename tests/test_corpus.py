@@ -247,3 +247,19 @@ class TestCohortIO:
             path.write_text('{"id": "p", "age": 1, "events": []}\n' + bad + "\n", encoding="utf-8")
             with pytest.raises(ValueError, match=f"{re.escape(str(path))}:2: "):
                 read_cohort_jsonl(path, vocab)
+
+    @pytest.mark.parametrize(
+        "line, message",
+        [
+            ('{"id": "p", "age": 50, "sex": "Male", "events": []}', "sex must be one of female, male, unknown, got 'Male'"),
+            ('{"id": "p", "age": NaN, "sex": "male", "events": []}', "age must be finite, got nan"),
+            ('{"id": "p", "age": Infinity, "events": []}', "age must be finite, got inf"),
+        ],
+    )
+    def test_bad_sex_or_age_reports_position(self, vocab, tmp_path, line, message):
+        """json reads NaN and any string, but neither is a usable age or sex:
+        an unlisted sex used to embed as `unknown`, a NaN age made every pass NaN."""
+        path = tmp_path / "bad.jsonl"
+        path.write_text('{"id": "p", "age": 1, "events": []}\n' + line + "\n", encoding="utf-8")
+        with pytest.raises(ValueError, match=re.escape(f"{path}:2: ValueError: {message}")):
+            read_cohort_jsonl(path, vocab)

@@ -10,6 +10,7 @@ from trajlm.evalharness import (
     baseline_predict,
     bioage,
     crossmodal_sweep,
+    decode_block,
     decode_expected,
     eval_longitudinal,
     eval_within_visit,
@@ -17,9 +18,11 @@ from trajlm.evalharness import (
     plan_queries,
     predict_queries,
     topk_accuracy,
+    within_visit_pools,
     write_metric_csv,
 )
-from trajlm.model import ModelConfig, init_params
+from trajlm import numerics as nm
+from trajlm.model import Causal, ModelConfig, build_mask, extract_embedding, forward, init_params, value_scale_table
 from trajlm.vocab import RawModality, build_vocabulary
 
 
@@ -270,6 +273,16 @@ class TestModelEvaluation:
         other = predict_queries(params, config, vocab, seq, rec.age, rec.sex,
                                 [(0, when), (1, when + timedelta(days=200))])
         assert other[0] == ab[0]
+        # nor on a companion's modality, which decides whether a query's head
+        # row is alone in its range's matmul (BLAS rounds a one-row product
+        # differently)
+        for rec in two_visit_cohort(vocab, n=10):
+            seq = assemble_sequence(ParticipantRecord(rec.participant_id, rec.age, rec.sex, rec.events[:2], []), vocab, 64)
+            ab = predict_queries(params, config, vocab, seq, rec.age, rec.sex, [(0, when), (1, when)])
+            for companion in (0, 1):
+                mixed = predict_queries(params, config, vocab, seq, rec.age, rec.sex,
+                                        [(0, when), (companion, when + timedelta(days=200)), (1, when)])
+                assert mixed[0] == ab[0] and mixed[2] == ab[1]
 
 
 def planner_context(vocab, n_events=8, seed=2):
@@ -432,3 +445,154 @@ class TestReportOutput:
         header_idx = next(i for i, line in enumerate(lines) if not line.startswith("#"))
         assert lines[header_idx] == "modality,n,r,p,ci_low,ci_high,top1,top5"
         assert any("cat4" in line or "wide" in line for line in lines)
+
+
+def reference_expected(row, vocab, m):
+    """A full-width logits row decoded as the per-row decoder did: a float64
+    softmax over the modality's range times its bin midpoints."""
+    a, b = vocab.token_range(m)
+    z = np.asarray(row, dtype=np.float64)[a : b + 1]
+    p = np.exp(z - z.max())
+    return float(p @ np.asarray(vocab.modalities[m].midpoints) / p.sum())
+
+
+def reference_rank(row, vocab, m, truth):
+    """Place of the true entry in a stable descending sort of the range."""
+    a, b = vocab.token_range(m)
+    return int(np.flatnonzero(np.argsort(-np.asarray(row)[a : b + 1], kind="stable") == truth)[0])
+
+
+def ragged(full, starts, widths):
+    """Each row's range of `full`, zero-padded as numerics.range_head pads it."""
+    block = np.zeros((len(full), widths.max()))
+    for i, (a, w) in enumerate(zip(starts, widths)):
+        block[i, :w] = full[i, a : a + w]
+    return block
+
+
+def mixed_cohort(vocab, n=6, seed=3):
+    """Participants with continuous and categorical events in one visit."""
+    rng = np.random.default_rng(seed)
+    t0 = datetime(2021, 1, 4, 9, 0)
+    records = []
+    for i in range(n):
+        events = [
+            Event(t0 + timedelta(hours=h), h % 3,
+                  ["a", "b", "c", "d"][int(rng.integers(0, 4))] if h % 3 == 2 else float(rng.normal(15 if h % 3 == 0 else 100, 4)),
+                  False)
+            for h in range(7 + i)
+        ]
+        records.append(ParticipantRecord(f"p{i}", 50.0 + i, ["female", "male", "unknown"][i % 3], events, [t0]))
+    return records
+
+
+class TestRangedDecoding:
+    """Inference asks `forward` for the (row, modality range) entries it
+    decodes, and `decode_block` reads them."""
+
+    def test_ragged_block_ranks_match_full_rows(self, vocab):
+        """Rows of widths 2, 4 and 8 whose true entries have negative logits:
+        the zero padding past a row's width must not beat its true entry."""
+        rng = np.random.default_rng(8)
+        mods = np.array([0, 2, 1, 2] * 6)
+        starts, widths, mids = vocab.head_ranges(mods)
+        truth = rng.integers(0, widths)
+        full = rng.normal(-3.0, 1.0, size=(len(mods), vocab.total_tokens))
+        full[np.arange(len(mods)), starts + truth] = -rng.uniform(0.5, 2.0, len(mods))
+        full[1, starts[1] : starts[1] + 4] = full[1, starts[1] + truth[1]]  # a four-way tie
+        expected, ranks = decode_block(ragged(full, starts, widths), widths, mids, truth)
+        assert ranks.tolist() == [reference_rank(full[i], vocab, m, truth[i]) for i, m in enumerate(mods)]
+        assert ranks[1] == truth[1]  # ties go to the lower token id
+        cat = mods == 2
+        for k in range(1, 5):
+            assert float(np.mean(ranks[cat] < k)) == topk_accuracy(full[cat], truth[cat], vocab, 2, k)
+        for i, m in enumerate(mods):
+            if m != 2:
+                assert expected[i] == pytest.approx(reference_expected(full[i], vocab, m), rel=1e-12)
+
+    def test_a_row_decodes_the_same_in_a_wider_block(self):
+        """Pairwise sums over a zero-padded row group its entries differently
+        from sums over the row alone; the decoder's sums must not, so a
+        query's answer does not depend on the widths of its companions."""
+        rng = np.random.default_rng(9)
+        widths = rng.integers(9, 40, 20)
+        block = rng.normal(0.0, 3.0, (20, 129))
+        mids = np.sort(rng.normal(100.0, 20.0, (20, 129)), axis=1)
+        wide, _ = decode_block(block, widths, mids * (np.arange(129) < widths[:, None]))
+        alone = [decode_block(block[i : i + 1, :w], [w], mids[i : i + 1, :w])[0][0] for i, w in enumerate(widths)]
+        assert wide.tolist() == alone
+
+    def test_ranks_only_when_truth_is_given(self, vocab):
+        starts, widths, mids = vocab.head_ranges([1, 0])
+        block = np.array([[0.0] * 8, [3.0, -1.0] + [0.0] * 6])
+        expected, ranks = decode_block(block, widths, mids)
+        assert ranks is None and expected[0] == pytest.approx(np.mean(vocab.modalities[1].midpoints))
+        _, ranks = decode_block(block, widths, mids, [7, 1])
+        assert ranks.tolist() == [7, 1]
+
+    def test_inference_never_computes_a_vocabulary_wide_head(self, vocab, tiny_model, monkeypatch):
+        params, config = tiny_model
+        v = vocab.total_tokens
+        wide = []  # one entry per head evaluation: whether it was V wide
+        inner_head, inner_linear = nm.range_head, nm.linear
+
+        def range_head(h, w, b, rows=None, starts=None, widths=None):
+            out = inner_head(h, w, b, rows, starts, widths)
+            wide.append(out.data.shape[-1] == v)
+            return out
+
+        def linear(x, w, b):
+            if w is params["out_w"]:
+                wide.append(True)
+            return inner_linear(x, w, b)
+
+        monkeypatch.setattr(nm, "range_head", range_head)
+        monkeypatch.setattr(nm, "linear", linear)
+        records = mixed_cohort(vocab)
+        seq = assemble_sequence(records[0], vocab, 64)
+        when = datetime(2021, 6, 1)
+        pools, scored = within_visit_pools(params, config, vocab, records)
+        predict_queries(params, config, vocab, seq, 50.0, "male", [(0, when), (1, when), (1, when, 3)])
+        crossmodal_sweep(params, config, vocab, 1, 0, when)
+        extract_embedding(params, config, vocab, seq, 50.0, "male")
+        n_bins = len(vocab.modalities[1].midpoints)
+        assert scored == len(records) and {m for m in pools} == {0, 1, 2}
+        assert wide == [False] * (len(records) + 1 + n_bins + 1)
+        # the full-width default, the tests' reference, is what the recorder flags
+        forward(params, config, seq.tokens, seq.values, seq.modalities, seq.times, 50.0, "male",
+                build_mask(Causal(), seq.length), value_scale_table(vocab))
+        assert wide[-2:] == [True, True]
+
+    def test_pools_and_curve_match_the_full_head(self, vocab, tiny_model):
+        _, config = tiny_model
+        params = init_params(config, np.random.default_rng(4), dtype=np.float32)
+        scales = value_scale_table(vocab)
+        records = mixed_cohort(vocab, n=8, seed=6)
+        pools, _ = within_visit_pools(params, config, vocab, records)
+        seen = {m: 0 for m in pools}
+        for rec in records:
+            seq = assemble_sequence(rec, vocab, 64)
+            logits = forward(params, config, seq.tokens, seq.values, seq.modalities, seq.times, rec.age, rec.sex,
+                             build_mask(Causal(), seq.length), scales).data
+            for j in range(1, seq.length):
+                m = int(seq.modalities[j])
+                got, true = pools[m][0][seen[m]], pools[m][1][seen[m]]
+                seen[m] += 1
+                spec = vocab.modalities[m]
+                if spec.kind == "continuous":
+                    span = max(spec.midpoints) - min(spec.midpoints)
+                    assert abs(got - reference_expected(logits[j - 1], vocab, m)) <= 1e-5 * span
+                    assert true == seq.values[j]
+                else:
+                    offset = int(seq.tokens[j]) - spec.cum_base
+                    assert (got, true) == (reference_rank(logits[j - 1], vocab, m, offset), offset)
+        assert seen == {m: len(p[0]) for m, p in pools.items()}
+
+        when = datetime(2022, 3, 7, 9, 0)
+        xs, ys = crossmodal_sweep(params, config, vocab, 1, 0, when)
+        span = np.ptp(vocab.modalities[0].midpoints)
+        for b, (x, y) in enumerate(zip(xs, ys)):
+            tf = evalharness.time_features(when)
+            logits = forward(params, config, np.array([vocab.modalities[1].cum_base + b]), np.array([x]),
+                             np.array([1, 0]), np.array([tf, tf]), 50.0, "unknown", build_mask(Causal(), 1), scales).data
+            assert abs(y - reference_expected(logits[0], vocab, 0)) <= 1e-5 * span

@@ -325,18 +325,18 @@ class TestHeadSelectedLoss:
         assert len(received) > 100 and set(received) == {"float32"}
         assert {str(p.grad.dtype) for p in params.values()} == {"float32"}
 
-        rows = []
-        decode = evalharness.decode_expected
+        blocks = []
+        decode = evalharness.decode_block
 
-        def capture(row, vocab, modality_id):
-            rows.append(row)
-            return decode(row, vocab, modality_id)
+        def capture(block, *args, **kwargs):
+            blocks.append(block)
+            return decode(block, *args, **kwargs)
 
         end = datetime(2021, 2, 1, 9, 0) + timedelta(days=800)
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(evalharness, "decode_expected", capture)
+            mp.setattr(evalharness, "decode_block", capture)
             evalharness.predict_queries(params, config, vocab, seq, 50.0, "male", [(0, end), (1, end)])
-        assert [row.dtype for row in rows] == [np.float32, np.float32]
+        assert [(block.dtype, len(block)) for block in blocks] == [(np.float32, 2)]
 
 
 class TestBackwardMemory:
@@ -716,3 +716,28 @@ class TestConfigFile:
         path.write_text("lr 0.0003\n", encoding="utf-8")
         with pytest.raises(ValueError, match="key=value"):
             parse_config_file(path)
+
+    @pytest.mark.parametrize(
+        "field, value, rule",
+        [
+            ("batch_size", 0, "at least 1"),
+            ("val_fraction", 1.5, r"in \[0, 1\)"),
+            ("val_fraction", 1.0, r"in \[0, 1\)"),
+            ("val_fraction", -0.1, r"in \[0, 1\)"),
+            ("peak_lr", 0.0, "positive"),
+            ("peak_lr", math.nan, "positive"),
+            ("eps", -1e-8, "positive"),
+            ("min_lr", -1e-5, "non-negative"),
+            ("warmup_steps", -1, "non-negative"),
+            ("weight_decay", -0.1, "non-negative"),
+            ("clip_norm", -1.0, "non-negative"),
+            ("beta1", 1.0, r"in \[0, 1\)"),
+            ("beta2", -0.5, r"in \[0, 1\)"),
+        ],
+    )
+    def test_train_config_rejects_out_of_range_values(self, field, value, rule):
+        """batch_size 0 once ended training in a ZeroDivisionError, and
+        val_fraction 1.5 trained on every sequence with no validation."""
+        with pytest.raises(ValueError, match=f"^{field} must be {rule}, got "):
+            TrainConfig(**{field: value})
+        TrainConfig(**{field: 1 if field == "batch_size" else 1e-3})  # an in-range value passes
