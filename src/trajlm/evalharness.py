@@ -80,16 +80,16 @@ def decode_block(block, widths, mids, truth=None):
     times mids[i], the row's bin midpoints; ranks[i] is the number of the
     row's entries that beat entry truth[i], ties going to the lower token
     id, so truth[i] is in the top K exactly when ranks[i] < K (None when
-    truth is).  The sums run left to right, so the padding's zeros come last
-    and change nothing: a row decodes bitwise the same in a block of any
-    width.
+    truth is).  widths=None is every row at full width.  The sums run left
+    to right, so the padding's zeros come last and change nothing: a row
+    decodes bitwise the same in a block of any width.
     """
     z = np.array(block, dtype=np.float64)
     col = np.arange(z.shape[1])
-    z[col >= np.asarray(widths)[:, None]] = -np.inf
+    if widths is not None:
+        z[col >= np.asarray(widths)[:, None]] = -np.inf
     p = np.exp(z - z.max(axis=1, keepdims=True))
-    p /= np.cumsum(p, axis=1)[:, -1:]
-    expected = np.cumsum(p * mids, axis=1)[:, -1]
+    expected = np.add.accumulate(p * mids, axis=1)[:, -1] / np.add.accumulate(p, axis=1)[:, -1]
     if truth is None:
         return expected, None
     truth = np.asarray(truth, dtype=np.int64)
@@ -97,19 +97,16 @@ def decode_block(block, widths, mids, truth=None):
     return expected, np.sum((z > t) | ((z == t) & (col < truth[:, None])), axis=1)
 
 
-def _continuous_ranges(vocab: Vocabulary, modality_ids):
-    """vocab.head_ranges of continuous modalities only."""
-    for spec in (vocab.modalities[m] for m in modality_ids):
-        if spec.kind != CONTINUOUS:
-            raise ValueError(f"modality {spec.name!r} is categorical: use top-K accuracy")
-    return vocab.head_ranges(modality_ids)
-
-
 def decode_expected(logits_row: np.ndarray, vocab: Vocabulary, modality_id: int) -> float:
-    """Probability-weighted mean of bin midpoints of one full-width logits row (decode_block)."""
-    starts, widths, mids = _continuous_ranges(vocab, [modality_id])
-    row = np.asarray(logits_row)[starts[0] : starts[0] + widths[0]]
-    return float(decode_block(row[None], widths, mids)[0][0])
+    """Probability-weighted mean of bin midpoints of one logits row (decode_block):
+    a full-width row, or one at the modality's range as `forward(..., head=...)` gives it."""
+    spec = vocab.modalities[modality_id]
+    if spec.kind != CONTINUOUS:
+        raise ValueError(f"modality {spec.name!r} is categorical: use top-K accuracy")
+    w = len(spec.midpoints)
+    row = np.asarray(logits_row)
+    a = 0 if row.shape[-1] == w else spec.cum_base
+    return float(decode_block(row[None, a : a + w], None, spec.midpoints)[0][0])
 
 
 def topk_accuracy(logit_rows, true_categories, vocab: Vocabulary, modality_id: int, k: int) -> float:
@@ -122,7 +119,7 @@ def topk_accuracy(logit_rows, true_categories, vocab: Vocabulary, modality_id: i
     if k > width:
         raise ValueError(f"K={k} exceeds the {width}-token range of {spec.name!r}")
     rows = np.atleast_2d(np.asarray(logit_rows))[:, spec.cum_base : spec.cum_base + width]
-    _, ranks = decode_block(rows, np.full(len(rows), width), np.zeros(rows.shape), true_categories)
+    _, ranks = decode_block(rows, None, np.zeros(rows.shape), true_categories)
     return float(np.mean(ranks < k))
 
 
@@ -176,11 +173,11 @@ def within_visit_pools(
             head=(np.arange(seq.length - 1), starts, widths),
         ).data
         truth = seq.tokens[1:] - starts
-        expected, ranks = decode_block(block, widths, mids, truth)
+        ranks = decode_block(block, widths, mids, truth)[1]
         for i, m in enumerate(mods.tolist()):
             cont = vocab.modalities[m].kind == CONTINUOUS
             pool = pools.setdefault(m, ([], []))
-            pool[0].append(float(expected[i]) if cont else int(ranks[i]))
+            pool[0].append(decode_expected(block[i, : widths[i]], vocab, m) if cont else int(ranks[i]))
             pool[1].append(float(seq.values[i + 1]) if cont else int(truth[i]))
     return pools, scored
 
@@ -268,7 +265,6 @@ def predict_queries(
         return []
     lens = tuple(q[2] if len(q) > 2 else n for q in queries)
     q_ids = [q[0] for q in queries]
-    starts, widths, mids = _continuous_ranges(vocab, q_ids)
     q_times = np.array([time_features(q[1]) for q in queries], dtype=np.int64)
     # Each query's modality and time fill its probe and prediction slots, and
     # the query streams of its prediction slot preds[i]; the head reads no other row.
@@ -277,17 +273,19 @@ def predict_queries(
     times = np.concatenate([seq.times[:n], np.repeat(q_times, 2, axis=0), seq.times[n - 1 : n]])
     query_mods, query_times = mods[1:].copy(), times[1:].copy()
     query_mods[preds], query_times[preds] = q_ids, q_times
-    # A query alone with its modality has its head row asked for twice: BLAS rounds a
-    # one-row product differently, and no answer may depend on companions' modalities.
-    _, group, size = np.unique(q_ids, return_inverse=True, return_counts=True)
-    head = tuple(np.append(x, x[size[group] == 1]) for x in (preds, starts, widths))
+    # Every queried range is read at all k prediction rows, so each answer comes from
+    # row i of a k-row product whatever its companions' modalities (BLAS may round a
+    # row differently as a product's row count changes).
+    ranged, group = np.unique(q_ids, return_inverse=True)
+    starts, widths, _ = vocab.head_ranges(ranged)
+    head = (np.tile(preds, len(ranged)), np.repeat(starts, k), np.repeat(widths, k))
     block = forward(
         params, config, np.append(seq.tokens, [vocab.pad_token] * (2 * k)), np.append(seq.values, np.zeros(2 * k)),
         mods, times, age, sex, build_mask(ParallelV2(n, k, lens), n + 2 * k), value_scale_table(vocab),
         query_modalities=query_mods, query_times=query_times, head=head,
         pos_ids=np.concatenate([np.arange(n), np.repeat(lens, 2) + np.tile([0, 1], k)]),
-    ).data[:k]
-    return decode_block(block, widths, mids)[0].tolist()
+    ).data
+    return [decode_expected(block[g * k + i, : widths[g]], vocab, m) for i, (g, m) in enumerate(zip(group, q_ids))]
 
 
 def _is_prefix(short, long) -> bool:
@@ -474,17 +472,16 @@ def crossmodal_sweep(
     scales = value_scale_table(vocab)
     mask = build_mask(Causal(), 1)
     xs = np.array(spec_in.midpoints)
-    starts, widths, mids = vocab.head_ranges(np.full(len(xs), m_out))
     mods = np.array([m_in, m_out], dtype=np.int64)
     times = np.array([time_features(when)] * 2, dtype=np.int64)
-    rows = [
-        forward(
+    ys = [
+        decode_expected(forward(
             params, config, np.array([spec_in.cum_base + b]), np.array([mid]), mods, times,
-            50.0, "unknown", mask, scales, head=([0], starts[:1], widths[:1]),
-        ).data[0]
+            50.0, "unknown", mask, scales, head=([0], [spec_out.cum_base], [spec_out.n_tokens]),
+        ).data[0], vocab, m_out)
         for b, mid in enumerate(xs)
     ]
-    return xs, decode_block(rows, widths, mids)[0]
+    return xs, np.array(ys)
 
 
 def bioage(embeddings, ages):

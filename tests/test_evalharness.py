@@ -1,3 +1,4 @@
+import itertools
 import math
 from datetime import datetime, timedelta
 
@@ -273,16 +274,16 @@ class TestModelEvaluation:
         other = predict_queries(params, config, vocab, seq, rec.age, rec.sex,
                                 [(0, when), (1, when + timedelta(days=200))])
         assert other[0] == ab[0]
-        # nor on a companion's modality, which decides whether a query's head
-        # row is alone in its range's matmul (BLAS rounds a one-row product
-        # differently)
+        # nor on the companions' modalities, which set how many rows share
+        # each range: 1 to 4 here, in passes of 5 queries
         for rec in two_visit_cohort(vocab, n=10):
             seq = assemble_sequence(ParticipantRecord(rec.participant_id, rec.age, rec.sex, rec.events[:2], []), vocab, 64)
-            ab = predict_queries(params, config, vocab, seq, rec.age, rec.sex, [(0, when), (1, when)])
-            for companion in (0, 1):
-                mixed = predict_queries(params, config, vocab, seq, rec.age, rec.sex,
-                                        [(0, when), (companion, when + timedelta(days=200)), (1, when)])
-                assert mixed[0] == ab[0] and mixed[2] == ab[1]
+            answers = set()
+            for mix in itertools.product((0, 1), repeat=3):
+                got = predict_queries(params, config, vocab, seq, rec.age, rec.sex,
+                                      [(0, when), *[(m, when + timedelta(days=200)) for m in mix], (1, when)])
+                answers.add((got[0], got[-1]))
+            assert len(answers) == 1
 
 
 def planner_context(vocab, n_events=8, seed=2):
@@ -529,6 +530,27 @@ class TestRangedDecoding:
         assert ranks is None and expected[0] == pytest.approx(np.mean(vocab.modalities[1].midpoints))
         _, ranks = decode_block(block, widths, mids, [7, 1])
         assert ranks.tolist() == [7, 1]
+
+    def test_every_continuous_prediction_is_decoded_by_decode_expected(self, vocab, tiny_model, monkeypatch):
+        """A wrapper on decode_expected sees every continuous value the readers
+        report, as a checker of decoded ranges relies on."""
+        params, config = tiny_model
+        seen = []
+        inner = evalharness.decode_expected
+
+        def recorder(row, vocab_, m):
+            seen.append(inner(row, vocab_, m))
+            return seen[-1]
+
+        monkeypatch.setattr(evalharness, "decode_expected", recorder)
+        records = mixed_cohort(vocab)
+        pools, _ = within_visit_pools(params, config, vocab, records)
+        reported = [v for m in (0, 1) for v in pools[m][0]]
+        seq = assemble_sequence(records[0], vocab, 64)
+        when = datetime(2021, 6, 1)
+        reported += predict_queries(params, config, vocab, seq, 50.0, "male", [(0, when), (1, when), (1, when, 3)])
+        reported += crossmodal_sweep(params, config, vocab, 1, 0, when)[1].tolist()
+        assert sorted(seen) == sorted(reported)
 
     def test_inference_never_computes_a_vocabulary_wide_head(self, vocab, tiny_model, monkeypatch):
         params, config = tiny_model

@@ -336,7 +336,7 @@ class TestHeadSelectedLoss:
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(evalharness, "decode_block", capture)
             evalharness.predict_queries(params, config, vocab, seq, 50.0, "male", [(0, end), (1, end)])
-        assert [(block.dtype, len(block)) for block in blocks] == [(np.float32, 2)]
+        assert [(block.dtype, len(block)) for block in blocks] == [(np.float32, 1)] * 2
 
 
 class TestBackwardMemory:
