@@ -239,11 +239,9 @@ class ArmResult:
     def bootstrap_ci(self, rng: np.random.Generator, resamples: int = 1000):
         """Percentile 95% CI of the signed percent effect over participants."""
         n = len(self.control)
-        stats = np.empty(resamples)
-        for i in range(resamples):
-            idx = rng.integers(0, n, n)
-            mc = self.control[idx].mean()
-            stats[i] = 100.0 * (self.treatment[idx].mean() - mc) / mc
+        idx = rng.integers(0, n, (resamples, n))  # row i: the draws of the i-th rng.integers(0, n, n)
+        mc = self.control[idx].mean(axis=1)
+        stats = 100.0 * (self.treatment[idx].mean(axis=1) - mc) / mc
         return float(np.percentile(stats, 2.5)), float(np.percentile(stats, 97.5))
 
 

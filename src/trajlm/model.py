@@ -334,28 +334,14 @@ def forward(
     scale = 1.0 / math.sqrt(c.d_head)  # a Python float: keeps float32 scores float32
 
     for l in range(c.n_layers):
-        pre = nm.layer_norm(h, params[f"layer{l}.ln1_g"], params[f"layer{l}.ln1_b"])
-        hd = c.n_heads * c.d_head
-
-        def heads(x: Tensor) -> Tensor:  # token-major (T, H, d_head), a view
-            return nm.reshape(x, (t, c.n_heads, c.d_head))
-
-        q = heads(nm.matmul(pre, params[f"layer{l}.w_q"]))
-        k = heads(nm.matmul(pre, params[f"layer{l}.w_k"]))
-        v = heads(nm.matmul(pre, params[f"layer{l}.w_v"]))
-        for e in range(c.n_value_extras):
-            vx = heads(nm.matmul(pre, params[f"layer{l}.w_vx{e}"]))
-            gate = nm.reshape(nm.embedding(params[f"layer{l}.gates"], [e]), (c.n_heads, 1))
-            v = nm.add(v, nm.mul(vx, gate))
-
-        attn = nm.attention(q, k, v, mask, scale, rate, dropout_rng)
-        ctx = nm.reshape(attn, (t, hd))
-        h = nm.add(h, nm.dropout(nm.matmul(ctx, params[f"layer{l}.w_o"]), rate, dropout_rng))
-
-        pre2 = nm.layer_norm(h, params[f"layer{l}.ln2_g"], params[f"layer{l}.ln2_b"])
-        ff = nm.gelu(nm.linear(pre2, params[f"layer{l}.w_ff1"], params[f"layer{l}.b_ff1"]))
-        ff = nm.linear(ff, params[f"layer{l}.w_ff2"], params[f"layer{l}.b_ff2"])
-        h = nm.add(h, nm.dropout(ff, rate, dropout_rng))
+        p = f"layer{l}."
+        projections = [params[p + n] for n in ("w_q", "w_k", "w_v", *(f"w_vx{e}" for e in range(c.n_value_extras)))]
+        h = nm.attention_block(
+            h, params[p + "ln1_g"], params[p + "ln1_b"], projections, params[p + "gates"], params[p + "w_o"],
+            mask, c.n_heads, scale, rate, dropout_rng,
+        )
+        ffn = (params[p + n] for n in ("ln2_g", "ln2_b", "w_ff1", "b_ff1", "w_ff2", "b_ff2"))
+        h = nm.ffn_block(h, *ffn, rate, dropout_rng)
 
     hidden = h
 

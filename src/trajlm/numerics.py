@@ -17,6 +17,15 @@ inputs.  Model parameters live in a `ParamStore`: one flat vector whose
 slices are the tensors' data, and one flat gradient vector that a
 parameter's first gradient write in a backward pass lands in.
 
+Each transformer sublayer is one node: `attention_block` (layer norm,
+projections, gated values, row-blocked masked attention, output projection,
+dropout, residual) and `ffn_block` (layer norm, linear, GELU, linear,
+dropout, residual).  A block's rule recomputes what is cheap (layer norm's
+output, the gated values, each attention row block's probabilities, the
+GELU) instead of keeping it, and runs the same operations in the same order
+as the chain of single ops it replaced, so its outputs and gradients are
+that chain's bit for bit.
+
 Importing this module sets the process's heap policy (`_keep_heap_mapped`):
 every array below 32 MiB comes from a heap that is never trimmed, so each
 pass reuses pages the previous pass faulted in.
@@ -48,15 +57,13 @@ __all__ = [
     "abs_",
     "softmax",
     "log_softmax",
-    "layer_norm",
     "embedding",
     "embedding_sum",
     "take_ranges",
     "range_head",
-    "reshape",
     "sum_",
-    "dropout",
-    "attention",
+    "attention_block",
+    "ffn_block",
     "backward",
     "grad_check",
     "neg_inf",
@@ -381,45 +388,53 @@ def _gelu_tanh(x: np.ndarray) -> np.ndarray:
     return np.tanh(u, out=u)
 
 
-def gelu(a: Tensor) -> Tensor:
-    """GELU: exact erf form in double, tanh approximation in single."""
-    x = a.data
+def _gelu(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """GELU of x, exact erf form in double and tanh approximation in single,
+    and the array its derivative reuses: Phi(x) in double, the tanh in single."""
     if x.dtype == np.float64:
         from scipy.special import erf  # here, so float32 passes never import scipy.special
 
         phi = 0.5 * (1.0 + erf(x * _INV_SQRT2))
-        y = x * phi
+        return x * phi, phi
+    t = _gelu_tanh(x)
+    return 0.5 * x * (1.0 + t), t
 
-        def bw(g):
-            pdf = np.exp(-0.5 * x * x) / math.sqrt(2.0 * math.pi)
-            _accum(a, g * (phi + x * pdf))
 
-    else:
-        y = 0.5 * x * (1.0 + _gelu_tanh(x))
+def _gelu_grad(x: np.ndarray, s: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """g times GELU's derivative at x, given `_gelu`'s second array s; in
+    single precision s is the tanh t and is overwritten with the result."""
+    if x.dtype == np.float64:
+        pdf = np.exp(-0.5 * x * x) / math.sqrt(2.0 * math.pi)
+        return g * (s + x * pdf)
+    # g (0.5 (1 + t) + 0.5 x (1 - t^2) dinner), evaluated in that order in
+    # three buffers
+    t = s
+    f = t * t
+    np.subtract(1.0, f, out=f)
+    h = x * 0.5
+    h *= f
+    np.multiply(x, 3 * 0.044715, out=f)
+    f *= x
+    f += 1.0
+    f *= _SQRT_2_OVER_PI  # dinner
+    h *= f
+    del f
+    t += 1.0
+    t *= 0.5
+    t += h
+    del h
+    t *= g
+    return t
 
-        def bw(g):
-            # g (0.5 (1 + t) + 0.5 x (1 - t^2) dinner), evaluated in that
-            # order in three buffers; t is recomputed, so the tape keeps
-            # only y
-            t = _gelu_tanh(x)
-            f = t * t
-            np.subtract(1.0, f, out=f)
-            h = x * 0.5
-            h *= f
-            np.multiply(x, 3 * 0.044715, out=f)
-            f *= x
-            f += 1.0
-            f *= _SQRT_2_OVER_PI  # dinner
-            h *= f
-            del f
-            t += 1.0
-            t *= 0.5
-            t += h
-            del h
-            t *= g
-            _accum(a, t, owned=True)
 
-    return _node(y, (a,), bw)
+def gelu(a: Tensor) -> Tensor:
+    """GELU: exact erf form in double, tanh approximation in single.  In
+    single precision the rule recomputes the tanh, so the tape keeps only y."""
+    x = a.data
+    y, s = _gelu(x)
+    if x.dtype != np.float64:
+        s = None
+    return _node(y, (a,), lambda g: _accum(a, _gelu_grad(x, _gelu_tanh(x) if s is None else s, g), owned=True))
 
 
 def softmax(a: Tensor, axis: int = -1) -> Tensor:
@@ -442,25 +457,6 @@ def log_softmax(a: Tensor, axis: int = -1) -> Tensor:
         _accum(a, g - np.exp(y) * g.sum(axis=axis, keepdims=True))
 
     return _node(y, (a,), bw)
-
-
-def layer_norm(a: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
-    """Per-row normalization over the last axis, then affine gain/bias."""
-    x = a.data
-    mu = x.mean(axis=-1, keepdims=True)
-    xc = x - mu
-    var = (xc * xc).mean(axis=-1, keepdims=True)
-    inv = 1.0 / np.sqrt(var + 1e-5)
-    xhat = xc * inv
-
-    def bw(g):
-        _accum(gain, g * xhat)
-        _accum(bias, g)
-        gx = g * gain.data
-        dx = inv * (gx - gx.mean(axis=-1, keepdims=True) - xhat * (gx * xhat).mean(axis=-1, keepdims=True))
-        _accum(a, dx)
-
-    return _node(xhat * gain.data + bias.data, (a, gain, bias), bw)
 
 
 def embedding(table: Tensor, ids) -> Tensor:
@@ -572,10 +568,6 @@ def range_head(h: Tensor, w: Tensor, b: Tensor, rows=None, starts=None, widths=N
     return _node(z, (h, w, b), bw)
 
 
-def reshape(a: Tensor, shape) -> Tensor:
-    return _node(a.data.reshape(shape), (a,), lambda g: _accum(a, g.reshape(a.data.shape)))
-
-
 def sum_(a: Tensor, axis=None) -> Tensor:
     def bw(g):
         if axis is None:
@@ -586,12 +578,34 @@ def sum_(a: Tensor, axis=None) -> Tensor:
     return _node(a.data.sum(axis=axis), (a,), bw)
 
 
-def dropout(a: Tensor, rate: float, rng: np.random.Generator | None) -> Tensor:
-    """Inverted dropout; identity when rate is 0 or no rng is supplied."""
+# --- transformer sublayers ------------------------------------------------------
+
+
+def _normalize(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Layer norm over the last axis before its gain and bias: xhat and the
+    per-row 1 / sqrt(var + 1e-5) it was scaled by."""
+    mu = x.mean(axis=-1, keepdims=True)
+    xc = x - mu
+    var = (xc * xc).mean(axis=-1, keepdims=True)
+    inv = 1.0 / np.sqrt(var + 1e-5)
+    return xc * inv, inv
+
+
+def _layer_norm_grad(g: np.ndarray, xhat: np.ndarray, inv: np.ndarray, gain: Tensor, bias: Tensor) -> np.ndarray:
+    """Layer norm's backward from the gradient g of xhat * gain + bias:
+    accumulates gain's and bias's gradients and returns the input's."""
+    _accum(gain, g * xhat)
+    _accum(bias, g)
+    gx = g * gain.data
+    return inv * (gx - gx.mean(axis=-1, keepdims=True) - xhat * (gx * xhat).mean(axis=-1, keepdims=True))
+
+
+def _keep_mask(shape, dtype, rate: float, rng: np.random.Generator | None) -> np.ndarray | None:
+    """Inverted dropout's multiplier, 0 or 1 / (1 - rate) per entry, from one
+    rng.random(shape) draw; None, and no draw, when rate is 0 or rng is None."""
     if rate <= 0.0 or rng is None:
-        return a
-    mask = (rng.random(a.data.shape) >= rate).astype(a.data.dtype) / (1.0 - rate)
-    return _node(a.data * mask, (a,), lambda g: _accum(a, g * mask))
+        return None
+    return (rng.random(shape) >= rate).astype(dtype) / (1.0 - rate)
 
 
 # Query rows per attention block: a block's scores and probabilities are
@@ -599,92 +613,206 @@ def dropout(a: Tensor, rate: float, rng: np.random.Generator | None) -> Tensor:
 _ATTN_BLOCK = 128
 
 
-def attention(q: Tensor, k: Tensor, v: Tensor, mask, scale: float, rate: float = 0.0, rng=None) -> Tensor:
-    """Masked scaled dot-product attention over stacked heads, one tape node:
-    dropout(softmax(q k^T * scale, masked), rate, rng) @ v per head.
-
-    Token-major: q is (Tq, H, d), k (Tk, H, d), v (Tk, H, dv) and the output
-    (Tq, H, dv), so the projections feed in and the output projection reads
-    out through reshapes that are views.  mask is a boolean (Tq, Tk) array,
-    True where a query row may attend to a key column.  Query rows run in
-    blocks of _ATTN_BLOCK; each block multiplies only keys [0, c1), c1 one
-    past the last column any of its rows allows, so the all-masked upper
-    triangle of causal masks is skipped.  Each block's (H, rows, c1)
-    probabilities are kept for the backward pass when an input tracks.  The
-    dropout keep mask is one rng.random((H, Tq, Tk)) draw, the draw `dropout`
-    makes on head-major probabilities.  Computes in q's dtype; a mask row
-    that allows no key raises ValueError.
-    """
-    qd = q.data
-    dtype = qd.dtype
-    kd = k.data.astype(dtype, copy=False)
-    vd = v.data.astype(dtype, copy=False)
-    mask = np.asarray(mask, dtype=bool)
-    if qd.ndim != 3 or kd.shape != (kd.shape[0], *qd.shape[1:]) or vd.shape[:2] != kd.shape[:2]:
-        raise ValueError(
-            f"attention needs q (Tq, H, d), k (Tk, H, d), v (Tk, H, dv); got {qd.shape}, {kd.shape}, {vd.shape}"
-        )
-    t_q, n_heads, _ = qd.shape
-    if mask.shape != (t_q, kd.shape[0]):
-        raise ValueError(f"attention mask shape {mask.shape} does not match ({t_q}, {kd.shape[0]})")
+def _attention_blocks(mask: np.ndarray, t_q: int, t_k: int) -> list[tuple[int, int, int]]:
+    """The query row blocks (r0, r1, c1) of a boolean (t_q, t_k) mask: rows
+    [r0, r1), at most _ATTN_BLOCK of them, attend to keys [0, c1), c1 one
+    past the last column any of those rows allows, so the all-masked upper
+    triangle of causal masks is skipped.  A row that allows no key raises
+    ValueError."""
+    if mask.shape != (t_q, t_k):
+        raise ValueError(f"attention mask shape {mask.shape} does not match ({t_q}, {t_k})")
     empty = np.flatnonzero(~mask.any(axis=1))
     if empty.size:
         raise ValueError(f"attention mask rows allow no key: {empty[:5].tolist()}")
-    keep = None
-    if rate > 0.0 and rng is not None:
-        keep = (rng.random((n_heads, t_q, kd.shape[0])) >= rate).astype(dtype) / (1.0 - rate)
-    # one past the last allowed column of each row
-    extent = mask.shape[1] - np.argmax(mask[:, ::-1], axis=1)
-    fill = neg_inf(dtype)
-    track = q.requires_grad or k.requires_grad or v.requires_grad
+    extent = t_k - np.argmax(mask[:, ::-1], axis=1)
+    return [
+        (r0, min(r0 + _ATTN_BLOCK, t_q), int(extent[r0 : r0 + _ATTN_BLOCK].max()))
+        for r0 in range(0, t_q, _ATTN_BLOCK)
+    ]
 
-    def by_head(x):
-        return np.swapaxes(x, 0, 1)  # a strided (H, T, d) view; BLAS reads it in place
 
-    qh, kh, vh = by_head(qd), by_head(kd), by_head(vd)
-    out = np.empty((t_q, n_heads, vd.shape[2]), dtype=dtype)
-    oh = by_head(out)
-    blocks = []  # (r0, r1, c1, probabilities) per query block
-    for r0 in range(0, t_q, _ATTN_BLOCK):
-        r1 = min(r0 + _ATTN_BLOCK, t_q)
-        c1 = int(extent[r0:r1].max())
-        p = qh[:, r0:r1] @ np.swapaxes(kh[:, :c1], -1, -2)
-        p *= scale
-        np.copyto(p, fill, where=~mask[r0:r1, :c1])
-        p -= p.max(axis=-1, keepdims=True)
-        np.exp(p, out=p)
-        p /= p.sum(axis=-1, keepdims=True)
-        if track:
-            blocks.append((r0, r1, c1, p))
+def _by_head(x: np.ndarray) -> np.ndarray:
+    return np.swapaxes(x, 0, 1)  # a strided (H, T, d) view; BLAS reads it in place
+
+
+def _probs(qh: np.ndarray, kh: np.ndarray, mask: np.ndarray, block, scale: float) -> np.ndarray:
+    """One row block's (H, r1 - r0, c1) probabilities softmax(q k^T * scale,
+    masked).  Both directions of the attention call this, so backward's
+    probabilities are forward's bit for bit."""
+    r0, r1, c1 = block
+    p = qh[:, r0:r1] @ np.swapaxes(kh[:, :c1], -1, -2)
+    p *= scale
+    np.copyto(p, neg_inf(p.dtype), where=~mask[r0:r1, :c1])
+    p -= p.max(axis=-1, keepdims=True)
+    np.exp(p, out=p)
+    p /= p.sum(axis=-1, keepdims=True)
+    return p
+
+
+def _attend(q: np.ndarray, k: np.ndarray, v: np.ndarray, mask: np.ndarray, blocks, scale: float, keep) -> np.ndarray:
+    """Masked attention over stacked heads, token-major: q (Tq, H, d), k
+    (Tk, H, d) and v (Tk, H, dv) give (Tq, H, dv), per head
+    (softmax(q k^T * scale, masked) * keep) @ v, keep the (H, Tq, Tk)
+    dropout multiplier or None."""
+    qh, kh, vh = _by_head(q), _by_head(k), _by_head(v)
+    out = np.empty((q.shape[0], q.shape[1], v.shape[2]), dtype=q.dtype)
+    oh = _by_head(out)
+    for block in blocks:
+        r0, r1, c1 = block
+        p = _probs(qh, kh, mask, block, scale)
         if keep is not None:
-            p = p * keep[:, r0:r1, :c1]
+            p *= keep[:, r0:r1, :c1]
         oh[:, r0:r1] = p @ vh[:, :c1]
+    return out
+
+
+def _attend_grads(g: np.ndarray, q, k, v, mask: np.ndarray, blocks, scale: float, keep):
+    """The gradients of q, k and v through `_attend`, given its output's
+    gradient g; each block's probabilities are recomputed."""
+    qh, kh, vh, gh = _by_head(q), _by_head(k), _by_head(v), _by_head(g)
+    gq, gk, gv = np.empty_like(q), np.zeros_like(k), np.zeros_like(v)
+    for block in blocks:
+        r0, r1, c1 = block
+        p = _probs(qh, kh, mask, block, scale)
+        go = gh[:, r0:r1]
+        kept = p if keep is None else p * keep[:, r0:r1, :c1]
+        _by_head(gv)[:, :c1] += np.swapaxes(kept, -1, -2) @ go
+        del kept
+        ds = go @ np.swapaxes(vh[:, :c1], -1, -2)
+        if keep is not None:
+            ds *= keep[:, r0:r1, :c1]
+        ds -= (ds * p).sum(axis=-1, keepdims=True)
+        ds *= p
+        ds *= scale
+        _by_head(gq)[:, r0:r1] = ds @ kh[:, :c1]
+        _by_head(gk)[:, :c1] += np.swapaxes(np.swapaxes(qh[:, r0:r1], -1, -2) @ ds, -1, -2)
+    return gq, gk, gv
+
+
+def _gated_values(heads: np.ndarray, gates: np.ndarray) -> np.ndarray:
+    """v + vx0 * gates[0] + vx1 * gates[1] + ... per head, from the stacked
+    (3 + E, T, H, d) projections q, k, v, vx0, ..."""
+    v = heads[2]
+    for e, vx in enumerate(heads[3:]):
+        v = v + vx * gates[e].reshape(-1, 1)
+    return v
+
+
+def attention_block(
+    h: Tensor, gain: Tensor, bias: Tensor, weights, gates: Tensor, w_o: Tensor, mask, n_heads: int, scale: float,
+    rate: float = 0.0, rng: np.random.Generator | None = None,
+) -> Tensor:
+    """A pre-norm attention sublayer in one tape node:
+    h + dropout(attention(q, k, v) @ w_o, rate, rng).
+
+    pre = xhat * gain + bias, xhat h's layer norm, is projected by each of
+    `weights` (w_q, w_k, w_v, then the value extras w_vx0, ...; each
+    (d, H d_head)) into stacked (3 + E, T, H d_head) projections.  Extra e is
+    added into the values scaled per head by gates[e].  Attention is masked by the boolean
+    (T, T) `mask` (True where a query row may attend to a key column) and
+    runs in query row blocks (`_attention_blocks`).  With dropout on, the
+    draws are the attention keep mask, one rng.random((H, T, T)), then
+    rng.random((T, d)) for w_o's output.
+
+    The tape keeps layer norm's xhat and inv, the stacked projections, the
+    attention output and the dropout masks; backward recomputes pre, the
+    gated values and each block's probabilities.  Forward and gradients are
+    bitwise those of the op chain written out (layer norm, one matmul per
+    projection, per-extra mul and add, attention, matmul, dropout, add), and
+    the projections' input gradient is summed newest first, w_vx{E-1} ...
+    w_v, w_k, w_q.
+    """
+    x = h.data
+    xhat, inv = _normalize(x)
+    pre = xhat * gain.data + bias.data
+    t = x.shape[0]
+    proj = np.empty((len(weights), t, weights[0].data.shape[1]), np.result_type(pre, *(w.data for w in weights)))
+    for w, out in zip(weights, proj):
+        np.matmul(pre, w.data, out=out)
+    del pre
+    heads = proj.reshape(len(weights), t, n_heads, -1)
+    mask = np.asarray(mask, dtype=bool)
+    blocks = _attention_blocks(mask, t, t)
+    keep = _keep_mask((n_heads, t, t), proj.dtype, rate, rng)
+    ctx = _attend(heads[0], heads[1], _gated_values(heads, gates.data), mask, blocks, scale, keep).reshape(t, -1)
+    y = ctx @ w_o.data
+    drop = _keep_mask(y.shape, y.dtype, rate, rng)
+    if drop is not None:
+        y *= drop
+    y += x
 
     def bw(g):
-        gh = by_head(g)
-        gq = np.empty_like(qd) if q.requires_grad else None
-        gk = np.zeros_like(kd) if k.requires_grad else None
-        gv = np.zeros_like(vd) if v.requires_grad else None
-        for r0, r1, c1, p in blocks:
-            go = gh[:, r0:r1]
-            kept = p if keep is None else p * keep[:, r0:r1, :c1]
-            if gv is not None:
-                by_head(gv)[:, :c1] += np.swapaxes(kept, -1, -2) @ go
-            ds = go @ np.swapaxes(vh[:, :c1], -1, -2)
-            if keep is not None:
-                ds *= keep[:, r0:r1, :c1]
-            ds -= (ds * p).sum(axis=-1, keepdims=True)
-            ds *= p
-            ds *= scale
-            if gq is not None:
-                by_head(gq)[:, r0:r1] = ds @ kh[:, :c1]
-            if gk is not None:
-                by_head(gk)[:, :c1] += np.swapaxes(np.swapaxes(qh[:, r0:r1], -1, -2) @ ds, -1, -2)
-        for x, gx in ((q, gq), (k, gk), (v, gv)):
-            if gx is not None:
-                _accum(x, gx, owned=True)
+        go = g if drop is None else g * drop
+        gctx = go @ np.swapaxes(w_o.data, -1, -2)
+        _accum(w_o, np.swapaxes(ctx, -1, -2) @ go, owned=True)
+        v = _gated_values(heads, gates.data)
+        gq, gk, gv = _attend_grads(gctx.reshape(heads.shape[1:]), heads[0], heads[1], v, mask, blocks, scale, keep)
+        grads = [gq, gk, gv]
+        for e, vx in enumerate(heads[3:]):
+            grads.append(gv * gates.data[e].reshape(-1, 1))
+            if gates.requires_grad:
+                _grad_buffer(gates)[e] += (gv * vx).sum(axis=(0,)).sum(axis=(1,))
+        pre = xhat * gain.data + bias.data
+        gpre = None
+        for w, gp in zip(reversed(weights), reversed(grads)):  # newest projection first
+            gp = gp.reshape(t, -1)
+            gx = gp @ np.swapaxes(w.data, -1, -2)
+            if gpre is None:
+                gpre = gx
+            else:
+                gpre += gx
+            _accum(w, np.swapaxes(pre, -1, -2) @ gp, owned=True)
+        dx = _layer_norm_grad(gpre, xhat, inv, gain, bias)
+        dx += g
+        _accum(h, dx, owned=True)
 
-    return _node(out, (q, k, v), bw)
+    return _node(y, (h, gain, bias, *weights, gates, w_o), bw)
+
+
+def ffn_block(
+    h: Tensor, gain: Tensor, bias: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor,
+    rate: float = 0.0, rng: np.random.Generator | None = None,
+) -> Tensor:
+    """A pre-norm feed-forward sublayer in one tape node:
+    h + dropout(gelu((xhat * gain + bias) @ w1 + b1) @ w2 + b2), xhat h's
+    layer norm.
+
+    With dropout on, the draw is one rng.random((T, d)).  The tape keeps
+    layer norm's xhat and inv and the pre-activation; backward recomputes
+    layer norm's output and the GELU.  Forward and gradients are bitwise
+    those of the op chain written out (layer norm, linear, gelu, linear,
+    dropout, add).
+    """
+    x = h.data
+    xhat, inv = _normalize(x)
+    a = (xhat * gain.data + bias.data) @ w1.data
+    a += b1.data
+    y = _gelu(a)[0] @ w2.data
+    y += b2.data
+    drop = _keep_mask(y.shape, y.dtype, rate, rng)
+    if drop is not None:
+        y *= drop
+    y += x
+
+    def bw(g):
+        gy = g if drop is None else g * drop
+        u, s = _gelu(a)
+        gu = gy @ np.swapaxes(w2.data, -1, -2)
+        _accum(w2, np.swapaxes(u, -1, -2) @ gy, owned=True)
+        _accum(b2, gy)
+        del u, gy
+        ga = _gelu_grad(a, s, gu)
+        del s, gu
+        pre = xhat * gain.data + bias.data
+        gpre = ga @ np.swapaxes(w1.data, -1, -2)
+        _accum(w1, np.swapaxes(pre, -1, -2) @ ga, owned=True)
+        _accum(b1, ga)
+        del pre, ga
+        dx = _layer_norm_grad(gpre, xhat, inv, gain, bias)
+        dx += g
+        _accum(h, dx, owned=True)
+
+    return _node(y, (h, gain, bias, w1, b1, w2, b2), bw)
 
 
 def _tape(root: Tensor) -> list[Tensor]:

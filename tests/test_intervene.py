@@ -182,6 +182,24 @@ class TestSimulateArms:
         lo, hi = arm.bootstrap_ci(np.random.default_rng(0), resamples=200)
         assert lo <= arm.signed_percent <= hi
 
+    @pytest.mark.parametrize("n", [1, 38, 39, 40, 41])
+    def test_bootstrap_ci_is_the_per_resample_loop_bitwise(self, n):
+        """One (resamples, n) draw gives the CI of `resamples` draws of n
+        indices each, bit for bit, and leaves the rng where they leave it."""
+        from trajlm.intervene import ArmResult
+
+        values = np.random.default_rng(n).normal(50.0, 5.0, (2, n))
+        arm = ArmResult(values[0], values[1])
+        rng, ref = np.random.default_rng(3), np.random.default_rng(3)
+        stats = []
+        for _ in range(300):
+            idx = ref.integers(0, n, n)
+            mc = arm.control[idx].mean()
+            stats.append(100.0 * (arm.treatment[idx].mean() - mc) / mc)
+        want = (float(np.percentile(stats, 2.5)), float(np.percentile(stats, 97.5)))
+        assert arm.bootstrap_ci(rng, resamples=300) == want
+        assert rng.random() == ref.random()
+
     def test_horizon_cap(self, vocab, tiny_model):
         params, config = tiny_model
         with pytest.raises(ValueError, match="24"):

@@ -1,5 +1,6 @@
 import json
 import struct
+import tracemalloc
 from dataclasses import replace
 from datetime import datetime, timedelta
 
@@ -306,6 +307,39 @@ class TestForward:
             assert np.max(np.abs(part[i, :k] - full[r, s : s + k])) <= 1e-12
         whole_rows = run_forward(params, config, vocab, seq, mask_kind=mask_kind, head=(rows[::-1], None, None)).data
         assert np.max(np.abs(whole_rows - full[rows[::-1]])) <= 1e-12
+
+
+class TestTapeMemory:
+    def held_by_tape(self, t):
+        """Bytes a grad-on forward over T=t tokens leaves alive: its tape and
+        the logits.  Four heads over d_model=8 make stored attention
+        probabilities (4 x T^2 / 2 floats) dwarf every per-token array."""
+        config = ModelConfig(
+            vocab_size=20, n_modalities=3, d_model=8, n_layers=1, n_heads=4, d_head=2, cont_pe_dim=8,
+            max_seq_len=4096,
+        )
+        params = init_params(config, np.random.default_rng(3), dtype=np.float32)
+        rng = np.random.default_rng(4)
+        inputs = (
+            rng.integers(0, 20, t), rng.normal(size=t), rng.integers(0, 4, t + 1), np.zeros((t + 1, 7), dtype=np.int64),
+            50.0, "female", build_mask(Causal(), t), np.ones(4),
+        )
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            logits = forward(params, config, *inputs)
+            held = tracemalloc.get_traced_memory()[0] - start
+        finally:
+            tracemalloc.stop()
+        assert logits.requires_grad
+        return held
+
+    def test_tape_grows_linearly_with_context(self):
+        """The blocks recompute attention probabilities in backward instead
+        of keeping them, so doubling T about doubles what a training forward
+        holds; a tape that kept the probabilities grows about 3.2x here."""
+        ratio = self.held_by_tape(1024) / self.held_by_tape(512)
+        assert 1.5 < ratio < 2.5
 
 
 class TestEmbeddingExtraction:

@@ -16,6 +16,8 @@ import pytest
 from trajlm import numerics as nm
 from trajlm.model import Causal, ParallelV2, SplitContext, build_mask
 
+import oracle
+
 
 SRC = str(Path(nm.__file__).resolve().parents[1])
 GLIBC_VARS = ("MALLOC_MMAP_THRESHOLD_", "MALLOC_TRIM_THRESHOLD_")
@@ -124,10 +126,9 @@ class TestForwardOps:
 
     def test_layer_norm_row_stats(self):
         rng = np.random.default_rng(1)
-        x = nm.constant(rng.normal(0, 10, size=(6, 64)))
-        g = nm.constant(np.ones(64))
-        b = nm.constant(np.zeros(64))
-        y = nm.layer_norm(x, g, b).data
+        x = rng.normal(0, 10, size=(6, 64))
+        y, inv = nm._normalize(x)
+        assert inv.shape == (6, 1)
         assert np.all(np.abs(y.mean(axis=-1)) < 1e-9)
         assert np.all(np.abs(y.var(axis=-1) - 1.0) < 1e-6)
 
@@ -349,12 +350,14 @@ def loss_through_every_op(rng):
     x = nm.embedding(p["table"], [0, 2, 2, 5])
     upstream = weakref.ref(x.data)
     x = nm.add(x, nm.embedding_sum([p["t0"], p["t1"]], [[0, 4], [2, 1], [2, 1], [1, 0]]))
-    x = nm.layer_norm(x, p["gain"], p["bias"])
-    x = nm.sub(nm.gelu(x), nm.neg(nm.clamp(nm.abs_(x), 2.0)))
-    x = nm.dropout(nm.scale(x, 0.5), 0.25, rng)
-    qkv = nm.reshape(x, (4, 2, 2))
-    x = nm.attention(qkv, qkv, qkv, np.tril(np.ones((4, 4), dtype=bool)), 0.7)
-    x = nm.reshape(x, (4, 4))
+    projections = [nm.Tensor(rng.normal(size=(4, 4)), requires_grad=True) for _ in range(4)]
+    gates, w_o = nm.Tensor(rng.normal(size=(1, 2)), requires_grad=True), projections[0]
+    x = nm.attention_block(
+        x, p["gain"], p["bias"], projections, gates, w_o, np.tril(np.ones((4, 4), dtype=bool)), 2, 0.7, 0.25, rng
+    )
+    w2 = nm.Tensor(rng.normal(size=(8, 4)), requires_grad=True)
+    x = nm.ffn_block(x, p["gain"], p["bias"], p["w"], p["b"], w2, p["bias"], 0.25, rng)
+    x = nm.scale(nm.sub(nm.gelu(x), nm.neg(nm.clamp(nm.abs_(x), 2.0))), 0.5)
     rows, starts, widths = [0, 1, 3], [0, 2, 4], [4, 4, 4]
     logits = nm.add(
         nm.take_ranges(nm.add(nm.linear(x, p["w"], p["b"]), nm.matmul(x, p["w"])), rows, starts, widths, 0.0),
@@ -388,18 +391,22 @@ class TestTape:
         rng = np.random.default_rng(31)
         x = nm.constant(rng.normal(size=(4, 4)))
         row = nm.constant(rng.normal(size=4))
-        qkv = nm.constant(rng.normal(size=(4, 2, 2)))
+        gates = nm.constant(rng.normal(size=(1, 2)))
         outs = [
             nm.add(x, row), nm.sub(x, row), nm.mul(x, row), nm.neg(x), nm.scale(x, 2.0),
             nm.matmul(x, x), nm.linear(x, x, row), nm.clamp(x, 3.0), nm.gelu(x), nm.abs_(x),
-            nm.softmax(x), nm.log_softmax(x), nm.layer_norm(x, row, row), nm.embedding(x, [0, 3, 3]),
+            nm.softmax(x), nm.log_softmax(x), nm.embedding(x, [0, 3, 3]),
             nm.embedding_sum([x, x], [[0, 1], [3, 3]]),
-            nm.take_ranges(x, [0, 2], [1, 0], [2, 4], 0.0), nm.range_head(x, x, row, [1, 2]),
-            nm.reshape(x, (16,)), nm.sum_(x), nm.dropout(x, 0.5, rng),
-            nm.attention(qkv, qkv, qkv, np.ones((4, 4), dtype=bool), 0.7),
+            nm.take_ranges(x, [0, 2], [1, 0], [2, 4], 0.0), nm.range_head(x, x, row, [1, 2]), nm.sum_(x),
+            nm.attention_block(x, row, row, [x, x, x, x], gates, x, np.ones((4, 4), dtype=bool), 2, 0.7, 0.5, rng),
+            nm.ffn_block(x, row, row, x, row, x, row, 0.5, rng),
         ]
         for y in outs:
             assert not y.requires_grad and y._parents == () and y._backward is None
+
+
+# an ffn_block's gain, bias, w1, b1, w2 and b2 over inputs of width 4
+FFN_CONSTANTS = [nm.constant(np.random.default_rng(8).normal(size=s)) for s in ((4,), (4,), (4, 6), (6,), (6, 4), (4,))]
 
 
 class TestGradCheck:
@@ -447,7 +454,7 @@ class TestGradCheck:
             lambda x: nm.softmax(x),
             lambda x: nm.log_softmax(x),
             lambda x: nm.abs_(nm.add(x, nm.constant(np.array(0.1)))),
-            lambda x: nm.reshape(nm.mul(x, x), (8,)),
+            lambda x: nm.ffn_block(nm.mul(x, x), *FFN_CONSTANTS, 0.5, np.random.default_rng(7)),
             lambda x: nm.embedding_sum([x, nm.mul(x, x)], np.array([[1, 0], [0, 0], [1, 1]])),
             lambda x: nm.take_ranges(nm.mul(x, x), np.array([1, 0, 1]), np.array([1, 0, 3]), np.array([2, 4, 1]), -7.0),
         ],
@@ -730,21 +737,66 @@ class TestFusedOps:
         assert np.array_equal(x.grad, want)
 
 
+def layer_norm_op(a, gain, bias):
+    """The layer norm op the blocks absorbed, kept here as their reference."""
+    x = a.data
+    mu = x.mean(axis=-1, keepdims=True)
+    xc = x - mu
+    var = (xc * xc).mean(axis=-1, keepdims=True)
+    inv = 1.0 / np.sqrt(var + 1e-5)
+    xhat = xc * inv
+
+    def bw(g):
+        nm._accum(gain, g * xhat)
+        nm._accum(bias, g)
+        gx = g * gain.data
+        nm._accum(a, inv * (gx - gx.mean(axis=-1, keepdims=True) - xhat * (gx * xhat).mean(axis=-1, keepdims=True)))
+
+    return nm._node(xhat * gain.data + bias.data, (a, gain, bias), bw)
+
+
+def reshape_op(a, shape):
+    return nm._node(a.data.reshape(shape), (a,), lambda g: nm._accum(a, g.reshape(a.data.shape)))
+
+
+def dropout_op(a, rate, rng):
+    """Inverted dropout as the op the blocks absorbed: identity at rate 0 or without an rng."""
+    if rate <= 0.0 or rng is None:
+        return a
+    keep = (rng.random(a.data.shape) >= rate).astype(a.data.dtype) / (1.0 - rate)
+    return nm._node(a.data * keep, (a,), lambda g: nm._accum(a, g * keep))
+
+
+def attend(q, k, v, mask, scale, rate=0.0, rng=None):
+    """`attention_block`'s row-blocked attention core as one node over
+    token-major q, k and v, with its keep-mask draw."""
+    mask = np.asarray(mask, dtype=bool)
+    blocks = nm._attention_blocks(mask, q.shape[0], k.shape[0])
+    keep = nm._keep_mask((q.shape[1], q.shape[0], k.shape[0]), q.dtype, rate, rng)
+    out = nm._attend(q.data, k.data, v.data, mask, blocks, scale, keep)
+
+    def bw(g):
+        for x, gx in zip((q, k, v), nm._attend_grads(g, q.data, k.data, v.data, mask, blocks, scale, keep)):
+            nm._accum(x, gx, owned=True)
+
+    return nm._node(out, (q, k, v), bw)
+
+
 def chained_attention(q, k, v, mask, scale, rate=0.0, rng=None):
-    """The op chain `attention` replaces, built from the existing ops over
-    head-major leaves: q and v (H, T, d), and k already transposed to
+    """The op chain the attention core replaces, built from the existing ops
+    over head-major leaves: q and v (H, T, d), and k already transposed to
     (H, d, Tk)."""
     dtype = q.data.dtype
     mask_add = np.where(mask, np.array(0.0, dtype=dtype), np.array(nm.neg_inf(dtype), dtype=dtype))
     scores = nm.add(nm.scale(nm.matmul(q, k), scale), nm.constant(mask_add))
-    return nm.matmul(nm.dropout(nm.softmax(scores, axis=-1), rate, rng), v)
+    return nm.matmul(dropout_op(nm.softmax(scores, axis=-1), rate, rng), v)
 
 
 def fused(q, k, v, weights, mask, scale, rate, rng):
-    """Output and q, k, v gradients of sum(attention(q, k, v) * weights),
+    """Output and q, k, v gradients of sum(attend(q, k, v) * weights),
     every array token-major (T, H, d)."""
     q, k, v = (nm.Tensor(x, requires_grad=True) for x in (q, k, v))
-    out = nm.attention(q, k, v, mask, scale, rate, rng)
+    out = attend(q, k, v, mask, scale, rate, rng)
     nm.backward(nm.sum_(nm.mul(out, nm.constant(weights))))
     return [out.data, q.grad, k.grad, v.grad]
 
@@ -764,7 +816,8 @@ MASKS = [Causal(), SplitContext(97), ParallelV2(260, 20), ParallelV2(260, 20, tu
 
 
 class TestAttention:
-    """The fused, row-blocked op against the chain of single ops."""
+    """The row-blocked attention core of `attention_block` against the chain
+    of single ops."""
 
     def run(self, fn, mask, dtype, rate, seed=0, heads=2, d=8):
         rng = np.random.default_rng(seed)
@@ -802,35 +855,177 @@ class TestAttention:
         weights = nm.constant(rng.normal(size=(13, 2, 3)))
 
         def f():
-            return nm.sum_(nm.mul(nm.attention(q, k, v, mask, 0.7), weights))
+            return nm.sum_(nm.mul(attend(q, k, v, mask, 0.7), weights))
 
         assert nm.grad_check(f, {"q": q, "k": k, "v": v}, max_coords=234) < 1e-6
 
     def test_dropout_draws_where_dropout_does(self):
+        """A layer draws the attention keep mask (H, T, T), then w_o's
+        dropout (T, d), then the FFN's (T, d): the draws of the op chain."""
         mask = build_mask(Causal(), 10)
-        q = nm.constant(np.ones((10, 2, 4)))
+        p = layer_params(np.random.default_rng(7))
+        h = nm.constant(np.ones((10, 4)))
         rng, ref = np.random.default_rng(8), np.random.default_rng(8)
-        nm.attention(q, q, q, mask, 0.5, 0.2, rng)
+        layer(h, p, mask, 0.2, rng)
         ref.random((2, 10, 10))
+        ref.random((10, 4))
+        ref.random((10, 4))
         assert rng.random() == ref.random()
-        nm.attention(q, q, q, mask, 0.5, 0.2, None)  # no rng: no dropout, no draw
-        nm.attention(q, q, q, mask, 0.5, 0.0, rng)  # rate 0: no draw
+        layer(h, p, mask, 0.2, None)  # no rng: no dropout, no draw
+        layer(h, p, mask, 0.0, rng)  # rate 0: no draw
         assert rng.random() == ref.random()
 
     def test_single_precision_stays_single(self):
-        q = nm.Tensor(np.ones((5, 1, 2), dtype=np.float32), requires_grad=True)
-        out = nm.attention(q, q, q, build_mask(Causal(), 5), 1.0 / math.sqrt(2.0))
+        p = layer_params(np.random.default_rng(9), dtype=np.float32)
+        h = nm.Tensor(np.ones((5, 4), dtype=np.float32), requires_grad=True)
+        out = layer(h, p, build_mask(Causal(), 5), 0.1, np.random.default_rng(1))
         nm.backward(nm.sum_(out))
-        assert out.dtype == np.float32 and q.grad.dtype == np.float32
+        assert out.dtype == np.float32
+        assert {str(x.grad.dtype) for x in (h, *p.values())} == {"float32"}
 
     def test_row_without_keys_rejected(self):
         mask = build_mask(Causal(), 4)
         mask[2] = False
-        q = nm.constant(np.zeros((4, 1, 2)))
         with pytest.raises(ValueError, match="allow no key: \\[2\\]"):
-            nm.attention(q, q, q, mask, 1.0)
+            layer(nm.constant(np.zeros((4, 4))), layer_params(np.random.default_rng(10)), mask)
 
     def test_mask_shape_checked(self):
-        q = nm.constant(np.zeros((4, 1, 2)))
         with pytest.raises(ValueError, match="mask shape"):
-            nm.attention(q, q, q, np.ones((4, 3), dtype=bool), 1.0)
+            layer(nm.constant(np.zeros((4, 4))), layer_params(np.random.default_rng(10)), np.ones((4, 3), dtype=bool))
+
+
+EXTRAS = 2
+PROJECTIONS = ("w_q", "w_k", "w_v", *(f"w_vx{e}" for e in range(EXTRAS)))
+N_HEADS = 2
+
+
+def layer_params(rng, d=4, d_head=2, d_ff=8, dtype=np.float64):
+    """Leaves for one pre-norm layer (two heads, two value extras), named as
+    in `model.param_manifest`: weight matrices N(0, 1/fan_in), so activations
+    keep unit scale and the softmax does not saturate; gains near 1; gates
+    and biases N(0, 1)."""
+    hd = N_HEADS * d_head
+    shapes = {"ln1_g": (d,), "ln1_b": (d,), **{n: (d, hd) for n in PROJECTIONS}, "gates": (EXTRAS, N_HEADS)}
+    shapes |= {"w_o": (hd, d), "ln2_g": (d,), "ln2_b": (d,), "w_ff1": (d, d_ff), "b_ff1": (d_ff,)}
+    shapes |= {"w_ff2": (d_ff, d), "b_ff2": (d,)}
+    params = {}
+    for name, shape in shapes.items():
+        x = rng.normal(size=shape)
+        if name.startswith("w_"):
+            x /= math.sqrt(shape[0])
+        elif name.endswith("_g"):
+            x += 1.0
+        params[name] = nm.Tensor(x.astype(dtype), requires_grad=True)
+    return params
+
+
+def attention_args(p):
+    return p["ln1_g"], p["ln1_b"], [p[n] for n in PROJECTIONS], p["gates"], p["w_o"]
+
+
+def ffn_args(p):
+    return p["ln2_g"], p["ln2_b"], p["w_ff1"], p["b_ff1"], p["w_ff2"], p["b_ff2"]
+
+
+def scale_of(p):
+    return 1.0 / math.sqrt(p["w_q"].shape[1] // N_HEADS)
+
+
+def layer(h, p, mask, rate=0.0, rng=None):
+    """One pre-norm layer as `model.forward` runs it: two block nodes."""
+    h = nm.attention_block(h, *attention_args(p), mask, N_HEADS, scale_of(p), rate, rng)
+    return nm.ffn_block(h, *ffn_args(p), rate, rng)
+
+
+def chained_layer(h, p, mask, rate=0.0, rng=None):
+    """The same layer as the chain of single ops the blocks replace."""
+    t, hd = h.shape[0], p["w_q"].shape[1]
+
+    def heads(x):
+        return reshape_op(x, (t, N_HEADS, hd // N_HEADS))
+
+    pre = layer_norm_op(h, p["ln1_g"], p["ln1_b"])
+    q, k, v = (heads(nm.matmul(pre, p[n])) for n in PROJECTIONS[:3])
+    for e in range(EXTRAS):
+        vx = heads(nm.matmul(pre, p[f"w_vx{e}"]))
+        v = nm.add(v, nm.mul(vx, reshape_op(nm.embedding(p["gates"], [e]), (N_HEADS, 1))))
+    ctx = reshape_op(attend(q, k, v, mask, scale_of(p), rate, rng), (t, hd))
+    h = nm.add(h, dropout_op(nm.matmul(ctx, p["w_o"]), rate, rng))
+    pre = layer_norm_op(h, p["ln2_g"], p["ln2_b"])
+    ff = nm.linear(nm.gelu(nm.linear(pre, p["w_ff1"], p["b_ff1"])), p["w_ff2"], p["b_ff2"])
+    return nm.add(h, dropout_op(ff, rate, rng))
+
+
+BLOCK_MASKS = [Causal(), SplitContext(4), ParallelV2(7, 3, (2, 7, 5))]
+
+
+class TestBlocks:
+    """`attention_block` and `ffn_block`: one tape node per sublayer."""
+
+    def run(self, build, dtype, kind, t=300, rate=0.3):
+        """The layer's output, and the gradients of sum(out * weights) for the
+        input and every parameter, in a fixed order."""
+        rng = np.random.default_rng(60)
+        p = layer_params(rng, d=8, d_head=3, d_ff=16, dtype=dtype)
+        h = nm.Tensor(rng.normal(size=(t, 8)).astype(dtype), requires_grad=True)
+        weights = nm.constant(rng.normal(size=(t, 8)).astype(dtype))
+        out = build(h, p, build_mask(kind, t), rate, np.random.default_rng(61))
+        nm.backward(nm.sum_(nm.mul(out, weights)))
+        return [out.data, h.grad] + [p[n].grad for n in p]
+
+    @pytest.mark.parametrize("kind", MASKS[:3], ids=["causal", "split", "parallel"])
+    @pytest.mark.parametrize("rate", [0.0, 0.3])
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_bitwise_the_op_chain(self, kind, rate, dtype):
+        """Forward and every gradient are the chain's bit for bit over three
+        row blocks, dropout on or off: the same operations in the same order,
+        the projections' input gradient summed newest first."""
+        got = self.run(layer, dtype, kind, rate=rate)
+        want = self.run(chained_layer, dtype, kind, rate=rate)
+        for g, w in zip(got, want):
+            assert g.dtype == dtype
+            assert np.array_equal(g, w)
+
+    @pytest.mark.parametrize("kind", BLOCK_MASKS, ids=["causal", "split", "parallel"])
+    def test_attention_block_gradcheck(self, kind, monkeypatch):
+        monkeypatch.setattr(nm, "_ATTN_BLOCK", 3)  # five row blocks
+        mask = build_mask(kind, 13)
+        rng = np.random.default_rng(62)
+        p = layer_params(rng)
+        h = randt(rng, 13, 4)
+        weights = nm.constant(rng.normal(size=(13, 4)))
+        params = {"h": h} | {n: p[n] for n in ("ln1_g", "ln1_b", *PROJECTIONS, "gates", "w_o")}
+
+        def f():
+            out = nm.attention_block(h, *attention_args(p), mask, N_HEADS, 0.7, 0.3, np.random.default_rng(63))
+            return nm.sum_(nm.mul(out, weights))
+
+        assert nm.grad_check(f, params, max_coords=200) < 1e-6
+
+    def test_ffn_block_gradcheck(self):
+        rng = np.random.default_rng(64)
+        p = layer_params(rng)
+        h = randt(rng, 13, 4)
+        weights = nm.constant(rng.normal(size=(13, 4)))
+        params = {"h": h} | {n: p[n] for n in ("ln2_g", "ln2_b", "w_ff1", "b_ff1", "w_ff2", "b_ff2")}
+
+        def f():
+            return nm.sum_(nm.mul(nm.ffn_block(h, *ffn_args(p), 0.3, np.random.default_rng(65)), weights))
+
+        assert nm.grad_check(f, params, max_coords=200) < 1e-6
+
+    @pytest.mark.parametrize("kind", MASKS[:3], ids=["causal", "split", "parallel"])
+    def test_matches_plain_numpy_reference_layer(self, kind):
+        """The two blocks against `oracle.prenorm_layer`, which shares no code
+        with numerics, over three row blocks with dropout on."""
+        rng = np.random.default_rng(66)
+        p = layer_params(rng, d=8, d_head=3, d_ff=16)
+        t, rate = 300, 0.3
+        h = rng.normal(size=(t, 8))
+        mask = build_mask(kind, t)
+        draws = np.random.default_rng(67)
+        keeps = [(draws.random(shape) >= rate) / (1.0 - rate) for shape in ((N_HEADS, t, t), (t, 8), (t, 8))]
+        arrays = {name: x.data for name, x in p.items()}
+        want = oracle.prenorm_layer(h, arrays, mask, N_HEADS, *keeps)
+        got = layer(nm.constant(h), p, mask, rate, np.random.default_rng(67)).data
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))

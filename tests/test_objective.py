@@ -300,11 +300,27 @@ class TestHeadSelectedLoss:
         params = init_params(config, np.random.default_rng(7), dtype=np.float32)
         seq = assemble_sequence(make_record(vocab, n=8), vocab, 64)
         assert 0 < seq.visit_boundary < seq.length
-        loss, _ = sequence_loss(
-            params, config, vocab, seq, 50.0, "male", LossConfig(), dropout_rng=np.random.default_rng(1)
-        )
+        sublayers = []
+
+        def recorded(op):
+            def run(*args, **kwargs):
+                sublayers.append(op(*args, **kwargs))
+                return sublayers[-1]
+
+            return run
+
+        with pytest.MonkeyPatch.context() as mp:
+            for name in ("attention_block", "ffn_block"):
+                mp.setattr(nm, name, recorded(getattr(nm, name)))
+            loss, _ = sequence_loss(
+                params, config, vocab, seq, 50.0, "male", LossConfig(), dropout_rng=np.random.default_rng(1)
+            )
         tape = nm._tape(loss)
-        assert len(tape) > 100
+        # a full tape: the causal and the split pass each put two block nodes
+        # per layer on it
+        assert len(sublayers) == 2 * 2 * config.n_layers
+        assert {id(node) for node in sublayers} <= {id(node) for node in tape}
+        n_nodes = len(tape)
         assert sorted({str(node.dtype) for node in tape}) == ["float32"]
         # backward frees each intermediate's gradient once its rule has run,
         # so record the gradient every rule receives
@@ -322,7 +338,7 @@ class TestHeadSelectedLoss:
                 node._backward = recording(node._backward)
         del tape
         nm.backward(loss)
-        assert len(received) > 100 and set(received) == {"float32"}
+        assert len(received) == n_nodes and set(received) == {"float32"}
         assert {str(p.grad.dtype) for p in params.values()} == {"float32"}
 
         blocks = []
