@@ -24,7 +24,8 @@ dropout, residual).  A block's rule recomputes what is cheap (layer norm's
 output, the gated values, each attention row block's probabilities, the
 GELU) instead of keeping it, and runs the same operations in the same order
 as the chain of single ops it replaced, so its outputs and gradients are
-that chain's bit for bit.
+that chain's bit for bit.  The next-token loss of a pass is one node too
+(`ntp_loss`: soft cross-entropy and MAE over ragged token ranges).
 
 Importing this module sets the process's heap policy (`_keep_heap_mapped`):
 every array below 32 MiB comes from a heap that is never trimmed, so each
@@ -47,21 +48,14 @@ __all__ = [
     "ParamStore",
     "constant",
     "add",
-    "sub",
-    "mul",
-    "neg",
     "matmul",
     "linear",
     "clamp",
     "gelu",
-    "abs_",
-    "softmax",
-    "log_softmax",
     "embedding",
     "embedding_sum",
-    "take_ranges",
     "range_head",
-    "sum_",
+    "ntp_loss",
     "attention_block",
     "ffn_block",
     "backward",
@@ -295,32 +289,6 @@ def add(a: Tensor, b: Tensor) -> Tensor:
     return _node(a.data + b.data, (a, b), bw)
 
 
-def sub(a: Tensor, b: Tensor) -> Tensor:
-    def bw(g):
-        _accum(a, g)
-        _accum(b, -g)
-
-    return _node(a.data - b.data, (a, b), bw)
-
-
-def mul(a: Tensor, b: Tensor) -> Tensor:
-    def bw(g):  # each product only for an operand that takes its gradient
-        if a.requires_grad:
-            _accum(a, g * b.data)
-        if b.requires_grad:
-            _accum(b, g * a.data)
-
-    return _node(a.data * b.data, (a, b), bw)
-
-
-def neg(a: Tensor) -> Tensor:
-    return _node(-a.data, (a,), lambda g: _accum(a, -g))
-
-
-def scale(a: Tensor, c: float) -> Tensor:
-    return _node(a.data * c, (a,), lambda g: _accum(a, g * c))
-
-
 def _check_matmul(a: Tensor, b: Tensor) -> None:
     if a.data.ndim < 2 or b.data.ndim < 2:
         raise ValueError(f"matmul needs >=2-d operands, got {a.data.shape} @ {b.data.shape}")
@@ -372,10 +340,6 @@ def clamp(z: Tensor, c: float) -> Tensor:
         _accum(z, u, owned=True)
 
     return _node(t * c, (z,), bw)
-
-
-def abs_(a: Tensor) -> Tensor:
-    return _node(np.abs(a.data), (a,), lambda g: _accum(a, g * np.sign(a.data)))
 
 
 def _gelu_tanh(x: np.ndarray) -> np.ndarray:
@@ -437,28 +401,6 @@ def gelu(a: Tensor) -> Tensor:
     return _node(y, (a,), lambda g: _accum(a, _gelu_grad(x, _gelu_tanh(x) if s is None else s, g), owned=True))
 
 
-def softmax(a: Tensor, axis: int = -1) -> Tensor:
-    z = a.data - a.data.max(axis=axis, keepdims=True)
-    e = np.exp(z)
-    y = e / e.sum(axis=axis, keepdims=True)
-
-    def bw(g):
-        dot = (g * y).sum(axis=axis, keepdims=True)
-        _accum(a, y * (g - dot))
-
-    return _node(y, (a,), bw)
-
-
-def log_softmax(a: Tensor, axis: int = -1) -> Tensor:
-    z = a.data - a.data.max(axis=axis, keepdims=True)
-    y = z - np.log(np.exp(z).sum(axis=axis, keepdims=True))
-
-    def bw(g):
-        _accum(a, g - np.exp(y) * g.sum(axis=axis, keepdims=True))
-
-    return _node(y, (a,), bw)
-
-
 def embedding(table: Tensor, ids) -> Tensor:
     ids = np.asarray(ids, dtype=np.int64)
     if ids.size and (ids.min() < 0 or ids.max() >= table.data.shape[0]):
@@ -508,19 +450,6 @@ def _ranges(rows, starts, widths, n_rows: int, n_cols: int):
     return rows, starts, widths
 
 
-def take_ranges(a: Tensor, rows, starts, widths, fill: float) -> Tensor:
-    """Ragged gather from a 2-d tensor: out[i, j] = a[rows[i], starts[i] + j]
-    for j < widths[i], and `fill` (no gradient) up to max(widths) columns."""
-    rows, starts, widths = _ranges(rows, starts, widths, *a.data.shape)
-    span = np.arange(widths.max(initial=0))
-    valid = span < widths[:, None]
-    r = np.broadcast_to(rows[:, None], valid.shape)[valid]
-    c = (starts[:, None] + span)[valid]
-    y = np.full(valid.shape, fill, dtype=a.data.dtype)
-    y[valid] = a.data[r, c]
-    return _node(y, (a,), lambda g: _accum_at(a, (r, c), g[valid]))
-
-
 def range_head(h: Tensor, w: Tensor, b: Tensor, rows=None, starts=None, widths=None) -> Tensor:
     """Output-head entries z[i, j] = h[rows[i]] . w[:, starts[i] + j] + b[starts[i] + j]
     for j < widths[i], zero-padded to max(widths) columns.
@@ -568,14 +497,68 @@ def range_head(h: Tensor, w: Tensor, b: Tensor, rows=None, starts=None, widths=N
     return _node(z, (h, w, b), bw)
 
 
-def sum_(a: Tensor, axis=None) -> Tensor:
-    def bw(g):
-        if axis is None:
-            _accum(a, np.full_like(a.data, 1.0) * g)
-        else:
-            _accum(a, np.broadcast_to(np.expand_dims(g, axis), a.data.shape).copy())
+# Padding for ntp_loss's ragged target block: exp(-1e4 - max) is exactly 0 in
+# float32 and float64, so padded columns get probability 0 and a finite
+# log-probability that a zero soft target multiplies to exactly 0.  Logits
+# from `model.forward` lie within +-logit_clamp, far above it.
+_PAD_LOGIT = -1e4
 
-    return _node(a.data.sum(axis=axis), (a,), bw)
+
+def ntp_loss(logits: Tensor, rows, starts, widths, soft, soft_scale: float, mae=None, mae_scale=0.0):
+    """The next-token loss of one pass as one node: returns (soft_scale * CE
+    + mae_scale * MAE, CE, MAE), the last two as floats.
+
+    Target i scores logits[rows[i], starts[i] : starts[i] + widths[i]],
+    padded to max(widths) columns with `_PAD_LOGIT`.  CE is the mean over
+    targets of -sum(soft * log_softmax(row)), `soft` (n, max width) zero past
+    each width.  `mae` is (mids, truth, weight, n_mae): MAE = sum(weight *
+    |softmax(row) @ mids - truth|) / n_mae, 0 when n_mae is 0, with weight 0
+    for a target without a value; mae=None leaves the term out.  With no
+    targets the loss is an untracked zero.
+
+    The tape keeps the log-probabilities and probabilities.  Both directions
+    run the numpy operations of the op chain this node replaced (gather;
+    log-softmax, product, sum, negation, scaling; softmax, product, row sum,
+    difference, absolute value, product, sum, scaling; the two weights) in
+    that chain's order, so they are its results bit for bit.
+    """
+    rows, starts, widths = _ranges(rows, starts, widths, *logits.data.shape)
+    dtype = logits.data.dtype
+    n = len(rows)
+    if n == 0:
+        return Tensor(np.array(0.0, dtype=dtype)), 0.0, 0.0
+    span = np.arange(widths.max())
+    valid = span < widths[:, None]
+    r = np.broadcast_to(rows[:, None], valid.shape)[valid]
+    c = (starts[:, None] + span)[valid]
+    block = np.full(valid.shape, _PAD_LOGIT, dtype=dtype)
+    block[valid] = logits.data[r, c]
+    z = block - block.max(axis=-1, keepdims=True)
+    e = np.exp(z)
+    total = e.sum(axis=-1, keepdims=True)
+    logp = z - np.log(total)
+    soft = np.asarray(soft, dtype=dtype)
+    ce = -(soft * logp).sum() * (1.0 / n)
+    y = ce * soft_scale
+    mae_term = n_mae = 0
+    if mae is not None:
+        mids, truth, weight, n_mae = mae
+        mids, truth, weight = (np.asarray(x, dtype=dtype) for x in (mids, truth, weight))
+        if n_mae:
+            p = e / total
+            dev = (p * mids).sum(axis=1) - truth
+            mae_term = (np.abs(dev) * weight).sum() * (1.0 / n_mae)
+        y = y + mae_term * mae_scale
+
+    def bw(g):
+        glogp = soft * -((g * soft_scale) * (1.0 / n))
+        gblock = glogp - np.exp(logp) * glogp.sum(axis=-1, keepdims=True)
+        if n_mae:
+            gp = (weight * ((g * mae_scale) * (1.0 / n_mae)) * np.sign(dev))[:, None] * mids
+            gblock += p * (gp - (gp * p).sum(axis=-1, keepdims=True))
+        _accum_at(logits, (r, c), gblock[valid])
+
+    return _node(y, (logits,), bw), float(ce), float(mae_term)
 
 
 # --- transformer sublayers ------------------------------------------------------

@@ -4,7 +4,10 @@ The loss has three parts: Gaussian-smoothed cross-entropy over the target
 modality's bin range, a z-normalized MAE between the expected decoded value
 and the true value, and the same smoothed cross-entropy recomputed under the
 split-context mask so future-visit positions are predicted from the full
-first-visit history.
+first-visit history.  Each pass's weighted terms are one tape node
+(`numerics.ntp_loss`), so a sequence's loss is the causal pass's node
+(cross-entropy and MAE) plus, for a sequence with a visit boundary, the split
+pass's node (cross-entropy only).
 """
 
 from __future__ import annotations
@@ -39,6 +42,15 @@ __all__ = [
 ]
 
 
+def _check_fields(config, rules: dict) -> None:
+    """Raise ValueError naming the first field that breaks its rule; `rules`
+    maps a rule's wording to (test, field names)."""
+    for rule, (ok, names) in rules.items():
+        for name in names:
+            if not ok(getattr(config, name)):  # NaN fails every rule
+                raise ValueError(f"{name} must be {rule}, got {getattr(config, name)!r}")
+
+
 @dataclass
 class LossConfig:
     sl_sigma: float = 0.01
@@ -47,8 +59,10 @@ class LossConfig:
     split_scale: float = 1.0
 
     def __post_init__(self):
-        if self.sl_sigma <= 0:
-            raise ValueError("sl_sigma must be positive")
+        _check_fields(self, {
+            "finite and positive": (lambda x: 0 < x < math.inf, ("sl_sigma",)),
+            "finite and non-negative": (lambda x: 0 <= x < math.inf, ("soft_scale", "mae_scale", "split_scale")),
+        })
 
 
 @dataclass
@@ -67,16 +81,12 @@ class TrainConfig:
     val_fraction: float = 0.2
 
     def __post_init__(self):
-        rules = {
-            "at least 1": (lambda x: x >= 1, ("batch_size",)),
+        _check_fields(self, {
+            "at least 1": (lambda x: x >= 1, ("epochs", "batch_size")),
             "positive": (lambda x: x > 0, ("peak_lr", "eps")),
             "non-negative": (lambda x: x >= 0, ("min_lr", "warmup_steps", "weight_decay", "clip_norm")),
             "in [0, 1)": (lambda x: 0 <= x < 1, ("val_fraction", "beta1", "beta2")),
-        }
-        for rule, (ok, names) in rules.items():
-            for name in names:
-                if not ok(getattr(self, name)):  # NaN fails every rule
-                    raise ValueError(f"{name} must be {rule}, got {getattr(self, name)!r}")
+        })
 
 
 class TrainingDiverged(RuntimeError):
@@ -90,13 +100,6 @@ def soft_target(a: int, b: int, k: int, sigma: float) -> np.ndarray:
     i = np.arange(a, b + 1, dtype=np.float64)
     q = np.exp(-((i - k) ** 2) / (2.0 * sigma * sigma))
     return q / q.sum()
-
-
-# Padding for the ragged target block: exp(-1e4 - max) is exactly 0 in float32
-# and float64, so padded columns get probability 0 and a finite log-probability
-# that a zero soft target multiplies to exactly 0.  Logits from `forward` lie
-# within +-logit_clamp, far above it.
-_PAD_LOGIT = -1e4
 
 
 @dataclass(frozen=True)
@@ -161,36 +164,28 @@ def masked_ntp_loss(
     sigma: float,
     min_target: int = 0,
     targets: NTPTargets | None = None,
+    soft_scale: float = 1.0,
+    mae_scale: float | None = 1.0,
 ):
-    """(soft, mae, n_soft, n_mae) over all eligible next-token targets.
+    """(loss, soft, mae, n_soft, n_mae) over all eligible next-token targets:
+    loss = soft_scale * soft + mae_scale * mae as one tape node
+    (`numerics.ntp_loss`), soft the mean smoothed cross-entropy and mae the
+    mean z-normalized MAE as floats.  mae_scale=None scores no MAE (mae 0.0).
 
     `logits` are the full (T, V) rows, or, when `targets` (ntp_targets of the
     same sequence, sigma and min_target) is given, the block that
     `forward(..., head=targets.head)` returned.  Probabilities are
     renormalized inside each target modality's token range, so logits outside
-    that range never contribute: one log_softmax and one softmax run over the
-    ragged target block padded with -1e4.
+    that range never contribute: the ragged ranges are padded with -1e4.
     """
     if targets is None:
         targets = ntp_targets(seq, vocab, sigma, min_target)
         rows, starts = targets.rows, targets.starts
     else:
         rows, starts = np.arange(len(targets.rows)), None
-    n_soft, n_mae = len(targets.rows), targets.n_mae
-    dtype = logits.dtype
-    zero = nm.constant(np.array(0.0, dtype=dtype))
-    if n_soft == 0:
-        return zero, zero, 0, 0
-
-    block = nm.take_ranges(logits, rows, starts, targets.widths, fill=_PAD_LOGIT)
-    ce = nm.neg(nm.sum_(nm.mul(nm.constant(targets.soft.astype(dtype)), nm.log_softmax(block))))
-    soft = nm.scale(ce, 1.0 / n_soft)
-    if n_mae == 0:
-        return soft, zero, n_soft, 0
-    pred = nm.sum_(nm.mul(nm.softmax(block), nm.constant(targets.mids.astype(dtype))), axis=1)
-    dev = nm.abs_(nm.sub(pred, nm.constant(targets.truth.astype(dtype))))
-    mae = nm.scale(nm.sum_(nm.mul(dev, nm.constant(targets.mae_weight.astype(dtype)))), 1.0 / n_mae)
-    return soft, mae, n_soft, n_mae
+    mae = None if mae_scale is None else (targets.mids, targets.truth, targets.mae_weight, targets.n_mae)
+    loss, soft, mae_value = nm.ntp_loss(logits, rows, starts, targets.widths, targets.soft, soft_scale, mae, mae_scale)
+    return loss, soft, mae_value, len(targets.rows), targets.n_mae
 
 
 def sequence_loss(
@@ -207,7 +202,8 @@ def sequence_loss(
 
     The split term runs a second forward pass under the split mask and scores
     only positions at or past the visit boundary.  Each pass computes only
-    the output-head entries its targets are scored on (ntp_targets).
+    the output-head entries its targets are scored on (ntp_targets), and its
+    weighted loss is one tape node.
     """
     scales = value_scale_table(vocab)
     sigma = loss_config.sl_sigma
@@ -217,8 +213,12 @@ def sequence_loss(
         age, sex, build_mask(Causal(), seq.length), scales, dropout_rng=dropout_rng,
         head=causal_targets.head,
     )
-    soft, mae, n_soft, _ = masked_ntp_loss(causal_logits, seq, vocab, sigma, targets=causal_targets)
+    total, soft, mae, n_soft, _ = masked_ntp_loss(
+        causal_logits, seq, vocab, sigma, targets=causal_targets,
+        soft_scale=loss_config.soft_scale, mae_scale=loss_config.mae_scale,
+    )
 
+    split, n_split = 0.0, 0
     boundary = seq.visit_boundary
     if 0 < boundary < seq.length:
         split_targets = ntp_targets(seq, vocab, sigma, min_target=boundary)
@@ -227,24 +227,13 @@ def sequence_loss(
             age, sex, build_mask(SplitContext(boundary), seq.length), scales,
             dropout_rng=dropout_rng, head=split_targets.head,
         )
-        split, _, n_split, _ = masked_ntp_loss(
-            split_logits, seq, vocab, sigma, min_target=boundary, targets=split_targets
+        split_loss, split, _, n_split, _ = masked_ntp_loss(
+            split_logits, seq, vocab, sigma, min_target=boundary, targets=split_targets,
+            soft_scale=loss_config.split_scale, mae_scale=None,
         )
-    else:
-        split = nm.constant(np.array(0.0, dtype=causal_logits.dtype))
-        n_split = 0
+        total = nm.add(total, split_loss)
 
-    total = nm.add(
-        nm.add(nm.scale(soft, loss_config.soft_scale), nm.scale(mae, loss_config.mae_scale)),
-        nm.scale(split, loss_config.split_scale),
-    )
-    parts = {
-        "soft": float(soft.data),
-        "mae": float(mae.data),
-        "split": float(split.data),
-        "n_targets": n_soft,
-        "n_split_targets": n_split,
-    }
+    parts = {"soft": soft, "mae": mae, "split": split, "n_targets": n_soft, "n_split_targets": n_split}
     return total, parts
 
 

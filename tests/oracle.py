@@ -1,6 +1,7 @@
 """Plain-numpy float64 reference of the model, written from its description
 with no tape and nothing from trajlm, so the model's ops are checked
-against code they do not share.  So far it covers one pre-norm layer."""
+against code they do not share.  So far it covers one pre-norm layer and
+the next-token loss."""
 
 import math
 
@@ -55,3 +56,26 @@ def prenorm_layer(h, p, mask, n_heads, attn_keep=None, out_keep=None, ffn_keep=N
     if ffn_keep is not None:
         ff = ff * ffn_keep
     return h + ff
+
+
+def soft_ce_mae(logits, targets):
+    """The mean soft cross-entropy and the mean weighted MAE of next-token
+    targets, each scored over its own modality's token range.
+
+    `targets` holds one (row, start, width, soft, mids, truth, weight) per
+    target: row `row` of logits (T, V) predicts a token in [start, start +
+    width), soft is the target distribution over that range, and mids (the
+    range's bin midpoints), truth and weight (1 / the modality's standard
+    deviation) belong to a continuous target; mids is None for a
+    categorical one.  MAE is 0 without a continuous target.
+    """
+    ce, dev, n_mae = 0.0, 0.0, 0
+    for row, start, width, soft, mids, truth, weight in targets:
+        z = logits[row, start : start + width]
+        z = z - z.max()
+        logp = z - math.log(np.exp(z).sum())
+        ce -= float(np.dot(soft, logp))
+        if mids is not None:
+            dev += weight * abs(float(np.dot(np.exp(logp), mids)) - truth)
+            n_mae += 1
+    return ce / len(targets), dev / n_mae if n_mae else 0.0

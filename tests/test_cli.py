@@ -188,6 +188,23 @@ class TestTrain:
         assert capsys.readouterr().err == "error: ValueError: batch_size must be at least 1, got 0\n"
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "line, bad, message",
+        [
+            ("SL_sigma = 0.01", "SL_sigma = nan", "sl_sigma must be finite and positive, got nan"),
+            ("epochs = 1", "epochs = 0", "epochs must be at least 1, got 0"),
+        ],
+    )
+    def test_out_of_range_loss_or_epochs_is_error(self, workspace, tmp_path, capsys, line, bad, message):
+        config = tmp_path / "bad.cfg"
+        config.write_text(TRAIN_CONFIG.replace(line, bad), encoding="utf-8")
+        out = tmp_path / "x.ckpt"
+        rc = main(["train", "--cohort", str(workspace["cohort"]), "--vocab", str(workspace["vocab"]),
+                   "--config", str(config), "--out", str(out)])
+        assert rc == 1
+        assert capsys.readouterr().err == f"error: ValueError: {message}\n"
+        assert not out.exists()
+
 
 class TestInspect:
     def test_manifest_printed(self, workspace, capsys):

@@ -101,7 +101,7 @@ class TestLoss:
             params, config, seq.tokens, seq.values, seq.modalities, seq.times,
             50.0, "male", build_mask(Causal(), seq.length), value_scale_table(vocab),
         )
-        soft, _, n, _ = masked_ntp_loss(logits, seq, vocab, sigma=0.01)
+        _, soft, _, n, _ = masked_ntp_loss(logits, seq, vocab, sigma=0.01)
         # plain one-hot cross-entropy over the same restricted ranges
         total = 0.0
         for j in range(1, seq.length):
@@ -111,7 +111,7 @@ class TestLoss:
             row = row - row.max()
             logp = row - math.log(np.exp(row).sum())
             total += -logp[int(seq.tokens[j]) - a]
-        assert abs(float(soft.data) - total / n) < 1e-9
+        assert abs(soft - total / n) < 1e-9
 
     def test_mae_zero_for_point_mass_on_true_midpoint(self, vocab):
         spec = vocab.modalities[0]
@@ -129,9 +129,9 @@ class TestLoss:
         )
         logits = np.full((t, vocab.total_tokens), -300.0)
         logits[:, a + 2] = 300.0
-        _, mae, _, n_mae = masked_ntp_loss(Tensor(logits), seq, vocab, sigma=0.01)
+        _, _, mae, _, n_mae = masked_ntp_loss(Tensor(logits), seq, vocab, sigma=0.01)
         assert n_mae == t - 1
-        assert float(mae.data) < 1e-12
+        assert mae < 1e-12
 
     def test_out_of_range_logits_ignored(self, vocab, config):
         rng = np.random.default_rng(3)
@@ -142,7 +142,7 @@ class TestLoss:
             params, config, seq.tokens, seq.values, seq.modalities, seq.times,
             50.0, "male", build_mask(Causal(), seq.length), value_scale_table(vocab),
         )
-        soft1, mae1, *_ = masked_ntp_loss(logits, seq, vocab, sigma=0.01)
+        _, soft1, mae1, *_ = masked_ntp_loss(logits, seq, vocab, sigma=0.01)
 
         shifted = Tensor(logits.data.copy())
         # corrupt columns of modality 1 wherever the target is modality 0
@@ -151,9 +151,9 @@ class TestLoss:
         for j in range(1, seq.length):
             if int(seq.modalities[j]) == 0:
                 shifted.data[j - 1, a1 : b1 + 1] += 1e6
-        soft2, mae2, *_ = masked_ntp_loss(shifted, seq, vocab, sigma=0.01)
+        _, soft2, mae2, *_ = masked_ntp_loss(shifted, seq, vocab, sigma=0.01)
         # losses for modality-0 targets unchanged; compare only via totals of mod-0 rows
-        assert float(mae2.data) == pytest.approx(float(mae1.data), abs=1e-12)
+        assert mae2 == pytest.approx(mae1, abs=1e-12)
 
     def test_single_visit_split_contributes_nothing(self, vocab, config):
         rng = np.random.default_rng(4)
@@ -203,16 +203,18 @@ class TestHeadSelectedLoss:
         for p in params.values():
             p.zero_grad()
 
-        soft, mae, n, _ = masked_ntp_loss(full_logits(params, config, vocab, seq, Causal()), seq, vocab, lc.sl_sigma)
-        split, _, n_split, _ = masked_ntp_loss(
-            full_logits(params, config, vocab, seq, SplitContext(seq.visit_boundary)),
-            seq, vocab, lc.sl_sigma, min_target=seq.visit_boundary,
+        causal, soft, mae, n, _ = masked_ntp_loss(
+            full_logits(params, config, vocab, seq, Causal()), seq, vocab, lc.sl_sigma, mae_scale=0.7
         )
-        ref = nm.add(nm.add(soft, nm.scale(mae, 0.7)), nm.scale(split, 1.3))
+        split_loss, split, _, n_split, _ = masked_ntp_loss(
+            full_logits(params, config, vocab, seq, SplitContext(seq.visit_boundary)),
+            seq, vocab, lc.sl_sigma, min_target=seq.visit_boundary, soft_scale=1.3, mae_scale=None,
+        )
+        ref = nm.add(causal, split_loss)
         assert (parts["n_targets"], parts["n_split_targets"]) == (n, n_split)
         assert n_split > 0
-        for got, want in ((parts["soft"], soft), (parts["mae"], mae), (parts["split"], split), (total.data, ref)):
-            assert abs(float(got) - float(want.data)) <= 1e-12
+        for got, want in ((parts["soft"], soft), (parts["mae"], mae), (parts["split"], split), (total.data, ref.data)):
+            assert abs(float(got) - float(want)) <= 1e-12
         nm.backward(ref)
         for name, p in params.items():
             assert np.max(np.abs(grads[name] - p.grad)) <= 1e-12, name
@@ -223,7 +225,7 @@ class TestHeadSelectedLoss:
         seq = assemble_sequence(make_record(vocab, n=10), vocab, 64)
         logits = full_logits(params, config, vocab, seq, Causal())
         sigma = 0.7
-        soft, mae, n, n_mae = masked_ntp_loss(logits, seq, vocab, sigma, min_target=3)
+        _, soft, mae, n, n_mae = masked_ntp_loss(logits, seq, vocab, sigma, min_target=3)
         ce = dev = 0.0
         count = count_mae = 0
         for j in range(3, seq.length):
@@ -239,8 +241,8 @@ class TestHeadSelectedLoss:
                 dev += abs(float(p @ np.asarray(spec.midpoints)) - float(seq.values[j])) / spec.train_sd
                 count_mae += 1
         assert (n, n_mae) == (count, count_mae) and 0 < n_mae < n
-        assert abs(float(soft.data) - ce / count) <= 1e-12
-        assert abs(float(mae.data) - dev / count_mae) <= 1e-12
+        assert abs(soft - ce / count) <= 1e-12
+        assert abs(mae - dev / count_mae) <= 1e-12
 
     def test_pass_without_targets_contributes_zero_and_runs(self, vocab, config, monkeypatch):
         seq = assemble_sequence(make_record(vocab, n=10), vocab, 64)
@@ -300,45 +302,49 @@ class TestHeadSelectedLoss:
         params = init_params(config, np.random.default_rng(7), dtype=np.float32)
         seq = assemble_sequence(make_record(vocab, n=8), vocab, 64)
         assert 0 < seq.visit_boundary < seq.length
-        sublayers = []
+        sublayers, loss_nodes = [], []
 
-        def recorded(op):
+        def recorded(op, nodes, node_of=lambda out: out):
             def run(*args, **kwargs):
-                sublayers.append(op(*args, **kwargs))
-                return sublayers[-1]
+                out = op(*args, **kwargs)
+                nodes.append(node_of(out))
+                return out
 
             return run
 
         with pytest.MonkeyPatch.context() as mp:
             for name in ("attention_block", "ffn_block"):
-                mp.setattr(nm, name, recorded(getattr(nm, name)))
+                mp.setattr(nm, name, recorded(getattr(nm, name), sublayers))
+            mp.setattr(nm, "ntp_loss", recorded(nm.ntp_loss, loss_nodes, lambda out: out[0]))
             loss, _ = sequence_loss(
                 params, config, vocab, seq, 50.0, "male", LossConfig(), dropout_rng=np.random.default_rng(1)
             )
         tape = nm._tape(loss)
         # a full tape: the causal and the split pass each put two block nodes
-        # per layer on it
+        # per layer and one loss node on it
         assert len(sublayers) == 2 * 2 * config.n_layers
-        assert {id(node) for node in sublayers} <= {id(node) for node in tape}
+        assert len(loss_nodes) == 2
+        assert {id(node) for node in sublayers + loss_nodes} <= {id(node) for node in tape}
         n_nodes = len(tape)
         assert sorted({str(node.dtype) for node in tape}) == ["float32"]
         # backward frees each intermediate's gradient once its rule has run,
         # so record the gradient every rule receives
-        received = []
+        received = {}
 
-        def recording(rule):
+        def recording(node, rule):
             def rule_with_record(g):
-                received.append(str(g.dtype))
+                received[id(node)] = str(g.dtype)
                 rule(g)
 
             return rule_with_record
 
         for node in tape:
             if node._backward is not None:
-                node._backward = recording(node._backward)
+                node._backward = recording(node, node._backward)
         del tape
         nm.backward(loss)
-        assert len(received) == n_nodes and set(received) == {"float32"}
+        assert len(received) == n_nodes and set(received.values()) == {"float32"}
+        assert [received[id(node)] for node in loss_nodes] == ["float32"] * 2
         assert {str(p.grad.dtype) for p in params.values()} == {"float32"}
 
         blocks = []
@@ -736,6 +742,8 @@ class TestConfigFile:
     @pytest.mark.parametrize(
         "field, value, rule",
         [
+            ("epochs", 0, "at least 1"),
+            ("epochs", -2, "at least 1"),
             ("batch_size", 0, "at least 1"),
             ("val_fraction", 1.5, r"in \[0, 1\)"),
             ("val_fraction", 1.0, r"in \[0, 1\)"),
@@ -752,8 +760,32 @@ class TestConfigFile:
         ],
     )
     def test_train_config_rejects_out_of_range_values(self, field, value, rule):
-        """batch_size 0 once ended training in a ZeroDivisionError, and
-        val_fraction 1.5 trained on every sequence with no validation."""
+        """batch_size 0 once ended training in a ZeroDivisionError,
+        val_fraction 1.5 trained on every sequence with no validation, and
+        epochs 0 wrote an untrained checkpoint."""
         with pytest.raises(ValueError, match=f"^{field} must be {rule}, got "):
             TrainConfig(**{field: value})
-        TrainConfig(**{field: 1 if field == "batch_size" else 1e-3})  # an in-range value passes
+        TrainConfig(**{field: 1 if field in ("epochs", "batch_size") else 1e-3})  # an in-range value passes
+
+    @pytest.mark.parametrize(
+        "field, value, rule",
+        [
+            ("sl_sigma", 0.0, "finite and positive"),
+            ("sl_sigma", -0.01, "finite and positive"),
+            ("sl_sigma", math.nan, "finite and positive"),
+            ("sl_sigma", math.inf, "finite and positive"),
+            ("soft_scale", -1.0, "finite and non-negative"),
+            ("soft_scale", math.nan, "finite and non-negative"),
+            ("mae_scale", -0.5, "finite and non-negative"),
+            ("mae_scale", math.inf, "finite and non-negative"),
+            ("split_scale", math.nan, "finite and non-negative"),
+            ("split_scale", -math.inf, "finite and non-negative"),
+        ],
+    )
+    def test_loss_config_rejects_out_of_range_values(self, field, value, rule):
+        """A NaN weight once surfaced as a TrainingDiverged at step 1, and a
+        negative one maximised its term."""
+        with pytest.raises(ValueError, match=f"^{field} must be {rule}, got "):
+            LossConfig(**{field: value})
+        LossConfig(**{field: 0.5})  # an in-range value passes
+        LossConfig(soft_scale=0.0, mae_scale=0.0, split_scale=0.0)  # a term may be switched off
