@@ -101,8 +101,8 @@ class ContinuousScale:
     label: str = ""
 
     def __post_init__(self):
-        if self.factor <= 0:
-            raise ValueError(f"scale factor must be positive, got {self.factor}")
+        if not 0 < self.factor < math.inf:  # NaN fails too
+            raise ValueError(f"scale factor must be finite and positive, got {self.factor!r}")
 
 
 InterventionSpec = CategoricalAppend | ContinuousScale

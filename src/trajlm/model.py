@@ -4,7 +4,9 @@ Six additive embedding components feed a pre-norm attention/FFN stack whose
 attention heads carry gated auxiliary value projections.  After the last
 layer, the next position's modality and time embeddings are injected through
 small MLPs so a single context can answer arbitrary queries; output logits are
-bounded by a smooth tanh clamp.
+bounded by a smooth tanh clamp.  Each stage is one tape node (numerics'
+`embed_block`, `attention_block` and `ffn_block` per layer, `query_block`,
+`range_head`), so a forward pass records 2 * n_layers + 3 nodes.
 """
 
 from __future__ import annotations
@@ -36,6 +38,15 @@ __all__ = [
 ]
 
 
+def _check_fields(config, rules: dict) -> None:
+    """Raise ValueError naming the first field that breaks its rule; `rules`
+    maps a rule's wording to (test, field names)."""
+    for rule, (ok, names) in rules.items():
+        for name in names:
+            if not ok(getattr(config, name)):  # NaN fails every rule
+                raise ValueError(f"{name} must be {rule}, got {getattr(config, name)!r}")
+
+
 @dataclass
 class ModelConfig:
     vocab_size: int
@@ -56,9 +67,15 @@ class ModelConfig:
         return 4 * self.d_model
 
     def __post_init__(self):
-        for name in ("vocab_size", "n_modalities", "d_model", "n_layers", "n_heads", "d_head", "cont_pe_dim", "max_seq_len"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be positive")
+        _check_fields(self, {
+            "positive": (
+                lambda x: x > 0,
+                ("vocab_size", "n_modalities", "d_model", "n_layers", "n_heads", "d_head", "cont_pe_dim", "max_seq_len"),
+            ),
+            "non-negative": (lambda x: x >= 0, ("n_value_extras",)),
+            "in [0, 1)": (lambda x: 0 <= x < 1, ("dropout",)),
+            "finite and positive": (lambda x: 0 < x < math.inf, ("logit_clamp",)),
+        })
         if self.cont_pe_dim % 2 or self.d_model % 2:
             raise ValueError("d_model and cont_pe_dim must be even")
         sizes = self.temporal_vocab_sizes
@@ -252,37 +269,21 @@ def embed_inputs(
     value_scales: np.ndarray,
     pos_ids: np.ndarray | None = None,
 ) -> Tensor:
-    """Sum the six per-position embedding components into H0 (T x d_model)."""
+    """Sum the six per-position embedding components into H0 (T x d_model)
+    in one tape node (numerics.embed_block)."""
     t = len(tokens)
     dtype = params["tok_embed"].dtype
     if pos_ids is None:
         pos_ids = np.arange(t)
-
-    h = nm.embedding(params["tok_embed"], tokens)
-
     scaled = np.asarray(values, dtype=np.float64) / value_scales[np.asarray(modalities[:t])]
-    cont_feat = nm.constant(sinusoid_features(scaled, config.cont_pe_dim, dtype))
-    h = nm.add(h, nm.matmul(cont_feat, params["cont_proj"]))
-
-    h = nm.add(h, nm.embedding(params["mod_embed"], modalities[:t]))
-    h = nm.add(h, _time_embedding(params, times[:t]))
-    h = nm.add(h, nm.constant(sinusoid_features(pos_ids, config.d_model, dtype)))
-
-    age_feat = nm.constant(sinusoid_features(np.array([age]), config.cont_pe_dim, dtype))
-    demo = nm.add(
-        nm.matmul(age_feat, params["age_proj"]),
-        nm.embedding(params["sex_embed"], np.array([SEX_INDEX[sex]])),
+    tables = [params["tok_embed"], params["mod_embed"], *(params[f"time_embed_{d}"] for d in range(7))]
+    return nm.embed_block(
+        tables, np.column_stack([tokens, modalities[:t], times[:t]]),
+        sinusoid_features(scaled, config.cont_pe_dim, dtype), params["cont_proj"],
+        sinusoid_features(pos_ids, config.d_model, dtype),
+        sinusoid_features(np.array([age]), config.cont_pe_dim, dtype), params["age_proj"],
+        params["sex_embed"], SEX_INDEX[sex],
     )
-    return nm.add(h, demo)
-
-
-def _time_embedding(params: dict[str, Tensor], times: np.ndarray) -> Tensor:
-    return nm.embedding_sum([params[f"time_embed_{d}"] for d in range(7)], times)
-
-
-def _query_mlp(params: dict[str, Tensor], prefix: str, x: Tensor) -> Tensor:
-    h = nm.gelu(nm.linear(x, params[f"{prefix}_w1"], params[f"{prefix}_b1"]))
-    return nm.linear(h, params[f"{prefix}_w2"], params[f"{prefix}_b2"])
 
 
 def forward(
@@ -350,12 +351,11 @@ def forward(
     if len(q_mods) != t or len(q_times) != t:
         raise ValueError("query streams must have one entry per token position")
 
-    q_mod = _query_mlp(params, "qmod", nm.embedding(params["mod_embed"], q_mods))
-    q_time = _query_mlp(params, "qtime", _time_embedding(params, q_times))
-    h_tilde = nm.add(nm.add(h, q_mod), q_time)
+    tables = [params["mod_embed"], *(params[f"time_embed_{d}"] for d in range(7))]
+    mlps = [[params[f"{prefix}_{n}"] for n in ("w1", "b1", "w2", "b2")] for prefix in ("qmod", "qtime")]
+    h = nm.query_block(h, tables, np.column_stack([q_mods, q_times]), *mlps)
 
-    z = nm.range_head(h_tilde, params["out_w"], params["out_b"], *(head or ()))
-    logits = nm.clamp(z, c.logit_clamp)
+    logits = nm.range_head(h, params["out_w"], params["out_b"], c.logit_clamp, *(head or (np.arange(t),)))
     if return_hidden:
         return logits, hidden
     return logits

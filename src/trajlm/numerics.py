@@ -17,15 +17,17 @@ inputs.  Model parameters live in a `ParamStore`: one flat vector whose
 slices are the tensors' data, and one flat gradient vector that a
 parameter's first gradient write in a backward pass lands in.
 
-Each transformer sublayer is one node: `attention_block` (layer norm,
-projections, gated values, row-blocked masked attention, output projection,
-dropout, residual) and `ffn_block` (layer norm, linear, GELU, linear,
-dropout, residual).  A block's rule recomputes what is cheap (layer norm's
-output, the gated values, each attention row block's probabilities, the
-GELU) instead of keeping it, and runs the same operations in the same order
-as the chain of single ops it replaced, so its outputs and gradients are
-that chain's bit for bit.  The next-token loss of a pass is one node too
-(`ntp_loss`: soft cross-entropy and MAE over ragged token ranges).
+Each stage of the model's forward pass is one node: `embed_block` (the six
+additive input embeddings), `attention_block` and `ffn_block` (a pre-norm
+sublayer each: layer norm through dropout and residual), `query_block` (the
+query MLPs added to the last hidden state) and `range_head` (the selected
+output-head entries, clamped).  A block's rule recomputes what is cheap
+(layer norm's output, the gated values, each attention row block's
+probabilities, the GELU) instead of keeping it, and runs the same operations
+in the same order as the chain of single ops it replaced, so its outputs and
+gradients are that chain's bit for bit.  The next-token loss of a pass is one
+node too (`ntp_loss`: soft cross-entropy and MAE over ragged token ranges),
+and `add` joins two losses.
 
 Importing this module sets the process's heap policy (`_keep_heap_mapped`):
 every array below 32 MiB comes from a heap that is never trimmed, so each
@@ -46,18 +48,13 @@ import numpy as np
 __all__ = [
     "Tensor",
     "ParamStore",
-    "constant",
     "add",
-    "matmul",
-    "linear",
-    "clamp",
-    "gelu",
-    "embedding",
-    "embedding_sum",
-    "range_head",
-    "ntp_loss",
+    "embed_block",
     "attention_block",
     "ffn_block",
+    "query_block",
+    "range_head",
+    "ntp_loss",
     "backward",
     "grad_check",
     "neg_inf",
@@ -201,10 +198,6 @@ class ParamStore:
         return self._grad_views[id(t)]
 
 
-def constant(data, dtype=None) -> Tensor:
-    return Tensor(np.asarray(data, dtype=dtype) if dtype is not None else np.asarray(data))
-
-
 def neg_inf(dtype) -> float:
     """Masked-score fill: true -inf in double, a large negative in single."""
     return -np.inf if np.dtype(dtype) == np.float64 else -1e30
@@ -289,59 +282,6 @@ def add(a: Tensor, b: Tensor) -> Tensor:
     return _node(a.data + b.data, (a, b), bw)
 
 
-def _check_matmul(a: Tensor, b: Tensor) -> None:
-    if a.data.ndim < 2 or b.data.ndim < 2:
-        raise ValueError(f"matmul needs >=2-d operands, got {a.data.shape} @ {b.data.shape}")
-    if a.data.shape[-1] != b.data.shape[-2]:
-        raise ValueError(f"shape mismatch in matmul: {a.data.shape} @ {b.data.shape}")
-
-
-def _matmul_grads(a: Tensor, b: Tensor, g: np.ndarray) -> None:
-    """Both operands' gradients of a @ b; a constant operand (the sinusoid
-    features) skips its product."""
-    if a.requires_grad:
-        _accum(a, g @ np.swapaxes(b.data, -1, -2), owned=True)
-    if b.requires_grad:
-        _accum(b, np.swapaxes(a.data, -1, -2) @ g, owned=True)
-
-
-def matmul(a: Tensor, b: Tensor) -> Tensor:
-    """Matrix product; supports stacked 3-d operands with matching batch dims."""
-    _check_matmul(a, b)
-    return _node(a.data @ b.data, (a, b), lambda g: _matmul_grads(a, b, g))
-
-
-def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
-    """x @ w + b in one node: the bias is added into the product in place,
-    so the tape keeps one output array, bitwise add(matmul(x, w), b)."""
-    _check_matmul(x, w)
-    y = x.data @ w.data
-    y += b.data
-
-    def bw(g):
-        _matmul_grads(x, w, g)
-        _accum(b, g)
-
-    return _node(y, (x, w, b), bw)
-
-
-def clamp(z: Tensor, c: float) -> Tensor:
-    """The smooth bound c * tanh(z / c) in one node.  The tape keeps
-    t = tanh(z / c) and the output; the rule evaluates (g c)(1 - t^2) / c in
-    that order, the chain rule through scaling by 1/c, tanh and scaling by c,
-    so both directions match that three-node chain bitwise."""
-    t = z.data * (1.0 / c)
-    np.tanh(t, out=t)
-
-    def bw(g):
-        u = g * c
-        u *= 1.0 - t * t
-        u *= 1.0 / c
-        _accum(z, u, owned=True)
-
-    return _node(t * c, (z,), bw)
-
-
 def _gelu_tanh(x: np.ndarray) -> np.ndarray:
     """tanh(sqrt(2/pi) (x + 0.044715 x^3)) in one buffer."""
     u = x * x
@@ -391,31 +331,13 @@ def _gelu_grad(x: np.ndarray, s: np.ndarray, g: np.ndarray) -> np.ndarray:
     return t
 
 
-def gelu(a: Tensor) -> Tensor:
-    """GELU: exact erf form in double, tanh approximation in single.  In
-    single precision the rule recomputes the tanh, so the tape keeps only y."""
-    x = a.data
-    y, s = _gelu(x)
-    if x.dtype != np.float64:
-        s = None
-    return _node(y, (a,), lambda g: _accum(a, _gelu_grad(x, _gelu_tanh(x) if s is None else s, g), owned=True))
-
-
-def embedding(table: Tensor, ids) -> Tensor:
-    ids = np.asarray(ids, dtype=np.int64)
-    if ids.size and (ids.min() < 0 or ids.max() >= table.data.shape[0]):
-        raise IndexError(
-            f"embedding index out of range: [{ids.min()}, {ids.max()}] vs table {table.data.shape[0]}"
-        )
-    return _node(table.data[ids], (table,), lambda g: _accum_at(table, ids, g))
-
-
-def embedding_sum(tables, ids) -> Tensor:
-    """tables[0][ids[:, 0]] + tables[1][ids[:, 1]] + ... in one node, summed
-    left to right in place: bitwise the chain of embedding and add nodes."""
+def _id_columns(tables, ids) -> list[np.ndarray]:
+    """ids (n, len(tables)) as one int64 column per table.  An id outside
+    its table raises IndexError naming the column, its bad ids and the
+    table's size."""
     ids = np.asarray(ids, dtype=np.int64)
     if ids.ndim != 2 or ids.shape[1] != len(tables):
-        raise ValueError(f"embedding_sum needs one id column per table ({len(tables)}), got ids of shape {ids.shape}")
+        raise ValueError(f"lookups need one id column per table ({len(tables)}), got ids of shape {ids.shape}")
     sizes = np.array([table.data.shape[0] for table in tables], dtype=np.uint64)
     bad = ids.view(np.uint64) >= sizes  # a negative id wraps past every size
     if bad.any():
@@ -424,16 +346,52 @@ def embedding_sum(tables, ids) -> Tensor:
             f"embedding index out of range in id column {j}: {np.unique(ids[bad[:, j], j]).tolist()} "
             f"vs table {sizes[j]}"
         )
-    cols = list(ids.T)
+    return list(ids.T)
+
+
+def _lookup_sum(tables, cols) -> np.ndarray:
+    """tables[0][cols[0]] + tables[1][cols[1]] + ..., summed left to right in place."""
     y = tables[0].data[cols[0]]
     for table, col in zip(tables[1:], cols[1:]):
         y += table.data[col]
+    return y
+
+
+def embed_block(
+    tables, ids, cont_feat: np.ndarray, cont_proj: Tensor, pos: np.ndarray,
+    age_feat: np.ndarray, age_proj: Tensor, sex: Tensor, sex_id: int,
+) -> Tensor:
+    """The input embedding in one tape node, tables (tok, mod, time_0, ...)
+    with one id column each: tok[ids[:, 0]] + cont_feat @ cont_proj +
+    mod[ids[:, 1]] + sum_d time_d[ids[:, 2 + d]] + pos + (age_feat @ age_proj
+    + sex[sex_id]), the time lookups summed left to right in their own buffer
+    and the (1, d) demographic row before it is added to every position.
+    The features are constants, multiplied into the gradient only for a
+    projection that requires grad.  Forward and gradients are bitwise those
+    of the op chain written out in that order.
+    """
+    tok, mod, *times = tables
+    cols = _id_columns(tables, ids)
+    sex_ids = np.array([sex_id])
+    y = tok.data[cols[0]]
+    y += cont_feat @ cont_proj.data
+    y += mod.data[cols[1]]
+    y += _lookup_sum(times, cols[2:])
+    y += pos
+    demo = age_feat @ age_proj.data
+    demo += sex.data[sex_ids]
+    y += demo
 
     def bw(g):
+        gd = g.sum(axis=0, keepdims=True)
+        _accum_at(sex, sex_ids, gd)
+        for proj, feat, gp in ((age_proj, age_feat, gd), (cont_proj, cont_feat, g)):
+            if proj.requires_grad:
+                _accum(proj, np.swapaxes(feat, -1, -2) @ gp, owned=True)
         for table, col in zip(tables, cols):
             _accum_at(table, col, g)
 
-    return _node(y, tuple(tables), bw)
+    return _node(y, (*tables, cont_proj, age_proj, sex), bw)
 
 
 def _ranges(rows, starts, widths, n_rows: int, n_cols: int):
@@ -450,17 +408,18 @@ def _ranges(rows, starts, widths, n_rows: int, n_cols: int):
     return rows, starts, widths
 
 
-def range_head(h: Tensor, w: Tensor, b: Tensor, rows=None, starts=None, widths=None) -> Tensor:
-    """Output-head entries z[i, j] = h[rows[i]] . w[:, starts[i] + j] + b[starts[i] + j]
-    for j < widths[i], zero-padded to max(widths) columns.
+def range_head(h: Tensor, w: Tensor, b: Tensor, c: float, rows, starts=None, widths=None) -> Tensor:
+    """Clamped output-head entries c * tanh(z[i, j] / c), where
+    z[i, j] = h[rows[i]] . w[:, starts[i] + j] + b[starts[i] + j] for
+    j < widths[i], zero-padded to max(widths) columns.
 
     Rows that share a (start, width) range share one matmul, so memory stays
-    O(len(rows) x max(widths)) beyond the operands.  rows=None is every row at
-    full width, `linear(h, w, b)`; starts=None is column 0 and widths=None
-    runs to the last column.
+    O(len(rows) x max(widths)) beyond the operands.  starts=None is column 0
+    and widths=None runs to the last column, so (arange(T), None, None) is
+    the full head.  The tape keeps t = tanh(z / c); the rule evaluates
+    (g c)(1 - t^2) / c in that order, the chain rule through scaling by 1/c,
+    tanh and scaling by c, before the grouped scatter.
     """
-    if rows is None:
-        return linear(h, w, b)
     hd, wd, bd = h.data, w.data, b.data
     rows, starts, widths = _ranges(rows, starts, widths, hd.shape[0], wd.shape[1])
     shape = (len(rows), int(widths.max(initial=0)))
@@ -473,18 +432,23 @@ def range_head(h: Tensor, w: Tensor, b: Tensor, rows=None, starts=None, widths=N
     ]
     blocks = [hd[r] @ wd[:, s : s + k] + bd[s : s + k] for _, r, s, k in groups]
     if len(blocks) == 1:  # one shared range: the stable sort left every row in place
-        z = blocks[0]
+        t = blocks[0]
     else:
-        z = np.zeros(shape, dtype=np.result_type(hd, wd, bd))
+        t = np.zeros(shape, dtype=np.result_type(hd, wd, bd))
         for (idx, _, _, k), blk in zip(groups, blocks):
-            z[idx, :k] = blk
+            t[idx, :k] = blk
+    t *= 1.0 / c
+    np.tanh(t, out=t)
 
     def bw(g):
+        u = g * c
+        u *= 1.0 - t * t
+        u *= 1.0 / c
         gsel = np.empty((shape[0], hd.shape[1]), dtype=hd.dtype) if h.requires_grad else None
         gw = _grad_buffer(w) if w.requires_grad else None
         gb = _grad_buffer(b) if b.requires_grad else None
         for idx, r, s, k in groups:
-            gz = g[idx, :k]
+            gz = u[idx, :k]
             if gsel is not None:
                 gsel[idx] = gz @ wd[:, s : s + k].T
             if gw is not None:
@@ -494,7 +458,7 @@ def range_head(h: Tensor, w: Tensor, b: Tensor, rows=None, starts=None, widths=N
         if gsel is not None:
             _accum_at(h, rows, gsel)
 
-    return _node(z, (h, w, b), bw)
+    return _node(t * c, (h, w, b), bw)
 
 
 # Padding for ntp_loss's ragged target block: exp(-1e4 - max) is exactly 0 in
@@ -752,6 +716,32 @@ def attention_block(
     return _node(y, (h, gain, bias, *weights, gates, w_o), bw)
 
 
+def _mlp(x: np.ndarray, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor) -> tuple[np.ndarray, np.ndarray]:
+    """gelu(x @ w1 + b1) @ w2 + b2, each bias added in place, and the
+    pre-activation x @ w1 + b1 that `_mlp_grads` needs."""
+    a = x @ w1.data
+    a += b1.data
+    y = _gelu(a)[0] @ w2.data
+    y += b2.data
+    return y, a
+
+
+def _mlp_grads(g: np.ndarray, x: np.ndarray, a: np.ndarray, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor) -> np.ndarray:
+    """Accumulate an `_mlp`'s parameter gradients from its output's gradient
+    g and return its input's; the GELU is recomputed from a."""
+    u, s = _gelu(a)
+    gu = g @ np.swapaxes(w2.data, -1, -2)
+    _accum(w2, np.swapaxes(u, -1, -2) @ g, owned=True)
+    _accum(b2, g)
+    del u
+    ga = _gelu_grad(a, s, gu)
+    del s, gu
+    gx = ga @ np.swapaxes(w1.data, -1, -2)
+    _accum(w1, np.swapaxes(x, -1, -2) @ ga, owned=True)
+    _accum(b1, ga)
+    return gx
+
+
 def ffn_block(
     h: Tensor, gain: Tensor, bias: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor,
     rate: float = 0.0, rng: np.random.Generator | None = None,
@@ -768,10 +758,7 @@ def ffn_block(
     """
     x = h.data
     xhat, inv = _normalize(x)
-    a = (xhat * gain.data + bias.data) @ w1.data
-    a += b1.data
-    y = _gelu(a)[0] @ w2.data
-    y += b2.data
+    y, a = _mlp(xhat * gain.data + bias.data, w1, b1, w2, b2)
     drop = _keep_mask(y.shape, y.dtype, rate, rng)
     if drop is not None:
         y *= drop
@@ -779,23 +766,39 @@ def ffn_block(
 
     def bw(g):
         gy = g if drop is None else g * drop
-        u, s = _gelu(a)
-        gu = gy @ np.swapaxes(w2.data, -1, -2)
-        _accum(w2, np.swapaxes(u, -1, -2) @ gy, owned=True)
-        _accum(b2, gy)
-        del u, gy
-        ga = _gelu_grad(a, s, gu)
-        del s, gu
-        pre = xhat * gain.data + bias.data
-        gpre = ga @ np.swapaxes(w1.data, -1, -2)
-        _accum(w1, np.swapaxes(pre, -1, -2) @ ga, owned=True)
-        _accum(b1, ga)
-        del pre, ga
+        gpre = _mlp_grads(gy, xhat * gain.data + bias.data, a, w1, b1, w2, b2)
+        del gy
         dx = _layer_norm_grad(gpre, xhat, inv, gain, bias)
         dx += g
         _accum(h, dx, owned=True)
 
     return _node(y, (h, gain, bias, w1, b1, w2, b2), bw)
+
+
+def query_block(h: Tensor, tables, ids, mod_mlp, time_mlp) -> Tensor:
+    """The query injection in one tape node, tables (mod, time_0, ...) with
+    one id column each: (h + mlp(mod[ids[:, 0]])) + mlp(sum_d
+    time_d[ids[:, 1 + d]]), each mlp gelu(x @ w1 + b1) @ w2 + b2 over its own
+    (w1, b1, w2, b2).  The tape keeps each MLP's input and pre-activation;
+    backward recomputes the GELU.  Forward and gradients are bitwise those of
+    the op chain written out (lookups, linear, gelu, linear, adds).
+    """
+    mod, *times = tables
+    mod_ids, *time_ids = _id_columns(tables, ids)
+    xm, xt = mod.data[mod_ids], _lookup_sum(times, time_ids)
+    ym, am = _mlp(xm, *mod_mlp)
+    yt, at = _mlp(xt, *time_mlp)
+    y = h.data + ym
+    y += yt
+
+    def bw(g):
+        _accum(h, g)
+        gt = _mlp_grads(g, xt, at, *time_mlp)
+        for table, col in zip(times, time_ids):
+            _accum_at(table, col, gt)
+        _accum_at(mod, mod_ids, _mlp_grads(g, xm, am, *mod_mlp))
+
+    return _node(y, (h, *tables, *mod_mlp, *time_mlp), bw)
 
 
 def _tape(root: Tensor) -> list[Tensor]:

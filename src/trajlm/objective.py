@@ -20,7 +20,7 @@ import numpy as np
 from . import numerics as nm
 from .checkpoint import save_checkpoint
 from .corpus import AugmentConfig, TokenSequence, assemble_sequence, augment
-from .model import Causal, ModelConfig, SplitContext, forward, build_mask, init_params, value_scale_table
+from .model import Causal, ModelConfig, SplitContext, _check_fields, forward, build_mask, init_params, value_scale_table
 from .numerics import Tensor, backward
 from .vocab import CONTINUOUS, Vocabulary
 
@@ -40,15 +40,6 @@ __all__ = [
     "train",
     "parse_config_file",
 ]
-
-
-def _check_fields(config, rules: dict) -> None:
-    """Raise ValueError naming the first field that breaks its rule; `rules`
-    maps a rule's wording to (test, field names)."""
-    for rule, (ok, names) in rules.items():
-        for name in names:
-            if not ok(getattr(config, name)):  # NaN fails every rule
-                raise ValueError(f"{name} must be {rule}, got {getattr(config, name)!r}")
 
 
 @dataclass

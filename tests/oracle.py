@@ -1,7 +1,8 @@
 """Plain-numpy float64 reference of the model, written from its description
 with no tape and nothing from trajlm, so the model's ops are checked
-against code they do not share.  So far it covers one pre-norm layer and
-the next-token loss."""
+against code they do not share.  It covers the whole forward pass (the
+six-component embedding, the pre-norm layers, the query injection and the
+clamped head) and the next-token loss."""
 
 import math
 
@@ -56,6 +57,72 @@ def prenorm_layer(h, p, mask, n_heads, attn_keep=None, out_keep=None, ffn_keep=N
     if ffn_keep is not None:
         ff = ff * ffn_keep
     return h + ff
+
+
+def sinusoid(values, dim):
+    """Fixed features of scalar values over dim channels: channel 2i is
+    sin(v / 10000^(2i / dim)) and channel 2i + 1 its cosine."""
+    values = np.asarray(values, dtype=float)
+    out = np.empty((len(values), dim))
+    for i in range(dim // 2):
+        angle = values / 10000.0 ** (2 * i / dim)
+        out[:, 2 * i] = np.sin(angle)
+        out[:, 2 * i + 1] = np.cos(angle)
+    return out
+
+
+def embedding(p, tokens, values, modalities, times, positions, age, sex_id, value_scales):
+    """H0 (T, d), the sum of six components per position: the token's
+    embedding; the sinusoid features of its value divided by its modality's
+    scale, projected by cont_proj; its modality's embedding; the embeddings
+    of its seven time features (times (T, 7)), one table each; the sinusoid
+    features of its position over d channels; and one demographic row, the
+    sinusoid features of age projected by age_proj plus the sex embedding."""
+    cont_dim, d = p["cont_proj"].shape
+    h = p["tok_embed"][tokens]
+    h = h + sinusoid(values / value_scales[modalities], cont_dim) @ p["cont_proj"]
+    h = h + p["mod_embed"][modalities]
+    for k in range(7):
+        h = h + p[f"time_embed_{k}"][times[:, k]]
+    h = h + sinusoid(positions, d)
+    return h + (sinusoid([age], cont_dim) @ p["age_proj"] + p["sex_embed"][sex_id])
+
+
+def query_injection(h, p, modalities, times):
+    """The last layer's output plus two MLPs (linear, exact GELU, linear),
+    one over the queried modality's embedding (the qmod_* weights) and one
+    over the sum of the queried time's seven embeddings (qtime_*)."""
+
+    def mlp(x, name):
+        return gelu(x @ p[f"{name}_w1"] + p[f"{name}_b1"]) @ p[f"{name}_w2"] + p[f"{name}_b2"]
+
+    time = sum(p[f"time_embed_{k}"][times[:, k]] for k in range(7))
+    return h + mlp(p["mod_embed"][modalities], "qmod") + mlp(time, "qtime")
+
+
+def clamped_head(h, p, clamp):
+    """Logits (T, V): C tanh(z / C) of the output projection z = h out_w + out_b."""
+    return clamp * np.tanh((h @ p["out_w"] + p["out_b"]) / clamp)
+
+
+def forward(p, n_heads, clamp, tokens, values, modalities, times, age, sex_id, value_scales, mask,
+            query_modalities=None, query_times=None, positions=None):
+    """Full-head logits (T, V) of the model with parameters p, held under
+    `model.param_manifest`'s names, and no dropout.  modalities and times
+    have T + 1 entries: position i is embedded with entry i and queries
+    entry i + 1, unless query_modalities and query_times (T entries) name
+    the queries.  positions defaults to 0 .. T - 1."""
+    t = len(tokens)
+    positions = np.arange(t) if positions is None else positions
+    h = embedding(p, tokens, values, modalities[:t], times[:t], positions, age, sex_id, value_scales)
+    l = 0
+    while f"layer{l}.ln1_g" in p:
+        prefix = f"layer{l}."
+        h = prenorm_layer(h, {k[len(prefix):]: v for k, v in p.items() if k.startswith(prefix)}, mask, n_heads)
+        l += 1
+    q_mods = modalities[1:] if query_modalities is None else query_modalities
+    q_times = times[1:] if query_times is None else query_times
+    return clamped_head(query_injection(h, p, q_mods, q_times), p, clamp)
 
 
 def soft_ce_mae(logits, targets):

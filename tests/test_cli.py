@@ -193,6 +193,9 @@ class TestTrain:
         [
             ("SL_sigma = 0.01", "SL_sigma = nan", "sl_sigma must be finite and positive, got nan"),
             ("epochs = 1", "epochs = 0", "epochs must be at least 1, got 0"),
+            # dropout 1.0 once ended in a TrainingDiverged traceback, logit_clamp 0 in a ZeroDivisionError one
+            ("dropout = 0.0", "dropout = 1.0", "dropout must be in [0, 1), got 1.0"),
+            ("dropout = 0.0", "logit_clamp = 0", "logit_clamp must be finite and positive, got 0.0"),
         ],
     )
     def test_out_of_range_loss_or_epochs_is_error(self, workspace, tmp_path, capsys, line, bad, message):
@@ -408,6 +411,21 @@ class TestProbeAndSimulate:
                    "--cohort", str(workspace["cohort"]), "--spec", str(spec), "--out", str(tmp_path / "x.csv")])
         assert rc == 1
         assert "malformed JSON" in capsys.readouterr().err
+
+    def test_simulate_nan_factor_is_error(self, workspace, tmp_path, capsys):
+        """JSON reads NaN; a NaN factor once failed on the first scaled
+        participant with an error that blamed the measurement."""
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps({
+            "intervention": {"kind": "scale", "modalities": ["x_core"], "factor": math.nan, "label": "diet"},
+            "outcome": "y_double",
+        }), encoding="utf-8")
+        out = tmp_path / "x.csv"
+        rc = main(["simulate", "--ckpt", str(workspace["ckpt"]), "--vocab", str(workspace["vocab"]),
+                   "--cohort", str(workspace["cohort"]), "--spec", str(spec), "--out", str(out)])
+        assert rc == 1
+        assert capsys.readouterr().err == "error: ValueError: scale factor must be finite and positive, got nan\n"
+        assert not out.exists()
 
     @pytest.mark.parametrize("key", ["outcome", "intervention"])
     def test_simulate_spec_missing_key_names_file_and_key(self, workspace, tmp_path, capsys, key):

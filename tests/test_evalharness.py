@@ -556,20 +556,14 @@ class TestRangedDecoding:
         params, config = tiny_model
         v = vocab.total_tokens
         wide = []  # one entry per head evaluation: whether it was V wide
-        inner_head, inner_linear = nm.range_head, nm.linear
+        inner_head = nm.range_head
 
-        def range_head(h, w, b, rows=None, starts=None, widths=None):
-            out = inner_head(h, w, b, rows, starts, widths)
+        def range_head(*args, **kwargs):
+            out = inner_head(*args, **kwargs)
             wide.append(out.data.shape[-1] == v)
             return out
 
-        def linear(x, w, b):
-            if w is params["out_w"]:
-                wide.append(True)
-            return inner_linear(x, w, b)
-
         monkeypatch.setattr(nm, "range_head", range_head)
-        monkeypatch.setattr(nm, "linear", linear)
         records = mixed_cohort(vocab)
         seq = assemble_sequence(records[0], vocab, 64)
         when = datetime(2021, 6, 1)
@@ -583,7 +577,7 @@ class TestRangedDecoding:
         # the full-width default, the tests' reference, is what the recorder flags
         forward(params, config, seq.tokens, seq.values, seq.modalities, seq.times, 50.0, "male",
                 build_mask(Causal(), seq.length), value_scale_table(vocab))
-        assert wide[-2:] == [True, True]
+        assert wide[-1:] == [True] and len(wide) == len(records) + 1 + n_bins + 2
 
     def test_pools_and_curve_match_the_full_head(self, vocab, tiny_model):
         _, config = tiny_model

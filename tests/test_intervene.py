@@ -140,8 +140,10 @@ class TestApplyIntervention:
             apply_intervention(seq, ContinuousScale((2,), 0.5), vocab)
 
     def test_factor_validation(self):
-        with pytest.raises(ValueError, match="positive"):
-            ContinuousScale((0,), 0.0)
+        """A spec file can carry NaN or Infinity, which JSON reads."""
+        for factor in (0.0, -0.5, math.nan, math.inf, -math.inf):
+            with pytest.raises(ValueError, match=rf"^scale factor must be finite and positive, got {factor!r}$"):
+                ContinuousScale((0,), factor)
 
 
 class TestSimulateArms:

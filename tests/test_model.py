@@ -1,4 +1,5 @@
 import json
+import math
 import struct
 import tracemalloc
 from dataclasses import replace
@@ -8,7 +9,8 @@ import numpy as np
 import pytest
 
 from trajlm.checkpoint import MAGIC, load_checkpoint, read_header, save_checkpoint
-from trajlm.corpus import TEMPORAL_VOCAB_SIZES, Event, ParticipantRecord, assemble_sequence
+from trajlm import numerics as nm
+from trajlm.corpus import SEX_INDEX, TEMPORAL_VOCAB_SIZES, Event, ParticipantRecord, assemble_sequence
 from trajlm.model import (
     Causal,
     ModelConfig,
@@ -26,6 +28,8 @@ from trajlm.model import (
 )
 from trajlm.numerics import ParamStore
 from trajlm.vocab import RawModality, build_vocabulary
+
+import oracle
 
 
 @pytest.fixture(scope="module")
@@ -97,6 +101,30 @@ class TestConfig:
     def test_temporal_vocab_sizes_checked(self, sizes):
         with pytest.raises(ValueError, match="temporal_vocab_sizes"):
             ModelConfig(vocab_size=10, n_modalities=2, temporal_vocab_sizes=list(sizes))
+
+    @pytest.mark.parametrize(
+        "field, value, rule",
+        [
+            ("vocab_size", 0, "positive"),
+            ("dropout", 1.0, r"in \[0, 1\)"),
+            ("dropout", -0.5, r"in \[0, 1\)"),
+            ("dropout", math.nan, r"in \[0, 1\)"),
+            ("logit_clamp", 0.0, "finite and positive"),
+            ("logit_clamp", -5.0, "finite and positive"),
+            ("logit_clamp", math.nan, "finite and positive"),
+            ("logit_clamp", math.inf, "finite and positive"),
+            ("n_value_extras", -1, "non-negative"),
+        ],
+    )
+    def test_model_config_rejects_out_of_range_values(self, field, value, rule):
+        """dropout 1.0 once ended training in a TrainingDiverged at step 1,
+        logit_clamp 0 in a ZeroDivisionError, and dropout -0.5 trained with
+        no dropout at all."""
+        sizes = {"vocab_size": 10, "n_modalities": 2}
+        with pytest.raises(ValueError, match=f"^{field} must be {rule}, got "):
+            ModelConfig(**sizes | {field: value})
+        in_range = {"vocab_size": 1, "dropout": 0.0, "logit_clamp": 1e-3, "n_value_extras": 0}
+        ModelConfig(**sizes | {field: in_range[field]})
 
     def test_round_trip_dict(self, config):
         assert ModelConfig.from_dict(config.to_dict()) == config
@@ -292,6 +320,16 @@ class TestForward:
         assert not np.array_equal(base[n + 1], out[n + 1])
 
 
+    @pytest.mark.parametrize("n_layers", [1, 2])
+    def test_one_tape_node_per_stage(self, vocab, config, n_layers):
+        """The embedding, two sublayers per layer, the query injection and
+        the head: a pass records 2L + 3 nodes."""
+        config = replace(config, n_layers=n_layers)
+        params = init_params(config, np.random.default_rng(12), dtype=np.float64)
+        _, seq = sample_sequence(vocab)
+        logits = run_forward(params, config, vocab, seq, dropout_rng=np.random.default_rng(1))
+        assert len(nm._tape(logits)) == 2 * n_layers + 3
+
     @pytest.mark.parametrize("mask_kind", [Causal(), SplitContext(6)], ids=["causal", "split"])
     def test_head_selection_matches_full_head(self, vocab, config, mask_kind):
         params = init_params(config, np.random.default_rng(11), dtype=np.float64)
@@ -307,6 +345,68 @@ class TestForward:
             assert np.max(np.abs(part[i, :k] - full[r, s : s + k])) <= 1e-12
         whole_rows = run_forward(params, config, vocab, seq, mask_kind=mask_kind, head=(rows[::-1], None, None)).data
         assert np.max(np.abs(whole_rows - full[rows[::-1]])) <= 1e-12
+
+
+class TestOracleForward:
+    """`forward` against `oracle.forward`, plain numpy that shares no code
+    with trajlm, within 1e-10 in float64."""
+
+    def params(self, config, seed):
+        """Parameters whose gates, biases and query-MLP output layers, which
+        start at zero, are drawn too, so every component counts."""
+        params = init_params(config, np.random.default_rng(seed), dtype=np.float64)
+        rng = np.random.default_rng(seed + 1)
+        for name, p in params.items():
+            if name.startswith(("qmod_", "qtime_")) or name.endswith((".gates", "_b", "out_b")):
+                p.data[...] = rng.normal(0.0, 0.1, size=p.shape)
+        return params
+
+    def oracle(self, params, config, vocab, tokens, values, mods, times, mask, **kw):
+        arrays = {name: p.data for name, p in params.items()}
+        return oracle.forward(
+            arrays, config.n_heads, config.logit_clamp, tokens, values, mods, times, 48.0, SEX_INDEX["female"],
+            value_scale_table(vocab), mask, **kw,
+        )
+
+    @pytest.mark.parametrize("mask_kind", [Causal(), SplitContext(6)], ids=["causal", "split"])
+    def test_full_head_and_a_selection(self, vocab, config, mask_kind):
+        params = self.params(config, 13)
+        _, seq = sample_sequence(vocab, n_events=10, two_visits=True)
+        want = self.oracle(params, config, vocab, seq.tokens, seq.values, seq.modalities, seq.times,
+                           build_mask(mask_kind, seq.length))
+        got = run_forward(params, config, vocab, seq, mask_kind=mask_kind).data
+        assert np.max(np.abs(got - want)) <= 1e-10
+        bounds = [vocab.token_range(m) for m in range(vocab.n_modalities)]
+        rows = np.array([0, 3, 3, seq.length - 1])
+        starts = np.array([bounds[m][0] for m in (0, 2, 1, 1)])
+        widths = np.array([bounds[m][1] - bounds[m][0] + 1 for m in (0, 2, 1, 1)])
+        part = run_forward(params, config, vocab, seq, mask_kind=mask_kind, head=(rows, starts, widths)).data
+        for i, (r, s, k) in enumerate(zip(rows, starts, widths)):
+            assert np.max(np.abs(part[i, :k] - want[r, s : s + k])) <= 1e-10
+
+    def test_packed_queries(self, vocab, config):
+        """A pass packed as `predict_queries` packs it: a ParallelV2 mask
+        with nested context lengths, query streams overriding the +1
+        alignment, and each slot pair's positions after its own context."""
+        params = self.params(config, 14)
+        _, seq = sample_sequence(vocab, n_events=8)
+        n, lens, q_ids = seq.length, (seq.length, 3, 5), np.array([1, 0, 2])
+        k = len(lens)
+        q_times = np.array([[1, 9, 30, 5, 3, 12, 0], [4, 2, 0, 11, 2, 7, 1], [0, 23, 59, 0, 4, 30, 0]])
+        preds = n + 1 + 2 * np.arange(k)
+        tokens = np.append(seq.tokens, [vocab.pad_token] * (2 * k))
+        values = np.append(seq.values, np.zeros(2 * k))
+        mods = np.concatenate([seq.modalities[:n], np.repeat(q_ids, 2), [vocab.n_modalities]])
+        times = np.concatenate([seq.times[:n], np.repeat(q_times, 2, axis=0), seq.times[n - 1 : n]])
+        query_mods, query_times = mods[1:].copy(), times[1:].copy()
+        query_mods[preds], query_times[preds] = q_ids, q_times
+        pos = np.concatenate([np.arange(n), np.repeat(lens, 2) + np.tile([0, 1], k)])
+        mask = build_mask(ParallelV2(n, k, lens), n + 2 * k)
+        kw = {"query_modalities": query_mods, "query_times": query_times}
+        want = self.oracle(params, config, vocab, tokens, values, mods, times, mask, positions=pos, **kw)
+        got = forward(params, config, tokens, values, mods, times, 48.0, "female", mask, value_scale_table(vocab),
+                      pos_ids=pos, **kw).data
+        assert np.max(np.abs(got - want)) <= 1e-10
 
 
 class TestTapeMemory:

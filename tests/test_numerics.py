@@ -91,7 +91,7 @@ NO_PRODUCTION_CALLER = {
 def test_every_numerics_export_has_a_production_caller():
     """Each name in `numerics.__all__` is used by another module of the
     package, read from its source: an attribute of the imported numerics
-    module (`nm.linear`) or a name imported from it.  An op whose last
+    module (`nm.ffn_block`) or a name imported from it.  An op whose last
     caller goes is then deleted, or named above with its reason."""
     used = set()
     for path in Path(SRC, "trajlm").glob("*.py"):
@@ -114,7 +114,8 @@ def test_every_numerics_export_has_a_production_caller():
 
 
 def test_cli_import_leaves_scipy_special_unloaded():
-    """Only float64 GELU and the t-test's incomplete beta need scipy.special,
+    """Only float64 GELU (`numerics._gelu`, which the MLP blocks run) and the
+    t-test's incomplete beta need scipy.special,
     and each imports it when called; both still match closed forms then."""
     out = run_python(
         "import sys, math\n"
@@ -124,7 +125,7 @@ def test_cli_import_leaves_scipy_special_unloaded():
         "print('scipy.special' in sys.modules)\n"
         "x = np.linspace(-4, 4, 33)\n"
         "want = [0.5 * v * (1 + math.erf(v / math.sqrt(2))) for v in x]\n"
-        "print(max(abs(a - b) for a, b in zip(nm.gelu(nm.constant(x)).data, want)) < 1e-15)\n"
+        "print(max(abs(a - b) for a, b in zip(nm._gelu(x)[0], want)) < 1e-15)\n"
         "print(abs(stats.betainc_reg(1.0, 3.0, 0.3) - (1 - 0.7 ** 3)) < 1e-15)\n"
     )
     assert out.split() == ["False", "True", "True"]
@@ -152,25 +153,16 @@ class TestForwardOps:
         y = probs(rng.normal(size=(10, 7)) * 30)
         assert np.all(np.abs(y.sum(axis=-1) - 1.0) < 1e-12)
 
-    def test_matmul_identity(self):
-        rng = np.random.default_rng(0)
-        a = rng.normal(size=(3, 5))
-        y = nm.matmul(nm.constant(np.eye(3)), nm.constant(a))
-        assert np.array_equal(y.data, np.eye(3) @ a)
-
-    def test_matmul_shape_error_mentions_shapes(self):
-        with pytest.raises(ValueError, match=r"\(2, 3\).*\(2, 3\)"):
-            nm.matmul(nm.constant(np.ones((2, 3))), nm.constant(np.ones((2, 3))))
-
     def test_gelu_zero(self):
-        assert nm.gelu(nm.constant(np.array([0.0]))).data[0] == 0.0
+        assert nm._gelu(np.array([0.0]))[0][0] == 0.0
 
     def test_tanh_clamp_at_50(self):
-        z = nm.clamp(nm.constant(np.array([1000.0])), 50.0)
+        z = nm.range_head(nm.Tensor(np.array([[1000.0]])), nm.Tensor(np.ones((1, 1))), nm.Tensor(np.zeros(1)), 50.0, [0])
+        z = z.data[0]
         # 50*tanh(20) equals 50.0 to machine precision; saturation never exceeds the scale
-        assert z.data[0] == 50.0 * math.tanh(20.0)
-        assert abs(z.data[0] - 50.0) < 1e-12
-        assert z.data[0] <= 50.0
+        assert z[0] == 50.0 * math.tanh(20.0)
+        assert abs(z[0] - 50.0) < 1e-12
+        assert z[0] <= 50.0
 
     def test_masked_softmax_exact_zero_double(self):
         scores = np.array([[1.0, 2.0, 3.0]])
@@ -190,8 +182,8 @@ class TestForwardOps:
         rng = np.random.default_rng(2)
         x = rng.normal(size=(5, 8))
         soft = np.full((5, 8), 1 / 8)
-        a = nm.ntp_loss(nm.constant(x), np.arange(5), None, None, soft, 1.0)
-        b = nm.ntp_loss(nm.constant(x.copy()), np.arange(5), None, None, soft, 1.0)
+        a = nm.ntp_loss(nm.Tensor(x), np.arange(5), None, None, soft, 1.0)
+        b = nm.ntp_loss(nm.Tensor(x.copy()), np.arange(5), None, None, soft, 1.0)
         assert np.array_equal(a[0].data, b[0].data) and a[1:] == b[1:]
 
 
@@ -319,10 +311,10 @@ class TestParamStore:
         the slice held from an earlier pass never leaks into the gradient."""
         store, params = self.store(np.random.default_rng(2))
         table = params["table"]
-        nm.backward(dot(nm.embedding(table, [1, 1, 4])))
+        nm.backward(dot(embedding_op(table, [1, 1, 4])))
         table.grad = None
         store.grad_view(table)[...] = np.nan
-        nm.backward(dot(nm.embedding(table, [0, 2])))
+        nm.backward(dot(embedding_op(table, [0, 2])))
         expected = np.zeros((5, 3))
         expected[[0, 2]] = 1.0
         assert np.array_equal(table.grad, expected)
@@ -331,33 +323,31 @@ class TestParamStore:
     def test_untracked_parameter_gets_no_gradient(self):
         store, params = self.store(np.random.default_rng(3))
         params["w"].requires_grad = False
-        x = nm.constant(np.ones((4, 3)))
-        nm.backward(dot(nm.add(nm.matmul(x, params["w"]), params["b"])))
+        x = nm.Tensor(np.ones((4, 3)))
+        nm.backward(dot(linear_op(x, params["w"], params["b"])))
         assert params["w"].grad is None
         assert np.array_equal(params["b"].grad, [4.0, 4.0])
 
-    @pytest.mark.parametrize("op, ufunc", [(nm.matmul, "matmul")])
-    @pytest.mark.parametrize("constant_first", [True, False])
-    def test_constant_operand_skips_its_product(self, op, ufunc, constant_first):
-        """Backward computes no product for an operand that does not require
-        grad, and the tracked operand's gradient is the same product as ever."""
-        rng = np.random.default_rng(4)
-        c = nm.constant(rng.normal(size=(4, 4)))
-        w = nm.Tensor(rng.normal(size=(4, 4)), requires_grad=True)
-        w.data = w.data.view(_CountingArray)
+    @pytest.mark.parametrize("tracked", [True, False])
+    def test_constant_operand_skips_its_product(self, tracked):
+        """`embed_block`'s backward multiplies a constant feature array into
+        the gradient only for a projection that requires grad, and the
+        tracked projection's gradient is the same product as ever."""
+        tables, ids, cont_feat, cont_proj, pos, age_feat, age_proj, sex, sex_id = embed_operands(np.float64, seed=4)
+        cont_feat, age_feat = cont_feat.view(_CountingArray), age_feat.view(_CountingArray)
+        cont_proj.requires_grad = age_proj.requires_grad = tracked
         _CountingArray.calls = {}
-        y = op(c, w) if constant_first else op(w, c)
-        g = rng.normal(size=(4, 4))
-        nm.backward(dot(y, nm.constant(g)))
-        # the forward product is the only one that reads w's data
-        assert _CountingArray.calls.get(ufunc) == 1
-        cd = c.data
-        if constant_first:
-            expected = np.swapaxes(cd, -1, -2) @ g
+        y = nm.embed_block(tables, ids, cont_feat, cont_proj, pos, age_feat, age_proj, sex, sex_id)
+        g = np.random.default_rng(5).normal(size=y.shape)
+        nm.backward(dot(y, nm.Tensor(g)))
+        # the two forward products, and one backward product per tracked projection
+        assert _CountingArray.calls.get("matmul") == (4 if tracked else 2)
+        if tracked:
+            assert np.array_equal(cont_proj.grad, np.asarray(cont_feat).T @ g)
+            assert np.array_equal(age_proj.grad, np.asarray(age_feat).T @ g.sum(axis=0, keepdims=True))
         else:
-            expected = g @ np.swapaxes(cd, -1, -2)
-        assert np.array_equal(np.asarray(w.grad), expected)
-        assert c.grad is None
+            assert cont_proj.grad is None and age_proj.grad is None
+        assert tables[0].grad is not None
 
     def test_hand_built_dict_is_copied_into_one_store(self):
         a = nm.Tensor(np.array([1.0, 2.0]), requires_grad=True)
@@ -409,27 +399,23 @@ def random_targets(widths, rng, continuous=None):
 def loss_through_every_op(rng):
     """A scalar loss whose tape holds every op, and a weakref to the array of
     its first intermediate, upstream of all the others."""
-    p = {
-        name: nm.Tensor(rng.normal(size=shape), requires_grad=True)
-        for name, shape in (
-            ("table", (6, 4)), ("t0", (3, 4)), ("t1", (5, 4)), ("gain", (4,)), ("bias", (4,)), ("w", (4, 8)), ("b", (8,))
-        )
-    }
-    x = nm.embedding(p["table"], [0, 2, 2, 5])
+    tables, ids, cont_feat, cont_proj, pos, age_feat, age_proj, sex, sex_id = embed_operands(np.float64, seed=58)
+    x = nm.embed_block(tables, ids, cont_feat, cont_proj, pos, age_feat, age_proj, sex, sex_id)
     upstream = weakref.ref(x.data)
-    x = nm.add(x, nm.embedding_sum([p["t0"], p["t1"]], [[0, 4], [2, 1], [2, 1], [1, 0]]))
-    projections = [nm.Tensor(rng.normal(size=(4, 4)), requires_grad=True) for _ in range(4)]
-    gates, w_o = nm.Tensor(rng.normal(size=(1, 2)), requires_grad=True), projections[0]
-    x = nm.attention_block(
-        x, p["gain"], p["bias"], projections, gates, w_o, np.tril(np.ones((4, 4), dtype=bool)), 2, 0.7, 0.25, rng
-    )
-    w2 = nm.Tensor(rng.normal(size=(8, 4)), requires_grad=True)
-    x = nm.ffn_block(x, p["gain"], p["bias"], p["w"], p["b"], w2, p["bias"], 0.25, rng)
-    x = nm.gelu(nm.clamp(x, 2.0))
+    d = x.shape[1]
+    gain, bias = (nm.Tensor(rng.normal(size=d), requires_grad=True) for _ in range(2))
+    projections = [nm.Tensor(rng.normal(size=(d, 4)), requires_grad=True) for _ in range(4)]
+    gates, w_o = nm.Tensor(rng.normal(size=(1, 2)), requires_grad=True), nm.Tensor(rng.normal(size=(4, d)), requires_grad=True)
+    causal = np.tril(np.ones((len(ids), len(ids)), dtype=bool))
+    x = nm.attention_block(x, gain, bias, projections, gates, w_o, causal, 2, 0.7, 0.25, rng)
+    mlp = [nm.Tensor(rng.normal(size=s), requires_grad=True) for s in ((d, d), (d,), (d, d), (d,))]
+    x = nm.ffn_block(x, gain, bias, *mlp, 0.25, rng)
+    x = nm.query_block(x, tables[1:], ids[:, 1:], mlp, mlp)
+    w, b = nm.Tensor(rng.normal(size=(d, 8)), requires_grad=True), nm.Tensor(rng.normal(size=8), requires_grad=True)
     rows, starts, widths = [0, 1, 3], [0, 2, 4], [4, 3, 1]
     soft, mae = random_targets(widths, rng)
-    full = nm.add(nm.linear(x, p["w"], p["b"]), nm.matmul(x, p["w"]))
-    block = nm.range_head(x, p["w"], p["b"], rows, starts, widths)
+    full = nm.range_head(x, w, b, 2.0, np.arange(len(ids)))
+    block = nm.range_head(x, w, b, 2.0, rows, starts, widths)
     loss = nm.add(
         nm.ntp_loss(full, rows, starts, widths, soft, 1.0, mae, 0.5)[0],
         nm.ntp_loss(block, np.arange(3), None, widths, soft, 0.7)[0],
@@ -459,16 +445,17 @@ class TestTape:
 
     def test_untracked_inputs_record_no_tape(self):
         rng = np.random.default_rng(31)
-        x = nm.constant(rng.normal(size=(4, 4)))
-        row = nm.constant(rng.normal(size=4))
-        gates = nm.constant(rng.normal(size=(1, 2)))
+        x = nm.Tensor(rng.normal(size=(4, 4)))
+        row = nm.Tensor(rng.normal(size=4))
+        gates = nm.Tensor(rng.normal(size=(1, 2)))
         outs = [
-            nm.add(x, row), nm.matmul(x, x), nm.linear(x, x, row), nm.clamp(x, 3.0), nm.gelu(x),
-            nm.embedding(x, [0, 3, 3]), nm.embedding_sum([x, x], [[0, 1], [3, 3]]),
-            nm.range_head(x, x, row, [1, 2]),
-            nm.ntp_loss(x, [0, 2], [1, 0], [2, 4], NTP_SOFT, 1.0, NTP_MAE, 1.0)[0],
+            nm.add(x, row),
+            nm.embed_block([x, x, x], [[0, 1, 2], [3, 3, 0]], np.ones((2, 4)), x, np.ones((2, 4)), np.ones((1, 4)), x, x, 2),
             nm.attention_block(x, row, row, [x, x, x, x], gates, x, np.ones((4, 4), dtype=bool), 2, 0.7, 0.5, rng),
             nm.ffn_block(x, row, row, x, row, x, row, 0.5, rng),
+            nm.query_block(x, [x, x], [[0, 1], [3, 3], [1, 1], [2, 0]], [x, row, x, row], [x, row, x, row]),
+            nm.range_head(x, x, row, 3.0, [1, 2]),
+            nm.ntp_loss(x, [0, 2], [1, 0], [2, 4], NTP_SOFT, 1.0, NTP_MAE, 1.0)[0],
         ]
         for y in outs:
             assert not y.requires_grad and y._parents == () and y._backward is None
@@ -479,7 +466,14 @@ NTP_SOFT, NTP_MAE = random_targets([2, 4], np.random.default_rng(9))
 RAGGED_SOFT, RAGGED_MAE = random_targets([2, 4, 1], np.random.default_rng(10), [True, True, False])
 
 # an ffn_block's gain, bias, w1, b1, w2 and b2 over inputs of width 4
-FFN_CONSTANTS = [nm.constant(np.random.default_rng(8).normal(size=s)) for s in ((4,), (4,), (4, 6), (6,), (6, 4), (4,))]
+FFN_CONSTANTS = [nm.Tensor(np.random.default_rng(8).normal(size=s)) for s in ((4,), (4,), (4, 6), (6,), (6, 4), (4,))]
+
+# an output head over inputs of width 4 and 5 columns, a hidden state and a
+# query MLP of width 4, and an embedding's constant features (3 positions)
+HEAD_W, HEAD_B, QUERY_H, *QUERY_MLP = (
+    nm.Tensor(np.random.default_rng(11).normal(size=s)) for s in ((4, 5), (5,), (3, 4), (4, 4), (4,), (4, 4), (4,))
+)
+EMBED_FEAT, EMBED_POS, EMBED_AGE = (np.random.default_rng(12).normal(size=s) for s in ((3, 2), (3, 4), (1, 2)))
 
 
 class TestGradCheck:
@@ -491,12 +485,12 @@ class TestGradCheck:
     def test_softmax_cross_entropy(self):
         rng = np.random.default_rng(3)
         w = nm.Tensor(rng.normal(size=(4, 6)), requires_grad=True)
-        x = nm.constant(rng.normal(size=(5, 4)))
+        x = nm.Tensor(rng.normal(size=(5, 4)))
         onehot = np.zeros((5, 6))
         onehot[np.arange(5), rng.integers(0, 6, 5)] = 1.0
 
         def f():
-            return nm.ntp_loss(nm.matmul(x, w), np.arange(5), None, None, onehot, 1.0)[0]
+            return nm.ntp_loss(matmul_op(x, w), np.arange(5), None, None, onehot, 1.0)[0]
 
         assert nm.grad_check(f, {"w": w}) < 1e-6
 
@@ -509,25 +503,28 @@ class TestGradCheck:
             "b2": nm.Tensor(np.zeros(16), requires_grad=True),
             "w3": randt(rng, 16, 2),
         }
-        x = nm.constant(rng.normal(size=(6, 4)))
+        x = nm.Tensor(rng.normal(size=(6, 4)))
 
         def f():
-            h = nm.gelu(nm.add(nm.matmul(x, params["w1"]), params["b1"]))
-            h = nm.clamp(nm.add(nm.matmul(h, params["w2"]), params["b2"]), 1.0)  # tanh
-            return dot(nm.matmul(h, params["w3"]), nm.matmul(h, params["w3"]))
+            h = gelu_op(linear_op(x, params["w1"], params["b1"]))
+            h = nm.range_head(h, params["w2"], params["b2"], 1.0, np.arange(6))  # tanh
+            return dot(matmul_op(h, params["w3"]), matmul_op(h, params["w3"]))
 
         assert nm.grad_check(f, params) < 1e-4
 
     @pytest.mark.parametrize(
         "op",
         [
-            lambda x: nm.clamp(x, 0.8),
-            lambda x: nm.gelu(x),
+            lambda x: nm.range_head(x, HEAD_W, HEAD_B, 0.8, [1, 0, 1], [1, 0, 3], [2, 4, 1]),
+            lambda x: nm.query_block(QUERY_H, [x, mul_op(x, x)], [[1, 0], [0, 1], [1, 1]], QUERY_MLP, QUERY_MLP),
             lambda x: nm.ntp_loss(x, [1, 0], [1, 0], [2, 4], NTP_SOFT, 1.3)[0],
             lambda x: nm.ntp_loss(x, [1, 0], [1, 0], [2, 4], NTP_SOFT, 1.3, NTP_MAE, 0.6)[0],
-            lambda x: nm.add(x, nm.constant(np.array(0.1))),
+            lambda x: nm.add(x, nm.Tensor(np.array(0.1))),
             lambda x: nm.ffn_block(mul_op(x, x), *FFN_CONSTANTS, 0.5, np.random.default_rng(7)),
-            lambda x: nm.embedding_sum([x, mul_op(x, x)], np.array([[1, 0], [0, 0], [1, 1]])),
+            lambda x: nm.embed_block(
+                [x, mul_op(x, x), x], [[1, 0, 1], [0, 0, 1], [1, 1, 0]], EMBED_FEAT, x, EMBED_POS, EMBED_AGE, x,
+                mul_op(x, x), 1,
+            ),
             lambda x: nm.ntp_loss(
                 mul_op(x, x), [1, 0, 1], [1, 0, 3], [2, 4, 1], RAGGED_SOFT, 1.3, RAGGED_MAE, 0.6
             )[0],
@@ -538,27 +535,32 @@ class TestGradCheck:
         x = nm.Tensor(rng.normal(size=(2, 4)), requires_grad=True)
 
         def f():
-            return dot(op(x), nm.constant(np.full(op(x).shape, 0.7)))
+            return dot(op(x), nm.Tensor(np.full(op(x).shape, 0.7)))
 
         assert nm.grad_check(f, {"x": x}) < 1e-6
 
     def test_embedding_scatter(self):
         rng = np.random.default_rng(6)
         table = nm.Tensor(rng.normal(size=(5, 3)), requires_grad=True)
-        ids = np.array([0, 2, 2, 4])
+        ids = np.array([[0, 4, 2], [2, 2, 2], [2, 0, 4], [4, 2, 0]])
+        proj, sex = nm.Tensor(np.ones((1, 3))), nm.Tensor(np.ones((1, 3)))
+        zeros = np.zeros((4, 3))
 
         def f():
-            return dot(nm.embedding(table, ids), nm.embedding(table, ids))
+            # embed_block's three lookups into one table, repeated ids in each
+            y = nm.embed_block([table] * 3, ids, zeros[:, :1], proj, zeros, zeros[:1, :1], proj, sex, 0)
+            return dot(y, y)
 
         assert nm.grad_check(f, {"table": table}) < 1e-6
 
     def test_batched_matmul(self):
+        """The reference chains' product, over stacked operands as attention's chain uses it."""
         rng = np.random.default_rng(7)
         a = nm.Tensor(rng.normal(size=(3, 4, 5)), requires_grad=True)
         b = nm.Tensor(rng.normal(size=(3, 5, 2)), requires_grad=True)
 
         def f():
-            y = nm.matmul(a, b)
+            y = matmul_op(a, b)
             return dot(y, y)
 
         assert nm.grad_check(f, {"a": a, "b": b}) < 1e-6
@@ -578,7 +580,7 @@ class TestGradCheck:
     def test_nonfinite_loss_rejected(self):
         w = nm.Tensor(np.array([1.0]), requires_grad=True)
         with pytest.raises(ValueError, match="non-finite"):
-            nm.grad_check(lambda: nm.constant(np.array(np.nan)), {"w": w})
+            nm.grad_check(lambda: nm.Tensor(np.array(np.nan)), {"w": w})
 
 
 class TestPrecisionPolicy:
@@ -594,8 +596,8 @@ class TestPrecisionPolicy:
 
     def test_gelu_single_matches_double_within_tolerance(self):
         x = np.linspace(-4, 4, 101)
-        exact = nm.gelu(nm.constant(x)).data
-        approx = nm.gelu(nm.constant(x.astype(np.float32))).data
+        exact = nm._gelu(x)[0]
+        approx = nm._gelu(x.astype(np.float32))[0]
         assert np.max(np.abs(exact - approx)) < 1e-3
 
     def test_gelu_single_is_the_closed_form_bitwise(self):
@@ -608,21 +610,21 @@ class TestPrecisionPolicy:
         t = np.tanh(c * (x + 0.044715 * (x * x * x)))
         dinner = c * (1.0 + 3 * 0.044715 * x * x)
         a = nm.Tensor(x, requires_grad=True)
-        y = nm.gelu(a)
-        nm.backward(dot(y, nm.constant(g)))
+        y = gelu_op(a)
+        nm.backward(dot(y, nm.Tensor(g)))
         assert np.array_equal(y.data, 0.5 * x * (1.0 + t))
         assert a.grad.dtype == np.float32
         assert np.array_equal(a.grad, g * (0.5 * (1.0 + t) + 0.5 * x * (1.0 - t * t) * dinner))
 
     def test_gelu_single_keeps_only_its_output(self):
-        """The float32 rule recomputes tanh in backward: the tape holds y
-        alone, and backward holds y's gradient and three buffers at most
-        (the closed form evaluated directly holds six)."""
+        """The float32 rules recompute tanh in backward, as the MLP blocks
+        do: the tape holds y alone, and backward holds y's gradient and
+        three buffers at most (the closed form evaluated directly holds six)."""
         x = nm.Tensor(np.random.default_rng(41).normal(size=(256, 512)).astype(np.float32), requires_grad=True)
         n = x.data.nbytes
         tracemalloc.start()
         try:
-            y = nm.gelu(x)
+            y = gelu_op(x)
             held, _ = tracemalloc.get_traced_memory()
             loss = dot(y)
             tracemalloc.reset_peak()
@@ -648,8 +650,8 @@ class TestRangeHead:
 
     def test_entries_and_zero_padding(self):
         h, w, b = self.operands()
-        full = h.data @ w.data + b.data
-        z = nm.range_head(h, w, b, self.ROWS, self.STARTS, self.WIDTHS).data
+        full = 2.0 * np.tanh((h.data @ w.data + b.data) / 2.0)
+        z = nm.range_head(h, w, b, 2.0, self.ROWS, self.STARTS, self.WIDTHS).data
         assert z.shape == (6, 9)
         for i, (r, s, k) in enumerate(zip(self.ROWS, self.STARTS, self.WIDTHS)):
             assert np.allclose(z[i, :k], full[r, s : s + k], rtol=0, atol=1e-12)
@@ -657,34 +659,35 @@ class TestRangeHead:
 
     def test_gradcheck(self):
         h, w, b = self.operands()
-        weight = nm.constant(np.random.default_rng(21).normal(size=(6, 9)))
+        weight = nm.Tensor(np.random.default_rng(21).normal(size=(6, 9)))
 
         def f():
-            z = nm.range_head(h, w, b, self.ROWS, self.STARTS, self.WIDTHS)
-            return dot(nm.clamp(z, 1.0), weight)
+            return dot(nm.range_head(h, w, b, 1.0, self.ROWS, self.STARTS, self.WIDTHS), weight)
 
         assert nm.grad_check(f, {"h": h, "w": w, "b": b}) < 1e-6
 
     def test_empty_selection(self):
         h, w, b = self.operands()
-        z = nm.range_head(h, w, b, np.zeros(0, dtype=np.int64), np.zeros(0), np.zeros(0))
+        z = nm.range_head(h, w, b, 1.0, np.zeros(0, dtype=np.int64), np.zeros(0), np.zeros(0))
         assert z.shape == (0, 0)
 
         def f():
             # the empty head adds nothing to a loss on h alone
-            return nm.add(dot(nm.range_head(h, w, b, [], [], [])), dot(h, h))
+            return nm.add(dot(nm.range_head(h, w, b, 1.0, [], [], [])), dot(h, h))
 
         assert nm.grad_check(f, {"h": h, "w": w, "b": b}) < 1e-6
         assert not np.any(w.grad) and not np.any(b.grad)
 
     def test_default_is_matmul_plus_bias_bitwise(self):
+        """The full head that `model.forward` asks for by default, every row
+        at every column, is the chain matmul, bias add and clamp bit for bit."""
         h, w, b = self.operands()
-        ref = nm.add(nm.matmul(h, w), b)
+        ref = scale_op(tanh_op(scale_op(linear_op(h, w, b), 1.0 / 3.0)), 3.0)
         nm.backward(dot(ref, ref))
         grads = [p.grad.copy() for p in (h, w, b)]
         for p in (h, w, b):
             p.zero_grad()
-        z = nm.range_head(h, w, b)
+        z = nm.range_head(h, w, b, 3.0, np.arange(5))
         nm.backward(dot(z, z))
         assert np.array_equal(z.data, ref.data)
         for p, g in zip((h, w, b), grads):
@@ -692,8 +695,8 @@ class TestRangeHead:
 
     def test_one_shared_range_keeps_row_order(self):
         h, w, b = self.operands()
-        z = nm.range_head(h, w, b, np.array([4, 0, 4]))
-        assert np.allclose(z.data, (h.data @ w.data + b.data)[[4, 0, 4]], rtol=0, atol=1e-12)
+        z = nm.range_head(h, w, b, 4.0, np.array([4, 0, 4]))
+        assert np.allclose(z.data, 4.0 * np.tanh((h.data @ w.data + b.data)[[4, 0, 4]] / 4.0), rtol=0, atol=1e-12)
 
     @pytest.mark.parametrize("rows, starts, widths", [
         ([5], [0], [1]),
@@ -704,7 +707,7 @@ class TestRangeHead:
     def test_bad_selection_rejected(self, rows, starts, widths):
         h, w, b = self.operands()
         with pytest.raises((IndexError, ValueError)):
-            nm.range_head(h, w, b, rows, starts, widths)
+            nm.range_head(h, w, b, 1.0, rows, starts, widths)
         with pytest.raises((IndexError, ValueError)):
             nm.ntp_loss(nm.Tensor(np.zeros((5, 9))), rows, starts, widths, np.ones((len(rows), 9)), 1.0)
 
@@ -796,8 +799,8 @@ class TestNtpLoss:
 
 
 def scale_op(a, c):
-    """The scaling op that `clamp` and attention absorbed, kept here as
-    their reference chains' link."""
+    """The scaling op that the head's clamp and attention absorbed, kept
+    here as their reference chains' link."""
     return nm._node(a.data * c, (a,), lambda g: nm._accum(a, g * c))
 
 
@@ -811,6 +814,41 @@ def mul_op(a, b):
             nm._accum(b, g * a.data)
 
     return nm._node(a.data * b.data, (a, b), bw)
+
+
+def matmul_op(a, b):
+    """The matrix product op the stage nodes absorbed, over 2-d or stacked
+    3-d operands; an untracked operand gets no product."""
+
+    def bw(g):
+        if a.requires_grad:
+            nm._accum(a, g @ np.swapaxes(b.data, -1, -2), owned=True)
+        if b.requires_grad:
+            nm._accum(b, np.swapaxes(a.data, -1, -2) @ g, owned=True)
+
+    return nm._node(a.data @ b.data, (a, b), bw)
+
+
+def linear_op(x, w, b):
+    """x @ w + b as the chain the MLPs and the head absorbed."""
+    return nm.add(matmul_op(x, w), b)
+
+
+def embedding_op(table, ids):
+    """The table lookup op the stage nodes absorbed."""
+    ids = np.asarray(ids, dtype=np.int64)
+    return nm._node(table.data[ids], (table,), lambda g: nm._accum_at(table, ids, g))
+
+
+def gelu_op(a):
+    """The GELU op the MLPs absorbed, on numerics' GELU rules: exact erf
+    form in double, tanh approximation in single, where the rule recomputes
+    the tanh, so the tape keeps only the output."""
+    x = a.data
+    y, s = nm._gelu(x)
+    if x.dtype != np.float64:
+        s = None
+    return nm._node(y, (a,), lambda g: nm._accum(a, nm._gelu_grad(x, nm._gelu_tanh(x) if s is None else s, g), owned=True))
 
 
 def softmax_op(a):
@@ -827,7 +865,7 @@ def softmax_op(a):
 
 
 def tanh_op(a):
-    """The tanh op `clamp` replaced, kept here as the clamp's reference."""
+    """The tanh op the head's clamp replaced, kept here as its reference."""
     y = np.tanh(a.data)
     return nm._node(y, (a,), lambda g: nm._accum(a, g * (1.0 - y * y)))
 
@@ -835,31 +873,84 @@ def tanh_op(a):
 # ids with repeats in every column, so the scatters accumulate
 TABLE_IDS = np.array([[0, 3, 1], [2, 3, 0], [2, 1, 1], [0, 0, 4], [2, 3, 0]])
 
-# (fused op, the chain it replaces, operand shapes)
+# embed_block over five positions: token and modality ids, then three time
+# tables' (TABLE_IDS); leaves tok, mod, three time tables, cont_proj,
+# age_proj and sex (its row 2 read), all of width 6
+EMBED_IDS = np.column_stack([[4, 0, 4, 2, 1], [1, 3, 3, 0, 1], TABLE_IDS])
+EMBED_SHAPES = [(5, 6), (4, 6), (3, 6), (4, 6), (5, 6), (4, 6), (4, 6), (3, 6)]
+CONT_FEAT, POS, AGE_FEAT = (np.random.default_rng(56).normal(size=s) for s in ((5, 4), (5, 6), (1, 4)))
+
+
+def embed_node(tok, mod, t0, t1, t2, cont_proj, age_proj, sex):
+    dt = tok.dtype
+    return nm.embed_block(
+        [tok, mod, t0, t1, t2], EMBED_IDS, CONT_FEAT.astype(dt), cont_proj, POS.astype(dt), AGE_FEAT.astype(dt),
+        age_proj, sex, 2,
+    )
+
+
+def embed_chain(tok, mod, t0, t1, t2, cont_proj, age_proj, sex):
+    """The op chain `embed_block` replaced, in `model.embed_inputs`' old order."""
+    dt, ids = tok.dtype, EMBED_IDS
+    h = nm.add(embedding_op(tok, ids[:, 0]), matmul_op(nm.Tensor(CONT_FEAT.astype(dt)), cont_proj))
+    h = nm.add(h, embedding_op(mod, ids[:, 1]))
+    times = nm.add(nm.add(embedding_op(t0, ids[:, 2]), embedding_op(t1, ids[:, 3])), embedding_op(t2, ids[:, 4]))
+    h = nm.add(nm.add(h, times), nm.Tensor(POS.astype(dt)))
+    demo = nm.add(matmul_op(nm.Tensor(AGE_FEAT.astype(dt)), age_proj), embedding_op(sex, [2]))
+    return nm.add(h, demo)
+
+
+def embed_operands(dtype, seed):
+    """Fresh tracked leaves for `embed_block`, as its arguments."""
+    rng = np.random.default_rng(seed)
+    leaves = [nm.Tensor(rng.normal(size=s).astype(dtype), requires_grad=True) for s in EMBED_SHAPES]
+    return (
+        leaves[:5], EMBED_IDS, CONT_FEAT.astype(dtype), leaves[5], POS.astype(dtype), AGE_FEAT.astype(dtype),
+        leaves[6], leaves[7], 2,
+    )
+
+
+# query_block over five positions: modality ids, then three time tables';
+# leaves h, mod, three time tables and two MLPs (w1, b1, w2, b2) of width 6
+QUERY_IDS = np.column_stack([[2, 0, 3, 3, 1], TABLE_IDS])
+QUERY_SHAPES = [(5, 6), (4, 6), (3, 6), (4, 6), (5, 6)] + 2 * [(6, 6), (6,), (6, 6), (6,)]
+
+
+def query_node(h, mod, t0, t1, t2, *mlps):
+    return nm.query_block(h, [mod, t0, t1, t2], QUERY_IDS, mlps[:4], mlps[4:])
+
+
+def query_chain(h, mod, t0, t1, t2, *mlps):
+    """The op chain `query_block` replaced, in `model.forward`'s old order."""
+
+    def mlp(x, w1, b1, w2, b2):
+        return linear_op(gelu_op(linear_op(x, w1, b1)), w2, b2)
+
+    q_mod = mlp(embedding_op(mod, QUERY_IDS[:, 0]), *mlps[:4])
+    times = nm.add(
+        nm.add(embedding_op(t0, QUERY_IDS[:, 1]), embedding_op(t1, QUERY_IDS[:, 2])), embedding_op(t2, QUERY_IDS[:, 3])
+    )
+    return nm.add(nm.add(h, q_mod), mlp(times, *mlps[4:]))
+
+
+# (stage node, the chain it replaces, operand shapes), keyed by the fused
+# single-node op whose chain each stage node took over: `linear` (the query
+# MLPs' layers) in query_block, `embedding_sum` (the time lookups, with the
+# other lookups and feature products) in embed_block, and `clamp` in the
+# full-width range_head
 FUSED = {
-    "linear": (
-        lambda x, w, b: nm.linear(x, w, b),
-        lambda x, w, b: nm.add(nm.matmul(x, w), b),
-        [(7, 5), (5, 3), (3,)],
-    ),
-    "embedding_sum": (
-        lambda *tables: nm.embedding_sum(tables, TABLE_IDS),
-        lambda t0, t1, t2: nm.add(
-            nm.add(nm.embedding(t0, TABLE_IDS[:, 0]), nm.embedding(t1, TABLE_IDS[:, 1])),
-            nm.embedding(t2, TABLE_IDS[:, 2]),
-        ),
-        [(3, 6), (4, 6), (5, 6)],
-    ),
+    "linear": (query_node, query_chain, QUERY_SHAPES),
+    "embedding_sum": (embed_node, embed_chain, EMBED_SHAPES),
     "clamp": (
-        lambda z: nm.clamp(z, 5.0),
-        lambda z: scale_op(tanh_op(scale_op(z, 1.0 / 5.0)), 5.0),
-        [(6, 9)],
+        lambda h, w, b: nm.range_head(h, w, b, 5.0, np.arange(7)),
+        lambda h, w, b: scale_op(tanh_op(scale_op(linear_op(h, w, b), 1.0 / 5.0)), 5.0),
+        [(7, 5), (5, 9), (9,)],
     ),
 }
 
 
 class TestFusedOps:
-    """Each fused op against the chain of ops it replaces."""
+    """Each stage node against the chain of ops it replaces."""
 
     def operands(self, shapes, dtype, seed=50):
         rng = np.random.default_rng(seed)
@@ -869,7 +960,7 @@ class TestFusedOps:
     def run(self, build, arrays, weights):
         leaves = [nm.Tensor(a.copy(), requires_grad=True) for a in arrays]
         out = build(*leaves)
-        nm.backward(dot(out, nm.constant(weights)))
+        nm.backward(dot(out, nm.Tensor(weights)))
         return [out.data] + [p.grad for p in leaves]
 
     @pytest.mark.parametrize("name", FUSED)
@@ -877,7 +968,7 @@ class TestFusedOps:
     def test_bitwise_the_chain(self, name, dtype):
         op, chain, shapes = FUSED[name]
         arrays = self.operands(shapes, dtype)
-        weights = self.operands([op(*map(nm.constant, arrays)).shape], dtype, seed=51)[0]
+        weights = self.operands([op(*map(nm.Tensor, arrays)).shape], dtype, seed=51)[0]
         got = self.run(op, arrays, weights)
         want = self.run(chain, arrays, weights)
         for g, w in zip(got, want):
@@ -897,20 +988,26 @@ class TestFusedOps:
         assert nm.grad_check(f, params) < 1e-6
 
     def test_embedding_sum_needs_one_id_column_per_table(self):
-        tables = [nm.constant(np.zeros((3, 2))) for _ in range(2)]
+        """The id checks of the deleted `embedding_sum`, now run by every
+        stage node's lookups: one id column per table, each checked against
+        its table (here `query_block`'s)."""
+        h, *leaves = (nm.Tensor(a) for a in self.operands(QUERY_SHAPES, np.float64))
+        tables, mlps = leaves[:4], (leaves[4:8], leaves[8:])
         with pytest.raises(ValueError, match="one id column per table"):
-            nm.embedding_sum(tables, TABLE_IDS)
+            nm.query_block(h, tables, TABLE_IDS, *mlps)
         with pytest.raises(IndexError, match="out of range"):
-            nm.embedding_sum(tables, [[0, 3]])
+            nm.query_block(h, tables, [[0, 0, 0, 5]], *mlps)
 
     @pytest.mark.parametrize("bad, column, listed", [(7, 2, r"\[7\]"), (-1, 1, r"\[-1\]")])
     def test_embedding_sum_names_a_bad_id_in_any_column(self, bad, column, listed):
-        tables = [nm.constant(np.zeros((n, 2))) for n in (3, 4, 5)]
-        ids = TABLE_IDS.copy()
+        """`embed_block` keeps `embedding_sum`'s message, naming a bad id's
+        column and its table's size; a negative id is caught, not wrapped."""
+        tables, ids, *rest = embed_operands(np.float64, seed=57)
+        ids = ids.copy()
         ids[1:3, column] = bad
         size = tables[column].shape[0]
         with pytest.raises(IndexError, match=rf"column {column}: {listed} vs table {size}"):
-            nm.embedding_sum(tables, ids)
+            nm.embed_block(tables, ids, *rest)
 
     @pytest.mark.parametrize("dtype", [np.float64, np.float32])
     def test_flat_scatter_is_add_at_over_rows_bitwise(self, dtype):
@@ -979,8 +1076,8 @@ def chained_attention(q, k, v, mask, scale, rate=0.0, rng=None):
     (H, d, Tk)."""
     dtype = q.data.dtype
     mask_add = np.where(mask, np.array(0.0, dtype=dtype), np.array(nm.neg_inf(dtype), dtype=dtype))
-    scores = nm.add(scale_op(nm.matmul(q, k), scale), nm.constant(mask_add))
-    return nm.matmul(dropout_op(softmax_op(scores), rate, rng), v)
+    scores = nm.add(scale_op(matmul_op(q, k), scale), nm.Tensor(mask_add))
+    return matmul_op(dropout_op(softmax_op(scores), rate, rng), v)
 
 
 def fused(q, k, v, weights, mask, scale, rate, rng):
@@ -988,7 +1085,7 @@ def fused(q, k, v, weights, mask, scale, rate, rng):
     every array token-major (T, H, d)."""
     q, k, v = (nm.Tensor(x, requires_grad=True) for x in (q, k, v))
     out = attend(q, k, v, mask, scale, rate, rng)
-    nm.backward(dot(out, nm.constant(weights)))
+    nm.backward(dot(out, nm.Tensor(weights)))
     return [out.data, q.grad, k.grad, v.grad]
 
 
@@ -999,7 +1096,7 @@ def chained(q, k, v, weights, mask, scale, rate, rng):
     qh, vh = (nm.Tensor(np.ascontiguousarray(x.transpose(by_head)), requires_grad=True) for x in (q, v))
     kt = nm.Tensor(np.ascontiguousarray(k.transpose(1, 2, 0)), requires_grad=True)
     out = chained_attention(qh, kt, vh, mask, scale, rate, rng)
-    nm.backward(dot(out, nm.constant(weights.transpose(by_head))))
+    nm.backward(dot(out, nm.Tensor(weights.transpose(by_head))))
     return [out.data.transpose(by_head), qh.grad.transpose(by_head), kt.grad.transpose(2, 0, 1), vh.grad.transpose(by_head)]
 
 
@@ -1043,7 +1140,7 @@ class TestAttention:
         mask = build_mask(kind, 13)
         rng = np.random.default_rng(4)
         q, k, v = (randt(rng, 13, 2, 3) for _ in range(3))
-        weights = nm.constant(rng.normal(size=(13, 2, 3)))
+        weights = nm.Tensor(rng.normal(size=(13, 2, 3)))
 
         def f():
             return dot(attend(q, k, v, mask, 0.7), weights)
@@ -1055,7 +1152,7 @@ class TestAttention:
         dropout (T, d), then the FFN's (T, d): the draws of the op chain."""
         mask = build_mask(Causal(), 10)
         p = layer_params(np.random.default_rng(7))
-        h = nm.constant(np.ones((10, 4)))
+        h = nm.Tensor(np.ones((10, 4)))
         rng, ref = np.random.default_rng(8), np.random.default_rng(8)
         layer(h, p, mask, 0.2, rng)
         ref.random((2, 10, 10))
@@ -1078,11 +1175,11 @@ class TestAttention:
         mask = build_mask(Causal(), 4)
         mask[2] = False
         with pytest.raises(ValueError, match="allow no key: \\[2\\]"):
-            layer(nm.constant(np.zeros((4, 4))), layer_params(np.random.default_rng(10)), mask)
+            layer(nm.Tensor(np.zeros((4, 4))), layer_params(np.random.default_rng(10)), mask)
 
     def test_mask_shape_checked(self):
         with pytest.raises(ValueError, match="mask shape"):
-            layer(nm.constant(np.zeros((4, 4))), layer_params(np.random.default_rng(10)), np.ones((4, 3), dtype=bool))
+            layer(nm.Tensor(np.zeros((4, 4))), layer_params(np.random.default_rng(10)), np.ones((4, 3), dtype=bool))
 
 
 EXTRAS = 2
@@ -1136,14 +1233,14 @@ def chained_layer(h, p, mask, rate=0.0, rng=None):
         return reshape_op(x, (t, N_HEADS, hd // N_HEADS))
 
     pre = layer_norm_op(h, p["ln1_g"], p["ln1_b"])
-    q, k, v = (heads(nm.matmul(pre, p[n])) for n in PROJECTIONS[:3])
+    q, k, v = (heads(matmul_op(pre, p[n])) for n in PROJECTIONS[:3])
     for e in range(EXTRAS):
-        vx = heads(nm.matmul(pre, p[f"w_vx{e}"]))
-        v = nm.add(v, mul_op(vx, reshape_op(nm.embedding(p["gates"], [e]), (N_HEADS, 1))))
+        vx = heads(matmul_op(pre, p[f"w_vx{e}"]))
+        v = nm.add(v, mul_op(vx, reshape_op(embedding_op(p["gates"], [e]), (N_HEADS, 1))))
     ctx = reshape_op(attend(q, k, v, mask, scale_of(p), rate, rng), (t, hd))
-    h = nm.add(h, dropout_op(nm.matmul(ctx, p["w_o"]), rate, rng))
+    h = nm.add(h, dropout_op(matmul_op(ctx, p["w_o"]), rate, rng))
     pre = layer_norm_op(h, p["ln2_g"], p["ln2_b"])
-    ff = nm.linear(nm.gelu(nm.linear(pre, p["w_ff1"], p["b_ff1"])), p["w_ff2"], p["b_ff2"])
+    ff = linear_op(gelu_op(linear_op(pre, p["w_ff1"], p["b_ff1"])), p["w_ff2"], p["b_ff2"])
     return nm.add(h, dropout_op(ff, rate, rng))
 
 
@@ -1159,7 +1256,7 @@ class TestBlocks:
         rng = np.random.default_rng(60)
         p = layer_params(rng, d=8, d_head=3, d_ff=16, dtype=dtype)
         h = nm.Tensor(rng.normal(size=(t, 8)).astype(dtype), requires_grad=True)
-        weights = nm.constant(rng.normal(size=(t, 8)).astype(dtype))
+        weights = nm.Tensor(rng.normal(size=(t, 8)).astype(dtype))
         out = build(h, p, build_mask(kind, t), rate, np.random.default_rng(61))
         nm.backward(dot(out, weights))
         return [out.data, h.grad] + [p[n].grad for n in p]
@@ -1184,7 +1281,7 @@ class TestBlocks:
         rng = np.random.default_rng(62)
         p = layer_params(rng)
         h = randt(rng, 13, 4)
-        weights = nm.constant(rng.normal(size=(13, 4)))
+        weights = nm.Tensor(rng.normal(size=(13, 4)))
         params = {"h": h} | {n: p[n] for n in ("ln1_g", "ln1_b", *PROJECTIONS, "gates", "w_o")}
 
         def f():
@@ -1197,7 +1294,7 @@ class TestBlocks:
         rng = np.random.default_rng(64)
         p = layer_params(rng)
         h = randt(rng, 13, 4)
-        weights = nm.constant(rng.normal(size=(13, 4)))
+        weights = nm.Tensor(rng.normal(size=(13, 4)))
         params = {"h": h} | {n: p[n] for n in ("ln2_g", "ln2_b", "w_ff1", "b_ff1", "w_ff2", "b_ff2")}
 
         def f():
@@ -1218,5 +1315,5 @@ class TestBlocks:
         keeps = [(draws.random(shape) >= rate) / (1.0 - rate) for shape in ((N_HEADS, t, t), (t, 8), (t, 8))]
         arrays = {name: x.data for name, x in p.items()}
         want = oracle.prenorm_layer(h, arrays, mask, N_HEADS, *keeps)
-        got = layer(nm.constant(h), p, mask, rate, np.random.default_rng(67)).data
+        got = layer(nm.Tensor(h), p, mask, rate, np.random.default_rng(67)).data
         assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))

@@ -321,11 +321,13 @@ class TestHeadSelectedLoss:
             )
         tape = nm._tape(loss)
         # a full tape: the causal and the split pass each put two block nodes
-        # per layer and one loss node on it
+        # per layer, the embedding, query and head nodes and one loss node on
+        # it, and one add joins the two losses
         assert len(sublayers) == 2 * 2 * config.n_layers
         assert len(loss_nodes) == 2
         assert {id(node) for node in sublayers + loss_nodes} <= {id(node) for node in tape}
         n_nodes = len(tape)
+        assert n_nodes == 2 * (2 * config.n_layers + 4) + 1
         assert sorted({str(node.dtype) for node in tape}) == ["float32"]
         # backward frees each intermediate's gradient once its rule has run,
         # so record the gradient every rule receives
