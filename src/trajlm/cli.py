@@ -304,7 +304,7 @@ def cmd_train(args) -> int:
     vocab_sha = file_sha256(args.vocab)
 
     def progress(epoch, step, val):
-        print(f"epoch {epoch + 1}/{train_cfg.epochs} step {step} val_loss {val:.6f}")
+        print(f"epoch {epoch + 1}/{train_cfg.epochs} step {step}" + ("" if math.isnan(val) else f" val_loss {val:.6f}"))
 
     _, history, best = train(
         records, vocab, model_cfg, loss_cfg, train_cfg, aug_cfg,
@@ -316,7 +316,10 @@ def cmd_train(args) -> int:
         columns = ["step", "lr", "loss", "soft", "mae", "split", "grad_norm", "clipped", "val_loss"]
         rows = ([row[c] for c in columns] for row in history)
         write_csv(args.log, {}, columns, rows, _meta(train_cfg.seed, cfg_hash).items())
-    print(f"best validation loss {best:.6f}; checkpoint at {args.out}")
+    if math.isnan(best):
+        print(f"no validation set was held out; checkpoint at {args.out}")
+    else:
+        print(f"best validation loss {best:.6f}; checkpoint at {args.out}")
     return 0
 
 

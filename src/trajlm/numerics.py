@@ -21,13 +21,20 @@ Each stage of the model's forward pass is one node: `embed_block` (the six
 additive input embeddings), `attention_block` and `ffn_block` (a pre-norm
 sublayer each: layer norm through dropout and residual), `query_block` (the
 query MLPs added to the last hidden state) and `range_head` (the selected
-output-head entries, clamped).  A block's rule recomputes what is cheap
-(layer norm's output, the gated values, each attention row block's
-probabilities, the GELU) instead of keeping it, and runs the same operations
-in the same order as the chain of single ops it replaced, so its outputs and
-gradients are that chain's bit for bit.  The next-token loss of a pass is one
-node too (`ntp_loss`: soft cross-entropy and MAE over ragged token ranges),
-and `add` joins two losses.
+output-head entries, clamped).  A block's rule recomputes what it can rebuild
+from arrays the tape holds anyway instead of keeping it: a sublayer rebuilds
+layer norm (xhat, inv and the normalized output) from its input, which is
+the parent node's output, and the FFN's pre-activation with one matmul; the
+gated values, each attention row block's probabilities and the GELU are
+recomputed too.  So a sublayer's tape holds its output, the attention
+projections and output, and the dropout masks.  Each rebuild runs the same
+operations in the same order as the forward, as every rule runs those of the
+chain of single ops it replaced, so outputs and gradients are that chain's
+bit for bit.  Past 128 rows the single-precision GELU rules work in row
+chunks, so the FFN's forward and backward hold one (T, d_ff) array beside
+the pre-activation.  The next-token loss of a pass is one node too
+(`ntp_loss`: soft cross-entropy and MAE over ragged token ranges), and `add`
+joins two losses.
 
 Importing this module sets the process's heap policy (`_keep_heap_mapped`):
 every array below 32 MiB comes from a heap that is never trimmed, so each
@@ -292,27 +299,52 @@ def _gelu_tanh(x: np.ndarray) -> np.ndarray:
     return np.tanh(u, out=u)
 
 
-def _gelu(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+# Rows per chunk of the single-precision GELU rules on longer inputs: their
+# temporaries are (_GELU_ROWS, n) arrays, so a (T, d_ff) input costs one
+# (T, d_ff) output.
+_GELU_ROWS = 128
+
+
+def _gelu(x: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
     """GELU of x, exact erf form in double and tanh approximation in single,
-    and the array its derivative reuses: Phi(x) in double, the tanh in single."""
+    and the array its derivative reuses: Phi(x) in double; in single the
+    tanh for an x of at most _GELU_ROWS rows, else None: a longer x runs in
+    row chunks written into one output, and `_gelu_grad` recomputes each
+    chunk's tanh."""
     if x.dtype == np.float64:
         from scipy.special import erf  # here, so float32 passes never import scipy.special
 
         phi = 0.5 * (1.0 + erf(x * _INV_SQRT2))
         return x * phi, phi
-    t = _gelu_tanh(x)
-    return 0.5 * x * (1.0 + t), t
+    if len(x) <= _GELU_ROWS:
+        t = _gelu_tanh(x)
+        return 0.5 * x * (1.0 + t), t
+    y = np.empty_like(x)
+    for r0 in range(0, len(x), _GELU_ROWS):
+        rows = slice(r0, r0 + _GELU_ROWS)
+        t = _gelu_tanh(x[rows])
+        np.multiply(0.5 * x[rows], 1.0 + t, out=y[rows])
+    return y, None
 
 
-def _gelu_grad(x: np.ndarray, s: np.ndarray, g: np.ndarray) -> np.ndarray:
+def _gelu_grad(x: np.ndarray, s: np.ndarray | None, g: np.ndarray) -> np.ndarray:
     """g times GELU's derivative at x, given `_gelu`'s second array s; in
-    single precision s is the tanh t and is overwritten with the result."""
+    single precision the result overwrites s when it is the tanh, else g,
+    chunk by chunk."""
     if x.dtype == np.float64:
         pdf = np.exp(-0.5 * x * x) / math.sqrt(2.0 * math.pi)
         return g * (s + x * pdf)
-    # g (0.5 (1 + t) + 0.5 x (1 - t^2) dinner), evaluated in that order in
-    # three buffers
-    t = s
+    if s is not None:
+        return _gelu_grad_tanh(x, s, g, out=s)
+    for r0 in range(0, len(x), _GELU_ROWS):
+        rows = slice(r0, r0 + _GELU_ROWS)
+        _gelu_grad_tanh(x[rows], _gelu_tanh(x[rows]), g[rows], out=g[rows])
+    return g
+
+
+def _gelu_grad_tanh(x: np.ndarray, t: np.ndarray, g: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Single precision's g (0.5 (1 + t) + 0.5 x (1 - t^2) dinner), t the
+    tanh of x (overwritten), evaluated in that order in three buffers."""
     f = t * t
     np.subtract(1.0, f, out=f)
     h = x * 0.5
@@ -327,8 +359,7 @@ def _gelu_grad(x: np.ndarray, s: np.ndarray, g: np.ndarray) -> np.ndarray:
     t *= 0.5
     t += h
     del h
-    t *= g
-    return t
+    return np.multiply(t, g, out=out)
 
 
 def _id_columns(tables, ids) -> list[np.ndarray]:
@@ -387,7 +418,7 @@ def embed_block(
         _accum_at(sex, sex_ids, gd)
         for proj, feat, gp in ((age_proj, age_feat, gd), (cont_proj, cont_feat, g)):
             if proj.requires_grad:
-                _accum(proj, np.swapaxes(feat, -1, -2) @ gp, owned=True)
+                _accum(proj, feat.swapaxes(-1, -2) @ gp, owned=True)
         for table, col in zip(tables, cols):
             _accum_at(table, col, g)
 
@@ -528,23 +559,43 @@ def ntp_loss(logits: Tensor, rows, starts, widths, soft, soft_scale: float, mae=
 # --- transformer sublayers ------------------------------------------------------
 
 
+def _row_mean(x: np.ndarray) -> np.ndarray:
+    """x.mean(axis=-1, keepdims=True) by `ndarray.mean`'s own steps, so
+    bitwise the same, without its Python-level dispatch."""
+    s = np.add.reduce(x, axis=-1, keepdims=True)
+    return np.true_divide(s, np.intp(x.shape[-1]), out=s, casting="unsafe")
+
+
 def _normalize(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Layer norm over the last axis before its gain and bias: xhat and the
     per-row 1 / sqrt(var + 1e-5) it was scaled by."""
-    mu = x.mean(axis=-1, keepdims=True)
-    xc = x - mu
-    var = (xc * xc).mean(axis=-1, keepdims=True)
-    inv = 1.0 / np.sqrt(var + 1e-5)
-    return xc * inv, inv
+    xc = x - _row_mean(x)
+    inv = 1.0 / np.sqrt(_row_mean(xc * xc) + 1e-5)
+    xc *= inv
+    return xc, inv
+
+
+def _pre_norm(x: np.ndarray, gain: Tensor, bias: Tensor) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """A sublayer's layer norm output xhat * gain + bias, and the xhat and
+    inv it came from (`_normalize`)."""
+    xhat, inv = _normalize(x)
+    pre = xhat * gain.data
+    pre += bias.data
+    return pre, xhat, inv
 
 
 def _layer_norm_grad(g: np.ndarray, xhat: np.ndarray, inv: np.ndarray, gain: Tensor, bias: Tensor) -> np.ndarray:
     """Layer norm's backward from the gradient g of xhat * gain + bias:
-    accumulates gain's and bias's gradients and returns the input's."""
+    accumulates gain's and bias's gradients and returns the input's,
+    inv * (gx - mean(gx) - xhat * mean(gx * xhat)) with gx = g * gain."""
     _accum(gain, g * xhat)
     _accum(bias, g)
     gx = g * gain.data
-    return inv * (gx - gx.mean(axis=-1, keepdims=True) - xhat * (gx * xhat).mean(axis=-1, keepdims=True))
+    m = _row_mean(gx * xhat)
+    gx -= _row_mean(gx)
+    gx -= xhat * m
+    gx *= inv
+    return gx
 
 
 def _keep_mask(shape, dtype, rate: float, rng: np.random.Generator | None) -> np.ndarray | None:
@@ -579,7 +630,7 @@ def _attention_blocks(mask: np.ndarray, t_q: int, t_k: int) -> list[tuple[int, i
 
 
 def _by_head(x: np.ndarray) -> np.ndarray:
-    return np.swapaxes(x, 0, 1)  # a strided (H, T, d) view; BLAS reads it in place
+    return x.swapaxes(0, 1)  # a strided (H, T, d) view; BLAS reads it in place
 
 
 def _probs(qh: np.ndarray, kh: np.ndarray, mask: np.ndarray, block, scale: float) -> np.ndarray:
@@ -587,7 +638,7 @@ def _probs(qh: np.ndarray, kh: np.ndarray, mask: np.ndarray, block, scale: float
     masked).  Both directions of the attention call this, so backward's
     probabilities are forward's bit for bit."""
     r0, r1, c1 = block
-    p = qh[:, r0:r1] @ np.swapaxes(kh[:, :c1], -1, -2)
+    p = qh[:, r0:r1] @ kh[:, :c1].swapaxes(-1, -2)
     p *= scale
     np.copyto(p, neg_inf(p.dtype), where=~mask[r0:r1, :c1])
     p -= p.max(axis=-1, keepdims=True)
@@ -623,16 +674,16 @@ def _attend_grads(g: np.ndarray, q, k, v, mask: np.ndarray, blocks, scale: float
         p = _probs(qh, kh, mask, block, scale)
         go = gh[:, r0:r1]
         kept = p if keep is None else p * keep[:, r0:r1, :c1]
-        _by_head(gv)[:, :c1] += np.swapaxes(kept, -1, -2) @ go
+        _by_head(gv)[:, :c1] += kept.swapaxes(-1, -2) @ go
         del kept
-        ds = go @ np.swapaxes(vh[:, :c1], -1, -2)
+        ds = go @ vh[:, :c1].swapaxes(-1, -2)
         if keep is not None:
             ds *= keep[:, r0:r1, :c1]
         ds -= (ds * p).sum(axis=-1, keepdims=True)
         ds *= p
         ds *= scale
         _by_head(gq)[:, r0:r1] = ds @ kh[:, :c1]
-        _by_head(gk)[:, :c1] += np.swapaxes(np.swapaxes(qh[:, r0:r1], -1, -2) @ ds, -1, -2)
+        _by_head(gk)[:, :c1] += (qh[:, r0:r1].swapaxes(-1, -2) @ ds).swapaxes(-1, -2)
     return gq, gk, gv
 
 
@@ -661,17 +712,17 @@ def attention_block(
     draws are the attention keep mask, one rng.random((H, T, T)), then
     rng.random((T, d)) for w_o's output.
 
-    The tape keeps layer norm's xhat and inv, the stacked projections, the
-    attention output and the dropout masks; backward recomputes pre, the
-    gated values and each block's probabilities.  Forward and gradients are
-    bitwise those of the op chain written out (layer norm, one matmul per
-    projection, per-extra mul and add, attention, matmul, dropout, add), and
-    the projections' input gradient is summed newest first, w_vx{E-1} ...
-    w_v, w_k, w_q.
+    The tape keeps the stacked projections, the attention output and the
+    dropout masks; h's data, the sublayer input, is the parent's output.
+    Backward rebuilds layer norm (xhat, inv and pre) from it and recomputes
+    the gated values and each block's probabilities.  Forward and gradients
+    are bitwise those of the op chain written out (layer norm, one matmul
+    per projection, per-extra mul and add, attention, matmul, dropout, add),
+    and the projections' input gradient is summed newest first,
+    w_vx{E-1} ... w_v, w_k, w_q.
     """
     x = h.data
-    xhat, inv = _normalize(x)
-    pre = xhat * gain.data + bias.data
+    pre = _pre_norm(x, gain, bias)[0]
     t = x.shape[0]
     proj = np.empty((len(weights), t, weights[0].data.shape[1]), np.result_type(pre, *(w.data for w in weights)))
     for w, out in zip(weights, proj):
@@ -690,8 +741,8 @@ def attention_block(
 
     def bw(g):
         go = g if drop is None else g * drop
-        gctx = go @ np.swapaxes(w_o.data, -1, -2)
-        _accum(w_o, np.swapaxes(ctx, -1, -2) @ go, owned=True)
+        gctx = go @ w_o.data.swapaxes(-1, -2)
+        _accum(w_o, ctx.swapaxes(-1, -2) @ go, owned=True)
         v = _gated_values(heads, gates.data)
         gq, gk, gv = _attend_grads(gctx.reshape(heads.shape[1:]), heads[0], heads[1], v, mask, blocks, scale, keep)
         grads = [gq, gk, gv]
@@ -699,16 +750,17 @@ def attention_block(
             grads.append(gv * gates.data[e].reshape(-1, 1))
             if gates.requires_grad:
                 _grad_buffer(gates)[e] += (gv * vx).sum(axis=(0,)).sum(axis=(1,))
-        pre = xhat * gain.data + bias.data
+        pre, xhat, inv = _pre_norm(h.data, gain, bias)
         gpre = None
         for w, gp in zip(reversed(weights), reversed(grads)):  # newest projection first
             gp = gp.reshape(t, -1)
-            gx = gp @ np.swapaxes(w.data, -1, -2)
+            gx = gp @ w.data.swapaxes(-1, -2)
             if gpre is None:
                 gpre = gx
             else:
                 gpre += gx
-            _accum(w, np.swapaxes(pre, -1, -2) @ gp, owned=True)
+            _accum(w, pre.swapaxes(-1, -2) @ gp, owned=True)
+        del pre
         dx = _layer_norm_grad(gpre, xhat, inv, gain, bias)
         dx += g
         _accum(h, dx, owned=True)
@@ -716,28 +768,33 @@ def attention_block(
     return _node(y, (h, gain, bias, *weights, gates, w_o), bw)
 
 
+def _linear(x: np.ndarray, w: Tensor, b: Tensor) -> np.ndarray:
+    """x @ w + b, the bias added in place."""
+    y = x @ w.data
+    y += b.data
+    return y
+
+
 def _mlp(x: np.ndarray, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor) -> tuple[np.ndarray, np.ndarray]:
-    """gelu(x @ w1 + b1) @ w2 + b2, each bias added in place, and the
-    pre-activation x @ w1 + b1 that `_mlp_grads` needs."""
-    a = x @ w1.data
-    a += b1.data
-    y = _gelu(a)[0] @ w2.data
-    y += b2.data
-    return y, a
+    """gelu(x @ w1 + b1) @ w2 + b2, and the pre-activation x @ w1 + b1 that
+    `_mlp_grads` needs."""
+    a = _linear(x, w1, b1)
+    return _linear(_gelu(a)[0], w2, b2), a
 
 
 def _mlp_grads(g: np.ndarray, x: np.ndarray, a: np.ndarray, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor) -> np.ndarray:
     """Accumulate an `_mlp`'s parameter gradients from its output's gradient
-    g and return its input's; the GELU is recomputed from a."""
+    g and return its input's; the GELU is recomputed from a.  In single
+    precision an a of several `_GELU_ROWS` chunks has no more than one array
+    of its size alive beside it."""
     u, s = _gelu(a)
-    gu = g @ np.swapaxes(w2.data, -1, -2)
-    _accum(w2, np.swapaxes(u, -1, -2) @ g, owned=True)
+    _accum(w2, u.swapaxes(-1, -2) @ g, owned=True)
     _accum(b2, g)
     del u
-    ga = _gelu_grad(a, s, gu)
-    del s, gu
-    gx = ga @ np.swapaxes(w1.data, -1, -2)
-    _accum(w1, np.swapaxes(x, -1, -2) @ ga, owned=True)
+    ga = _gelu_grad(a, s, g @ w2.data.swapaxes(-1, -2))
+    del s
+    gx = ga @ w1.data.swapaxes(-1, -2)
+    _accum(w1, x.swapaxes(-1, -2) @ ga, owned=True)
     _accum(b1, ga)
     return gx
 
@@ -751,14 +808,13 @@ def ffn_block(
     layer norm.
 
     With dropout on, the draw is one rng.random((T, d)).  The tape keeps
-    layer norm's xhat and inv and the pre-activation; backward recomputes
-    layer norm's output and the GELU.  Forward and gradients are bitwise
-    those of the op chain written out (layer norm, linear, gelu, linear,
-    dropout, add).
+    the dropout mask alone; h's data, the sublayer input, is the parent's
+    output.  Backward rebuilds layer norm and the pre-activation from it and
+    recomputes the GELU.  Forward and gradients are bitwise those of the op
+    chain written out (layer norm, linear, gelu, linear, dropout, add).
     """
     x = h.data
-    xhat, inv = _normalize(x)
-    y, a = _mlp(xhat * gain.data + bias.data, w1, b1, w2, b2)
+    y = _mlp(_pre_norm(x, gain, bias)[0], w1, b1, w2, b2)[0]
     drop = _keep_mask(y.shape, y.dtype, rate, rng)
     if drop is not None:
         y *= drop
@@ -766,8 +822,9 @@ def ffn_block(
 
     def bw(g):
         gy = g if drop is None else g * drop
-        gpre = _mlp_grads(gy, xhat * gain.data + bias.data, a, w1, b1, w2, b2)
-        del gy
+        pre, xhat, inv = _pre_norm(h.data, gain, bias)
+        gpre = _mlp_grads(gy, pre, _linear(pre, w1, b1), w1, b1, w2, b2)
+        del gy, pre
         dx = _layer_norm_grad(gpre, xhat, inv, gain, bias)
         dx += g
         _accum(h, dx, owned=True)
@@ -779,9 +836,10 @@ def query_block(h: Tensor, tables, ids, mod_mlp, time_mlp) -> Tensor:
     """The query injection in one tape node, tables (mod, time_0, ...) with
     one id column each: (h + mlp(mod[ids[:, 0]])) + mlp(sum_d
     time_d[ids[:, 1 + d]]), each mlp gelu(x @ w1 + b1) @ w2 + b2 over its own
-    (w1, b1, w2, b2).  The tape keeps each MLP's input and pre-activation;
-    backward recomputes the GELU.  Forward and gradients are bitwise those of
-    the op chain written out (lookups, linear, gelu, linear, adds).
+    (w1, b1, w2, b2).  The tape keeps each MLP's input and pre-activation,
+    (T, d) arrays each; backward recomputes the GELU (in row chunks in single
+    precision, as `ffn_block` does).  Forward and gradients are bitwise those
+    of the op chain written out (lookups, linear, gelu, linear, adds).
     """
     mod, *times = tables
     mod_ids, *time_ids = _id_columns(tables, ids)

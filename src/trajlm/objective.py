@@ -403,6 +403,10 @@ def train(
 ):
     """Fit the model on a cohort; checkpoints the best-validation parameters.
 
+    A val_fraction of the sequences, at least one, is held out for
+    validation.  With val_fraction 0, or a single sequence, none is: every
+    sequence trains, no validation loss is logged, each epoch is
+    checkpointed and the returned best validation loss is NaN.
     Single-worker and strictly sequential in its RNG usage, so a fixed seed
     reproduces the checkpoint byte for byte.  Divergence (non-finite loss)
     aborts with the last good checkpoint already on disk.
@@ -418,7 +422,8 @@ def train(
         sequences.append((seq, r.age, r.sex))
 
     perm = rng.permutation(len(sequences))
-    n_val = max(1, int(round(train_config.val_fraction * len(sequences)))) if len(sequences) > 1 else 0
+    held_out = train_config.val_fraction > 0 and len(sequences) > 1
+    n_val = max(1, int(round(train_config.val_fraction * len(sequences)))) if held_out else 0
     val_idx = perm[:n_val]
     train_idx = perm[n_val:]
     if len(train_idx) == 0:
@@ -431,8 +436,6 @@ def train(
     total_steps = max(1, train_config.epochs * batches_per_epoch)
 
     def validation_loss() -> float:
-        if len(val_idx) == 0:
-            return math.nan
         losses = []
         for i in val_idx:
             seq, age, sex = sequences[i]
@@ -443,7 +446,7 @@ def train(
             losses.append(float(sequence_loss(params, model_config, vocab, seq, age, sex, loss_config)[0].data))
         return float(np.mean(losses)) if losses else math.nan
 
-    best_val = math.inf
+    best_val = math.inf if len(val_idx) else math.nan
     step = 0
     history = []
     saved_once = False
@@ -480,7 +483,7 @@ def train(
             row.update({"grad_norm": norm, "clipped": int(norm > train_config.clip_norm > 0), "val_loss": ""})
             history.append(row)
         val = validation_loss()
-        if history:
+        if history and len(val_idx):
             history[-1]["val_loss"] = val
         if progress is not None:
             progress(epoch, step, val)

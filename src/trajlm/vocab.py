@@ -269,8 +269,9 @@ def encode_value(vocab: Vocabulary, modality_id: int, value) -> int:
     x = float(value)
     if not np.isfinite(x):
         raise ValueError(f"non-finite measurement for modality {m.name!r}: {value!r}")
-    b = bisect.bisect_right(m.interior_edges(), x)
-    return m.cum_base + b
+    # bisect the interior edges (`interior_edges`) in place, without copying them
+    edges = m.bin_edges
+    return m.cum_base + bisect.bisect_right(edges, x, 1, len(edges) - 1) - 1
 
 
 def decode_token(vocab: Vocabulary, token_id: int):

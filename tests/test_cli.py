@@ -11,6 +11,7 @@ import pytest
 
 import trajlm.cli as cli
 import trajlm.intervene as intervene
+from trajlm.checkpoint import read_header
 from trajlm.cli import main
 from trajlm.corpus import assemble_sequence, read_cohort_jsonl, v1_context
 from trajlm.evalharness import predict_queries
@@ -169,6 +170,25 @@ class TestTrain:
                          "--config", str(config), "--out", str(out)]) == 0
             outs.append(out.read_bytes())
         assert outs[0] == outs[1]
+
+    def test_zero_val_fraction_holds_out_nothing(self, workspace, tmp_path, capsys):
+        """val_fraction = 0 trains on every participant and says that no
+        validation set was held out, where it printed 'best validation loss
+        inf'; the log's val_loss column stays empty."""
+        config = tmp_path / "t.cfg"
+        config.write_text(TRAIN_CONFIG + "epochs = 2\nval_fraction = 0\n", encoding="utf-8")
+        out, log = tmp_path / "m.ckpt", tmp_path / "log.csv"
+        capsys.readouterr()
+        assert main(["train", "--cohort", str(workspace["cohort"]), "--vocab", str(workspace["vocab"]),
+                     "--config", str(config), "--out", str(out), "--log", str(log)]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[-1] == f"no validation set was held out; checkpoint at {out}"
+        assert [line.split(" step ")[0] for line in lines[:-1]] == ["epoch 1/2", "epoch 2/2"]
+        assert not any("val_loss" in line for line in lines)
+        rows = [line for line in log.read_text().splitlines() if not line.startswith("#")][1:]
+        assert len(rows) == 2 * math.ceil(24 / 4)  # every one of the 24 participants, batches of 4
+        assert all(row.endswith(",") for row in rows)
+        assert math.isnan(read_header(out)["meta"]["val_loss"])
 
     def test_unknown_config_key_rejected(self, workspace, tmp_path, capsys):
         config = tmp_path / "bad.cfg"

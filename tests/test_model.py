@@ -441,6 +441,42 @@ class TestTapeMemory:
         ratio = self.held_by_tape(1024) / self.held_by_tape(512)
         assert 1.5 < ratio < 2.5
 
+    def test_sublayers_keep_their_input_not_layer_norm_or_the_ffn_pre_activation(self):
+        """A sublayer's rule rebuilds layer norm from its input, the parent's
+        output, and the FFN pre-activation with one matmul, so per token and
+        layer a grad-on forward holds the attention input, the stacked
+        projections, the attention output and the FFN input: (d_in +
+        (3 + E) H d_head + H d_head + d) floats.  The rest is per pass: the
+        last layer's output, the query block's two MLP inputs, pre-activations
+        and output (6 d floats), the embedding's continuous features
+        (cont_pe_dim floats) and the id columns of the embedding and the
+        query block (9 + 8 int64).  One more xhat copy would add T d floats,
+        a kept FFN pre-activation 4 T d."""
+        t, d, n_layers, n_heads, d_head, extras, cont_pe_dim = 512, 64, 2, 2, 32, 2, 64
+        config = ModelConfig(
+            vocab_size=20, n_modalities=3, d_model=d, n_layers=n_layers, n_heads=n_heads, d_head=d_head,
+            n_value_extras=extras, cont_pe_dim=cont_pe_dim, max_seq_len=t,
+        )
+        params = init_params(config, np.random.default_rng(3), dtype=np.float32)
+        rng = np.random.default_rng(4)
+        inputs = (
+            rng.integers(0, 20, t), rng.normal(size=t), rng.integers(0, 4, t + 1), np.zeros((t + 1, 7), dtype=np.int64),
+            50.0, "female", build_mask(Causal(), t), np.ones(4),
+        )
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            logits = forward(params, config, *inputs, head=([t - 1], None, None))
+            held = tracemalloc.get_traced_memory()[0] - start
+        finally:
+            tracemalloc.stop()
+        assert logits.requires_grad
+        hd = n_heads * d_head
+        per_layer = d + (3 + extras) * hd + hd + d
+        per_pass = 6 * d + cont_pe_dim
+        bound = t * ((n_layers * per_layer + per_pass) * 4 + (9 + 8) * 8)
+        assert bound - t * d * 4 < held <= bound + (64 << 10)  # 64 KiB: Python objects and the one head row
+
 
 class TestEmbeddingExtraction:
     def test_single_token_equals_hidden(self, vocab, config):

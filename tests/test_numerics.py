@@ -616,6 +616,22 @@ class TestPrecisionPolicy:
         assert a.grad.dtype == np.float32
         assert np.array_equal(a.grad, g * (0.5 * (1.0 + t) + 0.5 * x * (1.0 - t * t) * dinner))
 
+    def test_gelu_single_in_row_chunks_is_the_closed_form_bitwise(self):
+        """Inputs of several `_GELU_ROWS`-row chunks, the last one short:
+        every chunk runs the closed form's operations, so both rules stay
+        bitwise the same as one pass over the whole array."""
+        rng = np.random.default_rng(42)
+        x = (3.0 * rng.normal(size=(2 * nm._GELU_ROWS + 37, 24))).astype(np.float32)
+        g = rng.normal(size=x.shape).astype(np.float32)
+        c = math.sqrt(2.0 / math.pi)
+        t = np.tanh(c * (x + 0.044715 * (x * x * x)))
+        dinner = c * (1.0 + 3 * 0.044715 * x * x)
+        y, s = nm._gelu(x)
+        assert s is None  # each chunk's tanh is recomputed, not kept
+        assert np.array_equal(y, 0.5 * x * (1.0 + t))
+        want = g * (0.5 * (1.0 + t) + 0.5 * x * (1.0 - t * t) * dinner)
+        assert np.array_equal(nm._gelu_grad(x, None, g), want)
+
     def test_gelu_single_keeps_only_its_output(self):
         """The float32 rules recompute tanh in backward, as the MLP blocks
         do: the tape holds y alone, and backward holds y's gradient and
@@ -1301,6 +1317,28 @@ class TestBlocks:
             return dot(nm.ffn_block(h, *ffn_args(p), 0.3, np.random.default_rng(65)), weights)
 
         assert nm.grad_check(f, params, max_coords=200) < 1e-6
+
+    def test_ffn_backward_holds_one_hidden_array_beside_the_pre_activation(self):
+        """ffn_block's rule rebuilds the (T, d_ff) pre-activation and runs the
+        single-precision GELU rules in row chunks, writing the GELU's gradient
+        into the gradient it scales: above the live tape, its backward peaks
+        below three (T, d_ff) arrays (the parent's kept pre-activation plus
+        whole-array GELU rules peaked above five)."""
+        t, d, d_ff = 2048, 64, 256
+        p = layer_params(np.random.default_rng(68), d=d, d_head=32, d_ff=d_ff, dtype=np.float32)
+        h = nm.Tensor(np.random.default_rng(69).normal(size=(t, d)).astype(np.float32), requires_grad=True)
+        g = np.ones((t, d), dtype=np.float32)
+        tracemalloc.start()
+        try:
+            out = nm.ffn_block(h, *ffn_args(p))
+            tracemalloc.reset_peak()
+            start = tracemalloc.get_traced_memory()[0]
+            out._backward(g)
+            peak = tracemalloc.get_traced_memory()[1] - start
+        finally:
+            tracemalloc.stop()
+        assert h.grad.shape == (t, d)
+        assert peak <= 3 * t * d_ff * 4
 
     @pytest.mark.parametrize("kind", MASKS[:3], ids=["causal", "split", "parallel"])
     def test_matches_plain_numpy_reference_layer(self, kind):

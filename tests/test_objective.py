@@ -690,6 +690,32 @@ class TestTrainLoop:
         assert len(held) == len(records)  # three training steps and three validation passes
         assert held == [0] * len(records)
 
+    def test_zero_val_fraction_trains_on_every_sequence(self, vocab, tmp_path, monkeypatch):
+        """val_fraction 0 holds out no sequence (it held out one): every
+        sequence trains each epoch, no validation loss is computed or
+        logged, every epoch is checkpointed and the best validation loss is
+        NaN."""
+        records, config = self.small_setup(vocab)
+        calls, saves = [], []
+        inner_loss, inner_save = objective.sequence_loss, objective.save_checkpoint
+
+        def recorded(params, config, vocab, seq, *args, **kwargs):
+            calls.append(seq.length)
+            return inner_loss(params, config, vocab, seq, *args, **kwargs)
+
+        def saved(path, params, config, vocab_sha256, info):
+            saves.append(info["val_loss"])
+            return inner_save(path, params, config, vocab_sha256, info)
+
+        monkeypatch.setattr(objective, "sequence_loss", recorded)
+        monkeypatch.setattr(objective, "save_checkpoint", saved)
+        tc = TrainConfig(epochs=2, batch_size=1, val_fraction=0.0, seed=0)
+        _, history, best = train(records, vocab, config, LossConfig(), tc, None, tmp_path / "m.ckpt")
+        assert len(calls) == len(history) == 2 * len(records)
+        assert [row["val_loss"] for row in history] == [""] * len(history)
+        assert len(saves) == 2 and all(math.isnan(v) for v in saves)
+        assert math.isnan(best)
+
     def test_skipped_sequence_leaves_the_mean_gradient(self, vocab):
         """A sequence too short to score drops out of the batch mean: the
         gradient of [1-event record, record] equals that of [record] alone."""

@@ -1,3 +1,6 @@
+import bisect
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -155,6 +158,35 @@ class TestEncodeDecode:
     def test_nan_rejected(self, clip_vocab):
         with pytest.raises(ValueError, match="non-finite"):
             encode_value(clip_vocab, 1, float("nan"))
+
+    def test_in_place_bisect_matches_the_interior_edges(self):
+        """encode_value bisects bin_edges between its outer entries; the
+        token is the bisect of the interior-edge copy it replaced, at every
+        edge and midpoint, just beside each edge, beyond the observed range,
+        and for one-bin, collapsed and hand-made short edge lists."""
+        rng = np.random.default_rng(8)
+        with pytest.warns(DegenerateBinsWarning):
+            vocab = build_vocabulary([
+                RawModality("pad5", "categorical", categories=list("abcde")),
+                RawModality("m", "continuous", values=[0.0, 5.0, 15.0, 18.0, 25.0, 30.0], bin_count=3),
+                RawModality("wide", "continuous", values=list(rng.normal(50.0, 20.0, 300)), bin_count=12),
+                RawModality("one_bin", "continuous", values=[1.0, 2.0, 3.0], bin_count=1),
+                RawModality("constant", "continuous", values=[5.0] * 6, bin_count=4),
+            ])
+
+        def check(m):
+            probes = [*m.bin_edges, *m.midpoints, -1e9, 1e9]
+            probes += [float(np.nextafter(e, side)) for e in m.bin_edges for side in (-np.inf, np.inf)]
+            for x in probes:
+                want = m.cum_base + bisect.bisect_right(m.bin_edges[1:-1], x)
+                assert encode_value(vocab, m.id, x) == want, (m.name, m.bin_edges, x)
+
+        for m in vocab.modalities[1:]:
+            check(m)
+        last = vocab.modalities[-1]
+        for edges in ([7.0], []):  # shorter than any fitted modality's edges
+            vocab.modalities[last.id] = replace(last, bin_edges=edges)
+            check(vocab.modalities[last.id])
 
     def test_token_zero(self):
         vocab = make_vocab()
