@@ -28,7 +28,6 @@ from .model import (  # noqa: F401
     ParallelV2,
     SplitContext,
     build_mask,
-    extract_embedding,
     forward,
     init_params,
     param_count,

@@ -27,11 +27,11 @@ from .corpus import AugmentConfig, assemble_sequence, read_cohort_jsonl, write_c
 from .evalharness import (
     MetricReport,
     ModalityMetrics,
-    _metrics_from_pools,
     baseline_predict,
     crossmodal_sweep,
     longitudinal_pools,
     merge_pools,
+    pool_metrics,
     within_visit_pools,
     write_csv,
     write_metric_csv,
@@ -103,7 +103,10 @@ def config_hash(doc: dict) -> str:
 def resolve_seed(flag_seed: int | None, config_seed: int | None = None, default: int = 0) -> int:
     env = os.environ.get("TRAJLM_SEED")
     if env is not None:
-        return int(env)
+        try:
+            return int(env)
+        except ValueError:
+            raise CliError(f"TRAJLM_SEED must be an integer, got {env!r}") from None
     if flag_seed is not None:
         return flag_seed
     if config_seed is not None:
@@ -162,42 +165,44 @@ def cmd_synth(args) -> int:
 
 
 def _scan_raw_cohort(path):
-    """Infer modalities from a raw cohort file: numeric values make a modality
-    continuous, string values categorical (categories in first-seen order)."""
+    """Infer modalities from a raw cohort file, in first-seen order: numeric
+    values make a modality continuous, string values categorical (categories
+    in first-seen order).  A bad event raises a CliError naming the line."""
     _require_file(path, "cohort")
-    order: list[str] = []
-    values: dict[str, list] = {}
     kinds: dict[str, str] = {}
-    categories: dict[str, list[str]] = {}
+    seen: dict[str, list] = {}  # a continuous modality's values, a categorical one's categories
     with open(path, encoding="utf-8") as f:
         for line_no, line in enumerate(f, 1):
             line = line.strip()
             if not line:
                 continue
+            where = f"cohort {path!r} line {line_no}"
             try:
                 doc = json.loads(line)
             except json.JSONDecodeError as e:
-                raise CliError(f"malformed JSON in cohort {path!r} line {line_no}: {e}") from e
-            for ev in doc.get("events", []):
-                name = ev["m"]
-                v = ev["v"]
-                if name not in kinds:
-                    order.append(name)
-                    kinds[name] = CATEGORICAL if isinstance(v, str) else CONTINUOUS
-                    values[name] = []
-                    categories[name] = []
-                if isinstance(v, str):
-                    if v not in categories[name]:
-                        categories[name].append(v)
-                else:
-                    values[name].append(float(v))
-    raw = []
-    for name in order:
-        if kinds[name] == CATEGORICAL:
-            raw.append(RawModality(name, CATEGORICAL, categories=categories[name]))
-        else:
-            raw.append(RawModality(name, CONTINUOUS, values=values[name]))
-    return raw
+                raise CliError(f"malformed JSON in {where}: {e}") from e
+            events = doc.get("events", []) if isinstance(doc, dict) else None
+            if not isinstance(events, list):
+                raise CliError(f"{where}: expected an object whose \"events\" is a list")
+            for ev in events:
+                if not (isinstance(ev, dict) and isinstance(ev.get("m"), str) and "v" in ev):
+                    raise CliError(f"{where}: an event needs a modality name \"m\" and a value \"v\", got {ev!r}")
+                name, v = ev["m"], ev["v"]
+                if isinstance(v, bool) or not isinstance(v, (int, float, str)):
+                    raise CliError(f"{where}: modality {name!r} has value {v!r}, neither a number nor a string")
+                kind = CATEGORICAL if isinstance(v, str) else CONTINUOUS
+                if kinds.setdefault(name, kind) != kind:
+                    raise CliError(f"{where}: modality {name!r} is {kinds[name]} but has value {v!r}")
+                values = seen.setdefault(name, [])
+                if kind == CONTINUOUS:
+                    values.append(float(v))
+                elif v not in values:
+                    values.append(v)
+    return [
+        RawModality(name, kind, values=seen[name]) if kind == CONTINUOUS
+        else RawModality(name, kind, categories=seen[name])
+        for name, kind in kinds.items()
+    ]
 
 
 def cmd_build_vocab(args) -> int:
@@ -341,7 +346,7 @@ def cmd_eval_ntp(args) -> int:
     params, config, header, vocab = _load_model(args.ckpt, args.vocab)
     records = read_cohort_jsonl(_require_file(args.cohort, "cohort"), vocab)
     parts = map_participants(partial(within_visit_pools, params, config, vocab), records, args.workers)
-    report = _metrics_from_pools(merge_pools(p[0] for p in parts), vocab)
+    report = pool_metrics(merge_pools(p[0] for p in parts), vocab)
     meta = _meta(header["meta"].get("seed", ""), header["meta"].get("config_hash", ""))
     write_metric_csv(report, args.report, meta)
     if args.json:
@@ -355,17 +360,20 @@ def cmd_eval_ntp(args) -> int:
 
 
 def cmd_eval_longitudinal(args) -> int:
+    baselines = [b.strip() for b in args.baselines.split(",") if b.strip()]
+    for kind in baselines:
+        if kind not in ("locf", "linear"):
+            raise CliError(f"unknown baseline kind {kind!r} in --baselines: choose from locf, linear")
     params, config, header, vocab = _load_model(args.ckpt, args.vocab)
     records = read_cohort_jsonl(_require_file(args.cohort, "cohort"), vocab)
     pools = merge_pools(map_participants(partial(longitudinal_pools, params, config, vocab), records, args.workers))
-    report = _metrics_from_pools({m: (p[1], p[2]) for m, p in pools.items()}, vocab)
+    report = pool_metrics(pools, vocab)
     meta = _meta(header["meta"].get("seed", ""), header["meta"].get("config_hash", ""))
     write_metric_csv(report, args.report, meta)
 
-    baselines = [b.strip() for b in args.baselines.split(",") if b.strip()]
     summary: dict = {"model_median_r": report.median_r(), **meta}
     train_records = None
-    # the linear baseline's BMI feature, under the name the eligibility defaults use
+    # the linear baseline's BMI feature, when the vocabulary has a modality named bmi
     bmi = "bmi" if any(m.name == "bmi" for m in vocab.modalities) else None
     if args.train_cohort:
         train_records = read_cohort_jsonl(_require_file(args.train_cohort, "train cohort"), vocab)

@@ -1,6 +1,6 @@
 """Decoding and evaluation: expected-value decoding, within-visit and
-longitudinal prediction, forecasting baselines, cross-modal probes, and the
-two-stage biological-age regression.
+longitudinal prediction pools and their per-modality report, forecasting
+baselines, and cross-modal probes.
 """
 
 from __future__ import annotations
@@ -23,20 +23,17 @@ from .model import (
 )
 from .numerics import Tensor
 from .stats import pearson_with_ci
-from .vocab import CATEGORICAL, CONTINUOUS, Vocabulary, encode_value
+from .vocab import CONTINUOUS, Vocabulary, encode_value
 
 __all__ = [
     "ModalityMetrics",
     "MetricReport",
     "decode_block",
     "decode_expected",
-    "topk_accuracy",
-    "eval_within_visit",
-    "eval_longitudinal",
+    "pool_metrics",
     "longitudinal_pairs",
     "baseline_predict",
     "crossmodal_sweep",
-    "bioage",
     "write_csv",
     "write_metric_csv",
 ]
@@ -109,26 +106,13 @@ def decode_expected(logits_row: np.ndarray, vocab: Vocabulary, modality_id: int)
     return float(decode_block(row[None, a : a + w], None, spec.midpoints)[0][0])
 
 
-def topk_accuracy(logit_rows, true_categories, vocab: Vocabulary, modality_id: int, k: int) -> float:
-    """Fraction of full-width logits rows whose true category ranks in the top K
-    of the modality's range (decode_block's ranks: ties go to the lower token id)."""
-    spec = vocab.modalities[modality_id]
-    if spec.kind != CATEGORICAL:
-        raise ValueError(f"modality {spec.name!r} is continuous: use expected-value decoding")
-    width = spec.n_tokens
-    if k > width:
-        raise ValueError(f"K={k} exceeds the {width}-token range of {spec.name!r}")
-    rows = np.atleast_2d(np.asarray(logit_rows))[:, spec.cum_base : spec.cum_base + width]
-    _, ranks = decode_block(rows, None, np.zeros(rows.shape), true_categories)
-    return float(np.mean(ranks < k))
-
-
-def _metrics_from_pools(pools, vocab: Vocabulary) -> MetricReport:
-    """Per-modality metrics, continuous modalities first: Pearson r of a
-    (prediction, truth) pool, top-1 and top-5 of a categorical (rank, truth) one."""
+def pool_metrics(pools, vocab: Vocabulary) -> MetricReport:
+    """Per-modality metrics, continuous modalities first, from each pool's last
+    two lists: Pearson r of a continuous (prediction, truth) pool, top-1 and
+    top-min(5, width) of a categorical (rank, truth) one."""
     report = MetricReport()
     for m in sorted(pools, key=lambda m: (vocab.modalities[m].kind != CONTINUOUS, m)):
-        got, trues = pools[m]
+        got, trues = pools[m][-2:]
         spec = vocab.modalities[m]
         row = ModalityMetrics(m, spec.name, spec.kind, len(got))
         if spec.kind != CONTINUOUS:
@@ -190,16 +174,6 @@ def merge_pools(parts):
             for dst, src in zip(merged.setdefault(m, tuple([] for _ in lists)), lists):
                 dst.extend(src)
     return merged
-
-
-def eval_within_visit(
-    params: dict[str, Tensor],
-    config: ModelConfig,
-    vocab: Vocabulary,
-    records: list[ParticipantRecord],
-) -> MetricReport:
-    """Next-token prediction under the causal mask, aggregated per modality."""
-    return _metrics_from_pools(within_visit_pools(params, config, vocab, records)[0], vocab)
 
 
 def _visit_values(rec: ParticipantRecord, vocab: Vocabulary):
@@ -367,21 +341,6 @@ def longitudinal_pools(
     return pools
 
 
-def eval_longitudinal(
-    params: dict[str, Tensor],
-    config: ModelConfig,
-    vocab: Vocabulary,
-    records: list[ParticipantRecord],
-) -> tuple[MetricReport, dict]:
-    """Predict every second-visit measurement from first-visit context alone.
-
-    Returns the per-modality report plus the raw (pid, predicted, true) pools
-    so baselines can be scored on identical participant sets.
-    """
-    pools = longitudinal_pools(params, config, vocab, records)
-    return _metrics_from_pools({m: (p[1], p[2]) for m, p in pools.items()}, vocab), pools
-
-
 def baseline_predict(
     kind: str,
     train_records: list[ParticipantRecord],
@@ -482,23 +441,6 @@ def crossmodal_sweep(
         for b, mid in enumerate(xs)
     ]
     return xs, np.array(ys)
-
-
-def bioage(embeddings, ages):
-    """Two-stage biological age: cross-validated ridge prediction of
-    chronological age, then residualization so the acceleration is orthogonal
-    to age.  Returns (predicted_age, acceleration)."""
-    from .stats import ols_residuals, ridge_cv_predict
-
-    x = np.asarray(embeddings, dtype=np.float64)
-    ages = np.asarray(ages, dtype=np.float64)
-    if x.shape[0] < 10:
-        raise ValueError(f"need at least 10 participants, got {x.shape[0]}")
-    if np.ptp(ages) == 0:
-        raise ValueError("chronological ages are constant")
-    pred = ridge_cv_predict(x, ages)
-    baa = ols_residuals(pred, ages)
-    return pred, baa
 
 
 def write_csv(path, meta: dict, columns, rows, notes=()) -> None:

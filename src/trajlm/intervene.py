@@ -19,7 +19,6 @@ import math
 import numbers
 from dataclasses import dataclass, field
 from datetime import datetime, timedelta
-from importlib import resources
 
 import numpy as np
 
@@ -41,7 +40,6 @@ __all__ = [
     "FREQUENCIES",
     "DURATIONS",
     "MONTH_DAYS",
-    "ELIGIBILITY_DEFAULTS",
     "CategoricalAppend",
     "ContinuousScale",
     "EligibilityRule",
@@ -49,7 +47,6 @@ __all__ = [
     "TrialSpec",
     "ArmResult",
     "SIMULATION_COUNTS",
-    "load_catalog",
     "add_months",
     "dosing_schedule",
     "apply_intervention",
@@ -64,19 +61,6 @@ FREQUENCIES = (1, 2, 3, 4, 6, 8, 10, 15, 20)
 DURATIONS = (1, 2, 3, 4, 6, 9, 12, 18, 24)
 MONTH_DAYS = 30.4375
 TRIAL_VISIT = datetime(2021, 3, 1, 9, 0)  # the one visit of every synthetic trial participant
-
-# name -> (comparator, threshold in modality units)
-ELIGIBILITY_DEFAULTS = {
-    "ldl": (">=", 130.0),
-    "sbp": (">=", 140.0),
-    "dbp": (">=", 90.0),
-    "glucose": (">=", 100.0),
-    "hba1c": (">=", 5.7),
-    "hdl": ("<=", 40.0),
-    "triglycerides": (">=", 150.0),
-    "bmi": (">=", 30.0),
-    "vitamin_d": ("<=", 20.0),
-}
 
 
 @dataclass(frozen=True)
@@ -243,11 +227,6 @@ class ArmResult:
         mc = self.control[idx].mean(axis=1)
         stats = 100.0 * (self.treatment[idx].mean(axis=1) - mc) / mc
         return float(np.percentile(stats, 2.5)), float(np.percentile(stats, 97.5))
-
-
-def load_catalog() -> dict:
-    with resources.files("trajlm.data").joinpath("intervention_catalog.json").open("r") as f:
-        return json.load(f)
 
 
 def add_months(when: datetime, months: float) -> datetime:

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field, asdict
 import numpy as np
 
 from . import numerics as nm
-from .corpus import TEMPORAL_VOCAB_SIZES, TokenSequence, SEX_INDEX
+from .corpus import TEMPORAL_VOCAB_SIZES, SEX_INDEX
 from .numerics import Tensor
 from .vocab import CONTINUOUS, Vocabulary
 
@@ -34,7 +34,6 @@ __all__ = [
     "sinusoid_features",
     "embed_inputs",
     "forward",
-    "extract_embedding",
 ]
 
 
@@ -301,7 +300,6 @@ def forward(
     query_times: np.ndarray | None = None,
     pos_ids: np.ndarray | None = None,
     dropout_rng: np.random.Generator | None = None,
-    return_hidden: bool = False,
     head: tuple | None = None,
 ):
     """Run the full stack; logits[p] answers the query at stream slot p+1.
@@ -344,8 +342,6 @@ def forward(
         ffn = (params[p + n] for n in ("ln2_g", "ln2_b", "w_ff1", "b_ff1", "w_ff2", "b_ff2"))
         h = nm.ffn_block(h, *ffn, rate, dropout_rng)
 
-    hidden = h
-
     q_mods = np.asarray(modalities[1:]) if query_modalities is None else np.asarray(query_modalities)
     q_times = np.asarray(times[1:]) if query_times is None else np.asarray(query_times)
     if len(q_mods) != t or len(q_times) != t:
@@ -355,29 +351,4 @@ def forward(
     mlps = [[params[f"{prefix}_{n}"] for n in ("w1", "b1", "w2", "b2")] for prefix in ("qmod", "qtime")]
     h = nm.query_block(h, tables, np.column_stack([q_mods, q_times]), *mlps)
 
-    logits = nm.range_head(h, params["out_w"], params["out_b"], c.logit_clamp, *(head or (np.arange(t),)))
-    if return_hidden:
-        return logits, hidden
-    return logits
-
-
-def extract_embedding(
-    params: dict[str, Tensor],
-    config: ModelConfig,
-    vocab: Vocabulary,
-    seq: TokenSequence,
-    age: float,
-    sex: str,
-) -> np.ndarray:
-    """Mean of final-layer hidden states over non-pad positions (no head rows)."""
-    if seq.length == 0:
-        raise ValueError("cannot extract an embedding from an empty sequence")
-    mask = build_mask(Causal(), seq.length)
-    _, hidden = forward(
-        params, config, seq.tokens, seq.values, seq.modalities, seq.times, age, sex, mask,
-        value_scale_table(vocab), return_hidden=True, head=((), None, None),
-    )
-    keep = seq.tokens != vocab.pad_token
-    if not np.any(keep):
-        raise ValueError("sequence has no non-pad positions")
-    return hidden.data[keep].mean(axis=0)
+    return nm.range_head(h, params["out_w"], params["out_b"], c.logit_clamp, *(head or (np.arange(t),)))

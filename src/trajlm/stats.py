@@ -15,8 +15,6 @@ __all__ = [
     "pearson_with_ci",
     "fisher_z_compare",
     "bh_fdr",
-    "ridge_cv_predict",
-    "ols_residuals",
 ]
 
 
@@ -113,37 +111,3 @@ def bh_fdr(pvalues, q: float = 0.05) -> np.ndarray:
     cutoff = ranked[below[-1]]
     return p <= cutoff
 
-
-def _ridge_fit(x: np.ndarray, y: np.ndarray, alpha: float):
-    """Ridge with unpenalized intercept via centering."""
-    xm = x.mean(axis=0)
-    ym = y.mean()
-    xc = x - xm
-    yc = y - ym
-    d = x.shape[1]
-    beta = np.linalg.solve(xc.T @ xc + alpha * np.eye(d), xc.T @ yc)
-    intercept = ym - xm @ beta
-    return beta, intercept
-
-
-def ridge_cv_predict(x, y, alpha: float = 1000.0, folds: int = 5) -> np.ndarray:
-    """Out-of-fold ridge predictions with deterministic interleaved folds."""
-    x = np.asarray(x, dtype=np.float64)
-    y = np.asarray(y, dtype=np.float64)
-    n = x.shape[0]
-    preds = np.empty(n)
-    for f in range(folds):
-        test = np.arange(f, n, folds)
-        train = np.setdiff1d(np.arange(n), test)
-        beta, intercept = _ridge_fit(x[train], y[train], alpha)
-        preds[test] = x[test] @ beta + intercept
-    return preds
-
-
-def ols_residuals(y, x) -> np.ndarray:
-    """Residuals of a univariate OLS of y on x (with intercept)."""
-    x = np.asarray(x, dtype=np.float64)
-    y = np.asarray(y, dtype=np.float64)
-    design = np.column_stack([np.ones_like(x), x])
-    coef, *_ = np.linalg.lstsq(design, y, rcond=None)
-    return y - design @ coef

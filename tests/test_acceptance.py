@@ -23,7 +23,7 @@ from trajlm.evalharness import (
     baseline_predict,
     crossmodal_sweep,
     decode_expected,
-    eval_longitudinal,
+    longitudinal_pools,
 )
 from trajlm.intervene import CategoricalAppend, concordance, sample_trial_population, TrialSpec, TrialVariable
 from trajlm.model import (
@@ -392,7 +392,7 @@ class TestCriterion8LongitudinalOrdering:
     def test_model_beats_locf_on_drift(self, desk):
         vocab = desk["vocab"]
         d_id = vocab.modality("d_drift").id
-        report, pools = eval_longitudinal(desk["params"], desk["model_cfg"], vocab, desk["test"])
+        pools = longitudinal_pools(desk["params"], desk["model_cfg"], vocab, desk["test"])
         pids, preds, trues = pools[d_id]
         locf, _ = baseline_predict("locf", desk["train"], desk["test"], vocab)
         locf_preds = [locf[d_id][pid] for pid in pids]

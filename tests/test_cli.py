@@ -117,6 +117,13 @@ class TestSynth:
         assert main(["synth", "--seed", "99", "--participants", "8", "--out", str(b)]) == 0
         assert a.read_bytes() == b.read_bytes()
 
+    def test_non_integer_seed_env_is_error(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setenv("TRAJLM_SEED", "abc")
+        out = tmp_path / "a.jsonl"
+        assert main(["synth", "--participants", "4", "--out", str(out)]) == 1
+        assert "error: TRAJLM_SEED must be an integer, got 'abc'" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_meta_sidecar(self, tmp_path):
         out = tmp_path / "c.jsonl"
         assert main(["synth", "--seed", "1", "--participants", "5", "--out", str(out)]) == 0
@@ -143,6 +150,33 @@ class TestVocabAndTokenize:
             assert len(row["modalities"]) == len(row["tokens"]) + 1
             assert len(row["times"]) == len(row["tokens"]) + 1
             assert 0 <= row["visit_boundary"] <= len(row["tokens"])
+
+    @pytest.mark.parametrize(
+        "events, names",
+        [
+            ([{"v": 1.0}], ["modality name", "{'v': 1.0}"]),
+            ([{"m": "x"}], ["modality name", "{'m': 'x'}"]),
+            ([{"m": 3, "v": 1.0}], ["modality name", "{'m': 3, 'v': 1.0}"]),
+            ([{"m": "x", "v": None}], ["modality 'x' has value None"]),
+            ([{"m": "x", "v": True}], ["modality 'x' has value True"]),
+            ([{"m": "x", "v": [1.0]}], ["modality 'x' has value [1.0]"]),
+            ([{"m": "x", "v": {"a": 1}}], ["modality 'x' has value {'a': 1}"]),
+            ([{"m": "y", "v": 1.0}, {"m": "x", "v": "high"}], ["modality 'x' is continuous but has value 'high'"]),
+            ({"m": "x", "v": 1.0}, ['"events" is a list']),
+        ],
+        ids=["no-modality", "no-value", "numeric-modality", "null", "bool", "list", "object", "mixed-kinds", "not-a-list"],
+    )
+    def test_build_vocab_names_file_line_and_modality_of_a_bad_event(self, tmp_path, capsys, events, names):
+        """A missing key, a value neither number nor string, and a modality
+        mixing numbers and strings (line 1 makes `x` continuous)."""
+        lines = [{"id": "a", "age": 50, "events": [{"m": "x", "v": 2.0}]}, {"id": "b", "age": 50, "events": events}]
+        cohort, out = tmp_path / "raw.jsonl", tmp_path / "v.json"
+        cohort.write_text("".join(json.dumps(doc) + "\n" for doc in lines), encoding="utf-8")
+        assert main(["build-vocab", "--cohort", str(cohort), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: cohort {str(cohort)!r} line 2: ")
+        assert all(name in err for name in names), err
+        assert not out.exists()
 
     def test_missing_cohort_is_error(self, tmp_path, capsys):
         rc = main(["build-vocab", "--cohort", str(tmp_path / "nope.jsonl"), "--out", str(tmp_path / "v.json")])
@@ -290,6 +324,15 @@ class TestEval:
                          "--vocab", str(model[2]), "--baselines", "locf,linear", "--train-cohort", str(model[1]),
                          "--report", str(tmp_path / "long.csv")]) == 0
         assert seen == [("locf", (None,)), ("linear", (None,)), ("locf", ("bmi",)), ("linear", ("bmi",))]
+
+    def test_unknown_baseline_fails_before_inference(self, workspace, tmp_path, capsys):
+        report = tmp_path / "long.csv"
+        rc = main(["eval-longitudinal", "--ckpt", str(workspace["ckpt"]), "--cohort", str(workspace["cohort"]),
+                   "--vocab", str(workspace["vocab"]), "--baselines", "locf,lcof",
+                   "--report", str(report), "--json", str(tmp_path / "long.json")])
+        assert rc == 1
+        assert list(tmp_path.iterdir()) == []
+        assert "error: unknown baseline kind 'lcof' in --baselines: choose from locf, linear" in capsys.readouterr().err
 
     def test_vocab_hash_mismatch_fails_before_inference(self, workspace, tmp_path, capsys):
         other_vocab = tmp_path / "other_vocab.json"

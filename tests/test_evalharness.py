@@ -9,21 +9,20 @@ import trajlm.evalharness as evalharness
 from trajlm.corpus import Event, ParticipantRecord, TokenSequence, assemble_sequence
 from trajlm.evalharness import (
     baseline_predict,
-    bioage,
     crossmodal_sweep,
     decode_block,
     decode_expected,
-    eval_longitudinal,
-    eval_within_visit,
     longitudinal_pairs,
+    longitudinal_pools,
     plan_queries,
+    pool_metrics,
     predict_queries,
-    topk_accuracy,
     within_visit_pools,
     write_metric_csv,
 )
 from trajlm import numerics as nm
-from trajlm.model import Causal, ModelConfig, build_mask, extract_embedding, forward, init_params, value_scale_table
+from trajlm.model import Causal, ModelConfig, build_mask, forward, init_params, value_scale_table
+from trajlm.stats import pearson_with_ci
 from trajlm.vocab import RawModality, build_vocabulary
 
 
@@ -94,11 +93,20 @@ class TestDecodeExpected:
 
 
 class TestTopK:
+    """Top-K of a categorical modality as `eval-ntp` reports it: decode_block's
+    ranks (ties go to the lower token id) pooled, then `rank < K` in pool_metrics."""
+
+    @staticmethod
+    def cat4_metrics(rows, truth, vocab):
+        starts, widths, mids = vocab.head_ranges([2] * len(truth))
+        _, ranks = decode_block(np.asarray(rows)[:, starts[0] : starts[0] + widths[0]], widths, mids, truth)
+        return pool_metrics({2: (ranks.tolist(), list(truth))}, vocab).rows[0]
+
     def test_k_equals_width(self, vocab):
         rng = np.random.default_rng(4)
         rows = rng.normal(size=(10, vocab.total_tokens))
         truth = rng.integers(0, 4, 10)
-        assert topk_accuracy(rows, truth, vocab, 2, 4) == 1.0
+        assert self.cat4_metrics(rows, truth, vocab).top5 == 1.0  # K = min(5, width 4)
 
     def test_point_mass_k1(self, vocab):
         a, _ = vocab.token_range(2)
@@ -106,21 +114,12 @@ class TestTopK:
         truth = [0, 1, 2, 3, 0, 2]
         for i, t in enumerate(truth):
             rows[i, a + t] = 10.0
-        assert topk_accuracy(rows, truth, vocab, 2, 1) == 1.0
+        assert self.cat4_metrics(rows, truth, vocab).top1 == 1.0
 
     def test_uniform_ties_pick_lowest_token(self, vocab):
         rows = np.zeros((8, vocab.total_tokens))
         truth = [0, 1, 0, 2, 0, 3, 0, 1]
-        acc = topk_accuracy(rows, truth, vocab, 2, 1)
-        assert acc == truth.count(0) / len(truth)
-
-    def test_k_too_large(self, vocab):
-        with pytest.raises(ValueError, match="exceeds"):
-            topk_accuracy(np.zeros((1, vocab.total_tokens)), [0], vocab, 2, 5)
-
-    def test_continuous_rejected(self, vocab):
-        with pytest.raises(ValueError, match="expected-value"):
-            topk_accuracy(np.zeros((1, vocab.total_tokens)), [0], vocab, 0, 1)
+        assert self.cat4_metrics(rows, truth, vocab).top1 == truth.count(0) / len(truth)
 
 
 def two_visit_cohort(vocab, n=30, seed=5, drift=6.0):
@@ -228,7 +227,7 @@ class TestModelEvaluation:
                 for h in range(4)
             ]
             records.append(ParticipantRecord(f"p{i}", 50.0, "male", events, [t0]))
-        report = eval_within_visit(params, config, vocab, records)
+        report = pool_metrics(within_visit_pools(params, config, vocab, records)[0], vocab)
         row = report.by_name("wide")
         assert abs(row.r) < 0.35  # untrained predictions carry no signal
 
@@ -236,13 +235,13 @@ class TestModelEvaluation:
         params, config = tiny_model
         t0 = datetime(2021, 1, 4, 9, 0)
         records = [ParticipantRecord("p", 50.0, "male", [Event(t0, 1, 100.0, False)], [t0])]
-        report = eval_within_visit(params, config, vocab, records)
+        report = pool_metrics(within_visit_pools(params, config, vocab, records)[0], vocab)
         assert report.rows == []
 
     def test_longitudinal_runs_and_aligns(self, vocab, tiny_model):
         params, config = tiny_model
         records = two_visit_cohort(vocab, n=8)
-        report, pools = eval_longitudinal(params, config, vocab, records)
+        pools = longitudinal_pools(params, config, vocab, records)
         assert 1 in pools
         pids, preds, trues = pools[1]
         assert len(pids) == len(preds) == len(trues) == 8
@@ -254,8 +253,8 @@ class TestModelEvaluation:
         params, config = tiny_model
         t0 = datetime(2021, 1, 4, 9, 0)
         records = [ParticipantRecord("p", 50.0, "male", [Event(t0, 1, 100.0, False)], [t0])]
-        report, pools = eval_longitudinal(params, config, vocab, records)
-        assert report.rows == [] and pools == {}
+        pools = longitudinal_pools(params, config, vocab, records)
+        assert pool_metrics(pools, vocab).rows == [] and pools == {}
 
     def test_query_predictions_invariant_to_order_and_companions(self, vocab, tiny_model):
         from trajlm.corpus import assemble_sequence
@@ -398,46 +397,30 @@ class TestCrossmodal:
             crossmodal_sweep(params, config, vocab, 1, 2, datetime(2022, 3, 7, 9, 0))
 
 
-class TestBioage:
-    def test_age_coordinate_recovered(self):
-        rng = np.random.default_rng(12)
-        ages = rng.uniform(40, 70, 200)
-        emb = np.column_stack([ages, rng.normal(size=(200, 4))])
-        pred, baa = bioage(emb, ages)
-        assert np.corrcoef(pred, ages)[0, 1] > 0.999
-        assert np.max(np.abs(baa)) < 1.0
-
-    def test_acceleration_orthogonal_to_age(self):
-        rng = np.random.default_rng(13)
-        ages = rng.uniform(40, 70, 150)
-        emb = rng.normal(size=(150, 8)) + 0.05 * ages[:, None]
-        _, baa = bioage(emb, ages)
-        assert abs(np.corrcoef(baa, ages)[0, 1]) < 1e-8
-
-    def test_random_embeddings_no_skill(self):
-        rng = np.random.default_rng(14)
-        ages = rng.uniform(40, 70, 200)
-        emb = rng.normal(size=(200, 16))
-        pred, _ = bioage(emb, ages)
-        ss_res = np.sum((ages - pred) ** 2)
-        ss_tot = np.sum((ages - ages.mean()) ** 2)
-        r2 = 1 - ss_res / ss_tot
-        assert abs(r2) < 0.1
-
-    def test_minimum_cohort_size(self):
-        with pytest.raises(ValueError, match="at least 10"):
-            bioage(np.zeros((5, 3)), np.arange(5.0))
-
-    def test_constant_age_rejected(self):
-        with pytest.raises(ValueError, match="constant"):
-            bioage(np.zeros((12, 3)), np.full(12, 50.0))
+class TestPoolMetrics:
+    def test_hand_built_pools(self, vocab):
+        """Continuous rows come first.  A categorical pool of (rank, truth)
+        reports top-1 and top-min(5, width): for the 4-category modality every
+        truth is inside its top 5.  A longitudinal pool's (pid, prediction,
+        truth) is read from its last two lists, and a one-pair pool is dropped."""
+        preds, trues = [1.0, 2.0, 3.0, 5.0], [2.0, 1.0, 4.0, 6.0]
+        pools = {
+            2: ([0, 1, 3, 0, 2, 0, 3, 1], [1, 0, 2, 3, 0, 1, 2, 3]),
+            1: (["p0", "p1", "p2", "p3"], preds, trues),
+            0: ([7.0], [8.0]),
+        }
+        wide, cat4 = pool_metrics(pools, vocab).rows
+        r, p, ci = pearson_with_ci(preds, trues)
+        assert (wide.name, wide.n, wide.r, wide.p, wide.ci_low, wide.ci_high) == ("wide", 4, r, p, *ci)
+        assert (cat4.name, cat4.n, cat4.top1, cat4.top5) == ("cat4", 8, 3 / 8, 1.0)
+        assert math.isnan(cat4.r) and math.isnan(wide.top1)
 
 
 class TestReportOutput:
     def test_csv_format(self, vocab, tiny_model, tmp_path):
         params, config = tiny_model
         records = two_visit_cohort(vocab, n=6)
-        report = eval_within_visit(params, config, vocab, records)
+        report = pool_metrics(within_visit_pools(params, config, vocab, records)[0], vocab)
         path = tmp_path / "r.csv"
         write_metric_csv(report, path, {"seed": 1, "config_hash": "ff", "version": "0.1.0"})
         text = path.read_text()
@@ -504,9 +487,6 @@ class TestRangedDecoding:
         expected, ranks = decode_block(ragged(full, starts, widths), widths, mids, truth)
         assert ranks.tolist() == [reference_rank(full[i], vocab, m, truth[i]) for i, m in enumerate(mods)]
         assert ranks[1] == truth[1]  # ties go to the lower token id
-        cat = mods == 2
-        for k in range(1, 5):
-            assert float(np.mean(ranks[cat] < k)) == topk_accuracy(full[cat], truth[cat], vocab, 2, k)
         for i, m in enumerate(mods):
             if m != 2:
                 assert expected[i] == pytest.approx(reference_expected(full[i], vocab, m), rel=1e-12)
@@ -570,14 +550,13 @@ class TestRangedDecoding:
         pools, scored = within_visit_pools(params, config, vocab, records)
         predict_queries(params, config, vocab, seq, 50.0, "male", [(0, when), (1, when), (1, when, 3)])
         crossmodal_sweep(params, config, vocab, 1, 0, when)
-        extract_embedding(params, config, vocab, seq, 50.0, "male")
         n_bins = len(vocab.modalities[1].midpoints)
         assert scored == len(records) and {m for m in pools} == {0, 1, 2}
-        assert wide == [False] * (len(records) + 1 + n_bins + 1)
+        assert wide == [False] * (len(records) + 1 + n_bins)
         # the full-width default, the tests' reference, is what the recorder flags
         forward(params, config, seq.tokens, seq.values, seq.modalities, seq.times, 50.0, "male",
                 build_mask(Causal(), seq.length), value_scale_table(vocab))
-        assert wide[-1:] == [True] and len(wide) == len(records) + 1 + n_bins + 2
+        assert wide[-1:] == [True] and len(wide) == len(records) + 1 + n_bins + 1
 
     def test_pools_and_curve_match_the_full_head(self, vocab, tiny_model):
         _, config = tiny_model

@@ -12,7 +12,6 @@ import trajlm.intervene as intervene
 from trajlm.corpus import Event, ParticipantRecord, assemble_sequence
 from trajlm.intervene import (
     DURATIONS,
-    ELIGIBILITY_DEFAULTS,
     FREQUENCIES,
     CategoricalAppend,
     ContinuousScale,
@@ -23,7 +22,6 @@ from trajlm.intervene import (
     apply_intervention,
     concordance,
     dosing_schedule,
-    load_catalog,
     load_trial_spec,
     sample_trial_population,
     simulate_cohort,
@@ -224,12 +222,6 @@ class TestEligibility:
     def test_non_finite_threshold_rejected(self, threshold):
         with pytest.raises(ValueError, match="finite"):
             EligibilityRule(0, ">=", threshold)
-
-    def test_default_threshold_table(self):
-        assert ELIGIBILITY_DEFAULTS["ldl"] == (">=", 130.0)
-        assert ELIGIBILITY_DEFAULTS["hdl"] == ("<=", 40.0)
-        assert ELIGIBILITY_DEFAULTS["vitamin_d"] == ("<=", 20.0)
-        assert len(ELIGIBILITY_DEFAULTS) == 9
 
     def test_v1_gate_excludes_low_baseline(self, vocab, tiny_model):
         params, config = tiny_model
@@ -695,19 +687,6 @@ class TestFourArm:
 
 
 class TestCatalogAndSpecs:
-    def test_catalog_carries_reference_indices(self):
-        cat = load_catalog()
-        assert cat["exercise_categories"]["running"] == 1
-        assert cat["exercise_categories"]["basketball"] == 12
-        assert cat["medication_categories"]["rosuvastatin"] == 6
-        assert cat["medication_categories"]["metformin"] == 84
-        assert cat["medication_categories"]["empagliflozin"] == 114
-        assert cat["medication_categories"]["semaglutide"] == 93
-        assert cat["frequencies_per_month"]["daily"] == 10
-        assert cat["frequencies_per_month"]["three_times_daily"] == 20
-        assert set(cat["frequencies_per_month"].values()) == set(FREQUENCIES)
-        assert tuple(cat["durations_months"]) == DURATIONS
-
     def test_trial_spec_roundtrip(self, vocab):
         doc = {
             "name": "demo",

@@ -18,7 +18,6 @@ from trajlm.model import (
     SplitContext,
     build_mask,
     embed_inputs,
-    extract_embedding,
     forward,
     init_params,
     param_count,
@@ -476,48 +475,6 @@ class TestTapeMemory:
         per_pass = 6 * d + cont_pe_dim
         bound = t * ((n_layers * per_layer + per_pass) * 4 + (9 + 8) * 8)
         assert bound - t * d * 4 < held <= bound + (64 << 10)  # 64 KiB: Python objects and the one head row
-
-
-class TestEmbeddingExtraction:
-    def test_single_token_equals_hidden(self, vocab, config):
-        rng = np.random.default_rng(11)
-        params = init_params(config, rng, dtype=np.float64)
-        _, seq = sample_sequence(vocab, n_events=1)
-        _, hidden = run_forward(params, config, vocab, seq, return_hidden=True)
-        emb = extract_embedding(params, config, vocab, seq, 48.0, "female")
-        assert np.array_equal(emb, hidden.data[0])
-
-    def test_pad_append_invariant(self, vocab, config):
-        rng = np.random.default_rng(12)
-        params = init_params(config, rng, dtype=np.float64)
-        _, seq = sample_sequence(vocab, n_events=5)
-        emb = extract_embedding(params, config, vocab, seq, 48.0, "female")
-
-        padded = seq.copy()
-        extra = 3
-        padded.tokens = np.concatenate([padded.tokens, np.full(extra, vocab.pad_token)])
-        padded.values = np.concatenate([padded.values, np.zeros(extra)])
-        padded.modalities = np.concatenate(
-            [padded.modalities[:-1], np.full(extra + 1, vocab.n_modalities)]
-        )
-        padded.times = np.concatenate(
-            [padded.times[:-1], np.tile(padded.times[-2], (extra + 1, 1))], axis=0
-        )
-        emb2 = extract_embedding(params, config, vocab, padded, 48.0, "female")
-        assert np.array_equal(emb, emb2)
-
-    def test_empty_rejected(self, vocab, config):
-        rng = np.random.default_rng(13)
-        params = init_params(config, rng, dtype=np.float64)
-        _, seq = sample_sequence(vocab, n_events=1)
-        empty = seq.copy()
-        empty.tokens = empty.tokens[:0]
-        empty.values = empty.values[:0]
-        empty.modalities = empty.modalities[:1]
-        empty.times = empty.times[:1]
-        empty.visit_boundary = 0
-        with pytest.raises(ValueError, match="empty"):
-            extract_embedding(params, config, vocab, empty, 48.0, "female")
 
 
 class TestParameterAccounting:

@@ -1,4 +1,3 @@
-import ast
 import gc
 import math
 import os
@@ -79,38 +78,6 @@ class TestHeapPolicy:
         monkeypatch.setattr(platform, "libc_ver", lambda *a, **k: ("glibc", "2.36"))
         assert nm._keep_heap_mapped() is False
         assert calls == [(-3, 32 << 20)]
-
-
-# numerics exports with no caller elsewhere in the package, and why they stay
-NO_PRODUCTION_CALLER = {
-    "grad_check": "the tests' finite-difference gradient check",
-    "neg_inf": "the masked-score fill, used inside numerics",
-}
-
-
-def test_every_numerics_export_has_a_production_caller():
-    """Each name in `numerics.__all__` is used by another module of the
-    package, read from its source: an attribute of the imported numerics
-    module (`nm.ffn_block`) or a name imported from it.  An op whose last
-    caller goes is then deleted, or named above with its reason."""
-    used = set()
-    for path in Path(SRC, "trajlm").glob("*.py"):
-        if path.name == "numerics.py":
-            continue
-        tree = ast.parse(path.read_text(encoding="utf-8"))
-        aliases = set()
-        for node in ast.walk(tree):
-            if isinstance(node, ast.ImportFrom) and node.level == 1:
-                if node.module == "numerics":
-                    used |= {a.name for a in node.names}
-                elif node.module is None:
-                    aliases |= {a.asname or a.name for a in node.names if a.name == "numerics"}
-        for node in ast.walk(tree):
-            if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) and node.value.id in aliases:
-                used.add(node.attr)
-    assert set(NO_PRODUCTION_CALLER) <= set(nm.__all__)
-    assert sorted(set(nm.__all__) - used - set(NO_PRODUCTION_CALLER)) == []
-    assert sorted(set(NO_PRODUCTION_CALLER) & used) == []
 
 
 def test_cli_import_leaves_scipy_special_unloaded():

@@ -10,9 +10,7 @@ from trajlm.stats import (
     bh_fdr,
     fisher_z_compare,
     normal_sf,
-    ols_residuals,
     pearson_with_ci,
-    ridge_cv_predict,
     student_t_p_value,
 )
 
@@ -186,21 +184,3 @@ class TestBhFdr:
         with pytest.raises(ValueError):
             bh_fdr([0.5, 1.2])
 
-
-class TestRegressionHelpers:
-    def test_ols_residuals_orthogonal(self):
-        rng = np.random.default_rng(4)
-        x = rng.normal(size=100)
-        y = 3.0 * x + rng.normal(size=100)
-        r = ols_residuals(y, x)
-        assert abs(np.corrcoef(r, x)[0, 1]) < 1e-10
-        assert abs(r.mean()) < 1e-10
-
-    def test_ridge_cv_shapes_and_determinism(self):
-        rng = np.random.default_rng(5)
-        x = rng.normal(size=(40, 6))
-        y = x @ rng.normal(size=6) + rng.normal(size=40)
-        p1 = ridge_cv_predict(x, y, alpha=10.0)
-        p2 = ridge_cv_predict(x, y, alpha=10.0)
-        assert np.array_equal(p1, p2)
-        assert p1.shape == (40,)
