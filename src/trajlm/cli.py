@@ -71,18 +71,51 @@ def _require_file(path, what: str) -> str:
     return path
 
 
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def _is_whole(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+# The JSON type of each spec key that has one: (what it must be, test).
+# Table-1 values, `n` and `horizon_months` have checks of their own.
+_SPEC_TYPES = {
+    **dict.fromkeys(("threshold", "factor", "point", "ci_low", "ci_high"), ("a number", _is_number)),
+    **dict.fromkeys(("category_index", "frequency", "duration"), ("a whole number", _is_whole)),
+    "seed": ("a whole number >= 0", lambda v: _is_whole(v) and v >= 0),
+    **dict.fromkeys(
+        ("kind", "modality", "outcome", "label", "comparator", "name"), ("a string", lambda v: isinstance(v, str))
+    ),
+    "modalities": ("a list of strings", lambda v: isinstance(v, list) and all(isinstance(x, str) for x in v)),
+    **dict.fromkeys(("intervention", "eligibility", "published"), ("an object", lambda v: isinstance(v, dict))),
+    **dict.fromkeys(
+        ("arms", "table1"), ("a list of objects", lambda v: isinstance(v, list) and all(isinstance(x, dict) for x in v))
+    ),
+}
+
+
 def _load_json(path, what: str):
     """The JSON document at `path`; reading a key missing from any of its
-    objects raises a CliError naming the file and the key."""
+    objects, or a key of `_SPEC_TYPES` holding another JSON type, raises a
+    CliError naming the file and the key."""
     _require_file(path, what)
 
     class SpecObject(dict):
         def __missing__(self, key):
             raise CliError(f"{what} {path!r} has no key {key!r}")
 
+    def checked(pairs: dict) -> SpecObject:
+        for key, value in pairs.items():
+            must, ok = _SPEC_TYPES.get(key, (None, None))
+            if ok is not None and not ok(value):
+                raise CliError(f"{what} {path!r}: {key!r} must be {must}, got {json.dumps(value)}")
+        return SpecObject(pairs)
+
     try:
         with open(path, encoding="utf-8") as f:
-            return json.load(f, object_hook=SpecObject)
+            return json.load(f, object_hook=checked)
     except json.JSONDecodeError as e:
         raise CliError(f"malformed JSON in {what} {path!r}: {e}") from e
 

@@ -25,8 +25,10 @@ __all__ = [
     "YEAR_BASE",
     "N_YEARS",
     "TEMPORAL_VOCAB_SIZES",
+    "SEX_INDEX",
     "time_features",
     "features_to_datetime",
+    "v1_context",
     "assemble_sequence",
     "augment",
     "read_cohort_jsonl",

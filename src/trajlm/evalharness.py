@@ -31,6 +31,10 @@ __all__ = [
     "decode_block",
     "decode_expected",
     "pool_metrics",
+    "merge_pools",
+    "within_visit_pools",
+    "longitudinal_pools",
+    "plan_queries",
     "longitudinal_pairs",
     "baseline_predict",
     "crossmodal_sweep",
@@ -56,12 +60,6 @@ class ModalityMetrics:
 @dataclass
 class MetricReport:
     rows: list[ModalityMetrics] = field(default_factory=list)
-
-    def by_name(self, name: str) -> ModalityMetrics:
-        for row in self.rows:
-            if row.name == name:
-                return row
-        raise KeyError(name)
 
     def median_r(self) -> float:
         rs = [row.r for row in self.rows if not math.isnan(row.r)]
@@ -211,7 +209,6 @@ def longitudinal_pairs(records: list[ParticipantRecord], vocab: Vocabulary):
                     "sex": rec.sex,
                     "v1_value": last_v1[m][1],
                     "v2_value": first_v2[m][1],
-                    "v2_time": first_v2[m][0],
                 }
             )
     return pairs

@@ -55,6 +55,7 @@ __all__ = [
     "sample_trial_population",
     "concordance",
     "load_trial_spec",
+    "parse_intervention",
 ]
 
 FREQUENCIES = (1, 2, 3, 4, 6, 8, 10, 15, 20)
@@ -249,8 +250,8 @@ def dosing_schedule(spec: CategoricalAppend, start: datetime, vocab: Vocabulary,
 
 
 def _sequence_end_time(seq: TokenSequence) -> datetime:
-    idx = seq.visit_boundary - 1 if seq.visit_boundary > 0 else seq.length - 1
-    return features_to_datetime(seq.times[idx])
+    """The time of the sequence's last event."""
+    return features_to_datetime(seq.times[seq.length - 1])
 
 
 def _specs(arm: Arm) -> tuple[InterventionSpec, ...]:
@@ -273,8 +274,7 @@ def _scale(seq: TokenSequence, spec: ContinuousScale, vocab: Vocabulary) -> Toke
     for m in targets:
         if vocab.modalities[m].kind != CONTINUOUS:
             raise ValueError(f"cannot scale categorical modality {vocab.modalities[m].name!r}")
-    limit = out.visit_boundary if out.visit_boundary > 0 else out.length
-    for i in range(limit):
+    for i in range(out.length):
         m = int(out.modalities[i])
         if m in targets:
             new_val = out.values[i] * spec.factor
@@ -285,13 +285,18 @@ def _scale(seq: TokenSequence, spec: ContinuousScale, vocab: Vocabulary) -> Toke
 
 
 def apply_intervention(seq: TokenSequence, arm: Arm, vocab: Vocabulary, months: int | None = None) -> TokenSequence:
-    """The sequence with every spec of the arm applied; `seq` is left as is.
+    """The visit-1 context `seq` with every spec of the arm applied; `seq` is
+    left as is.
 
     Continuous edits apply in turn; every dosing course starts at the
-    visit-1 context's last event, whichever spec it comes from, and lasts
-    its own duration, or `months` months when given.  Streams stay
-    synchronized, sorted, and token/value consistent.
+    context's last event, whichever spec it comes from, and lasts its own
+    duration, or `months` months when given.  The doses of every course
+    follow the context in (time, modality, token) order, so its own events
+    keep their positions.  Streams stay synchronized and token/value
+    consistent.  A sequence that holds a second visit is a ValueError.
     """
+    if seq.visit_boundary < seq.length:
+        raise ValueError(f"an intervention edits a visit-1 context, got a second visit from position {seq.visit_boundary}")
     specs = _specs(arm)
     _check_scale_conflicts(specs)
     start = _sequence_end_time(seq)
@@ -303,44 +308,22 @@ def apply_intervention(seq: TokenSequence, arm: Arm, vocab: Vocabulary, months: 
             out = _scale(out, spec, vocab)
         else:
             raise TypeError(f"unknown intervention spec: {spec!r}")
-    return _merge_doses(out, doses) if doses else out
+    return _append_doses(out, sorted(doses)) if doses else out
 
 
-def _merge_doses(seq: TokenSequence, doses: list[tuple[datetime, int, int]]) -> TokenSequence:
-    """The sequence with (time, modality, token) dose events merged in by
-    (time, modality); ties keep the sequence's own events first and the
-    doses in (modality, token) order, whatever order they are given in."""
-    rows = [
-        (
-            features_to_datetime(seq.times[i]),
-            int(seq.modalities[i]),
-            int(seq.tokens[i]),
-            float(seq.values[i]),
-            seq.times[i].copy(),
-        )
-        for i in range(seq.length)
-    ]
-    for when, modality_id, token in sorted(doses):
-        rows.append((when, modality_id, token, 0.0, np.array(time_features(when), dtype=np.int64)))
-    rows.sort(key=lambda r: (r[0], r[1]))
-
-    t = len(rows)
-    tokens = np.array([r[2] for r in rows], dtype=np.int64)
-    values = np.array([r[3] for r in rows], dtype=np.float64)
-    mods = np.empty(t + 1, dtype=np.int64)
-    mods[:t] = [r[1] for r in rows]
-    mods[t] = seq.modalities[-1]
-    times = np.empty((t + 1, 7), dtype=np.int64)
-    for i, r in enumerate(rows):
-        times[i] = r[4]
-    times[t] = rows[-1][4] if t else seq.times[-1]
-
-    if seq.visit_boundary >= seq.length:
-        boundary = t
-    else:
-        v2_start = features_to_datetime(seq.times[seq.visit_boundary])
-        boundary = next((i for i, r in enumerate(rows) if r[0] >= v2_start), t)
-    out = TokenSequence(tokens, values, mods, times, boundary)
+def _append_doses(seq: TokenSequence, doses: list[tuple[datetime, int, int]]) -> TokenSequence:
+    """The sequence followed by the (time, modality, token) dose events in
+    the order given; the query slot keeps its modality and takes the last
+    dose's time."""
+    t, n = seq.length, len(doses)
+    tokens = np.concatenate([seq.tokens, np.array([token for _, _, token in doses], dtype=np.int64)])
+    values = np.concatenate([seq.values, np.zeros(n)])
+    mods = np.concatenate([seq.modalities[:t], [m for _, m, _ in doses], seq.modalities[-1:]])
+    times = np.empty((t + n + 1, 7), dtype=np.int64)
+    times[:t] = seq.times[:t]
+    times[t:-1] = [time_features(when) for when, _, _ in doses]
+    times[-1] = times[-2]
+    out = TokenSequence(tokens, values, mods, times, t + n)
     out.check()
     return out
 

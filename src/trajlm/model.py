@@ -22,6 +22,7 @@ from .numerics import Tensor
 from .vocab import CONTINUOUS, Vocabulary
 
 __all__ = [
+    "check_fields",
     "ModelConfig",
     "Causal",
     "SplitContext",
@@ -37,7 +38,7 @@ __all__ = [
 ]
 
 
-def _check_fields(config, rules: dict) -> None:
+def check_fields(config, rules: dict) -> None:
     """Raise ValueError naming the first field that breaks its rule; `rules`
     maps a rule's wording to (test, field names)."""
     for rule, (ok, names) in rules.items():
@@ -66,7 +67,7 @@ class ModelConfig:
         return 4 * self.d_model
 
     def __post_init__(self):
-        _check_fields(self, {
+        check_fields(self, {
             "positive": (
                 lambda x: x > 0,
                 ("vocab_size", "n_modalities", "d_model", "n_layers", "n_heads", "d_head", "cont_pe_dim", "max_seq_len"),

@@ -33,8 +33,8 @@ chain of single ops it replaced, so outputs and gradients are that chain's
 bit for bit.  Past 128 rows the single-precision GELU rules work in row
 chunks, so the FFN's forward and backward hold one (T, d_ff) array beside
 the pre-activation.  The next-token loss of a pass is one node too
-(`ntp_loss`: soft cross-entropy and MAE over ragged token ranges), and `add`
-joins two losses.
+(`ntp_loss`: soft cross-entropy and MAE over the ragged block that
+`range_head` returned), and `add` joins two losses.
 
 Importing this module sets the process's heap policy (`_keep_heap_mapped`):
 every array below 32 MiB comes from a heap that is never trimmed, so each
@@ -268,8 +268,8 @@ def _accum_at(x: Tensor, index, g: np.ndarray) -> None:
     An integer array of several row ids into a 2-d gradient scatters through
     one flat element index, which numpy runs several times faster than a
     scatter of whole rows; each element still receives its additions in id
-    order, so the sums are bitwise the same.  A single id, and a
-    (rows, cols) tuple, take the row path."""
+    order, so the sums are bitwise the same.  A single id takes the row
+    path."""
     if not x.requires_grad:
         return
     buf = _grad_buffer(x)
@@ -499,36 +499,34 @@ def range_head(h: Tensor, w: Tensor, b: Tensor, c: float, rows, starts=None, wid
 _PAD_LOGIT = -1e4
 
 
-def ntp_loss(logits: Tensor, rows, starts, widths, soft, soft_scale: float, mae=None, mae_scale=0.0):
+def ntp_loss(block: Tensor, widths, soft, soft_scale: float, mae=None, mae_scale=0.0):
     """The next-token loss of one pass as one node: returns (soft_scale * CE
     + mae_scale * MAE, CE, MAE), the last two as floats.
 
-    Target i scores logits[rows[i], starts[i] : starts[i] + widths[i]],
-    padded to max(widths) columns with `_PAD_LOGIT`.  CE is the mean over
-    targets of -sum(soft * log_softmax(row)), `soft` (n, max width) zero past
-    each width.  `mae` is (mids, truth, weight, n_mae): MAE = sum(weight *
-    |softmax(row) @ mids - truth|) / n_mae, 0 when n_mae is 0, with weight 0
-    for a target without a value; mae=None leaves the term out.  With no
-    targets the loss is an untracked zero.
+    `block` is the selection `range_head` returns: row i holds target i's
+    logits in its first widths[i] columns, and the columns past them are
+    scored as `_PAD_LOGIT`.  CE is the mean over targets of -sum(soft *
+    log_softmax(row)), `soft` zero past each width.  `mae` is (mids, truth,
+    weight, n_mae): MAE = sum(weight * |softmax(row) @ mids - truth|) /
+    n_mae, 0 when n_mae is 0, with weight 0 for a target without a value;
+    mae=None leaves the term out.  With no targets the loss is an untracked
+    zero.
 
     The tape keeps the log-probabilities and probabilities.  Both directions
-    run the numpy operations of the op chain this node replaced (gather;
-    log-softmax, product, sum, negation, scaling; softmax, product, row sum,
-    difference, absolute value, product, sum, scaling; the two weights) in
-    that chain's order, so they are its results bit for bit.
+    run the numpy operations of the op chain this node replaced (log-softmax,
+    product, sum, negation, scaling; softmax, product, row sum, difference,
+    absolute value, product, sum, scaling; the two weights) in that chain's
+    order, so they are its results bit for bit.
     """
-    rows, starts, widths = _ranges(rows, starts, widths, *logits.data.shape)
-    dtype = logits.data.dtype
-    n = len(rows)
+    data, dtype = block.data, block.data.dtype
+    widths = np.asarray(widths, dtype=np.int64).reshape(-1)
+    n = len(widths)
+    if data.ndim != 2 or data.shape[0] != n or (n and (widths.min() < 1 or widths.max() > data.shape[1])):
+        raise ValueError(f"a block of shape {data.shape} cannot hold targets of widths {widths.tolist()}")
     if n == 0:
         return Tensor(np.array(0.0, dtype=dtype)), 0.0, 0.0
-    span = np.arange(widths.max())
-    valid = span < widths[:, None]
-    r = np.broadcast_to(rows[:, None], valid.shape)[valid]
-    c = (starts[:, None] + span)[valid]
-    block = np.full(valid.shape, _PAD_LOGIT, dtype=dtype)
-    block[valid] = logits.data[r, c]
-    z = block - block.max(axis=-1, keepdims=True)
+    padded = np.where(np.arange(data.shape[1]) < widths[:, None], data, _PAD_LOGIT)
+    z = padded - padded.max(axis=-1, keepdims=True)
     e = np.exp(z)
     total = e.sum(axis=-1, keepdims=True)
     logp = z - np.log(total)
@@ -551,9 +549,9 @@ def ntp_loss(logits: Tensor, rows, starts, widths, soft, soft_scale: float, mae=
         if n_mae:
             gp = (weight * ((g * mae_scale) * (1.0 / n_mae)) * np.sign(dev))[:, None] * mids
             gblock += p * (gp - (gp * p).sum(axis=-1, keepdims=True))
-        _accum_at(logits, (r, c), gblock[valid])
+        _grad_buffer(block)[...] += gblock  # added into zeros: a -0.0 entry lands as +0.0
 
-    return _node(y, (logits,), bw), float(ce), float(mae_term)
+    return _node(y, (block,), bw), float(ce), float(mae_term)
 
 
 # --- transformer sublayers ------------------------------------------------------

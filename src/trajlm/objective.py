@@ -20,7 +20,7 @@ import numpy as np
 from . import numerics as nm
 from .checkpoint import save_checkpoint
 from .corpus import AugmentConfig, TokenSequence, assemble_sequence, augment
-from .model import Causal, ModelConfig, SplitContext, _check_fields, forward, build_mask, init_params, value_scale_table
+from .model import Causal, ModelConfig, SplitContext, check_fields, forward, build_mask, init_params, value_scale_table
 from .numerics import Tensor, backward
 from .vocab import CONTINUOUS, Vocabulary
 
@@ -33,7 +33,6 @@ __all__ = [
     "NTPTargets",
     "ntp_targets",
     "sequence_loss",
-    "masked_ntp_loss",
     "lr_at",
     "clip_gradients",
     "adamw_step",
@@ -50,7 +49,7 @@ class LossConfig:
     split_scale: float = 1.0
 
     def __post_init__(self):
-        _check_fields(self, {
+        check_fields(self, {
             "finite and positive": (lambda x: 0 < x < math.inf, ("sl_sigma",)),
             "finite and non-negative": (lambda x: 0 <= x < math.inf, ("soft_scale", "mae_scale", "split_scale")),
         })
@@ -72,7 +71,7 @@ class TrainConfig:
     val_fraction: float = 0.2
 
     def __post_init__(self):
-        _check_fields(self, {
+        check_fields(self, {
             "at least 1": (lambda x: x >= 1, ("epochs", "batch_size")),
             "positive": (lambda x: x > 0, ("peak_lr", "eps")),
             "non-negative": (lambda x: x >= 0, ("min_lr", "warmup_steps", "weight_decay", "clip_norm")),
@@ -148,37 +147,6 @@ def ntp_targets(seq: TokenSequence, vocab: Vocabulary, sigma: float, min_target:
     )
 
 
-def masked_ntp_loss(
-    logits: Tensor,
-    seq: TokenSequence,
-    vocab: Vocabulary,
-    sigma: float,
-    min_target: int = 0,
-    targets: NTPTargets | None = None,
-    soft_scale: float = 1.0,
-    mae_scale: float | None = 1.0,
-):
-    """(loss, soft, mae, n_soft, n_mae) over all eligible next-token targets:
-    loss = soft_scale * soft + mae_scale * mae as one tape node
-    (`numerics.ntp_loss`), soft the mean smoothed cross-entropy and mae the
-    mean z-normalized MAE as floats.  mae_scale=None scores no MAE (mae 0.0).
-
-    `logits` are the full (T, V) rows, or, when `targets` (ntp_targets of the
-    same sequence, sigma and min_target) is given, the block that
-    `forward(..., head=targets.head)` returned.  Probabilities are
-    renormalized inside each target modality's token range, so logits outside
-    that range never contribute: the ragged ranges are padded with -1e4.
-    """
-    if targets is None:
-        targets = ntp_targets(seq, vocab, sigma, min_target)
-        rows, starts = targets.rows, targets.starts
-    else:
-        rows, starts = np.arange(len(targets.rows)), None
-    mae = None if mae_scale is None else (targets.mids, targets.truth, targets.mae_weight, targets.n_mae)
-    loss, soft, mae_value = nm.ntp_loss(logits, rows, starts, targets.widths, targets.soft, soft_scale, mae, mae_scale)
-    return loss, soft, mae_value, len(targets.rows), targets.n_mae
-
-
 def sequence_loss(
     params: dict[str, Tensor],
     config: ModelConfig,
@@ -198,30 +166,23 @@ def sequence_loss(
     """
     scales = value_scale_table(vocab)
     sigma = loss_config.sl_sigma
-    causal_targets = ntp_targets(seq, vocab, sigma)
-    causal_logits = forward(
-        params, config, seq.tokens, seq.values, seq.modalities, seq.times,
-        age, sex, build_mask(Causal(), seq.length), scales, dropout_rng=dropout_rng,
-        head=causal_targets.head,
-    )
-    total, soft, mae, n_soft, _ = masked_ntp_loss(
-        causal_logits, seq, vocab, sigma, targets=causal_targets,
-        soft_scale=loss_config.soft_scale, mae_scale=loss_config.mae_scale,
-    )
 
+    def pass_loss(mask, min_target, soft_scale, mae_scale):
+        """(loss node, CE, MAE, target count) of the pass under `mask` that scores
+        the targets at positions >= min_target; mae_scale=None scores no MAE."""
+        targets = ntp_targets(seq, vocab, sigma, min_target)
+        block = forward(
+            params, config, seq.tokens, seq.values, seq.modalities, seq.times,
+            age, sex, build_mask(mask, seq.length), scales, dropout_rng=dropout_rng, head=targets.head,
+        )
+        mae = None if mae_scale is None else (targets.mids, targets.truth, targets.mae_weight, targets.n_mae)
+        return (*nm.ntp_loss(block, targets.widths, targets.soft, soft_scale, mae, mae_scale), len(targets.rows))
+
+    total, soft, mae, n_soft = pass_loss(Causal(), 0, loss_config.soft_scale, loss_config.mae_scale)
     split, n_split = 0.0, 0
     boundary = seq.visit_boundary
     if 0 < boundary < seq.length:
-        split_targets = ntp_targets(seq, vocab, sigma, min_target=boundary)
-        split_logits = forward(
-            params, config, seq.tokens, seq.values, seq.modalities, seq.times,
-            age, sex, build_mask(SplitContext(boundary), seq.length), scales,
-            dropout_rng=dropout_rng, head=split_targets.head,
-        )
-        split_loss, split, _, n_split, _ = masked_ntp_loss(
-            split_logits, seq, vocab, sigma, min_target=boundary, targets=split_targets,
-            soft_scale=loss_config.split_scale, mae_scale=None,
-        )
+        split_loss, split, _, n_split = pass_loss(SplitContext(boundary), boundary, loss_config.split_scale, None)
         total = nm.add(total, split_loss)
 
     parts = {"soft": soft, "mae": mae, "split": split, "n_targets": n_soft, "n_split_targets": n_split}

@@ -26,6 +26,7 @@ __all__ = [
     "default_config",
     "generate",
     "build_synth_vocabulary",
+    "save_ground_truth",
     "analytic_cross_correlation",
 ]
 

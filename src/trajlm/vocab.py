@@ -16,6 +16,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 __all__ = [
+    "CONTINUOUS",
+    "CATEGORICAL",
     "ModalitySpec",
     "Vocabulary",
     "RawModality",
@@ -63,11 +65,6 @@ class ModalitySpec:
             return len(self.categories)
         return len(self.midpoints)
 
-    def interior_edges(self) -> list[float]:
-        # bin_edges carries the observed min/max as stand-ins for the
-        # open-ended outer bins; only the interior edges split values.
-        return self.bin_edges[1:-1]
-
 
 @dataclass
 class Vocabulary:
@@ -89,18 +86,15 @@ class Vocabulary:
         self._by_name = {m.name: m for m in self.modalities}
         self._bases = [m.cum_base for m in self.modalities]
 
-    def modality(self, key: int | str) -> ModalitySpec:
-        if isinstance(key, str):
-            try:
-                return self._by_name[key]
-            except KeyError:
-                raise KeyError(f"unknown modality {key!r}") from None
-        return self.modalities[key]
-
-    def token_range(self, modality_id: int) -> tuple[int, int]:
-        """Inclusive [first, last] token ids owned by a modality."""
-        m = self.modalities[modality_id]
-        return m.cum_base, m.cum_base + m.n_tokens - 1
+    def modality(self, name: str) -> ModalitySpec:
+        """The modality called `name`; any other key, an id included, is a
+        KeyError naming it."""
+        if not isinstance(name, str):
+            raise KeyError(f"a modality is named by a string, got {name!r}")
+        try:
+            return self._by_name[name]
+        except KeyError:
+            raise KeyError(f"unknown modality {name!r}") from None
 
     def head_ranges(self, modality_ids):
         """The output-head range of each given modality: int64 (starts,
@@ -269,7 +263,8 @@ def encode_value(vocab: Vocabulary, modality_id: int, value) -> int:
     x = float(value)
     if not np.isfinite(x):
         raise ValueError(f"non-finite measurement for modality {m.name!r}: {value!r}")
-    # bisect the interior edges (`interior_edges`) in place, without copying them
+    # bisect the interior edges in place, without copying them: bin_edges
+    # carries the observed min/max as stand-ins for the open-ended outer bins
     edges = m.bin_edges
     return m.cum_base + bisect.bisect_right(edges, x, 1, len(edges) - 1) - 1
 

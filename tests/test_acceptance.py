@@ -35,10 +35,12 @@ from trajlm.model import (
     init_params,
     value_scale_table,
 )
-from trajlm.objective import LossConfig, TrainConfig, sequence_loss, soft_target, masked_ntp_loss, train
+from trajlm.objective import LossConfig, TrainConfig, sequence_loss, soft_target, train
 from trajlm.stats import bh_fdr, pearson_with_ci, student_t_p_value
 from trajlm.synthcohort import build_synth_vocabulary, default_config, generate
 from trajlm.vocab import RawModality, build_vocabulary, decode_token, encode_value, quantile_match
+
+from test_objective import full_head_loss, token_range
 
 mpmath.mp.dps = 40
 FIXTURES = Path(__file__).parent / "data"
@@ -165,7 +167,7 @@ class TestCriterion2TokenizerOracle:
         values = rng.permutation(np.linspace(0.0, 1.0, 10_000))
         for k in (10, 16, 25):
             vocab = build_vocabulary([RawModality("m", "continuous", values=list(values), bin_count=k)])
-            edges = vocab.modalities[0].interior_edges()
+            edges = vocab.modalities[0].bin_edges[1:-1]
             counts = np.histogram(values, bins=[-np.inf] + edges + [np.inf])[0]
             assert np.all(np.abs(counts - 10_000 / k) <= 2), (k, counts)
 
@@ -266,11 +268,11 @@ class TestCriterion4LossLimits:
             params, config, seq.tokens, seq.values, seq.modalities, seq.times,
             rec.age, rec.sex, build_mask(Causal(), seq.length), value_scale_table(vocab),
         )
-        _, soft, _, n, _ = masked_ntp_loss(logits, seq, vocab, sigma=0.01)
+        _, soft, _, n, _ = full_head_loss(logits, seq, vocab, sigma=0.01)
         manual = 0.0
         for j in range(1, seq.length):
             m = int(seq.modalities[j])
-            a, b = vocab.token_range(m)
+            a, b = token_range(vocab, m)
             row = logits.data[j - 1, a : b + 1]
             row = row - row.max()
             logp = row - math.log(np.exp(row).sum())
@@ -288,7 +290,7 @@ class TestCriterion4LossLimits:
         from trajlm.numerics import Tensor
 
         spec = vocab.modalities[0]
-        a, _ = vocab.token_range(0)
+        a, _ = token_range(vocab, 0)
         t = 4
         seq = TokenSequence(
             tokens=np.full(t, a + 1, dtype=np.int64),
@@ -299,7 +301,7 @@ class TestCriterion4LossLimits:
         )
         logits = np.full((t, vocab.total_tokens), -200.0)
         logits[:, a + 1] = 200.0
-        _, _, mae, _, n_mae = masked_ntp_loss(Tensor(logits), seq, vocab, sigma=0.01)
+        _, _, mae, _, n_mae = full_head_loss(Tensor(logits), seq, vocab, sigma=0.01)
         assert n_mae == t - 1
         assert mae == 0.0
         ok(4, "sigma=0.01 soft loss == one-hot CE (1e-9); targets sum to 1 (1e-12); point-mass MAE = 0")

@@ -502,6 +502,29 @@ class TestProbeAndSimulate:
         assert err == f"error: intervention spec {str(spec)!r} has no key {key!r}\n"
         assert not out.exists()
 
+    @pytest.mark.parametrize("edit, key, must, got", [
+        ({"eligibility": {"modality": "x_core", "comparator": ">=", "threshold": None}}, "threshold", "a number", "null"),
+        ({"seed": "abc"}, "seed", "a whole number >= 0", '"abc"'),
+        ({"seed": True}, "seed", "a whole number >= 0", "true"),
+        ({"seed": -1}, "seed", "a whole number >= 0", "-1"),
+        ({"intervention": {"kind": "scale", "modalities": ["x_core"], "factor": None}}, "factor", "a number", "null"),
+        ({"intervention": {**DRUG_SPEC["intervention"], "frequency": "1"}}, "frequency", "a whole number", '"1"'),
+        ({"intervention": {**DRUG_SPEC["intervention"], "modality": 3}}, "modality", "a string", "3"),
+        ({"intervention": {**DRUG_SPEC["intervention"], "label": 5}}, "label", "a string", "5"),
+        ({"outcome": ["t_target"]}, "outcome", "a string", '["t_target"]'),
+        ({"eligibility": None}, "eligibility", "an object", "null"),
+    ], ids=["threshold-null", "seed-string", "seed-true", "seed-negative", "factor-null", "frequency-string",
+            "modality-id", "label-number", "outcome-list", "eligibility-null"])
+    def test_simulate_spec_value_of_wrong_type_names_file_and_key(self, workspace, tmp_path, capsys, edit, key, must, got):
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps({**DRUG_SPEC, **edit}), encoding="utf-8")
+        out = tmp_path / "x.csv"
+        rc = main(["simulate", "--ckpt", str(workspace["ckpt"]), "--vocab", str(workspace["vocab"]),
+                   "--cohort", str(workspace["cohort"]), "--spec", str(spec), "--out", str(out)])
+        assert rc == 1
+        assert capsys.readouterr().err == f"error: intervention spec {str(spec)!r}: {key!r} must be {must}, got {got}\n"
+        assert not out.exists()
+
 
 class TestSimulatePlan:
     """`simulate` answers each participant's screen, arms and trajectory in
@@ -719,6 +742,33 @@ class TestTrialRun:
             err = capsys.readouterr().err
             assert "nan.json" in err and "x_core" in err, err
             assert not out.exists()
+
+    @pytest.mark.parametrize("edit, key, must, got", [
+        ({"published": {"point": None, "ci_low": -25.0, "ci_high": -15.0}}, "point", "a number", "null"),
+        ({"published": None}, "published", "an object", "null"),
+        ({"arms": [{"kind": "scale", "modalities": ["x_core"], "factor": None}]}, "factor", "a number", "null"),
+        ({"arms": [{"kind": "scale", "modalities": [0], "factor": 0.9}]}, "modalities", "a list of strings", "[0]"),
+        ({"arms": ["drug_a"]}, "arms", "a list of objects", '["drug_a"]'),
+        ({"table1": [{"modality": 2, "mean": 100, "sd": 5, "low": 60, "high": 140}]}, "modality", "a string", "2"),
+    ], ids=["point-null", "published-null", "factor-null", "modality-ids", "arm-string", "table1-modality-id"])
+    def test_trial_value_of_wrong_type_names_file_and_key(self, workspace, tmp_path, capsys, edit, key, must, got):
+        doc = {
+            "name": "typed", "n": 12,
+            "table1": [{"modality": "x_core", "mean": 100, "sd": 5, "low": 60, "high": 140}],
+            "arms": [{"kind": "scale", "modalities": ["x_core"], "factor": 0.9, "label": "diet"}],
+            "outcome": "t_target", "horizon_months": 12,
+            "published": {"point": -20.0, "ci_low": -25.0, "ci_high": -15.0},
+        }
+        trials = tmp_path / "trials"
+        trials.mkdir()
+        (trials / "typed.json").write_text(json.dumps({**doc, **edit}), encoding="utf-8")
+        out = tmp_path / "forest.csv"
+        rc = main(["trial-run", "--ckpt", str(workspace["ckpt"]), "--vocab", str(workspace["vocab"]),
+                   "--trials", str(trials), "--out", str(out)])
+        assert rc == 1
+        path = str(trials / "typed.json")
+        assert capsys.readouterr().err == f"error: trial spec typed.json {path!r}: {key!r} must be {must}, got {got}\n"
+        assert not out.exists()
 
     def test_trial_missing_key_names_file_and_key(self, workspace, tmp_path, capsys):
         trials = tmp_path / "trials"

@@ -196,7 +196,7 @@ class TestAugment:
             out = augment(seq, cfg, np.random.default_rng(trial), vocab)
             m, b, _ = decode_token(vocab, int(out.tokens[0]))
             spec = vocab.modalities[0]
-            edges = spec.interior_edges()
+            edges = spec.bin_edges[1:-1]
             lo = -np.inf if b == 0 else edges[b - 1]
             hi = np.inf if b == len(edges) else edges[b]
             assert lo <= out.values[0] < hi or (b == len(edges) and out.values[0] >= edges[-1])
@@ -247,6 +247,16 @@ class TestCohortIO:
             path.write_text('{"id": "p", "age": 1, "events": []}\n' + bad + "\n", encoding="utf-8")
             with pytest.raises(ValueError, match=f"{re.escape(str(path))}:2: "):
                 read_cohort_jsonl(path, vocab)
+
+    @pytest.mark.parametrize("key", ["0", "-1", "true"])
+    def test_modality_id_in_place_of_a_name_reports_position(self, vocab, tmp_path, key):
+        """An event names its modality: an id, the last modality's -1
+        included, once read as an index into the vocabulary."""
+        path = tmp_path / "bad.jsonl"
+        event = '{"t": "2021-03-01T09:00:00", "m": %s, "v": 10.0}' % key
+        path.write_text('{"id": "p", "age": 1, "events": [%s]}\n' % event, encoding="utf-8")
+        with pytest.raises(ValueError, match=re.escape(f"{path}:1: KeyError: ") + ".*a modality is named by a string"):
+            read_cohort_jsonl(path, vocab)
 
     @pytest.mark.parametrize(
         "line, message",

@@ -74,9 +74,9 @@ class TestDecodeExpected:
         rng = np.random.default_rng(2)
         logits = rng.normal(size=vocab.total_tokens)
         base = decode_expected(logits, vocab, 1)
-        a, b = vocab.token_range(1)
+        spec = vocab.modalities[1]
         shifted = logits.copy()
-        shifted[a : b + 1] += 123.456
+        shifted[spec.cum_base : spec.cum_base + spec.n_tokens] += 123.456
         assert decode_expected(shifted, vocab, 1) == pytest.approx(base, abs=1e-9)
 
     def test_result_within_midpoint_range(self, vocab):
@@ -109,7 +109,7 @@ class TestTopK:
         assert self.cat4_metrics(rows, truth, vocab).top5 == 1.0  # K = min(5, width 4)
 
     def test_point_mass_k1(self, vocab):
-        a, _ = vocab.token_range(2)
+        a = vocab.modalities[2].cum_base
         rows = np.full((6, vocab.total_tokens), -50.0)
         truth = [0, 1, 2, 3, 0, 2]
         for i, t in enumerate(truth):
@@ -228,7 +228,7 @@ class TestModelEvaluation:
             ]
             records.append(ParticipantRecord(f"p{i}", 50.0, "male", events, [t0]))
         report = pool_metrics(within_visit_pools(params, config, vocab, records)[0], vocab)
-        row = report.by_name("wide")
+        (row,) = [row for row in report.rows if row.name == "wide"]
         assert abs(row.r) < 0.35  # untrained predictions carry no signal
 
     def test_single_token_excluded(self, vocab, tiny_model):
@@ -434,16 +434,16 @@ class TestReportOutput:
 def reference_expected(row, vocab, m):
     """A full-width logits row decoded as the per-row decoder did: a float64
     softmax over the modality's range times its bin midpoints."""
-    a, b = vocab.token_range(m)
-    z = np.asarray(row, dtype=np.float64)[a : b + 1]
+    (a,), (k,), _ = vocab.head_ranges([m])
+    z = np.asarray(row, dtype=np.float64)[a : a + k]
     p = np.exp(z - z.max())
     return float(p @ np.asarray(vocab.modalities[m].midpoints) / p.sum())
 
 
 def reference_rank(row, vocab, m, truth):
     """Place of the true entry in a stable descending sort of the range."""
-    a, b = vocab.token_range(m)
-    return int(np.flatnonzero(np.argsort(-np.asarray(row)[a : b + 1], kind="stable") == truth)[0])
+    (a,), (k,), _ = vocab.head_ranges([m])
+    return int(np.flatnonzero(np.argsort(-np.asarray(row)[a : a + k], kind="stable") == truth)[0])
 
 
 def ragged(full, starts, widths):

@@ -9,7 +9,7 @@ import pytest
 
 import trajlm.evalharness as evalharness
 import trajlm.intervene as intervene
-from trajlm.corpus import Event, ParticipantRecord, assemble_sequence
+from trajlm.corpus import Event, ParticipantRecord, assemble_sequence, features_to_datetime
 from trajlm.intervene import (
     DURATIONS,
     FREQUENCIES,
@@ -106,7 +106,7 @@ class TestApplyIntervention:
         assert out.values[0] == pytest.approx(140.0)
         m, b, _ = decode_token(vocab, int(out.tokens[0]))
         assert m == 0
-        edges = vocab.modalities[0].interior_edges()
+        edges = vocab.modalities[0].bin_edges[1:-1]
         lo = -math.inf if b == 0 else edges[b - 1]
         hi = math.inf if b == len(edges) else edges[b]
         assert lo <= 140.0 < hi or (b == len(edges) and 140.0 >= edges[-1])
@@ -119,8 +119,33 @@ class TestApplyIntervention:
         out = apply_intervention(seq, CategoricalAppend(2, 0, 10, 12), vocab)
         assert out.length == seq.length + 120
         out.check()
-        # appended positions sorted by time and synchronized
-        assert np.all(np.diff([t[4] * 10**10 for t in out.times[: out.length]]) >= 0) or True
+        # the context first, as it was, then the doses in non-decreasing time
+        for stream in ("tokens", "values", "modalities", "times"):
+            assert np.array_equal(getattr(out, stream)[: seq.length], getattr(seq, stream)[: seq.length]), stream
+        doses = [features_to_datetime(t) for t in out.times[seq.length : out.length]]
+        assert all(a <= b for a, b in zip(doses, doses[1:]))
+        assert doses[0] > _sequence_end_time(seq)
+
+    def test_same_minute_events_keep_their_places(self, vocab):
+        """Two visit-1 events in one minute, the earlier of a higher modality:
+        the treated context holds them in the control's order, doses after."""
+        t0 = datetime(2021, 3, 1, 9, 0)
+        events = [Event(t0 + timedelta(seconds=30), 1, 130.0, False), Event(t0 + timedelta(seconds=45), 0, 160.0, False)]
+        seq = assemble_sequence(ParticipantRecord("p", 55.0, "female", events, [t0]), vocab, 100)
+        assert seq.modalities[: seq.length].tolist() == [1, 0]
+        out = apply_intervention(seq, CategoricalAppend(2, 0, 1, 1), vocab)
+        assert out.modalities[: out.length].tolist() == [1, 0, 2]
+        assert np.array_equal(out.values[:2], seq.values)
+
+    def test_second_visit_rejected(self, vocab):
+        t0 = datetime(2021, 3, 1, 9, 0)
+        v2 = datetime(2022, 3, 1, 9, 0)
+        events = [Event(t0, 0, 160.0, False), Event(v2, 0, 150.0, False)]
+        seq = assemble_sequence(ParticipantRecord("p", 55.0, "female", events, [t0, v2]), vocab, 100)
+        assert seq.visit_boundary == 1
+        for arm in (CategoricalAppend(2, 0, 1, 1), ContinuousScale((0,), 0.9)):
+            with pytest.raises(ValueError, match="second visit"):
+                apply_intervention(seq, arm, vocab)
 
     def test_identity_factor_bitwise(self, vocab):
         rec = single_visit_record(vocab)
@@ -687,6 +712,17 @@ class TestFourArm:
 
 
 class TestCatalogAndSpecs:
+    @pytest.mark.parametrize("doc", [
+        {"kind": "append", "modality": 2, "category_index": 0, "frequency": 1, "duration": 1},
+        {"kind": "scale", "modalities": ["ldl", -1], "factor": 0.9},
+    ])
+    def test_spec_modality_is_a_name(self, vocab, doc):
+        """A spec's modality id, or the last modality's -1, once picked a
+        modality by index."""
+        with pytest.raises(KeyError, match="a modality is named by a string"):
+            intervene.parse_intervention(doc, vocab)
+        assert vocab.modality("statin").id == 2
+
     def test_trial_spec_roundtrip(self, vocab):
         doc = {
             "name": "demo",

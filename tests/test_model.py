@@ -334,10 +334,8 @@ class TestForward:
         params = init_params(config, np.random.default_rng(11), dtype=np.float64)
         _, seq = sample_sequence(vocab, n_events=10, two_visits=True)
         full = run_forward(params, config, vocab, seq, mask_kind=mask_kind).data
-        bounds = [vocab.token_range(m) for m in range(vocab.n_modalities)]
         rows = np.array([0, 3, 3, 7, seq.length - 1])
-        starts = np.array([bounds[m][0] for m in (0, 2, 1, 0, 1)])
-        widths = np.array([bounds[m][1] - bounds[m][0] + 1 for m in (0, 2, 1, 0, 1)])
+        starts, widths, _ = vocab.head_ranges([0, 2, 1, 0, 1])
         part = run_forward(params, config, vocab, seq, mask_kind=mask_kind, head=(rows, starts, widths)).data
         assert part.shape == (5, widths.max())
         for i, (r, s, k) in enumerate(zip(rows, starts, widths)):
@@ -375,10 +373,8 @@ class TestOracleForward:
                            build_mask(mask_kind, seq.length))
         got = run_forward(params, config, vocab, seq, mask_kind=mask_kind).data
         assert np.max(np.abs(got - want)) <= 1e-10
-        bounds = [vocab.token_range(m) for m in range(vocab.n_modalities)]
         rows = np.array([0, 3, 3, seq.length - 1])
-        starts = np.array([bounds[m][0] for m in (0, 2, 1, 1)])
-        widths = np.array([bounds[m][1] - bounds[m][0] + 1 for m in (0, 2, 1, 1)])
+        starts, widths, _ = vocab.head_ranges([0, 2, 1, 1])
         part = run_forward(params, config, vocab, seq, mask_kind=mask_kind, head=(rows, starts, widths)).data
         for i, (r, s, k) in enumerate(zip(rows, starts, widths)):
             assert np.max(np.abs(part[i, :k] - want[r, s : s + k])) <= 1e-10

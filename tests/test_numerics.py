@@ -149,8 +149,8 @@ class TestForwardOps:
         rng = np.random.default_rng(2)
         x = rng.normal(size=(5, 8))
         soft = np.full((5, 8), 1 / 8)
-        a = nm.ntp_loss(nm.Tensor(x), np.arange(5), None, None, soft, 1.0)
-        b = nm.ntp_loss(nm.Tensor(x.copy()), np.arange(5), None, None, soft, 1.0)
+        a = nm.ntp_loss(nm.Tensor(x), np.full(5, 8), soft, 1.0)
+        b = nm.ntp_loss(nm.Tensor(x.copy()), np.full(5, 8), soft, 1.0)
         assert np.array_equal(a[0].data, b[0].data) and a[1:] == b[1:]
 
 
@@ -384,8 +384,8 @@ def loss_through_every_op(rng):
     full = nm.range_head(x, w, b, 2.0, np.arange(len(ids)))
     block = nm.range_head(x, w, b, 2.0, rows, starts, widths)
     loss = nm.add(
-        nm.ntp_loss(full, rows, starts, widths, soft, 1.0, mae, 0.5)[0],
-        nm.ntp_loss(block, np.arange(3), None, widths, soft, 0.7)[0],
+        nm.ntp_loss(gather_op(full, rows, starts, widths), widths, soft, 1.0, mae, 0.5)[0],
+        nm.ntp_loss(block, widths, soft, 0.7)[0],
     )
     return loss, upstream
 
@@ -422,7 +422,7 @@ class TestTape:
             nm.ffn_block(x, row, row, x, row, x, row, 0.5, rng),
             nm.query_block(x, [x, x], [[0, 1], [3, 3], [1, 1], [2, 0]], [x, row, x, row], [x, row, x, row]),
             nm.range_head(x, x, row, 3.0, [1, 2]),
-            nm.ntp_loss(x, [0, 2], [1, 0], [2, 4], NTP_SOFT, 1.0, NTP_MAE, 1.0)[0],
+            nm.ntp_loss(gather_op(x, [0, 2], [1, 0], [2, 4]), [2, 4], NTP_SOFT, 1.0, NTP_MAE, 1.0)[0],
         ]
         for y in outs:
             assert not y.requires_grad and y._parents == () and y._backward is None
@@ -457,7 +457,7 @@ class TestGradCheck:
         onehot[np.arange(5), rng.integers(0, 6, 5)] = 1.0
 
         def f():
-            return nm.ntp_loss(matmul_op(x, w), np.arange(5), None, None, onehot, 1.0)[0]
+            return nm.ntp_loss(matmul_op(x, w), np.full(5, 6), onehot, 1.0)[0]
 
         assert nm.grad_check(f, {"w": w}) < 1e-6
 
@@ -484,8 +484,8 @@ class TestGradCheck:
         [
             lambda x: nm.range_head(x, HEAD_W, HEAD_B, 0.8, [1, 0, 1], [1, 0, 3], [2, 4, 1]),
             lambda x: nm.query_block(QUERY_H, [x, mul_op(x, x)], [[1, 0], [0, 1], [1, 1]], QUERY_MLP, QUERY_MLP),
-            lambda x: nm.ntp_loss(x, [1, 0], [1, 0], [2, 4], NTP_SOFT, 1.3)[0],
-            lambda x: nm.ntp_loss(x, [1, 0], [1, 0], [2, 4], NTP_SOFT, 1.3, NTP_MAE, 0.6)[0],
+            lambda x: nm.ntp_loss(gather_op(x, [1, 0], [1, 0], [2, 4]), [2, 4], NTP_SOFT, 1.3)[0],
+            lambda x: nm.ntp_loss(gather_op(x, [1, 0], [1, 0], [2, 4]), [2, 4], NTP_SOFT, 1.3, NTP_MAE, 0.6)[0],
             lambda x: nm.add(x, nm.Tensor(np.array(0.1))),
             lambda x: nm.ffn_block(mul_op(x, x), *FFN_CONSTANTS, 0.5, np.random.default_rng(7)),
             lambda x: nm.embed_block(
@@ -493,7 +493,7 @@ class TestGradCheck:
                 mul_op(x, x), 1,
             ),
             lambda x: nm.ntp_loss(
-                mul_op(x, x), [1, 0, 1], [1, 0, 3], [2, 4, 1], RAGGED_SOFT, 1.3, RAGGED_MAE, 0.6
+                gather_op(mul_op(x, x), [1, 0, 1], [1, 0, 3], [2, 4, 1]), [2, 4, 1], RAGGED_SOFT, 1.3, RAGGED_MAE, 0.6
             )[0],
         ],
     )
@@ -691,13 +691,12 @@ class TestRangeHead:
         h, w, b = self.operands()
         with pytest.raises((IndexError, ValueError)):
             nm.range_head(h, w, b, 1.0, rows, starts, widths)
-        with pytest.raises((IndexError, ValueError)):
-            nm.ntp_loss(nm.Tensor(np.zeros((5, 9))), rows, starts, widths, np.ones((len(rows), 9)), 1.0)
 
 
 class TestNtpLoss:
     """`ntp_loss` against `oracle.soft_ce_mae`, which shares no code with
-    numerics, over full logits rows and over the padded head block."""
+    numerics, over the padded head block and over the block `gather_op`
+    selects from full logits rows."""
 
     # rows repeat, widths run from 1 to the widest (7) of a 12-token space,
     # and targets 3 and 6 are categorical
@@ -707,9 +706,10 @@ class TestNtpLoss:
     MIXED = np.array([True, True, True, False, True, True, False])
 
     def inputs(self, layout, continuous, seed=70):
-        """ntp_loss's (logits, rows, starts) in the layout, soft targets, the
-        MAE tuple, and the oracle's (CE, MAE).  The head block's padding holds
-        30, above every logit, so a loss that read it would miss the oracle."""
+        """The logits in the layout, the function from their tensor to the
+        block ntp_loss scores, soft targets, the MAE tuple, and the oracle's
+        (CE, MAE).  The head block's padding holds 30, above every logit, so
+        a loss that read it would miss the oracle."""
         rng = np.random.default_rng(seed)
         logits = rng.normal(size=(6, 12)) * 3
         soft, mae = random_targets(self.WIDTHS, rng, continuous)
@@ -720,11 +720,11 @@ class TestNtpLoss:
         ]
         want = oracle.soft_ce_mae(logits, targets)
         if layout == "full":
-            return (logits, self.ROWS, self.STARTS), soft, mae, want
+            return logits, lambda x: gather_op(x, self.ROWS, self.STARTS, self.WIDTHS), soft, mae, want
         block = np.full((len(self.ROWS), self.WIDTHS.max()), 30.0)
         for i, (r, s, k) in enumerate(zip(self.ROWS, self.STARTS, self.WIDTHS)):
             block[i, :k] = logits[r, s : s + k]
-        return (block, np.arange(len(self.ROWS)), None), soft, mae, want
+        return block, lambda x: x, soft, mae, want
 
     @pytest.mark.parametrize("layout", ["full", "block"])
     @pytest.mark.parametrize(
@@ -733,11 +733,11 @@ class TestNtpLoss:
         ids=["mixed", "n_mae-0", "mae-weight-0", "no-mae-term"],
     )
     def test_matches_the_oracle(self, layout, continuous, mae_scale):
-        (logits, rows, starts), soft, mae, (want_ce, want_mae) = self.inputs(layout, continuous)
+        logits, select, soft, mae, (want_ce, want_mae) = self.inputs(layout, continuous)
         if mae_scale is None:
             mae, mae_scale, want_mae = None, 0.0, 0.0
         x = nm.Tensor(logits, requires_grad=True)
-        loss, ce, mae_value = nm.ntp_loss(x, rows, starts, self.WIDTHS, soft, 0.8, mae, mae_scale)
+        loss, ce, mae_value = nm.ntp_loss(select(x), self.WIDTHS, soft, 0.8, mae, mae_scale)
         assert abs(ce - want_ce) <= 1e-12
         assert abs(mae_value - want_mae) <= 1e-12
         assert abs(float(loss.data) - (0.8 * want_ce + mae_scale * want_mae)) <= 1e-12
@@ -745,11 +745,11 @@ class TestNtpLoss:
     @pytest.mark.parametrize("layout", ["full", "block"])
     def test_gradcheck(self, layout):
         """Padded block entries get exactly 0, analytic and numeric."""
-        (logits, rows, starts), soft, mae, _ = self.inputs(layout, self.MIXED)
+        logits, select, soft, mae, _ = self.inputs(layout, self.MIXED)
         x = nm.Tensor(logits, requires_grad=True)
 
         def f():
-            return nm.ntp_loss(x, rows, starts, self.WIDTHS, soft, 0.8, mae, 1.7)[0]
+            return nm.ntp_loss(select(x), self.WIDTHS, soft, 0.8, mae, 1.7)[0]
 
         assert nm.grad_check(f, {"x": x}) < 1e-6
         if layout == "block":
@@ -767,7 +767,7 @@ class TestNtpLoss:
         soft = np.array([[1.0, 0, 0, 0], [0.3, 0.7, 0, 0], [0.1, 0.2, 0.3, 0.4]])
         mids = np.array([[0.0, 0, 0, 0], [1.0, 3.0, 0, 0], [0, 0, 0, 0]])
         mae = (mids, np.array([0.0, 2.0, 0.0]), np.array([0.0, 0.5, 0.0]), 1)
-        loss, ce, mae_value = nm.ntp_loss(x, np.arange(3), None, widths, soft, 1.0, mae, 1.0)
+        loss, ce, mae_value = nm.ntp_loss(x, widths, soft, 1.0, mae, 1.0)
         assert loss.dtype == dtype and math.isfinite(ce)
         assert mae_value == 0.0
         nm.backward(loss)
@@ -775,10 +775,36 @@ class TestNtpLoss:
         assert np.all(x.grad[1, 2:] == 0.0) and np.any(x.grad[1, :2] != 0.0)
 
     def test_no_targets_is_an_untracked_zero(self):
-        x = nm.Tensor(np.ones((3, 5)), requires_grad=True)
-        loss, ce, mae_value = nm.ntp_loss(x, [], [], [], np.zeros((0, 0)), 1.0, NTP_MAE, 1.0)
+        x = nm.Tensor(np.ones((0, 0)), requires_grad=True)
+        loss, ce, mae_value = nm.ntp_loss(x, [], np.zeros((0, 0)), 1.0, NTP_MAE, 1.0)
         assert float(loss.data) == 0.0 and not loss.requires_grad
         assert (ce, mae_value) == (0.0, 0.0)
+
+    @pytest.mark.parametrize("shape, widths", [
+        ((2, 4), [2, 0]),
+        ((2, 4), [2, 5]),
+        ((2, 4), [2, 4, 1]),
+        ((3, 4), [2, 4]),
+        ((4,), [4]),
+    ])
+    def test_widths_must_fit_the_block(self, shape, widths):
+        with pytest.raises(ValueError, match="cannot hold"):
+            nm.ntp_loss(nm.Tensor(np.zeros(shape)), widths, np.ones((len(widths), 4)), 1.0)
+
+
+def gather_op(a, rows, starts, widths):
+    """A ragged selection of full logits as one node, the reference route
+    from full logits to the block `ntp_loss` scores: row i holds a[rows[i],
+    starts[i] : starts[i] + widths[i]], zero past the width as `range_head`
+    pads it."""
+    widths = np.asarray(widths)
+    span = np.arange(widths.max(initial=0))
+    valid = span < widths[:, None]
+    r = np.broadcast_to(np.asarray(rows)[:, None], valid.shape)[valid]
+    c = (np.asarray(starts)[:, None] + span)[valid]
+    block = np.zeros(valid.shape, dtype=a.data.dtype)
+    block[valid] = a.data[r, c]
+    return nm._node(block, (a,), lambda g: nm._accum_at(a, (r, c), g[valid]))
 
 
 def scale_op(a, c):

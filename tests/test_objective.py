@@ -20,13 +20,15 @@ from trajlm.objective import (
     adamw_step,
     clip_gradients,
     lr_at,
-    masked_ntp_loss,
+    ntp_targets,
     parse_config_file,
     sequence_loss,
     soft_target,
     train,
 )
 from trajlm.vocab import RawModality, build_vocabulary
+
+from test_numerics import gather_op
 
 
 @pytest.fixture(scope="module")
@@ -67,6 +69,23 @@ def make_record(vocab, n=8, two_visits=True, seed=1):
     return ParticipantRecord("p", 50.0, "male", events, visits)
 
 
+def token_range(vocab, m):
+    """Inclusive [first, last] token ids of modality m."""
+    spec = vocab.modalities[m]
+    return spec.cum_base, spec.cum_base + spec.n_tokens - 1
+
+
+def full_head_loss(logits, seq, vocab, sigma, min_target=0, soft_scale=1.0, mae_scale=1.0):
+    """(loss, CE, MAE, n, n_mae) of `numerics.ntp_loss` over full (T, V)
+    logits, each target's range gathered by `gather_op`: the reference the
+    head-selected loss of `sequence_loss` is held to.  mae_scale=None scores
+    no MAE."""
+    t = ntp_targets(seq, vocab, sigma, min_target)
+    mae = None if mae_scale is None else (t.mids, t.truth, t.mae_weight, t.n_mae)
+    loss, ce, mae_value = nm.ntp_loss(gather_op(logits, *t.head), t.widths, t.soft, soft_scale, mae, mae_scale)
+    return loss, ce, mae_value, len(t.rows), t.n_mae
+
+
 class TestSoftTarget:
     def test_tiny_sigma_is_one_hot(self):
         q = soft_target(0, 9, 4, 0.01)
@@ -101,12 +120,12 @@ class TestLoss:
             params, config, seq.tokens, seq.values, seq.modalities, seq.times,
             50.0, "male", build_mask(Causal(), seq.length), value_scale_table(vocab),
         )
-        _, soft, _, n, _ = masked_ntp_loss(logits, seq, vocab, sigma=0.01)
+        _, soft, _, n, _ = full_head_loss(logits, seq, vocab, sigma=0.01)
         # plain one-hot cross-entropy over the same restricted ranges
         total = 0.0
         for j in range(1, seq.length):
             m = int(seq.modalities[j])
-            a, b = vocab.token_range(m)
+            a, b = token_range(vocab, m)
             row = logits.data[j - 1, a : b + 1]
             row = row - row.max()
             logp = row - math.log(np.exp(row).sum())
@@ -115,7 +134,7 @@ class TestLoss:
 
     def test_mae_zero_for_point_mass_on_true_midpoint(self, vocab):
         spec = vocab.modalities[0]
-        a, b = vocab.token_range(0)
+        a, b = token_range(vocab, 0)
         t = 3
         tokens = np.full(t + 1, a + 2, dtype=np.int64)
         from trajlm.corpus import TokenSequence
@@ -129,7 +148,7 @@ class TestLoss:
         )
         logits = np.full((t, vocab.total_tokens), -300.0)
         logits[:, a + 2] = 300.0
-        _, _, mae, _, n_mae = masked_ntp_loss(Tensor(logits), seq, vocab, sigma=0.01)
+        _, _, mae, _, n_mae = full_head_loss(Tensor(logits), seq, vocab, sigma=0.01)
         assert n_mae == t - 1
         assert mae < 1e-12
 
@@ -142,16 +161,16 @@ class TestLoss:
             params, config, seq.tokens, seq.values, seq.modalities, seq.times,
             50.0, "male", build_mask(Causal(), seq.length), value_scale_table(vocab),
         )
-        _, soft1, mae1, *_ = masked_ntp_loss(logits, seq, vocab, sigma=0.01)
+        _, soft1, mae1, *_ = full_head_loss(logits, seq, vocab, sigma=0.01)
 
         shifted = Tensor(logits.data.copy())
         # corrupt columns of modality 1 wherever the target is modality 0
-        a0, b0 = vocab.token_range(0)
-        a1, b1 = vocab.token_range(1)
+        a0, b0 = token_range(vocab, 0)
+        a1, b1 = token_range(vocab, 1)
         for j in range(1, seq.length):
             if int(seq.modalities[j]) == 0:
                 shifted.data[j - 1, a1 : b1 + 1] += 1e6
-        _, soft2, mae2, *_ = masked_ntp_loss(shifted, seq, vocab, sigma=0.01)
+        _, soft2, mae2, *_ = full_head_loss(shifted, seq, vocab, sigma=0.01)
         # losses for modality-0 targets unchanged; compare only via totals of mod-0 rows
         assert mae2 == pytest.approx(mae1, abs=1e-12)
 
@@ -203,10 +222,10 @@ class TestHeadSelectedLoss:
         for p in params.values():
             p.zero_grad()
 
-        causal, soft, mae, n, _ = masked_ntp_loss(
+        causal, soft, mae, n, _ = full_head_loss(
             full_logits(params, config, vocab, seq, Causal()), seq, vocab, lc.sl_sigma, mae_scale=0.7
         )
-        split_loss, split, _, n_split, _ = masked_ntp_loss(
+        split_loss, split, _, n_split, _ = full_head_loss(
             full_logits(params, config, vocab, seq, SplitContext(seq.visit_boundary)),
             seq, vocab, lc.sl_sigma, min_target=seq.visit_boundary, soft_scale=1.3, mae_scale=None,
         )
@@ -225,13 +244,13 @@ class TestHeadSelectedLoss:
         seq = assemble_sequence(make_record(vocab, n=10), vocab, 64)
         logits = full_logits(params, config, vocab, seq, Causal())
         sigma = 0.7
-        _, soft, mae, n, n_mae = masked_ntp_loss(logits, seq, vocab, sigma, min_target=3)
+        _, soft, mae, n, n_mae = full_head_loss(logits, seq, vocab, sigma, min_target=3)
         ce = dev = 0.0
         count = count_mae = 0
         for j in range(3, seq.length):
             m = int(seq.modalities[j])
             spec = vocab.modalities[m]
-            a, b = vocab.token_range(m)
+            a, b = token_range(vocab, m)
             row = logits.data[j - 1, a : b + 1]
             p = np.exp(row - row.max())
             p /= p.sum()

@@ -1,6 +1,7 @@
 """The package's public surface, read from its source: every name a module
 exports in `__all__` is read by the package itself, or is listed below with
-the criterion or reference it serves."""
+the criterion or reference it serves; and every name one module reads from
+another is in that module's `__all__`."""
 
 import ast
 from pathlib import Path
@@ -82,3 +83,12 @@ def test_every_export_has_a_production_reader():
         for a in node.names
     }
     assert sorted(reexported - exports) == []
+
+
+def test_every_name_read_across_modules_is_exported():
+    """A sibling's `from .x import y` and `x_alias.y` name an entry of
+    `x.__all__`: no module reaches into another's private or unlisted names."""
+    trees = {p.stem: ast.parse(p.read_text(encoding="utf-8")) for p in PACKAGE.glob("*.py")}
+    exports = {(m, name) for m, tree in trees.items() for name in module_exports(tree)}
+    crossing = {(m, name) for (m, name), by in readers(trees).items() if by - {m}}
+    assert sorted(crossing - exports) == []

@@ -138,7 +138,7 @@ class TestEncodeDecode:
 
     def test_last_bin(self, clip_vocab):
         m = clip_vocab.modalities[1]
-        assert len(m.interior_edges()) == 2
+        assert len(m.bin_edges[1:-1]) == 2
         assert encode_value(clip_vocab, 1, 25.0) == 5 + 2
 
     def test_clip_below(self, clip_vocab):
