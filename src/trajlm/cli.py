@@ -23,7 +23,7 @@ import numpy as np
 
 from . import __version__
 from .checkpoint import load_checkpoint, read_header
-from .corpus import AugmentConfig, assemble_sequence, read_cohort_jsonl, write_cohort_jsonl
+from .corpus import AugmentConfig, InputError, assemble_sequence, read_cohort_jsonl, scan_modalities, write_cohort_jsonl
 from .evalharness import (
     MetricReport,
     ModalityMetrics,
@@ -39,26 +39,17 @@ from .evalharness import (
 from .intervene import (
     SIMULATION_COUNTS,
     ArmResult,
-    EligibilityRule,
-    check_horizon,
     concordance,
-    load_trial_spec,
-    parse_intervention,
+    read_simulate_spec,
+    read_trial_spec,
     sample_trial_population,
     simulate_cohort,
 )
 from .model import ModelConfig, param_count
-from .objective import LossConfig, TrainConfig, parse_config_file, train
+from .objective import LossConfig, TrainConfig, TrainingDiverged, parse_config_file, train
 from .stats import bh_fdr, fisher_z_compare, pearson_with_ci
 from .synthcohort import build_synth_vocabulary, default_config, generate, save_ground_truth
-from .vocab import (
-    CATEGORICAL,
-    CONTINUOUS,
-    RawModality,
-    build_vocabulary,
-    load_vocabulary,
-    save_vocabulary,
-)
+from .vocab import build_vocabulary, load_vocabulary, save_vocabulary
 
 
 class CliError(RuntimeError):
@@ -69,55 +60,6 @@ def _require_file(path, what: str) -> str:
     if not os.path.exists(path):
         raise CliError(f"missing file: {what} not found at {path!r}")
     return path
-
-
-def _is_number(value) -> bool:
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
-
-
-def _is_whole(value) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool)
-
-
-# The JSON type of each spec key that has one: (what it must be, test).
-# Table-1 values, `n` and `horizon_months` have checks of their own.
-_SPEC_TYPES = {
-    **dict.fromkeys(("threshold", "factor", "point", "ci_low", "ci_high"), ("a number", _is_number)),
-    **dict.fromkeys(("category_index", "frequency", "duration"), ("a whole number", _is_whole)),
-    "seed": ("a whole number >= 0", lambda v: _is_whole(v) and v >= 0),
-    **dict.fromkeys(
-        ("kind", "modality", "outcome", "label", "comparator", "name"), ("a string", lambda v: isinstance(v, str))
-    ),
-    "modalities": ("a list of strings", lambda v: isinstance(v, list) and all(isinstance(x, str) for x in v)),
-    **dict.fromkeys(("intervention", "eligibility", "published"), ("an object", lambda v: isinstance(v, dict))),
-    **dict.fromkeys(
-        ("arms", "table1"), ("a list of objects", lambda v: isinstance(v, list) and all(isinstance(x, dict) for x in v))
-    ),
-}
-
-
-def _load_json(path, what: str):
-    """The JSON document at `path`; reading a key missing from any of its
-    objects, or a key of `_SPEC_TYPES` holding another JSON type, raises a
-    CliError naming the file and the key."""
-    _require_file(path, what)
-
-    class SpecObject(dict):
-        def __missing__(self, key):
-            raise CliError(f"{what} {path!r} has no key {key!r}")
-
-    def checked(pairs: dict) -> SpecObject:
-        for key, value in pairs.items():
-            must, ok = _SPEC_TYPES.get(key, (None, None))
-            if ok is not None and not ok(value):
-                raise CliError(f"{what} {path!r}: {key!r} must be {must}, got {json.dumps(value)}")
-        return SpecObject(pairs)
-
-    try:
-        with open(path, encoding="utf-8") as f:
-            return json.load(f, object_hook=checked)
-    except json.JSONDecodeError as e:
-        raise CliError(f"malformed JSON in {what} {path!r}: {e}") from e
 
 
 def file_sha256(path) -> str:
@@ -197,50 +139,8 @@ def cmd_synth(args) -> int:
     return 0
 
 
-def _scan_raw_cohort(path):
-    """Infer modalities from a raw cohort file, in first-seen order: numeric
-    values make a modality continuous, string values categorical (categories
-    in first-seen order).  A bad event raises a CliError naming the line."""
-    _require_file(path, "cohort")
-    kinds: dict[str, str] = {}
-    seen: dict[str, list] = {}  # a continuous modality's values, a categorical one's categories
-    with open(path, encoding="utf-8") as f:
-        for line_no, line in enumerate(f, 1):
-            line = line.strip()
-            if not line:
-                continue
-            where = f"cohort {path!r} line {line_no}"
-            try:
-                doc = json.loads(line)
-            except json.JSONDecodeError as e:
-                raise CliError(f"malformed JSON in {where}: {e}") from e
-            events = doc.get("events", []) if isinstance(doc, dict) else None
-            if not isinstance(events, list):
-                raise CliError(f"{where}: expected an object whose \"events\" is a list")
-            for ev in events:
-                if not (isinstance(ev, dict) and isinstance(ev.get("m"), str) and "v" in ev):
-                    raise CliError(f"{where}: an event needs a modality name \"m\" and a value \"v\", got {ev!r}")
-                name, v = ev["m"], ev["v"]
-                if isinstance(v, bool) or not isinstance(v, (int, float, str)):
-                    raise CliError(f"{where}: modality {name!r} has value {v!r}, neither a number nor a string")
-                kind = CATEGORICAL if isinstance(v, str) else CONTINUOUS
-                if kinds.setdefault(name, kind) != kind:
-                    raise CliError(f"{where}: modality {name!r} is {kinds[name]} but has value {v!r}")
-                values = seen.setdefault(name, [])
-                if kind == CONTINUOUS:
-                    values.append(float(v))
-                elif v not in values:
-                    values.append(v)
-    return [
-        RawModality(name, kind, values=seen[name]) if kind == CONTINUOUS
-        else RawModality(name, kind, categories=seen[name])
-        for name, kind in kinds.items()
-    ]
-
-
 def cmd_build_vocab(args) -> int:
-    raw = _scan_raw_cohort(args.cohort)
-    vocab = build_vocabulary(raw)
+    vocab = build_vocabulary(scan_modalities(_require_file(args.cohort, "cohort")))
     save_vocabulary(vocab, args.out)
     print(f"built vocabulary: {vocab.n_modalities} modalities, {vocab.total_tokens} tokens (pad {vocab.pad_token})")
     return 0
@@ -265,6 +165,16 @@ def cmd_tokenize(args) -> int:
     print(f"tokenized {len(records)} participants to {args.out}")
     return 0
 
+
+def _whole(text: str) -> int:
+    """A whole number, which may be written as a float ("10.0")."""
+    x = float(text)
+    if not x.is_integer():
+        raise ValueError(text)
+    return int(x)
+
+
+_READS = {int: "an integer", float: "a number", _whole: "a whole number"}
 
 _CONFIG_KEYS = {
     "n_embd": ("model", "d_model", int),
@@ -299,7 +209,7 @@ _CONFIG_KEYS = {
     "random_removal_rate": ("aug", "token_removal_rate", float),
     "random_block_removal_chance": ("aug", "block_removal_chance", float),
     "random_block_removal_rate": ("aug", "block_removal_rate", float),
-    "random_block_removal_number": ("aug", "block_removal_blocks", lambda s: int(float(s))),
+    "random_block_removal_number": ("aug", "block_removal_blocks", _whole),
     "random_modality_subset_chance": ("aug", "modality_subset_chance", float),
     "random_modality_subset_fraction": ("aug", "modality_subset_fraction", float),
     "random_modality_exclusion_chance": ("aug", "modality_exclusion_chance", float),
@@ -307,15 +217,23 @@ _CONFIG_KEYS = {
 
 
 def build_configs(flat: dict[str, str], vocab) -> tuple[ModelConfig, LossConfig, TrainConfig, AugmentConfig]:
+    """The configs a `parse_config_file` result sets; a key outside
+    `_CONFIG_KEYS`, or a value its key cannot read, is an InputError naming
+    the file, the line and the key."""
     buckets: dict[str, dict] = {"model": {}, "train": {}, "loss": {}, "aug": {}}
     for key, value in flat.items():
         if key not in _CONFIG_KEYS:
-            raise CliError(f"unknown config key {key!r}")
-        bucket, name, conv = _CONFIG_KEYS[key]
-        buckets[bucket][name] = conv(value)
+            raise InputError(f"{flat.where[key]}: unknown config key {key!r}")
+        bucket, name, read = _CONFIG_KEYS[key]
+        try:
+            buckets[bucket][name] = read(value)
+        except ValueError:
+            raise InputError(f"{flat.where[key]}: {key!r} must be {_READS[read]}, got {value!r}") from None
     train_kw = buckets["train"]
     gamma = train_kw.pop("_gamma", None)
     if gamma is not None:
+        if not 0 <= gamma < math.inf:
+            raise InputError(f"{flat.where['gamma']}: 'gamma' must be finite and non-negative, got {gamma}")
         train_kw.setdefault("min_lr", gamma * train_kw.get("peak_lr", TrainConfig.peak_lr))
     model = ModelConfig(vocab_size=vocab.total_tokens, n_modalities=vocab.n_modalities, **buckets["model"])
     train_cfg = TrainConfig(**train_kw)
@@ -477,19 +395,10 @@ def cmd_probe_crossmodal(args) -> int:
 def cmd_simulate(args) -> int:
     params, config, header, vocab = _load_model(args.ckpt, args.vocab)
     records = read_cohort_jsonl(_require_file(args.cohort, "cohort"), vocab)
-    doc = _load_json(args.spec, "intervention spec")
-    spec = parse_intervention(doc["intervention"], vocab)
-    outcome = vocab.modality(doc["outcome"]).id
-    try:
-        horizon = check_horizon(doc.get("horizon_months", 12))
-    except ValueError as e:
-        raise CliError(f"intervention spec {args.spec!r}: {e}") from e
-    seed = resolve_seed(args.seed, doc.get("seed"), 0)
+    doc = read_simulate_spec(_require_file(args.spec, "intervention spec"), vocab)
+    spec, outcome, horizon, rule = doc["arm"], doc["outcome"], doc["horizon_months"], doc["rule"]
+    seed = resolve_seed(args.seed, doc["seed"], 0)
     rng = np.random.default_rng(seed)
-    rule = None
-    if "eligibility" in doc:
-        e = doc["eligibility"]
-        rule = EligibilityRule(vocab.modality(e["modality"]).id, e["comparator"], float(e["threshold"]))
 
     sim_fn = partial(
         simulate_cohort, params, config, vocab, arm=spec, outcome_modality=outcome,
@@ -508,7 +417,7 @@ def cmd_simulate(args) -> int:
     meta = _meta(seed, header["meta"].get("config_hash", ""))
     effect = {"mean_delta": arm.mean_delta, "effect_percent": arm.effect_percent, "ci_low": arm.ci[0], "ci_high": arm.ci[1]}
     notes = [
-        ("label", spec.label), ("outcome", doc["outcome"]), ("horizon_months", horizon),
+        ("label", spec.label), ("outcome", vocab.modalities[outcome].name), ("horizon_months", horizon),
         *((k, counts[k]) for k in SIMULATION_COUNTS), *((k, format(v, ".10g")) for k, v in effect.items()),
     ]
     rows = (
@@ -540,19 +449,14 @@ def cmd_trial_run(args) -> int:
     rows = []
     forest = []
     for i, name in enumerate(paths):
-        doc = _load_json(os.path.join(args.trials, name), f"trial spec {name}")
-        try:
-            trial = load_trial_spec(doc, vocab)
-        except ValueError as e:
-            raise CliError(f"trial spec {name!r}: {e}") from e
+        path = os.path.join(args.trials, name)
+        trial = read_trial_spec(path, vocab)
         rng = np.random.default_rng([seed, i])
         population = sample_trial_population(trial, rng, vocab)
         outcome = vocab.modality(trial.outcome).id
-        if len(trial.arms) not in (1, 2):
-            raise CliError(f"trial {trial.name!r} must declare 1 or 2 arms")
         arm = simulate_cohort(params, config, vocab, population, tuple(trial.arms), outcome, trial.horizon_months)
         if not arm.participants:
-            raise CliError(f"trial {trial.name!r} simulates no participant: none has a visit-1 measurement")
+            raise CliError(f"trial spec {name} {path!r}: no participant has a visit-1 measurement: 'table1' measures nothing")
         arm.ci = arm.bootstrap_ci(rng)
         predicted = arm.signed_percent
         rows.append(
@@ -669,13 +573,14 @@ def main(argv=None) -> int:
     parser = make_parser()
     args = parser.parse_args(argv)
     try:
-        if getattr(args, "workers", 1) < 1:
-            raise CliError(f"--workers must be at least 1, got {args.workers}")
+        for flag in ("max_len", "participants", "workers"):
+            if getattr(args, flag, 1) < 1:
+                raise CliError(f"--{flag.replace('_', '-')} must be at least 1, got {getattr(args, flag)}")
         return args.func(args)
-    except CliError as e:
+    except (CliError, InputError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
-    except (OSError, ValueError, KeyError) as e:
+    except (OSError, ValueError, KeyError, TrainingDiverged) as e:
         print(f"error: {type(e).__name__}: {e}", file=sys.stderr)
         return 1
 

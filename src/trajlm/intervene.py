@@ -14,9 +14,8 @@ concordance against published estimates.
 
 from __future__ import annotations
 
-import json
 import math
-import numbers
+import os
 from dataclasses import dataclass, field
 from datetime import datetime, timedelta
 
@@ -24,10 +23,15 @@ import numpy as np
 
 from .corpus import (
     Event,
+    InputError,
+    Key,
     ParticipantRecord,
+    Table,
     TokenSequence,
     assemble_sequence,
     features_to_datetime,
+    finite,
+    of,
     time_features,
     v1_context,
 )
@@ -55,6 +59,8 @@ __all__ = [
     "sample_trial_population",
     "concordance",
     "load_trial_spec",
+    "read_trial_spec",
+    "read_simulate_spec",
     "parse_intervention",
 ]
 
@@ -120,16 +126,10 @@ class TrialVariable:
     high: float
 
     def __post_init__(self):
-        for name in ("mean", "sd", "low", "high"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, numbers.Real):
-                raise ValueError(f"{self.modality}: {name} must be a number, got {value!r}")
-        # a NaN passes every comparison below and would stall the rejection sampler
-        if not (math.isfinite(self.mean) and math.isfinite(self.sd)) or math.isnan(self.low) or math.isnan(self.high):
-            raise ValueError(f"{self.modality}: mean and sd must be finite and bounds must not be NaN")
-        if self.low >= self.high:
+        # written so that a NaN fails: it would stall the rejection sampler
+        if not self.low < self.high:
             raise ValueError(f"{self.modality}: low bound must be below high bound")
-        if self.sd < 0:
+        if not self.sd >= 0:
             raise ValueError(f"{self.modality}: sd must be nonnegative")
 
 
@@ -147,7 +147,7 @@ class TrialSpec:
     def __post_init__(self):
         lo, hi = self.published_ci
         if not lo <= self.published_point <= hi:
-            raise ValueError(f"{self.name}: published point outside its own CI")
+            raise ValueError(f"{self.name}: published point {self.published_point} outside its own CI [ci_low {lo}, ci_high {hi}]")
 
 
 # How a `simulate` run accounts for every participant it reads: each one is
@@ -328,10 +328,13 @@ def _append_doses(seq: TokenSequence, doses: list[tuple[datetime, int, int]]) ->
     return out
 
 
+_HORIZON = "a whole number of months in [1, 24]"
+
+
 def check_horizon(months) -> int:
     """A horizon or trajectory length: a whole number of months in [1, 24]."""
     if isinstance(months, bool) or not isinstance(months, (int, np.integer)) or not 1 <= months <= 24:
-        raise ValueError(f"horizon must be a whole number of months in [1, 24], got {months!r}")
+        raise ValueError(f"horizon must be {_HORIZON}, got {months!r}")
     return int(months)
 
 
@@ -456,7 +459,10 @@ def sample_trial_population(trial: TrialSpec, rng: np.random.Generator, vocab: V
             measured.append(var)
     for var in trial.table1:
         if _truncnorm_mass(var.mean, var.sd, var.low, var.high) < 1e-3:
-            raise ValueError(f"infeasible truncation for {var.modality!r}")
+            raise ValueError(
+                f"infeasible truncation for {var.modality!r}: mean {var.mean} and sd {var.sd} "
+                f"leave under 0.1% of the mass in [low {var.low}, high {var.high}]"
+            )
 
     def draw(var: TrialVariable) -> float:
         if var.sd == 0:
@@ -503,42 +509,96 @@ def concordance(rows: list[dict]) -> dict:
     return {"n": len(rows), "direction_hits": direction, "ci_hits": ci, "rows": scored}
 
 
-def load_trial_spec(doc: dict | str, vocab: Vocabulary) -> TrialSpec:
-    """Parse a trial description (dict or JSON text) into a TrialSpec."""
-    if isinstance(doc, str):
-        doc = json.loads(doc)
-    table1 = [TrialVariable(v["modality"], v["mean"], v["sd"], v["low"], v["high"]) for v in doc["table1"]]
-    arms = [parse_intervention(a, vocab) for a in doc["arms"]]
-    pub = doc["published"]
-    n = doc.get("n", 200)
-    if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or n < 1:
-        raise ValueError(f"trial size n must be a whole number >= 1, got {n!r}")
-    return TrialSpec(
-        name=doc["name"],
-        table1=table1,
-        arms=arms,
-        outcome=doc["outcome"],
-        horizon_months=check_horizon(doc["horizon_months"]),
-        published_point=float(pub["point"]),
-        published_ci=(float(pub["ci_low"]), float(pub["ci_high"])),
-        n=int(n),
+def _spec_tables(vocab: Vocabulary) -> tuple[Table, Table]:
+    """The `simulate` and `trial-run` spec tables, whose modality keys name
+    a modality of `vocab`."""
+    names = {m.name for m in vocab.modalities}
+    objects = {"a list of objects": lambda vs: of(list)(vs) and all(map(of(dict), vs))}
+    string, number, whole = Key({"a string": of(str)}), Key({"a number": of(int, float)}), Key({"a whole number": of(int)})
+    modality = Key({"a string": of(str), "a modality name": lambda vs: set(vs) <= names})
+    label = Key({"a string": of(str)}, None)
+    arm = {
+        "append": Table(kind=string, modality=modality, category_index=whole, frequency=whole, duration=whole, label=label),
+        "scale": Table(
+            kind=string,
+            modalities=Key({
+                "a list of strings": lambda vs: of(list)(vs) and all(map(of(str), vs)),
+                "non-empty": all,
+                "a list of modality names": lambda vs: set().union(*vs) <= names,
+            }),
+            factor=number, label=label,
+        ),
+    }
+    simulate = Table(
+        intervention=Key({"an object": of(dict)}, table=arm),
+        outcome=modality,
+        horizon_months=Key({_HORIZON: of(int)}, 12, read=check_horizon),
+        seed=Key({"a whole number >= 0": lambda vs: of(int)(vs) and min(vs) >= 0}, None),
+        eligibility=Key({"an object": of(dict)}, None, table=Table(modality=modality, comparator=string, threshold=number)),
     )
+    finite_number = Key({"a number": of(int, float), "finite": finite})
+    row = Table(
+        modality=Key({"a string": of(str), "a modality name or age": lambda vs: all(v in names or v.lower() == "age" for v in vs)}, names="table-1 row"),
+        mean=finite_number, sd=finite_number, low=number, high=number,
+    )
+    trial = Table(
+        name=string,
+        n=Key({"a whole number >= 1": lambda vs: of(int)(vs) and min(vs) >= 1}, 200),
+        table1=Key(objects, table=row),
+        outcome=modality,
+        horizon_months=Key({_HORIZON: of(int)}, read=check_horizon),
+        published=Key({"an object": of(dict)}, table=Table(point=finite_number, ci_low=finite_number, ci_high=finite_number)),
+        arms=Key(objects, table=arm),
+    )
+    return simulate, trial
+
+
+def read_simulate_spec(path, vocab: Vocabulary) -> dict:
+    """The `simulate` spec file at `path`, checked: its arm, the outcome
+    modality's id, the horizon, the seed (None when absent) and the
+    eligibility rule (None when absent)."""
+    doc = _spec_tables(vocab)[0].load(path, f"intervention spec {str(path)!r}")
+    e = doc["eligibility"]
+    return {
+        "arm": parse_intervention(doc["intervention"], vocab),
+        "outcome": vocab.modality(doc["outcome"]).id,
+        "horizon_months": doc["horizon_months"],
+        "seed": doc["seed"],
+        "rule": e and EligibilityRule(vocab.modality(e["modality"]).id, e["comparator"], float(e["threshold"])),
+    }
+
+
+def read_trial_spec(path, vocab: Vocabulary) -> TrialSpec:
+    """The trial spec file at `path`, checked, as a TrialSpec."""
+    where = f"trial spec {os.path.basename(path)} {str(path)!r}"
+    return _trial_spec(_spec_tables(vocab)[1].load(path, where), vocab, where)
+
+
+def load_trial_spec(doc: dict, vocab: Vocabulary) -> TrialSpec:
+    """A trial description, checked, as a TrialSpec."""
+    return _trial_spec(_spec_tables(vocab)[1].check(doc, "trial spec"), vocab, "trial spec")
+
+
+def _trial_spec(doc: dict, vocab: Vocabulary, where: str) -> TrialSpec:
+    """The TrialSpec a checked trial spec describes; its arm count is
+    checked after the checks TrialSpec and its parts make."""
+    rows, pub = doc["table1"], doc["published"]
+    trial = TrialSpec(
+        doc["name"], list(map(TrialVariable, rows["modality"], rows["mean"], rows["sd"], rows["low"], rows["high"])),
+        [parse_intervention(a, vocab) for a in doc["arms"]], doc["outcome"], doc["horizon_months"],
+        float(pub["point"]), (float(pub["ci_low"]), float(pub["ci_high"])), doc["n"],
+    )
+    if len(trial.arms) not in (1, 2):
+        raise InputError(f"{where}: 'arms' must be a list of 1 or 2 arms, got {len(trial.arms)}")
+    return trial
 
 
 def parse_intervention(doc: dict, vocab: Vocabulary) -> InterventionSpec:
-    kind = doc["kind"]
-    if kind == "append":
+    """The spec an arm object of a checked spec describes; an arm without a
+    label is called by its modality (an append) or "scale"."""
+    if doc["kind"] == "append":
         return CategoricalAppend(
-            modality_id=vocab.modality(doc["modality"]).id,
-            category_index=int(doc["category_index"]),
-            frequency=int(doc["frequency"]),
-            duration=int(doc["duration"]),
-            label=doc.get("label", doc["modality"]),
+            vocab.modality(doc["modality"]).id, int(doc["category_index"]), int(doc["frequency"]),
+            int(doc["duration"]), doc.get("label") or doc["modality"],
         )
-    if kind == "scale":
-        return ContinuousScale(
-            modality_ids=tuple(vocab.modality(m).id for m in doc["modalities"]),
-            factor=float(doc["factor"]),
-            label=doc.get("label", "scale"),
-        )
-    raise ValueError(f"unknown intervention kind {kind!r}")
+    return ContinuousScale(tuple(vocab.modality(m).id for m in doc["modalities"]), float(doc["factor"]), doc.get("label") or "scale")

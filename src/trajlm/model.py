@@ -17,12 +17,11 @@ from dataclasses import dataclass, field, asdict
 import numpy as np
 
 from . import numerics as nm
-from .corpus import TEMPORAL_VOCAB_SIZES, SEX_INDEX
+from .corpus import TEMPORAL_VOCAB_SIZES, SEX_INDEX, check_fields
 from .numerics import Tensor
 from .vocab import CONTINUOUS, Vocabulary
 
 __all__ = [
-    "check_fields",
     "ModelConfig",
     "Causal",
     "SplitContext",
@@ -36,15 +35,6 @@ __all__ = [
     "embed_inputs",
     "forward",
 ]
-
-
-def check_fields(config, rules: dict) -> None:
-    """Raise ValueError naming the first field that breaks its rule; `rules`
-    maps a rule's wording to (test, field names)."""
-    for rule, (ok, names) in rules.items():
-        for name in names:
-            if not ok(getattr(config, name)):  # NaN fails every rule
-                raise ValueError(f"{name} must be {rule}, got {getattr(config, name)!r}")
 
 
 @dataclass

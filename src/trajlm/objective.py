@@ -19,8 +19,8 @@ import numpy as np
 
 from . import numerics as nm
 from .checkpoint import save_checkpoint
-from .corpus import AugmentConfig, TokenSequence, assemble_sequence, augment
-from .model import Causal, ModelConfig, SplitContext, check_fields, forward, build_mask, init_params, value_scale_table
+from .corpus import AugmentConfig, InputError, TokenSequence, assemble_sequence, augment, check_fields
+from .model import Causal, ModelConfig, SplitContext, forward, build_mask, init_params, value_scale_table
 from .numerics import Tensor, backward
 from .vocab import CONTINUOUS, Vocabulary
 
@@ -74,7 +74,8 @@ class TrainConfig:
         check_fields(self, {
             "at least 1": (lambda x: x >= 1, ("epochs", "batch_size")),
             "positive": (lambda x: x > 0, ("peak_lr", "eps")),
-            "non-negative": (lambda x: x >= 0, ("min_lr", "warmup_steps", "weight_decay", "clip_norm")),
+            "non-negative": (lambda x: x >= 0, ("min_lr", "warmup_steps", "weight_decay", "clip_norm", "seed")),
+            "finite": (math.isfinite, ("peak_lr", "eps", "min_lr", "weight_decay")),
             "in [0, 1)": (lambda x: 0 <= x < 1, ("val_fraction", "beta1", "beta2")),
         })
 
@@ -458,16 +459,27 @@ def train(
     return params, history, best_val
 
 
-def parse_config_file(path) -> dict[str, str]:
-    """Read a flat key=value config file; '#' starts a comment."""
-    out: dict[str, str] = {}
+class ConfigFile(dict):
+    """A key=value config file's settings, each value a string; `where`
+    maps each key to the "path:line" that sets it."""
+
+    where: dict[str, str]
+
+
+def parse_config_file(path) -> ConfigFile:
+    """Read a flat key=value config file; '#' starts a comment.  A line
+    without '=', or a key set twice, is an InputError naming the line."""
+    out = ConfigFile()
+    out.where = {}
     with open(path, encoding="utf-8") as f:
         for line_no, line in enumerate(f, 1):
-            line = line.split("#", 1)[0].strip()
+            line, where = line.split("#", 1)[0].strip(), f"{path}:{line_no}"
             if not line:
                 continue
             if "=" not in line:
-                raise ValueError(f"{path}:{line_no}: expected key=value, got {line!r}")
-            key, value = line.split("=", 1)
-            out[key.strip()] = value.strip()
+                raise InputError(f"{where}: expected key=value, got {line!r}")
+            key, value = (part.strip() for part in line.split("=", 1))
+            if key in out:
+                raise InputError(f"{where}: {key!r} is set again, after {out.where[key]}")
+            out[key], out.where[key] = value, where
     return out

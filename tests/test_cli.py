@@ -22,6 +22,7 @@ from trajlm.intervene import (
     parse_intervention,
     simulate_cohort,
 )
+from trajlm.objective import TrainingDiverged
 
 TRAIN_CONFIG = """
 n_embd = 16
@@ -154,27 +155,30 @@ class TestVocabAndTokenize:
     @pytest.mark.parametrize(
         "events, names",
         [
-            ([{"v": 1.0}], ["modality name", "{'v': 1.0}"]),
-            ([{"m": "x"}], ["modality name", "{'m': 'x'}"]),
-            ([{"m": 3, "v": 1.0}], ["modality name", "{'m': 3, 'v': 1.0}"]),
-            ([{"m": "x", "v": None}], ["modality 'x' has value None"]),
-            ([{"m": "x", "v": True}], ["modality 'x' has value True"]),
-            ([{"m": "x", "v": [1.0]}], ["modality 'x' has value [1.0]"]),
-            ([{"m": "x", "v": {"a": 1}}], ["modality 'x' has value {'a': 1}"]),
-            ([{"m": "y", "v": 1.0}, {"m": "x", "v": "high"}], ["modality 'x' is continuous but has value 'high'"]),
-            ({"m": "x", "v": 1.0}, ['"events" is a list']),
+            ([{"v": 1.0}], ["has no key 'm'"]),
+            ([{"m": "x"}], ["event 'x' has no key 'v'"]),
+            ([{"m": 3, "v": 1.0}], ["'m' must be a modality name, got 3"]),
+            ([{"m": "x", "v": None}], ["event 'x': 'v' must be a number or a string, got null"]),
+            ([{"m": "x", "v": True}], ["event 'x': 'v' must be a number or a string, got true"]),
+            ([{"m": "x", "v": [1.0]}], ["event 'x': 'v' must be a number or a string, got [1.0]"]),
+            ([{"m": "x", "v": {"a": 1}}], ["event 'x': 'v' must be a number or a string, got {\"a\": 1}"]),
+            ([{"m": "y", "v": 1.0}, {"m": "x", "v": "high"}], ["event 'x': 'v' must be a number, as the modality is continuous, got \"high\""]),
+            ({"m": "x", "v": 1.0}, ["'events' must be a list of objects"]),
         ],
         ids=["no-modality", "no-value", "numeric-modality", "null", "bool", "list", "object", "mixed-kinds", "not-a-list"],
     )
     def test_build_vocab_names_file_line_and_modality_of_a_bad_event(self, tmp_path, capsys, events, names):
         """A missing key, a value neither number nor string, and a modality
         mixing numbers and strings (line 1 makes `x` continuous)."""
-        lines = [{"id": "a", "age": 50, "events": [{"m": "x", "v": 2.0}]}, {"id": "b", "age": 50, "events": events}]
+        at = "2021-03-01T09:00:00"
+        if isinstance(events, list):
+            events = [{"t": at, **e} for e in events]
+        lines = [{"id": "a", "age": 50, "events": [{"t": at, "m": "x", "v": 2.0}]}, {"id": "b", "age": 50, "events": events}]
         cohort, out = tmp_path / "raw.jsonl", tmp_path / "v.json"
         cohort.write_text("".join(json.dumps(doc) + "\n" for doc in lines), encoding="utf-8")
         assert main(["build-vocab", "--cohort", str(cohort), "--out", str(out)]) == 1
         err = capsys.readouterr().err
-        assert err.startswith(f"error: cohort {str(cohort)!r} line 2: ")
+        assert err.startswith(f"error: {cohort}:2") and err.count("\n") == 1, err
         assert all(name in err for name in names), err
         assert not out.exists()
 
@@ -210,7 +214,7 @@ class TestTrain:
         validation set was held out, where it printed 'best validation loss
         inf'; the log's val_loss column stays empty."""
         config = tmp_path / "t.cfg"
-        config.write_text(TRAIN_CONFIG + "epochs = 2\nval_fraction = 0\n", encoding="utf-8")
+        config.write_text(TRAIN_CONFIG.replace("epochs = 1", "epochs = 2") + "val_fraction = 0\n", encoding="utf-8")
         out, log = tmp_path / "m.ckpt", tmp_path / "log.csv"
         capsys.readouterr()
         assert main(["train", "--cohort", str(workspace["cohort"]), "--vocab", str(workspace["vocab"]),
@@ -260,6 +264,58 @@ class TestTrain:
                    "--config", str(config), "--out", str(out)])
         assert rc == 1
         assert capsys.readouterr().err == f"error: ValueError: {message}\n"
+        assert not out.exists()
+
+
+    @pytest.mark.parametrize("edit, message", [
+        (("epochs = 1", "epochs = abc"), "{cfg}:11: 'epochs' must be an integer, got 'abc'"),
+        (("lr = 0.002", "lr = fast"), "{cfg}:9: 'lr' must be a number, got 'fast'"),
+        (("SL_sigma = 0.01", "random_block_removal_number = 2.5"), "{cfg}:15: 'random_block_removal_number' must be a whole number, got '2.5'"),
+        (("SL_sigma = 0.01", "epochs = 3"), "{cfg}:15: 'epochs' is set again, after {cfg}:11"),
+        (("SL_sigma = 0.01", "n_embed = 16"), "{cfg}:15: unknown config key 'n_embed'"),
+        (("lr = 0.002", "lr = inf"), "ValueError: peak_lr must be finite, got inf"),
+        (("augmentation_chance = 0.0", "augmentation_chance = nan"), "ValueError: noise_chance must be in [0, 1], got nan"),
+        (("SL_sigma = 0.01", "random_removal_rate = 5.0"), "ValueError: token_removal_rate must be in [0, 1], got 5.0"),
+        (("SL_sigma = 0.01", "random_block_removal_number = -3"), "ValueError: block_removal_blocks must be at least 0, got -3"),
+    ], ids=["integer", "number", "whole", "twice", "unknown", "lr-inf", "chance-nan", "rate", "blocks"])
+    def test_bad_config_line_is_one_error_naming_the_key(self, workspace, tmp_path, capsys, edit, message):
+        """`epochs = abc` once ended as a bare int() error naming neither file
+        nor key, a second key won silently, and `lr = inf` trained until it
+        diverged."""
+        config = tmp_path / "bad.cfg"
+        config.write_text(TRAIN_CONFIG.replace(*edit), encoding="utf-8")
+        out = tmp_path / "x.ckpt"
+        rc = main(["train", "--cohort", str(workspace["cohort"]), "--vocab", str(workspace["vocab"]),
+                   "--config", str(config), "--out", str(out)])
+        assert rc == 1
+        assert capsys.readouterr().err == f"error: {message.format(cfg=config)}\n"
+        assert not out.exists()
+
+    def test_diverged_training_is_one_error_line(self, workspace, tmp_path, monkeypatch, capsys):
+        def diverge(*args, **kwargs):
+            raise TrainingDiverged("non-finite loss at step 3")
+
+        monkeypatch.setattr(cli, "train", diverge)
+        config = tmp_path / "t.cfg"
+        config.write_text(TRAIN_CONFIG, encoding="utf-8")
+        rc = main(["train", "--cohort", str(workspace["cohort"]), "--vocab", str(workspace["vocab"]),
+                   "--config", str(config), "--out", str(tmp_path / "x.ckpt")])
+        assert rc == 1
+        assert capsys.readouterr().err == "error: TrainingDiverged: non-finite loss at step 3\n"
+
+
+class TestCountFlags:
+    @pytest.mark.parametrize("argv, flag, value", [
+        (["tokenize", "--cohort", "c.jsonl", "--vocab", "v.json", "--max-len", "-5"], "--max-len", -5),
+        (["tokenize", "--cohort", "c.jsonl", "--vocab", "v.json", "--max-len", "0"], "--max-len", 0),
+        (["synth", "--participants", "0"], "--participants", 0),
+    ], ids=["max-len-negative", "max-len-zero", "participants-zero"])
+    def test_count_below_one_rejected(self, tmp_path, capsys, argv, flag, value):
+        """`--max-len -5` once dropped each participant's last five events and
+        `--participants 0` failed deep inside vocabulary building."""
+        out = tmp_path / "out.jsonl"
+        assert main([*argv, "--out", str(out)]) == 1
+        assert capsys.readouterr().err == f"error: {flag} must be at least 1, got {value}\n"
         assert not out.exists()
 
 

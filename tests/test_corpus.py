@@ -244,7 +244,7 @@ class TestCohortIO:
     def test_malformed_line_reports_position(self, vocab, tmp_path):
         path = tmp_path / "bad.jsonl"
         for bad in ("not json", '{"id": "p", "age": null, "events": []}', '{"id": "p", "age": 1, "events": null}'):
-            path.write_text('{"id": "p", "age": 1, "events": []}\n' + bad + "\n", encoding="utf-8")
+            path.write_text('{"id": "o", "age": 1, "events": []}\n' + bad + "\n", encoding="utf-8")
             with pytest.raises(ValueError, match=f"{re.escape(str(path))}:2: "):
                 read_cohort_jsonl(path, vocab)
 
@@ -255,21 +255,63 @@ class TestCohortIO:
         path = tmp_path / "bad.jsonl"
         event = '{"t": "2021-03-01T09:00:00", "m": %s, "v": 10.0}' % key
         path.write_text('{"id": "p", "age": 1, "events": [%s]}\n' % event, encoding="utf-8")
-        with pytest.raises(ValueError, match=re.escape(f"{path}:1: KeyError: ") + ".*a modality is named by a string"):
+        with pytest.raises(ValueError, match=re.escape(f"{path}:1: 'm' must be a modality name, got {key}")):
             read_cohort_jsonl(path, vocab)
 
     @pytest.mark.parametrize(
         "line, message",
         [
-            ('{"id": "p", "age": 50, "sex": "Male", "events": []}', "sex must be one of female, male, unknown, got 'Male'"),
-            ('{"id": "p", "age": NaN, "sex": "male", "events": []}', "age must be finite, got nan"),
-            ('{"id": "p", "age": Infinity, "events": []}', "age must be finite, got inf"),
+            ('{"id": "p", "age": 50, "sex": "Male", "events": []}', '\'sex\' must be one of female, male, unknown, got "Male"'),
+            ('{"id": "p", "age": NaN, "sex": "male", "events": []}', "'age' must be finite, got NaN"),
+            ('{"id": "p", "age": Infinity, "events": []}', "'age' must be finite, got Infinity"),
         ],
     )
     def test_bad_sex_or_age_reports_position(self, vocab, tmp_path, line, message):
         """json reads NaN and any string, but neither is a usable age or sex:
         an unlisted sex used to embed as `unknown`, a NaN age made every pass NaN."""
         path = tmp_path / "bad.jsonl"
-        path.write_text('{"id": "p", "age": 1, "events": []}\n' + line + "\n", encoding="utf-8")
-        with pytest.raises(ValueError, match=re.escape(f"{path}:2: ValueError: {message}")):
+        path.write_text('{"id": "o", "age": 1, "events": []}\n' + line + "\n", encoding="utf-8")
+        with pytest.raises(ValueError, match=re.escape(f"{path}:2: {message}")):
+            read_cohort_jsonl(path, vocab)
+
+    @pytest.mark.parametrize("sleep", ['"false"', '"0"', "1.5", "1", "null"])
+    def test_sleep_flag_is_a_json_bool(self, vocab, tmp_path, sleep):
+        """`"sleep": "false"` once set the time embedding's sleep column: the
+        flag was read as `bool(...)`, so any non-empty string was true."""
+        path = tmp_path / "c.jsonl"
+        event = '{"t": "2021-03-01T09:00:00", "m": "a", "v": 10.0, "sleep": %s}' % sleep
+        path.write_text('{"id": "p", "age": 1, "events": [%s]}\n' % event, encoding="utf-8")
+        with pytest.raises(ValueError, match=re.escape(f"{path}:1: event 'a': 'sleep' must be true or false, got {sleep}")):
+            read_cohort_jsonl(path, vocab)
+
+    def test_sleep_flag_defaults_to_false(self, vocab, tmp_path):
+        path = tmp_path / "c.jsonl"
+        path.write_text('{"id": "p", "age": 1, "events": [{"t": "2021-03-01T09:00:00", "m": "a", "v": 10.0}]}\n', encoding="utf-8")
+        assert read_cohort_jsonl(path, vocab)[0].events[0].sleep_flag is False
+
+    def test_participant_id_is_unique(self, vocab, tmp_path):
+        """Two lines with one id once gave one participant's baselines and
+        BMI feature to the other."""
+        path = tmp_path / "c.jsonl"
+        path.write_text('{"id": "p", "age": 1, "events": []}\n{"id": "q", "age": 2, "events": []}\n'
+                        '{"id": "p", "age": 3, "events": []}\n', encoding="utf-8")
+        with pytest.raises(ValueError, match=re.escape(f"""{path}:3: 'id' must be unique in its file, got "p\"""")):
+            read_cohort_jsonl(path, vocab)
+
+    @pytest.mark.parametrize("line, message", [
+        ('{"id": "p", "age": "58", "events": []}', """'age' must be a number, got "58\""""),
+        ('{"id": "p", "age": true, "events": []}', "'age' must be a number, got true"),
+        ('{"id": "", "age": 1, "events": []}', """'id' must be non-empty, got \"\""""),
+        ('{"id": "p", "age": 1, "visits": "2021-01-01", "events": []}', """'visits' must be a list of ISO date-time strings, got "2021-01-01\""""),
+        ('{"id": "p", "age": 1, "events": {}}', "'events' must be a list of objects, got {}"),
+        ('{"id": "p", "age": 1, "events": [], "note": 1}', "has unknown key 'note': its keys are id, age, sex, visits, events"),
+        ('{"id": "p", "age": 1, "events": [{"t": "2021-03-01T09:00:00", "m": "a", "v": true}]}',
+         "event 'a': 'v' must be a number or a string, got true"),
+        ('{"id": "p", "age": 1, "events": [{"t": "2021-13-01", "m": "a", "v": 1.0}]}',
+         """event 'a': 't' must be an ISO date-time string, got "2021-13-01\""""),
+    ], ids=["age-string", "age-bool", "id-empty", "visits-string", "events-object", "unknown-key", "value-bool", "bad-time"])
+    def test_line_breaking_the_table_names_line_and_key(self, vocab, tmp_path, line, message):
+        path = tmp_path / "c.jsonl"
+        path.write_text(line + "\n", encoding="utf-8")
+        with pytest.raises(ValueError, match=re.escape(f"{path}:1{'' if message.startswith('has') else ':'} {message}")):
             read_cohort_jsonl(path, vocab)

@@ -745,7 +745,7 @@ class TestCatalogAndSpecs:
             "name": "demo", "table1": [], "arms": [], "outcome": "ldl", "horizon_months": 12, "n": n,
             "published": {"point": -30.0, "ci_low": -35.0, "ci_high": -25.0},
         }
-        with pytest.raises(ValueError, match=re.escape(f"got {n!r}")):
+        with pytest.raises(ValueError, match=re.escape(f"got {json.dumps(n)}")):
             load_trial_spec(doc, vocab)
 
     def test_published_point_outside_ci_rejected(self, vocab):

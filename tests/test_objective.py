@@ -1,5 +1,6 @@
 import gc
 import math
+import re
 import tracemalloc
 import weakref
 from dataclasses import replace
@@ -786,6 +787,26 @@ class TestConfigFile:
         with pytest.raises(ValueError, match="key=value"):
             parse_config_file(path)
 
+    def test_key_set_twice_rejected(self, tmp_path):
+        """A second `epochs` once won silently over the first."""
+        path = tmp_path / "c.cfg"
+        path.write_text("epochs = 1\nlr = 0.001\nepochs = 2\n", encoding="utf-8")
+        with pytest.raises(ValueError, match=re.escape(f"{path}:3: 'epochs' is set again, after {path}:1")):
+            parse_config_file(path)
+
+    @pytest.mark.parametrize("field, value, rule", [
+        ("noise_chance", math.nan, r"in \[0, 1\]"),
+        ("token_removal_rate", 5.0, r"in \[0, 1\]"),
+        ("modality_subset_fraction", -0.1, r"in \[0, 1\]"),
+        ("modality_exclusion_chance", 1.5, r"in \[0, 1\]"),
+        ("block_removal_blocks", -3, "at least 0"),
+    ])
+    def test_augment_config_rejects_out_of_range_values(self, field, value, rule):
+        """A NaN chance once switched its augmentation off without a word."""
+        with pytest.raises(ValueError, match=f"^{field} must be {rule}, got "):
+            AugmentConfig(**{field: value})
+        AugmentConfig(**{field: 0})  # an in-range value passes
+
     @pytest.mark.parametrize(
         "field, value, rule",
         [
@@ -804,12 +825,18 @@ class TestConfigFile:
             ("clip_norm", -1.0, "non-negative"),
             ("beta1", 1.0, r"in \[0, 1\)"),
             ("beta2", -0.5, r"in \[0, 1\)"),
+            ("peak_lr", math.inf, "finite"),
+            ("eps", math.inf, "finite"),
+            ("min_lr", math.inf, "finite"),
+            ("weight_decay", math.inf, "finite"),
+            ("seed", -1, "non-negative"),
         ],
     )
     def test_train_config_rejects_out_of_range_values(self, field, value, rule):
         """batch_size 0 once ended training in a ZeroDivisionError,
-        val_fraction 1.5 trained on every sequence with no validation, and
-        epochs 0 wrote an untrained checkpoint."""
+        val_fraction 1.5 trained on every sequence with no validation,
+        epochs 0 wrote an untrained checkpoint, and lr inf trained until it
+        diverged."""
         with pytest.raises(ValueError, match=f"^{field} must be {rule}, got "):
             TrainConfig(**{field: value})
         TrainConfig(**{field: 1 if field in ("epochs", "batch_size") else 1e-3})  # an in-range value passes

@@ -17,6 +17,7 @@ NO_PRODUCTION_READER = {
     ("vocab", "decode_token"): "criterion 2's exhaustive token round trip",
     ("vocab", "quantile_match"): "criterion 2's rank-preservation oracle",
     ("synthcohort", "analytic_cross_correlation"): "the planted-structure oracle in test_synthcohort.py",
+    ("intervene", "load_trial_spec"): "trial specs given as dicts, checked as `read_trial_spec` checks a file",
 }
 
 
