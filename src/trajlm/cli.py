@@ -23,11 +23,10 @@ import numpy as np
 
 from . import __version__
 from .checkpoint import load_checkpoint, read_header
-from .corpus import AugmentConfig, InputError, assemble_sequence, read_cohort_jsonl, scan_modalities, write_cohort_jsonl
+from .corpus import AugmentConfig, FieldError, InputError, assemble_sequence, read_cohort_jsonl, scan_modalities, write_cohort_jsonl
 from .evalharness import (
-    MetricReport,
-    ModalityMetrics,
     baseline_predict,
+    compare_baseline,
     crossmodal_sweep,
     longitudinal_pools,
     merge_pools,
@@ -47,7 +46,6 @@ from .intervene import (
 )
 from .model import ModelConfig, param_count
 from .objective import LossConfig, TrainConfig, TrainingDiverged, parse_config_file, train
-from .stats import bh_fdr, fisher_z_compare, pearson_with_ci
 from .synthcohort import build_synth_vocabulary, default_config, generate, save_ground_truth
 from .vocab import build_vocabulary, load_vocabulary, save_vocabulary
 
@@ -140,7 +138,11 @@ def cmd_synth(args) -> int:
 
 
 def cmd_build_vocab(args) -> int:
-    vocab = build_vocabulary(scan_modalities(_require_file(args.cohort, "cohort")))
+    raw = scan_modalities(_require_file(args.cohort, "cohort"))
+    try:
+        vocab = build_vocabulary(raw)
+    except ValueError as e:
+        raise InputError(f"{args.cohort}: {e}") from None
     save_vocabulary(vocab, args.out)
     print(f"built vocabulary: {vocab.n_modalities} modalities, {vocab.total_tokens} tokens (pad {vocab.pad_token})")
     return 0
@@ -149,9 +151,10 @@ def cmd_build_vocab(args) -> int:
 def cmd_tokenize(args) -> int:
     vocab = load_vocabulary(_require_file(args.vocab, "vocabulary"))
     records = read_cohort_jsonl(_require_file(args.cohort, "cohort"), vocab)
+    # encode everyone first: an event its modality cannot encode leaves no partial file
+    seqs = [assemble_sequence(rec, vocab, args.max_len) for rec in records]
     with open(args.out, "w", encoding="utf-8", newline="\n") as f:
-        for rec in records:
-            seq = assemble_sequence(rec, vocab, args.max_len)
+        for rec, seq in zip(records, seqs):
             row = {
                 "id": rec.participant_id,
                 "tokens": seq.tokens.tolist(),
@@ -218,9 +221,11 @@ _CONFIG_KEYS = {
 
 def build_configs(flat: dict[str, str], vocab) -> tuple[ModelConfig, LossConfig, TrainConfig, AugmentConfig]:
     """The configs a `parse_config_file` result sets; a key outside
-    `_CONFIG_KEYS`, or a value its key cannot read, is an InputError naming
-    the file, the line and the key."""
+    `_CONFIG_KEYS`, a value its key cannot read, or a value that breaks its
+    config field's rule is an InputError naming the file, the line and the
+    key."""
     buckets: dict[str, dict] = {"model": {}, "train": {}, "loss": {}, "aug": {}}
+    keys = {}  # config field -> the key that set it
     for key, value in flat.items():
         if key not in _CONFIG_KEYS:
             raise InputError(f"{flat.where[key]}: unknown config key {key!r}")
@@ -229,16 +234,24 @@ def build_configs(flat: dict[str, str], vocab) -> tuple[ModelConfig, LossConfig,
             buckets[bucket][name] = read(value)
         except ValueError:
             raise InputError(f"{flat.where[key]}: {key!r} must be {_READS[read]}, got {value!r}") from None
+        keys[name] = key
     train_kw = buckets["train"]
     gamma = train_kw.pop("_gamma", None)
     if gamma is not None:
         if not 0 <= gamma < math.inf:
             raise InputError(f"{flat.where['gamma']}: 'gamma' must be finite and non-negative, got {gamma}")
         train_kw.setdefault("min_lr", gamma * train_kw.get("peak_lr", TrainConfig.peak_lr))
-    model = ModelConfig(vocab_size=vocab.total_tokens, n_modalities=vocab.n_modalities, **buckets["model"])
-    train_cfg = TrainConfig(**train_kw)
-    loss = LossConfig(**buckets["loss"])
-    aug = AugmentConfig(**buckets["aug"])
+    try:
+        model = ModelConfig(vocab_size=vocab.total_tokens, n_modalities=vocab.n_modalities, **buckets["model"])
+        train_cfg = TrainConfig(**train_kw)
+        loss = LossConfig(**buckets["loss"])
+        aug = AugmentConfig(**buckets["aug"])
+    except FieldError as e:
+        if e.field in keys:
+            key = keys[e.field]
+            raise InputError(f"{flat.where[key]}: {key!r} must be {e.rule}, got {e.value!r}") from None
+        # a field no line sets keeps its valid default, but for min_lr set from gamma
+        raise InputError(f"{flat.where['gamma']}: min_lr = gamma * lr: {e}") from None
     return model, train_cfg, loss, aug
 
 
@@ -324,49 +337,20 @@ def cmd_eval_longitudinal(args) -> int:
 
     summary: dict = {"model_median_r": report.median_r(), **meta}
     train_records = None
-    # the linear baseline's BMI feature, when the vocabulary has a modality named bmi
-    bmi = "bmi" if any(m.name == "bmi" for m in vocab.modalities) else None
     if args.train_cohort:
         train_records = read_cohort_jsonl(_require_file(args.train_cohort, "train cohort"), vocab)
     for kind in baselines:
         if kind == "linear" and train_records is None:
             print("skipping linear baseline: no --train-cohort given", file=sys.stderr)
             continue
-        preds, skipped = baseline_predict(kind, train_records or [], records, vocab, bmi)
-        rows = MetricReport()
-        comparisons = []
-        for m, pool in sorted(pools.items()):
-            if m not in preds:
-                continue
-            pids, model_preds, trues = pool
-            keep = [i for i, pid in enumerate(pids) if pid in preds[m]]
-            if len(keep) < 4:
-                continue
-            bx = [preds[m][pids[i]] for i in keep]
-            by = [trues[i] for i in keep]
-            try:
-                r, p, ci = pearson_with_ci(bx, by)
-            except ValueError:
-                continue
-            name = vocab.modalities[m].name
-            rows.rows.append(ModalityMetrics(m, name, "continuous", len(keep), r, p, ci[0], ci[1]))
-            # model-vs-baseline correlation difference on the same participants
-            try:
-                r_model, _, _ = pearson_with_ci([model_preds[i] for i in keep], by)
-                clip = lambda v: float(np.clip(v, -0.999999, 0.999999))
-                z, zp = fisher_z_compare(clip(r_model), clip(r), len(keep))
-                comparisons.append({"modality": name, "model_r": r_model, f"{kind}_r": r, "z": z, "p": zp})
-            except ValueError:
-                pass
+        preds, skipped = baseline_predict(kind, train_records or [], records, vocab)
+        rows, comparisons = compare_baseline(pools, preds, vocab, kind)
         out = f"{args.report}.{kind}.csv"
         write_metric_csv(rows, out, meta)
         summary[f"{kind}_median_r"] = rows.median_r()
         if skipped:
             summary[f"{kind}_skipped"] = skipped
         if comparisons:
-            flags = bh_fdr([c["p"] for c in comparisons], 0.05)
-            for c, flag in zip(comparisons, flags):
-                c["significant_fdr05"] = bool(flag)
             summary[f"{kind}_comparisons"] = comparisons
         print(f"{kind} baseline -> {out} (median r {rows.median_r():.3f})")
     if args.json:

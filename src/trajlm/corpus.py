@@ -21,6 +21,7 @@ from .vocab import CATEGORICAL, CONTINUOUS, RawModality, Vocabulary, encode_valu
 
 __all__ = [
     "InputError",
+    "FieldError",
     "check_fields",
     "of",
     "finite",
@@ -58,13 +59,21 @@ class InputError(ValueError):
     (and the line, in a cohort or config file) and the key."""
 
 
+class FieldError(ValueError):
+    """A config `field` whose `value` breaks its `rule`."""
+
+    def __init__(self, field: str, rule: str, value):
+        super().__init__(f"{field} must be {rule}, got {value!r}")
+        self.field, self.rule, self.value = field, rule, value
+
+
 def check_fields(config, rules: dict) -> None:
-    """Raise ValueError naming the first field that breaks its rule; `rules`
+    """Raise FieldError naming the first field that breaks its rule; `rules`
     maps a rule's wording to (test, field names)."""
     for rule, (ok, names) in rules.items():
         for name in names:
             if not ok(getattr(config, name)):  # NaN fails every rule
-                raise ValueError(f"{name} must be {rule}, got {getattr(config, name)!r}")
+                raise FieldError(name, rule, getattr(config, name))
 
 
 # --- input tables ---------------------------------------------------------------
@@ -133,9 +142,20 @@ class Table(dict):
     """A format's table: each key an object may hold, with its Key."""
 
     def load(self, path, where: str) -> dict:
-        """The JSON document in the file at `path`, checked."""
+        """The JSON document in the file at `path`, checked; an object that
+        gives a key twice is an InputError naming the key."""
+        def once(pairs: list) -> dict:
+            for i, (key, _) in enumerate(pairs):
+                if any(k == key for k, _ in pairs[:i]):
+                    raise InputError(f"{where}: {key!r} is given twice")
+            return dict(pairs)
+
         with open(path, encoding="utf-8") as f:
-            return self.check(_parse(f.read(), where), where)
+            text = f.read()
+        try:
+            return self.check(json.loads(text, object_pairs_hook=once), where)
+        except json.JSONDecodeError as e:
+            raise InputError(f"malformed JSON in {where}: {e}") from None
 
     def check(self, doc, where: str) -> dict:
         """The object `doc` checked: each key's value as its Key reads it,

@@ -22,7 +22,7 @@ from .model import (
     value_scale_table,
 )
 from .numerics import Tensor
-from .stats import pearson_with_ci
+from .stats import bh_fdr, fisher_z_compare, pearson_with_ci
 from .vocab import CONTINUOUS, Vocabulary, encode_value
 
 __all__ = [
@@ -35,8 +35,8 @@ __all__ = [
     "within_visit_pools",
     "longitudinal_pools",
     "plan_queries",
-    "longitudinal_pairs",
     "baseline_predict",
+    "compare_baseline",
     "crossmodal_sweep",
     "write_csv",
     "write_metric_csv",
@@ -175,43 +175,18 @@ def merge_pools(parts):
 
 
 def _visit_values(rec: ParticipantRecord, vocab: Vocabulary):
-    """Each continuous modality's last visit-1 and first visit-2 (time, value)
-    in a two-visit record, events taken in (time, modality) order."""
+    """In a two-visit record, each modality's last visit-1 value and each
+    continuous modality's first visit-2 (time, value), events taken in
+    (time, modality) order."""
     v2_start = rec.visit_timestamps[1]
-    last_v1: dict[int, tuple[datetime, float]] = {}
+    last_v1: dict[int, float | str] = {}
     first_v2: dict[int, tuple[datetime, float]] = {}
     for ev in sorted(rec.events, key=lambda e: (e.timestamp, e.modality)):
-        if vocab.modalities[ev.modality].kind != CONTINUOUS:
-            continue
         if ev.timestamp < v2_start:
-            last_v1[ev.modality] = (ev.timestamp, float(ev.value))
-        elif ev.modality not in first_v2:
+            last_v1[ev.modality] = ev.value
+        elif ev.modality not in first_v2 and vocab.modalities[ev.modality].kind == CONTINUOUS:
             first_v2[ev.modality] = (ev.timestamp, float(ev.value))
     return last_v1, first_v2
-
-
-def longitudinal_pairs(records: list[ParticipantRecord], vocab: Vocabulary):
-    """V1 -> V2 value pairs per modality, for aligned model/baseline scoring.
-
-    For each two-visit participant and each modality observed in both visits,
-    uses the last V1 value and the first V2 value.
-    """
-    pairs: dict[int, list[dict]] = {}
-    for rec in records:
-        if len(rec.visit_timestamps) < 2:
-            continue
-        last_v1, first_v2 = _visit_values(rec, vocab)
-        for m in sorted(set(last_v1) & set(first_v2)):
-            pairs.setdefault(m, []).append(
-                {
-                    "pid": rec.participant_id,
-                    "age": rec.age,
-                    "sex": rec.sex,
-                    "v1_value": last_v1[m][1],
-                    "v2_value": first_v2[m][1],
-                }
-            )
-    return pairs
 
 
 def predict_queries(
@@ -338,71 +313,82 @@ def longitudinal_pools(
     return pools
 
 
+def _baseline_pairs(records: list[ParticipantRecord], vocab: Vocabulary):
+    """Each continuous modality's V1 -> V2 pairs (`_visit_values`) as (pids,
+    V1 values, design rows, V2 values).  A design row is an intercept, the V1
+    value's token, age, sex and the BMI token: the last V1 token of the
+    vocabulary's `bmi` modality, 0 when there is none."""
+    bmi = next((m.id for m in vocab.modalities if m.name == "bmi"), None)
+    pairs: dict[int, tuple[list, list, list, list]] = {}
+    for rec in records:
+        if len(rec.visit_timestamps) < 2:
+            continue
+        last_v1, first_v2 = _visit_values(rec, vocab)
+        bmi_token = float(encode_value(vocab, bmi, last_v1[bmi])) if bmi in last_v1 else 0.0
+        for m in sorted(set(last_v1) & set(first_v2)):
+            v1 = float(last_v1[m])
+            pids, v1s, rows, v2s = pairs.setdefault(m, ([], [], [], []))
+            pids.append(rec.participant_id)
+            v1s.append(v1)
+            rows.append([1.0, encode_value(vocab, m, v1), int(rec.age), SEX_INDEX[rec.sex], bmi_token])
+            v2s.append(first_v2[m][1])
+    return pairs
+
+
 def baseline_predict(
     kind: str,
     train_records: list[ParticipantRecord],
     test_records: list[ParticipantRecord],
     vocab: Vocabulary,
-    bmi_modality: str | None = None,
 ):
-    """Forecasting baselines for the V1 -> V2 task.
-
-    'locf' copies the V1 value; 'linear' fits per-modality OLS on four discrete
-    token features (V1 value token, age, gender, BMI token; 0 when missing).
-    The BMI token is the last pre-V2 token of `bmi_modality` (`eval-longitudinal`
-    passes the vocabulary's `bmi` modality when it has one).
-    Returns {modality_id: {pid: prediction}} plus a list of skipped modalities:
-    'linear' skips a modality with fewer than 5 training pairs.
-    """
-    test_pairs = longitudinal_pairs(test_records, vocab)
+    """Forecasting baselines for the V1 -> V2 task: 'locf' copies the V1
+    value, 'linear' fits per-modality OLS on `_baseline_pairs`' design rows.
+    Returns {modality_id: {pid: prediction}} and the skipped modalities'
+    names: 'linear' skips a modality with fewer than 5 training pairs."""
+    if kind not in ("locf", "linear"):
+        raise ValueError(f"unknown baseline kind {kind!r}")
+    test = _baseline_pairs(test_records, vocab)
+    if kind == "locf":
+        return {m: dict(zip(pids, v1s)) for m, (pids, v1s, _, _) in test.items()}, []
+    train = _baseline_pairs(train_records, vocab)
     out: dict[int, dict[str, float]] = {}
     skipped: list[str] = []
-
-    if kind == "locf":
-        for m, rows in test_pairs.items():
-            out[m] = {row["pid"]: row["v1_value"] for row in rows}
-        return out, skipped
-
-    if kind != "linear":
-        raise ValueError(f"unknown baseline kind {kind!r}")
-
-    bmi_id = vocab.modality(bmi_modality).id if bmi_modality is not None else None
-
-    def bmi_tokens(records):
-        # last pre-V2 BMI token per participant; 0 when absent
-        vals: dict[str, float] = {}
-        if bmi_id is None:
-            return vals
-        for rec in records:
-            if len(rec.visit_timestamps) < 2:
-                continue
-            v2 = rec.visit_timestamps[1]
-            for ev in sorted(rec.events, key=lambda e: e.timestamp):
-                if ev.modality == bmi_id and ev.timestamp < v2:
-                    vals[rec.participant_id] = float(encode_value(vocab, bmi_id, ev.value))
-        return vals
-
-    def design(m, rows, bmi_values):  # an intercept column, then the four features
-        return np.array(
-            [[1.0, encode_value(vocab, m, r["v1_value"]), int(r["age"]), SEX_INDEX[r["sex"]], bmi_values.get(r["pid"], 0.0)]
-             for r in rows],
-            dtype=np.float64,
-        )
-
-    train_pairs = longitudinal_pairs(train_records, vocab)
-    train_bmi = bmi_tokens(train_records)
-    test_bmi = bmi_tokens(test_records)
-
-    for m, rows in test_pairs.items():
-        train_rows = train_pairs.get(m, [])
+    for m, (pids, _, rows, _) in test.items():
+        _, _, train_rows, y = train.get(m, ((), (), [], []))
         if len(train_rows) < 5:
             skipped.append(vocab.modalities[m].name)
             continue
-        y = np.array([row["v2_value"] for row in train_rows])
-        coef, *_ = np.linalg.lstsq(design(m, train_rows, train_bmi), y, rcond=None)
-        preds = design(m, rows, test_bmi) @ coef
-        out[m] = {row["pid"]: float(p) for row, p in zip(rows, preds)}
+        coef, *_ = np.linalg.lstsq(np.array(train_rows, dtype=np.float64), np.array(y), rcond=None)
+        out[m] = dict(zip(pids, map(float, np.array(rows, dtype=np.float64) @ coef)))
     return out, skipped
+
+
+def compare_baseline(pools, preds, vocab: Vocabulary, kind: str):
+    """(report, comparisons) of a baseline's `preds` on the model's own
+    V1 -> V2 pairs `pools`: each modality with at least 4 pairs the baseline
+    predicts gets a row, its Pearson r, and a Fisher z comparison with the
+    model's r on those pairs, flagged `significant_fdr05` by BH at 5%."""
+    report, comparisons = MetricReport(), []
+    for m, (pids, model, trues) in sorted(pools.items()):
+        keep = [i for i, pid in enumerate(pids) if pid in preds.get(m, ())]
+        if len(keep) < 4:
+            continue
+        truth = [trues[i] for i in keep]
+        try:
+            r, p, ci = pearson_with_ci([preds[m][pids[i]] for i in keep], truth)
+        except ValueError:
+            continue
+        name = vocab.modalities[m].name
+        report.rows.append(ModalityMetrics(m, name, CONTINUOUS, len(keep), r, p, *ci))
+        try:
+            r_model = pearson_with_ci([model[i] for i in keep], truth)[0]
+            z, zp = fisher_z_compare(*(float(np.clip(v, -0.999999, 0.999999)) for v in (r_model, r)), len(keep))
+        except ValueError:
+            continue
+        comparisons.append({"modality": name, "model_r": r_model, f"{kind}_r": r, "z": z, "p": zp})
+    for c, flag in zip(comparisons, bh_fdr([c["p"] for c in comparisons], 0.05)):
+        c["significant_fdr05"] = bool(flag)
+    return report, comparisons
 
 
 def crossmodal_sweep(

@@ -65,9 +65,8 @@ class ModelConfig:
             "non-negative": (lambda x: x >= 0, ("n_value_extras",)),
             "in [0, 1)": (lambda x: 0 <= x < 1, ("dropout",)),
             "finite and positive": (lambda x: 0 < x < math.inf, ("logit_clamp",)),
+            "even": (lambda x: x % 2 == 0, ("d_model", "cont_pe_dim")),
         })
-        if self.cont_pe_dim % 2 or self.d_model % 2:
-            raise ValueError("d_model and cont_pe_dim must be even")
         sizes = self.temporal_vocab_sizes
         if len(sizes) != 7 or any(s < need for s, need in zip(sizes, TEMPORAL_VOCAB_SIZES)):
             raise ValueError(

@@ -46,18 +46,10 @@ def _frame(title: str, xlabel: str, ylabel: str) -> list[str]:
     ]
 
 
-def scatter_svg(path, xs, ys, title="", xlabel="", ylabel="", diagonal=False) -> None:
+def scatter_svg(path, xs, ys, title="", xlabel="", ylabel="") -> None:
     xmin, xmax = _scale(list(xs))
     ymin, ymax = _scale(list(ys))
     parts = _frame(title, xlabel, ylabel)
-    if diagonal:
-        lo = max(xmin, ymin)
-        hi = min(xmax, ymax)
-        parts.append(
-            f'<line x1="{_x(lo, xmin, xmax):.2f}" y1="{_y(lo, ymin, ymax):.2f}" '
-            f'x2="{_x(hi, xmin, xmax):.2f}" y2="{_y(hi, ymin, ymax):.2f}" '
-            'stroke="grey" stroke-dasharray="4"/>'
-        )
     for x, y in zip(xs, ys):
         parts.append(
             f'<circle cx="{_x(x, xmin, xmax):.2f}" cy="{_y(y, ymin, ymax):.2f}" r="3" '

@@ -215,7 +215,10 @@ def build_vocabulary(raw: list[RawModality]) -> Vocabulary:
                 raise ValueError(f"continuous modality {r.name!r} has no training values")
             arr = np.asarray(r.values, dtype=float)
             n_distinct = len(np.unique(arr))
-            k = choose_bin_count(arr.size, float(arr.std()), r.bin_count, n_distinct)
+            try:
+                k = choose_bin_count(arr.size, float(arr.std()), r.bin_count, n_distinct)
+            except ValueError as e:
+                raise ValueError(f"continuous modality {r.name!r}: {e}") from None
             edges, mids, qranges, sd = fit_bins(arr, k)
             spec = ModalitySpec(
                 id=idx,

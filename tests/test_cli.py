@@ -23,6 +23,7 @@ from trajlm.intervene import (
     simulate_cohort,
 )
 from trajlm.objective import TrainingDiverged
+from trajlm.vocab import load_vocabulary
 
 TRAIN_CONFIG = """
 n_embd = 16
@@ -182,6 +183,29 @@ class TestVocabAndTokenize:
         assert all(name in err for name in names), err
         assert not out.exists()
 
+    def test_tokenize_encodes_every_participant_before_writing(self, workspace, tmp_path, capsys):
+        """A value its modality cannot encode on the second line once left
+        the first line's row behind."""
+        lines = workspace["cohort"].read_text(encoding="utf-8").splitlines()[:2]
+        lines[1] = json.dumps(_set_visit1(json.loads(lines[1]), "x_core", "high"))
+        cohort, out = tmp_path / "cohort.jsonl", tmp_path / "tokens.jsonl"
+        cohort.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        assert main(["tokenize", "--cohort", str(cohort), "--vocab", str(workspace["vocab"]), "--out", str(out)]) == 1
+        assert "cannot encode event" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_build_vocab_names_the_file_and_modality_of_a_single_value(self, tmp_path, capsys):
+        """A continuous modality with one value once failed naming neither."""
+        at = "2021-03-01T09:00:00"
+        events = [{"t": at, "m": "x", "v": 1.0}, {"t": at, "m": "x", "v": 2.0}, {"t": at, "m": "y", "v": 5.0}]
+        cohort, out = tmp_path / "raw.jsonl", tmp_path / "v.json"
+        cohort.write_text(json.dumps({"id": "a", "age": 50, "events": events}) + "\n", encoding="utf-8")
+        assert main(["build-vocab", "--cohort", str(cohort), "--out", str(out)]) == 1
+        assert capsys.readouterr().err == (
+            f"error: {cohort}: continuous modality 'y': insufficient data: need at least 2 samples, got 1\n"
+        )
+        assert not out.exists()
+
     def test_missing_cohort_is_error(self, tmp_path, capsys):
         rc = main(["build-vocab", "--cohort", str(tmp_path / "nope.jsonl"), "--out", str(tmp_path / "v.json")])
         assert rc == 1
@@ -243,7 +267,7 @@ class TestTrain:
         rc = main(["train", "--cohort", str(workspace["cohort"]), "--vocab", str(workspace["vocab"]),
                    "--config", str(config), "--out", str(out)])
         assert rc == 1
-        assert capsys.readouterr().err == "error: ValueError: batch_size must be at least 1, got 0\n"
+        assert capsys.readouterr().err == f"error: {config}:12: 'batch_size' must be at least 1, got 0\n"
         assert not out.exists()
 
     @pytest.mark.parametrize(
@@ -257,15 +281,17 @@ class TestTrain:
         ],
     )
     def test_out_of_range_loss_or_epochs_is_error(self, workspace, tmp_path, capsys, line, bad, message):
+        """`message` is the config field's own rule error; the CLI says it of
+        the key the file gives, at its line."""
         config = tmp_path / "bad.cfg"
         config.write_text(TRAIN_CONFIG.replace(line, bad), encoding="utf-8")
         out = tmp_path / "x.ckpt"
         rc = main(["train", "--cohort", str(workspace["cohort"]), "--vocab", str(workspace["vocab"]),
                    "--config", str(config), "--out", str(out)])
         assert rc == 1
-        assert capsys.readouterr().err == f"error: ValueError: {message}\n"
+        key, at = bad.split(" = ")[0], TRAIN_CONFIG.splitlines().index(line) + 1
+        assert capsys.readouterr().err == f"error: {config}:{at}: {key!r} must {message.split(' must ', 1)[1]}\n"
         assert not out.exists()
-
 
     @pytest.mark.parametrize("edit, message", [
         (("epochs = 1", "epochs = abc"), "{cfg}:11: 'epochs' must be an integer, got 'abc'"),
@@ -273,15 +299,24 @@ class TestTrain:
         (("SL_sigma = 0.01", "random_block_removal_number = 2.5"), "{cfg}:15: 'random_block_removal_number' must be a whole number, got '2.5'"),
         (("SL_sigma = 0.01", "epochs = 3"), "{cfg}:15: 'epochs' is set again, after {cfg}:11"),
         (("SL_sigma = 0.01", "n_embed = 16"), "{cfg}:15: unknown config key 'n_embed'"),
-        (("lr = 0.002", "lr = inf"), "ValueError: peak_lr must be finite, got inf"),
-        (("augmentation_chance = 0.0", "augmentation_chance = nan"), "ValueError: noise_chance must be in [0, 1], got nan"),
-        (("SL_sigma = 0.01", "random_removal_rate = 5.0"), "ValueError: token_removal_rate must be in [0, 1], got 5.0"),
-        (("SL_sigma = 0.01", "random_block_removal_number = -3"), "ValueError: block_removal_blocks must be at least 0, got -3"),
-    ], ids=["integer", "number", "whole", "twice", "unknown", "lr-inf", "chance-nan", "rate", "blocks"])
+        (("lr = 0.002", "lr = inf"), "{cfg}:9: 'lr' must be finite, got inf"),
+        (("augmentation_chance = 0.0", "augmentation_chance = nan"), "{cfg}:16: 'augmentation_chance' must be in [0, 1], got nan"),
+        (("SL_sigma = 0.01", "random_removal_rate = 5.0"), "{cfg}:15: 'random_removal_rate' must be in [0, 1], got 5.0"),
+        (("SL_sigma = 0.01", "random_block_removal_number = -3"), "{cfg}:15: 'random_block_removal_number' must be at least 0, got -3"),
+        (("n_heads = 2", "n_heads = 0"), "{cfg}:4: 'n_heads' must be positive, got 0"),
+        (("lr = 0.002", "lr = 0"), "{cfg}:9: 'lr' must be positive, got 0.0"),
+        (("SL_sigma = 0.01", "mae_loss_scale = -1"), "{cfg}:15: 'mae_loss_scale' must be finite and non-negative, got -1.0"),
+        (("augmentation_chance = 0.0", "augmentation_chance = 1.5"), "{cfg}:16: 'augmentation_chance' must be in [0, 1], got 1.5"),
+        (("lr = 0.002\ngamma = 0.1", "lr = inf\ngamma = 0"), "{cfg}:10: min_lr = gamma * lr: min_lr must be non-negative, got nan"),
+    ], ids=["integer", "number", "whole", "twice", "unknown", "lr-inf", "chance-nan", "rate", "blocks",
+            "model-rule", "train-rule", "loss-rule", "aug-rule", "gamma-sets-min-lr"])
     def test_bad_config_line_is_one_error_naming_the_key(self, workspace, tmp_path, capsys, edit, message):
         """`epochs = abc` once ended as a bare int() error naming neither file
         nor key, a second key won silently, and `lr = inf` trained until it
-        diverged."""
+        diverged.  A value that breaks its config field's rule (the four
+        `-rule` cases, one per config) once printed the dataclass field's
+        name, as in `ValueError: peak_lr must be positive`, with no file or
+        line."""
         config = tmp_path / "bad.cfg"
         config.write_text(TRAIN_CONFIG.replace(*edit), encoding="utf-8")
         out = tmp_path / "x.ckpt"
@@ -361,12 +396,45 @@ class TestEval:
         assert report.exists()
         assert (tmp_path / "long.csv.locf.csv").exists()
 
+    def test_eval_longitudinal_summary_is_pinned(self, workspace, tmp_path):
+        """long.json on the workspace model: the medians, the linear
+        baseline's skipped modality (a train cohort that keeps aux_5 in 4
+        participants, one short of a fit), and each comparison's keys and
+        Benjamini-Hochberg flag, in modality order."""
+        lines = [json.loads(line) for line in workspace["cohort"].read_text(encoding="utf-8").splitlines()]
+        train = tmp_path / "train.jsonl"
+        train.write_text("".join(
+            json.dumps({**doc, "events": [e for e in doc["events"] if e["m"] != "aux_5" or i < 4]}) + "\n"
+            for i, doc in enumerate(lines)
+        ), encoding="utf-8")
+        summary = tmp_path / "long.json"
+        assert main(["eval-longitudinal", "--ckpt", str(workspace["ckpt"]), "--cohort", str(workspace["cohort"]),
+                     "--vocab", str(workspace["vocab"]), "--baselines", "locf,linear", "--train-cohort", str(train),
+                     "--report", str(tmp_path / "long.csv"), "--json", str(summary)]) == 0
+        doc = json.loads(summary.read_text())
+        pinned = {"model_median_r": 0.2262442957886076, "locf_median_r": 0.8677504356554577,
+                  "linear_median_r": 0.6222003122695601}
+        assert {k: doc[k] for k in pinned} == pytest.approx(pinned, rel=1e-6)
+        assert "locf_skipped" not in doc and doc["linear_skipped"] == ["aux_5"]
+        every = "x_core y_double d_drift t_target b_control aux_1 aux_2 aux_3 aux_4 aux_5 aux_6 aux_7".split()
+        flags = {  # kind: (the modalities compared, those significant)
+            "locf": (every, [m for m in every if m != "aux_5"]),
+            "linear": ([m for m in every if m != "aux_5"], "d_drift t_target aux_2 aux_4 aux_6 aux_7".split()),
+        }
+        for kind, (compared, significant) in flags.items():
+            comparisons = doc[f"{kind}_comparisons"]
+            assert all(sorted(c) == sorted(["modality", "model_r", f"{kind}_r", "z", "p", "significant_fdr05"])
+                       for c in comparisons)
+            assert [c["modality"] for c in comparisons] == compared
+            assert [c["modality"] for c in comparisons if c["significant_fdr05"]] == significant
+
     def test_eval_longitudinal_feeds_a_bmi_modality_to_the_linear_baseline(self, workspace, tmp_path, monkeypatch):
-        """The linear baseline gets `bmi_modality="bmi"` when the vocabulary
-        has that modality, and None otherwise (the synthetic vocabulary)."""
-        seen = []
-        baseline_predict = cli.baseline_predict
-        monkeypatch.setattr(cli, "baseline_predict", lambda *a: seen.append((a[0], a[4:])) or baseline_predict(*a))
+        """The linear baseline's BMI column holds a token of the vocabulary's
+        `bmi` modality when it has one (aux_1 renamed), and is 0 otherwise
+        (the synthetic vocabulary)."""
+        designs = []
+        lstsq = np.linalg.lstsq
+        monkeypatch.setattr(np.linalg, "lstsq", lambda a, b, rcond: designs.append(a) or lstsq(a, b, rcond=rcond))
         renamed = {}
         for key in ("cohort", "vocab"):
             renamed[key] = tmp_path / workspace[key].name
@@ -375,11 +443,17 @@ class TestEval:
         assert main(["train", "--cohort", str(renamed["cohort"]), "--vocab", str(renamed["vocab"]),
                      "--config", str(workspace["root"] / "train.cfg"), "--out", str(ckpt),
                      "--log", str(tmp_path / "log.csv")]) == 0
+        bmi_columns = []
         for model in ((workspace["ckpt"], workspace["cohort"], workspace["vocab"]), (ckpt, *renamed.values())):
+            designs.clear()
             assert main(["eval-longitudinal", "--ckpt", str(model[0]), "--cohort", str(model[1]),
                          "--vocab", str(model[2]), "--baselines", "locf,linear", "--train-cohort", str(model[1]),
                          "--report", str(tmp_path / "long.csv")]) == 0
-        assert seen == [("locf", (None,)), ("linear", (None,)), ("locf", ("bmi",)), ("linear", ("bmi",))]
+            assert designs  # one fit per modality
+            bmi_columns.append(np.concatenate([d[:, 4] for d in designs]))
+        bmi = load_vocabulary(renamed["vocab"]).modality("bmi")
+        assert not bmi_columns[0].any()
+        assert set(bmi_columns[1]) <= set(range(bmi.cum_base, bmi.cum_base + bmi.n_tokens))
 
     def test_unknown_baseline_fails_before_inference(self, workspace, tmp_path, capsys):
         report = tmp_path / "long.csv"

@@ -12,7 +12,6 @@ from trajlm.evalharness import (
     crossmodal_sweep,
     decode_block,
     decode_expected,
-    longitudinal_pairs,
     longitudinal_pools,
     plan_queries,
     pool_metrics,
@@ -23,7 +22,7 @@ from trajlm.evalharness import (
 from trajlm import numerics as nm
 from trajlm.model import Causal, ModelConfig, build_mask, forward, init_params, value_scale_table
 from trajlm.stats import pearson_with_ci
-from trajlm.vocab import RawModality, build_vocabulary
+from trajlm.vocab import RawModality, build_vocabulary, encode_value
 
 
 @pytest.fixture(scope="module")
@@ -140,12 +139,12 @@ def two_visit_cohort(vocab, n=30, seed=5, drift=6.0):
 
 class TestBaselines:
     def test_locf_copies_v1(self, vocab):
+        """Each two-visit participant's last V1 value of each continuous
+        modality it measures in both visits, and nothing for the categorical
+        one."""
         records = two_visit_cohort(vocab, n=5)
         preds, skipped = baseline_predict("locf", [], records, vocab)
-        pairs = longitudinal_pairs(records, vocab)
-        for m, rows in pairs.items():
-            for row in rows:
-                assert preds[m][row["pid"]] == row["v1_value"]
+        assert preds == {1: {rec.participant_id: rec.events[0].value for rec in records}}
         assert skipped == []
 
     def test_locf_single_example(self, vocab):
@@ -167,9 +166,9 @@ class TestBaselines:
             v2ev = [e for e in rec.events if e.modality == 1][1]
             v2ev.value = v1.value
         preds, skipped = baseline_predict("linear", records, records, vocab)
-        pairs = longitudinal_pairs(records, vocab)
-        xs = [preds[1][row["pid"]] for row in pairs[1]]
-        ys = [row["v2_value"] for row in pairs[1]]
+        assert preds.keys() == {1} and preds[1].keys() == {rec.participant_id for rec in records}
+        xs = [preds[1][rec.participant_id] for rec in records]
+        ys = [rec.events[2].value for rec in records]
         from trajlm.stats import pearson_with_ci
 
         # 8-bin token quantization caps the recoverable correlation
@@ -185,13 +184,10 @@ class TestBaselines:
         assert preds == {}
 
     def test_linear_fits_on_the_bmi_token_when_named(self, monkeypatch):
+        """The design's BMI column holds the last V1 token of the vocabulary's
+        `bmi` modality; the same values under another name leave it 0."""
         rng = np.random.default_rng(11)
-        vocab = build_vocabulary(
-            [
-                RawModality("wide", "continuous", values=list(rng.normal(100, 10, 600)), bin_count=8),
-                RawModality("bmi", "continuous", values=list(rng.normal(28, 4, 600)), bin_count=8),
-            ]
-        )
+        wide, bmis = list(rng.normal(100, 10, 600)), list(rng.normal(28, 4, 600))
         t0 = datetime(2021, 1, 4, 9, 0)
         v2 = t0 + timedelta(days=730)
         records = []
@@ -202,13 +198,18 @@ class TestBaselines:
         designs = []
         lstsq = np.linalg.lstsq
         monkeypatch.setattr(np.linalg, "lstsq", lambda a, b, rcond: designs.append(a) or lstsq(a, b, rcond=rcond))
-        without, _ = baseline_predict("linear", records, records, vocab)
-        with_bmi, _ = baseline_predict("linear", records, records, vocab, bmi_modality="bmi")
+        preds = {}
+        for name in ("mass", "bmi"):
+            vocab = build_vocabulary([
+                RawModality("wide", "continuous", values=wide, bin_count=8),
+                RawModality(name, "continuous", values=bmis, bin_count=8),
+            ])
+            preds[name], _ = baseline_predict("linear", records, records, vocab)
         # design columns: intercept, V1 token, age, sex, BMI token
         assert len(designs) == 2
         assert not designs[0][:, 4].any()
-        assert designs[1][:, 4].min() > 0
-        assert with_bmi[0] != without[0]
+        assert designs[1][:, 4].tolist() == [encode_value(vocab, 1, rec.events[1].value) for rec in records]
+        assert preds["bmi"][0] != preds["mass"][0]
 
     def test_unknown_kind(self, vocab):
         with pytest.raises(ValueError, match="unknown baseline"):

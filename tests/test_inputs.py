@@ -9,8 +9,8 @@ in one of two ways:
 
 - rejected: the command exits 1 with one `error:` line (the reader raises one
   ValueError) that names the key, and the file unless it is a rule that a
-  spec or config object keeps for itself (`error: ValueError: <field> ...`),
-  and it writes nothing;
+  spec object keeps for itself (`error: ValueError: <field> ...`), and it
+  writes nothing;
 - accepted: the run succeeds, and when the change leaves out an optional key
   that held its default, every output equals the valid document's.
 
@@ -256,7 +256,6 @@ def test_training_config(desk, tmp_path, capsys, monkeypatch):
     training records the configs it was given."""
     given = []
     monkeypatch.setattr(cli, "train", lambda *args, **kwargs: given.append(args[2:6]) or (None, [], math.nan))
-    field = {key: "min_lr" if key == "gamma" else name for key, (_, name, _) in cli._CONFIG_KEYS.items()}
 
     def train(lines, n):
         path = tmp_path / f"t{n}.cfg"
@@ -275,8 +274,23 @@ def test_training_config(desk, tmp_path, capsys, monkeypatch):
         for new in ("abc", "", "nan", "inf", "-inf", "-1", "2.5"):
             must = new in ("abc", "", "nan") or (new == "2.5" and key in WHOLE_CONFIG)
             cases.append((f"{key} = {new}", lines[:i] + [f"{key} = {new}"] + lines[i + 1:], key, new, must, False))
-    for n, (what, changed, key, new, reject, same) in enumerate(cases):
-        path, outcome = train(changed, n)
-        if outcome[0] == "rejected" and not names(outcome[1], key):
-            key = field[key]  # a range rule names the field the key sets
-        check(outcome, (what, changed, key, new, reject, same), path, valid, spec_error)
+    for n, case in enumerate(cases):
+        path, outcome = train(case[1], n)
+        check(outcome, case, path, valid)
+
+
+@pytest.mark.parametrize("command, text, key", [
+    ("simulate", json.dumps(SIMULATE_SPEC)[:-1] + ', "horizon_months": 3, "seed": 2}', "horizon_months"),
+    ("simulate", json.dumps(SIMULATE_SPEC).replace('"label": "medication"', '"label": "a", "label": "b"'), "label"),
+    ("trial-run", json.dumps(TRIAL_SPEC).replace('"sd": 8,', '"sd": 8, "sd": 80,'), "sd"),
+], ids=["simulate", "simulate-arm", "trial-row"])
+def test_a_spec_key_given_twice_is_an_error(desk, tmp_path, capsys, command, text, key):
+    """A spec object that gives a key twice once ran on the last of them
+    without a word."""
+    spec, out = tmp_path / "spec" / "t.json", tmp_path / "out.csv"
+    spec.parent.mkdir()
+    spec.write_text(text + "\n", encoding="utf-8")
+    inputs = ["--cohort", desk["small"], "--spec", spec] if command == "simulate" else ["--trials", spec.parent]
+    result, err = run(capsys, [command, "--ckpt", desk["ckpt"], "--vocab", desk["vocab_path"], *inputs, "--out", out], [out])
+    assert result == "rejected"
+    assert err.startswith("error: ") and err.endswith(f"{str(spec)!r}: {key!r} is given twice\n"), err

@@ -93,3 +93,12 @@ def test_every_name_read_across_modules_is_exported():
     exports = {(m, name) for m, tree in trees.items() for name in module_exports(tree)}
     crossing = {(m, name) for (m, name), by in readers(trees).items() if by - {m}}
     assert sorted(crossing - exports) == []
+
+
+def test_cli_computes_no_statistics():
+    """`cli` reads inputs and writes artifacts: it reads no name from `stats`
+    and builds no metric row or report; `evalharness` scores for it."""
+    trees = {p.stem: ast.parse(p.read_text(encoding="utf-8")) for p in PACKAGE.glob("*.py")}
+    read_by_cli = {(m, name) for (m, name), by in readers(trees).items() if "cli" in by and m != "cli"}
+    assert sorted(e for e in read_by_cli if e[0] == "stats") == []
+    assert sorted(read_by_cli & {("evalharness", "MetricReport"), ("evalharness", "ModalityMetrics")}) == []
