@@ -14,6 +14,7 @@ concordance against published estimates.
 
 from __future__ import annotations
 
+import json
 import math
 import os
 from dataclasses import dataclass, field
@@ -23,12 +24,14 @@ import numpy as np
 
 from .corpus import (
     Event,
+    FieldError,
     InputError,
     Key,
     ParticipantRecord,
     Table,
     TokenSequence,
     assemble_sequence,
+    check_fields,
     features_to_datetime,
     finite,
     of,
@@ -79,10 +82,10 @@ class CategoricalAppend:
     label: str = ""
 
     def __post_init__(self):
-        if self.frequency not in FREQUENCIES:
-            raise ValueError(f"frequency {self.frequency} not on the dosing grid {FREQUENCIES}")
-        if self.duration not in DURATIONS:
-            raise ValueError(f"duration {self.duration} not on the dosing grid {DURATIONS}")
+        check_fields(self, {
+            f"on the dosing grid {FREQUENCIES}": (FREQUENCIES.__contains__, ("frequency",)),
+            f"on the dosing grid {DURATIONS}": (DURATIONS.__contains__, ("duration",)),
+        })
 
 
 @dataclass(frozen=True)
@@ -92,8 +95,7 @@ class ContinuousScale:
     label: str = ""
 
     def __post_init__(self):
-        if not 0 < self.factor < math.inf:  # NaN fails too
-            raise ValueError(f"scale factor must be finite and positive, got {self.factor!r}")
+        check_fields(self, {"finite and positive": (lambda v: 0 < v < math.inf, ("factor",))})
 
 
 InterventionSpec = CategoricalAppend | ContinuousScale
@@ -108,10 +110,10 @@ class EligibilityRule:
     threshold: float
 
     def __post_init__(self):
-        if self.comparator not in (">=", "<="):
-            raise ValueError(f"eligibility comparator must be '>=' or '<=', got {self.comparator!r}")
-        if not math.isfinite(self.threshold):
-            raise ValueError(f"eligibility threshold must be finite, got {self.threshold!r}")
+        check_fields(self, {
+            "'>=' or '<='": ((">=", "<=").__contains__, ("comparator",)),
+            "finite": (math.isfinite, ("threshold",)),
+        })
 
     def satisfied(self, value: float) -> bool:
         return value >= self.threshold if self.comparator == ">=" else value <= self.threshold
@@ -126,11 +128,13 @@ class TrialVariable:
     high: float
 
     def __post_init__(self):
-        # written so that a NaN fails: it would stall the rejection sampler
+        # a NaN fails each rule: it would stall the rejection sampler
         if not self.low < self.high:
-            raise ValueError(f"{self.modality}: low bound must be below high bound")
-        if not self.sd >= 0:
-            raise ValueError(f"{self.modality}: sd must be nonnegative")
+            raise FieldError("low", f"below high {self.high!r}", self.low)
+        check_fields(self, {"non-negative": (lambda v: v >= 0, ("sd",))})
+        if not _truncnorm_mass(self.mean, self.sd, self.low, self.high) >= 1e-3:
+            rule = f"such that N(mean, sd {self.sd!r}) puts at least 0.1% of its mass in [low {self.low!r}, high {self.high!r}]"
+            raise FieldError("mean", rule, self.mean)
 
 
 @dataclass
@@ -147,7 +151,7 @@ class TrialSpec:
     def __post_init__(self):
         lo, hi = self.published_ci
         if not lo <= self.published_point <= hi:
-            raise ValueError(f"{self.name}: published point {self.published_point} outside its own CI [ci_low {lo}, ci_high {hi}]")
+            raise FieldError("published_point", f"inside its own CI [ci_low {lo!r}, ci_high {hi!r}]", self.published_point)
 
 
 # How a `simulate` run accounts for every participant it reads: each one is
@@ -457,12 +461,6 @@ def sample_trial_population(trial: TrialSpec, rng: np.random.Generator, vocab: V
             age_var = var
         else:
             measured.append(var)
-    for var in trial.table1:
-        if _truncnorm_mass(var.mean, var.sd, var.low, var.high) < 1e-3:
-            raise ValueError(
-                f"infeasible truncation for {var.modality!r}: mean {var.mean} and sd {var.sd} "
-                f"leave under 0.1% of the mass in [low {var.low}, high {var.high}]"
-            )
 
     def draw(var: TrialVariable) -> float:
         if var.sd == 0:
@@ -513,9 +511,11 @@ def _spec_tables(vocab: Vocabulary) -> tuple[Table, Table]:
     """The `simulate` and `trial-run` spec tables, whose modality keys name
     a modality of `vocab`."""
     names = {m.name for m in vocab.modalities}
+    continuous = {m.name for m in vocab.modalities if m.kind == CONTINUOUS}
     objects = {"a list of objects": lambda vs: of(list)(vs) and all(map(of(dict), vs))}
     string, number, whole = Key({"a string": of(str)}), Key({"a number": of(int, float)}), Key({"a whole number": of(int)})
     modality = Key({"a string": of(str), "a modality name": lambda vs: set(vs) <= names})
+    outcome = Key({"a string": of(str), "a continuous modality name": lambda vs: set(vs) <= continuous})
     label = Key({"a string": of(str)}, None)
     arm = {
         "append": Table(kind=string, modality=modality, category_index=whole, frequency=whole, duration=whole, label=label),
@@ -531,7 +531,7 @@ def _spec_tables(vocab: Vocabulary) -> tuple[Table, Table]:
     }
     simulate = Table(
         intervention=Key({"an object": of(dict)}, table=arm),
-        outcome=modality,
+        outcome=outcome,
         horizon_months=Key({_HORIZON: of(int)}, 12, read=check_horizon),
         seed=Key({"a whole number >= 0": lambda vs: of(int)(vs) and min(vs) >= 0}, None),
         eligibility=Key({"an object": of(dict)}, None, table=Table(modality=modality, comparator=string, threshold=number)),
@@ -545,7 +545,7 @@ def _spec_tables(vocab: Vocabulary) -> tuple[Table, Table]:
         name=string,
         n=Key({"a whole number >= 1": lambda vs: of(int)(vs) and min(vs) >= 1}, 200),
         table1=Key(objects, table=row),
-        outcome=modality,
+        outcome=outcome,
         horizon_months=Key({_HORIZON: of(int)}, read=check_horizon),
         published=Key({"an object": of(dict)}, table=Table(point=finite_number, ci_low=finite_number, ci_high=finite_number)),
         arms=Key(objects, table=arm),
@@ -557,14 +557,17 @@ def read_simulate_spec(path, vocab: Vocabulary) -> dict:
     """The `simulate` spec file at `path`, checked: its arm, the outcome
     modality's id, the horizon, the seed (None when absent) and the
     eligibility rule (None when absent)."""
-    doc = _spec_tables(vocab)[0].load(path, f"intervention spec {str(path)!r}")
+    where = f"intervention spec {str(path)!r}"
+    doc = _spec_tables(vocab)[0].load(path, where)
     e = doc["eligibility"]
     return {
-        "arm": parse_intervention(doc["intervention"], vocab),
+        "arm": _spec_object(f"{where}: 'intervention'", parse_intervention, doc["intervention"], vocab),
         "outcome": vocab.modality(doc["outcome"]).id,
         "horizon_months": doc["horizon_months"],
         "seed": doc["seed"],
-        "rule": e and EligibilityRule(vocab.modality(e["modality"]).id, e["comparator"], float(e["threshold"])),
+        "rule": e and _spec_object(
+            f"{where}: 'eligibility'", EligibilityRule, vocab.modality(e["modality"]).id, e["comparator"], float(e["threshold"])
+        ),
     }
 
 
@@ -579,14 +582,29 @@ def load_trial_spec(doc: dict, vocab: Vocabulary) -> TrialSpec:
     return _trial_spec(_spec_tables(vocab)[1].check(doc, "trial spec"), vocab, "trial spec")
 
 
+def _spec_object(where: str, make, *args, keys: dict | None = None):
+    """make(*args), the object a part of a checked spec describes.  A rule
+    the object keeps for itself (a FieldError) is an InputError naming
+    `where` and the key; `keys` maps a field to its key where they differ."""
+    try:
+        return make(*args)
+    except FieldError as e:
+        key = (keys or {}).get(e.field, e.field)
+        raise InputError(f"{where}: {key!r} must be {e.rule}, got {json.dumps(e.value)}") from None
+
+
 def _trial_spec(doc: dict, vocab: Vocabulary, where: str) -> TrialSpec:
     """The TrialSpec a checked trial spec describes; its arm count is
     checked after the checks TrialSpec and its parts make."""
     rows, pub = doc["table1"], doc["published"]
-    trial = TrialSpec(
-        doc["name"], list(map(TrialVariable, rows["modality"], rows["mean"], rows["sd"], rows["low"], rows["high"])),
-        [parse_intervention(a, vocab) for a in doc["arms"]], doc["outcome"], doc["horizon_months"],
-        float(pub["point"]), (float(pub["ci_low"]), float(pub["ci_high"])), doc["n"],
+    table1 = [
+        _spec_object(f"{where}: table-1 row {row[0]!r}", TrialVariable, *row)
+        for row in zip(rows["modality"], rows["mean"], rows["sd"], rows["low"], rows["high"])
+    ]
+    arms = [_spec_object(f"{where}: 'arms'[{i}]", parse_intervention, a, vocab) for i, a in enumerate(doc["arms"])]
+    trial = _spec_object(
+        f"{where}: 'published'", TrialSpec, doc["name"], table1, arms, doc["outcome"], doc["horizon_months"],
+        float(pub["point"]), (float(pub["ci_low"]), float(pub["ci_high"])), doc["n"], keys={"published_point": "point"},
     )
     if len(trial.arms) not in (1, 2):
         raise InputError(f"{where}: 'arms' must be a list of 1 or 2 arms, got {len(trial.arms)}")
@@ -595,10 +613,18 @@ def _trial_spec(doc: dict, vocab: Vocabulary, where: str) -> TrialSpec:
 
 def parse_intervention(doc: dict, vocab: Vocabulary) -> InterventionSpec:
     """The spec an arm object of a checked spec describes; an arm without a
-    label is called by its modality (an append) or "scale"."""
+    label is called by its modality (an append) or "scale".  An append
+    doses a category of a categorical modality and a scale edits
+    continuous ones, else a FieldError names the key."""
     if doc["kind"] == "append":
+        m = vocab.modality(doc["modality"])
+        if m.kind != CATEGORICAL:
+            raise FieldError("modality", "a categorical modality", doc["modality"])
+        if not 0 <= doc["category_index"] < m.n_tokens:
+            raise FieldError("category_index", f"an index into {m.name!r}'s {m.n_tokens} categories", doc["category_index"])
         return CategoricalAppend(
-            vocab.modality(doc["modality"]).id, int(doc["category_index"]), int(doc["frequency"]),
-            int(doc["duration"]), doc.get("label") or doc["modality"],
+            m.id, int(doc["category_index"]), int(doc["frequency"]), int(doc["duration"]), doc.get("label") or doc["modality"],
         )
+    if any(vocab.modality(m).kind != CONTINUOUS for m in doc["modalities"]):
+        raise FieldError("modalities", "continuous modalities", doc["modalities"])
     return ContinuousScale(tuple(vocab.modality(m).id for m in doc["modalities"]), float(doc["factor"]), doc.get("label") or "scale")

@@ -31,7 +31,6 @@ __all__ = [
     "init_params",
     "param_count",
     "value_scale_table",
-    "sinusoid_features",
     "embed_inputs",
     "forward",
 ]
@@ -228,21 +227,6 @@ def value_scale_table(vocab: Vocabulary) -> np.ndarray:
     return scales
 
 
-# --- fixed encodings ----------------------------------------------------------
-
-
-def sinusoid_features(values: np.ndarray, dim: int, dtype=np.float64) -> np.ndarray:
-    """Fixed sin/cos feature expansion of scalar values over `dim` channels."""
-    v = np.asarray(values, dtype=np.float64).reshape(-1, 1)
-    half = dim // 2
-    freqs = 1.0 / (10000.0 ** (2.0 * np.arange(half) / dim))
-    ang = v * freqs
-    out = np.empty((v.shape[0], dim), dtype=dtype)
-    out[:, 0::2] = np.sin(ang)
-    out[:, 1::2] = np.cos(ang)
-    return out
-
-
 # --- forward pass ---------------------------------------------------------------
 
 
@@ -268,9 +252,9 @@ def embed_inputs(
     tables = [params["tok_embed"], params["mod_embed"], *(params[f"time_embed_{d}"] for d in range(7))]
     return nm.embed_block(
         tables, np.column_stack([tokens, modalities[:t], times[:t]]),
-        sinusoid_features(scaled, config.cont_pe_dim, dtype), params["cont_proj"],
-        sinusoid_features(pos_ids, config.d_model, dtype),
-        sinusoid_features(np.array([age]), config.cont_pe_dim, dtype), params["age_proj"],
+        scaled, params["cont_proj"],
+        nm.sinusoid_features(pos_ids, config.d_model, dtype),
+        nm.sinusoid_features(np.array([age]), config.cont_pe_dim, dtype), params["age_proj"],
         params["sex_embed"], SEX_INDEX[sex],
     )
 

@@ -24,15 +24,17 @@ query MLPs added to the last hidden state) and `range_head` (the selected
 output-head entries, clamped).  A block's rule recomputes what it can rebuild
 from arrays the tape holds anyway instead of keeping it: a sublayer rebuilds
 layer norm (xhat, inv and the normalized output) from its input, which is
-the parent node's output, and the FFN's pre-activation with one matmul; the
-gated values, each attention row block's probabilities and the GELU are
-recomputed too.  So a sublayer's tape holds its output, the attention
-projections and output, and the dropout masks.  Each rebuild runs the same
-operations in the same order as the forward, as every rule runs those of the
-chain of single ops it replaced, so outputs and gradients are that chain's
-bit for bit.  Past 128 rows the single-precision GELU rules work in row
-chunks, so the FFN's forward and backward hold one (T, d_ff) array beside
-the pre-activation.  The next-token loss of a pass is one node too
+the parent node's output, and from that the attention projections (q, k, v
+and the value extras, one matmul each) or the FFN's pre-activation (one
+matmul); the gated values, each attention row block's probabilities and the
+GELU are recomputed too, and the embedding rebuilds its continuous features
+from the values.  So a sublayer's tape holds its output, the attention
+output and the dropout masks.  Each rebuild runs the same operations in the
+same order as the forward, as every rule runs those of the chain of single
+ops it replaced, so outputs and gradients are that chain's bit for bit.
+Past 128 rows the single-precision GELU rules work in row chunks, so the
+FFN's forward and backward hold one (T, d_ff) array beside the
+pre-activation.  The next-token loss of a pass is one node too
 (`ntp_loss`: soft cross-entropy and MAE over the ragged block that
 `range_head` returned), and `add` joins two losses.
 
@@ -56,6 +58,7 @@ __all__ = [
     "Tensor",
     "ParamStore",
     "add",
+    "sinusoid_features",
     "embed_block",
     "attention_block",
     "ffn_block",
@@ -388,8 +391,20 @@ def _lookup_sum(tables, cols) -> np.ndarray:
     return y
 
 
+def sinusoid_features(values: np.ndarray, dim: int, dtype=np.float64) -> np.ndarray:
+    """Fixed sin/cos feature expansion of scalar values over `dim` channels."""
+    v = np.asarray(values, dtype=np.float64).reshape(-1, 1)
+    half = dim // 2
+    freqs = 1.0 / (10000.0 ** (2.0 * np.arange(half) / dim))
+    ang = v * freqs
+    out = np.empty((v.shape[0], dim), dtype=dtype)
+    out[:, 0::2] = np.sin(ang)
+    out[:, 1::2] = np.cos(ang)
+    return out
+
+
 def embed_block(
-    tables, ids, cont_feat: np.ndarray, cont_proj: Tensor, pos: np.ndarray,
+    tables, ids, cont_values: np.ndarray, cont_proj: Tensor, pos: np.ndarray,
     age_feat: np.ndarray, age_proj: Tensor, sex: Tensor, sex_id: int,
 ) -> Tensor:
     """The input embedding in one tape node, tables (tok, mod, time_0, ...)
@@ -397,15 +412,18 @@ def embed_block(
     mod[ids[:, 1]] + sum_d time_d[ids[:, 2 + d]] + pos + (age_feat @ age_proj
     + sex[sex_id]), the time lookups summed left to right in their own buffer
     and the (1, d) demographic row before it is added to every position.
-    The features are constants, multiplied into the gradient only for a
-    projection that requires grad.  Forward and gradients are bitwise those
-    of the op chain written out in that order.
+    cont_feat is `sinusoid_features` of the (T,) values `cont_values` over
+    cont_proj's rows, in cont_proj's dtype.  The features are constants,
+    multiplied into the gradient only for a projection that requires grad;
+    the tape keeps the values, and backward rebuilds cont_feat from them.
+    Forward and gradients are bitwise those of the op chain written out in
+    that order.
     """
     tok, mod, *times = tables
     cols = _id_columns(tables, ids)
     sex_ids = np.array([sex_id])
     y = tok.data[cols[0]]
-    y += cont_feat @ cont_proj.data
+    y += sinusoid_features(cont_values, cont_proj.data.shape[0], cont_proj.dtype) @ cont_proj.data
     y += mod.data[cols[1]]
     y += _lookup_sum(times, cols[2:])
     y += pos
@@ -416,9 +434,11 @@ def embed_block(
     def bw(g):
         gd = g.sum(axis=0, keepdims=True)
         _accum_at(sex, sex_ids, gd)
-        for proj, feat, gp in ((age_proj, age_feat, gd), (cont_proj, cont_feat, g)):
-            if proj.requires_grad:
-                _accum(proj, feat.swapaxes(-1, -2) @ gp, owned=True)
+        if age_proj.requires_grad:
+            _accum(age_proj, age_feat.swapaxes(-1, -2) @ gd, owned=True)
+        if cont_proj.requires_grad:
+            cont_feat = sinusoid_features(cont_values, cont_proj.data.shape[0], cont_proj.dtype)
+            _accum(cont_proj, cont_feat.swapaxes(-1, -2) @ g, owned=True)
         for table, col in zip(tables, cols):
             _accum_at(table, col, g)
 
@@ -694,6 +714,16 @@ def _gated_values(heads: np.ndarray, gates: np.ndarray) -> np.ndarray:
     return v
 
 
+def _project(pre: np.ndarray, weights, n_heads: int) -> np.ndarray:
+    """pre @ w for each of `weights`, one matmul each in order into one
+    stacked (3 + E, T, H, d_head) array: q, k, v, vx0, ...  Backward calls
+    this too, so its projections are forward's bit for bit."""
+    proj = np.empty((len(weights), pre.shape[0], weights[0].data.shape[1]), np.result_type(pre, *(w.data for w in weights)))
+    for w, out in zip(weights, proj):
+        np.matmul(pre, w.data, out=out)
+    return proj.reshape(len(weights), pre.shape[0], n_heads, -1)
+
+
 def attention_block(
     h: Tensor, gain: Tensor, bias: Tensor, weights, gates: Tensor, w_o: Tensor, mask, n_heads: int, scale: float,
     rate: float = 0.0, rng: np.random.Generator | None = None,
@@ -703,34 +733,32 @@ def attention_block(
 
     pre = xhat * gain + bias, xhat h's layer norm, is projected by each of
     `weights` (w_q, w_k, w_v, then the value extras w_vx0, ...; each
-    (d, H d_head)) into stacked (3 + E, T, H d_head) projections.  Extra e is
-    added into the values scaled per head by gates[e].  Attention is masked by the boolean
-    (T, T) `mask` (True where a query row may attend to a key column) and
-    runs in query row blocks (`_attention_blocks`).  With dropout on, the
-    draws are the attention keep mask, one rng.random((H, T, T)), then
-    rng.random((T, d)) for w_o's output.
+    (d, H d_head)) into stacked (3 + E, T, H d_head) projections
+    (`_project`).  Extra e is added into the values scaled per head by
+    gates[e].  Attention is masked by the boolean (T, T) `mask` (True where
+    a query row may attend to a key column) and runs in query row blocks
+    (`_attention_blocks`).  With dropout on, the draws are the attention
+    keep mask, one rng.random((H, T, T)), then rng.random((T, d)) for w_o's
+    output.
 
-    The tape keeps the stacked projections, the attention output and the
-    dropout masks; h's data, the sublayer input, is the parent's output.
-    Backward rebuilds layer norm (xhat, inv and pre) from it and recomputes
-    the gated values and each block's probabilities.  Forward and gradients
-    are bitwise those of the op chain written out (layer norm, one matmul
-    per projection, per-extra mul and add, attention, matmul, dropout, add),
-    and the projections' input gradient is summed newest first,
-    w_vx{E-1} ... w_v, w_k, w_q.
+    The tape keeps the attention output and the dropout masks; h's data,
+    the sublayer input, is the parent's output.  Backward rebuilds layer
+    norm (xhat, inv and pre) from it, then the projections with forward's
+    own matmuls, freed before the projections' gradients, which need pre
+    alone; it recomputes the gated values and each block's probabilities.
+    Forward and gradients are bitwise those of the op chain written out
+    (layer norm, one matmul per projection, per-extra mul and add,
+    attention, matmul, dropout, add), and the projections' input gradient
+    is summed newest first, w_vx{E-1} ... w_v, w_k, w_q.
     """
     x = h.data
-    pre = _pre_norm(x, gain, bias)[0]
     t = x.shape[0]
-    proj = np.empty((len(weights), t, weights[0].data.shape[1]), np.result_type(pre, *(w.data for w in weights)))
-    for w, out in zip(weights, proj):
-        np.matmul(pre, w.data, out=out)
-    del pre
-    heads = proj.reshape(len(weights), t, n_heads, -1)
+    heads = _project(_pre_norm(x, gain, bias)[0], weights, n_heads)
     mask = np.asarray(mask, dtype=bool)
     blocks = _attention_blocks(mask, t, t)
-    keep = _keep_mask((n_heads, t, t), proj.dtype, rate, rng)
+    keep = _keep_mask((n_heads, t, t), heads.dtype, rate, rng)
     ctx = _attend(heads[0], heads[1], _gated_values(heads, gates.data), mask, blocks, scale, keep).reshape(t, -1)
+    del heads
     y = ctx @ w_o.data
     drop = _keep_mask(y.shape, y.dtype, rate, rng)
     if drop is not None:
@@ -738,17 +766,19 @@ def attention_block(
     y += x
 
     def bw(g):
+        pre, xhat, inv = _pre_norm(h.data, gain, bias)
+        heads = _project(pre, weights, n_heads)
         go = g if drop is None else g * drop
         gctx = go @ w_o.data.swapaxes(-1, -2)
         _accum(w_o, ctx.swapaxes(-1, -2) @ go, owned=True)
         v = _gated_values(heads, gates.data)
         gq, gk, gv = _attend_grads(gctx.reshape(heads.shape[1:]), heads[0], heads[1], v, mask, blocks, scale, keep)
         grads = [gq, gk, gv]
-        for e, vx in enumerate(heads[3:]):
+        for e in range(len(weights) - 3):
             grads.append(gv * gates.data[e].reshape(-1, 1))
             if gates.requires_grad:
-                _grad_buffer(gates)[e] += (gv * vx).sum(axis=(0,)).sum(axis=(1,))
-        pre, xhat, inv = _pre_norm(h.data, gain, bias)
+                _grad_buffer(gates)[e] += (gv * heads[3 + e]).sum(axis=(0,)).sum(axis=(1,))
+        del v, heads
         gpre = None
         for w, gp in zip(reversed(weights), reversed(grads)):  # newest projection first
             gp = gp.reshape(t, -1)

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import bisect
 import json
+import math
 import warnings
 from dataclasses import dataclass, field
 
@@ -356,23 +357,40 @@ def vocabulary_to_json(vocab: Vocabulary) -> str:
     )
 
 
-def vocabulary_from_json(text: str) -> Vocabulary:
+def vocabulary_from_json(text: str, where: str = "vocabulary") -> Vocabulary:
+    """The vocabulary `vocabulary_to_json` wrote.  A modality whose token
+    range, bins or scale break what the encoder and the loss rely on is a
+    ValueError naming `where`, the modality and the key."""
     doc = json.loads(text)
     specs = []
+    base = 0
     for i, m in enumerate(doc["modalities"]):
-        specs.append(
-            ModalitySpec(
-                id=i,
-                name=m["name"],
-                kind=m["kind"],
-                cum_base=m["cum_base"],
-                bin_edges=list(m["edges"]),
-                midpoints=list(m["midpoints"]),
-                categories=list(m["categories"]),
-                train_sd=m["train_sd"],
-                quantile_ranges=[tuple(r) for r in m["quantile_ranges"]],
-            )
+        spec = ModalitySpec(
+            id=i,
+            name=m["name"],
+            kind=m["kind"],
+            cum_base=m["cum_base"],
+            bin_edges=list(m["edges"]),
+            midpoints=list(m["midpoints"]),
+            categories=list(m["categories"]),
+            train_sd=m["train_sd"],
+            quantile_ranges=[tuple(r) for r in m["quantile_ranges"]],
         )
+        rules = [  # (key, holds, rule, the value found)
+            ("kind", spec.kind in (CONTINUOUS, CATEGORICAL), f"{CONTINUOUS!r} or {CATEGORICAL!r}", json.dumps(spec.kind)),
+            ("cum_base", spec.cum_base == base, f"{base}, the token count of the modalities before it", spec.cum_base),
+        ]
+        if spec.kind == CONTINUOUS:
+            sd, n_mids = spec.train_sd, len(spec.midpoints)
+            rules += [
+                ("train_sd", type(sd) in (int, float) and 0 < sd < math.inf, "finite and positive", json.dumps(sd)),
+                ("edges", len(spec.bin_edges) == n_mids + 1, f"{n_mids + 1} edges, one more than 'midpoints'", f"{len(spec.bin_edges)} edges"),
+            ]
+        for key, holds, rule, found in rules:
+            if not holds:
+                raise ValueError(f"{where}: modality {spec.name!r}: {key!r} must be {rule}, got {found}")
+        specs.append(spec)
+        base += spec.n_tokens
     vocab = Vocabulary(specs)
     if vocab.total_tokens != doc["total_tokens"]:
         raise ValueError(
@@ -389,4 +407,4 @@ def save_vocabulary(vocab: Vocabulary, path) -> None:
 
 def load_vocabulary(path) -> Vocabulary:
     with open(path, encoding="utf-8") as f:
-        return vocabulary_from_json(f.read())
+        return vocabulary_from_json(f.read(), f"vocabulary {str(path)!r}")

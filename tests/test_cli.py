@@ -617,7 +617,7 @@ class TestProbeAndSimulate:
         rc = main(["simulate", "--ckpt", str(workspace["ckpt"]), "--vocab", str(workspace["vocab"]),
                    "--cohort", str(workspace["cohort"]), "--spec", str(spec), "--out", str(out)])
         assert rc == 1
-        assert capsys.readouterr().err == "error: ValueError: scale factor must be finite and positive, got nan\n"
+        assert capsys.readouterr().err == f"error: intervention spec {str(spec)!r}: 'intervention': 'factor' must be finite and positive, got NaN\n"
         assert not out.exists()
 
     @pytest.mark.parametrize("key", ["outcome", "intervention"])

@@ -8,8 +8,8 @@ key.  Then it runs the format's reader or command in-process.  Every run ends
 in one of two ways:
 
 - rejected: the command exits 1 with one `error:` line (the reader raises one
-  ValueError) that names the key, and the file unless it is a rule that a
-  spec object keeps for itself (`error: ValueError: <field> ...`), and it
+  ValueError) that names the key and the file, a rule that a spec object
+  keeps for itself (the dosing grid, `low < high`, ...) included, and it
   writes nothing;
 - accepted: the run succeeds, and when the change leaves out an optional key
   that held its default, every output equals the valid document's.
@@ -180,7 +180,7 @@ def run(capsys, argv, outputs) -> tuple[str, object]:
     return "rejected", err
 
 
-def check(outcome, case, path, valid_outputs, table_error=lambda line: True):
+def check(outcome, case, path, valid_outputs):
     """The suite's property for one case."""
     what, _, key, new, reject, same = case
     result, detail = outcome
@@ -189,7 +189,7 @@ def check(outcome, case, path, valid_outputs, table_error=lambda line: True):
         assert detail.count("\n") == 1 and line.startswith("error: "), f"{what}: {detail!r}"
         # an object left empty is an error naming the first key it lacks
         assert names(line, key) or (new == {} and "has no key" in line), f"{what}: the error does not name {key!r}: {line}"
-        assert str(path) in line or not table_error(line), f"{what}: the error does not name the file: {line}"
+        assert str(path) in line, f"{what}: the error does not name the file: {line}"
     else:
         assert not reject, f"{what}: accepted"
         assert not same or detail == valid_outputs, f"{what}: leaving out the default changed the outputs"
@@ -198,11 +198,6 @@ def check(outcome, case, path, valid_outputs, table_error=lambda line: True):
 def write(path, doc):
     path.write_text(json.dumps(doc) + "\n", encoding="utf-8")
     return path
-
-
-def spec_error(line: str) -> bool:
-    """A table's error; a dataclass's range rule reads `error: ValueError: ...`."""
-    return not line.startswith("error: ValueError: ")
 
 
 def test_cohort_line(desk, tmp_path):
@@ -232,7 +227,7 @@ def test_simulate_spec(desk, tmp_path, capsys, spec):
     assert valid[0] == "accepted", valid
     for n, case in enumerate(changes(spec, "simulate")):
         path = write(tmp_path / f"s{n}.json", case[1])
-        check(simulate(path, tmp_path / f"s{n}.csv"), case, path, valid[1], spec_error)
+        check(simulate(path, tmp_path / f"s{n}.csv"), case, path, valid[1])
 
 
 def test_trial_spec(desk, tmp_path, capsys):
@@ -248,7 +243,7 @@ def test_trial_spec(desk, tmp_path, capsys):
     assert valid[0] == "accepted", valid
     for n, case in enumerate(changes(TRIAL_SPEC, "trial")):
         path, outcome = trial_run(case[1], n)
-        check(outcome, case, path, valid[1], spec_error)
+        check(outcome, case, path, valid[1])
 
 
 def test_training_config(desk, tmp_path, capsys, monkeypatch):

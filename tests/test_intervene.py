@@ -9,7 +9,7 @@ import pytest
 
 import trajlm.evalharness as evalharness
 import trajlm.intervene as intervene
-from trajlm.corpus import Event, ParticipantRecord, assemble_sequence, features_to_datetime
+from trajlm.corpus import Event, InputError, ParticipantRecord, assemble_sequence, features_to_datetime
 from trajlm.intervene import (
     DURATIONS,
     FREQUENCIES,
@@ -165,7 +165,7 @@ class TestApplyIntervention:
     def test_factor_validation(self):
         """A spec file can carry NaN or Infinity, which JSON reads."""
         for factor in (0.0, -0.5, math.nan, math.inf, -math.inf):
-            with pytest.raises(ValueError, match=rf"^scale factor must be finite and positive, got {factor!r}$"):
+            with pytest.raises(ValueError, match=rf"^factor must be finite and positive, got {factor!r}$"):
                 ContinuousScale((0,), factor)
 
 
@@ -589,14 +589,11 @@ class TestSampler:
             se = exact_sd / math.sqrt(len(sample))
             assert abs(sample.mean() - exact_mean) <= 2 * se, (mean, sd, lo, hi)
 
-    def test_infeasible_truncation(self, vocab):
-        trial = TrialSpec(
-            name="t", table1=[TrialVariable("ldl", 0.0, 1.0, 50.0, 51.0)],
-            arms=[], outcome="ldl", horizon_months=12,
-            published_point=-5.0, published_ci=(-6.0, -4.0),
-        )
-        with pytest.raises(ValueError, match="infeasible"):
-            sample_trial_population(trial, np.random.default_rng(0), vocab)
+    def test_infeasible_truncation(self):
+        """A row whose bounds hold almost none of its normal's mass is
+        rejected when the row is made, before any sampling."""
+        with pytest.raises(ValueError, match=r"^mean must be such that .* at least 0\.1% of its mass in \[low 50\.0, high 51\.0\]"):
+            TrialVariable("ldl", 0.0, 1.0, 50.0, 51.0)
 
     def test_age_row_sets_age(self, vocab):
         trial = TrialSpec(
@@ -723,6 +720,33 @@ class TestCatalogAndSpecs:
             intervene.parse_intervention(doc, vocab)
         assert vocab.modality("statin").id == 2
 
+    @pytest.mark.parametrize("arm, key", [
+        ({"kind": "append", "modality": "ldl", "category_index": 0, "frequency": 1, "duration": 1}, "modality"),
+        ({"kind": "append", "modality": "statin", "category_index": 9, "frequency": 1, "duration": 1}, "category_index"),
+        ({"kind": "scale", "modalities": ["ldl", "statin"], "factor": 0.9}, "modalities"),
+        ({"kind": "append", "modality": "statin", "category_index": 0, "frequency": 5, "duration": 1}, "frequency"),
+    ])
+    def test_arm_rule_names_the_arm_and_key(self, vocab, arm, key):
+        """A rule an arm keeps (a dose of a category of a categorical
+        modality, a scale of continuous ones, the dosing grid) names the arm
+        and the key, as the spec's table does."""
+        doc = {
+            "name": "demo", "table1": [], "arms": [arm], "outcome": "ldl", "horizon_months": 12,
+            "published": {"point": -30.0, "ci_low": -35.0, "ci_high": -25.0},
+        }
+        with pytest.raises(InputError, match=rf"^trial spec: 'arms'\[0\]: '{key}' must be "):
+            load_trial_spec(doc, vocab)
+
+    def test_categorical_outcome_rejected_when_read(self, vocab):
+        """An outcome is a continuous modality: a categorical one once passed
+        the spec's table and failed later without naming the spec."""
+        doc = {
+            "name": "demo", "table1": [], "arms": [], "outcome": "statin", "horizon_months": 12,
+            "published": {"point": -30.0, "ci_low": -35.0, "ci_high": -25.0},
+        }
+        with pytest.raises(InputError, match="^trial spec: 'outcome' must be a continuous modality name, got \"statin\"$"):
+            load_trial_spec(doc, vocab)
+
     def test_trial_spec_roundtrip(self, vocab):
         doc = {
             "name": "demo",
@@ -753,7 +777,7 @@ class TestCatalogAndSpecs:
             "name": "demo", "table1": [], "arms": [], "outcome": "ldl", "horizon_months": 12,
             "published": {"point": -30.0, "ci_low": -20.0, "ci_high": -10.0},
         }
-        with pytest.raises(ValueError, match="outside"):
+        with pytest.raises(ValueError, match=r"'published': 'point' must be inside its own CI \[ci_low -20\.0, ci_high -10\.0\], got -30\.0"):
             load_trial_spec(doc, vocab)
 
     def test_add_months(self):

@@ -22,10 +22,9 @@ from trajlm.model import (
     init_params,
     param_count,
     param_manifest,
-    sinusoid_features,
     value_scale_table,
 )
-from trajlm.numerics import ParamStore
+from trajlm.numerics import ParamStore, sinusoid_features
 from trajlm.vocab import RawModality, build_vocabulary
 
 import oracle
@@ -436,17 +435,18 @@ class TestTapeMemory:
         ratio = self.held_by_tape(1024) / self.held_by_tape(512)
         assert 1.5 < ratio < 2.5
 
-    def test_sublayers_keep_their_input_not_layer_norm_or_the_ffn_pre_activation(self):
+    def test_a_layer_keeps_its_sublayer_inputs_and_the_attention_output(self):
         """A sublayer's rule rebuilds layer norm from its input, the parent's
-        output, and the FFN pre-activation with one matmul, so per token and
-        layer a grad-on forward holds the attention input, the stacked
-        projections, the attention output and the FFN input: (d_in +
-        (3 + E) H d_head + H d_head + d) floats.  The rest is per pass: the
-        last layer's output, the query block's two MLP inputs, pre-activations
-        and output (6 d floats), the embedding's continuous features
-        (cont_pe_dim floats) and the id columns of the embedding and the
-        query block (9 + 8 int64).  One more xhat copy would add T d floats,
-        a kept FFN pre-activation 4 T d."""
+        output, then the attention projections (q, k, v and the value
+        extras) or the FFN pre-activation from that, so per token and layer
+        a grad-on forward holds the attention input, the attention output
+        and the FFN input: (d + H d_head + d) floats.  The rest is per pass:
+        the last layer's output and the query block's two MLP inputs,
+        pre-activations and output (6 d floats), and in int64 or float64 the
+        id columns of the embedding and the query block and the embedding's
+        continuous values, from which its rule rebuilds their features
+        (9 + 8 + 1).  Kept projections would add (3 + E) H d_head floats,
+        one more xhat copy T d, a kept FFN pre-activation 4 T d."""
         t, d, n_layers, n_heads, d_head, extras, cont_pe_dim = 512, 64, 2, 2, 32, 2, 64
         config = ModelConfig(
             vocab_size=20, n_modalities=3, d_model=d, n_layers=n_layers, n_heads=n_heads, d_head=d_head,
@@ -467,9 +467,9 @@ class TestTapeMemory:
             tracemalloc.stop()
         assert logits.requires_grad
         hd = n_heads * d_head
-        per_layer = d + (3 + extras) * hd + hd + d
-        per_pass = 6 * d + cont_pe_dim
-        bound = t * ((n_layers * per_layer + per_pass) * 4 + (9 + 8) * 8)
+        per_layer = d + hd + d
+        per_pass = 6 * d
+        bound = t * ((n_layers * per_layer + per_pass) * 4 + (9 + 8 + 1) * 8)
         assert bound - t * d * 4 < held <= bound + (64 << 10)  # 64 KiB: Python objects and the one head row
 
 

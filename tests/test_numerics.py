@@ -296,21 +296,25 @@ class TestParamStore:
         assert np.array_equal(params["b"].grad, [4.0, 4.0])
 
     @pytest.mark.parametrize("tracked", [True, False])
-    def test_constant_operand_skips_its_product(self, tracked):
+    def test_constant_operand_skips_its_product(self, tracked, monkeypatch):
         """`embed_block`'s backward multiplies a constant feature array into
-        the gradient only for a projection that requires grad, and the
-        tracked projection's gradient is the same product as ever."""
-        tables, ids, cont_feat, cont_proj, pos, age_feat, age_proj, sex, sex_id = embed_operands(np.float64, seed=4)
-        cont_feat, age_feat = cont_feat.view(_CountingArray), age_feat.view(_CountingArray)
+        the gradient only for a projection that requires grad, rebuilding the
+        continuous features only then, and the tracked projection's gradient
+        is the same product as ever."""
+        tables, ids, cont_values, cont_proj, pos, age_feat, age_proj, sex, sex_id = embed_operands(np.float64, seed=4)
+        features, built = nm.sinusoid_features, []
+        monkeypatch.setattr(nm, "sinusoid_features", lambda *a: built.append(features(*a).view(_CountingArray)) or built[-1])
+        age_feat = age_feat.view(_CountingArray)
         cont_proj.requires_grad = age_proj.requires_grad = tracked
         _CountingArray.calls = {}
-        y = nm.embed_block(tables, ids, cont_feat, cont_proj, pos, age_feat, age_proj, sex, sex_id)
+        y = nm.embed_block(tables, ids, cont_values, cont_proj, pos, age_feat, age_proj, sex, sex_id)
         g = np.random.default_rng(5).normal(size=y.shape)
         nm.backward(dot(y, nm.Tensor(g)))
         # the two forward products, and one backward product per tracked projection
         assert _CountingArray.calls.get("matmul") == (4 if tracked else 2)
+        assert len(built) == (2 if tracked else 1)
         if tracked:
-            assert np.array_equal(cont_proj.grad, np.asarray(cont_feat).T @ g)
+            assert np.array_equal(cont_proj.grad, features(cont_values, 4).T @ g)
             assert np.array_equal(age_proj.grad, np.asarray(age_feat).T @ g.sum(axis=0, keepdims=True))
         else:
             assert cont_proj.grad is None and age_proj.grad is None
@@ -366,8 +370,8 @@ def random_targets(widths, rng, continuous=None):
 def loss_through_every_op(rng):
     """A scalar loss whose tape holds every op, and a weakref to the array of
     its first intermediate, upstream of all the others."""
-    tables, ids, cont_feat, cont_proj, pos, age_feat, age_proj, sex, sex_id = embed_operands(np.float64, seed=58)
-    x = nm.embed_block(tables, ids, cont_feat, cont_proj, pos, age_feat, age_proj, sex, sex_id)
+    tables, ids, cont_values, cont_proj, pos, age_feat, age_proj, sex, sex_id = embed_operands(np.float64, seed=58)
+    x = nm.embed_block(tables, ids, cont_values, cont_proj, pos, age_feat, age_proj, sex, sex_id)
     upstream = weakref.ref(x.data)
     d = x.shape[1]
     gain, bias = (nm.Tensor(rng.normal(size=d), requires_grad=True) for _ in range(2))
@@ -417,7 +421,7 @@ class TestTape:
         gates = nm.Tensor(rng.normal(size=(1, 2)))
         outs = [
             nm.add(x, row),
-            nm.embed_block([x, x, x], [[0, 1, 2], [3, 3, 0]], np.ones((2, 4)), x, np.ones((2, 4)), np.ones((1, 4)), x, x, 2),
+            nm.embed_block([x, x, x], [[0, 1, 2], [3, 3, 0]], np.ones(2), x, np.ones((2, 4)), np.ones((1, 4)), x, x, 2),
             nm.attention_block(x, row, row, [x, x, x, x], gates, x, np.ones((4, 4), dtype=bool), 2, 0.7, 0.5, rng),
             nm.ffn_block(x, row, row, x, row, x, row, 0.5, rng),
             nm.query_block(x, [x, x], [[0, 1], [3, 3], [1, 1], [2, 0]], [x, row, x, row], [x, row, x, row]),
@@ -440,7 +444,7 @@ FFN_CONSTANTS = [nm.Tensor(np.random.default_rng(8).normal(size=s)) for s in ((4
 HEAD_W, HEAD_B, QUERY_H, *QUERY_MLP = (
     nm.Tensor(np.random.default_rng(11).normal(size=s)) for s in ((4, 5), (5,), (3, 4), (4, 4), (4,), (4, 4), (4,))
 )
-EMBED_FEAT, EMBED_POS, EMBED_AGE = (np.random.default_rng(12).normal(size=s) for s in ((3, 2), (3, 4), (1, 2)))
+EMBED_VALUES, EMBED_POS, EMBED_AGE = (np.random.default_rng(12).normal(size=s) for s in ((3,), (3, 4), (1, 2)))
 
 
 class TestGradCheck:
@@ -489,7 +493,7 @@ class TestGradCheck:
             lambda x: nm.add(x, nm.Tensor(np.array(0.1))),
             lambda x: nm.ffn_block(mul_op(x, x), *FFN_CONSTANTS, 0.5, np.random.default_rng(7)),
             lambda x: nm.embed_block(
-                [x, mul_op(x, x), x], [[1, 0, 1], [0, 0, 1], [1, 1, 0]], EMBED_FEAT, x, EMBED_POS, EMBED_AGE, x,
+                [x, mul_op(x, x), x], [[1, 0, 1], [0, 0, 1], [1, 1, 0]], EMBED_VALUES, x, EMBED_POS, EMBED_AGE, x,
                 mul_op(x, x), 1,
             ),
             lambda x: nm.ntp_loss(
@@ -510,12 +514,12 @@ class TestGradCheck:
         rng = np.random.default_rng(6)
         table = nm.Tensor(rng.normal(size=(5, 3)), requires_grad=True)
         ids = np.array([[0, 4, 2], [2, 2, 2], [2, 0, 4], [4, 2, 0]])
-        proj, sex = nm.Tensor(np.ones((1, 3))), nm.Tensor(np.ones((1, 3)))
+        proj, sex = nm.Tensor(np.ones((2, 3))), nm.Tensor(np.ones((1, 3)))
         zeros = np.zeros((4, 3))
 
         def f():
             # embed_block's three lookups into one table, repeated ids in each
-            y = nm.embed_block([table] * 3, ids, zeros[:, :1], proj, zeros, zeros[:1, :1], proj, sex, 0)
+            y = nm.embed_block([table] * 3, ids, zeros[:, 0], proj, zeros, zeros[:1, :2], proj, sex, 0)
             return dot(y, y)
 
         assert nm.grad_check(f, {"table": table}) < 1e-6
@@ -887,13 +891,13 @@ TABLE_IDS = np.array([[0, 3, 1], [2, 3, 0], [2, 1, 1], [0, 0, 4], [2, 3, 0]])
 # age_proj and sex (its row 2 read), all of width 6
 EMBED_IDS = np.column_stack([[4, 0, 4, 2, 1], [1, 3, 3, 0, 1], TABLE_IDS])
 EMBED_SHAPES = [(5, 6), (4, 6), (3, 6), (4, 6), (5, 6), (4, 6), (4, 6), (3, 6)]
-CONT_FEAT, POS, AGE_FEAT = (np.random.default_rng(56).normal(size=s) for s in ((5, 4), (5, 6), (1, 4)))
+CONT_VALUES, POS, AGE_FEAT = (np.random.default_rng(56).normal(size=s) for s in ((5,), (5, 6), (1, 4)))
 
 
 def embed_node(tok, mod, t0, t1, t2, cont_proj, age_proj, sex):
     dt = tok.dtype
     return nm.embed_block(
-        [tok, mod, t0, t1, t2], EMBED_IDS, CONT_FEAT.astype(dt), cont_proj, POS.astype(dt), AGE_FEAT.astype(dt),
+        [tok, mod, t0, t1, t2], EMBED_IDS, CONT_VALUES, cont_proj, POS.astype(dt), AGE_FEAT.astype(dt),
         age_proj, sex, 2,
     )
 
@@ -901,7 +905,7 @@ def embed_node(tok, mod, t0, t1, t2, cont_proj, age_proj, sex):
 def embed_chain(tok, mod, t0, t1, t2, cont_proj, age_proj, sex):
     """The op chain `embed_block` replaced, in `model.embed_inputs`' old order."""
     dt, ids = tok.dtype, EMBED_IDS
-    h = nm.add(embedding_op(tok, ids[:, 0]), matmul_op(nm.Tensor(CONT_FEAT.astype(dt)), cont_proj))
+    h = nm.add(embedding_op(tok, ids[:, 0]), matmul_op(nm.Tensor(nm.sinusoid_features(CONT_VALUES, 4, dt)), cont_proj))
     h = nm.add(h, embedding_op(mod, ids[:, 1]))
     times = nm.add(nm.add(embedding_op(t0, ids[:, 2]), embedding_op(t1, ids[:, 3])), embedding_op(t2, ids[:, 4]))
     h = nm.add(nm.add(h, times), nm.Tensor(POS.astype(dt)))
@@ -914,7 +918,7 @@ def embed_operands(dtype, seed):
     rng = np.random.default_rng(seed)
     leaves = [nm.Tensor(rng.normal(size=s).astype(dtype), requires_grad=True) for s in EMBED_SHAPES]
     return (
-        leaves[:5], EMBED_IDS, CONT_FEAT.astype(dtype), leaves[5], POS.astype(dtype), AGE_FEAT.astype(dtype),
+        leaves[:5], EMBED_IDS, CONT_VALUES, leaves[5], POS.astype(dtype), AGE_FEAT.astype(dtype),
         leaves[6], leaves[7], 2,
     )
 
@@ -1253,6 +1257,28 @@ def chained_layer(h, p, mask, rate=0.0, rng=None):
     return nm.add(h, dropout_op(ff, rate, rng))
 
 
+def transpose_op(a, axes):
+    """A contiguous transpose as one node, the chain's link between
+    token-major projections and chained_attention's head-major operands."""
+    undo = np.argsort(axes)
+    return nm._node(np.ascontiguousarray(a.data.transpose(axes)), (a,), lambda g: nm._accum(a, g.transpose(undo)))
+
+
+def chained_attention_sublayer(h, p, mask, rate=0.0, rng=None):
+    """The attention sublayer as the chain of single ops, attention included
+    (chained_attention over head-major q, v and transposed k)."""
+    t, hd = h.shape[0], p["w_q"].shape[1]
+    pre = layer_norm_op(h, p["ln1_g"], p["ln1_b"])
+    q, k, v = (reshape_op(matmul_op(pre, p[n]), (t, N_HEADS, hd // N_HEADS)) for n in PROJECTIONS[:3])
+    for e in range(EXTRAS):
+        vx = reshape_op(matmul_op(pre, p[f"w_vx{e}"]), (t, N_HEADS, hd // N_HEADS))
+        v = nm.add(v, mul_op(vx, reshape_op(embedding_op(p["gates"], [e]), (N_HEADS, 1))))
+    out = chained_attention(transpose_op(q, (1, 0, 2)), transpose_op(k, (1, 2, 0)), transpose_op(v, (1, 0, 2)),
+                            mask, scale_of(p), rate, rng)
+    ctx = reshape_op(transpose_op(out, (1, 0, 2)), (t, hd))
+    return nm.add(h, dropout_op(matmul_op(ctx, p["w_o"]), rate, rng))
+
+
 BLOCK_MASKS = [Causal(), SplitContext(4), ParallelV2(7, 3, (2, 7, 5))]
 
 
@@ -1279,6 +1305,28 @@ class TestBlocks:
         the projections' input gradient summed newest first."""
         got = self.run(layer, dtype, kind, rate=rate)
         want = self.run(chained_layer, dtype, kind, rate=rate)
+        for g, w in zip(got, want):
+            assert g.dtype == dtype
+            assert np.array_equal(g, w)
+
+    @pytest.mark.parametrize("kind", [Causal(), SplitContext(40), ParallelV2(80, 20, tuple(range(4, 84, 4)))],
+                             ids=["causal", "split", "parallel"])
+    @pytest.mark.parametrize("rate", [0.0, 0.3])
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_attention_block_is_the_written_out_chain_bitwise(self, kind, rate, dtype):
+        """In one row block attention_block's output and gradients, the
+        projections' included, are the written-out chain's bit for bit,
+        attention's softmax and dropout included: backward rebuilds q, k, v
+        and the value extras by forward's own matmuls."""
+        def sublayer(h, p, mask, rate, rng):
+            return nm.attention_block(h, *attention_args(p), mask, N_HEADS, scale_of(p), rate, rng)
+
+        t = 120
+        assert t <= nm._ATTN_BLOCK
+        got = self.run(sublayer, dtype, kind, t, rate)
+        want = self.run(chained_attention_sublayer, dtype, kind, t, rate)
+        got, want = ([x for x in run if x is not None] for run in (got, want))  # the FFN's parameters get none
+        assert len(got) == len(want) == 2 + 2 + len(PROJECTIONS) + 2
         for g, w in zip(got, want):
             assert g.dtype == dtype
             assert np.array_equal(g, w)

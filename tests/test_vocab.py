@@ -1,4 +1,6 @@
 import bisect
+import json
+import math
 from dataclasses import replace
 
 import numpy as np
@@ -287,6 +289,32 @@ class TestPersistence:
         assert "0.33333333333333331" in text or "0.1" in text
         reloaded = vocabulary_from_json(text)
         assert reloaded.modalities[0].bin_edges == vocab.modalities[0].bin_edges
+
+
+    @pytest.mark.parametrize(
+        "key, change, rule",
+        [
+            ("train_sd", {"train_sd": 0}, "finite and positive, got 0"),
+            ("train_sd", {"train_sd": math.nan}, "finite and positive, got NaN"),
+            ("train_sd", {"train_sd": -1}, "finite and positive, got -1"),
+            ("cum_base", {"cum_base": 5}, "4, the token count of the modalities before it, got 5"),
+            ("edges", {"edges": [0.0, 1.0, 2.0, 3.0, 4.0]}, "4 edges, one more than 'midpoints', got 5 edges"),
+            ("edges", {"edges": [0.0, 1.0, 2.0]}, "4 edges, one more than 'midpoints', got 3 edges"),
+        ],
+        ids=["sd-zero", "sd-nan", "sd-negative", "cum-base-off-by-one", "edges-long", "edges-short"],
+    )
+    def test_broken_modality_rejected_at_load(self, tmp_path, key, change, rule):
+        """A hand-edited file whose modality breaks what encoding and the loss
+        rely on (a positive finite scale for the MAE weight and the value
+        encoder, token ranges that tile the vocabulary, one more edge than
+        bins) is one error at load naming the file, the modality and the key."""
+        doc = json.loads(vocabulary_to_json(make_vocab()))
+        doc["modalities"][1] |= change  # m1: three bins after m0's four tokens
+        path = tmp_path / "vocab.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        with pytest.raises(ValueError) as e:
+            load_vocabulary(path)
+        assert str(e.value) == f"vocabulary {str(path)!r}: modality 'm1': {key!r} must be {rule}"
 
 
 class TestProperties:
