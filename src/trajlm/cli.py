@@ -16,6 +16,7 @@ import multiprocessing
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
+from dataclasses import fields
 from datetime import datetime
 from functools import partial
 
@@ -23,7 +24,7 @@ import numpy as np
 
 from . import __version__
 from .checkpoint import load_checkpoint, read_header
-from .corpus import AugmentConfig, FieldError, InputError, assemble_sequence, read_cohort_jsonl, scan_modalities, write_cohort_jsonl
+from .corpus import AugmentConfig, assemble_sequence, read_cohort_jsonl, scan_modalities, write_cohort_jsonl
 from .evalharness import (
     baseline_predict,
     compare_baseline,
@@ -47,7 +48,7 @@ from .intervene import (
 from .model import ModelConfig, param_count
 from .objective import LossConfig, TrainConfig, TrainingDiverged, parse_config_file, train
 from .synthcohort import build_synth_vocabulary, default_config, generate, save_ground_truth
-from .vocab import build_vocabulary, load_vocabulary, save_vocabulary
+from .vocab import FieldError, InputError, Must, build_vocabulary, load_vocabulary, save_vocabulary
 
 
 class CliError(RuntimeError):
@@ -73,13 +74,17 @@ def config_hash(doc: dict) -> str:
     return hashlib.sha256(blob).hexdigest()
 
 
+_TEXT = {"int": ("an integer", int), "float": (Must.number[0], float)}  # how a field of each type reads a value
+
+
 def resolve_seed(flag_seed: int | None, config_seed: int | None = None, default: int = 0) -> int:
     env = os.environ.get("TRAJLM_SEED")
     if env is not None:
+        must, read = _TEXT["int"]
         try:
-            return int(env)
+            return read(env)
         except ValueError:
-            raise CliError(f"TRAJLM_SEED must be an integer, got {env!r}") from None
+            raise CliError(f"TRAJLM_SEED must be {must}, got {env!r}") from None
     if flag_seed is not None:
         return flag_seed
     if config_seed is not None:
@@ -169,90 +174,47 @@ def cmd_tokenize(args) -> int:
     return 0
 
 
-def _whole(text: str) -> int:
-    """A whole number, which may be written as a float ("10.0")."""
-    x = float(text)
-    if not x.is_integer():
-        raise ValueError(text)
-    return int(x)
-
-
-_READS = {int: "an integer", float: "a number", _whole: "a whole number"}
-
-_CONFIG_KEYS = {
-    "n_embd": ("model", "d_model", int),
-    "n_layers": ("model", "n_layers", int),
-    "n_heads": ("model", "n_heads", int),
-    "d_head": ("model", "d_head", int),
-    "n_value_extras": ("model", "n_value_extras", int),
-    "dropout": ("model", "dropout", float),
-    "logit_clamp": ("model", "logit_clamp", float),
-    "continuous_pe_base_dim": ("model", "cont_pe_dim", int),
-    "max_seq_length": ("model", "max_seq_len", int),
-    "lr": ("train", "peak_lr", float),
-    "gamma": ("train", "_gamma", float),
-    "min_lr": ("train", "min_lr", float),
-    "b1": ("train", "beta1", float),
-    "b2": ("train", "beta2", float),
-    "eps": ("train", "eps", float),
-    "weight_decay": ("train", "weight_decay", float),
-    "grad_clip": ("train", "clip_norm", float),
-    "epochs": ("train", "epochs", int),
-    "batch_size": ("train", "batch_size", int),
-    "warmup_steps": ("train", "warmup_steps", int),
-    "seed": ("train", "seed", int),
-    "val_fraction": ("train", "val_fraction", float),
-    "SL_sigma": ("loss", "sl_sigma", float),
-    "soft_labels_scale": ("loss", "soft_scale", float),
-    "mae_loss_scale": ("loss", "mae_scale", float),
-    "split_loss_scale": ("loss", "split_scale", float),
-    "augmentation_chance": ("aug", "noise_chance", float),
-    "augmentation_rate": ("aug", "noise_rate", float),
-    "random_removal_chance": ("aug", "token_removal_chance", float),
-    "random_removal_rate": ("aug", "token_removal_rate", float),
-    "random_block_removal_chance": ("aug", "block_removal_chance", float),
-    "random_block_removal_rate": ("aug", "block_removal_rate", float),
-    "random_block_removal_number": ("aug", "block_removal_blocks", _whole),
-    "random_modality_subset_chance": ("aug", "modality_subset_chance", float),
-    "random_modality_subset_fraction": ("aug", "modality_subset_fraction", float),
-    "random_modality_exclusion_chance": ("aug", "modality_exclusion_chance", float),
-}
+def _config_value(flat, key: str, read: tuple, rules: tuple):
+    """The value the line that sets `key` gives, read by `read`, a
+    (wording, function) pair, and checked against `rules`; a value that
+    breaks either is an InputError naming the line and the key."""
+    must, parse = read
+    try:
+        value = parse(flat[key])
+    except ValueError:
+        raise InputError(f"{flat.where[key]}: {key!r} must be {must}, got {flat[key]!r}") from None
+    for must, ok in rules:
+        if not ok([value]):
+            raise InputError(f"{flat.where[key]}: {key!r} must be {must}, got {value!r}")
+    return value
 
 
 def build_configs(flat: dict[str, str], vocab) -> tuple[ModelConfig, LossConfig, TrainConfig, AugmentConfig]:
-    """The configs a `parse_config_file` result sets; a key outside
-    `_CONFIG_KEYS`, a value its key cannot read, or a value that breaks its
-    config field's rule is an InputError naming the file, the line and the
-    key."""
-    buckets: dict[str, dict] = {"model": {}, "train": {}, "loss": {}, "aug": {}}
-    keys = {}  # config field -> the key that set it
-    for key, value in flat.items():
-        if key not in _CONFIG_KEYS:
+    """The configs a `parse_config_file` result sets.  Each key is read and
+    checked at its line by the config field that declares it, but `gamma`,
+    which sets `min_lr` to gamma * lr where no line sets it; a key no field
+    declares is an InputError naming the line."""
+    kinds = (ModelConfig, TrainConfig, LossConfig, AugmentConfig)
+    by_key = {f.metadata["key"] or f.name: (kind, f) for kind in kinds for f in fields(kind) if f.metadata.get("key") is not None}
+    kw: dict = {kind: {} for kind in kinds}
+    gamma = None
+    for key in flat:
+        if key == "gamma":
+            gamma = _config_value(flat, key, _TEXT["float"], (Must.finite_non_negative,))
+        elif key in by_key:
+            kind, f = by_key[key]
+            kw[kind][f.name] = _config_value(flat, key, f.metadata["walk"].get("read") or _TEXT[f.type], f.metadata["rules"])
+        else:
             raise InputError(f"{flat.where[key]}: unknown config key {key!r}")
-        bucket, name, read = _CONFIG_KEYS[key]
-        try:
-            buckets[bucket][name] = read(value)
-        except ValueError:
-            raise InputError(f"{flat.where[key]}: {key!r} must be {_READS[read]}, got {value!r}") from None
-        keys[name] = key
-    train_kw = buckets["train"]
-    gamma = train_kw.pop("_gamma", None)
+    train_kw = kw[TrainConfig]
     if gamma is not None:
-        if not 0 <= gamma < math.inf:
-            raise InputError(f"{flat.where['gamma']}: 'gamma' must be finite and non-negative, got {gamma}")
         train_kw.setdefault("min_lr", gamma * train_kw.get("peak_lr", TrainConfig.peak_lr))
     try:
-        model = ModelConfig(vocab_size=vocab.total_tokens, n_modalities=vocab.n_modalities, **buckets["model"])
         train_cfg = TrainConfig(**train_kw)
-        loss = LossConfig(**buckets["loss"])
-        aug = AugmentConfig(**buckets["aug"])
-    except FieldError as e:
-        if e.field in keys:
-            key = keys[e.field]
-            raise InputError(f"{flat.where[key]}: {key!r} must be {e.rule}, got {e.value!r}") from None
-        # a field no line sets keeps its valid default, but for min_lr set from gamma
+    except FieldError as e:  # a line's value keeps its rules: this is min_lr, set from gamma
         raise InputError(f"{flat.where['gamma']}: min_lr = gamma * lr: {e}") from None
-    return model, train_cfg, loss, aug
+    model = ModelConfig(vocab_size=vocab.total_tokens, n_modalities=vocab.n_modalities, **kw[ModelConfig])
+    return model, train_cfg, LossConfig(**kw[LossConfig]), AugmentConfig(**kw[AugmentConfig])
 
 
 def cmd_train(args) -> int:
@@ -380,7 +342,8 @@ def cmd_simulate(args) -> int:
     params, config, header, vocab = _load_model(args.ckpt, args.vocab)
     records = read_cohort_jsonl(_require_file(args.cohort, "cohort"), vocab)
     doc = read_simulate_spec(_require_file(args.spec, "intervention spec"), vocab)
-    spec, outcome, horizon, rule = doc["arm"], doc["outcome"], doc["horizon_months"], doc["rule"]
+    spec, horizon, rule = doc["intervention"], doc["horizon_months"], doc["eligibility"]
+    outcome = vocab.modality(doc["outcome"]).id
     seed = resolve_seed(args.seed, doc["seed"], 0)
     rng = np.random.default_rng(seed)
 
@@ -558,8 +521,9 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         for flag in ("max_len", "participants", "workers"):
-            if getattr(args, flag, 1) < 1:
-                raise CliError(f"--{flag.replace('_', '-')} must be at least 1, got {getattr(args, flag)}")
+            must, ok = Must.at_least_1
+            if not ok([getattr(args, flag, 1)]):
+                raise CliError(f"--{flag.replace('_', '-')} must be {must}, got {getattr(args, flag)}")
         return args.func(args)
     except (CliError, InputError) as e:
         print(f"error: {e}", file=sys.stderr)

@@ -10,29 +10,18 @@ from __future__ import annotations
 
 import itertools
 import json
-import math
 from dataclasses import dataclass, field
 from datetime import datetime
-from typing import Callable
 
 import numpy as np
 
-from .vocab import CATEGORICAL, CONTINUOUS, RawModality, Vocabulary, encode_value
+from .vocab import CATEGORICAL, CONTINUOUS, Checked, InputError, Key, Must, RawModality, Table, Vocabulary, declared, encode_value
 
 __all__ = [
-    "InputError",
-    "FieldError",
-    "check_fields",
-    "of",
-    "finite",
-    "Key",
-    "Table",
     "Event",
     "ParticipantRecord",
     "TokenSequence",
     "AugmentConfig",
-    "YEAR_BASE",
-    "N_YEARS",
     "TEMPORAL_VOCAB_SIZES",
     "SEX_INDEX",
     "time_features",
@@ -52,177 +41,6 @@ YEAR_BASE = 1900
 N_YEARS = TEMPORAL_VOCAB_SIZES[4]
 
 SEX_INDEX = {"female": 0, "male": 1, "unknown": 2}
-
-
-class InputError(ValueError):
-    """Input that breaks its format's table; the message names the file
-    (and the line, in a cohort or config file) and the key."""
-
-
-class FieldError(ValueError):
-    """A config `field` whose `value` breaks its `rule`."""
-
-    def __init__(self, field: str, rule: str, value):
-        super().__init__(f"{field} must be {rule}, got {value!r}")
-        self.field, self.rule, self.value = field, rule, value
-
-
-def check_fields(config, rules: dict) -> None:
-    """Raise FieldError naming the first field that breaks its rule; `rules`
-    maps a rule's wording to (test, field names)."""
-    for rule, (ok, names) in rules.items():
-        for name in names:
-            if not ok(getattr(config, name)):  # NaN fails every rule
-                raise FieldError(name, rule, getattr(config, name))
-
-
-# --- input tables ---------------------------------------------------------------
-#
-# Each input format is a Table: the keys a JSON object may hold, in checking
-# order, each with the Key that states its rules in `check_fields`'s shape,
-# wording -> test.  A test takes all the values one key holds across a list
-# of objects, so a cohort file's events are checked as columns.
-
-_REQUIRED = object()  # the default of a key every object must give
-
-
-def of(*types) -> Callable:
-    """The test that each value is of one of `types`, the Python types
-    `json` reads (so a bool is no number)."""
-    allowed = frozenset(types)
-    return lambda values: set(map(type, values)) <= allowed
-
-
-def finite(values) -> bool:
-    return all(map(math.isfinite, [v for v in values if type(v) is not str]))
-
-
-_OBJECTS, _LISTS = of(dict), of(list)
-
-
-def _show(value) -> str:
-    return json.dumps(value, default=repr)
-
-
-def _parse(text: str, where: str):
-    try:
-        return json.loads(text)
-    except json.JSONDecodeError as e:
-        raise InputError(f"malformed JSON in {where}: {e}") from None
-
-
-@dataclass(frozen=True)
-class Key:
-    """A key's rules, wording -> test, checked in order; its default;
-    `read`, which turns a value into what the reader keeps (a ValueError or
-    KeyError breaks the last rule); the `table` of the object, or of each
-    object of the list, the key holds (a dict of Tables picks one by the
-    object's "kind"); and `names`, what the objects of a list are called in
-    messages when this key names them."""
-
-    rules: dict
-    default: object = _REQUIRED
-    read: Callable | None = None
-    table: dict | None = None
-    names: str = ""
-
-    def broken(self, values: list) -> str | None:
-        """The wording of the first rule some value breaks, or None; the
-        values are read in place."""
-        for must, ok in self.rules.items():
-            if not ok(values):
-                return must
-        try:
-            values[:] = map(self.read, values) if self.read else values
-        except (KeyError, ValueError):
-            return must
-
-
-class Table(dict):
-    """A format's table: each key an object may hold, with its Key."""
-
-    def load(self, path, where: str) -> dict:
-        """The JSON document in the file at `path`, checked; an object that
-        gives a key twice is an InputError naming the key."""
-        def once(pairs: list) -> dict:
-            for i, (key, _) in enumerate(pairs):
-                if any(k == key for k, _ in pairs[:i]):
-                    raise InputError(f"{where}: {key!r} is given twice")
-            return dict(pairs)
-
-        with open(path, encoding="utf-8") as f:
-            text = f.read()
-        try:
-            return self.check(json.loads(text, object_pairs_hook=once), where)
-        except json.JSONDecodeError as e:
-            raise InputError(f"malformed JSON in {where}: {e}") from None
-
-    def check(self, doc, where: str) -> dict:
-        """The object `doc` checked: each key's value as its Key reads it,
-        or its default where `doc` lacks it.  An object that breaks the
-        table raises InputError naming `where` and the key."""
-        return {key: values[0] for key, values in self.columns([doc], lambda i: where).items()}
-
-    def columns(self, docs: list, where) -> dict:
-        """The objects `docs` checked together, `where(i)` naming the i-th:
-        each key's values, one per object.  The objects of every list a key
-        holds are checked all at once, and each list comes back as its
-        columns."""
-        if not _OBJECTS(docs):
-            i = next(i for i, d in enumerate(docs) if type(d) is not dict)
-            raise InputError(f"{where(i)} must be an object, got {_show(docs[i])}")
-        extra = set().union(*docs) - self.keys()
-        if extra:
-            i, key = next((i, k) for i, d in enumerate(docs) for k in d if k in extra)
-            raise InputError(f"{where(i)} has unknown key {key!r}: its keys are {', '.join(self)}")
-        out, names = {}, None
-
-        def at(i):
-            return where(i) if names is None else f"{where(i)}: {names[0]} {docs[i][names[1]]!r}"
-
-        for key, rule in self.items():
-            try:
-                given = [d[key] for d in docs]
-            except KeyError:
-                given = [d[key] for d in docs if key in d]
-                if rule.default is _REQUIRED:
-                    raise InputError(f"{at(next(i for i, d in enumerate(docs) if key not in d))} has no key {key!r}") from None
-            if given and rule.broken(given):
-                i, must = next((i, m) for i, d in enumerate(docs) if key in d for m in [rule.broken([d[key]])] if m)
-                raise InputError(f"{at(i)}: {key!r} must be {must}, got {_show(docs[i][key])}")
-            if len(given) < len(docs):
-                kept = iter(given)
-                given = [next(kept) if key in d else rule.default for d in docs]
-            out[key] = given if rule.table is None else _nested(rule.table, given, at)
-            if rule.names:
-                names = rule.names, key
-        return out
-
-
-def _nested(table: dict, values: list, at) -> list:
-    """The objects, and lists of objects, among `values` checked against
-    `table`, `at(i)` naming the object that holds the i-th value; other
-    values (a missing key's default) stay.  Against a Table the objects of
-    all the lists are checked at once and each list comes back as columns;
-    a dict of Tables checks each object by the one its "kind" picks."""
-    if not isinstance(table, Table):
-        def pick(doc, where):
-            if type(doc.get("kind")) is not str or doc["kind"] not in table:
-                raise InputError(f"{where}: 'kind' must be one of {', '.join(table)}, got {_show(doc.get('kind'))}")
-            return table[doc["kind"]].check(doc, where)
-
-        return [[pick(d, at(i)) for d in v] if type(v) is list else pick(v, at(i)) if type(v) is dict else v for i, v in enumerate(values)]
-    owners = [i for i, v in enumerate(values) if type(v) is list for _ in v]
-    cols = table.columns([x for v in values if type(v) is list for x in v], lambda j: at(owners[j]))
-    out, end = [], 0
-    for i, v in enumerate(values):
-        if type(v) is list:
-            end += len(v)
-            v = {key: c[end - len(v) : end] for key, c in cols.items()}
-        elif type(v) is dict:
-            v = table.check(v, at(i))
-        out.append(v)
-    return out
 
 
 @dataclass
@@ -296,27 +114,32 @@ class TokenSequence:
         )
 
 
-@dataclass
-class AugmentConfig:
-    noise_chance: float = 0.10
-    noise_rate: float = 0.15
-    token_removal_chance: float = 0.50
-    token_removal_rate: float = 0.15
-    block_removal_chance: float = 0.20
-    block_removal_rate: float = 0.01
-    block_removal_blocks: int = 10
-    modality_subset_chance: float = 0.10
-    modality_subset_fraction: float = 0.10
-    modality_exclusion_chance: float = 0.05
+def _whole(text: str) -> int:
+    """A whole number, which may be written as a float ("10.0")."""
+    x = float(text)
+    if not x.is_integer():
+        raise ValueError(text)
+    return int(x)
 
-    def __post_init__(self):
-        check_fields(self, {
-            "in [0, 1]": (lambda x: 0 <= x <= 1, (
-                "noise_chance", "noise_rate", "token_removal_chance", "token_removal_rate", "block_removal_chance",
-                "block_removal_rate", "modality_subset_chance", "modality_subset_fraction", "modality_exclusion_chance",
-            )),
-            "at least 0": (lambda x: x >= 0, ("block_removal_blocks",)),
-        })
+
+_UNIT = ("in [0, 1]", Must.each(lambda x: 0 <= x <= 1))
+
+
+@dataclass
+class AugmentConfig(Checked):
+    noise_chance: float = declared(_UNIT, key="augmentation_chance", default=0.10)
+    noise_rate: float = declared(_UNIT, key="augmentation_rate", default=0.15)
+    token_removal_chance: float = declared(_UNIT, key="random_removal_chance", default=0.50)
+    token_removal_rate: float = declared(_UNIT, key="random_removal_rate", default=0.15)
+    block_removal_chance: float = declared(_UNIT, key="random_block_removal_chance", default=0.20)
+    block_removal_rate: float = declared(_UNIT, key="random_block_removal_rate", default=0.01)
+    block_removal_blocks: int = declared(
+        ("at least 0", Must.each(lambda x: x >= 0)), key="random_block_removal_number", default=10,
+        read=(Must.whole[0], _whole),
+    )
+    modality_subset_chance: float = declared(_UNIT, key="random_modality_subset_chance", default=0.10)
+    modality_subset_fraction: float = declared(_UNIT, key="random_modality_subset_fraction", default=0.10)
+    modality_exclusion_chance: float = declared(_UNIT, key="random_modality_exclusion_chance", default=0.05)
 
     @classmethod
     def disabled(cls) -> "AugmentConfig":
@@ -499,26 +322,22 @@ def write_cohort_jsonl(records: list[ParticipantRecord], vocab: Vocabulary, path
 def _cohort_table(ids: dict | None) -> Table:
     """A cohort line's table.  `ids` maps each modality name an event may
     give to the id the reader keeps; None admits any name and keeps it."""
-    seen: set[str] = set()
-    is_str, iso = of(str), datetime.fromisoformat
+    iso, dates, is_str = datetime.fromisoformat, "a list of ISO date-time strings", Must.string[1]
     event = Table(
-        m=Key({"a modality name": is_str, "non-empty": all}, read=None if ids is None else ids.__getitem__, names="event"),
-        t=Key({"an ISO date-time string": is_str}, read=iso),
-        v=Key({"a number or a string": of(int, float, str), "finite": finite}),
-        sleep=Key({"true or false": of(bool)}, False),
+        m=Key(
+            (("a modality name", is_str), Must.non_empty),
+            read=() if ids is None else ("a modality of the vocabulary", ids.__getitem__), names="event",
+        ),
+        t=Key(read=("an ISO date-time string", iso)),
+        v=Key((("a number or a string", Must.of(int, float, str)), Must.finite)),
+        sleep=Key((("true or false", Must.of(bool)),), False),
     )
     return Table(
-        id=Key(
-            {"a string": is_str, "non-empty": all, "unique in its file": lambda pids: seen.isdisjoint(pids) and len(set(pids)) == len(pids)},
-            read=lambda pid: seen.add(pid) or pid,
-        ),
-        age=Key({"a number": of(int, float), "finite": finite}),
-        sex=Key({f"one of {', '.join(SEX_INDEX)}": lambda vs: is_str(vs) and set(vs) <= SEX_INDEX.keys()}, "unknown"),
-        visits=Key(
-            {"a list of ISO date-time strings": lambda vs: _LISTS(vs) and all(map(is_str, vs))},
-            [], read=lambda visits: list(map(iso, visits)),
-        ),
-        events=Key({"a list of objects": lambda vs: _LISTS(vs) and all(map(_OBJECTS, vs))}, table=event),
+        id=Key((Must.string, Must.non_empty, Must.unique(set()))),
+        age=Key((Must.number, Must.finite)),
+        sex=Key(((f"one of {', '.join(SEX_INDEX)}", lambda vs: is_str(vs) and set(vs) <= SEX_INDEX.keys()),), "unknown"),
+        visits=Key(((dates, Must.list_of(is_str)),), [], read=(dates, lambda visits: list(map(iso, visits)))),
+        events=Key((Must.objects,), table=event),
     )
 
 
@@ -533,7 +352,7 @@ def _cohort_chunks(path, ids: dict | None):
         lines = ((f"{path}:{n}", line) for n, line in enumerate(f, 1) if line.strip())
         while chunk := list(itertools.islice(lines, 32)):
             wheres = [where for where, _ in chunk]
-            yield wheres, table.columns([_parse(line, where) for where, line in chunk], wheres.__getitem__)
+            yield wheres, table.columns([Table.parse(line, where) for where, line in chunk], wheres.__getitem__)
 
 
 def read_cohort_jsonl(path, vocab: Vocabulary) -> list[ParticipantRecord]:
@@ -557,7 +376,7 @@ def scan_modalities(path) -> list[RawModality]:
                 kind = CATEGORICAL if type(v) is str else CONTINUOUS
                 if kinds.setdefault(name, kind) != kind:
                     must = "a number" if kinds[name] == CONTINUOUS else "a string"
-                    raise InputError(f"{where}: event {name!r}: 'v' must be {must}, as the modality is {kinds[name]}, got {_show(v)}")
+                    raise InputError(f"{where}: event {name!r}: 'v' must be {must}, as the modality is {kinds[name]}, got {json.dumps(v)}")
                 values = seen.setdefault(name, [])
                 if kind == CONTINUOUS:
                     values.append(float(v))

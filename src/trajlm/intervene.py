@@ -14,39 +14,23 @@ concordance against published estimates.
 
 from __future__ import annotations
 
-import json
 import math
 import os
 from dataclasses import dataclass, field
 from datetime import datetime, timedelta
+from functools import partial
 
 import numpy as np
 
-from .corpus import (
-    Event,
-    FieldError,
-    InputError,
-    Key,
-    ParticipantRecord,
-    Table,
-    TokenSequence,
-    assemble_sequence,
-    check_fields,
-    features_to_datetime,
-    finite,
-    of,
-    time_features,
-    v1_context,
-)
+from .corpus import Event, ParticipantRecord, TokenSequence, assemble_sequence, features_to_datetime, time_features, v1_context
 from .evalharness import plan_queries
 from .model import ModelConfig
 from .numerics import Tensor
-from .vocab import CATEGORICAL, CONTINUOUS, Vocabulary, encode_value
+from .vocab import CATEGORICAL, CONTINUOUS, Checked, FieldError, Key, ModalitySpec, Must, Table, Vocabulary, declared, encode_value
 
 __all__ = [
     "FREQUENCIES",
     "DURATIONS",
-    "MONTH_DAYS",
     "CategoricalAppend",
     "ContinuousScale",
     "EligibilityRule",
@@ -73,29 +57,28 @@ MONTH_DAYS = 30.4375
 TRIAL_VISIT = datetime(2021, 3, 1, 9, 0)  # the one visit of every synthetic trial participant
 
 
-@dataclass(frozen=True)
-class CategoricalAppend:
-    modality_id: int
-    category_index: int
-    frequency: int
-    duration: int
-    label: str = ""
+def _on_grid(grid: tuple) -> tuple:
+    return (f"on the dosing grid {grid}", Must.each(grid.__contains__))
 
-    def __post_init__(self):
-        check_fields(self, {
-            f"on the dosing grid {FREQUENCIES}": (FREQUENCIES.__contains__, ("frequency",)),
-            f"on the dosing grid {DURATIONS}": (DURATIONS.__contains__, ("duration",)),
-        })
+
+# The spec dataclasses declare their fields' rules and JSON types; the keys
+# that name a modality are checked against the vocabulary, by `_spec_tables`.
 
 
 @dataclass(frozen=True)
-class ContinuousScale:
-    modality_ids: tuple[int, ...]
-    factor: float
-    label: str = ""
+class CategoricalAppend(Checked):
+    modality_id: int = declared(key="modality")
+    category_index: int = declared(json=Must.whole)
+    frequency: int = declared(_on_grid(FREQUENCIES), json=Must.whole)
+    duration: int = declared(_on_grid(DURATIONS), json=Must.whole)
+    label: str = declared(json=Must.string, default="")
 
-    def __post_init__(self):
-        check_fields(self, {"finite and positive": (lambda v: 0 < v < math.inf, ("factor",))})
+
+@dataclass(frozen=True)
+class ContinuousScale(Checked):
+    modality_ids: tuple[int, ...] = declared(key="modalities")
+    factor: float = declared(Must.finite_positive, json=Must.number)
+    label: str = declared(json=Must.string, default="")
 
 
 InterventionSpec = CategoricalAppend | ContinuousScale
@@ -104,54 +87,71 @@ Arm = InterventionSpec | tuple[InterventionSpec, ...]
 
 
 @dataclass(frozen=True)
-class EligibilityRule:
-    modality_id: int
-    comparator: str
-    threshold: float
-
-    def __post_init__(self):
-        check_fields(self, {
-            "'>=' or '<='": ((">=", "<=").__contains__, ("comparator",)),
-            "finite": (math.isfinite, ("threshold",)),
-        })
+class EligibilityRule(Checked):
+    modality_id: int = declared(key="modality")
+    comparator: str = declared(("'>=' or '<='", Must.each((">=", "<=").__contains__)), json=Must.string)
+    threshold: float = declared(Must.finite, json=Must.number)
 
     def satisfied(self, value: float) -> bool:
         return value >= self.threshold if self.comparator == ">=" else value <= self.threshold
 
 
 @dataclass
-class TrialVariable:
+class TrialVariable(Checked):
     modality: str
-    mean: float
-    sd: float
-    low: float
-    high: float
+    mean: float = declared(Must.finite, json=Must.number)
+    sd: float = declared(Must.finite, Must.non_negative, json=Must.number)
+    low: float = declared(json=Must.number)
+    high: float = declared(json=Must.number)
 
     def __post_init__(self):
+        super().__post_init__()
         # a NaN fails each rule: it would stall the rejection sampler
         if not self.low < self.high:
             raise FieldError("low", f"below high {self.high!r}", self.low)
-        check_fields(self, {"non-negative": (lambda v: v >= 0, ("sd",))})
         if not _truncnorm_mass(self.mean, self.sd, self.low, self.high) >= 1e-3:
             rule = f"such that N(mean, sd {self.sd!r}) puts at least 0.1% of its mass in [low {self.low!r}, high {self.high!r}]"
             raise FieldError("mean", rule, self.mean)
 
 
+@dataclass(frozen=True)
+class Published(Checked):
+    """A trial's published effect: a point estimate inside its 95% CI."""
+
+    point: float = declared(Must.finite, json=Must.number)
+    ci_low: float = declared(Must.finite, json=Must.number)
+    ci_high: float = declared(Must.finite, json=Must.number)
+
+    def __post_init__(self):
+        super().__post_init__()
+        if not self.ci_low <= self.point <= self.ci_high:
+            raise FieldError("point", f"inside its own CI [ci_low {self.ci_low!r}, ci_high {self.ci_high!r}]", self.point)
+
+
+_HORIZON = "a whole number of months in [1, 24]"
+
+
+def check_horizon(months) -> int:
+    """A horizon or trajectory length: a whole number of months in [1, 24]."""
+    if isinstance(months, bool) or not isinstance(months, (int, np.integer)) or not 1 <= months <= 24:
+        raise ValueError(f"horizon must be {_HORIZON}, got {months!r}")
+    return int(months)
+
+
 @dataclass
-class TrialSpec:
-    name: str
+class TrialSpec(Checked):
+    name: str = declared(json=Must.string)
     table1: list[TrialVariable]
     arms: list[InterventionSpec]
     outcome: str
-    horizon_months: int
+    horizon_months: int = declared(json=(_HORIZON, Must.whole[1]), read=(_HORIZON, check_horizon))
     published_point: float
     published_ci: tuple[float, float]
-    n: int = 200
+    n: int = declared(json=("a whole number >= 1", lambda vs: Must.whole[1](vs) and min(vs) >= 1), default=200)
 
     def __post_init__(self):
-        lo, hi = self.published_ci
-        if not lo <= self.published_point <= hi:
-            raise FieldError("published_point", f"inside its own CI [ci_low {lo!r}, ci_high {hi!r}]", self.published_point)
+        super().__post_init__()
+        Published(self.published_point, *self.published_ci)  # keeps the point inside its CI
 
 
 # How a `simulate` run accounts for every participant it reads: each one is
@@ -243,14 +243,20 @@ def dosing_schedule(spec: CategoricalAppend, start: datetime, vocab: Vocabulary,
     `months` months when given: frequency tokens a month, spaced 1/frequency
     months apart, starting one spacing after `start`."""
     m = vocab.modalities[spec.modality_id]
-    if m.kind != CATEGORICAL:
-        raise ValueError(f"dosing requires a categorical modality, got {m.name!r}")
-    if not 0 <= spec.category_index < m.n_tokens:
-        raise ValueError(f"category index {spec.category_index} outside {m.name!r}")
+    _check_dose(spec, m)
     token = m.cum_base + spec.category_index
     spacing = 1.0 / spec.frequency
     n_tokens = spec.frequency * (spec.duration if months is None else months)
     return [(add_months(start, (k + 1) * spacing), token) for k in range(n_tokens)]
+
+
+def _check_dose(spec: CategoricalAppend, m: ModalitySpec) -> None:
+    """A dose is a category of a categorical modality `m`, else a
+    FieldError names the key."""
+    if m.kind != CATEGORICAL:
+        raise FieldError("modality", "a categorical modality", m.name)
+    if not 0 <= spec.category_index < m.n_tokens:
+        raise FieldError("category_index", f"an index into {m.name!r}'s {m.n_tokens} categories", spec.category_index)
 
 
 def _sequence_end_time(seq: TokenSequence) -> datetime:
@@ -330,16 +336,6 @@ def _append_doses(seq: TokenSequence, doses: list[tuple[datetime, int, int]]) ->
     out = TokenSequence(tokens, values, mods, times, t + n)
     out.check()
     return out
-
-
-_HORIZON = "a whole number of months in [1, 24]"
-
-
-def check_horizon(months) -> int:
-    """A horizon or trajectory length: a whole number of months in [1, 24]."""
-    if isinstance(months, bool) or not isinstance(months, (int, np.integer)) or not 1 <= months <= 24:
-        raise ValueError(f"horizon must be {_HORIZON}, got {months!r}")
-    return int(months)
 
 
 def _check_outcome(vocab: Vocabulary, outcome_modality: int) -> None:
@@ -510,105 +506,57 @@ def concordance(rows: list[dict]) -> dict:
 def _spec_tables(vocab: Vocabulary) -> tuple[Table, Table]:
     """The `simulate` and `trial-run` spec tables, whose modality keys name
     a modality of `vocab`."""
-    names = {m.name for m in vocab.modalities}
+    ids = {m.name: m.id for m in vocab.modalities}
     continuous = {m.name for m in vocab.modalities if m.kind == CONTINUOUS}
-    objects = {"a list of objects": lambda vs: of(list)(vs) and all(map(of(dict), vs))}
-    string, number, whole = Key({"a string": of(str)}), Key({"a number": of(int, float)}), Key({"a whole number": of(int)})
-    modality = Key({"a string": of(str), "a modality name": lambda vs: set(vs) <= names})
-    outcome = Key({"a string": of(str), "a continuous modality name": lambda vs: set(vs) <= continuous})
-    label = Key({"a string": of(str)}, None)
+    modality = Key((Must.string, ("a modality name", lambda vs: set(vs) <= ids.keys())))
+    outcome = Key((Must.string, ("a continuous modality name", lambda vs: set(vs) <= continuous)))
+    make_arm, kind = partial(parse_intervention, vocab=vocab), Key((Must.string,))
+    modalities = Key((Must.strings, Must.non_empty, ("a list of modality names", lambda vs: set().union(*vs) <= ids.keys())))
     arm = {
-        "append": Table(kind=string, modality=modality, category_index=whole, frequency=whole, duration=whole, label=label),
-        "scale": Table(
-            kind=string,
-            modalities=Key({
-                "a list of strings": lambda vs: of(list)(vs) and all(map(of(str), vs)),
-                "non-empty": all,
-                "a list of modality names": lambda vs: set().union(*vs) <= names,
-            }),
-            factor=number, label=label,
-        ),
+        "append": Table.of(CategoricalAppend, make_arm, kind=kind, modality_id=modality),
+        "scale": Table.of(ContinuousScale, make_arm, kind=kind, modality_ids=modalities),
     }
+    arms = Key((Must.objects,), table=arm)
+    rule = Table.of(EligibilityRule, lambda d: EligibilityRule(ids[d["modality"]], d["comparator"], float(d["threshold"])), modality_id=modality)
+    row = Key((Must.string, ("a modality name or age", lambda vs: all(v in ids or v.lower() == "age" for v in vs))), names="table-1 row")
+    published = Table.of(Published, lambda d: Published(*map(float, d.values())))
+    trial = Table.of(
+        TrialSpec, _make_trial, outcome=outcome, arms=arms, table1=Key((Must.objects,), table=Table.of(TrialVariable, modality=row)),
+        published=Key((Must.object,), table=published),
+    )
     simulate = Table(
-        intervention=Key({"an object": of(dict)}, table=arm),
+        intervention=Key((Must.object,), table=arm),
         outcome=outcome,
-        horizon_months=Key({_HORIZON: of(int)}, 12, read=check_horizon),
-        seed=Key({"a whole number >= 0": lambda vs: of(int)(vs) and min(vs) >= 0}, None),
-        eligibility=Key({"an object": of(dict)}, None, table=Table(modality=modality, comparator=string, threshold=number)),
-    )
-    finite_number = Key({"a number": of(int, float), "finite": finite})
-    row = Table(
-        modality=Key({"a string": of(str), "a modality name or age": lambda vs: all(v in names or v.lower() == "age" for v in vs)}, names="table-1 row"),
-        mean=finite_number, sd=finite_number, low=number, high=number,
-    )
-    trial = Table(
-        name=string,
-        n=Key({"a whole number >= 1": lambda vs: of(int)(vs) and min(vs) >= 1}, 200),
-        table1=Key(objects, table=row),
-        outcome=outcome,
-        horizon_months=Key({_HORIZON: of(int)}, read=check_horizon),
-        published=Key({"an object": of(dict)}, table=Table(point=finite_number, ci_low=finite_number, ci_high=finite_number)),
-        arms=Key(objects, table=arm),
+        horizon_months=trial["horizon_months"]._replace(default=12),
+        seed=Key((("a whole number >= 0", lambda vs: Must.whole[1](vs) and min(vs) >= 0),), None),
+        eligibility=Key((Must.object,), None, table=rule),
     )
     return simulate, trial
 
 
+def _make_trial(doc: dict) -> TrialSpec:
+    """The TrialSpec a checked trial spec describes; it has 1 or 2 arms."""
+    if len(doc["arms"]) not in (1, 2):
+        raise FieldError("arms", "a list of 1 or 2 arms", len(doc["arms"]))
+    p = doc["published"]
+    return TrialSpec(doc["name"], doc["table1"], doc["arms"], doc["outcome"], doc["horizon_months"], p.point, (p.ci_low, p.ci_high), doc["n"])
+
+
 def read_simulate_spec(path, vocab: Vocabulary) -> dict:
-    """The `simulate` spec file at `path`, checked: its arm, the outcome
-    modality's id, the horizon, the seed (None when absent) and the
-    eligibility rule (None when absent)."""
-    where = f"intervention spec {str(path)!r}"
-    doc = _spec_tables(vocab)[0].load(path, where)
-    e = doc["eligibility"]
-    return {
-        "arm": _spec_object(f"{where}: 'intervention'", parse_intervention, doc["intervention"], vocab),
-        "outcome": vocab.modality(doc["outcome"]).id,
-        "horizon_months": doc["horizon_months"],
-        "seed": doc["seed"],
-        "rule": e and _spec_object(
-            f"{where}: 'eligibility'", EligibilityRule, vocab.modality(e["modality"]).id, e["comparator"], float(e["threshold"])
-        ),
-    }
+    """The `simulate` spec file at `path`, checked: each key's value, the
+    intervention as its arm and the eligibility as its rule (the seed and
+    the rule None when absent)."""
+    return _spec_tables(vocab)[0].load(path, f"intervention spec {str(path)!r}")
 
 
 def read_trial_spec(path, vocab: Vocabulary) -> TrialSpec:
     """The trial spec file at `path`, checked, as a TrialSpec."""
-    where = f"trial spec {os.path.basename(path)} {str(path)!r}"
-    return _trial_spec(_spec_tables(vocab)[1].load(path, where), vocab, where)
+    return _spec_tables(vocab)[1].load(path, f"trial spec {os.path.basename(path)} {str(path)!r}")
 
 
 def load_trial_spec(doc: dict, vocab: Vocabulary) -> TrialSpec:
     """A trial description, checked, as a TrialSpec."""
-    return _trial_spec(_spec_tables(vocab)[1].check(doc, "trial spec"), vocab, "trial spec")
-
-
-def _spec_object(where: str, make, *args, keys: dict | None = None):
-    """make(*args), the object a part of a checked spec describes.  A rule
-    the object keeps for itself (a FieldError) is an InputError naming
-    `where` and the key; `keys` maps a field to its key where they differ."""
-    try:
-        return make(*args)
-    except FieldError as e:
-        key = (keys or {}).get(e.field, e.field)
-        raise InputError(f"{where}: {key!r} must be {e.rule}, got {json.dumps(e.value)}") from None
-
-
-def _trial_spec(doc: dict, vocab: Vocabulary, where: str) -> TrialSpec:
-    """The TrialSpec a checked trial spec describes; its arm count is
-    checked after the checks TrialSpec and its parts make."""
-    rows, pub = doc["table1"], doc["published"]
-    table1 = [
-        _spec_object(f"{where}: table-1 row {row[0]!r}", TrialVariable, *row)
-        for row in zip(rows["modality"], rows["mean"], rows["sd"], rows["low"], rows["high"])
-    ]
-    arms = [_spec_object(f"{where}: 'arms'[{i}]", parse_intervention, a, vocab) for i, a in enumerate(doc["arms"])]
-    trial = _spec_object(
-        f"{where}: 'published'", TrialSpec, doc["name"], table1, arms, doc["outcome"], doc["horizon_months"],
-        float(pub["point"]), (float(pub["ci_low"]), float(pub["ci_high"])), doc["n"], keys={"published_point": "point"},
-    )
-    if len(trial.arms) not in (1, 2):
-        raise InputError(f"{where}: 'arms' must be a list of 1 or 2 arms, got {len(trial.arms)}")
-    return trial
+    return _spec_tables(vocab)[1].check(doc, "trial spec")
 
 
 def parse_intervention(doc: dict, vocab: Vocabulary) -> InterventionSpec:
@@ -618,13 +566,10 @@ def parse_intervention(doc: dict, vocab: Vocabulary) -> InterventionSpec:
     continuous ones, else a FieldError names the key."""
     if doc["kind"] == "append":
         m = vocab.modality(doc["modality"])
-        if m.kind != CATEGORICAL:
-            raise FieldError("modality", "a categorical modality", doc["modality"])
-        if not 0 <= doc["category_index"] < m.n_tokens:
-            raise FieldError("category_index", f"an index into {m.name!r}'s {m.n_tokens} categories", doc["category_index"])
-        return CategoricalAppend(
-            m.id, int(doc["category_index"]), int(doc["frequency"]), int(doc["duration"]), doc.get("label") or doc["modality"],
-        )
-    if any(vocab.modality(m).kind != CONTINUOUS for m in doc["modalities"]):
+        spec = CategoricalAppend(m.id, doc["category_index"], doc["frequency"], doc["duration"], doc["label"] or m.name)
+        _check_dose(spec, m)
+        return spec
+    targets = [vocab.modality(name) for name in doc["modalities"]]
+    if any(m.kind != CONTINUOUS for m in targets):
         raise FieldError("modalities", "continuous modalities", doc["modalities"])
-    return ContinuousScale(tuple(vocab.modality(m).id for m in doc["modalities"]), float(doc["factor"]), doc.get("label") or "scale")
+    return ContinuousScale(tuple(m.id for m in targets), float(doc["factor"]), doc["label"] or "scale")

@@ -12,14 +12,14 @@ bounded by a smooth tanh clamp.  Each stage is one tape node (numerics'
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass, asdict
 
 import numpy as np
 
 from . import numerics as nm
-from .corpus import TEMPORAL_VOCAB_SIZES, SEX_INDEX, check_fields
+from .corpus import TEMPORAL_VOCAB_SIZES, SEX_INDEX
 from .numerics import Tensor
-from .vocab import CONTINUOUS, Vocabulary
+from .vocab import CONTINUOUS, Checked, Must, Vocabulary, declared
 
 __all__ = [
     "ModelConfig",
@@ -36,41 +36,31 @@ __all__ = [
 ]
 
 
+_EVEN = ("even", Must.each(lambda x: x % 2 == 0))
+_TABLE_SIZES = (
+    f"7 table sizes, each at least {TEMPORAL_VOCAB_SIZES}",
+    Must.each(lambda sizes: len(sizes) == 7 and all(s >= need for s, need in zip(sizes, TEMPORAL_VOCAB_SIZES))),
+)
+
+
 @dataclass
-class ModelConfig:
-    vocab_size: int
-    n_modalities: int
-    d_model: int = 768
-    n_layers: int = 14
-    n_heads: int = 2
-    d_head: int = 64
-    n_value_extras: int = 2
-    dropout: float = 0.2
-    logit_clamp: float = 50.0
-    cont_pe_dim: int = 512
-    max_seq_len: int = 25_000
-    temporal_vocab_sizes: list[int] = field(default_factory=lambda: list(TEMPORAL_VOCAB_SIZES))
+class ModelConfig(Checked):
+    vocab_size: int = declared(Must.positive, key=None)
+    n_modalities: int = declared(Must.positive, key=None)
+    d_model: int = declared(Must.positive, _EVEN, key="n_embd", default=768)
+    n_layers: int = declared(Must.positive, default=14)
+    n_heads: int = declared(Must.positive, default=2)
+    d_head: int = declared(Must.positive, default=64)
+    n_value_extras: int = declared(Must.non_negative, default=2)
+    dropout: float = declared(Must.fraction, default=0.2)
+    logit_clamp: float = declared(Must.finite_positive, default=50.0)
+    cont_pe_dim: int = declared(Must.positive, _EVEN, key="continuous_pe_base_dim", default=512)
+    max_seq_len: int = declared(Must.positive, key="max_seq_length", default=25_000)
+    temporal_vocab_sizes: list[int] = declared(_TABLE_SIZES, key=None, factory=lambda: list(TEMPORAL_VOCAB_SIZES))
 
     @property
     def d_ff(self) -> int:
         return 4 * self.d_model
-
-    def __post_init__(self):
-        check_fields(self, {
-            "positive": (
-                lambda x: x > 0,
-                ("vocab_size", "n_modalities", "d_model", "n_layers", "n_heads", "d_head", "cont_pe_dim", "max_seq_len"),
-            ),
-            "non-negative": (lambda x: x >= 0, ("n_value_extras",)),
-            "in [0, 1)": (lambda x: 0 <= x < 1, ("dropout",)),
-            "finite and positive": (lambda x: 0 < x < math.inf, ("logit_clamp",)),
-            "even": (lambda x: x % 2 == 0, ("d_model", "cont_pe_dim")),
-        })
-        sizes = self.temporal_vocab_sizes
-        if len(sizes) != 7 or any(s < need for s, need in zip(sizes, TEMPORAL_VOCAB_SIZES)):
-            raise ValueError(
-                f"temporal_vocab_sizes must be 7 table sizes, each at least {TEMPORAL_VOCAB_SIZES}; got {sizes}"
-            )
 
     def to_dict(self) -> dict:
         return asdict(self)

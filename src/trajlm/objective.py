@@ -19,10 +19,10 @@ import numpy as np
 
 from . import numerics as nm
 from .checkpoint import save_checkpoint
-from .corpus import AugmentConfig, InputError, TokenSequence, assemble_sequence, augment, check_fields
+from .corpus import AugmentConfig, TokenSequence, assemble_sequence, augment
 from .model import Causal, ModelConfig, SplitContext, forward, build_mask, init_params, value_scale_table
 from .numerics import Tensor, backward
-from .vocab import CONTINUOUS, Vocabulary
+from .vocab import CONTINUOUS, Checked, InputError, Must, Vocabulary, declared
 
 __all__ = [
     "LossConfig",
@@ -42,42 +42,27 @@ __all__ = [
 
 
 @dataclass
-class LossConfig:
-    sl_sigma: float = 0.01
-    soft_scale: float = 1.0
-    mae_scale: float = 1.0
-    split_scale: float = 1.0
-
-    def __post_init__(self):
-        check_fields(self, {
-            "finite and positive": (lambda x: 0 < x < math.inf, ("sl_sigma",)),
-            "finite and non-negative": (lambda x: 0 <= x < math.inf, ("soft_scale", "mae_scale", "split_scale")),
-        })
+class LossConfig(Checked):
+    sl_sigma: float = declared(Must.finite_positive, key="SL_sigma", default=0.01)
+    soft_scale: float = declared(Must.finite_non_negative, key="soft_labels_scale", default=1.0)
+    mae_scale: float = declared(Must.finite_non_negative, key="mae_loss_scale", default=1.0)
+    split_scale: float = declared(Must.finite_non_negative, key="split_loss_scale", default=1.0)
 
 
 @dataclass
-class TrainConfig:
-    epochs: int = 18
-    batch_size: int = 1
-    peak_lr: float = 3e-4
-    min_lr: float = 3e-5
-    warmup_steps: int = 100
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
-    weight_decay: float = 0.0
-    clip_norm: float = 0.1
-    seed: int = 42
-    val_fraction: float = 0.2
-
-    def __post_init__(self):
-        check_fields(self, {
-            "at least 1": (lambda x: x >= 1, ("epochs", "batch_size")),
-            "positive": (lambda x: x > 0, ("peak_lr", "eps")),
-            "non-negative": (lambda x: x >= 0, ("min_lr", "warmup_steps", "weight_decay", "clip_norm", "seed")),
-            "finite": (math.isfinite, ("peak_lr", "eps", "min_lr", "weight_decay")),
-            "in [0, 1)": (lambda x: 0 <= x < 1, ("val_fraction", "beta1", "beta2")),
-        })
+class TrainConfig(Checked):
+    epochs: int = declared(Must.at_least_1, default=18)
+    batch_size: int = declared(Must.at_least_1, default=1)
+    peak_lr: float = declared(Must.positive, Must.finite, key="lr", default=3e-4)
+    min_lr: float = declared(Must.non_negative, Must.finite, default=3e-5)
+    warmup_steps: int = declared(Must.non_negative, default=100)
+    beta1: float = declared(Must.fraction, key="b1", default=0.9)
+    beta2: float = declared(Must.fraction, key="b2", default=0.999)
+    eps: float = declared(Must.positive, Must.finite, default=1e-8)
+    weight_decay: float = declared(Must.non_negative, Must.finite, default=0.0)
+    clip_norm: float = declared(Must.non_negative, key="grad_clip", default=0.1)
+    seed: int = declared(Must.non_negative, default=42)
+    val_fraction: float = declared(Must.fraction, default=0.2)
 
 
 class TrainingDiverged(RuntimeError):

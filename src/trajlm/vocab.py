@@ -12,7 +12,8 @@ import bisect
 import json
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import MISSING, Field, dataclass, field, fields
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -33,6 +34,13 @@ __all__ = [
     "vocabulary_from_json",
     "save_vocabulary",
     "load_vocabulary",
+    "InputError",
+    "FieldError",
+    "Must",
+    "Key",
+    "Table",
+    "declared",
+    "Checked",
 ]
 
 CONTINUOUS = "continuous"
@@ -318,6 +326,270 @@ def quantile_match(vocab: Vocabulary, modality_id: int, external_values) -> list
     return [int(m.cum_base + b) for b in bins]
 
 
+# --- input tables ---------------------------------------------------------------
+#
+# Each input format is a Table: the keys a JSON object may hold, in checking
+# order, each with the Key that states its rules as (wording, test) pairs.  A
+# test takes all the values one key holds across a list of objects, so a
+# cohort file's events are checked as columns.  A dataclass field states its
+# rules, its key and its JSON type once, where it is `declared`: `Checked`
+# keeps the rules when the dataclass is made, `Table.of` builds the
+# dataclass's table, and the training config's reader reads each field by
+# its key.
+
+
+class InputError(ValueError):
+    """Input that breaks its format's table; the message names the file
+    (and the line, in a cohort or config file) and the key."""
+
+
+class FieldError(ValueError):
+    """A dataclass `field` whose `value` breaks its `rule`."""
+
+    def __init__(self, field: str, rule: str, value):
+        super().__init__(f"{field} must be {rule}, got {value!r}")
+        self.field, self.rule, self.value = field, rule, value
+
+
+class Must:
+    """The rules more than one format keeps, as (wording, test) pairs, and
+    the makers of tests; a NaN fails every range."""
+
+    @staticmethod
+    def of(*types) -> Callable:
+        """The test that each value is of one of `types`, the Python types
+        `json` reads (so a bool is no number)."""
+        allowed = frozenset(types)
+        return lambda values: set(map(type, values)) <= allowed
+
+    @staticmethod
+    def each(test) -> Callable:
+        """The test that each value passes the one-value `test`."""
+        return lambda values: all(map(test, values))
+
+    @staticmethod
+    def list_of(test) -> Callable:
+        """The test that each value is a list whose items pass `test`."""
+        return lambda values: all(type(v) is list for v in values) and all(map(test, values))
+
+    @staticmethod
+    def unique(seen: set) -> tuple:
+        """Values unique in their file: `seen` holds the values of earlier
+        checks, and takes these when they pass, so this is its key's last
+        rule."""
+        return ("unique in its file", lambda values: seen.isdisjoint(values) and len(set(values)) == len(values) and not seen.update(values))
+
+    number = ("a number", of(int, float))
+    whole = ("a whole number", of(int))
+    string = ("a string", of(str))
+    object = ("an object", of(dict))
+    objects = ("a list of objects", list_of(of(dict)))
+    strings = ("a list of strings", list_of(of(str)))
+    numbers = ("a list of numbers", list_of(number[1]))
+    non_empty = ("non-empty", all)
+    finite = ("finite", lambda values: all(map(math.isfinite, [v for v in values if type(v) is not str])))
+    positive = ("positive", each(lambda x: x > 0))
+    non_negative = ("non-negative", each(lambda x: x >= 0))
+    finite_positive = ("finite and positive", each(lambda x: 0 < x < math.inf))
+    finite_non_negative = ("finite and non-negative", each(lambda x: 0 <= x < math.inf))
+    fraction = ("in [0, 1)", each(lambda x: 0 <= x < 1))
+    at_least_1 = ("at least 1", each(lambda x: x >= 1))
+
+
+def _show(value) -> str:
+    return json.dumps(value, default=repr)
+
+
+class Key(NamedTuple):
+    """A key's rules, (wording, test) pairs checked in order; its default
+    (MISSING: every object gives the key); `read`, a (wording, function)
+    pair whose function turns each value into what the reader keeps (an
+    error in it breaks that wording); the `table` of the object, or of each
+    object of the list, the key holds (a dict of Tables picks one by the
+    object's "kind"); and `names`, what the objects of a list are called in
+    messages when this key names them."""
+
+    rules: tuple = ()
+    default: object = MISSING
+    read: tuple = ()
+    table: dict | None = None
+    names: str = ""
+
+    def broken(self, values: list) -> str | None:
+        """The wording of the first rule some value breaks, or None; the
+        values are read in place."""
+        for must, ok in self.rules:
+            if not ok(values):
+                return must
+        if self.read:
+            must, read = self.read
+            try:
+                values[:] = map(read, values)
+            except (KeyError, TypeError, ValueError):
+                return must
+        return None
+
+
+def declared(*rules, key: str | None = "", json: tuple = (), default=MISSING, factory=MISSING, **walk) -> Field:
+    """A dataclass field, with its `default` or default `factory`, and its
+    input rules, stated once: `rules`, which `Checked` keeps; the field's
+    `key` in a file (its name when empty, no file's when None); and for
+    `Table.of`, `json`, the rule of the JSON types a file may give, and
+    `walk`'s further Key settings.  A key=value config reads a line by the
+    field's type, or by `walk`'s `read`."""
+    return field(default=default, default_factory=factory, metadata={"rules": rules, "key": key, "json": json, "walk": walk})
+
+
+class Checked:
+    """A dataclass whose fields are `declared`: making one checks each
+    field's rules in field order, and the first rule broken is a
+    FieldError naming the field."""
+
+    def __post_init__(self):
+        for f in fields(self):
+            value = getattr(self, f.name)
+            for must, ok in f.metadata.get("rules", ()):
+                if not ok([value]):
+                    raise FieldError(f.name, must, value)
+
+
+class Table(dict):
+    """A format's table: each key an object may hold, with its Key; and
+    `make`, when set, which turns each checked object (a dict of its keys'
+    values) into what the reader keeps: a FieldError it raises, for a rule
+    the object keeps, names the object and the key."""
+
+    make = None
+
+    @classmethod
+    def of(cls, kind, make=None, /, **keys) -> "Table":
+        """The table of the `declared` dataclass `kind`: in field order, each
+        field that declares a JSON type, or that `keys` gives a Key by its
+        name (a key whose rules need the vocabulary), under its key; then
+        the rest of `keys`.  Each object is made by `make`, else by `kind`
+        from its keys' values in order."""
+        table = cls()
+        for f in fields(kind):
+            m = f.metadata
+            if f.name in keys or m.get("json"):
+                table[m.get("key") or f.name] = keys.pop(f.name, None) or Key((m["json"],), f.default, **m["walk"])
+        table.update(keys)
+        table.make = make or (lambda doc: kind(*doc.values()))
+        return table
+
+    @staticmethod
+    def parse(text: str, where: str, hook=None):
+        """The JSON document `text`; malformed JSON is an InputError naming `where`."""
+        try:
+            return json.loads(text, object_pairs_hook=hook)
+        except json.JSONDecodeError as e:
+            raise InputError(f"malformed JSON in {where}: {e}") from None
+
+    def load(self, path, where: str):
+        """The JSON document in the file at `path`, as `loads` reads it."""
+        with open(path, encoding="utf-8") as f:
+            return self.loads(f.read(), where)
+
+    def loads(self, text: str, where: str):
+        """The JSON document `text`, checked and made; an object that gives
+        a key twice is an InputError naming the key."""
+        def once(pairs: list) -> dict:
+            for i, (key, _) in enumerate(pairs):
+                if any(k == key for k, _ in pairs[:i]):
+                    raise InputError(f"{where}: {key!r} is given twice")
+            return dict(pairs)
+
+        return self.check(self.parse(text, where, once), where)
+
+    def check(self, doc, where: str, made_at: str = ""):
+        """The object `doc` checked: each key's value as its Key reads it,
+        or its default where `doc` lacks it; then made, at `made_at` (else
+        `where`).  An object that breaks the table raises InputError naming
+        `where` and the key."""
+        checked = {key: values[0] for key, values in self.columns([doc], lambda i: where).items()}
+        return self.made(checked, made_at or where)
+
+    def made(self, doc: dict, where: str):
+        """What `make` makes of the checked object `doc` (`doc` itself
+        without a `make`); a FieldError is an InputError naming `where` and
+        the key."""
+        if self.make is None:
+            return doc
+        try:
+            return self.make(doc)
+        except FieldError as e:
+            raise InputError(f"{where}: {e.field!r} must be {e.rule}, got {_show(e.value)}") from None
+
+    def columns(self, docs: list, where) -> dict:
+        """The objects `docs` checked together, `where(i)` naming the i-th:
+        each key's values, one per object.  The objects of every list a key
+        holds are checked all at once, and each list comes back as its
+        columns."""
+        if not Must.object[1](docs):
+            i = next(i for i, d in enumerate(docs) if type(d) is not dict)
+            raise InputError(f"{where(i)} must be an object, got {_show(docs[i])}")
+        out, names = {}, None
+
+        def at(i):
+            return where(i) if names is None else f"{where(i)}: {names[0]} {docs[i][names[1]]!r}"
+
+        for key, rule in self.items():
+            try:
+                given = [d[key] for d in docs]
+            except KeyError:
+                given = [d[key] for d in docs if key in d]
+                if rule.default is MISSING:
+                    raise InputError(f"{at(next(i for i, d in enumerate(docs) if key not in d))} has no key {key!r}") from None
+            if given and rule.broken(given):
+                i, must = next((i, m) for i, d in enumerate(docs) if key in d for m in [rule.broken([d[key]])] if m)
+                raise InputError(f"{at(i)}: {key!r} must be {must}, got {_show(docs[i][key])}")
+            if len(given) < len(docs):
+                kept = iter(given)
+                given = [next(kept) if key in d else rule.default for d in docs]
+            out[key] = given if rule.table is None else _nested(key, rule.table, given, at)
+            if rule.names:
+                names = rule.names, key
+        extra = set().union(*docs) - self.keys()
+        if extra:
+            i, key = next((i, k) for i, d in enumerate(docs) for k in d if k in extra)
+            raise InputError(f"{at(i)} has unknown key {key!r}: its keys are {', '.join(self)}")
+        return out
+
+
+def _nested(key: str, table: dict, values: list, at) -> list:
+    """The objects, and lists of objects, among `values`, the values of
+    `key`, checked against `table`, `at(i)` naming the object that holds the
+    i-th value; other values (a missing key's default) stay.  A Table that
+    makes no objects checks the objects of all the lists at once, and each
+    list comes back as its columns.  Otherwise each object is checked (by
+    the Table its "kind" picks, in a dict of Tables) and made at its name,
+    when a key names it, or at `key`."""
+    if isinstance(table, Table) and table.make is None:
+        owners = [i for i, v in enumerate(values) if type(v) is list for _ in v]
+        cols = table.columns([x for v in values if type(v) is list for x in v], lambda j: at(owners[j]))
+        out, end = [], 0
+        for v in values:
+            if type(v) is list:
+                end += len(v)
+                v = {k: c[end - len(v) : end] for k, c in cols.items()}
+            out.append(v)
+        return out
+
+    def one(doc: dict, i: int, place: str):
+        t = table
+        if not isinstance(t, Table):
+            if type(doc.get("kind")) is not str or doc["kind"] not in t:
+                raise InputError(f"{at(i)}: 'kind' must be one of {', '.join(t)}, got {_show(doc.get('kind'))}")
+            t = t[doc["kind"]]
+        name = next((f"{rule.names} {doc.get(k)!r}" for k, rule in t.items() if rule.names), place)
+        return t.check(doc, at(i), f"{at(i)}: {name}")
+
+    return [
+        [one(d, i, f"{key!r}[{j}]") for j, d in enumerate(v)] if type(v) is list else one(v, i, repr(key)) if type(v) is dict else v
+        for i, v in enumerate(values)
+    ]
+
+
 # --- persistence ------------------------------------------------------------
 #
 # UTF-8 JSON with a fixed field order; floats written with 17 significant
@@ -357,46 +629,54 @@ def vocabulary_to_json(vocab: Vocabulary) -> str:
     )
 
 
+def _vocabulary_table() -> Table:
+    """The vocabulary file's table; its modalities' names are unique."""
+    pairs = ("a list of [low, high] pairs of numbers", Must.list_of(lambda ranges: Must.numbers[1](ranges) and all(len(r) == 2 for r in ranges)))
+    modality = Table(
+        name=Key((Must.string, Must.non_empty, Must.unique(set())), names="modality"),
+        kind=Key((Must.string, (f"{CONTINUOUS!r} or {CATEGORICAL!r}", lambda kinds: set(kinds) <= {CONTINUOUS, CATEGORICAL}))),
+        edges=Key((Must.numbers,)),
+        midpoints=Key((Must.numbers,)),
+        categories=Key((Must.strings, ("without a repeat", Must.each(lambda cats: len(set(cats)) == len(cats))))),
+        train_sd=Key((Must.number, Must.finite_positive)),
+        quantile_ranges=Key((pairs,)),
+        cum_base=Key((Must.whole,)),
+    )
+    whole = Key((Must.whole,))
+    return Table(modalities=Key((Must.objects, Must.non_empty), table=modality), total_tokens=whole, pad_token=whole)
+
+
 def vocabulary_from_json(text: str, where: str = "vocabulary") -> Vocabulary:
-    """The vocabulary `vocabulary_to_json` wrote.  A modality whose token
-    range, bins or scale break what the encoder and the loss rely on is a
-    ValueError naming `where`, the modality and the key."""
-    doc = json.loads(text)
-    specs = []
-    base = 0
-    for i, m in enumerate(doc["modalities"]):
-        spec = ModalitySpec(
-            id=i,
-            name=m["name"],
-            kind=m["kind"],
-            cum_base=m["cum_base"],
-            bin_edges=list(m["edges"]),
-            midpoints=list(m["midpoints"]),
-            categories=list(m["categories"]),
-            train_sd=m["train_sd"],
-            quantile_ranges=[tuple(r) for r in m["quantile_ranges"]],
-        )
-        rules = [  # (key, holds, rule, the value found)
-            ("kind", spec.kind in (CONTINUOUS, CATEGORICAL), f"{CONTINUOUS!r} or {CATEGORICAL!r}", json.dumps(spec.kind)),
-            ("cum_base", spec.cum_base == base, f"{base}, the token count of the modalities before it", spec.cum_base),
-        ]
-        if spec.kind == CONTINUOUS:
-            sd, n_mids = spec.train_sd, len(spec.midpoints)
-            rules += [
-                ("train_sd", type(sd) in (int, float) and 0 < sd < math.inf, "finite and positive", json.dumps(sd)),
-                ("edges", len(spec.bin_edges) == n_mids + 1, f"{n_mids + 1} edges, one more than 'midpoints'", f"{len(spec.bin_edges)} edges"),
-            ]
-        for key, holds, rule, found in rules:
-            if not holds:
-                raise ValueError(f"{where}: modality {spec.name!r}: {key!r} must be {rule}, got {found}")
-        specs.append(spec)
-        base += spec.n_tokens
-    vocab = Vocabulary(specs)
-    if vocab.total_tokens != doc["total_tokens"]:
-        raise ValueError(
-            f"vocabulary token count mismatch: {vocab.total_tokens} != {doc['total_tokens']}"
-        )
-    return vocab
+    """The vocabulary `vocabulary_to_json` wrote, checked against its table
+    and the rules across keys that the encoder and the loss rely on: each
+    modality's `cum_base` is the token count of the modalities before it; a
+    continuous modality has midpoints, one more edge, a quantile range per
+    midpoint and no categories, a categorical one categories and no bins; and `total_tokens` and
+    `pad_token` are the modalities' token count.  A break is an InputError naming `where`, the
+    modality and the key."""
+    doc = _vocabulary_table().loads(text, where)
+    specs, base, cols = [], 0, doc["modalities"]
+    for i, m in enumerate(dict(zip(cols, values)) for values in zip(*cols.values())):
+        at = f"{where}: modality {m['name']!r}"
+        if m["cum_base"] != base:
+            raise InputError(f"{at}: 'cum_base' must be {base}, the token count of the modalities before it, got {m['cum_base']}")
+        if m["kind"] == CONTINUOUS and len(m["edges"]) != len(m["midpoints"]) + 1:
+            raise InputError(f"{at}: 'edges' must be {len(m['midpoints']) + 1} edges, one more than 'midpoints', got {len(m['edges'])} edges")
+        if m["kind"] == CONTINUOUS and len(m["quantile_ranges"]) != len(m["midpoints"]):
+            raise InputError(f"{at}: 'quantile_ranges' must be {len(m['midpoints'])} pairs, one per midpoint, got {len(m['quantile_ranges'])} pairs")
+        tokens, unused = ("midpoints", ("categories",)) if m["kind"] == CONTINUOUS else ("categories", ("edges", "midpoints", "quantile_ranges"))
+        if not m[tokens]:
+            raise InputError(f"{at}: {tokens!r} must be non-empty for a {m['kind']} modality, got []")
+        for key in unused:
+            if m[key]:
+                raise InputError(f"{at}: {key!r} must be empty for a {m['kind']} modality, got {_show(m[key])}")
+        ranges = [tuple(r) for r in m["quantile_ranges"]]
+        specs.append(ModalitySpec(i, m["name"], m["kind"], base, m["edges"], m["midpoints"], m["categories"], m["train_sd"], ranges))
+        base += specs[-1].n_tokens
+    for key in ("total_tokens", "pad_token"):
+        if doc[key] != base:
+            raise InputError(f"{where}: {key!r} must be {base}, the count of the modalities' 'midpoints' and 'categories', got {doc[key]}")
+    return Vocabulary(specs)
 
 
 def save_vocabulary(vocab: Vocabulary, path) -> None:

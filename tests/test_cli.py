@@ -307,7 +307,7 @@ class TestTrain:
         (("lr = 0.002", "lr = 0"), "{cfg}:9: 'lr' must be positive, got 0.0"),
         (("SL_sigma = 0.01", "mae_loss_scale = -1"), "{cfg}:15: 'mae_loss_scale' must be finite and non-negative, got -1.0"),
         (("augmentation_chance = 0.0", "augmentation_chance = 1.5"), "{cfg}:16: 'augmentation_chance' must be in [0, 1], got 1.5"),
-        (("lr = 0.002\ngamma = 0.1", "lr = inf\ngamma = 0"), "{cfg}:10: min_lr = gamma * lr: min_lr must be non-negative, got nan"),
+        (("lr = 0.002\ngamma = 0.1", "lr = 1e300\ngamma = 1e300"), "{cfg}:10: min_lr = gamma * lr: min_lr must be finite, got inf"),
     ], ids=["integer", "number", "whole", "twice", "unknown", "lr-inf", "chance-nan", "rate", "blocks",
             "model-rule", "train-rule", "loss-rule", "aug-rule", "gamma-sets-min-lr"])
     def test_bad_config_line_is_one_error_naming_the_key(self, workspace, tmp_path, capsys, edit, message):

@@ -258,6 +258,14 @@ class TestCohortIO:
         with pytest.raises(ValueError, match=re.escape(f"{path}:1: 'm' must be a modality name, got {key}")):
             read_cohort_jsonl(path, vocab)
 
+    def test_unknown_modality_reports_its_own_rule(self, vocab, tmp_path):
+        """An event naming a modality the vocabulary lacks once reported the
+        rule before the lookup: `'m' must be non-empty, got "zz_nope"`."""
+        path = tmp_path / "c.jsonl"
+        path.write_text('{"id": "p", "age": 1, "events": [{"t": "2021-03-01T09:00:00", "m": "zz_nope", "v": 1.0}]}\n', encoding="utf-8")
+        with pytest.raises(ValueError, match=re.escape(f"""{path}:1: 'm' must be a modality of the vocabulary, got "zz_nope\"""")):
+            read_cohort_jsonl(path, vocab)
+
     @pytest.mark.parametrize(
         "line, message",
         [

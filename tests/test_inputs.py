@@ -1,7 +1,7 @@
 """The input fuzz suite.
 
 From one valid document per input format (a cohort line with its events, a
-`simulate` spec, a `trial-run` spec and a training config) each case changes
+`simulate` spec, a `trial-run` spec, a training config and a vocabulary) each case changes
 one field: it puts a value of another JSON type, NaN, an infinity, a negative,
 an empty string or list in its place, or removes it, or it adds an unknown
 key.  Then it runs the format's reader or command in-process.  Every run ends
@@ -18,9 +18,14 @@ The suite decides on its own which changes must be rejected (a JSON type the
 field does not take, a required key left out, an unknown key, an empty name,
 a number that is not finite or not whole where the format says so), so it
 fails when a reader lets one of them through.  The cases are a fixed list.
+
+A last property ties each rule a config or spec dataclass declares to its
+readers: breaking the rule when the dataclass is made, and giving the same
+value in a file, fail with the same wording.
 """
 
 import copy
+import dataclasses
 import json
 import math
 from pathlib import Path
@@ -31,9 +36,11 @@ import pytest
 import trajlm.cli as cli
 from trajlm.checkpoint import save_checkpoint
 from trajlm.cli import file_sha256, main
-from trajlm.corpus import read_cohort_jsonl, scan_modalities
+from trajlm.corpus import AugmentConfig, read_cohort_jsonl, scan_modalities
+from trajlm.intervene import CategoricalAppend, ContinuousScale, EligibilityRule, Published, TrialVariable, read_simulate_spec, read_trial_spec
 from trajlm.model import ModelConfig, init_params
-from trajlm.vocab import load_vocabulary
+from trajlm.objective import LossConfig, TrainConfig, parse_config_file
+from trajlm.vocab import FieldError, RawModality, build_vocabulary, load_vocabulary, vocabulary_to_json
 
 UNKNOWN = "zz_unknown"
 AT = "2021-03-01T09:00:00"
@@ -83,11 +90,12 @@ OPTIONAL = {  # format -> key -> its default, or None when the valid document ho
     "cohort": {"sex": "unknown", "visits": None, "sleep": None},
     "simulate": {"horizon_months": 12, "seed": 0, "eligibility": None, "label": "medication"},
     "trial": {"n": None, "label": None},
+    "vocabulary": {},
 }
 TAKES_A_STRING_TOO = {"v"}  # an event's value is a number or a category
 NON_EMPTY = {"id", "t", "m", "modality", "modalities", "outcome", "kind", "comparator", "arms"}
-FINITE = {"age", "v", "mean", "sd", "point", "ci_low", "ci_high", "threshold", "factor"}
-WHOLE = {"n", "seed", "horizon_months", "category_index", "frequency", "duration"}
+FINITE = {"age", "v", "mean", "sd", "point", "ci_low", "ci_high", "threshold", "factor", "train_sd"}
+WHOLE = {"n", "seed", "horizon_months", "category_index", "frequency", "duration", "cum_base", "total_tokens", "pad_token"}
 WHOLE_CONFIG = {
     "n_embd", "n_layers", "n_heads", "d_head", "n_value_extras", "continuous_pe_base_dim", "max_seq_length",
     "epochs", "batch_size", "warmup_steps", "seed", "random_block_removal_number",
@@ -134,7 +142,7 @@ def changes(doc: dict, fmt: str, path=()):
         if isinstance(value, dict):
             yield from changes(doc, fmt, (*path, key))
         elif isinstance(value, list) and value and isinstance(value[0], dict):
-            for i in range(len(value) if key in ("arms", "table1") else 1):
+            for i in range(len(value) if key in ("arms", "table1", "modalities") else 1):
                 yield from changes(doc, fmt, (*path, key, i))
         default = OPTIONAL[fmt].get(key, "required")
         for new in [*replacements(value), "removed"]:
@@ -272,6 +280,85 @@ def test_training_config(desk, tmp_path, capsys, monkeypatch):
     for n, case in enumerate(cases):
         path, outcome = train(case[1], n)
         check(outcome, case, path, valid)
+
+
+def test_vocabulary(tmp_path):
+    """`load_vocabulary` on a vocabulary of one continuous and one
+    categorical modality, every field of each changed."""
+    vocab = build_vocabulary([RawModality("x_core", "continuous", values=[1.0, 2.0, 3.0, 5.0, 8.0], bin_count=2),
+                              RawModality("medication", "categorical", categories=["drug_a", "drug_b"])])
+    doc = json.loads(vocabulary_to_json(vocab))
+
+    def read(path):
+        try:
+            return "accepted", vocabulary_to_json(load_vocabulary(path))
+        except ValueError as e:
+            return "rejected", f"error: {e}\n"
+
+    valid = read(write(tmp_path / "valid.json", doc))
+    assert valid == ("accepted", vocabulary_to_json(vocab))
+    for n, case in enumerate(changes(doc, "vocabulary")):
+        path = write(tmp_path / f"v{n}.json", case[1])
+        check(read(path), case, path, valid[1])
+
+
+# Each declared dataclass, with the valid values it is made with, and where
+# its fields sit in a file: a config's key=value lines, or the object of a
+# spec document that holds them.
+DECLARED = [
+    (ModelConfig, {"vocab_size": 10, "n_modalities": 2}, "config", None),
+    (TrainConfig, {}, "config", None),
+    (LossConfig, {}, "config", None),
+    (AugmentConfig, {}, "config", None),
+    (CategoricalAppend, dict(modality_id=2, category_index=0, frequency=2, duration=6), "simulate", ("intervention",)),
+    (ContinuousScale, dict(modality_ids=(0,), factor=0.9), "scale", ("intervention",)),
+    (EligibilityRule, dict(modality_id=0, comparator=">=", threshold=50.0), "simulate", ("eligibility",)),
+    (TrialVariable, dict(modality="x_core", mean=100.0, sd=8.0, low=60.0, high=140.0), "trial", ("table1", 1)),
+    (Published, dict(point=-10.0, ci_low=-15.0, ci_high=-5.0), "trial", ("published",)),
+]
+CANDIDATES = {  # by a field's type: values that break one rule or another
+    "int": [-1, 0, 1, 5], "float": [math.nan, math.inf, -1.0, 0.0, 1.0, 5.0], "str": [">", ""], "list[int]": [[8] * 6],
+}
+
+
+def rule_cases():
+    """(dataclass, its valid values, format, place, field, wording, value):
+    for each rule each declared field keeps, a value of the field's type
+    that passes the field's rules before it and breaks that one."""
+    for kind, valid, fmt, place in DECLARED:
+        for f in dataclasses.fields(kind):
+            rules = f.metadata.get("rules", ())
+            for k, (must, ok) in enumerate(rules):
+                value = next(v for v in CANDIDATES[f.type] if all(t([v]) for _, t in rules[:k]) and not ok([v]))
+                yield pytest.param(kind, valid, fmt, place, f, must, value, id=f"{kind.__name__}.{f.name}-{must}")
+
+
+@pytest.mark.parametrize("kind, valid, fmt, place, f, must, value", rule_cases())
+def test_a_declared_rule_reads_as_it_constructs(desk, tmp_path, kind, valid, fmt, place, f, must, value):
+    """Made with the value, the dataclass raises the rule's FieldError naming
+    the field; read from a file, the value is an error naming the file, the
+    field's key and the same rule."""
+    with pytest.raises(FieldError) as made:
+        kind(**valid | {f.name: value})
+    assert str(made.value).startswith(f"{f.name} must be {must}, got "), str(made.value)
+    if f.metadata["key"] is None:
+        return  # a size the vocabulary sets, in no file
+    key = f.metadata["key"] or f.name
+    if fmt == "config":
+        path = tmp_path / "t.cfg"
+        path.write_text(f"{key} = {value!r}\n", encoding="utf-8")
+        with pytest.raises(ValueError) as read:
+            cli.build_configs(parse_config_file(path), desk["vocab"])
+    else:
+        doc = copy.deepcopy({"simulate": SIMULATE_SPEC, "scale": SCALE_SPEC, "trial": TRIAL_SPEC}[fmt])
+        at = doc
+        for step in place:
+            at = at[step]
+        at[key] = value
+        path = write(tmp_path / "spec.json", doc)
+        with pytest.raises(ValueError) as read:
+            (read_trial_spec if fmt == "trial" else read_simulate_spec)(path, desk["vocab"])
+    assert str(path) in str(read.value) and f"{key!r} must be {must}, got " in str(read.value), str(read.value)
 
 
 @pytest.mark.parametrize("command, text, key", [

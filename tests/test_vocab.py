@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from trajlm.vocab import (
     DegenerateBinsWarning,
+    InputError,
     RawModality,
     build_vocabulary,
     choose_bin_count,
@@ -315,6 +316,40 @@ class TestPersistence:
         with pytest.raises(ValueError) as e:
             load_vocabulary(path)
         assert str(e.value) == f"vocabulary {str(path)!r}: modality 'm1': {key!r} must be {rule}"
+
+    @pytest.mark.parametrize(
+        "edit, message",
+        [
+            (lambda doc: doc["modalities"][1].pop("train_sd"), "modality 'm1' has no key 'train_sd'"),
+            (lambda doc: "{" + json.dumps(doc), "malformed JSON in vocabulary"),
+            (lambda doc: doc["modalities"][1].update(name=5), "'name' must be a string, got 5"),
+            (lambda doc: doc["modalities"][1].update(name="m0"), """'name' must be unique in its file, got "m0\""""),
+            (lambda doc: doc.update(modalities={}), "'modalities' must be a list of objects, got {}"),
+            (lambda doc: doc["modalities"][1].update(note=1), "modality 'm1' has unknown key 'note'"),
+            (lambda doc: doc["modalities"][1].update(quantile_ranges=[]), "'quantile_ranges' must be 3 pairs, one per midpoint, got 0 pairs"),
+            (lambda doc: doc["modalities"].append({**doc["modalities"][0], "name": "c", "kind": "categorical", "edges": [], "midpoints": [],
+                                                   "quantile_ranges": [], "categories": ["a", "a"], "cum_base": 9}),
+             """modality 'c': 'categories' must be without a repeat, got ["a", "a"]"""),
+        ],
+        ids=["missing-key", "malformed", "name-number", "name-repeated", "modalities-object", "unknown-key", "ranges-missing",
+             "category-repeated"],
+    )
+    def test_broken_file_is_one_error_naming_file_and_key(self, tmp_path, edit, message):
+        """Each of these once passed the load or failed without naming the
+        file: a missing key was a bare KeyError, malformed JSON a bare
+        JSONDecodeError, a number or repeated name was accepted (and the
+        cohort read then blamed the cohort), `"modalities": {}` was a token
+        count mismatch, and an unknown key was ignored.  Without its quantile
+        ranges a modality loaded, and `quantile_match` put its values on the
+        token before its range; a repeated category loaded as a token no
+        value encodes to."""
+        doc = json.loads(vocabulary_to_json(make_vocab()))
+        text = edit(doc)
+        path = tmp_path / "vocab.json"
+        path.write_text(text if isinstance(text, str) else json.dumps(doc), encoding="utf-8")
+        with pytest.raises(InputError) as e:
+            load_vocabulary(path)
+        assert f"vocabulary {str(path)!r}" in str(e.value) and message in str(e.value), str(e.value)
 
 
 class TestProperties:
