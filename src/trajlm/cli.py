@@ -103,7 +103,9 @@ def _write_json(path, doc: dict) -> None:
 
 
 def _load_model(ckpt_path, vocab_path):
-    """Load checkpoint + vocabulary, enforcing the vocabulary hash pin."""
+    """Load checkpoint + vocabulary, enforcing the vocabulary hash pin; returns
+    (params, config, meta, vocab), meta being the checkpoint's seed and config
+    hash as every artifact records them."""
     _require_file(ckpt_path, "checkpoint")
     _require_file(vocab_path, "vocabulary")
     params, config, header = load_checkpoint(ckpt_path)
@@ -120,7 +122,7 @@ def _load_model(ckpt_path, vocab_path):
             f"vocabulary/checkpoint mismatch: {vocab.total_tokens} tokens vs "
             f"model vocab_size {config.vocab_size}"
         )
-    return params, config, header, vocab
+    return params, config, _meta(header["meta"].get("seed", ""), header["meta"].get("config_hash", "")), vocab
 
 
 # --- commands -------------------------------------------------------------------
@@ -269,15 +271,16 @@ def map_participants(fn, records, workers: int) -> list:
 
 
 def cmd_eval_ntp(args) -> int:
-    params, config, header, vocab = _load_model(args.ckpt, args.vocab)
+    params, config, meta, vocab = _load_model(args.ckpt, args.vocab)
     records = read_cohort_jsonl(_require_file(args.cohort, "cohort"), vocab)
     parts = map_participants(partial(within_visit_pools, params, config, vocab), records, args.workers)
+    scored = sum(p[1] for p in parts)
+    if not scored:
+        raise CliError(f"no participant to score: {len(records)} read, none with 2 or more tokens")
     report = pool_metrics(merge_pools(p[0] for p in parts), vocab)
-    meta = _meta(header["meta"].get("seed", ""), header["meta"].get("config_hash", ""))
     write_metric_csv(report, args.report, meta)
     if args.json:
         _write_json(args.json, {"median_r": report.median_r(), "n_modalities": len(report.rows), **meta})
-    scored = sum(p[1] for p in parts)
     print(
         f"within-visit report on {scored} participants, {len(records) - scored} skipped (fewer than 2 tokens) "
         f"-> {args.report} (median r {report.median_r():.3f})"
@@ -290,11 +293,15 @@ def cmd_eval_longitudinal(args) -> int:
     for kind in baselines:
         if kind not in ("locf", "linear"):
             raise CliError(f"unknown baseline kind {kind!r} in --baselines: choose from locf, linear")
-    params, config, header, vocab = _load_model(args.ckpt, args.vocab)
+    params, config, meta, vocab = _load_model(args.ckpt, args.vocab)
     records = read_cohort_jsonl(_require_file(args.cohort, "cohort"), vocab)
-    pools = merge_pools(map_participants(partial(longitudinal_pools, params, config, vocab), records, args.workers))
+    parts = map_participants(partial(longitudinal_pools, params, config, vocab), records, args.workers)
+    counts = {k: sum(p[1][k] for p in parts) for k in parts[0][1]}
+    print("counts: " + " ".join(f"{k}={v}" for k, v in counts.items()))
+    if not counts["forecast"]:
+        raise CliError(f"no participant to forecast: {len(records)} read, none with a visit-1 context and a visit-2 target")
+    pools = merge_pools(p[0] for p in parts)
     report = pool_metrics(pools, vocab)
-    meta = _meta(header["meta"].get("seed", ""), header["meta"].get("config_hash", ""))
     write_metric_csv(report, args.report, meta)
 
     summary: dict = {"model_median_r": report.median_r(), **meta}
@@ -322,12 +329,11 @@ def cmd_eval_longitudinal(args) -> int:
 
 
 def cmd_probe_crossmodal(args) -> int:
-    params, config, header, vocab = _load_model(args.ckpt, args.vocab)
+    params, config, meta, vocab = _load_model(args.ckpt, args.vocab)
     m_in = vocab.modality(args.input).id
     m_out = vocab.modality(args.output).id
     when = datetime.fromisoformat(args.time)
     xs, ys = crossmodal_sweep(params, config, vocab, m_in, m_out, when)
-    meta = _meta(header["meta"].get("seed", ""), header["meta"].get("config_hash", ""))
     rows = ([format(x, ".10g"), format(y, ".10g")] for x, y in zip(xs, ys))
     write_csv(args.out, meta, ["input_midpoint", "expected_output"], rows)
     if args.plot:
@@ -339,7 +345,9 @@ def cmd_probe_crossmodal(args) -> int:
 
 
 def cmd_simulate(args) -> int:
-    params, config, header, vocab = _load_model(args.ckpt, args.vocab)
+    if args.plot and not args.trajectory:
+        raise CliError("--plot draws the trajectory: give --trajectory with it")
+    params, config, meta, vocab = _load_model(args.ckpt, args.vocab)
     records = read_cohort_jsonl(_require_file(args.cohort, "cohort"), vocab)
     doc = read_simulate_spec(_require_file(args.spec, "intervention spec"), vocab)
     spec, horizon, rule = doc["intervention"], doc["horizon_months"], doc["eligibility"]
@@ -361,7 +369,7 @@ def cmd_simulate(args) -> int:
             raise CliError("no participant to simulate has any visit-1 measurement")
         raise CliError("no eligible participants to simulate")
     arm.ci = arm.bootstrap_ci(rng)
-    meta = _meta(seed, header["meta"].get("config_hash", ""))
+    meta["seed"] = seed
     effect = {"mean_delta": arm.mean_delta, "effect_percent": arm.effect_percent, "ci_low": arm.ci[0], "ci_high": arm.ci[1]}
     notes = [
         ("label", spec.label), ("outcome", vocab.modalities[outcome].name), ("horizon_months", horizon),
@@ -386,7 +394,7 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_trial_run(args) -> int:
-    params, config, header, vocab = _load_model(args.ckpt, args.vocab)
+    params, config, meta, vocab = _load_model(args.ckpt, args.vocab)
     if not os.path.isdir(args.trials):
         raise CliError(f"missing file: trials directory not found at {args.trials!r}")
     paths = sorted(p for p in os.listdir(args.trials) if p.endswith(".json"))
@@ -421,7 +429,7 @@ def cmd_trial_run(args) -> int:
         )
         forest.append((trial.name, predicted, trial.published_point, trial.published_ci[0], trial.published_ci[1]))
     score = concordance(rows)
-    meta = _meta(seed, header["meta"].get("config_hash", ""))
+    meta["seed"] = seed
     columns = [
         "trial", "predicted", "pred_ci_low", "pred_ci_high", "published", "ci_low", "ci_high",
         "direction_hit", "ci_hit", "participants_read", "simulated",

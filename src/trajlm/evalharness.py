@@ -12,15 +12,8 @@ from datetime import datetime
 
 import numpy as np
 
-from .corpus import ParticipantRecord, SEX_INDEX, assemble_sequence, time_features, v1_context
-from .model import (
-    Causal,
-    ModelConfig,
-    ParallelV2,
-    build_mask,
-    forward,
-    value_scale_table,
-)
+from .corpus import ParticipantRecord, SEX_INDEX, TokenSequence, assemble_sequence, time_features, v1_context
+from .model import Causal, ModelConfig, ParallelV2, build_mask, forward, value_scale_table
 from .numerics import Tensor
 from .stats import bh_fdr, fisher_z_compare, pearson_with_ci
 from .vocab import CONTINUOUS, Vocabulary, encode_value
@@ -128,6 +121,24 @@ def pool_metrics(pools, vocab: Vocabulary) -> MetricReport:
     return report
 
 
+def _pass(params, config, vocab: Vocabulary, seq, age, sex, kind, rows, mods, read=None, **streams):
+    """The one inference forward: `seq` under a `kind` mask, with `forward`'s
+    query streams and position ids in `streams`, head row i being rows[i] at
+    the range of modality mods[i].  Returns the decoded head rows `read`
+    (default all): `decode_expected` of a continuous one, and of a
+    categorical one the rank (decode_block) of its true token seq.tokens[rows[i] + 1]."""
+    starts, widths, mids = vocab.head_ranges(mods)
+    block = forward(
+        params, config, seq.tokens, seq.values, seq.modalities, seq.times, age, sex, build_mask(kind, seq.length),
+        value_scale_table(vocab), **streams, head=(rows, starts, widths),
+    ).data
+    read = range(len(mods)) if read is None else read
+    cat = [i for i in read if vocab.modalities[mods[i]].kind != CONTINUOUS]
+    truth = seq.tokens[np.asarray(rows)[cat] + 1] - starts[cat]
+    ranks = dict(zip(cat, decode_block(block[cat], widths[cat], mids[cat], truth)[1].tolist())) if cat else {}
+    return [ranks[i] if i in ranks else decode_expected(block[i, : widths[i]], vocab, int(mods[i])) for i in read]
+
+
 def within_visit_pools(
     params: dict[str, Tensor],
     config: ModelConfig,
@@ -139,7 +150,6 @@ def within_visit_pools(
     categorical one, plus the number of participants scored (a sequence
     shorter than 2 tokens has no target and is skipped).  Each pass computes
     only row j - 1 at the range of target j's modality."""
-    scales = value_scale_table(vocab)
     pools: dict[int, tuple[list, list]] = {}
     scored = 0
     for rec in records:
@@ -147,20 +157,13 @@ def within_visit_pools(
         if seq.length < 2:
             continue
         scored += 1
-        mods = seq.modalities[1 : seq.length]
-        starts, widths, mids = vocab.head_ranges(mods)
-        block = forward(
-            params, config, seq.tokens, seq.values, seq.modalities, seq.times,
-            rec.age, rec.sex, build_mask(Causal(), seq.length), scales,
-            head=(np.arange(seq.length - 1), starts, widths),
-        ).data
-        truth = seq.tokens[1:] - starts
-        ranks = decode_block(block, widths, mids, truth)[1]
-        for i, m in enumerate(mods.tolist()):
-            cont = vocab.modalities[m].kind == CONTINUOUS
+        mods = seq.modalities[1 : seq.length].tolist()
+        got = _pass(params, config, vocab, seq, rec.age, rec.sex, Causal(), np.arange(seq.length - 1), mods)
+        for j, (m, value) in enumerate(zip(mods, got), 1):
+            spec = vocab.modalities[m]
             pool = pools.setdefault(m, ([], []))
-            pool[0].append(decode_expected(block[i, : widths[i]], vocab, m) if cont else int(ranks[i]))
-            pool[1].append(float(seq.values[i + 1]) if cont else int(truth[i]))
+            pool[0].append(value)
+            pool[1].append(float(seq.values[j]) if spec.kind == CONTINUOUS else int(seq.tokens[j]) - spec.cum_base)
     return pools, scored
 
 
@@ -204,12 +207,14 @@ def predict_queries(
     pair under the parallel mask, so predictions are mutually independent and
     invariant to query order.  A query given as (modality, time, n) is
     answered from the first n context positions only, as if the sequence
-    ended there.
+    ended there.  A query on an empty context (n = 0) is a ValueError.
     """
     n, k = seq.length, len(queries)
-    if n == 0 or k == 0:
+    if k == 0:
         return []
     lens = tuple(q[2] if len(q) > 2 else n for q in queries)
+    if min(lens) == 0:
+        raise ValueError("cannot answer a query on an empty context")
     q_ids = [q[0] for q in queries]
     q_times = np.array([time_features(q[1]) for q in queries], dtype=np.int64)
     # Each query's modality and time fill its probe and prediction slots, and
@@ -219,19 +224,16 @@ def predict_queries(
     times = np.concatenate([seq.times[:n], np.repeat(q_times, 2, axis=0), seq.times[n - 1 : n]])
     query_mods, query_times = mods[1:].copy(), times[1:].copy()
     query_mods[preds], query_times[preds] = q_ids, q_times
+    packed = TokenSequence(np.append(seq.tokens, [vocab.pad_token] * (2 * k)), np.append(seq.values, np.zeros(2 * k)), mods, times, n)
     # Every queried range is read at all k prediction rows, so each answer comes from
     # row i of a k-row product whatever its companions' modalities (BLAS may round a
     # row differently as a product's row count changes).
     ranged, group = np.unique(q_ids, return_inverse=True)
-    starts, widths, _ = vocab.head_ranges(ranged)
-    head = (np.tile(preds, len(ranged)), np.repeat(starts, k), np.repeat(widths, k))
-    block = forward(
-        params, config, np.append(seq.tokens, [vocab.pad_token] * (2 * k)), np.append(seq.values, np.zeros(2 * k)),
-        mods, times, age, sex, build_mask(ParallelV2(n, k, lens), n + 2 * k), value_scale_table(vocab),
-        query_modalities=query_mods, query_times=query_times, head=head,
+    return _pass(
+        params, config, vocab, packed, age, sex, ParallelV2(n, k, lens), np.tile(preds, len(ranged)),
+        np.repeat(ranged, k), read=group * k + np.arange(k), query_modalities=query_mods, query_times=query_times,
         pos_ids=np.concatenate([np.arange(n), np.repeat(lens, 2) + np.tile([0, 1], k)]),
-    ).data
-    return [decode_expected(block[g * k + i, : widths[g]], vocab, m) for i, (g, m) in enumerate(zip(group, q_ids))]
+    )
 
 
 def _is_prefix(short, long) -> bool:
@@ -267,8 +269,6 @@ def plan_queries(
     hosts: list = []
     place: dict[int, tuple[int, int]] = {}  # id(context) -> (host index, prefix length)
     for seq in sorted(contexts, key=lambda s: -s.length):
-        if seq.length == 0:
-            raise ValueError("cannot answer a query on an empty context")
         h = next((j for j, host in enumerate(hosts) if _is_prefix(seq, host)), len(hosts))
         if h == len(hosts):
             hosts.append(seq)
@@ -291,17 +291,25 @@ def longitudinal_pools(
     vocab: Vocabulary,
     records: list[ParticipantRecord],
 ):
-    """Per-modality (pid, predicted, true) pools for the V1 -> V2 task."""
+    """Per-modality (pid, predicted, true) pools for the V1 -> V2 task, and
+    the participants counted by what became of them: forecast, or skipped
+    as single-visit, with an empty visit-1 context, or with no continuous
+    visit-2 target."""
     pools: dict[int, tuple[list, list, list]] = {}
+    counts = dict.fromkeys(("forecast", "single_visit", "empty_visit1_context", "no_visit2_target"), 0)
     for rec in records:
         if len(rec.visit_timestamps) < 2:
+            counts["single_visit"] += 1
             continue
         seq = assemble_sequence(v1_context(rec), vocab, config.max_seq_len)
         if seq.length == 0:
+            counts["empty_visit1_context"] += 1
             continue
         _, targets = _visit_values(rec, vocab)
         if not targets:
+            counts["no_visit2_target"] += 1
             continue
+        counts["forecast"] += 1
         mods = sorted(targets)
         requests = [(seq, m, targets[m][0]) for m in mods]
         predictions = plan_queries(params, config, vocab, rec.age, rec.sex, requests)
@@ -310,7 +318,7 @@ def longitudinal_pools(
             pool[0].append(rec.participant_id)
             pool[1].append(pred)
             pool[2].append(targets[m][1])
-    return pools
+    return pools, counts
 
 
 def _baseline_pairs(records: list[ParticipantRecord], vocab: Vocabulary):
@@ -411,16 +419,12 @@ def crossmodal_sweep(
         raise ValueError(f"probe target {spec_out.name!r} must be continuous")
     if spec_in.kind != CONTINUOUS:
         raise ValueError(f"probe input {spec_in.name!r} must be continuous")
-    scales = value_scale_table(vocab)
-    mask = build_mask(Causal(), 1)
     xs = np.array(spec_in.midpoints)
     mods = np.array([m_in, m_out], dtype=np.int64)
     times = np.array([time_features(when)] * 2, dtype=np.int64)
     ys = [
-        decode_expected(forward(
-            params, config, np.array([spec_in.cum_base + b]), np.array([mid]), mods, times,
-            50.0, "unknown", mask, scales, head=([0], [spec_out.cum_base], [spec_out.n_tokens]),
-        ).data[0], vocab, m_out)
+        _pass(params, config, vocab, TokenSequence(np.array([spec_in.cum_base + b]), np.array([mid]), mods, times, 0),
+              50.0, "unknown", Causal(), [0], [m_out])[0]
         for b, mid in enumerate(xs)
     ]
     return xs, np.array(ys)

@@ -394,7 +394,7 @@ class TestCriterion8LongitudinalOrdering:
     def test_model_beats_locf_on_drift(self, desk):
         vocab = desk["vocab"]
         d_id = vocab.modality("d_drift").id
-        pools = longitudinal_pools(desk["params"], desk["model_cfg"], vocab, desk["test"])
+        pools, _ = longitudinal_pools(desk["params"], desk["model_cfg"], vocab, desk["test"])
         pids, preds, trues = pools[d_id]
         locf, _ = baseline_predict("locf", desk["train"], desk["test"], vocab)
         locf_preds = [locf[d_id][pid] for pid in pids]

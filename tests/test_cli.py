@@ -388,6 +388,43 @@ class TestEval:
                      "--workers", workers]) == 0
         assert "report on 5 participants, 1 skipped" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("command, cohort, reason", [
+        ("eval-ntp", "empty", "no participant to score: 0 read"),
+        ("eval-ntp", "one event each", "no participant to score: 3 read, none with 2 or more tokens"),
+        ("eval-longitudinal", "empty", "no participant to forecast: 0 read"),
+        ("eval-longitudinal", "one visit each", "no participant to forecast: 3 read"),
+    ])
+    def test_eval_scoring_no_one_is_error(self, workspace, tmp_path, capsys, command, cohort, reason):
+        """An eval that scores no participant has no report to write: it is an
+        error naming why, not a NaN median."""
+        docs = [json.loads(line) for line in workspace["cohort"].read_text(encoding="utf-8").splitlines()[:3]]
+        edit = {"empty": None, "one event each": lambda d: {**d, "events": d["events"][:1]},
+                "one visit each": lambda d: {**d, "visits": d["visits"][:1]}}[cohort]
+        path = tmp_path / "cohort.jsonl"
+        path.write_text("".join(json.dumps(edit(d)) + "\n" for d in docs) if edit else "", encoding="utf-8")
+        report, summary = tmp_path / "r.csv", tmp_path / "r.json"
+        rc = main([command, "--ckpt", str(workspace["ckpt"]), "--cohort", str(path), "--vocab", str(workspace["vocab"]),
+                   "--report", str(report), "--json", str(summary)])
+        assert rc == 1
+        assert f"error: {reason}" in capsys.readouterr().err
+        assert not report.exists() and not summary.exists()
+
+    @pytest.mark.parametrize("workers", ["1", "2"])
+    def test_eval_longitudinal_counts_whom_it_forecast(self, workspace, tmp_path, capsys, workers):
+        """Each participant read is counted once, by what became of it."""
+        docs = [json.loads(line) for line in workspace["cohort"].read_text(encoding="utf-8").splitlines()[:6]]
+        docs[1] = {**docs[1], "visits": docs[1]["visits"][:1]}
+        docs[2] = _without_visit1(docs[2])
+        v2 = datetime.fromisoformat(docs[3]["visits"][1])
+        docs[3] = {**docs[3], "events": [e for e in docs[3]["events"]
+                                         if datetime.fromisoformat(e["t"]) < v2 or e["m"] == "medication"]}
+        cohort = tmp_path / "cohort.jsonl"
+        cohort.write_text("".join(json.dumps(d) + "\n" for d in docs), encoding="utf-8")
+        assert main(["eval-longitudinal", "--ckpt", str(workspace["ckpt"]), "--cohort", str(cohort),
+                     "--vocab", str(workspace["vocab"]), "--report", str(tmp_path / "r.csv"), "--workers", workers]) == 0
+        out = capsys.readouterr().out
+        assert "counts: forecast=3 single_visit=1 empty_visit1_context=1 no_visit2_target=1\n" in out
+
     def test_eval_longitudinal_with_locf(self, workspace, tmp_path):
         report = tmp_path / "long.csv"
         assert main(["eval-longitudinal", "--ckpt", str(workspace["ckpt"]), "--cohort", str(workspace["cohort"]),
@@ -553,6 +590,20 @@ class TestProbeAndSimulate:
         for row, rec in zip(rows, records[1:]):
             alone = simulate_cohort(params, config, vocab, [rec], drug, outcome, DRUG_SPEC["horizon_months"])
             assert row[1:3] == [format(alone.control[0], ".10g"), format(alone.treatment[0], ".10g")]
+
+    def test_simulate_plot_without_trajectory_is_error(self, tmp_path, monkeypatch, capsys):
+        """--plot draws the trajectory, so without --trajectory it would write
+        nothing: it is rejected before the model loads."""
+        def never(*args, **kwargs):
+            raise AssertionError("loaded the model")
+
+        monkeypatch.setattr(cli, "_load_model", never)
+        plot = tmp_path / "p.svg"
+        rc = main(["simulate", "--ckpt", "m.ckpt", "--vocab", "v.json", "--cohort", "c.jsonl", "--spec", "s.json",
+                   "--out", str(tmp_path / "r.csv"), "--plot", str(plot)])
+        assert rc == 1
+        assert "error: --plot draws the trajectory: give --trajectory with it" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
 
     def test_simulate_without_visit1_context_is_error(self, workspace, tmp_path, capsys):
         first = workspace["cohort"].read_text(encoding="utf-8").splitlines()[0]

@@ -242,7 +242,8 @@ class TestModelEvaluation:
     def test_longitudinal_runs_and_aligns(self, vocab, tiny_model):
         params, config = tiny_model
         records = two_visit_cohort(vocab, n=8)
-        pools = longitudinal_pools(params, config, vocab, records)
+        pools, counts = longitudinal_pools(params, config, vocab, records)
+        assert counts["forecast"] == 8
         assert 1 in pools
         pids, preds, trues = pools[1]
         assert len(pids) == len(preds) == len(trues) == 8
@@ -254,8 +255,22 @@ class TestModelEvaluation:
         params, config = tiny_model
         t0 = datetime(2021, 1, 4, 9, 0)
         records = [ParticipantRecord("p", 50.0, "male", [Event(t0, 1, 100.0, False)], [t0])]
-        pools = longitudinal_pools(params, config, vocab, records)
+        pools, counts = longitudinal_pools(params, config, vocab, records)
         assert pool_metrics(pools, vocab).rows == [] and pools == {}
+        assert counts == {"forecast": 0, "single_visit": 1, "empty_visit1_context": 0, "no_visit2_target": 0}
+
+    def test_longitudinal_counts_each_skip_by_its_reason(self, vocab, tiny_model):
+        """Every participant read is counted once: forecast, single-visit,
+        with no visit-1 event, or with no continuous visit-2 event."""
+        params, config = tiny_model
+        t0, v2 = datetime(2021, 1, 4, 9, 0), datetime(2023, 1, 4, 9, 0)
+        forecast = two_visit_cohort(vocab, n=2)
+        single = ParticipantRecord("s", 50.0, "male", [Event(t0, 1, 100.0, False)], [t0])
+        no_v1 = ParticipantRecord("e", 50.0, "male", [Event(v2, 1, 100.0, False)], [t0, v2])
+        no_target = ParticipantRecord("c", 50.0, "male", [Event(t0, 1, 100.0, False), Event(v2, 2, "a", False)], [t0, v2])
+        pools, counts = longitudinal_pools(params, config, vocab, [single, *forecast, no_v1, no_target])
+        assert counts == {"forecast": 2, "single_visit": 1, "empty_visit1_context": 1, "no_visit2_target": 1}
+        assert pools[1][0] == ["p0", "p1"]
 
     def test_query_predictions_invariant_to_order_and_companions(self, vocab, tiny_model):
         from trajlm.corpus import assemble_sequence
@@ -373,6 +388,17 @@ class TestQueryPlanner:
         rec, seq = planner_context(vocab)
         with pytest.raises(ValueError, match="empty context"):
             plan_queries(params, config, vocab, rec.age, rec.sex, [(cut(seq, 0), 1, datetime(2021, 6, 1))])
+
+    @pytest.mark.parametrize("n, query", [(0, (1, datetime(2021, 6, 1))), (6, (1, datetime(2021, 6, 1), 0))],
+                             ids=["empty", "empty prefix"])
+    def test_query_on_an_empty_context_is_the_same_error_unplanned(self, vocab, tiny_model, n, query):
+        """predict_queries holds the one empty-context rule: k queries on no
+        context raise, as through the planner, and never return 0 answers."""
+        params, config = tiny_model
+        rec, seq = planner_context(vocab)
+        with pytest.raises(ValueError, match="cannot answer a query on an empty context"):
+            predict_queries(params, config, vocab, cut(seq, n), rec.age, rec.sex, [query])
+        assert predict_queries(params, config, vocab, cut(seq, 0), rec.age, rec.sex, []) == []
 
 
 class TestCrossmodal:

@@ -102,3 +102,29 @@ def test_cli_computes_no_statistics():
     read_by_cli = {(m, name) for (m, name), by in readers(trees).items() if "cli" in by and m != "cli"}
     assert sorted(e for e in read_by_cli if e[0] == "stats") == []
     assert sorted(read_by_cli & {("evalharness", "MetricReport"), ("evalharness", "ModalityMetrics")}) == []
+
+
+def forward_callers(path) -> set[tuple[str, str | None]]:
+    """(module, function) of each call to `forward`, by name or as an
+    attribute, with the innermost function around it (None at module level)."""
+    found = set()
+
+    def visit(node, owner):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            owner = node.name
+        if isinstance(node, ast.Call) and "forward" in (getattr(node.func, "id", None), getattr(node.func, "attr", None)):
+            found.add((path.stem, owner))
+        for child in ast.iter_child_nodes(node):
+            visit(child, owner)
+
+    visit(ast.parse(path.read_text(encoding="utf-8")), None)
+    return found
+
+
+def test_inference_calls_forward_from_one_place():
+    """Outside `objective`, whose training and validation passes are its own,
+    exactly one function calls `forward`: evalharness's inference pass, which
+    builds the mask, value scales and head ranges and decodes the block for
+    eval-ntp, every query and the cross-modal probe."""
+    callers = set().union(*(forward_callers(p) for p in PACKAGE.glob("*.py") if p.stem != "objective"))
+    assert sorted(callers, key=str) == [("evalharness", "_pass")]
