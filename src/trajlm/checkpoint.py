@@ -54,19 +54,24 @@ def save_checkpoint(
         f.write(data)
 
 
-def _read_header(f) -> dict:
-    """Read the magic and the JSON header from an open checkpoint file, leaving
-    it at the start of the data section."""
-    magic = f.read(8)
-    if magic != MAGIC:
+def _read_header(f, path) -> dict:
+    """Read the magic and the JSON header from the open checkpoint file at
+    `path`, leaving it at the start of the data section.  A file that ends
+    before its header does is a ValueError naming `path`."""
+    magic = f.read(len(MAGIC))
+    if not MAGIC.startswith(magic):
         raise ValueError(f"not a checkpoint file: bad magic {magic!r}")
-    (hlen,) = struct.unpack("<I", f.read(4))
-    return json.loads(f.read(hlen).decode("utf-8"))
+    size = f.read(4)  # empty when the file ended inside the magic
+    hlen = struct.unpack("<I", size)[0] if len(size) == 4 else -1
+    text = f.read(hlen) if hlen >= 0 else b""
+    if len(text) != hlen:
+        raise ValueError(f"checkpoint {str(path)!r} is truncated: the file ends inside its header")
+    return json.loads(text.decode("utf-8"))
 
 
 def read_header(path) -> dict:
     with open(path, "rb") as f:
-        return _read_header(f)
+        return _read_header(f, path)
 
 
 def _check_manifest(manifest, config: ModelConfig, data_bytes: int) -> None:
@@ -101,11 +106,11 @@ def load_checkpoint(path):
     SHA-256 and the manifest against the config.  The parameters are views of
     one flat vector (numerics.ParamStore)."""
     with open(path, "rb", buffering=0) as f:  # unbuffered: the data is read into one bytes, not joined from two
-        header = _read_header(f)
+        header = _read_header(f, path)
         data = f.read()
     if len(data) != header["data_bytes"]:
         raise ValueError(
-            f"checkpoint truncated or padded: {len(data)} data bytes, expected {header['data_bytes']}"
+            f"checkpoint {str(path)!r} truncated or padded: {len(data)} data bytes, expected {header['data_bytes']}"
         )
     digest = hashlib.sha256(data).hexdigest()
     if digest != header.get("data_sha256"):

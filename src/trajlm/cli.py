@@ -96,9 +96,21 @@ def _meta(seed: int, cfg_hash: str) -> dict:
     return {"seed": seed, "config_hash": cfg_hash, "version": __version__}
 
 
+def _finite_or_null(x):
+    """x with every float that is not finite, at any depth, as None."""
+    if isinstance(x, float):
+        return x if math.isfinite(x) else None
+    if isinstance(x, dict):
+        return {k: _finite_or_null(v) for k, v in x.items()}
+    if isinstance(x, list):
+        return [_finite_or_null(v) for v in x]
+    return x
+
+
 def _write_json(path, doc: dict) -> None:
+    """doc as strict JSON: a statistic that does not exist (NaN) is null."""
     with open(path, "w", encoding="utf-8") as f:
-        json.dump(doc, f, sort_keys=True, default=str)
+        json.dump(_finite_or_null(doc), f, sort_keys=True, default=str, allow_nan=False)
         f.write("\n")
 
 
@@ -420,14 +432,14 @@ def cmd_trial_run(args) -> int:
                 "predicted": predicted,
                 "pred_ci_low": arm.ci[0],
                 "pred_ci_high": arm.ci[1],
-                "published": trial.published_point,
-                "ci_low": trial.published_ci[0],
-                "ci_high": trial.published_ci[1],
+                "published": trial.published.point,
+                "ci_low": trial.published.ci_low,
+                "ci_high": trial.published.ci_high,
                 "participants_read": arm.counts["participants_read"],
                 "simulated": arm.counts["simulated"],
             }
         )
-        forest.append((trial.name, predicted, trial.published_point, trial.published_ci[0], trial.published_ci[1]))
+        forest.append((trial.name, predicted, trial.published.point, trial.published.ci_low, trial.published.ci_high))
     score = concordance(rows)
     meta["seed"] = seed
     columns = [

@@ -26,6 +26,7 @@ __all__ = [
     "SEX_INDEX",
     "time_features",
     "features_to_datetime",
+    "event_order",
     "v1_context",
     "assemble_sequence",
     "augment",
@@ -168,6 +169,13 @@ def features_to_datetime(vec) -> datetime:
     return datetime(YEAR_BASE + yi, month, dom, hour, minute)
 
 
+def event_order(ev: Event) -> tuple:
+    """The sort key of a participant's events, wherever their order counts:
+    timestamp, then modality; the value and the sleep flag break the ties
+    left, so no result depends on the order of the events in the file."""
+    return ev.timestamp, ev.modality, repr(ev.value), ev.sleep_flag
+
+
 def v1_context(record: ParticipantRecord) -> ParticipantRecord:
     """The record cut to its first visit: events before the second visit's
     timestamp; a record with fewer than two visits is returned unchanged."""
@@ -188,18 +196,14 @@ def assemble_sequence(
     vocab: Vocabulary,
     max_len: int = 25_000,
 ) -> TokenSequence:
-    """Sort, encode, and truncate one participant's events into streams.
+    """Sort (`event_order`), encode, and truncate one participant's events
+    into streams.
 
     Truncation keeps the earliest tokens so visit-1 context survives.  The
     trailing modality/time slot is initialized to the pad modality and the
     last timestamp; callers overwrite it with a real query.
     """
-    def sort_key(ev: Event):
-        # timestamp then modality per the contract; value/sleep break residual
-        # ties so assembly is invariant to input permutation
-        return ev.timestamp, ev.modality, repr(ev.value), ev.sleep_flag
-
-    events = sorted(record.events, key=sort_key)[:max_len]
+    events = sorted(record.events, key=event_order)[:max_len]
     t = len(events)
 
     tokens = np.zeros(t, dtype=np.int64)

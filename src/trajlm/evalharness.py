@@ -12,7 +12,7 @@ from datetime import datetime
 
 import numpy as np
 
-from .corpus import ParticipantRecord, SEX_INDEX, TokenSequence, assemble_sequence, time_features, v1_context
+from .corpus import ParticipantRecord, SEX_INDEX, TokenSequence, assemble_sequence, event_order, time_features, v1_context
 from .model import Causal, ModelConfig, ParallelV2, build_mask, forward, value_scale_table
 from .numerics import Tensor
 from .stats import bh_fdr, fisher_z_compare, pearson_with_ci
@@ -180,11 +180,11 @@ def merge_pools(parts):
 def _visit_values(rec: ParticipantRecord, vocab: Vocabulary):
     """In a two-visit record, each modality's last visit-1 value and each
     continuous modality's first visit-2 (time, value), events taken in
-    (time, modality) order."""
+    `event_order`."""
     v2_start = rec.visit_timestamps[1]
     last_v1: dict[int, float | str] = {}
     first_v2: dict[int, tuple[datetime, float]] = {}
-    for ev in sorted(rec.events, key=lambda e: (e.timestamp, e.modality)):
+    for ev in sorted(rec.events, key=event_order):
         if ev.timestamp < v2_start:
             last_v1[ev.modality] = ev.value
         elif ev.modality not in first_v2 and vocab.modalities[ev.modality].kind == CONTINUOUS:

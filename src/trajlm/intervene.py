@@ -22,7 +22,7 @@ from functools import partial
 
 import numpy as np
 
-from .corpus import Event, ParticipantRecord, TokenSequence, assemble_sequence, features_to_datetime, time_features, v1_context
+from .corpus import Event, ParticipantRecord, TokenSequence, assemble_sequence, event_order, features_to_datetime, time_features, v1_context
 from .evalharness import plan_queries
 from .model import ModelConfig
 from .numerics import Tensor
@@ -45,7 +45,6 @@ __all__ = [
     "simulate_cohort",
     "sample_trial_population",
     "concordance",
-    "load_trial_spec",
     "read_trial_spec",
     "read_simulate_spec",
     "parse_intervention",
@@ -145,13 +144,8 @@ class TrialSpec(Checked):
     arms: list[InterventionSpec]
     outcome: str
     horizon_months: int = declared(json=(_HORIZON, Must.whole[1]), read=(_HORIZON, check_horizon))
-    published_point: float
-    published_ci: tuple[float, float]
+    published: Published
     n: int = declared(json=("a whole number >= 1", lambda vs: Must.whole[1](vs) and min(vs) >= 1), default=200)
-
-    def __post_init__(self):
-        super().__post_init__()
-        Published(self.published_point, *self.published_ci)  # keeps the point inside its CI
 
 
 # How a `simulate` run accounts for every participant it reads: each one is
@@ -367,7 +361,8 @@ def _simulate_participant(params, config, vocab, rec, arm, outcome_modality, hor
     horizon, given a rule), the control and treated outcome at V1 + horizon
     and the control and dosed outcome at each of months 1..`months`.  Every
     month's treated context is cut from one course, so for a dosing-only arm
-    all of them and the control context share one pass.  Returns
+    all of them and the control context share one pass.  A rule first
+    screens its modality's last visit-1 value in `event_order`.  Returns
     (exclusion, answers): exclusion is the SIMULATION_COUNTS key that drops
     the participant, or None, and answers are the control then the treated
     outcomes, horizon first.
@@ -376,10 +371,10 @@ def _simulate_participant(params, config, vocab, rec, arm, outcome_modality, hor
     if not ctx.events:
         return "no_visit1_context", None
     if rule is not None:
-        observed = [e.value for e in ctx.events if e.modality == rule.modality_id]
-        if not observed:
+        observed = max((e for e in ctx.events if e.modality == rule.modality_id), key=event_order, default=None)
+        if observed is None:
             return "missing_rule_modality", None
-        if not rule.satisfied(float(observed[-1])):
+        if not rule.satisfied(float(observed.value)):
             return "excluded_observed", None
     seq = assemble_sequence(ctx, vocab, config.max_seq_len)
     end = _sequence_end_time(seq)
@@ -516,12 +511,12 @@ def _spec_tables(vocab: Vocabulary) -> tuple[Table, Table]:
         "append": Table.of(CategoricalAppend, make_arm, kind=kind, modality_id=modality),
         "scale": Table.of(ContinuousScale, make_arm, kind=kind, modality_ids=modalities),
     }
-    arms = Key((Must.objects,), table=arm)
+    arms = Key((Must.objects, ("a list of 1 or 2 arms", Must.each(lambda arms: len(arms) in (1, 2)))), table=arm)
     rule = Table.of(EligibilityRule, lambda d: EligibilityRule(ids[d["modality"]], d["comparator"], float(d["threshold"])), modality_id=modality)
     row = Key((Must.string, ("a modality name or age", lambda vs: all(v in ids or v.lower() == "age" for v in vs))), names="table-1 row")
     published = Table.of(Published, lambda d: Published(*map(float, d.values())))
     trial = Table.of(
-        TrialSpec, _make_trial, outcome=outcome, arms=arms, table1=Key((Must.objects,), table=Table.of(TrialVariable, modality=row)),
+        TrialSpec, outcome=outcome, arms=arms, table1=Key((Must.objects,), table=Table.of(TrialVariable, modality=row)),
         published=Key((Must.object,), table=published),
     )
     simulate = Table(
@@ -534,14 +529,6 @@ def _spec_tables(vocab: Vocabulary) -> tuple[Table, Table]:
     return simulate, trial
 
 
-def _make_trial(doc: dict) -> TrialSpec:
-    """The TrialSpec a checked trial spec describes; it has 1 or 2 arms."""
-    if len(doc["arms"]) not in (1, 2):
-        raise FieldError("arms", "a list of 1 or 2 arms", len(doc["arms"]))
-    p = doc["published"]
-    return TrialSpec(doc["name"], doc["table1"], doc["arms"], doc["outcome"], doc["horizon_months"], p.point, (p.ci_low, p.ci_high), doc["n"])
-
-
 def read_simulate_spec(path, vocab: Vocabulary) -> dict:
     """The `simulate` spec file at `path`, checked: each key's value, the
     intervention as its arm and the eligibility as its rule (the seed and
@@ -552,11 +539,6 @@ def read_simulate_spec(path, vocab: Vocabulary) -> dict:
 def read_trial_spec(path, vocab: Vocabulary) -> TrialSpec:
     """The trial spec file at `path`, checked, as a TrialSpec."""
     return _spec_tables(vocab)[1].load(path, f"trial spec {os.path.basename(path)} {str(path)!r}")
-
-
-def load_trial_spec(doc: dict, vocab: Vocabulary) -> TrialSpec:
-    """A trial description, checked, as a TrialSpec."""
-    return _spec_tables(vocab)[1].check(doc, "trial spec")
 
 
 def parse_intervention(doc: dict, vocab: Vocabulary) -> InterventionSpec:

@@ -32,11 +32,12 @@ from the values.  So a sublayer's tape holds its output, the attention
 output and the dropout masks.  Each rebuild runs the same operations in the
 same order as the forward, as every rule runs those of the chain of single
 ops it replaced, so outputs and gradients are that chain's bit for bit.
-Past 128 rows the single-precision GELU rules work in row chunks, so the
-FFN's forward and backward hold one (T, d_ff) array beside the
-pre-activation.  The next-token loss of a pass is one node too
-(`ntp_loss`: soft cross-entropy and MAE over the ragged block that
-`range_head` returned), and `add` joins two losses.
+Both precisions run the same rules: the GELU is its tanh approximation and
+a masked attention score is -1e30, in float64 as in float32.  Past 128 rows
+the GELU rules work in row chunks, so the FFN's forward and backward hold
+one (T, d_ff) array beside the pre-activation.  The next-token loss of a
+pass is one node too (`ntp_loss`: soft cross-entropy and MAE over the
+ragged block that `range_head` returned), and `add` joins two losses.
 
 Importing this module sets the process's heap policy (`_keep_heap_mapped`):
 every array below 32 MiB comes from a heap that is never trimmed, so each
@@ -67,10 +68,8 @@ __all__ = [
     "ntp_loss",
     "backward",
     "grad_check",
-    "neg_inf",
 ]
 
-_INV_SQRT2 = 1.0 / math.sqrt(2.0)
 _SQRT_2_OVER_PI = math.sqrt(2.0 / math.pi)
 
 # glibc's mallopt parameters (malloc.h) and the values set for them
@@ -208,11 +207,6 @@ class ParamStore:
         return self._grad_views[id(t)]
 
 
-def neg_inf(dtype) -> float:
-    """Masked-score fill: true -inf in double, a large negative in single."""
-    return -np.inf if np.dtype(dtype) == np.float64 else -1e30
-
-
 # Creation sequence numbers of tape nodes.  A node is made after its
 # parents, so creation order is a topological order of any tape.
 _created = itertools.count(1)
@@ -302,23 +296,17 @@ def _gelu_tanh(x: np.ndarray) -> np.ndarray:
     return np.tanh(u, out=u)
 
 
-# Rows per chunk of the single-precision GELU rules on longer inputs: their
-# temporaries are (_GELU_ROWS, n) arrays, so a (T, d_ff) input costs one
-# (T, d_ff) output.
+# Rows per chunk of the GELU rules on longer inputs: their temporaries are
+# (_GELU_ROWS, n) arrays, so a (T, d_ff) input costs one (T, d_ff) output.
 _GELU_ROWS = 128
 
 
 def _gelu(x: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
-    """GELU of x, exact erf form in double and tanh approximation in single,
-    and the array its derivative reuses: Phi(x) in double; in single the
-    tanh for an x of at most _GELU_ROWS rows, else None: a longer x runs in
-    row chunks written into one output, and `_gelu_grad` recomputes each
-    chunk's tanh."""
-    if x.dtype == np.float64:
-        from scipy.special import erf  # here, so float32 passes never import scipy.special
-
-        phi = 0.5 * (1.0 + erf(x * _INV_SQRT2))
-        return x * phi, phi
+    """GELU of x by its tanh approximation, 0.5 x (1 + tanh(sqrt(2/pi) (x +
+    0.044715 x^3))) (Hendrycks & Gimpel 2016), and the array its derivative
+    reuses: the tanh for an x of at most _GELU_ROWS rows, else None: a
+    longer x runs in row chunks written into one output, and `_gelu_grad`
+    recomputes each chunk's tanh."""
     if len(x) <= _GELU_ROWS:
         t = _gelu_tanh(x)
         return 0.5 * x * (1.0 + t), t
@@ -331,12 +319,8 @@ def _gelu(x: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
 
 
 def _gelu_grad(x: np.ndarray, s: np.ndarray | None, g: np.ndarray) -> np.ndarray:
-    """g times GELU's derivative at x, given `_gelu`'s second array s; in
-    single precision the result overwrites s when it is the tanh, else g,
-    chunk by chunk."""
-    if x.dtype == np.float64:
-        pdf = np.exp(-0.5 * x * x) / math.sqrt(2.0 * math.pi)
-        return g * (s + x * pdf)
+    """g times GELU's derivative at x, given `_gelu`'s second array s; the
+    result overwrites s when it is the tanh, else g, chunk by chunk."""
     if s is not None:
         return _gelu_grad_tanh(x, s, g, out=s)
     for r0 in range(0, len(x), _GELU_ROWS):
@@ -346,8 +330,8 @@ def _gelu_grad(x: np.ndarray, s: np.ndarray | None, g: np.ndarray) -> np.ndarray
 
 
 def _gelu_grad_tanh(x: np.ndarray, t: np.ndarray, g: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """Single precision's g (0.5 (1 + t) + 0.5 x (1 - t^2) dinner), t the
-    tanh of x (overwritten), evaluated in that order in three buffers."""
+    """g (0.5 (1 + t) + 0.5 x (1 - t^2) dinner), t the tanh of x
+    (overwritten), evaluated in that order in three buffers."""
     f = t * t
     np.subtract(1.0, f, out=f)
     h = x * 0.5
@@ -628,6 +612,11 @@ def _keep_mask(shape, dtype, rate: float, rng: np.random.Generator | None) -> np
 # (H, _ATTN_BLOCK, key extent), never (H, T, T) at once.
 _ATTN_BLOCK = 128
 
+# The score of a masked query-key pair: exp(-1e30 - max) is exactly 0 in
+# float32 and float64, so a masked key gets probability 0, and a row that
+# allows some key has a finite max.
+_MASKED_SCORE = -1e30
+
 
 def _attention_blocks(mask: np.ndarray, t_q: int, t_k: int) -> list[tuple[int, int, int]]:
     """The query row blocks (r0, r1, c1) of a boolean (t_q, t_k) mask: rows
@@ -658,7 +647,7 @@ def _probs(qh: np.ndarray, kh: np.ndarray, mask: np.ndarray, block, scale: float
     r0, r1, c1 = block
     p = qh[:, r0:r1] @ kh[:, :c1].swapaxes(-1, -2)
     p *= scale
-    np.copyto(p, neg_inf(p.dtype), where=~mask[r0:r1, :c1])
+    np.copyto(p, _MASKED_SCORE, where=~mask[r0:r1, :c1])
     p -= p.max(axis=-1, keepdims=True)
     np.exp(p, out=p)
     p /= p.sum(axis=-1, keepdims=True)
@@ -812,9 +801,9 @@ def _mlp(x: np.ndarray, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor) -> tuple
 
 def _mlp_grads(g: np.ndarray, x: np.ndarray, a: np.ndarray, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor) -> np.ndarray:
     """Accumulate an `_mlp`'s parameter gradients from its output's gradient
-    g and return its input's; the GELU is recomputed from a.  In single
-    precision an a of several `_GELU_ROWS` chunks has no more than one array
-    of its size alive beside it."""
+    g and return its input's; the GELU is recomputed from a.  An a of
+    several `_GELU_ROWS` chunks has no more than one array of its size alive
+    beside it."""
     u, s = _gelu(a)
     _accum(w2, u.swapaxes(-1, -2) @ g, owned=True)
     _accum(b2, g)
@@ -865,8 +854,8 @@ def query_block(h: Tensor, tables, ids, mod_mlp, time_mlp) -> Tensor:
     one id column each: (h + mlp(mod[ids[:, 0]])) + mlp(sum_d
     time_d[ids[:, 1 + d]]), each mlp gelu(x @ w1 + b1) @ w2 + b2 over its own
     (w1, b1, w2, b2).  The tape keeps each MLP's input and pre-activation,
-    (T, d) arrays each; backward recomputes the GELU (in row chunks in single
-    precision, as `ffn_block` does).  Forward and gradients are bitwise those
+    (T, d) arrays each; backward recomputes the GELU (in row chunks, as
+    `ffn_block` does).  Forward and gradients are bitwise those
     of the op chain written out (lookups, linear, gelu, linear, adds).
     """
     mod, *times = tables

@@ -8,9 +8,6 @@ import math
 
 import numpy as np
 
-_erf = np.vectorize(math.erf)
-
-
 def layer_norm(x, gain, bias, eps=1e-5):
     mean = x.mean(axis=-1, keepdims=True)
     var = ((x - mean) ** 2).mean(axis=-1, keepdims=True)
@@ -18,8 +15,9 @@ def layer_norm(x, gain, bias, eps=1e-5):
 
 
 def gelu(x):
-    """The exact GELU, x Phi(x)."""
-    return 0.5 * x * (1.0 + _erf(x / math.sqrt(2.0)))
+    """GELU by its tanh approximation (Hendrycks & Gimpel 2016), the form
+    the model runs in every precision."""
+    return 0.5 * x * (1.0 + np.tanh(math.sqrt(2.0 / math.pi) * (x + 0.044715 * x**3)))
 
 
 def prenorm_layer(h, p, mask, n_heads, attn_keep=None, out_keep=None, ffn_keep=None):
@@ -89,7 +87,7 @@ def embedding(p, tokens, values, modalities, times, positions, age, sex_id, valu
 
 
 def query_injection(h, p, modalities, times):
-    """The last layer's output plus two MLPs (linear, exact GELU, linear),
+    """The last layer's output plus two MLPs (linear, GELU, linear),
     one over the queried modality's embedding (the qmod_* weights) and one
     over the sum of the queried time's seven embeddings (qtime_*)."""
 

@@ -25,7 +25,7 @@ from trajlm.evalharness import (
     decode_expected,
     longitudinal_pools,
 )
-from trajlm.intervene import CategoricalAppend, concordance, sample_trial_population, TrialSpec, TrialVariable
+from trajlm.intervene import CategoricalAppend, Published, concordance, sample_trial_population, TrialSpec, TrialVariable
 from trajlm.model import (
     Causal,
     ModelConfig,
@@ -479,7 +479,7 @@ class TestCriterion11TruncatedNormal:
             trial = TrialSpec(
                 name="fx", table1=[TrialVariable("v", mean, sd, lo, hi)],
                 arms=[], outcome="v", horizon_months=12,
-                published_point=-1.0, published_ci=(-2.0, 0.0), n=400,
+                published=Published(-1.0, -2.0, 0.0), n=400,
             )
             sample = np.array(
                 [rec.events[0].value for rec in sample_trial_population(trial, rng, vocab)]

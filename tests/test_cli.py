@@ -3,7 +3,7 @@ import itertools
 import json
 import math
 from concurrent.futures import ProcessPoolExecutor
-from datetime import datetime
+from datetime import datetime, timedelta
 from pathlib import Path
 
 import numpy as np
@@ -363,6 +363,20 @@ class TestInspect:
         assert "vocab_sha256:" in out
 
 
+    @pytest.mark.parametrize("cut", [10, 100])
+    def test_checkpoint_cut_inside_its_header_names_the_file(self, workspace, tmp_path, capsys, cut):
+        """10 bytes once died in a `struct.error` traceback, 100 in a
+        JSONDecodeError naming neither the file nor a truncation."""
+        ckpt = tmp_path / "cut.ckpt"
+        ckpt.write_bytes(workspace["ckpt"].read_bytes()[:cut])
+        want = f"error: ValueError: checkpoint {str(ckpt)!r} is truncated: the file ends inside its header\n"
+        assert main(["inspect-checkpoint", "--ckpt", str(ckpt)]) == 1
+        assert capsys.readouterr().err == want
+        assert main(["eval-ntp", "--ckpt", str(ckpt), "--cohort", str(workspace["cohort"]),
+                     "--vocab", str(workspace["vocab"]), "--report", str(tmp_path / "r.csv")]) == 1
+        assert capsys.readouterr().err == want
+
+
 class TestEval:
     def test_eval_ntp_report(self, workspace, tmp_path, capsys):
         report = tmp_path / "ntp.csv"
@@ -424,6 +438,32 @@ class TestEval:
                      "--vocab", str(workspace["vocab"]), "--report", str(tmp_path / "r.csv"), "--workers", workers]) == 0
         out = capsys.readouterr().out
         assert "counts: forecast=3 single_visit=1 empty_visit1_context=1 no_visit2_target=1\n" in out
+
+    def test_json_summaries_are_strict_json(self, workspace, tmp_path):
+        """A median r over no modality does not exist: one participant, with
+        two events for eval-ntp, gives no continuous modality the 2 values a
+        Pearson r needs, and both summaries write that median as null, never
+        the NaN strict JSON lacks."""
+        doc = json.loads(workspace["cohort"].read_text(encoding="utf-8").splitlines()[0])
+        one, two_events = tmp_path / "one.jsonl", tmp_path / "two_events.jsonl"
+        one.write_text(json.dumps(doc) + "\n", encoding="utf-8")
+        two_events.write_text(json.dumps({**doc, "events": doc["events"][:2]}) + "\n", encoding="utf-8")
+
+        def strict(path):
+            def reject(constant):
+                raise ValueError(f"{path.name} holds {constant}, which is not JSON")
+
+            return json.loads(path.read_text(encoding="utf-8"), parse_constant=reject)
+
+        model = ["--ckpt", str(workspace["ckpt"]), "--vocab", str(workspace["vocab"])]
+        ntp, longitudinal = tmp_path / "ntp.json", tmp_path / "long.json"
+        assert main(["eval-ntp", *model, "--cohort", str(two_events), "--report", str(tmp_path / "ntp.csv"),
+                     "--json", str(ntp)]) == 0
+        assert main(["eval-longitudinal", *model, "--cohort", str(one), "--baselines", "locf",
+                     "--report", str(tmp_path / "long.csv"), "--json", str(longitudinal)]) == 0
+        assert strict(ntp)["median_r"] is None
+        summary = strict(longitudinal)
+        assert summary["model_median_r"] is None and summary["locf_median_r"] is None
 
     def test_eval_longitudinal_with_locf(self, workspace, tmp_path):
         report = tmp_path / "long.csv"
@@ -843,6 +883,46 @@ class TestSimulatePlan:
         for m, d in zip(months, deltas.T):
             assert abs(float(m[1]) - d.mean()) <= tol
             assert abs(float(m[2]) - d.std(ddof=1) / np.sqrt(len(d))) <= tol
+
+
+class TestEventOrder:
+    def test_artifacts_do_not_depend_on_the_order_of_events_in_the_file(self, workspace, tmp_path):
+        """Two cohorts that hold the same events in another order give the
+        same `simulate` and `eval-longitudinal` bytes.  Each participant gains
+        a visit-1 `x_core` value below the rule one minute before its last
+        one, which the screen once read when it came last in the file, and a
+        second value at the same minute as its last visit-1 and its first
+        visit-2 `x_core`, whose tie `eval-longitudinal` once broke by file
+        order (shifted by an amount that differs per participant, since a
+        Pearson r does not see one common shift)."""
+        docs = [json.loads(line) for line in workspace["cohort"].read_text(encoding="utf-8").splitlines()[:8]]
+        orders = {"appended": [], "prepended": []}
+        for i, doc in enumerate(docs):
+            x_core = [e for e in doc["events"] if e["m"] == "x_core"]
+            last_v1 = max((e for e in x_core if _visit1(doc, e)), key=lambda e: e["t"])
+            first_v2 = min((e for e in x_core if not _visit1(doc, e)), key=lambda e: e["t"])
+            before = (datetime.fromisoformat(last_v1["t"]) - timedelta(minutes=1)).isoformat()
+            extra = [{**last_v1, "v": last_v1["v"] + 5.0 * i}, {**first_v2, "v": first_v2["v"] + 3.0 * i},
+                     {**last_v1, "t": before, "v": -1000.0}]
+            orders["appended"].append({**doc, "events": doc["events"] + extra})
+            orders["prepended"].append({**doc, "events": extra[::-1] + doc["events"]})
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps({**DRUG_SPEC, "eligibility": {"modality": "x_core", "comparator": ">=",
+                                                                 "threshold": -500.0}}), encoding="utf-8")
+        outputs = {}
+        for order, cohort_docs in orders.items():
+            out = tmp_path / order
+            out.mkdir()
+            cohort = out / "cohort.jsonl"
+            cohort.write_text("".join(json.dumps(d) + "\n" for d in cohort_docs), encoding="utf-8")
+            model = ["--ckpt", str(workspace["ckpt"]), "--vocab", str(workspace["vocab"]), "--cohort", str(cohort)]
+            assert main(["simulate", *model, "--spec", str(spec), "--out", str(out / "sim.csv")]) == 0
+            assert main(["eval-longitudinal", *model, "--baselines", "locf", "--report", str(out / "long.csv"),
+                         "--json", str(out / "long.json")]) == 0
+            outputs[order] = {p.name: p.read_bytes() for p in sorted(out.iterdir()) if p.name != "cohort.jsonl"}
+        assert sorted(outputs["appended"]) == ["long.csv", "long.csv.locf.csv", "long.json", "sim.csv"]
+        assert outputs["appended"] == outputs["prepended"]
+        assert len(_csv_rows(tmp_path / "appended" / "sim.csv")) == 1 + len(docs)
 
 
 class TestTrialRun:

@@ -16,13 +16,14 @@ from trajlm.intervene import (
     CategoricalAppend,
     ContinuousScale,
     EligibilityRule,
+    Published,
     TrialSpec,
     TrialVariable,
     add_months,
     apply_intervention,
     concordance,
     dosing_schedule,
-    load_trial_spec,
+    read_trial_spec,
     sample_trial_population,
     simulate_cohort,
 )
@@ -33,6 +34,20 @@ from trajlm.vocab import RawModality, build_vocabulary, decode_token
 
 FIXTURES = Path(__file__).parent / "data"
 NOOP = ContinuousScale((0,), 1.0, label="noop")
+SCALE_ARM = {"kind": "scale", "modalities": ["ldl"], "factor": 0.9}
+
+
+def read_trial(tmp_path, doc, vocab):
+    """`doc` written as the trial spec file t.json and read back by
+    `read_trial_spec`, and the name its messages give that file."""
+    path = tmp_path / "t.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    return read_trial_spec(path, vocab)
+
+
+def trial_where(tmp_path) -> str:
+    """How `read_trial` names its file in a message, as a regex."""
+    return re.escape(f"trial spec t.json {str(tmp_path / 't.json')!r}")
 
 
 @pytest.fixture(scope="module")
@@ -513,13 +528,13 @@ class TestHorizonRejected:
         with pytest.raises(ValueError, match=re.escape(f"got {horizon!r}")):
             simulate_cohort(params, config, vocab, [single_visit_record(vocab)], NOOP, 1, horizon, rule=rule)
 
-    def test_trial_spec(self, vocab, horizon):
+    def test_trial_spec(self, vocab, tmp_path, horizon):
         doc = {
-            "name": "demo", "table1": [], "arms": [], "outcome": "ldl", "horizon_months": horizon,
+            "name": "demo", "table1": [], "arms": [SCALE_ARM], "outcome": "ldl", "horizon_months": horizon,
             "published": {"point": -30.0, "ci_low": -35.0, "ci_high": -25.0},
         }
         with pytest.raises(ValueError, match=re.escape(f"got {horizon!r}")):
-            load_trial_spec(doc, vocab)
+            read_trial(tmp_path, doc, vocab)
 
 
 class TestSampler:
@@ -530,21 +545,21 @@ class TestSampler:
         {"modality": "x_core", "mean": "100", "sd": 5.0, "low": 60.0, "high": 140.0},
         {"modality": "age", "mean": 60.0, "sd": 5.0, "low": None, "high": 80.0},
     ])
-    def test_nan_row_rejected(self, vocab, row):
+    def test_nan_row_rejected(self, vocab, tmp_path, row):
         # a NaN passes the feasibility check and would stall the rejection
         # sampler; a string or a null must not reach it either
         doc = {
-            "name": "demo", "table1": [row], "arms": [], "outcome": "ldl", "horizon_months": 12,
+            "name": "demo", "table1": [row], "arms": [SCALE_ARM], "outcome": "ldl", "horizon_months": 12,
             "published": {"point": -30.0, "ci_low": -35.0, "ci_high": -25.0},
         }
         with pytest.raises(ValueError, match=row["modality"]):
-            load_trial_spec(doc, vocab)
+            read_trial(tmp_path, doc, vocab)
 
     def test_degenerate_sd(self, vocab):
         trial = TrialSpec(
             name="t", table1=[TrialVariable("ldl", 50.0, 0.0, 0.0, 100.0)],
             arms=[], outcome="ldl", horizon_months=12,
-            published_point=-5.0, published_ci=(-6.0, -4.0), n=20,
+            published=Published(-5.0, -6.0, -4.0), n=20,
         )
         records = sample_trial_population(trial, np.random.default_rng(0), vocab)
         assert len(records) == 20
@@ -554,7 +569,7 @@ class TestSampler:
         trial = TrialSpec(
             name="t", table1=[TrialVariable("ldl", 150.0, 20.0, 50.0, 300.0)],
             arms=[], outcome="ldl", horizon_months=12,
-            published_point=-5.0, published_ci=(-6.0, -4.0),
+            published=Published(-5.0, -6.0, -4.0),
         )
         assert trial.n == 200
         records = sample_trial_population(trial, np.random.default_rng(0), vocab)
@@ -582,7 +597,7 @@ class TestSampler:
             trial = TrialSpec(
                 name="t", table1=[TrialVariable("ldl", mean, sd, lo, hi)],
                 arms=[], outcome="ldl", horizon_months=12,
-                published_point=-5.0, published_ci=(-6.0, -4.0), n=400,
+                published=Published(-5.0, -6.0, -4.0), n=400,
             )
             records = sample_trial_population(trial, rng, vocab)
             sample = np.array([rec.events[0].value for rec in records])
@@ -600,7 +615,7 @@ class TestSampler:
             name="t",
             table1=[TrialVariable("age", 62.0, 5.0, 40.0, 80.0), TrialVariable("ldl", 150.0, 20.0, 60.0, 260.0)],
             arms=[], outcome="ldl", horizon_months=12,
-            published_point=-5.0, published_ci=(-6.0, -4.0), n=50,
+            published=Published(-5.0, -6.0, -4.0), n=50,
         )
         records = sample_trial_population(trial, np.random.default_rng(3), vocab)
         ages = np.array([r.age for r in records])
@@ -726,7 +741,7 @@ class TestCatalogAndSpecs:
         ({"kind": "scale", "modalities": ["ldl", "statin"], "factor": 0.9}, "modalities"),
         ({"kind": "append", "modality": "statin", "category_index": 0, "frequency": 5, "duration": 1}, "frequency"),
     ])
-    def test_arm_rule_names_the_arm_and_key(self, vocab, arm, key):
+    def test_arm_rule_names_the_arm_and_key(self, vocab, tmp_path, arm, key):
         """A rule an arm keeps (a dose of a category of a categorical
         modality, a scale of continuous ones, the dosing grid) names the arm
         and the key, as the spec's table does."""
@@ -734,20 +749,20 @@ class TestCatalogAndSpecs:
             "name": "demo", "table1": [], "arms": [arm], "outcome": "ldl", "horizon_months": 12,
             "published": {"point": -30.0, "ci_low": -35.0, "ci_high": -25.0},
         }
-        with pytest.raises(InputError, match=rf"^trial spec: 'arms'\[0\]: '{key}' must be "):
-            load_trial_spec(doc, vocab)
+        with pytest.raises(InputError, match=rf"^{trial_where(tmp_path)}: 'arms'\[0\]: '{key}' must be "):
+            read_trial(tmp_path, doc, vocab)
 
-    def test_categorical_outcome_rejected_when_read(self, vocab):
+    def test_categorical_outcome_rejected_when_read(self, vocab, tmp_path):
         """An outcome is a continuous modality: a categorical one once passed
         the spec's table and failed later without naming the spec."""
         doc = {
-            "name": "demo", "table1": [], "arms": [], "outcome": "statin", "horizon_months": 12,
+            "name": "demo", "table1": [], "arms": [SCALE_ARM], "outcome": "statin", "horizon_months": 12,
             "published": {"point": -30.0, "ci_low": -35.0, "ci_high": -25.0},
         }
-        with pytest.raises(InputError, match="^trial spec: 'outcome' must be a continuous modality name, got \"statin\"$"):
-            load_trial_spec(doc, vocab)
+        with pytest.raises(InputError, match=f"^{trial_where(tmp_path)}: 'outcome' must be a continuous modality name, got \"statin\"$"):
+            read_trial(tmp_path, doc, vocab)
 
-    def test_trial_spec_roundtrip(self, vocab):
+    def test_trial_spec_roundtrip(self, vocab, tmp_path):
         doc = {
             "name": "demo",
             "table1": [{"modality": "ldl", "mean": 150, "sd": 20, "low": 60, "high": 260}],
@@ -758,27 +773,36 @@ class TestCatalogAndSpecs:
             "horizon_months": 12,
             "published": {"point": -30.0, "ci_low": -35.0, "ci_high": -25.0},
         }
-        trial = load_trial_spec(doc, vocab)
+        trial = read_trial(tmp_path, doc, vocab)
         assert trial.name == "demo"
         assert isinstance(trial.arms[0], CategoricalAppend)
         assert trial.arms[0].frequency == 10
 
     @pytest.mark.parametrize("n", [0, -3, 2.5, True, "12"])
-    def test_trial_size_must_be_whole_and_positive(self, vocab, n):
+    def test_trial_size_must_be_whole_and_positive(self, vocab, tmp_path, n):
         doc = {
-            "name": "demo", "table1": [], "arms": [], "outcome": "ldl", "horizon_months": 12, "n": n,
+            "name": "demo", "table1": [], "arms": [SCALE_ARM], "outcome": "ldl", "horizon_months": 12, "n": n,
             "published": {"point": -30.0, "ci_low": -35.0, "ci_high": -25.0},
         }
         with pytest.raises(ValueError, match=re.escape(f"got {json.dumps(n)}")):
-            load_trial_spec(doc, vocab)
+            read_trial(tmp_path, doc, vocab)
 
-    def test_published_point_outside_ci_rejected(self, vocab):
+    def test_a_trial_has_1_or_2_arms(self, vocab, tmp_path):
         doc = {
-            "name": "demo", "table1": [], "arms": [], "outcome": "ldl", "horizon_months": 12,
+            "name": "demo", "table1": [], "arms": [SCALE_ARM] * 3, "outcome": "ldl", "horizon_months": 12,
+            "published": {"point": -30.0, "ci_low": -35.0, "ci_high": -25.0},
+        }
+        with pytest.raises(InputError, match=f"^{trial_where(tmp_path)}: 'arms' must be a list of 1 or 2 arms, got "):
+            read_trial(tmp_path, doc, vocab)
+        assert len(read_trial(tmp_path, {**doc, "arms": [SCALE_ARM] * 2}, vocab).arms) == 2
+
+    def test_published_point_outside_ci_rejected(self, vocab, tmp_path):
+        doc = {
+            "name": "demo", "table1": [], "arms": [SCALE_ARM], "outcome": "ldl", "horizon_months": 12,
             "published": {"point": -30.0, "ci_low": -20.0, "ci_high": -10.0},
         }
         with pytest.raises(ValueError, match=r"'published': 'point' must be inside its own CI \[ci_low -20\.0, ci_high -10\.0\], got -30\.0"):
-            load_trial_spec(doc, vocab)
+            read_trial(tmp_path, doc, vocab)
 
     def test_add_months(self):
         start = datetime(2021, 1, 1)

@@ -1,5 +1,6 @@
 import json
 import math
+import re
 import struct
 import tracemalloc
 from dataclasses import replace
@@ -534,6 +535,24 @@ class TestCheckpoint:
         data = path.read_bytes()
         path.write_bytes(data[:-8])
         with pytest.raises(ValueError, match="truncated"):
+            load_checkpoint(path)
+
+    def test_cut_inside_the_header_is_one_error_naming_the_file(self, vocab, config, tmp_path):
+        """A file cut at any length short of its header's end, the magic
+        included, once died in `struct.unpack` or `json.loads`."""
+        path = tmp_path / "m.ckpt"
+        save_checkpoint(path, init_params(config, np.random.default_rng(23), dtype=np.float32), config, "h")
+        data = path.read_bytes()
+        end = 12 + struct.unpack("<I", data[8:12])[0]
+        message = re.escape(f"checkpoint {str(path)!r} is truncated: the file ends inside its header")
+        for n in range(end):
+            path.write_bytes(data[:n])
+            for read in (read_header, load_checkpoint):
+                with pytest.raises(ValueError, match=f"^{message}$"):
+                    read(path)
+        path.write_bytes(data[:end])
+        assert read_header(path)["data_bytes"] == len(data) - end
+        with pytest.raises(ValueError, match=re.escape(f"checkpoint {str(path)!r} truncated or padded: 0 data bytes")):
             load_checkpoint(path)
 
     def test_flipped_data_byte_detected(self, vocab, config, tmp_path):

@@ -4,20 +4,20 @@ the criterion or reference it serves; and every name one module reads from
 another is in that module's `__all__`."""
 
 import ast
+import sys
 from pathlib import Path
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "trajlm"
+ORACLE = Path(__file__).resolve().parent / "oracle.py"
 
 # (module, export) with no reader in the package, and what it serves.
 # numerics is held to a stricter rule: its exports need a reader in another module.
 NO_PRODUCTION_READER = {
     ("numerics", "grad_check"): "the tests' finite-difference gradient check (criterion 1)",
-    ("numerics", "neg_inf"): "the masked-score fill, used inside numerics",
     ("objective", "soft_target"): "criterion 4's scalar reference for ntp_targets",
     ("vocab", "decode_token"): "criterion 2's exhaustive token round trip",
     ("vocab", "quantile_match"): "criterion 2's rank-preservation oracle",
     ("synthcohort", "analytic_cross_correlation"): "the planted-structure oracle in test_synthcohort.py",
-    ("intervene", "load_trial_spec"): "trial specs given as dicts, checked as `read_trial_spec` checks a file",
 }
 
 
@@ -128,3 +128,16 @@ def test_inference_calls_forward_from_one_place():
     eval-ntp, every query and the cross-modal probe."""
     callers = set().union(*(forward_callers(p) for p in PACKAGE.glob("*.py") if p.stem != "objective"))
     assert sorted(callers, key=str) == [("evalharness", "_pass")]
+
+
+def test_oracle_imports_only_numpy_and_the_standard_library():
+    """The oracle is independent of the code it checks: it imports numpy and
+    standard-library modules only, so nothing of trajlm, and nothing that
+    could import trajlm, stands behind its numbers."""
+    imported = set()
+    for node in ast.walk(ast.parse(ORACLE.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.Import):
+            imported |= {a.name.split(".")[0] for a in node.names}
+        elif isinstance(node, ast.ImportFrom):
+            imported.add("." * node.level + (node.module or "").split(".")[0])
+    assert imported and sorted(imported - {"numpy"} - sys.stdlib_module_names) == []
