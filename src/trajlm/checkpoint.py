@@ -19,6 +19,7 @@ import numpy as np
 
 from .model import ModelConfig, param_manifest
 from .numerics import ParamStore, Tensor
+from .vocab import InputError, Key, Must, Table
 
 __all__ = ["MAGIC", "save_checkpoint", "load_checkpoint", "read_header"]
 
@@ -54,19 +55,45 @@ def save_checkpoint(
         f.write(data)
 
 
+# The header's table.  The header is outside data_sha256, so these checks
+# and _check_manifest's are all that stand between a damaged header and a
+# KeyError or TypeError deep in a reader.
+_ENTRY = Table(
+    name=Key((Must.string,)),
+    shape=Key((("a list of whole numbers >= 0", Must.list_of(lambda shape: Must.whole[1](shape) and min(shape, default=0) >= 0)),)),
+    offset=Key((Must.whole,)),
+)
+_HEADER = Table(
+    config=Key((Must.object,), read=("a model config", ModelConfig.from_dict)),
+    data_bytes=Key((Must.whole, Must.non_negative)),
+    data_sha256=Key((Must.string,)),
+    manifest=Key((Must.objects,), table=_ENTRY),
+    meta=Key((Must.object,), {}),
+    vocab_sha256=Key((Must.string,), ""),
+)
+
+
 def _read_header(f, path) -> dict:
     """Read the magic and the JSON header from the open checkpoint file at
     `path`, leaving it at the start of the data section.  A file that ends
-    before its header does is a ValueError naming `path`."""
+    before its header does, or whose magic is wrong, is a ValueError naming
+    `path`; a header that is not UTF-8 JSON or breaks its table is an
+    InputError naming `path` and the key."""
     magic = f.read(len(MAGIC))
     if not MAGIC.startswith(magic):
-        raise ValueError(f"not a checkpoint file: bad magic {magic!r}")
+        raise ValueError(f"{str(path)!r} is not a checkpoint file: bad magic {magic!r}")
     size = f.read(4)  # empty when the file ended inside the magic
     hlen = struct.unpack("<I", size)[0] if len(size) == 4 else -1
     text = f.read(hlen) if hlen >= 0 else b""
     if len(text) != hlen:
         raise ValueError(f"checkpoint {str(path)!r} is truncated: the file ends inside its header")
-    return json.loads(text.decode("utf-8"))
+    where = f"checkpoint {str(path)!r}"
+    try:
+        header = Table.parse(text.decode("utf-8"), where)
+    except UnicodeDecodeError as e:
+        raise InputError(f"{where}: the header is not UTF-8: {e}") from None
+    _HEADER.check(header, where)
+    return header
 
 
 def read_header(path) -> dict:
@@ -74,31 +101,26 @@ def read_header(path) -> dict:
         return _read_header(f, path)
 
 
-def _check_manifest(manifest, config: ModelConfig, data_bytes: int) -> None:
+def _check_manifest(manifest: list, config: ModelConfig, data_bytes: int, path) -> None:
     """The manifest must list param_manifest(config) in order, each entry at
     the byte offset where the previous one ends, tiling the data section;
-    else ValueError naming the first bad entry.  The header is outside
-    data_sha256, so nothing else catches a damaged manifest."""
-    if not isinstance(manifest, list):
-        raise ValueError(f"checkpoint manifest is a {type(manifest).__name__}, not a list")
+    else ValueError naming `path` and the first bad entry."""
+    where = f"checkpoint {str(path)!r} manifest"
     expected = param_manifest(config)
     offset = 0
     for i, (name, shape) in enumerate(expected):
         if i >= len(manifest):
-            raise ValueError(f"checkpoint manifest ends after {i} entries: parameter {name!r} is missing")
-        entry = manifest[i] if isinstance(manifest[i], dict) else {"name": manifest[i]}
+            raise ValueError(f"{where} ends after {i} entries: parameter {name!r} is missing")
+        entry = manifest[i]
         for key, want in (("name", name), ("shape", list(shape)), ("offset", offset)):
-            if entry.get(key) != want:
-                raise ValueError(
-                    f"checkpoint manifest entry {i} ({entry.get('name')!r}): {key} is {entry.get(key)!r}, "
-                    f"expected {want!r}"
-                )
+            if entry[key] != want:
+                raise ValueError(f"{where} entry {i} ({entry['name']!r}): {key} is {entry[key]!r}, expected {want!r}")
         offset += 4 * math.prod(shape)
     if len(manifest) > len(expected):
         extra = manifest[len(expected)]
-        raise ValueError(f"checkpoint manifest entry {len(expected)} is not a parameter of this model: {extra!r}")
+        raise ValueError(f"{where} entry {len(expected)} is not a parameter of this model: {extra!r}")
     if offset != data_bytes:
-        raise ValueError(f"checkpoint manifest covers {offset} bytes, the data section holds {data_bytes}")
+        raise ValueError(f"{where} covers {offset} bytes, the data section holds {data_bytes}")
 
 
 def load_checkpoint(path):
@@ -119,7 +141,7 @@ def load_checkpoint(path):
             f"data_sha256 {header.get('data_sha256')!r}"
         )
     config = ModelConfig.from_dict(header["config"])
-    _check_manifest(header["manifest"], config, len(data))
+    _check_manifest(header["manifest"], config, len(data), path)
     shapes = {entry["name"]: tuple(entry["shape"]) for entry in header["manifest"]}
     params = ParamStore(shapes, np.frombuffer(data, dtype="<f4").copy()).params
     return params, config, header

@@ -12,10 +12,8 @@ import argparse
 import hashlib
 import json
 import math
-import multiprocessing
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import fields
 from datetime import datetime
 from functools import partial
@@ -273,11 +271,15 @@ def map_participants(fn, records, workers: int) -> list:
     returns one result per chunk, in order.  A single chunk (one worker, or
     fewer than two records) runs in this process; otherwise each chunk goes
     to its own spawned worker process (forking a process that already runs
-    BLAS threads can deadlock the child)."""
+    BLAS threads can deadlock the child).  The pool's modules are imported
+    here, so a single-chunk run never loads them."""
     size = max(1, math.ceil(len(records) / workers))
     chunks = [records[i : i + size] for i in range(0, len(records), size)] or [records]
     if len(chunks) == 1:
         return [fn(chunks[0])]
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+
     with ProcessPoolExecutor(max_workers=len(chunks), mp_context=multiprocessing.get_context("spawn")) as pool:
         return list(pool.map(fn, chunks))
 

@@ -52,6 +52,7 @@ import math
 import operator
 import os
 import platform
+import weakref
 
 import numpy as np
 
@@ -106,7 +107,7 @@ _HEAP_POLICY = _keep_heap_mapped()
 
 
 class Tensor:
-    __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward", "_store", "_seq")
+    __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward", "_store", "_slot", "_seq", "__weakref__")
 
     def __init__(self, data, requires_grad: bool = False, parents=(), backward=None):
         self.data = np.asarray(data)
@@ -115,12 +116,14 @@ class Tensor:
         self._parents = tuple(parents)
         self._backward = backward
         self._store = None
+        self._slot = 0  # a store tensor's place in its store
         self._seq = 0  # a tape node's place in creation order (`_node`)
 
     def __getstate__(self):
         # a pickled parameter leaves its store behind and owns a copy of its
         # data, so a params dict sent to a worker process is not sent twice
-        return None, {name: getattr(self, name) for name in self.__slots__} | {"_store": None}
+        state = {name: getattr(self, name) for name in self.__slots__ if name != "__weakref__"}
+        return None, state | {"_store": None}
 
     @property
     def shape(self):
@@ -149,9 +152,15 @@ class ParamStore:
     whole vector at once.  A tensor whose `.grad` is None has no gradient this
     pass, whatever its slice of `grad` holds.  So a `.grad` array kept across
     a later backward is overwritten by it; copy it to keep it.
+
+    Each tensor holds its store, and the store holds its tensors only
+    weakly, so dropping the last reference to a params dict frees the
+    vectors at once, without waiting for the cyclic collector.  Reading
+    `params` makes a fresh tensor for a slice whose tensor is gone: a view
+    of the same values, requiring grad, with no gradient.
     """
 
-    __slots__ = ("data", "grad", "bounds", "params", "_grad_views")
+    __slots__ = ("data", "grad", "bounds", "_names", "_shapes", "_tensors", "_grad_views")
 
     def __init__(self, shapes: dict[str, tuple], data: np.ndarray):
         bounds = [0]
@@ -159,20 +168,33 @@ class ParamStore:
             bounds.append(bounds[-1] + math.prod(shape))
         if data.shape != (bounds[-1],):
             raise ValueError(f"a store of {bounds[-1]} values needs a flat vector that long, got shape {data.shape}")
-        self.data, self.grad, self.bounds, self._grad_views = data, None, bounds, {}
-        self.params: dict[str, Tensor] = {}
-        for (name, shape), a, b in zip(shapes.items(), bounds, bounds[1:]):
-            t = self.params[name] = Tensor(data[a:b].reshape(shape), requires_grad=True)
-            t._store = self
+        self.data, self.grad, self.bounds, self._grad_views = data, None, bounds, []
+        self._names, self._shapes = list(shapes), [tuple(shape) for shape in shapes.values()]
+        self._tensors: list[weakref.ref | None] = [None] * len(self._names)
+
+    def _adopt(self, i: int, t: Tensor) -> Tensor:
+        """Make t the store's tensor i: its data becomes a view of slice i."""
+        t.data, t._store, t._slot = self.data[self.bounds[i] : self.bounds[i + 1]].reshape(self._shapes[i]), self, i
+        self._tensors[i] = weakref.ref(t)
+        return t
+
+    @property
+    def params(self) -> dict[str, Tensor]:
+        """The store's tensors by name, in order."""
+        params = {}
+        for i, (name, ref) in enumerate(zip(self._names, self._tensors)):
+            t = ref() if ref is not None else None
+            params[name] = t if t is not None else self._adopt(i, Tensor((), requires_grad=True))
+        return params
 
     @staticmethod
     def find(params: dict[str, Tensor]) -> "ParamStore | None":
         """The store whose tensors are exactly params' values, in order, else None."""
         tensors = list(params.values())
         store = tensors[0]._store if tensors else None
-        if store is None or len(store.params) != len(tensors):
+        if store is None or len(store._names) != len(tensors):
             return None
-        if any(a is not b for a, b in zip(store.params.values(), tensors)):
+        if any(t._store is not store or t._slot != i for i, t in enumerate(tensors)):
             return None
         return store
 
@@ -188,23 +210,20 @@ class ParamStore:
         if taken:
             raise ValueError(f"parameter {taken[0]!r} already belongs to another parameter store")
         tensors = list(params.values())
-        data = np.zeros(sum(p.data.size for p in tensors), np.result_type(*(p.data.dtype for p in tensors)))
+        data = np.concatenate([p.data.ravel() for p in tensors], dtype=np.result_type(*(p.data.dtype for p in tensors)))
         store = cls({name: p.data.shape for name, p in params.items()}, data)
-        for p, view in zip(tensors, store.params.values()):
-            view.data[...] = p.data
-            p.data, p._store = view.data, store
-        store.params = dict(params)
+        for i, p in enumerate(tensors):
+            store._adopt(i, p)
         return store
 
     def grad_view(self, t: Tensor) -> np.ndarray:
         """t's own slice of `grad`, allocating `grad` on first use."""
         if self.grad is None:
             self.grad = np.zeros(self.data.shape, self.data.dtype)  # zeros, not zeros_like: untouched pages stay free
-            self._grad_views = {
-                id(p): self.grad[a:b].reshape(p.data.shape)
-                for p, a, b in zip(self.params.values(), self.bounds, self.bounds[1:])
-            }
-        return self._grad_views[id(t)]
+            self._grad_views = [
+                self.grad[a:b].reshape(shape) for shape, a, b in zip(self._shapes, self.bounds, self.bounds[1:])
+            ]
+        return self._grad_views[t._slot]
 
 
 # Creation sequence numbers of tape nodes.  A node is made after its

@@ -1,7 +1,12 @@
+import concurrent.futures
 import csv
 import itertools
 import json
 import math
+import os
+import struct
+import subprocess
+import sys
 from concurrent.futures import ProcessPoolExecutor
 from datetime import datetime, timedelta
 from pathlib import Path
@@ -11,7 +16,7 @@ import pytest
 
 import trajlm.cli as cli
 import trajlm.intervene as intervene
-from trajlm.checkpoint import read_header
+from trajlm.checkpoint import load_checkpoint, read_header
 from trajlm.cli import main
 from trajlm.corpus import assemble_sequence, read_cohort_jsonl, v1_context
 from trajlm.evalharness import predict_queries
@@ -377,7 +382,75 @@ class TestInspect:
         assert capsys.readouterr().err == want
 
 
+def _damage_header(raw: bytes, damage: str) -> bytes:
+    """The checkpoint bytes `raw` with its magic or header damaged; the data
+    section and its SHA-256 stay as they were."""
+    if damage == "bad magic":
+        return b"TRAJLM99" + raw[8:]
+    (hlen,) = struct.unpack("<I", raw[8:12])
+    text = raw[12 : 12 + hlen]
+    if damage == "backslash":
+        text = text[:8] + b"\\" + text[9:]  # the quote closing "config"
+    else:
+        header = json.loads(text)
+        if damage == "no data_bytes":
+            del header["data_bytes"]
+        else:
+            header["manifest"] = "tok_embed"
+        text = json.dumps(header).encode("utf-8")
+    return raw[:8] + struct.pack("<I", len(text)) + text + raw[12 + hlen :]
+
+
+class TestDamagedHeader:
+    @pytest.mark.parametrize("damage, named", [
+        ("bad magic", "is not a checkpoint file: bad magic b'TRAJLM99'"),
+        ("backslash", "Invalid \\escape"),
+        ("no data_bytes", "has no key 'data_bytes'"),
+        ("manifest a string", "'manifest' must be a list of objects, got \"tok_embed\""),
+    ])
+    def test_error_names_the_file_and_key(self, workspace, tmp_path, capsys, damage, named):
+        """A damaged header once escaped as a JSONDecodeError, KeyError or
+        TypeError naming neither the file nor the key."""
+        ckpt = tmp_path / "damaged.ckpt"
+        ckpt.write_bytes(_damage_header(workspace["ckpt"].read_bytes(), damage))
+        where = repr(str(ckpt))
+        with pytest.raises(ValueError) as raised:
+            load_checkpoint(ckpt)
+        assert where in str(raised.value) and named in str(raised.value)
+        assert main(["inspect-checkpoint", "--ckpt", str(ckpt)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert where in err and named in err
+
+
 class TestEval:
+    def test_evals_run_with_scipy_blocked_and_no_process_pool(self, workspace, tmp_path):
+        """numpy is the only runtime dependency: with every scipy import made
+        to fail, eval-ntp (Pearson t-test p-values) and eval-longitudinal
+        (those, and Fisher-Z comparisons against LOCF) exit 0, and at
+        --workers 1 neither the import of trajlm.cli nor the evals load
+        multiprocessing."""
+        common = ["--ckpt", str(workspace["ckpt"]), "--vocab", str(workspace["vocab"]),
+                  "--cohort", str(workspace["cohort"]), "--workers", "1"]
+        code = (
+            "import sys\n"
+            "sys.modules['scipy'] = None  # every scipy import now raises ImportError\n"
+            "from trajlm.cli import main\n"
+            f"assert main(['eval-ntp', *{common!r}, '--report', {str(tmp_path / 'ntp.csv')!r}]) == 0\n"
+            f"assert main(['eval-longitudinal', *{common!r}, '--baselines', 'locf', "
+            f"'--report', {str(tmp_path / 'long.csv')!r}]) == 0\n"
+            "print(sorted(m for m, v in sys.modules.items() if v is not None and m.split('.')[0] in ('scipy', 'multiprocessing')))\n"
+        )
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        run = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": src},
+                             capture_output=True, text=True, timeout=300)
+        assert run.returncode == 0, run.stderr
+        assert run.stdout.splitlines()[-1] == "[]"
+        for report in ("ntp.csv", "long.csv"):
+            header, *rows = _csv_rows(tmp_path / report)
+            p_values = [float(row[header.index("p")]) for row in rows if row[header.index("p")]]
+            assert any(0.0 <= p <= 1.0 for p in p_values), report
+
     def test_eval_ntp_report(self, workspace, tmp_path, capsys):
         report = tmp_path / "ntp.csv"
         summary = tmp_path / "ntp.json"
@@ -593,7 +666,7 @@ class TestProbeAndSimulate:
                 pools.append(max_workers)
                 super().__init__(max_workers=max_workers, **kwargs)
 
-        monkeypatch.setattr(cli, "ProcessPoolExecutor", RecordedPool)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordedPool)
         outs = {}
         for workers in ("1", "2"):
             run = tmp_path / f"workers{workers}"
@@ -667,7 +740,7 @@ class TestProbeAndSimulate:
         def never(*args, **kwargs):
             raise AssertionError("ran past the --workers check")
 
-        monkeypatch.setattr(cli, "ProcessPoolExecutor", never)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", never)
         monkeypatch.setattr(cli, "_load_model", never)
         out = tmp_path / "out.csv"
         rc = main([command, "--ckpt", "m.ckpt", "--vocab", "v.json", "--cohort", "c.jsonl",
@@ -828,7 +901,7 @@ class TestSimulatePlan:
                 pools.append(max_workers)
                 super().__init__(max_workers=max_workers, **kwargs)
 
-        monkeypatch.setattr(cli, "ProcessPoolExecutor", RecordedPool)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordedPool)
         screen = {"modality": "x_core", "comparator": ">=", "threshold": 95.0}
         doc = {**DRUG_SPEC, "eligibility": screen}
         outs = {}

@@ -130,14 +130,33 @@ def test_inference_calls_forward_from_one_place():
     assert sorted(callers, key=str) == [("evalharness", "_pass")]
 
 
-def test_oracle_imports_only_numpy_and_the_standard_library():
-    """The oracle is independent of the code it checks: it imports numpy and
-    standard-library modules only, so nothing of trajlm, and nothing that
-    could import trajlm, stands behind its numbers."""
+def imported_roots(path) -> set[str]:
+    """The top-level names of the modules a source file imports; a relative
+    import keeps its leading dots."""
     imported = set()
-    for node in ast.walk(ast.parse(ORACLE.read_text(encoding="utf-8"))):
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
         if isinstance(node, ast.Import):
             imported |= {a.name.split(".")[0] for a in node.names}
         elif isinstance(node, ast.ImportFrom):
             imported.add("." * node.level + (node.module or "").split(".")[0])
+    return imported
+
+
+def test_oracle_imports_only_numpy_and_the_standard_library():
+    """The oracle is independent of the code it checks: it imports numpy and
+    standard-library modules only, so nothing of trajlm, and nothing that
+    could import trajlm, stands behind its numbers."""
+    imported = imported_roots(ORACLE)
     assert imported and sorted(imported - {"numpy"} - sys.stdlib_module_names) == []
+
+
+def test_package_imports_only_numpy_the_standard_library_and_itself():
+    """numpy is the one runtime dependency: no module imports scipy, at
+    module level or inside a function; scipy serves the tests only."""
+    outside = {
+        (p.stem, name)
+        for p in PACKAGE.glob("*.py")
+        for name in imported_roots(p) - {"numpy"} - sys.stdlib_module_names
+        if not name.startswith(".")
+    }
+    assert sorted(outside) == []
